@@ -11,6 +11,7 @@ antipodal, x-y) admit O(1) range-maximum queries.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -21,36 +22,45 @@ NEG = float("-inf")
 
 
 class RangeMax:
-    """Static range-maximum (with argmax) over a float array."""
+    """Static range-maximum (with leftmost argmax) over a float array.
+
+    The sparse-table levels are built with numpy and stored as stdlib
+    arrays: indexing an ``array`` yields a Python float or int directly,
+    which keeps the O(1) query free of numpy scalar boxing.
+    """
 
     def __init__(self, values):
         vals = np.asarray(values, dtype=float)
         self.n = len(vals)
-        self.t = [vals]
-        self.arg = [np.arange(self.n)]
+        t, arg = vals, np.arange(self.n, dtype=np.int64)
+        self.t = [array("d", t.tobytes())]
+        self.arg = [array("q", arg.tobytes())]
         j = 1
         while (1 << j) <= self.n:
-            prev, parg = self.t[-1], self.arg[-1]
             half = 1 << (j - 1)
             m = self.n - (1 << j) + 1
-            left, right = prev[:m], prev[half:half + m]
+            left, right = t[:m], t[half:half + m]
             pick = right > left
-            self.t.append(np.where(pick, right, left))
-            self.arg.append(np.where(pick, parg[half:half + m], parg[:m]))
+            t = np.where(pick, right, left)
+            arg = np.where(pick, arg[half:half + m], arg[:m])
+            self.t.append(array("d", t.tobytes()))
+            self.arg.append(array("q", arg.tobytes()))
             j += 1
 
     def query(self, lo, hi):
         """Max over indices [lo, hi); returns (value, argmax) or (-inf, -1)."""
-        if hi <= lo or self.n == 0:
-            return NEG, -1
-        lo = max(lo, 0)
-        hi = min(hi, self.n)
+        if lo < 0:
+            lo = 0
+        if hi > self.n:
+            hi = self.n
         if hi <= lo:
             return NEG, -1
         j = (hi - lo).bit_length() - 1
-        va, aa = float(self.t[j][lo]), int(self.arg[j][lo])
-        vb, ab = float(self.t[j][hi - (1 << j)]), int(self.arg[j][hi - (1 << j)])
-        return (vb, ab) if vb > va else (va, aa)
+        t, arg = self.t[j], self.arg[j]
+        r = hi - (1 << j)
+        if t[r] > t[lo]:
+            return t[r], arg[r]
+        return t[lo], arg[lo]
 
 
 @dataclass
@@ -300,9 +310,16 @@ class Caterpillar:
         return best
 
     def evaluate_grid(self, alphas, betas, chunk=4096):
-        """Vectorized exact evaluation for many (alpha, beta) placements."""
+        """Vectorized exact evaluation for many (alpha, beta) placements.
+
+        A block of ``chunk`` placements holds two ``chunk x m x m`` float
+        arrays (m = k + 2 entities), so the chunk is capped to keep each
+        at 2**22 entries (32 MB).
+        """
         alphas = np.asarray(alphas, dtype=float)
         betas = np.asarray(betas, dtype=float)
+        m = len(self.et)
+        chunk = max(1, min(chunk, (1 << 22) // (m * m)))
         out = np.empty(len(alphas))
         for lo in range(0, len(alphas), chunk):
             hi = min(lo + chunk, len(alphas))
@@ -320,9 +337,13 @@ class Caterpillar:
         dP = eh[None, :] + np.abs(et[None, :] - A[:, None])
         dQ = eh[None, :] + np.abs(et[None, :] - B[:, None])
         treed = eh[None, :] + eh[:, None] + np.abs(et[None, :] - et[:, None])
-        via = np.minimum(dP[:, :, None] + dQ[:, None, :],
-                         dQ[:, :, None] + dP[:, None, :]) + e[:, None, None]
-        pair = np.minimum(treed[None, :, :], via)
+        # via[i, j] = min(dP_i + dQ_j, dQ_i + dP_j) + e: the second sum is
+        # the transpose of the first, so two block arrays suffice.
+        pq = dP[:, :, None] + dQ[:, None, :]
+        pair = np.minimum(pq, pq.transpose(0, 2, 1))
+        del pq
+        pair += e[:, None, None]
+        np.minimum(pair, treed[None, :, :], out=pair)
         m = len(self.et)
         pair[:, np.arange(m), np.arange(m)] = NEG
         best = pair.reshape(len(A), -1).max(axis=1)

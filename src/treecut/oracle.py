@@ -9,7 +9,6 @@ oracle on the subdivided graph.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 
@@ -102,29 +101,13 @@ def _grid_full(tree, decomp, h):
     leaf_dists = {u: distances_from(tree, TP.at_vertex(u)) for u in leaves}
     best = (decomp.diameter, decomp.center, decomp.center)
     count = 1
-    n_threads = max(1, int(os.environ.get("TREECUT_THREADS", "1") or "1"))
-    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
-
-    def run(chunk):
-        loc = None
-        for (i, j) in chunk:
-            sc = Shortcut(pts[i], pts[j])
-            val = augmented_diameter_value(tree, sc, leaf_dists)
-            if loc is None or val < loc[0]:
-                loc = (val, pts[i], pts[j])
-        return loc
-
-    if n_threads > 1 and len(pairs) > 256:
-        from concurrent.futures import ThreadPoolExecutor
-        chunks = [pairs[i::n_threads] for i in range(n_threads)]
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            results = list(ex.map(run, chunks))
-    else:
-        results = [run(pairs)] if pairs else []
-    count += len(pairs)
-    for loc in results:
-        if loc is not None and loc[0] < best[0]:
-            best = loc
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            val = augmented_diameter_value(tree, Shortcut(pts[i], pts[j]),
+                                           leaf_dists)
+            if val < best[0]:
+                best = (val, pts[i], pts[j])
+            count += 1
     return GridResult(Shortcut(best[1], best[2]), best[0], h, count, False)
 
 

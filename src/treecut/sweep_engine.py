@@ -12,7 +12,8 @@ path becomes diametral.
 
 Continuous motion is realized by root-finding on monotone balance and
 condition functions rather than closed-form trajectories; events are
-located by sign probing plus bisection.
+located by sign probing, then by ITP root finding (bisection safeguarded
+by regula falsi) inside the bracketing probe interval.
 """
 
 from __future__ import annotations
@@ -87,6 +88,64 @@ def _laws():
 
 
 SPEED_LAWS = _laws()
+
+# Balance residuals: the named family pair is in balance where g = 0.
+_PAIR_GAP = {
+    "x-xy": lambda fv: fv.fx - fv.xy,
+    "anti-xy": lambda fv: fv.fanti - fv.xy,
+    "anti-y": lambda fv: fv.fanti - fv.fy,
+    "x-y": lambda fv: fv.fx - fv.fy,
+}
+
+
+def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
+    """First point in [lo, hi] where fn >= 0, given fn(lo) < 0 <= fn(hi).
+
+    Returns the right end of a bracket of width at most eps (up to
+    rounding), after at most ceil(log2((hi - lo) / eps)) + 1 and never
+    more than 80 evaluations.  With the end values ``flo``/``fhi``
+    supplied this is the ITP method (Oliveira and Takahashi, ACM TOMS
+    2020): a regula-falsi point, truncated toward the midpoint and
+    projected into a ball around it whose radius keeps the bracket within
+    one step of bisection's; on smooth or piecewise-linear functions it
+    needs far fewer steps.  Without usable end values, or while a bracket
+    value is infinite, the step is the midpoint.
+    """
+    width = hi - lo
+    if width <= eps:
+        return hi
+    if flo is None or fhi is None or not flo < 0.0 <= fhi:
+        flo = fhi = None
+    # ITP parameters k1 = 0.2 / width, k2 = 2, n0 = 1.  After step j the
+    # bracket is at most eps * 2**(n_max - j - 1) wide.
+    n_max = math.ceil(math.log2(width / eps)) + 1
+    k1 = 0.2 / width
+    for j in range(min(n_max, 80)):
+        if hi - lo <= eps:
+            break
+        mid = 0.5 * (lo + hi)
+        x = mid
+        if flo is not None and math.isfinite(flo) and math.isfinite(fhi):
+            half = 0.5 * (hi - lo)
+            xf = (fhi * lo - flo * hi) / (fhi - flo)
+            # Truncation by at least eps/4 (as in Brent's method) lands the
+            # next point across a root that regula falsi has already
+            # pinned, so the far bracket end closes in one step.
+            delta = max(k1 * (hi - lo) ** 2, 0.25 * eps)
+            diff = mid - xf
+            xt = xf + math.copysign(delta, diff) if delta <= abs(diff) else mid
+            r = max(0.5 * eps * 2.0 ** (n_max - j) - half, 0.0)
+            x = xt if abs(xt - mid) <= r else mid - math.copysign(r, diff)
+            if not lo < x < hi:
+                x = mid
+        fx = fn(x)
+        if fx >= 0.0:
+            hi = x
+            fhi = fx if flo is not None else None
+        else:
+            lo = x
+            flo = fx if flo is not None else None
+    return hi
 
 
 @dataclass(frozen=True)
@@ -168,6 +227,7 @@ class _Engine:
         self._junctures = set()
         self.phase_end = "phase1"
         self.event_cap = 400 + 80 * tree.n
+        self._recent = {}
 
     # -- utilities -------------------------------------------------------
 
@@ -183,7 +243,9 @@ class _Engine:
         # Events carry the monitored family value; cross pairs and wedge
         # paths that the sweep deliberately ignores are reconciled when
         # candidates are re-evaluated exactly and in the state wrappers.
-        d = fv.diameter if fv is not None else frame.families(a, b).diameter
+        if fv is None:
+            fv = self.families(frame, a, b)
+        d = fv.diameter
         if self.events:
             last = self.events[-1]
             if (last.kind == kind and abs(last.p_arc - ab) <= self.eps
@@ -215,6 +277,23 @@ class _Engine:
             self.best_seen = dval
             self.note_candidate(frame, a, b, tag, traj_i)
 
+    def families(self, frame, alpha, beta):
+        """``frame.families(alpha, beta)``, remembering the last few points.
+
+        The sweep often re-reads a point it has just evaluated: a balance
+        solve ends on a point its root finder probed, and a segment's
+        first probe is the previous segment's last.  Every flipped view
+        of the caterpillar is the same function, so the key records only
+        the side the frame is seen from.
+        """
+        key = (frame is self.cat, alpha, beta)
+        fv = self._recent.get(key)
+        if fv is None:
+            if len(self._recent) >= 16:
+                self._recent.clear()
+            fv = self._recent[key] = frame.families(alpha, beta)
+        return fv
+
     def ties(self, fv):
         d = fv.diameter
         out = set()
@@ -227,18 +306,6 @@ class _Engine:
         if fv.fanti_pendant >= 0 and fv.fanti >= d - self.tol:
             out.add("anti")
         return out
-
-    def _bisect(self, fn, lo, hi):
-        """First point in [lo, hi] where fn >= 0, given fn(lo)<0<=fn(hi)."""
-        for _ in range(80):
-            if hi - lo <= self.eps:
-                break
-            mid = 0.5 * (lo + hi)
-            if fn(mid) >= 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def _record_lawful(self, phase, frame, states, d_active, sig_fn, law_fn):
         """Split probe states into constant-signature runs with a law.
@@ -285,21 +352,16 @@ class _Engine:
 
     # -- balance ---------------------------------------------------------
 
+    def _residual(self, frame, alpha, pair):
+        """g(beta) whose root balances the family pair at this alpha."""
+        gap = _PAIR_GAP[pair]
+        return lambda beta: gap(self.families(frame, alpha, beta))
+
     def balance(self, frame, alpha, guess, pair):
         """Solve for beta keeping the named family pair in balance."""
         lo_lim = max(alpha, frame.c_arc)
         hi_lim = frame.L
-
-        def g(beta):
-            fv = frame.families(alpha, beta)
-            if pair == "x-xy":
-                return fv.fx - fv.xy
-            if pair == "anti-xy":
-                return fv.fanti - fv.xy
-            if pair == "anti-y":
-                return fv.fanti - fv.fy
-            return fv.fx - fv.fy
-
+        g = self._residual(frame, alpha, pair)
         guess = min(max(guess, lo_lim), hi_lim)
         gv = g(guess)
         if abs(gv) <= 1e-3 * self.tol:
@@ -307,24 +369,28 @@ class _Engine:
         step = max(64.0 * self.eps, 1e-4 * frame.L)
         if gv > 0.0:
             # need smaller beta
-            hi = guess
-            lo = guess - step
-            while lo > lo_lim and g(lo) > 0.0:
+            hi, ghi = guess, gv
+            lo = max(lo_lim, guess - step)
+            glo = g(lo)
+            while lo > lo_lim and glo > 0.0:
                 step *= 4.0
-                hi = lo
+                hi, ghi = lo, glo
                 lo = max(lo_lim, lo - step)
-            if g(lo) > 0.0:
+                glo = g(lo)
+            if glo > 0.0:
                 return lo_lim
-            return self._bisect(g, lo, hi)
-        lo = guess
-        hi = guess + step
-        while hi < hi_lim and g(hi) < 0.0:
+            return itp_root(g, lo, hi, self.eps, glo, ghi)
+        lo, glo = guess, gv
+        hi = min(hi_lim, guess + step)
+        ghi = g(hi)
+        while hi < hi_lim and ghi < 0.0:
             step *= 4.0
-            lo = hi
+            lo, glo = hi, ghi
             hi = min(hi_lim, hi + step)
-        if g(hi) < 0.0:
+            ghi = g(hi)
+        if ghi < 0.0:
             return hi_lim
-        return self._bisect(g, lo, hi)
+        return itp_root(g, lo, hi, self.eps, glo, ghi)
 
     def balance_roots(self, frame, alpha, pair, samples=64):
         """All beta values balancing the pair at this alpha.
@@ -335,17 +401,7 @@ class _Engine:
         """
         lo = max(alpha, frame.c_arc)
         hi = frame.L
-
-        def g(beta):
-            fv = frame.families(alpha, beta)
-            if pair == "x-xy":
-                return fv.fx - fv.xy
-            if pair == "anti-xy":
-                return fv.fanti - fv.xy
-            if pair == "anti-y":
-                return fv.fanti - fv.fy
-            return fv.fx - fv.fy
-
+        g = self._residual(frame, alpha, pair)
         if hi - lo <= self.eps:
             return [lo]
         bs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
@@ -356,8 +412,9 @@ class _Engine:
                 roots.append(bs[i])
             elif (vals[i] < 0.0 <= vals[i + 1]) or (vals[i + 1] < 0.0 <= vals[i]):
                 sgn = 1.0 if vals[i] < 0.0 else -1.0
-                roots.append(self._bisect(lambda b: sgn * g(b),
-                                          bs[i], bs[i + 1]))
+                roots.append(itp_root(lambda b: sgn * g(b), bs[i], bs[i + 1],
+                                      self.eps, sgn * vals[i],
+                                      sgn * vals[i + 1]))
         if vals[-1] == 0.0:
             roots.append(bs[-1])
         out = []
@@ -393,7 +450,8 @@ class _Engine:
             for s, fv in states[1:]:
                 v = fn(fv)
                 if prev_v < 0.0 <= v:
-                    sc = self._bisect(lambda x: fn(state_at(x)), prev_s, s)
+                    sc = itp_root(lambda x: fn(state_at(x)), prev_s, s,
+                                  self.eps, prev_v, v)
                     hits.append((sc, name))
                     break
                 prev_s, prev_v = s, v
@@ -448,7 +506,7 @@ class _Engine:
         c, L = cat.c_arc, cat.L
         t_end = max(c, L - c)
         pos = lambda t: (max(0.0, c - t), min(L, c + t))
-        state_at = lambda t: cat.families(*pos(t))
+        state_at = lambda t: self.families(cat, *pos(t))
 
         labels = {}
 
@@ -531,7 +589,8 @@ class _Engine:
             thr_i += 1
         while thr_i < len(thresholds) and thresholds[thr_i] > d_lo:
             thr = thresholds[thr_i]
-            tc = self._bisect(lambda t: thr - state_at(t).xy, t0, t1)
+            tc = itp_root(lambda t: thr - state_at(t).xy, t0, t1, self.eps,
+                          thr - d_hi, thr - d_lo)
             a, b = pos(tc)
             self.emit("threshold", "I", self.cat, a, b, state_at(tc), (thr,))
             thr_i += 1
@@ -552,7 +611,7 @@ class _Engine:
         def state_at(alpha):
             beta = self.balance(frame, alpha, beta_mem[0], pair)
             beta_mem[0] = beta
-            return frame.families(alpha, beta)
+            return self.families(frame, alpha, beta)
 
         def d_active(fv):
             if pair == "x-xy":
@@ -715,7 +774,7 @@ class _Engine:
         def state_at(alpha):
             beta = self.balance(frame, alpha, beta_mem[0], "anti-y")
             beta_mem[0] = beta
-            return frame.families(alpha, beta)
+            return self.families(frame, alpha, beta)
 
         def d_active(fv):
             return max(fv.fanti, fv.fy)
@@ -792,14 +851,14 @@ class _Engine:
         beta_mem = [b0]
 
         def state_at_alpha(alpha):
-            fv_probe = frame.families(alpha, beta_mem[0])
+            fv_probe = self.families(frame, alpha, beta_mem[0])
             if fv_probe.fx_branch == "tree" and fv_probe.fy_branch == "tree":
                 # Both components frozen: mirror the driven motion.
                 beta = beta_mem[0]
             else:
                 beta = self.balance(frame, alpha, beta_mem[0], "x-y")
             beta_mem[0] = beta
-            return frame.families(alpha, beta)
+            return self.families(frame, alpha, beta)
 
         def d_active(fv):
             return max(fv.fx, fv.fy)
@@ -823,7 +882,7 @@ class _Engine:
         def law_fn(fv):
             return SPEED_LAWS[("t2", fv.fx_branch, fv.fy_branch)]
 
-        fv = frame.families(a0, b0)
+        fv = self.families(frame, a0, b0)
         self.traj.append((frame, a0, b0, d_active(fv)))
         self.note_if_better(frame, a0, b0, d_active(fv), "phase3-start", 0)
         alpha = a0
@@ -897,7 +956,7 @@ class _Engine:
             alpha = max(alpha, 0.0)
             b_end = self._phase3_drive_q(frame, alpha, beta_mem[0],
                                          conds, d_active)
-            fve = frame.families(alpha, b_end)
+            fve = self.families(frame, alpha, b_end)
             self.emit("terminal", phase, frame, alpha, b_end, fve,
                       ("parked-ab",))
             self.note_candidate(frame, alpha, b_end, "phase3-end",
@@ -916,7 +975,7 @@ class _Engine:
             if target - beta <= self.eps:
                 idx += 1
                 continue
-            seg_state = lambda s: frame.families(alpha, beta + s)
+            seg_state = lambda s: self.families(frame, alpha, beta + s)
             hits, states = self._scan(seg_state, 0.0, target - beta, conds)
             if hits:
                 sc, name = hits[0]
@@ -985,14 +1044,15 @@ class _Engine:
                 def gm(alpha):
                     beta = self.balance(fr, alpha, beta_mem[0], "x-y")
                     beta_mem[0] = beta
-                    fv = fr.families(alpha, beta)
+                    fv = self.families(fr, alpha, beta)
                     return self._wedge_value(fr, alpha, beta) \
                         - max(fv.fx, fv.fy) + self.tol
 
-                ac = self._bisect(lambda s: gm(a_lo - s), 0.0, a_lo - a_hi)
+                ac = itp_root(lambda s: gm(a_lo - s), 0.0, a_lo - a_hi,
+                              self.eps)
                 self.note_candidate(fr, a_lo - ac, beta_mem[0],
                                     "wedge-crossing", cut)
-                fvx = fr.families(a_lo - ac, beta_mem[0])
+                fvx = self.families(fr, a_lo - ac, beta_mem[0])
                 self.emit("path-state", "III", fr, a_lo - ac, beta_mem[0],
                           fvx, ("wedge-crossing",))
         self.traj_cut = cut
@@ -1010,7 +1070,7 @@ class _Engine:
         if status != "tie":
             self.phase_end = "I"
             return
-        fv = cat.families(a, b)
+        fv = self.families(cat, a, b)
         ties = self.ties(fv)
         self.dispatch(cat, a, b, ties)
 

@@ -16,9 +16,9 @@ from treecut import (
     run_phase3,
     start_sweep,
 )
-from treecut.caterpillar import Caterpillar
+from treecut.caterpillar import NEG, Caterpillar
 from treecut.oracle import grid_search, random_tree
-from treecut.sweep_engine import SPEED_LAWS
+from treecut.sweep_engine import SPEED_LAWS, _Engine, itp_root
 
 
 def arc_of(cat, point):
@@ -227,3 +227,83 @@ def test_blocked_at_optimum():
             a2 = min(max(alpha + da, 0.0), d.center_arc)
             b2 = min(max(beta + db, d.center_arc), d.length)
             assert cat.evaluate(a2, b2) >= base - 1e-9 * t.scale
+
+
+def _root_case(fn, lo, hi, eps, root, ends):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    flo, fhi = (fn(lo), fn(hi)) if ends else (None, None)
+    got = itp_root(counted, lo, hi, eps, flo, fhi)
+    assert fn(got) >= 0.0
+    slack = 4 * math.ulp(root)      # bracket ends are rounded floats
+    assert root - slack <= got <= root + eps + slack
+    assert len(calls) <= math.ceil(math.log2((hi - lo) / eps)) + 1
+    return len(calls)
+
+
+ROOT_CASES = {
+    "smooth": (lambda x: math.expm1(3.0 * (x - 0.61)), 0.0, 2.0, 0.61),
+    "kinked": (lambda x: (x - 0.37) * (0.5 if x < 0.37 else 40.0), -3.0, 1.0,
+               0.37),
+    "step": (lambda x: -1.0 if x < 0.37 else 1.0, 0.0, 1.0, 0.37),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_CASES))
+def test_itp_root_brackets_first_root(case):
+    fn, lo, hi, root = ROOT_CASES[case]
+    eps = 1e-12
+    with_ends = _root_case(fn, lo, hi, eps, root, ends=True)
+    plain = _root_case(fn, lo, hi, eps, root, ends=False)
+    if case == "smooth":
+        # The regula-falsi step pays off where the function is smooth.
+        assert 2 * with_ends <= plain, (with_ends, plain)
+
+
+def test_itp_root_unusable_end_values_fall_back_to_bisection():
+    fn = lambda x: NEG if x < 0.25 else x - 0.5
+    _root_case(fn, 0.0, 1.0, 1e-9, 0.5, ends=True)
+    # End values that do not bracket a sign change are ignored.
+    got = itp_root(lambda x: x - 0.5, 0.0, 1.0, 1e-9, 0.3, 0.7)
+    assert 0.5 <= got <= 0.5 + 1e-9
+
+
+def test_balance_stays_in_bracket(monkeypatch):
+    # On corpus trees 155 and 197 an unclamped first expansion step of a
+    # balance solve drives q past b in phase III.
+    out = []
+    balance = _Engine.balance
+
+    def checked(self, frame, alpha, guess, pair):
+        beta = balance(self, frame, alpha, guess, pair)
+        out.append((max(alpha, frame.c_arc), beta, frame.L))
+        return beta
+
+    monkeypatch.setattr(_Engine, "balance", checked)
+    for seed in (155, 197):
+        optimize(random_tree(seed, 14, "balanced"), record_segments=False)
+    assert out
+    assert all(lo <= beta <= hi for lo, beta, hi in out)
+
+
+def test_families_calls_per_vertex_bounded(monkeypatch):
+    """Deterministic work gate beside criterion 9's wall-clock gate."""
+    calls = [0]
+    families = Caterpillar.families
+
+    def counted(self, alpha, beta):
+        calls[0] += 1
+        return families(self, alpha, beta)
+
+    monkeypatch.setattr(Caterpillar, "families", counted)
+    per_vertex = {}
+    for n in (2000, 4000):
+        t = random_tree(11, n, "caterpillar")
+        calls[0] = 0
+        optimize(t, record_segments=False)
+        per_vertex[n] = calls[0] / t.n
+    assert max(per_vertex.values()) <= 30.0, per_vertex
