@@ -53,14 +53,8 @@ from .smawk import ImplicitMatrix, longest_wedge_path, row_maxima
 from .sweep_engine import (
     Event,
     OptimizeResult,
-    SweepState,
     balance_solve,
-    next_event,
     optimize,
-    run_phase1,
-    run_phase2,
-    run_phase3,
-    start_sweep,
 )
 from .tree_model import (
     GeometricTree,

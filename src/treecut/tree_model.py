@@ -127,6 +127,9 @@ class GeometricTree:
         # Global length scale: diagonal of the bounding box (at least 1 edge).
         self.scale = max(math.hypot(max(xs) - min(xs), max(ys) - min(ys)),
                          max(self.edge_length.values(), default=1.0))
+        if not math.isfinite(self.scale):
+            raise ParseError("coordinates too far apart: the length scale "
+                             "of the tree overflows")
         self.tol = 1e-9 * self.scale
 
     # -- validation ------------------------------------------------------
@@ -134,6 +137,10 @@ class GeometricTree:
     def _validate(self):
         if len(self.coords) < 1:
             raise ParseError("tree needs at least one vertex")
+        for vid, c in self.coords.items():
+            if not (math.isfinite(c[0]) and math.isfinite(c[1])):
+                raise ParseError(f"vertex {vid} has a non-finite coordinate "
+                                 f"({c[0]}, {c[1]})")
         seen = set()
         for (u, v) in self.edges:
             if u == v:

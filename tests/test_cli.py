@@ -40,6 +40,22 @@ def test_analyze_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("xs", [(0.0, math.nan, 2.0, 3.0),
+                                (0.0, math.inf, 2.0, 3.0),
+                                (-1e308, 0.0, 1.0, 1e308)],
+                         ids=["nan", "inf", "overflow"])
+def test_non_finite_coordinates_are_input_errors(tmp_path, capsys, xs):
+    # json.dumps writes NaN and Infinity, which the JSON reader accepts.
+    doc = {"vertices": [{"id": i, "x": x, "y": float(i % 2)}
+                        for i, x in enumerate(xs)],
+           "edges": [[0, 1], [1, 2], [2, 3]]}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "optimize", str(path))
+    assert code == 2
+    assert "internal error" not in err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -9,12 +9,7 @@ from treecut import (
     augmented_diameter_value,
     backbone,
     balance_solve,
-    next_event,
     optimize,
-    run_phase1,
-    run_phase2,
-    run_phase3,
-    start_sweep,
 )
 from treecut.caterpillar import NEG, Caterpillar
 from treecut.oracle import grid_search, random_tree
@@ -91,53 +86,35 @@ def test_event_trace_phases_ordered():
     assert ranks == sorted(ranks)
 
 
-def test_state_machine_mirrors_optimize():
+def test_event_positions_reach_the_answer():
+    # The trace is the inspectable record of a run: its best position,
+    # evaluated exactly, is the answer (the unimproved tree when the
+    # sweep finds no useful shortcut).
     t = random_tree(3, 9, "uniform")
     res = optimize(t)
-    st = start_sweep(t)
-    st, o1 = run_phase1(st)
-    assert o1 in ("handoff", "ab", "delta")
-    st, _ = run_phase2(st)
-    st, o3 = run_phase3(st)
-    assert st.best_diameter == pytest.approx(res.diameter_after,
-                                             abs=1e-9 * t.scale)
+    d = backbone(t)
+    cat = Caterpillar(t, d)
+    best = min([d.diameter] + [cat.evaluate(ev.p_arc, d.length - ev.q_arc)
+                               for ev in res.events])
+    assert best == pytest.approx(res.diameter_after, abs=1e-9 * t.scale)
 
 
-def test_next_event_steps_whole_trace():
+def test_event_count_matches_trace():
     t = random_tree(5, 10, "caterpillar")
     res = optimize(t)
-    st = start_sweep(t)
-    seen = 0
-    while next_event(st) is not None:
-        seen += 1
-    assert seen == len(res.events)
-    assert next_event(st) is None
+    assert res.events
+    assert res.event_count == len(res.events)
 
 
-def test_state_best_diameter_non_increasing():
-    t = random_tree(9, 12, "uniform")
-    st = start_sweep(t)
-    prev_best = st.best_diameter
-    while next_event(st) is not None:
-        assert st.best_diameter <= prev_best + 1e-12
-        prev_best = st.best_diameter
-
-
-def test_state_invariant_positions_bounded():
+def test_event_positions_bounded():
     for seed in (2, 4, 6):
         t = random_tree(seed, 10, "uniform")
         d = backbone(t)
-        st = start_sweep(t)
-        while next_event(st) is not None:
-            assert st.p_arc <= d.center_arc + 1e-9
-            assert st.q_arc <= d.length - d.center_arc + 1e-9
-
-
-def test_run_phase2_validates_direction():
-    t = random_tree(3, 9, "uniform")
-    st = start_sweep(t)
-    with pytest.raises(ValueError):
-        run_phase2(st, "sideways")
+        res = optimize(t)
+        assert res.events
+        for ev in res.events:
+            assert ev.p_arc <= d.center_arc + 1e-9
+            assert ev.q_arc <= d.length - d.center_arc + 1e-9
 
 
 def test_balance_solve_symmetric(t_l):

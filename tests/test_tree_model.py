@@ -136,6 +136,20 @@ def test_reject_weighted_input():
                         "edges": [{"u": 0, "v": 1, "weight": 3.0}]})
 
 
+BAD_COORDINATES = {
+    "nan": {0: (0.0, 0.0), 1: (math.nan, 1.0), 2: (2.0, 0.0), 3: (3.0, 1.0)},
+    "inf": {0: (0.0, 0.0), 1: (math.inf, 1.0), 2: (2.0, 0.0), 3: (3.0, 1.0)},
+    "overflow": {0: (-1e308, 0.0), 1: (0.0, 1.0), 2: (1.0, 0.0),
+                 3: (1e308, 1.0)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COORDINATES))
+def test_reject_non_finite_coordinates(case):
+    with pytest.raises(ParseError):
+        GeometricTree(BAD_COORDINATES[case], [(0, 1), (1, 2), (2, 3)])
+
+
 def test_reject_malformed_json():
     with pytest.raises(ParseError):
         load_tree("{not json")
