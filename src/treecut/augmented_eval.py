@@ -6,12 +6,13 @@ the maximum over (i) leaf pairs with the three route options (tree only,
 via the shortcut in either orientation) and (ii) each leaf against the
 antipodal of its cycle attachment point.  These candidates are exact;
 pairs inside a single B-sub-tree are kept for the value but excluded
-from the reported pair state.
+from the reported pair state.  The formula lives in
+``augmented_diameter_value``; ``augmented_diameter`` hands it its leaf
+distance table and keeps the candidates that reach the value.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .diameter_core import BackboneDecomposition, backbone
@@ -79,50 +80,37 @@ class AugmentedDiagnosis:
 
 
 def _leaf_classes(tree, decomp):
-    """Map each leaf to (class, group key); class in {x, y, wedge}."""
-    classes = {}
+    """Map each leaf to (class, group key); class in {x, y, wedge}.
+
+    A leaf's group is the backbone vertex its B-sub-tree hangs from or,
+    on a point backbone, the centre's neighbour on the way to it.
+    """
     if decomp.is_point:
         cid = decomp.backbone_ids[0]
-        # Branch key = first vertex after the center.
-        branch = {}
-        stack = [(nb, nb) for (nb, _) in tree.adj.get(cid, [])]
-        while stack:
-            w, key = stack.pop()
-            if w in branch:
-                continue
-            branch[w] = key
-            for (nb, _) in tree.adj[w]:
-                if nb != cid and nb not in branch:
-                    stack.append((nb, key))
-        key_x = branch.get(decomp.x_leaf)
-        key_y = branch.get(decomp.y_leaf)
-        for lv in tree.leaves():
-            if lv == cid:
-                classes[lv] = ("x", "X")
-                continue
-            key = branch[lv]
-            if key == key_x:
-                classes[lv] = ("x", "X")
-            elif key == key_y:
-                classes[lv] = ("y", "Y")
-            else:
-                classes[lv] = ("wedge", ("S", key))
-        return classes
-    bset = set(decomp.backbone_ids)
-    root_of = {v: v for v in bset}
-    stack = list(bset)
+        roots = [nb for (nb, _) in tree.adj[cid]]
+        root_of = {cid: None}
+    else:
+        roots = decomp.backbone_ids
+        root_of = {}
+    root_of.update((v, v) for v in roots)
+    stack = list(roots)
     while stack:
         w = stack.pop()
         for (nb, _) in tree.adj[w]:
             if nb not in root_of:
                 root_of[nb] = root_of[w]
                 stack.append(nb)
-    a_id, b_id = decomp.backbone_ids[0], decomp.backbone_ids[-1]
+    if decomp.is_point:
+        x_root = root_of[cid] = root_of[decomp.x_leaf]
+        y_root = root_of[decomp.y_leaf]
+    else:
+        x_root, y_root = decomp.backbone_ids[0], decomp.backbone_ids[-1]
+    classes = {}
     for lv in tree.leaves():
         r = root_of[lv]
-        if r == a_id:
+        if r == x_root:
             classes[lv] = ("x", "X")
-        elif r == b_id:
+        elif r == y_root:
             classes[lv] = ("y", "Y")
         else:
             classes[lv] = ("wedge", ("S", r))
@@ -140,15 +128,32 @@ def _pair_type(c1, c2):
     return "sub-sub"
 
 
+# End classes in the order they are named in subtypes and path types.
+_CLASS_ORDER = ("x", "wedge", "antipodal", "interior", "y")
+
+
 def _subtype(c1, c2):
-    order = {"x": 0, "wedge": 1, "antipodal": 2, "interior": 3, "y": 4}
-    a, b = sorted((c1, c2), key=lambda c: order[c])
+    a, b = sorted((c1, c2), key=_CLASS_ORDER.index)
     return f"{a}-{b}"
+
+
+def _descriptor(subtype, route):
+    """Path type: the route's token between the two ends of a subtype."""
+    a, b = subtype.split("-")
+    return f"{a}-{_ROUTE_TOKEN[route]}-{b}"
+
+
+def _leaf_distances(tree, leaves):
+    return {u: distances_from(tree, TreePoint.at_vertex(u)) for u in leaves}
 
 
 def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
                        shortcut: Shortcut) -> AugmentedDiagnosis:
-    """Exact continuous diameter of T + pq with full diagnosis."""
+    """Exact continuous diameter of T + pq with full diagnosis.
+
+    The diameter is ``augmented_diameter_value``'s; the diagnosis keeps
+    the leaf pairs and antipodal candidates within ``tree.tol`` of it.
+    """
     tree.check_shortcut(shortcut)
     p, q = shortcut.p, shortcut.q
     e = euclidean_distance(tree, p, q)
@@ -160,97 +165,82 @@ def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
     dp = distances_from(tree, p)
     dq = distances_from(tree, q)
     classes = _leaf_classes(tree, decomp)
+    leaf_dists = _leaf_distances(tree, leaves)
+    diameter = augmented_diameter_value(tree, shortcut, leaf_dists)
+    floor = diameter - tol
 
-    candidates = []  # (distance, kind, payload)
-    leaf_dists = {u: distances_from(tree, TreePoint.at_vertex(u))
-                  for u in leaves}
+    achieving = []
     for i, u in enumerate(leaves):
+        c1, g1 = classes[u]
         du = leaf_dists[u]
         for v in leaves[i + 1:]:
             treed = du[v]
-            via1 = dp[u] + e + dq[v]
-            via2 = dq[u] + e + dp[v]
-            candidates.append((min(treed, via1, via2), "pair",
-                               (u, v, treed, min(via1, via2))))
-        if cyc > 0.0:
-            reach = (dp[u] + dq[u] - dtpq) / 2.0
-            candidates.append((reach + half, "anti", (u,)))
-
-    diameter = max(c[0] for c in candidates)
-    achieving = []
-    pair_state = set()
-    path_state = set()
-    for dist, kind, payload in candidates:
-        if dist < diameter - tol:
-            continue
-        if kind == "pair":
-            u, v, treed, via = payload
+            via = min(dp[u] + e + dq[v], dq[u] + e + dp[v])
+            dist = min(treed, via)
+            if dist < floor:
+                continue
             routes = set()
             if treed <= dist + tol:
                 routes.add(VIA_TREE)
             if via <= dist + tol:
                 routes.add(VIA_SHORTCUT)
-            (c1, g1), (c2, g2) = classes[u], classes[v]
+            c2, g2 = classes[v]
             if g1 == g2:
-                ptype = "within-subtree"
-                sub = "within-subtree"
+                ptype = sub = "within-subtree"
             else:
-                ptype = _pair_type(c1, c2)
-                sub = _subtype(c1, c2)
-                pair_state.add(ptype)
-                for r in routes:
-                    path_state.add(_descriptor(c1, c2, r))
+                ptype, sub = _pair_type(c1, c2), _subtype(c1, c2)
             achieving.append(AchievingPair(u, v, sub, ptype,
                                            frozenset(routes), dist))
+        if cyc <= 0.0:
+            continue
+        dist = (dp[u] + dq[u] - dtpq) / 2.0 + half
+        if dist < floor:
+            continue
+        # Locate the antipodal partner of u's cycle attachment point.
+        tau = (dp[u] + dtpq - dq[u]) / 2.0
+        pos = tau + half
+        if pos > cyc:
+            pos -= cyc
+        on_tree = pos <= dtpq + tol
+        c2 = "antipodal" if on_tree else "interior"
+        routes = frozenset({VIA_TREE, VIA_SHORTCUT} if on_tree
+                           else {VIA_P, VIA_Q})
+        if c2 == "interior":
+            ptype = "sub-interior" if c1 == "wedge" else f"{c1}-interior"
         else:
-            (u,) = payload
-            # Locate the antipodal partner of u's cycle attachment point.
-            tau = (dp[u] + dtpq - dq[u]) / 2.0
-            pos = tau + half
-            if pos > cyc:
-                pos -= cyc
-            on_tree = pos <= dtpq + tol
-            c1, g1 = classes[u]
-            c2 = "antipodal" if on_tree else "interior"
-            routes = frozenset({VIA_TREE, VIA_SHORTCUT} if on_tree
-                               else {VIA_P, VIA_Q})
-            sub = _subtype(c1, c2)
-            if c2 == "interior":
-                ptype = "sub-interior" if c1 == "wedge" else f"{c1}-interior"
-            else:
-                ptype = _pair_type(c1, "wedge")
-            pair_state.add(ptype)
-            for r in routes:
-                path_state.add(_descriptor(c1, c2, r))
-            end2 = {"kind": c2, "cycle_position": pos}
-            achieving.append(AchievingPair(u, end2, sub, ptype, routes, dist))
+            ptype = _pair_type(c1, "wedge")
+        end2 = {"kind": c2, "cycle_position": pos}
+        achieving.append(AchievingPair(u, end2, _subtype(c1, c2), ptype,
+                                       routes, dist))
 
     achieving.sort(key=lambda ap: (str(ap.end1), str(ap.end2)))
+    reported = [ap for ap in achieving if ap.pair_type != "within-subtree"]
+    pair_state = frozenset(ap.pair_type for ap in reported)
+    path_state = frozenset(_descriptor(ap.subtype, r)
+                           for ap in reported for r in ap.path_types)
     return AugmentedDiagnosis(diameter, cyc, tuple(achieving),
-                              frozenset(pair_state), frozenset(path_state))
-
-
-def _descriptor(c1, c2, route):
-    token = {"x": "x", "y": "y", "wedge": "wedge",
-             "antipodal": "antipodal", "interior": "interior"}
-    order = {"x": 0, "wedge": 1, "antipodal": 2, "interior": 3, "y": 4}
-    a, b = sorted((c1, c2), key=lambda c: order[c])
-    return f"{token[a]}-{_ROUTE_TOKEN[route]}-{token[b]}"
+                              pair_state, path_state)
 
 
 def augmented_diameter_value(tree, shortcut, leaf_dists=None):
-    """Diameter of T + pq without the diagnosis bookkeeping."""
+    """Diameter of T + pq without the diagnosis bookkeeping.
+
+    The maximum over leaf pairs of the shortest of the three routes, and,
+    when pq closes a cycle, over leaves of the distance to the antipodal
+    point of their cycle attachment.  ``leaf_dists`` maps each leaf to
+    its ``distances_from`` table; it is built when not given.
+    """
     tree.check_shortcut(shortcut)
     p, q = shortcut.p, shortcut.q
     e = euclidean_distance(tree, p, q)
     dtpq = network_distance(tree, p, q)
-    half = (e + dtpq) / 2.0
+    cyc = e + dtpq
+    half = cyc / 2.0
     leaves = tree.leaves()
     dp = distances_from(tree, p)
     dq = distances_from(tree, q)
     if leaf_dists is None:
-        leaf_dists = {u: distances_from(tree, TreePoint.at_vertex(u))
-                      for u in leaves}
+        leaf_dists = _leaf_distances(tree, leaves)
     best = 0.0
     for i, u in enumerate(leaves):
         du = leaf_dists[u]
@@ -258,19 +248,15 @@ def augmented_diameter_value(tree, shortcut, leaf_dists=None):
             val = min(du[v], dp[u] + e + dq[v], dq[u] + e + dp[v])
             if val > best:
                 best = val
-        val = (dp[u] + dq[u] - dtpq) / 2.0 + half
-        if val > best:
-            best = val
+        if cyc > 0.0:
+            val = (dp[u] + dq[u] - dtpq) / 2.0 + half
+            if val > best:
+                best = val
     return best
 
 
-def classify_usefulness(tree: GeometricTree, shortcut: Shortcut,
-                        decomp: BackboneDecomposition = None) -> Usefulness:
-    if decomp is None:
-        decomp = backbone(tree)
-    after = augmented_diameter_value(tree, shortcut)
-    before = decomp.diameter
-    tol = tree.tol
+def _usefulness(before, after, tol) -> Usefulness:
+    """Classify a shortcut by the diameters before and after adding it."""
     if after < before - tol:
         cls = USEFUL
     elif after > before + tol:
@@ -278,6 +264,14 @@ def classify_usefulness(tree: GeometricTree, shortcut: Shortcut,
     else:
         cls = INDIFFERENT
     return Usefulness(cls, before, after)
+
+
+def classify_usefulness(tree: GeometricTree, shortcut: Shortcut,
+                        decomp: BackboneDecomposition = None) -> Usefulness:
+    if decomp is None:
+        decomp = backbone(tree)
+    return _usefulness(decomp.diameter,
+                       augmented_diameter_value(tree, shortcut), tree.tol)
 
 
 def has_useful_shortcut(decomp: BackboneDecomposition) -> bool:

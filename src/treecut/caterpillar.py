@@ -86,13 +86,6 @@ class FamilyView:
     fanti: float
     fanti_pendant: int
     diameter: float         # max of the above and delta
-    # Per-branch component maxima of the x- and y-side families.
-    fx_tree: float = NEG
-    fx_via: float = NEG
-    fx_anti: float = NEG
-    fy_tree: float = NEG
-    fy_via: float = NEG
-    fy_anti: float = NEG
 
 
 class Caterpillar:
@@ -112,8 +105,6 @@ class Caterpillar:
         sec = sorted(decomp.secondary, key=lambda s: s.arc)
         self.t = [s.arc for s in sec]
         self.h = [s.height for s in sec]
-        self.leaf = [s.far_leaf for s in sec]
-        self.root_id = [s.root_id for s in sec]
         self.k = len(sec)
         self._build_tables()
 
@@ -249,26 +240,7 @@ class Caterpillar:
             diameter = max(diameter, fanti)
         return FamilyView(alpha, beta, e, darc, cyc, half, pbar, qbar,
                           xy, xy_branch, fx, fx_branch, fx_p,
-                          fy, fy_branch, fy_p, fanti, fanti_p, diameter,
-                          fx_tree, fx_via, fx_anti, fy_tree, fy_via, fy_anti)
-
-    def antipodal_on_tree(self, alpha, beta, pendant):
-        """Whether the antipodal partner of a pendant leaf lies on the tree.
-
-        True means the diametral pair is wedge-antipodal; False means the
-        partner is interior to the shortcut (wedge-interior).
-        """
-        e = self.chord(alpha, beta)
-        darc = beta - alpha
-        cyc = e + darc
-        if cyc <= 0.0:
-            return True
-        half = cyc / 2.0
-        u = min(max(self.t[pendant], alpha), beta) - alpha
-        pos = u + half
-        if pos > cyc:
-            pos -= cyc
-        return pos <= darc
+                          fy, fy_branch, fy_p, fanti, fanti_p, diameter)
 
     # -- exact evaluation -------------------------------------------------
 
@@ -418,10 +390,6 @@ class _FlippedCaterpillar:
         self.k = base.k
         self.t = [base.L - t for t in reversed(base.t)]
         self.h = list(reversed(base.h))
-        self.leaf = list(reversed(base.leaf))
-        self.root_id = list(reversed(base.root_id))
-        self.arcs = [base.L - a for a in reversed(base.arcs)]
-        self.ids = list(reversed(base.ids))
 
     def _m(self, alpha, beta):
         return self.base.L - beta, self.base.L - alpha
@@ -429,19 +397,8 @@ class _FlippedCaterpillar:
     def chord(self, alpha, beta):
         return self.base.chord(*self._m(alpha, beta))
 
-    def embed(self, arc):
-        return self.base.embed(self.base.L - arc)
-
-    def arc_to_treepoint(self, arc):
-        return self.base.arc_to_treepoint(self.base.L - arc)
-
     def evaluate(self, alpha, beta):
         return self.base.evaluate(*self._m(alpha, beta))
-
-    def evaluate_grid(self, alphas, betas):
-        a = np.asarray(alphas, dtype=float)
-        b = np.asarray(betas, dtype=float)
-        return self.base.evaluate_grid(self.base.L - b, self.base.L - a)
 
     def families(self, alpha, beta):
         fv = self.base.families(*self._m(alpha, beta))
@@ -453,13 +410,7 @@ class _FlippedCaterpillar:
             fv.xy, fv.xy_branch,
             fv.fy, fv.fy_branch, flip_p(fv.fy_pendant),
             fv.fx, fv.fx_branch, flip_p(fv.fx_pendant),
-            fv.fanti, flip_p(fv.fanti_pendant), fv.diameter,
-            fv.fy_tree, fv.fy_via, fv.fy_anti,
-            fv.fx_tree, fv.fx_via, fv.fx_anti)
-
-    def antipodal_on_tree(self, alpha, beta, pendant):
-        a, b = self._m(alpha, beta)
-        return self.base.antipodal_on_tree(a, b, self.base.k - 1 - pendant)
+            fv.fanti, flip_p(fv.fanti_pendant), fv.diameter)
 
     def flip(self):
         return self.base

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import oracle as oracle_mod
-from .augmented_eval import augmented_diameter, classify_usefulness
+from .augmented_eval import _usefulness, augmented_diameter
 from .diameter_core import backbone, continuous_diameter
 from .errors import TreecutError
 from .sweep_engine import optimize
@@ -57,7 +57,7 @@ def _read_tree(args) -> GeometricTree:
     if getattr(args, "tolerance_scale", None):
         if args.tolerance_scale <= 0:
             raise TreecutError("--tolerance-scale must be positive")
-        tree.tol = 1e-9 * args.tolerance_scale
+        tree.scale = args.tolerance_scale
     return tree
 
 
@@ -148,7 +148,7 @@ def _cmd_evaluate(args):
     sc = _parse_shortcut(tree, args.shortcut)
     decomp = backbone(tree)
     diag = augmented_diameter(tree, decomp, sc)
-    use = classify_usefulness(tree, sc, decomp)
+    use = _usefulness(decomp.diameter, diag.diameter, tree.tol)
     doc = {
         "shortcut": {"p": sc.p.to_json(), "q": sc.q.to_json()},
         "usefulness": use.classification,

@@ -134,7 +134,11 @@ def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
             # Truncation by at least eps/4 (as in Brent's method) lands the
             # next point across a root that regula falsi has already
             # pinned, so the far bracket end closes in one step.
-            delta = max(k1 * (hi - lo) ** 2, 0.25 * eps)
+            w = hi - lo
+            # w ** 2 raises OverflowError beyond about 1.3e154.  The two
+            # forms can round differently, so w ** 2 stays below 1e150.
+            delta = max(k1 * w * w if w >= 1e150 else k1 * w ** 2,
+                        0.25 * eps)
             diff = mid - xf
             xt = xf + math.copysign(delta, diff) if delta <= abs(diff) else mid
             r = max(0.5 * eps * 2.0 ** (n_max - j) - half, 0.0)

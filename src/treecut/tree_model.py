@@ -130,7 +130,11 @@ class GeometricTree:
         if not math.isfinite(self.scale):
             raise ParseError("coordinates too far apart: the length scale "
                              "of the tree overflows")
-        self.tol = 1e-9 * self.scale
+
+    @property
+    def tol(self) -> float:
+        """Length tolerance; every tolerance derives from ``scale``."""
+        return 1e-9 * self.scale
 
     # -- validation ------------------------------------------------------
 

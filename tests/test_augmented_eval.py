@@ -74,17 +74,32 @@ def test_pair_is_useful_orientations(t_l):
 
 
 def test_value_matches_diagnosis():
-    for seed in range(6):
-        t = random_tree(seed, 10, "uniform")
+    import random
+    rng = random.Random(11)
+    for seed in range(12):
+        t = random_tree(seed, 10, ("uniform", "caterpillar")[seed % 2])
         d = backbone(t)
-        if d.is_point:
-            continue
-        p = d.a
-        q = d.b
-        sc = Shortcut(p, q)
-        diag = augmented_diameter(t, d, sc)
-        val = augmented_diameter_value(t, sc)
-        assert val == pytest.approx(diag.diameter, rel=1e-12)
+        edges = t.edges
+        shortcuts = [Shortcut(d.center, d.center)]
+        if not d.is_point:
+            shortcuts.append(Shortcut(d.a, d.b))
+        (u, v) = edges[rng.randrange(len(edges))]
+        lo, hi = sorted((rng.random(), rng.random()))
+        pt = TreePoint(u, v, lo)
+        # p == q inside an edge, and a shortcut along a single edge.
+        shortcuts += [Shortcut(pt, pt),
+                      Shortcut(pt, TreePoint(u, v, hi))]
+        for _ in range(3):
+            e1 = edges[rng.randrange(len(edges))]
+            e2 = edges[rng.randrange(len(edges))]
+            shortcuts.append(Shortcut(TreePoint(e1[0], e1[1], rng.random()),
+                                      TreePoint(e2[0], e2[1], rng.random())))
+        for sc in shortcuts:
+            diag = augmented_diameter(t, d, sc)
+            assert augmented_diameter_value(t, sc) == diag.diameter
+            assert diag.achieving_pairs
+            use = classify_usefulness(t, sc, d)
+            assert use.diameter_after == diag.diameter
 
 
 def test_value_matches_dense_oracle():

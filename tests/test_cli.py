@@ -1,9 +1,12 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from treecut.cli import main, render_svg
+from treecut import augmented_eval
+from treecut.cli import _read_tree, main, render_svg
+from treecut.oracle import random_tree
 
 
 def run_cli(capsys, *argv):
@@ -13,8 +16,12 @@ def run_cli(capsys, *argv):
 
 
 def write_tree(tmp_path, tree, name="tree.json"):
+    return write_tree_data(tmp_path, tree.to_json_data(), name)
+
+
+def write_tree_data(tmp_path, data, name="tree.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(tree.to_json_data()))
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -155,6 +162,48 @@ def test_tolerance_scale_flag(tmp_path, capsys, t_l):
     assert code == 0
     code, _, _ = run_cli(capsys, "analyze", path, "--tolerance-scale", "-1")
     assert code == 2
+    # The flag sets the one length scale; the tolerance follows it.
+    tree = _read_tree(argparse.Namespace(input=path, tolerance_scale=100.0))
+    assert tree.scale == 100.0
+    assert tree.tol == 1e-9 * 100.0
+    tree = _read_tree(argparse.Namespace(input=path, tolerance_scale=None))
+    assert tree.scale == t_l.scale
+    assert tree.tol == t_l.tol
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e300])
+def test_optimize_huge_coordinates(tmp_path, capsys, factor):
+    for args in ((3, 9, "uniform"), (4, 30, "caterpillar"),
+                 (5, 14, "balanced")):
+        data = random_tree(*args).to_json_data()
+        code, out, _ = run_cli(capsys, "optimize",
+                               write_tree_data(tmp_path, data))
+        assert code == 0
+        plain = json.loads(out)["diameter_after"]
+        for v in data["vertices"]:
+            v["x"] *= factor
+            v["y"] *= factor
+        code, out, _ = run_cli(capsys, "optimize",
+                               write_tree_data(tmp_path, data))
+        assert code == 0
+        scaled = json.loads(out)["diameter_after"] / factor
+        assert scaled == pytest.approx(plain, rel=1e-9)
+
+
+def test_evaluate_builds_one_leaf_distance_table(tmp_path, capsys,
+                                                 monkeypatch):
+    t = random_tree(2, 40, "uniform")
+    path = write_tree(tmp_path, t)
+    ends = [e for e in t.edges if t.leaves()[0] not in e][:2]
+    sc = json.dumps({"p": {"edge": list(ends[0]), "lambda": 0.3},
+                     "q": {"edge": list(ends[1]), "lambda": 0.6}})
+    calls = []
+    real = augmented_eval.distances_from
+    monkeypatch.setattr(augmented_eval, "distances_from",
+                        lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run_cli(capsys, "evaluate", path, "--shortcut", sc)
+    assert code == 0
+    assert len(calls) <= len(t.leaves()) + 6
 
 
 def test_numbers_have_12_significant_digits(tmp_path, capsys, t_l):
