@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import oracle as oracle_mod
@@ -54,11 +55,17 @@ def _read_tree(args) -> GeometricTree:
         with open(args.input) as fh:
             text = fh.read()
     tree = load_tree(text)
-    if getattr(args, "tolerance_scale", None):
-        if args.tolerance_scale <= 0:
-            raise TreecutError("--tolerance-scale must be positive")
-        tree.scale = args.tolerance_scale
+    scale = getattr(args, "tolerance_scale", None)
+    if scale is not None:
+        tree.scale = _positive(scale, "--tolerance-scale")
     return tree
+
+
+def _positive(value, flag):
+    """``value`` if it is a finite number greater than 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise TreecutError(f"{flag} must be finite and positive, got {value}")
+    return value
 
 
 def _parse_shortcut(tree, text) -> Shortcut:
@@ -196,9 +203,8 @@ def _cmd_optimize(args):
 
 def _cmd_oracle(args):
     tree = _read_tree(args)
-    if not args.resolution or args.resolution <= 0:
-        raise TreecutError("oracle requires --resolution > 0")
-    res = oracle_mod.grid_search(tree, args.resolution,
+    res = oracle_mod.grid_search(tree, _positive(args.resolution,
+                                                 "--resolution"),
                                  restrict_to_backbone=args.restrict_backbone)
     doc = {
         "best_shortcut": {"p": res.best_shortcut.p.to_json(),
@@ -215,16 +221,19 @@ def _cmd_oracle(args):
 def _cmd_gen(args):
     shape = args.shape or "uniform"
     n = args.count
-    if shape in ("uniform", "caterpillar", "balanced"):
-        tree = oracle_mod.random_tree(args.seed, n, shape)
-    elif shape == "straight":
-        tree = oracle_mod.straight_backbone_tree(args.seed, n)
-    elif shape == "point":
-        tree = oracle_mod.point_backbone_tree(args.seed, n)
-    elif shape == "stress":
-        tree = oracle_mod.stress_family(max(1, n))
-    else:
-        raise TreecutError(f"unknown shape {shape!r}")
+    try:
+        if shape in ("uniform", "caterpillar", "balanced"):
+            tree = oracle_mod.random_tree(args.seed, n, shape)
+        elif shape == "straight":
+            tree = oracle_mod.straight_backbone_tree(args.seed, n)
+        elif shape == "point":
+            tree = oracle_mod.point_backbone_tree(args.seed, n)
+        elif shape == "stress":
+            tree = oracle_mod.stress_family(max(1, n))
+        else:
+            raise TreecutError(f"unknown shape {shape!r}")
+    except ValueError as exc:
+        raise TreecutError(f"gen: {exc}") from exc
     _emit(tree.to_json_data(), args)
     return 0
 

@@ -15,7 +15,7 @@ from .tree_model import (
     GeometricTree,
     PathTrace,
     TreePoint,
-    point_coordinates,
+    _vertex_distances,
     vertex_path,
 )
 
@@ -87,25 +87,31 @@ class BackboneDecomposition:
         return self.b.vertex_id()
 
 
-def _sweep(tree: GeometricTree, root: int):
-    """Iterative BFS returning (distances, parents, visit order)."""
+def _farthest(dist: dict) -> int:
+    return max(dist, key=lambda v: (dist[v], -v))
+
+
+def _poles(tree: GeometricTree):
+    """Double sweep: the poles u1, u2 of a diametral path and the
+    distances d1, d2 from each.  The diameter is d1[u2]."""
+    u1 = _farthest(_vertex_distances(tree, next(iter(tree.coords))))
+    d1 = _vertex_distances(tree, u1)
+    u2 = _farthest(d1)
+    return u1, u2, d1, _vertex_distances(tree, u2)
+
+
+def _walk(tree: GeometricTree, root: int, blocked) -> dict:
+    """Distances from root to every vertex reached without entering
+    ``blocked``."""
     dist = {root: 0.0}
-    parent = {root: None}
-    order = [root]
     stack = [root]
     while stack:
         w = stack.pop()
         for (nb, wlen) in tree.adj[w]:
-            if nb not in dist:
+            if nb not in dist and nb not in blocked:
                 dist[nb] = dist[w] + wlen
-                parent[nb] = w
-                order.append(nb)
                 stack.append(nb)
-    return dist, parent, order
-
-
-def _farthest(dist: dict) -> int:
-    return max(dist, key=lambda v: (dist[v], -v))
+    return dist
 
 
 def continuous_diameter(tree: GeometricTree) -> DiameterResult:
@@ -116,19 +122,14 @@ def continuous_diameter(tree: GeometricTree) -> DiameterResult:
     """
     if tree.n == 1:
         return DiameterResult(0.0, ())
-    v0 = next(iter(tree.coords))
-    d0, _, _ = _sweep(tree, v0)
-    u1 = _farthest(d0)
-    d1, _, _ = _sweep(tree, u1)
-    u2 = _farthest(d1)
-    d2, _, _ = _sweep(tree, u2)
+    u1, u2, d1, d2 = _poles(tree)
     diam = d1[u2]
     tol = tree.tol
     # Eccentricity of any vertex is realized at one of the two sweep poles.
     cand = [v for v in tree.leaves() if max(d1[v], d2[v]) >= diam - tol]
     pairs = set()
     for u in cand:
-        du, _, _ = _sweep(tree, u)
+        du = _vertex_distances(tree, u)
         for v in cand:
             if v > u and du[v] >= diam - tol:
                 pairs.add((u, v))
@@ -160,67 +161,26 @@ def absolute_center(tree: GeometricTree) -> CenterResult:
     if tree.n == 1:
         vid = next(iter(tree.coords))
         return CenterResult(TreePoint.at_vertex(vid), 0.0)
-    v0 = next(iter(tree.coords))
-    d0, _, _ = _sweep(tree, v0)
-    u1 = _farthest(d0)
-    d1, _, _ = _sweep(tree, u1)
-    u2 = _farthest(d1)
+    u1, u2, d1, _ = _poles(tree)
     diam = d1[u2]
     path = vertex_path(tree, u1, u2)
     c = _locate_on_vertex_path(tree, path, diam / 2.0)
     return CenterResult(c, diam / 2.0)
 
 
-def _component_info(tree, start, blocked):
-    """Vertex set of the component of `start` avoiding `blocked` vertices."""
-    comp = {start}
-    stack = [start]
-    while stack:
-        w = stack.pop()
-        for (nb, _) in tree.adj[w]:
-            if nb not in blocked and nb not in comp:
-                comp.add(nb)
-                stack.append(nb)
-    return comp
-
-
-def _hanging_subtree(tree, root, backbone_set):
+def _hanging_subtree(tree, root, blocked):
     """Metrics of the union of non-backbone branches at a backbone vertex.
 
     Returns (height, far_leaf, diameter) measured from `root`; the
     sub-tree includes `root` itself.  Height 0 when nothing hangs there.
     """
-    members = {root}
-    dist = {root: 0.0}
-    stack = [root]
-    while stack:
-        w = stack.pop()
-        for (nb, wlen) in tree.adj[w]:
-            if nb in backbone_set or nb in members:
-                continue
-            members.add(nb)
-            dist[nb] = dist[w] + wlen
-            stack.append(nb)
-    far = max(dist, key=lambda v: (dist[v], -v))
-    height = dist[far]
-    if height == 0.0:
+    dist = _walk(tree, root, blocked)
+    far = _farthest(dist)
+    if dist[far] == 0.0:
         return 0.0, root, 0.0
     # Double sweep restricted to the hanging sub-tree for its diameter.
-    d1 = _restricted_sweep(tree, far, members)
-    far2 = max(d1, key=lambda v: (d1[v], -v))
-    return height, far, d1[far2]
-
-
-def _restricted_sweep(tree, root, members):
-    dist = {root: 0.0}
-    stack = [root]
-    while stack:
-        w = stack.pop()
-        for (nb, wlen) in tree.adj[w]:
-            if nb in members and nb not in dist:
-                dist[nb] = dist[w] + wlen
-                stack.append(nb)
-    return dist
+    d1 = _walk(tree, far, blocked)
+    return dist[far], far, d1[_farthest(d1)]
 
 
 def backbone(tree: GeometricTree) -> BackboneDecomposition:
@@ -235,12 +195,7 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
             secondary=(), delta=0.0, h_max_secondary=0.0, diameter=0.0)
 
     tol = tree.tol
-    v0 = next(iter(tree.coords))
-    d0, _, _ = _sweep(tree, v0)
-    u1 = _farthest(d0)
-    d1, _, _ = _sweep(tree, u1)
-    u2 = _farthest(d1)
-    d2, _, _ = _sweep(tree, u2)
+    u1, u2, d1, d2 = _poles(tree)
     diam = d1[u2]
     ecc = {v: max(d1[v], d2[v]) for v in tree.coords}
     eleaves = [v for v in tree.leaves() if ecc[v] >= diam - tol]
@@ -251,19 +206,16 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
     # Group the diametral leaves by the branch in which they leave c.
     if center.is_vertex:
         cid = center.vertex_id()
-        side_roots = [nb for (nb, _) in tree.adj[cid]]
-        blocked = {cid}
         branch_of = {}
-        for sr in side_roots:
-            comp = _component_info(tree, sr, blocked)
-            for w in comp:
+        for (sr, _) in tree.adj[cid]:
+            for w in _walk(tree, sr, {cid}):
                 branch_of[w] = sr
         groups = {}
         for lv in eleaves:
             groups.setdefault(branch_of[lv], []).append(lv)
     else:
         cu, cv = center.u, center.v
-        comp_u = _component_info(tree, cu, {cv})
+        comp_u = _walk(tree, cu, {cv})
         groups = {}
         for lv in eleaves:
             groups.setdefault(cu if lv in comp_u else cv, []).append(lv)
@@ -273,7 +225,7 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
         # Three or more diametral directions: the intersection of all
         # diametral paths degenerates to the center, which is a vertex.
         cid = center.vertex_id()
-        return _point_backbone(tree, cid, diam, eleaves, d1)
+        return _point_backbone(tree, cid, diam)
 
     # Exactly two directions; find the split vertex on each side.
     (root_a, leaves_a), (root_b, leaves_b) = sorted(
@@ -357,20 +309,15 @@ def _split_vertex(tree, center, side_root, side_leaves):
             return v
 
 
-def _point_backbone(tree, cid, diam, eleaves, d1):
+def _point_backbone(tree, cid, diam):
     p = TreePoint.at_vertex(cid)
-    backbone_set = set()
     # Each branch at the center is its own B-sub-tree.
     comps = []
     for (nb, wlen) in tree.adj[cid]:
-        members = _component_info(tree, nb, {cid})
-        dist = _restricted_sweep(tree, nb, members)
-        for w in dist:
-            dist[w] += wlen
-        far = max(dist, key=lambda v: (dist[v], -v))
-        dd = _restricted_sweep(tree, far, members)
-        far2 = max(dd, key=lambda v: (dd[v], -v))
-        comps.append((dist[far], far, dd[far2]))
+        dist = {w: d + wlen for w, d in _walk(tree, nb, {cid}).items()}
+        far = _farthest(dist)
+        dd = _walk(tree, far, {cid})
+        comps.append((dist[far], far, dd[_farthest(dd)]))
     comps.sort(key=lambda c: (-c[0], c[1]))
     h_x, x_leaf, diam_x = comps[0]
     h_y, y_leaf, diam_y = comps[1] if len(comps) > 1 else (0.0, cid, 0.0)

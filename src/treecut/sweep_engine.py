@@ -6,9 +6,10 @@ a second family of diametral paths appears.  Phase II shifts sideways
 (toward x or toward y, branching on an antipodal tie) while a balance
 equation re-derives the trailing endpoint.  Phase III out-shifts while
 balancing the x-side against the y-side families, with the x-component
-frozen while a tree-routed pendant path is diametral, and finishes with
-a binary search for the first placement where a wedge-shortcut-wedge
-path becomes diametral.
+frozen while a tree-routed pendant path is diametral.  Each phase-III
+run keeps the trajectory it walked and finishes with a binary search on
+it for the first placement where a wedge-shortcut-wedge path becomes
+diametral.
 
 Every motion of phases II and III is one walk, ``_Engine._drive``: drive
 one endpoint across the backbone breakpoints, let a balance equation
@@ -16,7 +17,10 @@ carry the other, and stop at the first event.  Continuous motion is
 realized by root-finding on monotone balance and condition functions
 rather than closed-form trajectories; events are located by sign
 probing, then by ITP root finding (bisection safeguarded by regula falsi)
-inside the bracketing probe interval.  ``OptimizeResult.events`` is the
+inside the bracketing probe interval.  The phases note candidate
+placements (terminals, junctures, interior minima, segment ends, the
+wedge crossing) in one list; every one is evaluated exactly and the best
+is polished by a compass search.  ``OptimizeResult.events`` is the
 inspectable trace of a run.
 """
 
@@ -210,8 +214,7 @@ class _Engine:
         self.record_segments = record_segments
         self.events = []
         self.segments = []
-        self.candidates = []       # dicts: frame, a, b, tag, traj_i
-        self.traj = []             # phase-III trajectory (frame, a, b, D)
+        self.candidates = []       # (a, b, tag), in base coordinates
         self.diag_count = 0
         self._in_phase3 = False
         self.best_seen = math.inf
@@ -262,15 +265,14 @@ class _Engine:
         self._junctures.add(key)
         return True
 
-    def note_candidate(self, frame, a, b, tag, traj_i=None):
-        ab, bb = self._to_base(frame, a, b)
-        self.candidates.append({"a": ab, "b": bb, "tag": tag, "traj": traj_i})
+    def note_candidate(self, frame, a, b, tag):
+        self.candidates.append((*self._to_base(frame, a, b), tag))
 
-    def note_if_better(self, frame, a, b, dval, tag, traj_i=None):
+    def note_if_better(self, frame, a, b, dval, tag):
         """Record a candidate only when it improves the monitored best."""
         if dval < self.best_seen - 1e-12 * self.tree.scale:
             self.best_seen = dval
-            self.note_candidate(frame, a, b, tag, traj_i)
+            self.note_candidate(frame, a, b, tag)
 
     def families(self, frame, alpha, beta):
         """``frame.families(alpha, beta)``, remembering the last few points.
@@ -584,7 +586,7 @@ class _Engine:
     # -- the walk shared by phases II and III -----------------------------
 
     def _drive(self, phase, frame, state_at, x0, end, conds, d_active,
-               drive_q=False, soft=(), law=None, dip=None):
+               drive_q=False, soft=(), law=None, dip=None, track=None):
         """Drive one endpoint from x0 to end; stop at the first event.
 
         ``state_at(x)`` gives the families with the driven endpoint (p, or
@@ -600,14 +602,13 @@ class _Engine:
         inside each stretch (``dip``): of the chord e ("e"), or of the
         active diameter where a Lipschitz bound on the probes leaves room
         to beat the best seen ("d"); a walk with a law reports that
-        minimum as a grow-shrink event.  Phase-III positions join the
-        trajectory the wedge post-pass searches.  The segment-end
-        candidate takes the trailing endpoint from the last state
-        evaluated, which the warm-started balance equations also use.
+        minimum as a grow-shrink event.  Each stretch ends with a
+        segment-end candidate at the state reached there.  The crossing
+        and the segment ends are appended to ``track`` as (alpha, beta,
+        active diameter) when a list is given.
         """
         bps = self._bps[frame is self.cat]
         sign = 1 if end > x0 else -1
-        on_traj = phase == "III"
         x = x0
         while sign * (end - x) > self.eps:
             if sign > 0:
@@ -623,9 +624,8 @@ class _Engine:
             if hits:
                 sc, name = hits[0]
                 fvc = seg(sc)
-                if on_traj:
-                    self.traj.append((frame, fvc.alpha, fvc.beta,
-                                      d_active(fvc)))
+                if track is not None:
+                    track.append((fvc.alpha, fvc.beta, d_active(fvc)))
                 return name, x + sign * sc, fvc
             prev = None
             for _, fv in states:
@@ -636,16 +636,15 @@ class _Engine:
                 prev = sig
             if law is not None:
                 self._record_lawful(phase, frame, states, d_active, *law)
-            fv1 = last = states[-1][1]
-            traj_i = len(self.traj) if on_traj else None
+            fv1 = states[-1][1]
             if dip == "e":
                 s_min, _ = self._interior_min(seg, 0.0, span,
                                               lambda fv: fv.e)
-                last = seg(s_min)
-                self.note_candidate(frame, last.alpha, last.beta,
+                fvm = seg(s_min)
+                self.note_candidate(frame, fvm.alpha, fvm.beta,
                                     "interior-min")
-                self.emit("grow-shrink", phase, frame, last.alpha,
-                          last.beta, last, ("e-min",))
+                self.emit("grow-shrink", phase, frame, fvm.alpha,
+                          fvm.beta, fvm, ("e-min",))
             elif dip == "d":
                 # The diameter is unimodal between events, so a
                 # golden-section search suffices and also covers shallow
@@ -653,26 +652,21 @@ class _Engine:
                 dvals = [d_active(fv) for _, fv in states]
                 spacing = span / max(len(states) - 1, 1)
                 if min(dvals) - 8.0 * spacing < self.best_seen:
-                    s_min, last = self._interior_min(seg, 0.0, span,
-                                                     d_active)
-                    self.note_if_better(frame, last.alpha, last.beta,
-                                        d_active(last), "interior-min",
-                                        traj_i)
+                    s_min, fvm = self._interior_min(seg, 0.0, span, d_active)
+                    self.note_if_better(frame, fvm.alpha, fvm.beta,
+                                        d_active(fvm), "interior-min")
                     if law is not None and min(dvals[1:-1],
                                                default=dvals[0]) \
                             < min(dvals[0], dvals[-1]):
-                        fvm = seg(s_min)
-                        self.emit("grow-shrink", phase, frame, last.alpha,
-                                  last.beta, fvm, ("d-min",))
-                        last = fvm
-            a1, b1 = (last.alpha, target) if drive_q else (target, last.beta)
+                        self.emit("grow-shrink", phase, frame, fvm.alpha,
+                                  fvm.beta, seg(s_min), ("d-min",))
             d1 = d_active(fv1)
-            if on_traj:
-                self.traj.append((frame, a1, b1, d1))
-            self.note_if_better(frame, a1, b1, d1, "segment-end", traj_i)
+            if track is not None:
+                track.append((fv1.alpha, fv1.beta, d1))
+            self.note_if_better(frame, fv1.alpha, fv1.beta, d1, "segment-end")
             if at_bp:
                 self.emit("vertex-q" if drive_q else "vertex-p", phase,
-                          frame, a1, b1, fv1, (target,))
+                          frame, fv1.alpha, fv1.beta, fv1, (target,))
             x = target
         return None, x, None
 
@@ -866,93 +860,85 @@ class _Engine:
         def law_fn(fv):
             return SPEED_LAWS[("t2", fv.fx_branch, fv.fy_branch)]
 
-        fv = self.families(frame, a0, b0)
-        self.traj.append((frame, a0, b0, d_active(fv)))
-        self.note_if_better(frame, a0, b0, d_active(fv), "phase3-start", 0)
+        d0 = d_active(self.families(frame, a0, b0))
+        traj = [(a0, b0, d0)]
+        self.note_if_better(frame, a0, b0, d0, "phase3-start")
         name, alpha, fvc = self._drive(phase, frame, state_at, a0, 0.0, conds,
                                        d_active, soft=soft,
-                                       law=(sig_fn, law_fn), dip="d")
+                                       law=(sig_fn, law_fn), dip="d",
+                                       track=traj)
         if name is not None:
             tag = "delta-floor" if name == "delta-floor" else "corollary-11"
             self.emit("terminal", phase, frame, fvc.alpha, fvc.beta, fvc,
                       (tag,) if name == "delta-floor" else (tag, name))
-            self.note_candidate(frame, fvc.alpha, fvc.beta, tag,
-                                len(self.traj) - 1)
+            self.note_candidate(frame, fvc.alpha, fvc.beta, tag)
         else:
             # p parked; drive q outward to b with p held fixed.
             alpha = max(alpha, 0.0)
             name, _, fvc = self._drive(
                 phase, frame, lambda beta: self.families(frame, alpha, beta),
-                beta_mem[0], frame.L, conds, d_active, drive_q=True, dip="d")
+                beta_mem[0], frame.L, conds, d_active, drive_q=True, dip="d",
+                track=traj)
             b_end = frame.L
             if name is not None:
                 b_end = fvc.beta
                 self.emit("terminal", phase, frame, alpha, b_end, fvc,
                           ("q-drive", name))
-                self.note_candidate(frame, alpha, b_end, "q-drive",
-                                    len(self.traj) - 1)
+                self.note_candidate(frame, alpha, b_end, "q-drive")
             fve = self.families(frame, alpha, b_end)
             self.emit("terminal", phase, frame, alpha, b_end, fve,
                       ("parked-ab",))
-            self.note_candidate(frame, alpha, b_end, "phase3-end",
-                                len(self.traj) - 1)
-        self._wedge_postprocess(frame)
+            self.note_candidate(frame, alpha, b_end, "phase3-end")
+        self._wedge_crossing(frame, traj)
         self.phase_end = "III"
 
     def _wedge_value(self, frame, a, b):
         got = wedge_path_on_arcs(frame.t, frame.h, frame.chord(a, b), a, b)
         return got[0] if got else NEG
 
-    def _wedge_postprocess(self, frame):
-        """Binary search for the first trajectory point where a
-        wedge-shortcut-wedge path ties the monitored diameter; later
-        candidates are discarded."""
-        self.traj_cut = None
-        if frame.k < 2 or len(self.traj) == 0:
+    def _wedge_crossing(self, frame, traj):
+        """Note the first placement on phase III's trajectory where a
+        wedge-shortcut-wedge path ties the monitored diameter.
+
+        ``traj`` holds the (alpha, beta, diameter) points of one phase-III
+        run in ``frame``.  A binary search finds the first point where the
+        wedge path ties; between it and its predecessor the crossing is
+        located with q keeping the x-y balance.
+        """
+        if frame.k < 2:
             return
+
         def margin(i):
-            fr, a, b, d = self.traj[i]
-            return self._wedge_value(fr, a, b) - d
-        last = len(self.traj) - 1
-        if margin(last) < -self.tol:
+            a, b, d = traj[i]
+            return self._wedge_value(frame, a, b) - d
+        lo, hi = 0, len(traj) - 1     # margin(lo) < -tol <= margin(hi)
+        if margin(hi) < -self.tol or margin(lo) >= -self.tol:
             return
-        if margin(0) >= -self.tol:
-            cut = 0
-        else:
-            lo, hi = 0, last        # margin(lo) < 0 <= margin(hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if margin(mid) >= -self.tol:
-                    hi = mid
-                else:
-                    lo = mid
-            cut = hi
-            # Refine between trajectory points lo and hi.
-            fr, a_lo, b_lo, _ = self.traj[lo]
-            fr2, a_hi, b_hi, _ = self.traj[hi]
-            if fr is fr2 and a_lo - a_hi > self.eps:
-                beta_mem = [b_lo]
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if margin(mid) >= -self.tol:
+                hi = mid
+            else:
+                lo = mid
+        a_lo, b_lo, _ = traj[lo]
+        width = a_lo - traj[hi][0]
+        if width <= self.eps:
+            return
+        state_at = self._balanced(frame, "x-y", b_lo)
 
-                def gm(alpha):
-                    beta = self.balance(fr, alpha, beta_mem[0], "x-y")
-                    beta_mem[0] = beta
-                    fv = self.families(fr, alpha, beta)
-                    return self._wedge_value(fr, alpha, beta) \
-                        - max(fv.fx, fv.fy) + self.tol
+        def gap(s):
+            fv = state_at(a_lo - s)
+            return self._wedge_value(frame, fv.alpha, fv.beta) \
+                - max(fv.fx, fv.fy) + self.tol
 
-                ac = itp_root(lambda s: gm(a_lo - s), 0.0, a_lo - a_hi,
-                              self.eps)
-                self.note_candidate(fr, a_lo - ac, beta_mem[0],
-                                    "wedge-crossing", cut)
-                fvx = self.families(fr, a_lo - ac, beta_mem[0])
-                self.emit("path-state", "III", fr, a_lo - ac, beta_mem[0],
-                          fvx, ("wedge-crossing",))
-        self.traj_cut = cut
+        fv = state_at(a_lo - itp_root(gap, 0.0, width, self.eps))
+        self.note_candidate(frame, fv.alpha, fv.beta, "wedge-crossing")
+        self.emit("path-state", "III", frame, fv.alpha, fv.beta, fv,
+                  ("wedge-crossing",))
 
     # -- driver ----------------------------------------------------------
 
     def run(self):
-        self.traj_cut = None
         status, tpos = self.phase1()
         cat = self.cat
         c = cat.c_arc
@@ -986,26 +972,13 @@ class _Engine:
 
     def best(self):
         cat = self.cat
-        valid = []
-        for cd in self.candidates:
-            if cd["traj"] is not None and self.traj_cut is not None \
-                    and cd["traj"] > self.traj_cut:
-                continue
-            valid.append(cd)
-        # Keep the cost bounded: evaluate the tagged points plus a spread
-        # of segment ends.
-        tagged = [cd for cd in valid if cd["tag"] != "segment-end"]
-        seg = [cd for cd in valid if cd["tag"] == "segment-end"]
-        if len(seg) > 24:
-            step = len(seg) / 24.0
-            seg = [seg[int(i * step)] for i in range(24)] + [seg[-1]]
         best_val = cat.diam_t
         best_ab = (cat.c_arc, cat.c_arc)
-        for cd in tagged + seg:
-            val = cat.evaluate(cd["a"], cd["b"])
+        for a, b, _ in self.candidates:
+            val = cat.evaluate(a, b)
             if val < best_val - 1e-3 * self.tol:
                 best_val = val
-                best_ab = (cd["a"], cd["b"])
+                best_ab = (a, b)
         return self._polish(best_val, best_ab)
 
     def _polish(self, val, ab):

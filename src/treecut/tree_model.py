@@ -220,6 +220,10 @@ def tree_from_data(data: dict) -> GeometricTree:
         raw_edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"missing field in tree document: {exc}") from exc
+    for key, raw in (("vertices", raw_vertices), ("edges", raw_edges)):
+        if not isinstance(raw, list):
+            raise ParseError(f"{key!r} must be a list, "
+                             f"got {type(raw).__name__}")
     vertices = {}
     for item in raw_vertices:
         try:

@@ -63,6 +63,44 @@ def test_non_finite_coordinates_are_input_errors(tmp_path, capsys, xs):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"vertices": 5, "edges": []},
+    {"vertices": [{"id": 0, "x": 0.0, "y": 0.0},
+                  {"id": 1, "x": 1.0, "y": 0.0}], "edges": 3},
+], ids=["vertices-int", "edges-int"])
+def test_tree_fields_must_be_lists(tmp_path, capsys, doc):
+    code, _, err = run_cli(capsys, "analyze", write_tree_data(tmp_path, doc))
+    assert code == 2
+    assert "must be a list" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_tolerance_scale_must_be_finite_and_positive(tmp_path, capsys, t_l,
+                                                     value):
+    path = write_tree(tmp_path, t_l)
+    code, _, err = run_cli(capsys, "analyze", path,
+                           "--tolerance-scale", value)
+    assert code == 2
+    assert "--tolerance-scale" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_oracle_resolution_must_be_finite_and_positive(tmp_path, capsys, t_l,
+                                                       value):
+    path = write_tree(tmp_path, t_l)
+    code, _, err = run_cli(capsys, "oracle", path, "--resolution", value)
+    assert code == 2
+    assert "--resolution" in err
+
+
+@pytest.mark.parametrize("count", ["1", "0", "-3"])
+def test_gen_too_few_vertices_is_input_error(capsys, count):
+    code, out, err = run_cli(capsys, "gen", "-n", count)
+    assert code == 2
+    assert not out
+    assert "internal error" not in err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

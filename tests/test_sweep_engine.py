@@ -284,3 +284,28 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
         optimize(t, record_segments=False)
         per_vertex[n] = calls[0] / t.n
     assert max(per_vertex.values()) <= 30.0, per_vertex
+
+
+def test_noted_values_match_their_position(monkeypatch):
+    # Every candidate the sweep weighs by its monitored diameter must
+    # carry the value of the position it records: one of the balanced
+    # family pairs the phases monitor, read at that position.
+    notes = []
+    note = _Engine.note_if_better
+
+    def checked(self, frame, a, b, dval, tag, *rest):
+        fv = frame.families(a, b)
+        pairs = ((fv.fx, fv.xy), (fv.fanti, fv.xy), (fv.fanti, fv.fy),
+                 (fv.fx, fv.fy))
+        off = min(abs(max(pair) - dval) for pair in pairs)
+        notes.append((tag, off / self.tree.scale))
+        return note(self, frame, a, b, dval, tag, *rest)
+
+    monkeypatch.setattr(_Engine, "note_if_better", checked)
+    shapes, sizes = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
+    for seed in range(12):
+        optimize(random_tree(seed, sizes[seed % 3], shapes[seed % 3]),
+                 record_segments=False)
+    assert any(tag == "segment-end" for tag, _ in notes)
+    bad = [(tag, off) for tag, off in notes if off > 1e-9]
+    assert not bad, bad
