@@ -6,11 +6,17 @@ backbone (measured from the endpoint a).  For such shortcuts the
 augmented diameter can be evaluated exactly from the pendant data alone,
 and the candidate families tracked by the sweep (x-side, y-side,
 antipodal, x-y) admit O(1) range-maximum queries.
+
+The paper's sweep runs mirror-symmetric phases: a shift toward y is a
+shift toward x seen from b.  ``Caterpillar.flip()`` gives that view as a
+caterpillar of its own, built over the reversed decomposition, so both
+directions run the same code on their own arrays.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -90,6 +96,7 @@ class FamilyView:
 
 class Caterpillar:
     def __init__(self, tree, decomp):
+        """The caterpillar of ``decomp``, with arcs measured from its a."""
         self.tree = tree
         self.decomp = decomp
         self.L = decomp.length
@@ -106,6 +113,12 @@ class Caterpillar:
         self.t = [s.arc for s in sec]
         self.h = [s.height for s in sec]
         self.k = len(sec)
+        # Vertex and pendant arcs, where the sweep's motion laws change.
+        self.bps = sorted(set(self.arcs) | set(self.t))
+        # The view from b, as a callable returning it or None.  A view
+        # built by flip() holds its maker weakly, so that the two form no
+        # reference cycle and are freed as soon as they are dropped.
+        self._flipped = lambda: None
         self._build_tables()
 
     # -- precomputation --------------------------------------------------
@@ -336,8 +349,19 @@ class Caterpillar:
             (1 - lam) * ys[i] + lam * ys[i + 1]
 
     def flip(self):
-        """The same caterpillar viewed from b, for mirrored sweeps."""
-        return _FlippedCaterpillar(self)
+        """The same caterpillar seen from b, for mirrored sweeps.
+
+        It is built once, over ``decomp.reversed()``: arc ``s`` there is
+        arc ``L - s`` here, the pendants come in reverse order and the x
+        and y sides trade places.  The two views point to each other, so
+        ``cat.flip().flip() is cat`` while ``cat`` is alive.
+        """
+        fl = self._flipped()
+        if fl is None:
+            fl = Caterpillar(self.tree, self.decomp.reversed())
+            fl._flipped = weakref.ref(self)
+            self._flipped = lambda: fl
+        return fl
 
 
 def _cross_pair_max(pts, cyc, half):
@@ -374,43 +398,3 @@ def _cross_pair_max(pts, cyc, half):
             if prefix_best > NEG:
                 best = max(best, prefix_best + hj - uj + cyc)
     return best
-
-
-class _FlippedCaterpillar:
-    """Mirror view: arcs measured from b; delegates to the base model."""
-
-    def __init__(self, base):
-        self.base = base
-        self.L = base.L
-        self.h_x = base.h_y
-        self.h_y = base.h_x
-        self.c_arc = base.L - base.c_arc
-        self.delta = base.delta
-        self.diam_t = base.diam_t
-        self.k = base.k
-        self.t = [base.L - t for t in reversed(base.t)]
-        self.h = list(reversed(base.h))
-
-    def _m(self, alpha, beta):
-        return self.base.L - beta, self.base.L - alpha
-
-    def chord(self, alpha, beta):
-        return self.base.chord(*self._m(alpha, beta))
-
-    def evaluate(self, alpha, beta):
-        return self.base.evaluate(*self._m(alpha, beta))
-
-    def families(self, alpha, beta):
-        fv = self.base.families(*self._m(alpha, beta))
-        k = self.base.k
-        flip_p = lambda p: (k - 1 - p) if p >= 0 else -1
-        return FamilyView(
-            alpha, beta, fv.e, fv.darc, fv.cyc, fv.half,
-            self.base.L - fv.qbar, self.base.L - fv.pbar,
-            fv.xy, fv.xy_branch,
-            fv.fy, fv.fy_branch, flip_p(fv.fy_pendant),
-            fv.fx, fv.fx_branch, flip_p(fv.fx_pendant),
-            fv.fanti, flip_p(fv.fanti_pendant), fv.diameter)
-
-    def flip(self):
-        return self.base

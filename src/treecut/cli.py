@@ -229,7 +229,7 @@ def _cmd_gen(args):
         elif shape == "point":
             tree = oracle_mod.point_backbone_tree(args.seed, n)
         elif shape == "stress":
-            tree = oracle_mod.stress_family(max(1, n))
+            tree = oracle_mod.stress_family(n)
         else:
             raise TreecutError(f"unknown shape {shape!r}")
     except ValueError as exc:

@@ -9,7 +9,7 @@ view is what the shortcut search operates on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .tree_model import (
     GeometricTree,
@@ -86,6 +86,20 @@ class BackboneDecomposition:
     def b_id(self) -> int:
         return self.b.vertex_id()
 
+    def reversed(self) -> BackboneDecomposition:
+        """The same decomposition read from b: arcs are measured from b
+        and the x and y sides trade places."""
+        L = self.length
+        return replace(
+            self, a=self.b, b=self.a,
+            backbone_path=PathTrace(self.backbone_path.points[::-1], L),
+            backbone_ids=self.backbone_ids[::-1],
+            arcs=tuple(L - arc for arc in self.arcs[::-1]),
+            center_arc=L - self.center_arc, h_x=self.h_y, h_y=self.h_x,
+            x_leaf=self.y_leaf, y_leaf=self.x_leaf,
+            secondary=tuple(replace(s, arc=L - s.arc)
+                            for s in self.secondary[::-1]))
+
 
 def _farthest(dist: dict) -> int:
     return max(dist, key=lambda v: (dist[v], -v))
@@ -100,15 +114,15 @@ def _poles(tree: GeometricTree):
     return u1, u2, d1, _vertex_distances(tree, u2)
 
 
-def _walk(tree: GeometricTree, root: int, blocked) -> dict:
+def _walk(tree: GeometricTree, root: int, blocked, gate=None) -> dict:
     """Distances from root to every vertex reached without entering
-    ``blocked``."""
+    ``blocked``, except that the vertex ``gate`` may be entered."""
     dist = {root: 0.0}
     stack = [root]
     while stack:
         w = stack.pop()
         for (nb, wlen) in tree.adj[w]:
-            if nb not in dist and nb not in blocked:
+            if nb not in dist and (nb not in blocked or nb == gate):
                 dist[nb] = dist[w] + wlen
                 stack.append(nb)
     return dist
@@ -168,18 +182,19 @@ def absolute_center(tree: GeometricTree) -> CenterResult:
     return CenterResult(c, diam / 2.0)
 
 
-def _hanging_subtree(tree, root, blocked):
+def _hanging_subtree(tree, root, backbone_set):
     """Metrics of the union of non-backbone branches at a backbone vertex.
 
     Returns (height, far_leaf, diameter) measured from `root`; the
     sub-tree includes `root` itself.  Height 0 when nothing hangs there.
     """
-    dist = _walk(tree, root, blocked)
+    dist = _walk(tree, root, backbone_set)
     far = _farthest(dist)
     if dist[far] == 0.0:
         return 0.0, root, 0.0
-    # Double sweep restricted to the hanging sub-tree for its diameter.
-    d1 = _walk(tree, far, blocked)
+    # Double sweep restricted to the hanging sub-tree for its diameter;
+    # the second sweep starts at far and must pass through root.
+    d1 = _walk(tree, far, backbone_set, gate=root)
     return dist[far], far, d1[_farthest(d1)]
 
 
@@ -244,13 +259,13 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
         arcs.append(arcs[-1] + tree.edge_length[(u, v)])
     length = arcs[-1]
 
-    h_x, x_leaf, diam_x = _hanging_subtree(tree, a_id, backbone_set - {a_id})
-    h_y, y_leaf, diam_y = _hanging_subtree(tree, b_id, backbone_set - {b_id})
+    h_x, x_leaf, diam_x = _hanging_subtree(tree, a_id, backbone_set)
+    h_y, y_leaf, diam_y = _hanging_subtree(tree, b_id, backbone_set)
     secondary = []
     delta = max(diam_x, diam_y)
     h_hat = 0.0
     for vid, arc in zip(bpath[1:-1], arcs[1:-1]):
-        h, far, sdiam = _hanging_subtree(tree, vid, backbone_set - {vid})
+        h, far, sdiam = _hanging_subtree(tree, vid, backbone_set)
         if h > 0.0:
             secondary.append(SecondaryTree(vid, arc, h, far, sdiam))
             delta = max(delta, sdiam)

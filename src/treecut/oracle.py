@@ -187,6 +187,8 @@ def _random_balanced(rng, n):
 
 def straight_backbone_tree(seed: int, n: int) -> GeometricTree:
     """A collinear path with short pendants; its backbone is straight."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     rng = random.Random(("straight", seed, n).__repr__())
     m = max(3, (2 * n) // 3)
     m = min(m, n)
@@ -210,6 +212,8 @@ def straight_backbone_tree(seed: int, n: int) -> GeometricTree:
 
 def point_backbone_tree(seed: int, n: int) -> GeometricTree:
     """At least three equally long arms from a hub; backbone is a point."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     rng = random.Random(("point", seed, n).__repr__())
     arms = 3 + (n % 3)
     segs = max(1, (n - 1) // arms)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 
 from .caterpillar import Caterpillar, NEG
 from .diameter_core import backbone
@@ -222,17 +223,16 @@ class _Engine:
         self.phase_end = "phase1"
         self.event_cap = 400 + 80 * tree.n
         self._recent = {}
-        # Vertex and pendant arcs, where the motion laws change, as seen
-        # from a (key True) and from b (every flipped view).
-        bps = sorted(set(self.cat.arcs) | set(self.cat.t))
-        self._bps = {True: bps, False: sorted({self.cat.L - x for x in bps})}
 
     # -- utilities -------------------------------------------------------
 
+    @staticmethod
+    def _mirror(frame, a, b):
+        """The placement (a, b) of ``frame`` as seen from its flip."""
+        return frame.flip(), frame.L - b, frame.L - a
+
     def _to_base(self, frame, a, b):
-        if frame is self.cat:
-            return a, b
-        return self.cat.L - b, self.cat.L - a
+        return (a, b) if frame is self.cat else self._mirror(frame, a, b)[1:]
 
     def emit(self, kind, phase, frame, a, b, fv=None, payload=()):
         if len(self.events) >= self.event_cap:
@@ -279,9 +279,8 @@ class _Engine:
 
         The sweep often re-reads a point it has just evaluated: a balance
         solve ends on a point its root finder probed, and a segment's
-        first probe is the previous segment's last.  Every flipped view
-        of the caterpillar is the same function, so the key records only
-        the side the frame is seen from.
+        first probe is the previous segment's last.  The sweep runs in
+        two frames, the caterpillar and its flip, so the key records which.
         """
         key = (frame is self.cat, alpha, beta)
         fv = self._recent.get(key)
@@ -312,40 +311,22 @@ class _Engine:
         diameter equals the exact diameter at the run ends (the tied
         families really are diametral).
         """
-        if not self.record_segments:
-            return
-        runs = []
-        cur = []
-        cur_sig = None
-        for _, fv in states:
-            parked = fv.beta >= frame.L - 64.0 * self.eps
-            sig = (sig_fn(fv), parked)
-            if sig != cur_sig:
-                if len(cur) >= 3:
-                    runs.append((cur_sig, cur))
-                cur = []
-                cur_sig = sig
-            cur.append(fv)
-        if len(cur) >= 3:
-            runs.append((cur_sig, cur))
-        flipped = frame is not self.cat
-        for (sig, parked), fvs in runs:
-            if parked:
+        parked_at = frame.L - 64.0 * self.eps
+        runs = groupby((fv for _, fv in states),
+                       key=lambda fv: (sig_fn(fv), fv.beta >= parked_at))
+        for (_, parked), run in runs:
+            fvs = list(run)
+            if parked or len(fvs) < 3:
                 continue
             law = law_fn(fvs[len(fvs) // 2])
-            if law is None:
-                continue
-            ok = True
-            for fv in (fvs[0], fvs[-1]):
-                exact = frame.evaluate(fv.alpha, fv.beta)
-                if abs(exact - d_active(fv)) > 1e-9 * self.tree.scale:
-                    ok = False
-                    break
-            if not ok:
+            if law is None or any(
+                    abs(frame.evaluate(fv.alpha, fv.beta) - d_active(fv))
+                    > 1e-9 * self.tree.scale for fv in (fvs[0], fvs[-1])):
                 continue
             probes = tuple((fv.alpha, fv.beta, fv.e, d_active(fv))
                            for fv in fvs)
-            self.segments.append(MotionSegment(phase, law, flipped, probes))
+            self.segments.append(
+                MotionSegment(phase, law, frame is not self.cat, probes))
 
     # -- balance ---------------------------------------------------------
 
@@ -421,14 +402,8 @@ class _Engine:
         states the probe evaluations [(s, fv)].
         """
         p = self.PROBES
-        if self.record_segments:
-            p = max(p, 12)
-        if self.diagnostic:
-            p = max(p, 24)
         ss = [s0 + (s1 - s0) * i / p for i in range(p + 1)]
         states = [(s, state_at(s)) for s in ss]
-        if self.diagnostic and self._in_phase3:
-            self._diag_probe(states)
         hits = []
         for name, fn in conds:
             prev_s, prev_v = states[0][0], fn(states[0][1])
@@ -446,14 +421,28 @@ class _Engine:
         hits.sort()
         return hits, states
 
-    def _diag_probe(self, states):
+    def _reprobe(self, seg, span, warm, start):
+        """The stretch [0, span] at 12 points, 24 when diagnosing.
+
+        q's balance starts from the warm start the scan started from, and
+        the one the scan left is restored: the walk never sees this.
+        """
+        if warm is not None:
+            left, warm[0] = warm[0], start
+        n = 24 if self.diagnostic else 12
+        states = [(s, seg(s)) for s in (span * i / n for i in range(n + 1))]
+        if warm is not None:
+            warm[0] = left
+        return states
+
+    def _diag_probe(self, frame, states):
         """Count unsuppressed routing flips: every pendant whose antipodal
         boundary crossing re-routes its diametral path would be a
         processed event without the freeze rule."""
         prev = None
         for _, fv in states:
-            ip = bisect_right(self.cat.t, fv.pbar)
-            iq = bisect_left(self.cat.t, fv.qbar)
+            ip = bisect_right(frame.t, fv.pbar)
+            iq = bisect_left(frame.t, fv.qbar)
             sig = (ip, iq, fv.fx_branch, fv.fy_branch)
             if prev is not None:
                 self.diag_count += abs(sig[0] - prev[0]) + abs(sig[1] - prev[1])
@@ -586,7 +575,8 @@ class _Engine:
     # -- the walk shared by phases II and III -----------------------------
 
     def _drive(self, phase, frame, state_at, x0, end, conds, d_active,
-               drive_q=False, soft=(), law=None, dip=None, track=None):
+               drive_q=False, soft=(), law=None, dip=None, track=None,
+               warm=None):
         """Drive one endpoint from x0 to end; stop at the first event.
 
         ``state_at(x)`` gives the families with the driven endpoint (p, or
@@ -606,8 +596,13 @@ class _Engine:
         segment-end candidate at the state reached there.  The crossing
         and the segment ends are appended to ``track`` as (alpha, beta,
         active diameter) when a list is given.
+
+        Every stretch is scanned at the same ``PROBES`` points whatever
+        the options.  Recorded segments and the diagnostic count read a
+        finer re-probe of the stretch (``_reprobe``); ``warm`` is the
+        one-item list holding q's balance warm start, when q follows one.
         """
-        bps = self._bps[frame is self.cat]
+        bps = frame.bps
         sign = 1 if end > x0 else -1
         x = x0
         while sign * (end - x) > self.eps:
@@ -620,7 +615,16 @@ class _Engine:
             target = bps[i] if at_bp else end
             span = abs(target - x)
             seg = lambda s: state_at(x + sign * s)
+            start = warm[0] if warm is not None else None
             hits, states = self._scan(seg, 0.0, span, conds)
+            record = law is not None and self.record_segments and not hits
+            diag = self.diagnostic and self._in_phase3
+            if record or diag:
+                fine = self._reprobe(seg, span, warm, start)
+                if diag:
+                    self._diag_probe(frame, fine)
+                if record:
+                    self._record_lawful(phase, frame, fine, d_active, *law)
             if hits:
                 sc, name = hits[0]
                 fvc = seg(sc)
@@ -634,8 +638,6 @@ class _Engine:
                     self.emit("path-state", phase, frame, fv.alpha, fv.beta,
                               fv, ("branch-change",))
                 prev = sig
-            if law is not None:
-                self._record_lawful(phase, frame, states, d_active, *law)
             fv1 = states[-1][1]
             if dip == "e":
                 s_min, _ = self._interior_min(seg, 0.0, span,
@@ -671,7 +673,8 @@ class _Engine:
         return None, x, None
 
     def _balanced(self, frame, pair, b0):
-        """State function of p with q keeping `pair` in balance.
+        """State function of p with q keeping `pair` in balance, and the
+        one-item list holding q's warm start.
 
         Each solve starts from the previous solution, so the order of
         calls matters.
@@ -681,7 +684,7 @@ class _Engine:
         def state_at(alpha):
             beta_mem[0] = self.balance(frame, alpha, beta_mem[0], pair)
             return self.families(frame, alpha, beta_mem[0])
-        return state_at
+        return state_at, beta_mem
 
     # -- phase II (shift toward x; y handled by frame flip) --------------
 
@@ -692,7 +695,7 @@ class _Engine:
         "optimal" (a juncture; its continuations have run), "parked" (p
         reached a), "delta".
         """
-        state_at = self._balanced(frame, pair, b0)
+        state_at, warm = self._balanced(frame, pair, b0)
         if pair == "x-xy":
             phase, dip = "II-x", None
             d_active = lambda fv: max(fv.fx, fv.xy)
@@ -724,7 +727,7 @@ class _Engine:
         state_at(a0)
         name, _, fvc = self._drive(phase, frame, state_at, a0, 0.0, conds,
                                    d_active, soft=soft, law=(sig_fn, law_fn),
-                                   dip=dip)
+                                   dip=dip, warm=warm)
         if name is None:
             fv = state_at(0.0)
             a1, b1 = fv.alpha, fv.beta
@@ -749,24 +752,17 @@ class _Engine:
         self.note_candidate(frame, ac, bc, "juncture")
         # The x-y family drops out; keep the antipodal family balanced
         # against the side family that just tied.
-        if name == "y-side":
-            if self._novel_juncture(frame, ac, bc, "side"):
-                self.phase2side(frame, ac, bc)
-        else:
-            fl = frame.flip()
-            a2, b2 = frame.L - bc, frame.L - ac
-            if self._novel_juncture(fl, a2, b2, "side"):
-                self.phase2side(fl, a2, b2)
+        fr, a2, b2 = ((frame, ac, bc) if name == "y-side"
+                      else self._mirror(frame, ac, bc))
+        if self._novel_juncture(fr, a2, b2, "side"):
+            self.phase2side(fr, a2, b2)
         if pair == "anti-xy":
             # Alternatively the antipodal family drops out and the
             # sideways shift continues with the side family that just
             # tied kept in balance.  The balance may have several
             # branches here; each one is restarted separately.
-            if name == "x-side":
-                fr2, a3 = frame, ac
-            else:
-                fr2 = frame.flip()
-                a3 = frame.L - bc
+            fr2, a3, _ = ((frame, ac, bc) if name == "x-side"
+                          else self._mirror(frame, ac, bc))
             for b3 in self.balance_roots(fr2, a3, "x-xy"):
                 if self._novel_juncture(fr2, a3, b3, "x-xy"):
                     self.phase2x(fr2, a3, b3, "x-xy")
@@ -794,9 +790,10 @@ class _Engine:
             ("delta-floor", lambda fv: frame.delta + self.tol - d_active(fv)),
         ]
         for end in (0.0, frame.c_arc):
-            state_at = self._balanced(frame, "anti-y", b0)
+            state_at, warm = self._balanced(frame, "anti-y", b0)
             name, alpha, fvc = self._drive(phase, frame, state_at, a0, end,
-                                           conds, d_active, dip="d")
+                                           conds, d_active, dip="d",
+                                           warm=warm)
             if name is None:
                 fv = state_at(alpha)
                 self.emit("terminal", phase, frame, alpha, fv.beta, fv,
@@ -816,8 +813,7 @@ class _Engine:
             elif name == "xy-retie":
                 # The x-y family rejoins the y family; drop the antipodal
                 # family and shift toward y.
-                fl = frame.flip()
-                a3 = frame.L - bc
+                fl, a3, _ = self._mirror(frame, ac, bc)
                 for b3 in self.balance_roots(fl, a3, "x-xy"):
                     if self._novel_juncture(fl, a3, b3, "x-xy"):
                         self.phase2x(fl, a3, b3, "x-xy")
@@ -866,7 +862,7 @@ class _Engine:
         name, alpha, fvc = self._drive(phase, frame, state_at, a0, 0.0, conds,
                                        d_active, soft=soft,
                                        law=(sig_fn, law_fn), dip="d",
-                                       track=traj)
+                                       track=traj, warm=beta_mem)
         if name is not None:
             tag = "delta-floor" if name == "delta-floor" else "corollary-11"
             self.emit("terminal", phase, frame, fvc.alpha, fvc.beta, fvc,
@@ -924,7 +920,7 @@ class _Engine:
         width = a_lo - traj[hi][0]
         if width <= self.eps:
             return
-        state_at = self._balanced(frame, "x-y", b_lo)
+        state_at, _ = self._balanced(frame, "x-y", b_lo)
 
         def gap(s):
             fv = state_at(a_lo - s)
@@ -958,12 +954,12 @@ class _Engine:
         elif "x" in ties or "y" in ties:
             frame = cat
             if "y" in ties:
-                frame, a, b = cat.flip(), cat.L - b, cat.L - a
+                frame, a, b = self._mirror(cat, a, b)
             if self.phase2x(frame, a, b, "x-xy") != "phase3":
                 self.phase_end = "II"
         elif "anti" in ties:
             self.phase2x(cat, a, b, "anti-xy")
-            self.phase2x(cat.flip(), cat.L - b, cat.L - a, "anti-xy")
+            self.phase2x(*self._mirror(cat, a, b), "anti-xy")
             self.phase_end = "II"
         else:
             self.phase_end = "I"
@@ -1011,12 +1007,9 @@ class _Engine:
 def optimize(tree, diagnostic=False, record_segments=True) -> OptimizeResult:
     """Find a shortcut minimizing the continuous diameter of T + pq.
 
-    ``record_segments=True`` (the default here; the CLI passes False)
-    raises the probe count per segment from 6 to 12, and
-    ``diagnostic=True`` to 24, so event traces and last-digit answers
-    differ from the CLI's: on the 210 criterion-1 corpus trees
-    ``diameter_after`` differs on 116, by at most 9.7e-13·scale, and
-    ``event_count`` on 9.
+    ``record_segments`` fills ``segments`` (the CLI passes False), and
+    ``diagnostic`` fills ``diagnostic_phase3_changes``.  Both only read a
+    re-probe of the walk, so neither changes the answer or the events.
     """
     decomp = backbone(tree)
     diam = decomp.diameter

@@ -214,6 +214,22 @@ class GeometricTree:
 # -- construction ---------------------------------------------------------
 
 
+def _vertex_id(value) -> int:
+    """A vertex id read from JSON: an integer, or a float of integral value."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"vertex id must be an integer, got {value!r}")
+
+
+def _edge_ids(item) -> tuple:
+    """The vertex ids of an edge record, which is a pair ``[u, v]``."""
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise ValueError(f"an edge must be a pair [u, v], got {item!r}")
+    return _vertex_id(item[0]), _vertex_id(item[1])
+
+
 def tree_from_data(data: dict) -> GeometricTree:
     try:
         raw_vertices = data["vertices"]
@@ -227,7 +243,7 @@ def tree_from_data(data: dict) -> GeometricTree:
     vertices = {}
     for item in raw_vertices:
         try:
-            vid = int(item["id"])
+            vid = _vertex_id(item["id"])
             xy = (float(item["x"]), float(item["y"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad vertex record {item!r}") from exc
@@ -239,10 +255,9 @@ def tree_from_data(data: dict) -> GeometricTree:
     edges = []
     for item in raw_edges:
         try:
-            u, v = int(item[0]), int(item[1])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ParseError(f"bad edge record {item!r}") from exc
-        edges.append((u, v))
+            edges.append(_edge_ids(item))
+        except ValueError as exc:
+            raise ParseError(f"bad edge record {item!r}: {exc}") from exc
     return GeometricTree(vertices, edges)
 
 
@@ -257,7 +272,7 @@ def load_tree(document: str) -> GeometricTree:
 
 def parse_tree_point(tree: GeometricTree, data: dict) -> TreePoint:
     try:
-        u, v = int(data["edge"][0]), int(data["edge"][1])
+        u, v = _edge_ids(data["edge"])
         lam = float(data.get("lambda", 0.0))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"bad point record {data!r}") from exc

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -53,3 +55,67 @@ def test_evaluate_grid_bounded_memory():
     for (a, b), g in zip(pts[::10], grid[::10]):
         assert g == pytest.approx(cat.evaluate(a, b), abs=1e-9 * t.scale)
     assert all(math.isfinite(g) for g in grid)
+
+
+FLIP_TREES = [(3, 30, "caterpillar"), (4, 14, "balanced"), (5, 20, "uniform"),
+              (8, 60, "caterpillar"), (9, 9, "uniform")]
+
+
+def _swapped_pendant(cat, i):
+    return cat.k - 1 - i if i >= 0 else -1
+
+
+@pytest.mark.parametrize("spec", FLIP_TREES, ids=lambda s: f"{s[2]}-{s[1]}")
+def test_flip_is_the_caterpillar_seen_from_b(spec):
+    t = random_tree(*spec)
+    cat = Caterpillar(t, backbone(t))
+    fl = cat.flip()
+    assert type(fl) is Caterpillar
+    assert fl is cat.flip() and fl.flip() is cat
+    L, tol = cat.L, 1e-12 * t.scale
+    assert fl.L == L and fl.k == cat.k
+    assert (fl.h_x, fl.h_y) == (cat.h_y, cat.h_x)
+    assert fl.h == cat.h[::-1]
+    rng = random.Random(spec[0])
+    pts = [sorted((rng.uniform(0.0, L), rng.uniform(0.0, L)))
+           for _ in range(60)]
+    pts += [(rng.uniform(0.0, cat.c_arc), rng.uniform(cat.c_arc, L))
+            for _ in range(60)]
+    for a, b in pts:
+        f, g = cat.families(a, b), fl.families(L - b, L - a)
+        for x, y in ((f.e, g.e), (f.darc, g.darc), (f.cyc, g.cyc),
+                     (f.pbar, L - g.qbar), (f.qbar, L - g.pbar),
+                     (f.xy, g.xy), (f.fx, g.fy), (f.fy, g.fx),
+                     (f.fanti, g.fanti), (f.diameter, g.diameter)):
+            assert x == pytest.approx(y, abs=tol), (a, b)
+        assert f.xy_branch == g.xy_branch
+        assert (f.fx_branch, f.fy_branch) == (g.fy_branch, g.fx_branch)
+        assert f.fx_pendant == _swapped_pendant(cat, g.fy_pendant)
+        assert f.fy_pendant == _swapped_pendant(cat, g.fx_pendant)
+        assert f.fanti_pendant == _swapped_pendant(cat, g.fanti_pendant)
+        assert cat.chord(a, b) == pytest.approx(fl.chord(L - b, L - a),
+                                                abs=tol)
+        assert cat.evaluate(a, b) == pytest.approx(fl.evaluate(L - b, L - a),
+                                                   abs=tol)
+    alphas, betas = (np.array(v) for v in zip(*pts))
+    np.testing.assert_allclose(cat.evaluate_grid(alphas, betas),
+                               fl.evaluate_grid(L - betas, L - alphas),
+                               rtol=0.0, atol=tol)
+
+
+def test_flip_pair_forms_no_reference_cycle():
+    t = random_tree(3, 30, "caterpillar")
+    cat = Caterpillar(t, backbone(t))
+    fl = cat.flip()
+    maker = weakref.ref(cat)
+    gc.disable()
+    try:
+        del cat
+        # Freed by reference counting alone: the flip holds it weakly.
+        assert maker() is None
+    finally:
+        gc.enable()
+    again = fl.flip()
+    assert again.flip() is fl
+    assert (again.h_x, again.h, again.t) == (fl.h_y, fl.h[::-1],
+                                              [fl.L - x for x in fl.t[::-1]])

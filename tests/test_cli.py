@@ -101,6 +101,39 @@ def test_gen_too_few_vertices_is_input_error(capsys, count):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("shape, count", [
+    ("point", "0"), ("point", "1"), ("stress", "0"), ("stress", "-2"),
+    ("straight", "1"), ("straight", "0"),
+])
+def test_gen_count_checked_for_every_shape(capsys, shape, count):
+    code, out, err = run_cli(capsys, "gen", "--shape", shape, "-n", count)
+    assert code == 2
+    assert not out
+    assert "internal error" not in err
+
+
+def test_gen_smallest_stress_family(capsys):
+    code, out, _ = run_cli(capsys, "gen", "--shape", "stress", "-n", "1")
+    assert code == 0
+    assert json.loads(out)["vertices"]
+
+
+PATH3 = [{"id": 0, "x": 0.0, "y": 0.0}, {"id": 1, "x": 1.0, "y": 0.0},
+         {"id": 2, "x": 1.0, "y": 1.0}]
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": [dict(v, id=v["id"] + 0.9) for v in PATH3],
+     "edges": [[0, 1], [1, 2]]},
+    {"vertices": PATH3, "edges": [[0, 1, 2], [1, 2]]},
+], ids=["float-id", "extra-edge-entry"])
+def test_malformed_ids_and_edges_are_input_errors(tmp_path, capsys, doc):
+    code, out, err = run_cli(capsys, "analyze", write_tree_data(tmp_path, doc))
+    assert code == 2
+    assert not out
+    assert "internal error" not in err
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -113,3 +113,21 @@ def test_secondary_subtrees_present():
     assert len(d.secondary) >= 1
     assert d.h_max_secondary == pytest.approx(
         max(s.height for s in d.secondary))
+
+
+def test_reversed_decomposition_reads_from_b():
+    t = random_tree(3, 30, "caterpillar")
+    d = backbone(t)
+    r = d.reversed()
+    assert (r.a, r.b, r.x_leaf, r.y_leaf) == (d.b, d.a, d.y_leaf, d.x_leaf)
+    assert (r.h_x, r.h_y) == (d.h_y, d.h_x)
+    assert r.backbone_ids == d.backbone_ids[::-1]
+    assert r.backbone_path.points == d.backbone_path.points[::-1]
+    assert r.arcs[0] == 0.0 and r.arcs[-1] == d.length
+    assert list(r.arcs) == sorted(r.arcs)
+    assert r.center_arc == pytest.approx(d.length - d.center_arc)
+    assert [s.root_id for s in r.secondary] == \
+        [s.root_id for s in d.secondary[::-1]]
+    assert [s.arc for s in r.secondary] == pytest.approx(
+        [d.length - s.arc for s in d.secondary[::-1]])
+    assert r.reversed().arcs == pytest.approx(d.arcs)

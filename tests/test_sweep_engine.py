@@ -309,3 +309,24 @@ def test_noted_values_match_their_position(monkeypatch):
     assert any(tag == "segment-end" for tag, _ in notes)
     bad = [(tag, off) for tag, off in notes if off > 1e-9]
     assert not bad, bad
+
+
+def test_recording_does_not_steer_the_sweep():
+    # Recorded segments and the diagnostic count read a re-probe of the
+    # walk; the walk itself, and so the answer and the trace, must not
+    # depend on either option.
+    shapes, sizes = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
+    recorded = 0
+    for seed in range(30):
+        t = random_tree(seed, sizes[seed % 3], shapes[seed % 3])
+        runs = [optimize(t),
+                optimize(t, record_segments=False),
+                optimize(t, diagnostic=True, record_segments=False)]
+        recorded += len(runs[0].segments)
+        assert not runs[1].segments and not runs[2].segments
+        for res in runs[1:]:
+            assert res.shortcut == runs[0].shortcut, seed
+            assert res.diameter_after == runs[0].diameter_after, seed
+            assert res.phase_end == runs[0].phase_end, seed
+            assert res.events == runs[0].events, seed
+    assert recorded > 0

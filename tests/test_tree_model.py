@@ -129,6 +129,32 @@ def test_reject_unknown_edge_endpoint():
         GeometricTree({0: (0, 0), 1: (1, 0)}, [(0, 9)])
 
 
+def _path_doc(ids=(0, 1, 2), edges=((0, 1), (1, 2))):
+    return {"vertices": [{"id": v, "x": float(i), "y": float(i % 2)}
+                         for i, v in enumerate(ids)],
+            "edges": [list(e) for e in edges]}
+
+
+@pytest.mark.parametrize("doc", [
+    _path_doc(ids=(0.9, 1.2, 2)),
+    _path_doc(ids=(0, "1", 2)),
+    _path_doc(ids=(0, True, 2)),
+    _path_doc(edges=((0, 1, 2), (1, 2))),
+    _path_doc(edges=((0, 1), (1,))),
+    _path_doc(edges=((0, 1), (1.5, 2))),
+], ids=["float-id", "string-id", "bool-id", "extra-edge-entry",
+        "short-edge", "float-edge-end"])
+def test_reject_non_integer_ids_and_malformed_edges(doc):
+    with pytest.raises(ParseError):
+        tree_from_data(doc)
+
+
+def test_integral_float_ids_are_read_as_integers():
+    t = tree_from_data(_path_doc(ids=(0.0, 1.0, 2), edges=((0.0, 1), (1, 2))))
+    assert sorted(t.coords) == [0, 1, 2]
+    assert all(type(v) is int for e in t.edges for v in e)
+
+
 def test_reject_weighted_input():
     with pytest.raises(ParseError):
         tree_from_data({"vertices": [{"id": 0, "x": 0, "y": 0},
@@ -158,6 +184,9 @@ def test_reject_malformed_json():
 def test_parse_tree_point_validates(t_l):
     p = parse_tree_point(t_l, {"edge": [0, 1], "lambda": 0.5})
     assert (p.u, p.v, p.lam) == (0, 1, 0.5)
+    for edge in ([0.5, 1], [0, 1, 2]):
+        with pytest.raises(ParseError):
+            parse_tree_point(t_l, {"edge": edge, "lambda": 0.5})
     with pytest.raises(Exception):
         parse_tree_point(t_l, {"edge": [0, 2], "lambda": 0.5})
 
