@@ -6,14 +6,24 @@ the maximum over (i) leaf pairs with the three route options (tree only,
 via the shortcut in either orientation) and (ii) each leaf against the
 antipodal of its cycle attachment point.  These candidates are exact;
 pairs inside a single B-sub-tree are kept for the value but excluded
-from the reported pair state.  The formula lives in
-``augmented_diameter_value``; ``augmented_diameter`` hands it its leaf
-distance table and keeps the candidates that reach the value.
+from the reported pair state.
+
+The tree distances of all leaf pairs come from one DFS
+(``leaf_distance_table``, the LCA as a range minimum: Bender and
+Farach-Colton, "The LCA problem revisited", LATIN 2000).  The formula
+lives in ``augmented_diameter_value``: one numpy pass over that table in
+blocks of rows, so that the table is its only quadratic array.
+``augmented_diameter`` has the same pass collect the candidates near
+its running maximum and diagnoses the ones within ``tree.tol`` of the
+value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .diameter_core import BackboneDecomposition, backbone
 from .tree_model import (
@@ -143,76 +153,108 @@ def _descriptor(subtype, route):
     return f"{a}-{_ROUTE_TOKEN[route]}-{b}"
 
 
-def _leaf_distances(tree, leaves):
-    return {u: distances_from(tree, TreePoint.at_vertex(u)) for u in leaves}
+# Entries per block of rows in the table build and the route pass: the
+# L x L table stays the only quadratic array.
+_BLOCK = 1 << 20
 
 
-def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
-                       shortcut: Shortcut) -> AugmentedDiagnosis:
-    """Exact continuous diameter of T + pq with full diagnosis.
+@dataclass(frozen=True, eq=False)
+class LeafTable:
+    """Tree distances between the leaves, in the order of one DFS.
 
-    The diameter is ``augmented_diameter_value``'s; the diagnosis keeps
-    the leaf pairs and antipodal candidates within ``tree.tol`` of it.
+    ``dist[i, j]`` for i < j is the distance between ``leaves[i]`` and
+    ``leaves[j]``.  The entries on and below the diagonal are -inf, so a
+    maximum over the table runs over the pairs i < j only.
     """
-    tree.check_shortcut(shortcut)
-    p, q = shortcut.p, shortcut.q
-    e = euclidean_distance(tree, p, q)
-    dtpq = network_distance(tree, p, q)
-    cyc = e + dtpq
-    half = cyc / 2.0
-    tol = tree.tol
-    leaves = tree.leaves()
-    dp = distances_from(tree, p)
-    dq = distances_from(tree, q)
-    classes = _leaf_classes(tree, decomp)
-    leaf_dists = _leaf_distances(tree, leaves)
-    diameter = augmented_diameter_value(tree, shortcut, leaf_dists)
-    floor = diameter - tol
 
-    achieving = []
-    for i, u in enumerate(leaves):
-        c1, g1 = classes[u]
-        du = leaf_dists[u]
-        for v in leaves[i + 1:]:
-            treed = du[v]
-            via = min(dp[u] + e + dq[v], dq[u] + e + dp[v])
-            dist = min(treed, via)
-            if dist < floor:
-                continue
-            routes = set()
-            if treed <= dist + tol:
-                routes.add(VIA_TREE)
-            if via <= dist + tol:
-                routes.add(VIA_SHORTCUT)
-            c2, g2 = classes[v]
-            if g1 == g2:
-                ptype = sub = "within-subtree"
-            else:
-                ptype, sub = _pair_type(c1, c2), _subtype(c1, c2)
-            achieving.append(AchievingPair(u, v, sub, ptype,
-                                           frozenset(routes), dist))
-        if cyc <= 0.0:
-            continue
-        dist = (dp[u] + dq[u] - dtpq) / 2.0 + half
-        if dist < floor:
-            continue
-        # Locate the antipodal partner of u's cycle attachment point.
-        tau = (dp[u] + dtpq - dq[u]) / 2.0
-        pos = tau + half
-        if pos > cyc:
-            pos -= cyc
-        on_tree = pos <= dtpq + tol
-        c2 = "antipodal" if on_tree else "interior"
-        routes = frozenset({VIA_TREE, VIA_SHORTCUT} if on_tree
-                           else {VIA_P, VIA_Q})
-        if c2 == "interior":
-            ptype = "sub-interior" if c1 == "wedge" else f"{c1}-interior"
-        else:
-            ptype = _pair_type(c1, "wedge")
-        end2 = {"kind": c2, "cycle_position": pos}
-        achieving.append(AchievingPair(u, end2, _subtype(c1, c2), ptype,
-                                       routes, dist))
+    leaves: tuple
+    dist: np.ndarray
 
+
+def leaf_distance_table(tree: GeometricTree) -> LeafTable:
+    """All pairwise leaf distances from one DFS.
+
+    The DFS starts at a leaf and records each vertex's depth D, the
+    leaves in the order it reaches them, and each gap: the depth of the
+    shallowest vertex walked between two consecutive leaves, where they
+    meet.  Leaves i < j meet at depth ``min(gaps[i:j])`` and lie
+    ``D[u] + D[v] - 2 * meet`` apart (the range-minimum form of the
+    lowest common ancestor).
+    """
+    adj = tree.adj
+    root = tree.leaves()[0]
+    depth = {root: 0.0}
+    leaves, gaps = [], []
+    low = 0.0
+    stack = [(root, root)]
+    while stack:
+        w, parent = stack.pop()
+        if depth[parent] < low:
+            low = depth[parent]
+        nbrs = adj[w]
+        if len(nbrs) <= 1:
+            if leaves:
+                gaps.append(low)
+            leaves.append(w)
+            low = math.inf
+        dw = depth[w]
+        for (nb, wlen) in nbrs:
+            if nb != parent:
+                depth[nb] = dw + wlen
+                stack.append((nb, w))
+    n = len(leaves)
+    d = np.array([depth[v] for v in leaves])
+    gaps = np.array(gaps)
+    dist = np.full((n, n), -np.inf)
+    rows = max(1, _BLOCK // n)
+    for r0 in range(0, n - 1, rows):
+        r1 = min(r0 + rows, n - 1)
+        # meet[i - r0, j - 1] for leaves i < j; inf where j <= i, which
+        # leaves those entries at -inf.
+        meet = np.where(np.tri(r1 - r0, n - 1, r0 - 1, dtype=bool),
+                        np.inf, gaps)
+        np.minimum.accumulate(meet, axis=1, out=meet)
+        dist[r0:r1, 1:] = (d[r0:r1, None] - meet) + (d[1:] - meet)
+    return LeafTable(tuple(leaves), dist)
+
+
+def _pair_entry(classes, u, v, treed, via, dist, tol):
+    """The leaf pair (u, v) at distance ``dist``, with the routes (tree
+    ``treed``, shortcut ``via``) that reach it."""
+    routes = set()
+    if treed <= dist + tol:
+        routes.add(VIA_TREE)
+    if via <= dist + tol:
+        routes.add(VIA_SHORTCUT)
+    (c1, g1), (c2, g2) = classes[u], classes[v]
+    if g1 == g2:
+        ptype = sub = "within-subtree"
+    else:
+        ptype, sub = _pair_type(c1, c2), _subtype(c1, c2)
+    return AchievingPair(u, v, sub, ptype, frozenset(routes), dist)
+
+
+def _antipodal_entry(c1, u, dpu, dqu, dtpq, cyc, dist, tol):
+    """Leaf u, of class c1 and at ``dpu``, ``dqu`` from p and q, against
+    the antipodal partner of its cycle attachment point."""
+    tau = (dpu + dtpq - dqu) / 2.0
+    pos = tau + cyc / 2.0
+    if pos > cyc:
+        pos -= cyc
+    on_tree = pos <= dtpq + tol
+    c2 = "antipodal" if on_tree else "interior"
+    routes = frozenset({VIA_TREE, VIA_SHORTCUT} if on_tree
+                       else {VIA_P, VIA_Q})
+    if c2 == "interior":
+        ptype = "sub-interior" if c1 == "wedge" else f"{c1}-interior"
+    else:
+        ptype = _pair_type(c1, "wedge")
+    end2 = {"kind": c2, "cycle_position": pos}
+    return AchievingPair(u, end2, _subtype(c1, c2), ptype, routes, dist)
+
+
+def _diagnosis(diameter, cyc, achieving):
+    """The diagnosis with the achieving candidates in a fixed order."""
     achieving.sort(key=lambda ap: (str(ap.end1), str(ap.end2)))
     reported = [ap for ap in achieving if ap.pair_type != "within-subtree"]
     pair_state = frozenset(ap.pair_type for ap in reported)
@@ -222,36 +264,90 @@ def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
                               pair_state, path_state)
 
 
-def augmented_diameter_value(tree, shortcut, leaf_dists=None):
-    """Diameter of T + pq without the diagnosis bookkeeping.
+class _Near:
+    """What the value pass leaves for the diagnosis: the shortcut's
+    distance tables and the candidates within tol of its running
+    maximum, a superset of those within tol of the diameter."""
+
+    def __init__(self):
+        self.dp = self.dq = None
+        self.dtpq = self.cyc = 0.0
+        self.pairs = []        # (u, v, tree route, shortcut route, value)
+        self.antipodal = []    # (u, value)
+
+
+def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
+                       shortcut: Shortcut) -> AugmentedDiagnosis:
+    """Exact continuous diameter of T + pq with full diagnosis.
+
+    The diameter is ``augmented_diameter_value``'s; the diagnosis keeps
+    the leaf pairs and antipodal candidates within ``tree.tol`` of it.
+    A pair's ``end1`` is the leaf that comes first in ``tree.leaves()``.
+    """
+    near = _Near()
+    diameter = augmented_diameter_value(tree, shortcut, near=near)
+    tol = tree.tol
+    floor = diameter - tol
+    classes = _leaf_classes(tree, decomp)
+    rank = {leaf: k for k, leaf in enumerate(tree.leaves())}
+    achieving = []
+    for u, v, treed, via, dist in near.pairs:
+        if dist >= floor:
+            if rank[u] > rank[v]:
+                u, v = v, u
+            achieving.append(_pair_entry(classes, u, v, treed, via, dist,
+                                         tol))
+    for u, dist in near.antipodal:
+        if dist >= floor:
+            achieving.append(_antipodal_entry(
+                classes[u][0], u, near.dp[u], near.dq[u], near.dtpq,
+                near.cyc, dist, tol))
+    return _diagnosis(diameter, near.cyc, achieving)
+
+
+def augmented_diameter_value(tree, shortcut, table=None, near=None):
+    """Diameter of T + pq.
 
     The maximum over leaf pairs of the shortest of the three routes, and,
     when pq closes a cycle, over leaves of the distance to the antipodal
-    point of their cycle attachment.  ``leaf_dists`` maps each leaf to
-    its ``distances_from`` table; it is built when not given.
+    point of their cycle attachment.  ``table`` is the tree's
+    ``leaf_distance_table``; it is built when not given.  ``near`` is
+    the diagnosis' ``_Near``, filled as the pass goes.
     """
     tree.check_shortcut(shortcut)
     p, q = shortcut.p, shortcut.q
     e = euclidean_distance(tree, p, q)
-    dtpq = network_distance(tree, p, q)
-    cyc = e + dtpq
-    half = cyc / 2.0
-    leaves = tree.leaves()
     dp = distances_from(tree, p)
     dq = distances_from(tree, q)
-    if leaf_dists is None:
-        leaf_dists = _leaf_distances(tree, leaves)
+    dtpq = network_distance(tree, p, q, dp)
+    cyc = e + dtpq
+    if table is None:
+        table = leaf_distance_table(tree)
+    leaves = table.leaves
+    n = len(leaves)
+    dpl = np.fromiter(map(dp.__getitem__, leaves), float, n)
+    dql = np.fromiter(map(dq.__getitem__, leaves), float, n)
     best = 0.0
-    for i, u in enumerate(leaves):
-        du = leaf_dists[u]
-        for v in leaves[i + 1:]:
-            val = min(du[v], dp[u] + e + dq[v], dq[u] + e + dp[v])
-            if val > best:
-                best = val
-        if cyc > 0.0:
-            val = (dp[u] + dq[u] - dtpq) / 2.0 + half
-            if val > best:
-                best = val
+    if near is not None:
+        near.dp, near.dq, near.dtpq, near.cyc = dp, dq, dtpq, cyc
+    if cyc > 0.0:
+        anti = (dpl + dql - dtpq) / 2.0 + cyc / 2.0
+        best = float(anti.max())
+        if near is not None:
+            for i in np.flatnonzero(anti >= best - tree.tol):
+                near.antipodal.append((leaves[i], float(anti[i])))
+    rows = max(1, _BLOCK // n)
+    for r0 in range(0, n - 1, rows):
+        treed = table.dist[r0:r0 + rows]
+        via = np.add.outer(dpl[r0:r0 + rows] + e, dql)
+        np.minimum(via, np.add.outer(dql[r0:r0 + rows] + e, dpl), out=via)
+        val = np.minimum(treed, via)
+        best = max(best, float(val.max()))
+        if near is not None:
+            for i, j in np.argwhere(val >= best - tree.tol):
+                near.pairs.append((leaves[r0 + i], leaves[j],
+                                   float(treed[i, j]), float(via[i, j]),
+                                   float(val[i, j])))
     return best
 
 

@@ -14,15 +14,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augmented_eval import augmented_diameter_value
+from .augmented_eval import (
+    _antipodal_entry,
+    _diagnosis,
+    _leaf_classes,
+    _pair_entry,
+    augmented_diameter_value,
+    leaf_distance_table,
+)
 from .caterpillar import Caterpillar
 from .diameter_core import backbone, continuous_diameter
 from .errors import ResolutionTooCoarse
-from .tree_model import GeometricTree, Shortcut, TreePoint, point_coordinates
+from .tree_model import (
+    GeometricTree,
+    Shortcut,
+    TreePoint,
+    distances_from,
+    euclidean_distance,
+    network_distance,
+)
 
 __all__ = [
     "GridResult", "grid_search", "random_tree", "stress_family",
     "straight_backbone_tree", "point_backbone_tree", "dense_sample_diameter",
+    "leaf_pair_diameter",
 ]
 
 
@@ -95,20 +110,53 @@ def _placements(tree, h):
 
 
 def _grid_full(tree, decomp, h):
-    from .tree_model import TreePoint as TP, distances_from
     pts = _placements(tree, h)
-    leaves = tree.leaves()
-    leaf_dists = {u: distances_from(tree, TP.at_vertex(u)) for u in leaves}
+    table = leaf_distance_table(tree)
     best = (decomp.diameter, decomp.center, decomp.center)
     count = 1
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             val = augmented_diameter_value(tree, Shortcut(pts[i], pts[j]),
-                                           leaf_dists)
+                                           table)
             if val < best[0]:
                 best = (val, pts[i], pts[j])
             count += 1
     return GridResult(Shortcut(best[1], best[2]), best[0], h, count, False)
+
+
+def leaf_pair_diameter(tree: GeometricTree, shortcut: Shortcut):
+    """The exact diameter of T + pq and its diagnosis, pair by pair.
+
+    The reference for ``augmented_diameter``: one ``distances_from`` dict
+    per leaf and a Python loop over the leaf pairs, O(leaves * n) work.
+    Returns an ``AugmentedDiagnosis``.
+    """
+    tree.check_shortcut(shortcut)
+    p, q = shortcut.p, shortcut.q
+    e = euclidean_distance(tree, p, q)
+    dtpq = network_distance(tree, p, q)
+    cyc = e + dtpq
+    tol = tree.tol
+    leaves = tree.leaves()
+    dp = distances_from(tree, p)
+    dq = distances_from(tree, q)
+    classes = _leaf_classes(tree, backbone(tree))
+    pairs, antipodal = [], []
+    for i, u in enumerate(leaves):
+        du = distances_from(tree, TreePoint.at_vertex(u))
+        for v in leaves[i + 1:]:
+            via = min(dp[u] + e + dq[v], dq[u] + e + dp[v])
+            pairs.append((u, v, du[v], via, min(du[v], via)))
+        if cyc > 0.0:
+            antipodal.append((u, (dp[u] + dq[u] - dtpq) / 2.0 + cyc / 2.0))
+    diameter = max([0.0] + [c[-1] for c in pairs + antipodal])
+    floor = diameter - tol
+    achieving = [_pair_entry(classes, u, v, treed, via, dist, tol)
+                 for (u, v, treed, via, dist) in pairs if dist >= floor]
+    achieving += [_antipodal_entry(classes[u][0], u, dp[u], dq[u], dtpq, cyc,
+                                   dist, tol)
+                  for (u, dist) in antipodal if dist >= floor]
+    return _diagnosis(diameter, cyc, achieving)
 
 
 # -- generators ------------------------------------------------------------
@@ -370,7 +418,6 @@ def dense_sample_diameter(tree: GeometricTree, shortcut: Shortcut = None,
                 spacing = max(spacing, seg)
 
     if shortcut is not None:
-        from .tree_model import euclidean_distance
         e = euclidean_distance(tree, shortcut.p, shortcut.q)
         kp = point_key(shortcut.p)
         kq = point_key(shortcut.q)

@@ -217,7 +217,6 @@ class _Engine:
         self.segments = []
         self.candidates = []       # (a, b, tag), in base coordinates
         self.diag_count = 0
-        self._in_phase3 = False
         self.best_seen = math.inf
         self._junctures = set()
         self.phase_end = "phase1"
@@ -598,9 +597,10 @@ class _Engine:
         active diameter) when a list is given.
 
         Every stretch is scanned at the same ``PROBES`` points whatever
-        the options.  Recorded segments and the diagnostic count read a
-        finer re-probe of the stretch (``_reprobe``); ``warm`` is the
-        one-item list holding q's balance warm start, when q follows one.
+        the options.  Recorded segments and, on phase-III stretches
+        only, the diagnostic count read a finer re-probe of the stretch
+        (``_reprobe``); ``warm`` is the one-item list holding q's balance
+        warm start, when q follows one.
         """
         bps = frame.bps
         sign = 1 if end > x0 else -1
@@ -618,7 +618,7 @@ class _Engine:
             start = warm[0] if warm is not None else None
             hits, states = self._scan(seg, 0.0, span, conds)
             record = law is not None and self.record_segments and not hits
-            diag = self.diagnostic and self._in_phase3
+            diag = self.diagnostic and phase == "III"
             if record or diag:
                 fine = self._reprobe(seg, span, warm, start)
                 if diag:
@@ -822,7 +822,6 @@ class _Engine:
 
     def phase3(self, frame, a0, b0):
         phase = "III"
-        self._in_phase3 = True
         beta_mem = [b0]
 
         def state_at(alpha):

@@ -319,7 +319,13 @@ def distances_from(tree: GeometricTree, a: TreePoint) -> dict:
     return {x: min(off_u + du[x], off_v + dv[x]) for x in tree.coords}
 
 
-def network_distance(tree: GeometricTree, a: TreePoint, b: TreePoint) -> float:
+def network_distance(tree: GeometricTree, a: TreePoint, b: TreePoint,
+                     dist_a: dict = None) -> float:
+    """Network distance from ``a`` to ``b``.
+
+    ``dist_a``, when given, is ``distances_from(tree, a)``; it is read
+    instead of built again.
+    """
     tree.check_point(a)
     tree.check_point(b)
     ca, cb = a.canonical(), b.canonical()
@@ -327,7 +333,7 @@ def network_distance(tree: GeometricTree, a: TreePoint, b: TreePoint) -> float:
         return 0.0
     if not ca.u == ca.v and not cb.u == cb.v and (ca.u, ca.v) == (cb.u, cb.v):
         return abs(ca.lam - cb.lam) * tree.edge_length[(ca.u, ca.v)]
-    dist = distances_from(tree, a)
+    dist = distances_from(tree, a) if dist_a is None else dist_a
     if cb.u == cb.v:
         return dist[cb.u]
     w = tree.edge_length[(cb.u, cb.v)]

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -6,16 +8,26 @@ from treecut import (
     INDIFFERENT,
     USEFUL,
     USELESS,
+    GeometricTree,
     Shortcut,
     TreePoint,
     augmented_diameter,
     augmented_diameter_value,
     backbone,
     classify_usefulness,
+    distances_from,
     has_useful_shortcut,
     pair_is_useful,
 )
-from treecut.oracle import dense_sample_diameter, random_tree
+from treecut.augmented_eval import leaf_distance_table
+from treecut.oracle import (
+    dense_sample_diameter,
+    leaf_pair_diameter,
+    point_backbone_tree,
+    random_tree,
+    straight_backbone_tree,
+    stress_family,
+)
 
 
 def test_hook_useless_shortcut(t_hook):
@@ -58,7 +70,6 @@ def test_has_useful_shortcut(t_l, t_hook):
 
 
 def test_straight_path_has_no_useful_shortcut():
-    from treecut import GeometricTree
     t = GeometricTree({0: (0.0, 0.0), 1: (2.0, 0.0)}, [(0, 1)])
     assert not has_useful_shortcut(backbone(t))
 
@@ -73,28 +84,31 @@ def test_pair_is_useful_orientations(t_l):
     assert r2.indifferent
 
 
+def shortcut_kinds(t, d, rng):
+    """p == q at the centre, (a, b), p == q inside an edge, a shortcut
+    along a single edge, and three random shortcuts."""
+    edges = t.edges
+    shortcuts = [Shortcut(d.center, d.center)]
+    if not d.is_point:
+        shortcuts.append(Shortcut(d.a, d.b))
+    (u, v) = edges[rng.randrange(len(edges))]
+    lo, hi = sorted((rng.random(), rng.random()))
+    pt = TreePoint(u, v, lo)
+    shortcuts += [Shortcut(pt, pt), Shortcut(pt, TreePoint(u, v, hi))]
+    for _ in range(3):
+        e1 = edges[rng.randrange(len(edges))]
+        e2 = edges[rng.randrange(len(edges))]
+        shortcuts.append(Shortcut(TreePoint(e1[0], e1[1], rng.random()),
+                                  TreePoint(e2[0], e2[1], rng.random())))
+    return shortcuts
+
+
 def test_value_matches_diagnosis():
-    import random
     rng = random.Random(11)
     for seed in range(12):
         t = random_tree(seed, 10, ("uniform", "caterpillar")[seed % 2])
         d = backbone(t)
-        edges = t.edges
-        shortcuts = [Shortcut(d.center, d.center)]
-        if not d.is_point:
-            shortcuts.append(Shortcut(d.a, d.b))
-        (u, v) = edges[rng.randrange(len(edges))]
-        lo, hi = sorted((rng.random(), rng.random()))
-        pt = TreePoint(u, v, lo)
-        # p == q inside an edge, and a shortcut along a single edge.
-        shortcuts += [Shortcut(pt, pt),
-                      Shortcut(pt, TreePoint(u, v, hi))]
-        for _ in range(3):
-            e1 = edges[rng.randrange(len(edges))]
-            e2 = edges[rng.randrange(len(edges))]
-            shortcuts.append(Shortcut(TreePoint(e1[0], e1[1], rng.random()),
-                                      TreePoint(e2[0], e2[1], rng.random())))
-        for sc in shortcuts:
+        for sc in shortcut_kinds(t, d, rng):
             diag = augmented_diameter(t, d, sc)
             assert augmented_diameter_value(t, sc) == diag.diameter
             assert diag.achieving_pairs
@@ -103,7 +117,6 @@ def test_value_matches_diagnosis():
 
 
 def test_value_matches_dense_oracle():
-    import random
     rng = random.Random(5)
     for seed in range(10):
         t = random_tree(seed, 9, "uniform")
@@ -123,3 +136,96 @@ def test_achieving_pair_distances_consistent(t_hook):
     diag = augmented_diameter(t_hook, backbone(t_hook), sc)
     for pair in diag.achieving_pairs:
         assert pair.distance == pytest.approx(diag.diameter, rel=1e-12)
+
+
+def summary(diag):
+    return [(ap.end1, ap.end2, ap.subtype, ap.pair_type, ap.path_types)
+            for ap in diag.achieving_pairs]
+
+
+def test_matches_leaf_pair_oracle():
+    shapes = ("uniform", "caterpillar", "balanced")
+    trees = [random_tree(s, 3 + s % 60, shapes[s % 3]) for s in range(300)]
+    trees += [straight_backbone_tree(s, 4 + s) for s in range(15)]
+    trees += [point_backbone_tree(s, 4 + s) for s in range(15)]
+    trees += [stress_family(l) for l in (1, 3, 5)]
+    rng = random.Random(3)
+    for t in trees:
+        d = backbone(t)
+        for sc in shortcut_kinds(t, d, rng):
+            got, want = augmented_diameter(t, d, sc), leaf_pair_diameter(t, sc)
+            assert abs(got.diameter - want.diameter) <= 1e-12 * t.scale
+            assert got.cycle_length == want.cycle_length
+            assert summary(got) == summary(want), (t.n, sc)
+            assert got.pair_state == want.pair_state
+            assert got.path_state == want.path_state
+
+
+def test_leaf_distance_table_matches_distances_from():
+    for t in (random_tree(4, 30, "uniform"), random_tree(5, 25, "balanced"),
+              point_backbone_tree(1, 10), stress_family(2)):
+        table = leaf_distance_table(t)
+        assert sorted(table.leaves) == sorted(t.leaves())
+        for i, u in enumerate(table.leaves):
+            du = distances_from(t, TreePoint.at_vertex(u))
+            for j, v in enumerate(table.leaves):
+                if i < j:
+                    assert abs(table.dist[i, j] - du[v]) <= 1e-12 * t.scale
+                else:
+                    assert table.dist[i, j] == -math.inf
+
+
+def test_single_vertex_tree():
+    t = GeometricTree({0: (1.0, 2.0)}, [])
+    sc = Shortcut(TreePoint.at_vertex(0), TreePoint.at_vertex(0))
+    table = leaf_distance_table(t)
+    assert table.leaves == (0,) and table.dist.shape == (1, 1)
+    diag = augmented_diameter(t, backbone(t), sc)
+    assert diag.diameter == 0.0 and diag.cycle_length == 0.0
+    assert diag.achieving_pairs == ()
+    assert augmented_diameter_value(t, sc) == 0.0
+
+
+def test_single_edge_tree():
+    t = GeometricTree({0: (0.0, 0.0), 1: (3.0, 4.0)}, [(0, 1)])
+    d = backbone(t)
+    mid = TreePoint(0, 1, 0.5)
+    diag = augmented_diameter(t, d, Shortcut(mid, mid))
+    assert diag.diameter == pytest.approx(5.0)
+    assert [(ap.end1, ap.end2) for ap in diag.achieving_pairs] == [(0, 1)]
+    assert diag.achieving_pairs[0].path_types == {"via-tree", "via-shortcut"}
+    # A shortcut along the edge closes a cycle of twice its length.
+    sc = Shortcut(TreePoint(0, 1, 0.2), TreePoint(0, 1, 0.6))
+    diag = augmented_diameter(t, d, sc)
+    assert diag.cycle_length == pytest.approx(4.0)
+    assert diag.diameter == pytest.approx(5.0)
+    assert summary(diag) == summary(leaf_pair_diameter(t, sc))
+
+
+def test_no_antipodal_term_without_a_cycle(t_hook):
+    # p == q closes no cycle: only leaf pairs achieve the diameter.
+    d = backbone(t_hook)
+    assert d.is_point
+    for pt in (d.center, TreePoint(1, 2, 0.25)):
+        diag = augmented_diameter(t_hook, d, Shortcut(pt, pt))
+        assert diag.cycle_length == 0.0
+        assert diag.achieving_pairs
+        assert all(isinstance(ap.end2, int) for ap in diag.achieving_pairs)
+    diag = augmented_diameter(t_hook, d, Shortcut(d.center, d.center))
+    assert diag.diameter == pytest.approx(8.0)
+    assert len(diag.achieving_pairs) == 3
+
+
+def test_large_tree_memory():
+    # 2015 leaves: the leaf table is the one quadratic array (32 MB).
+    t = random_tree(0, 4000, "uniform")
+    d = backbone(t)
+    tracemalloc.start()
+    try:
+        diag = augmented_diameter(t, d, Shortcut(d.a, d.b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t.leaves()) == 2015
+    assert diag.achieving_pairs
+    assert peak < 100 * 2 ** 20

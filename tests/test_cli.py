@@ -277,6 +277,49 @@ def test_evaluate_builds_one_leaf_distance_table(tmp_path, capsys,
     assert len(calls) <= len(t.leaves()) + 6
 
 
+@pytest.mark.parametrize("n", [40, 400])
+def test_evaluate_distance_calls_do_not_grow_with_leaves(tmp_path, capsys,
+                                                         monkeypatch, n):
+    # The leaf-pair distances come from one DFS, so evaluate reads
+    # distances_from for p and q only.
+    t = random_tree(2, n, "uniform")
+    path = write_tree(tmp_path, t)
+    ends = [e for e in t.edges if t.leaves()[0] not in e][:2]
+    sc = json.dumps({"p": {"edge": list(ends[0]), "lambda": 0.3},
+                     "q": {"edge": list(ends[1]), "lambda": 0.6}})
+    calls = []
+    real = augmented_eval.distances_from
+    monkeypatch.setattr(augmented_eval, "distances_from",
+                        lambda *a: calls.append(a) or real(*a))
+    code, _, _ = run_cli(capsys, "evaluate", path, "--shortcut", sc)
+    assert code == 0
+    assert len(calls) <= 3
+
+
+def test_evaluate_huge_coordinates(tmp_path, capsys):
+    factor = 1e300
+    for args in ((3, 9, "uniform"), (4, 30, "caterpillar"),
+                 (5, 14, "balanced")):
+        t = random_tree(*args)
+        data = t.to_json_data()
+        sc = json.dumps({"p": {"edge": list(t.edges[0]), "lambda": 0.3},
+                         "q": {"edge": list(t.edges[-1]), "lambda": 0.6}})
+        code, out, _ = run_cli(capsys, "evaluate",
+                               write_tree_data(tmp_path, data),
+                               "--shortcut", sc)
+        assert code == 0
+        plain = json.loads(out)["diameter_after"]
+        for v in data["vertices"]:
+            v["x"] *= factor
+            v["y"] *= factor
+        code, out, _ = run_cli(capsys, "evaluate",
+                               write_tree_data(tmp_path, data),
+                               "--shortcut", sc)
+        assert code == 0
+        scaled = json.loads(out)["diameter_after"] / factor
+        assert abs(scaled - plain) <= 1e-9 * t.scale
+
+
 def test_numbers_have_12_significant_digits(tmp_path, capsys, t_l):
     path = write_tree(tmp_path, t_l)
     code, out, _ = run_cli(capsys, "optimize", path)

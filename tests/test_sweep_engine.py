@@ -330,3 +330,30 @@ def test_recording_does_not_steer_the_sweep():
             assert res.phase_end == runs[0].phase_end, seed
             assert res.events == runs[0].events, seed
     assert recorded > 0
+
+
+def test_diagnostic_count_reads_phase_three_walks_only(monkeypatch):
+    # ``diagnostic_phase3_changes`` counts phase-III stretches; phase-II
+    # juncture walks that run after a phase-III call must not add to it.
+    walking, probed = [], []
+    drive, probe = _Engine._drive, _Engine._diag_probe
+
+    def traced_drive(self, phase, *args, **kwargs):
+        walking.append(phase)
+        try:
+            return drive(self, phase, *args, **kwargs)
+        finally:
+            walking.pop()
+
+    def traced_probe(self, frame, states):
+        probed.append(walking[-1])
+        return probe(self, frame, states)
+
+    monkeypatch.setattr(_Engine, "_drive", traced_drive)
+    monkeypatch.setattr(_Engine, "_diag_probe", traced_probe)
+    shapes, sizes = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
+    for seed in range(210):
+        t = random_tree(seed, sizes[seed % 3], shapes[seed % 3])
+        optimize(t, diagnostic=True, record_segments=False)
+    assert probed
+    assert set(probed) == {"III"}, sorted(set(probed))
