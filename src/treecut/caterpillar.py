@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 NEG = float("-inf")
+# Placements per block of ``Caterpillar.evaluate_grid``, before its cap.
+_GRID_CHUNK = 4096
 
 
 class RangeMax:
@@ -294,17 +296,17 @@ class Caterpillar:
         best = max(best, _cross_pair_max(pts, cyc, half))
         return best
 
-    def evaluate_grid(self, alphas, betas, chunk=4096):
+    def evaluate_grid(self, alphas, betas):
         """Vectorized exact evaluation for many (alpha, beta) placements.
 
-        A block of ``chunk`` placements holds two ``chunk x m x m`` float
-        arrays (m = k + 2 entities), so the chunk is capped to keep each
-        at 2**22 entries (32 MB).
+        A block of ``_GRID_CHUNK`` placements holds two ``chunk x m x m``
+        float arrays (m = k + 2 entities), so the chunk is capped to keep
+        each at 2**22 entries (32 MB).
         """
         alphas = np.asarray(alphas, dtype=float)
         betas = np.asarray(betas, dtype=float)
         m = len(self.et)
-        chunk = max(1, min(chunk, (1 << 22) // (m * m)))
+        chunk = max(1, min(_GRID_CHUNK, (1 << 22) // (m * m)))
         out = np.empty(len(alphas))
         for lo in range(0, len(alphas), chunk):
             hi = min(lo + chunk, len(alphas))

@@ -2,14 +2,15 @@
 
 Phase I out-shifts the shortcut from the degenerate placement at the
 absolute center, shrinking the x-y diametral paths at unit speed, until
-a second family of diametral paths appears.  Phase II shifts sideways
-(toward x or toward y, branching on an antipodal tie) while a balance
-equation re-derives the trailing endpoint.  Phase III out-shifts while
-balancing the x-side against the y-side families, with the x-component
-frozen while a tree-routed pendant path is diametral.  Each phase-III
-run keeps the trajectory it walked and finishes with a binary search on
-it for the first placement where a wedge-shortcut-wedge path becomes
-diametral.
+a second family of diametral paths appears; its conditions never
+decrease, so that is one root of their maximum, found without a walk.
+Phase II shifts sideways (toward x or toward y, branching on an
+antipodal tie) while a balance equation re-derives the trailing
+endpoint.  Phase III out-shifts while balancing the x-side against the
+y-side families, with the x-component frozen while a tree-routed
+pendant path is diametral.  Each phase-III run keeps the trajectory it
+walked and finishes with a binary search on it for the first placement
+where a wedge-shortcut-wedge path becomes diametral.
 
 Every motion of phases II and III is one walk, ``_Engine._drive``: drive
 one endpoint across the backbone breakpoints, let a balance equation
@@ -31,6 +32,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 
+from .augmented_eval import has_useful_shortcut
 from .caterpillar import Caterpillar, NEG
 from .diameter_core import backbone
 from .errors import NoRootInBracket
@@ -104,6 +106,8 @@ _PAIR_GAP = {
     "anti-y": lambda fv: fv.fanti - fv.fy,
     "x-y": lambda fv: fv.fx - fv.fy,
 }
+# balance_roots looks for sign changes at this many even steps.
+_ROOT_GRID = 64
 
 
 def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
@@ -257,7 +261,7 @@ class _Engine:
         keeps the exploration finite.
         """
         ab, bb = self._to_base(frame, a, b)
-        g = max(self.tree.scale, 1.0) * 1e-7
+        g = 1e-7 * self.tree.scale
         key = (tag, round(ab / g), round(bb / g))
         if key in self._junctures:
             return False
@@ -360,7 +364,7 @@ class _Engine:
         (lo, glo), (hi, ghi) = sorted([(near, gnear), (far, gfar)])
         return itp_root(g, lo, hi, self.eps, glo, ghi)
 
-    def balance_roots(self, frame, alpha, pair, samples=64):
+    def balance_roots(self, frame, alpha, pair):
         """All beta values balancing the pair at this alpha.
 
         The balance function is only piecewise monotone: a kink where the
@@ -372,10 +376,10 @@ class _Engine:
         g = self._residual(frame, alpha, pair)
         if hi - lo <= self.eps:
             return [lo]
-        bs = [lo + (hi - lo) * i / samples for i in range(samples + 1)]
+        bs = [lo + (hi - lo) * i / _ROOT_GRID for i in range(_ROOT_GRID + 1)]
         vals = [g(b) for b in bs]
         roots = []
-        for i in range(samples):
+        for i in range(_ROOT_GRID):
             if vals[i] == 0.0:
                 roots.append(bs[i])
             elif (vals[i] < 0.0 <= vals[i + 1]) or (vals[i + 1] < 0.0 <= vals[i]):
@@ -478,98 +482,80 @@ class _Engine:
     # -- phase I ---------------------------------------------------------
 
     def phase1(self):
+        """Out-shift p = c - t, q = c + t until a second family ties.
+
+        No probing is needed: every condition is non-decreasing in t,
+        because the x-y family shrinks at least as fast as each other
+        family.  While both ends move, alpha + beta = 2c and the chord
+        cancels in each gap; while one end is parked, |de/dt| <= 1.  The
+        first crossing is therefore the one root of the maximum of the
+        conditions, found by ITP.  The vertex, midpoint and threshold
+        events below it are read off one sorted list of stops.
+        """
         cat = self.cat
         c, L = cat.c_arc, cat.L
         t_end = max(c, L - c)
         pos = lambda t: (max(0.0, c - t), min(L, c + t))
         state_at = lambda t: self.families(cat, *pos(t))
-
-        labels = {}
-
-        def mark(t, label):
-            if 0.0 < t <= t_end:
-                labels.setdefault(round(t, 12), []).append(label)
-
-        for arc in cat.arcs:
-            if arc < c - self.eps:
-                mark(c - arc, ("vertex-p", arc))
-            elif arc > c + self.eps:
-                mark(arc - c, ("vertex-q", arc))
-        for i, (tj, hj) in enumerate(zip(cat.t, cat.h)):
-            u_i = (tj + hj - cat.h_x) / 2.0
-            if 0.0 < u_i < c:
-                mark(c - u_i, ("midpoint-p", i))
-            v_i = (L + cat.h_y + tj - hj) / 2.0
-            if c < v_i < L:
-                mark(v_i - c, ("midpoint-q", i))
-        bps = sorted(labels)
-        bps.append(t_end)
-        thresholds = sorted((cat.h_x + tj + hj
-                             for tj, hj in zip(cat.t, cat.h)), reverse=True)
-        thr_i = 0
-
+        # In sorted order: a hit is named after the first that holds.
         conds = [
-            ("x-side", lambda fv: fv.fx - fv.xy),
-            ("y-side", lambda fv: fv.fy - fv.xy),
             ("antipodal", lambda fv: (fv.fanti - fv.xy)
              if fv.fanti_pendant >= 0 else NEG),
             ("delta-floor", lambda fv: cat.delta + self.tol - fv.xy),
+            ("x-side", lambda fv: fv.fx - fv.xy),
+            ("y-side", lambda fv: fv.fy - fv.xy),
         ]
 
-        fv0 = state_at(0.0)
-        start_ties = self.ties(fv0)
-        if start_ties - {"xy"}:
+        fv = state_at(0.0)
+        if self.ties(fv) - {"xy"}:
             return "tie", 0.0
-        t0 = 0.0
-        d_prev = fv0.xy
-        for t1 in bps:
-            if t1 <= t0 + self.eps:
-                continue
-            hits, states = self._scan(state_at, t0, t1, conds)
-            hard = [h for h in hits if h[0] > t0 + self.eps or h[0] == t0]
-            if hard:
-                tc, name = hard[0]
-                fvc = state_at(tc)
-                self._emit_thresholds(state_at, thresholds, thr_i, d_prev,
-                                      fvc.xy, t0, tc, pos)
-                a, b = pos(tc)
-                if name == "delta-floor":
-                    self.emit("terminal", "I", cat, a, b, fvc,
-                              ("delta-floor",))
-                    self.note_candidate(cat, a, b, "delta-floor")
-                    return "delta", tc
-                self.emit("path-state", "I", cat, a, b, fvc, (name,))
-                return "tie", tc
-            fv1 = states[-1][1]
-            thr_i = self._emit_thresholds(state_at, thresholds, thr_i, d_prev,
-                                          fv1.xy, t0, t1, pos)
-            d_prev = fv1.xy
-            a, b = pos(t1)
-            for label in labels.get(round(t1, 12), []):
-                kind = label[0]
-                if kind.startswith("vertex"):
-                    self.emit(kind, "I", cat, a, b, fv1, (label[1],))
-                else:
-                    self.emit("midpoint", "I", cat, a, b, fv1, label)
-            t0 = t1
-        a, b = pos(t_end)
-        fv = state_at(t_end)
-        self.emit("terminal", "I", cat, a, b, fv, ("parked-ab",))
-        self.note_candidate(cat, a, b, "phase1-ab")
-        return "ab", t_end
+        g = lambda t: max(fn(state_at(t)) for _, fn in conds)
+        g0, g_end = g(0.0), g(t_end)
+        tc = 0.0 if g0 >= 0.0 else t_end
+        if g0 < 0.0 <= g_end:
+            tc = itp_root(g, 0.0, t_end, self.eps, g0, g_end)
+        name = next((nm for nm, fn in conds if fn(state_at(tc)) >= 0.0), None)
 
-    def _emit_thresholds(self, state_at, thresholds, thr_i, d_hi, d_lo,
-                         t0, t1, pos):
-        while thr_i < len(thresholds) and thresholds[thr_i] > d_hi:
-            thr_i += 1
-        while thr_i < len(thresholds) and thresholds[thr_i] > d_lo:
-            thr = thresholds[thr_i]
-            tc = itp_root(lambda t: thr - state_at(t).xy, t0, t1, self.eps,
-                          thr - d_hi, thr - d_lo)
-            a, b = pos(tc)
-            self.emit("threshold", "I", self.cat, a, b, state_at(tc), (thr,))
-            thr_i += 1
-        return thr_i
+        stops = [(abs(arc - c), "vertex-p" if arc < c else "vertex-q", (arc,))
+                 for arc in cat.arcs if abs(arc - c) > self.eps]
+        for i, (tj, hj) in enumerate(zip(cat.t, cat.h)):
+            u, v = (tj + hj - cat.h_x) / 2.0, (L + cat.h_y + tj - hj) / 2.0
+            if 0.0 < u < c:
+                stops.append((c - u, "midpoint", ("midpoint-p", i)))
+            if c < v < L:
+                stops.append((v - c, "midpoint", ("midpoint-q", i)))
+        # Sorted by t alone, so that labels at one t keep this order.
+        stops = [s for s in sorted(stops, key=lambda s: s[0])
+                 if name is None or s[0] < tc]
+        # A stop emits the thresholds xy crosses in (t0, t1], skipping any
+        # above xy(0), then its label; the last stop, at tc, has none.
+        thresholds = sorted((cat.h_x + tj + hj
+                             for tj, hj in zip(cat.t, cat.h)), reverse=True)
+        i, t0 = sum(thr > fv.xy for thr in thresholds), 0.0
+        for t1, kind, payload in stops + [(tc, None, ())]:
+            d0, fv = fv.xy, state_at(t1)
+            while i < len(thresholds) and thresholds[i] > fv.xy:
+                thr = thresholds[i]
+                tx = itp_root(lambda t: thr - state_at(t).xy, t0, t1,
+                              self.eps, thr - d0, thr - fv.xy)
+                self.emit("threshold", "I", cat, *pos(tx), state_at(tx),
+                          (thr,))
+                i += 1
+            if kind is not None:
+                self.emit(kind, "I", cat, *pos(t1), fv, payload)
+            t0 = t1
+
+        a, b = pos(tc)
+        if name is None:
+            self.emit("terminal", "I", cat, a, b, fv, ("parked-ab",))
+            self.note_candidate(cat, a, b, "phase1-ab")
+            return "ab", t_end
+        if name == "delta-floor":
+            self.emit("terminal", "I", cat, a, b, fv, ("delta-floor",))
+            self.note_candidate(cat, a, b, "delta-floor")
+            return "delta", tc
+        self.emit("path-state", "I", cat, a, b, fv, (name,))
+        return "tie", tc
 
     # -- the walk shared by phases II and III -----------------------------
 
@@ -1012,7 +998,6 @@ def optimize(tree, diagnostic=False, record_segments=True) -> OptimizeResult:
     """
     decomp = backbone(tree)
     diam = decomp.diameter
-    from .augmented_eval import has_useful_shortcut
     if not has_useful_shortcut(decomp):
         c = decomp.center
         return OptimizeResult(Shortcut(c, c), diam, diam, False, (),

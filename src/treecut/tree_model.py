@@ -294,8 +294,17 @@ def point_coordinates(tree: GeometricTree, a: TreePoint) -> tuple:
 
 
 def _vertex_distances(tree: GeometricTree, root: int) -> dict:
-    dist = {root: 0.0}
-    stack = [root]
+    return _walk(tree, {root: 0.0})
+
+
+def _walk(tree: GeometricTree, seeds: dict) -> dict:
+    """Distance to every vertex from the seed vertices at their offsets.
+
+    No vertex is entered twice, so seeds at both ends of an edge never
+    cross it: each vertex is reached from the end on its side.
+    """
+    dist = dict(seeds)
+    stack = list(seeds)
     while stack:
         w = stack.pop()
         dw = dist[w]
@@ -311,12 +320,8 @@ def distances_from(tree: GeometricTree, a: TreePoint) -> dict:
     tree.check_point(a)
     if a.u == a.v or a.is_vertex:
         return _vertex_distances(tree, a.vertex_id())
-    du = _vertex_distances(tree, a.u)
-    dv = _vertex_distances(tree, a.v)
     w = tree.edge_length[(a.u, a.v)]
-    off_u = a.lam * w
-    off_v = (1.0 - a.lam) * w
-    return {x: min(off_u + du[x], off_v + dv[x]) for x in tree.coords}
+    return _walk(tree, {a.u: a.lam * w, a.v: (1.0 - a.lam) * w})
 
 
 def network_distance(tree: GeometricTree, a: TreePoint, b: TreePoint,

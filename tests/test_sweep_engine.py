@@ -11,6 +11,7 @@ from treecut import (
     balance_solve,
     optimize,
 )
+from treecut.augmented_eval import has_useful_shortcut
 from treecut.caterpillar import NEG, Caterpillar
 from treecut.oracle import grid_search, random_tree
 from treecut.sweep_engine import SPEED_LAWS, _Engine, itp_root
@@ -357,3 +358,86 @@ def test_diagnostic_count_reads_phase_three_walks_only(monkeypatch):
         optimize(t, diagnostic=True, record_segments=False)
     assert probed
     assert set(probed) == {"III"}, sorted(set(probed))
+
+
+CORPUS_SHAPES, CORPUS_SIZES = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
+
+
+def corpus_tree(seed):
+    """Tree ``seed`` of the criterion-1 corpus."""
+    return random_tree(seed, CORPUS_SIZES[seed % 3], CORPUS_SHAPES[seed % 3])
+
+
+def test_phase1_conditions_never_decrease():
+    # Phase I is one root find, not a walk, because each of its conditions
+    # is non-decreasing along the out-shift p = c - t, q = c + t.
+    worst = 0.0
+    for seed in range(210):
+        t = corpus_tree(seed)
+        d = backbone(t)
+        if not has_useful_shortcut(d):
+            continue
+        cat = Caterpillar(t, d)
+        c, L = cat.c_arc, cat.L
+        t_end = max(c, L - c)
+        prev = None
+        for i in range(400):
+            s = t_end * i / 399
+            fv = cat.families(max(0.0, c - s), min(L, c + s))
+            now = (fv.fx - fv.xy, fv.fy - fv.xy,
+                   fv.fanti - fv.xy if fv.fanti_pendant >= 0 else NEG,
+                   cat.delta + t.tol - fv.xy)
+            if prev is not None:
+                for before, after in zip(prev, now):
+                    if before > NEG:
+                        worst = max(worst, (before - after) / t.scale)
+            prev = now
+    assert worst <= 1e-12, worst
+
+
+def test_phase1_families_calls_per_event(monkeypatch):
+    # Phase I reads the families once per stop, plus the root finds for
+    # its end and its thresholds; it does not probe stretches.
+    calls, counting = [0], [False]
+    families, phase1 = Caterpillar.families, _Engine.phase1
+
+    def counted(self, alpha, beta):
+        calls[0] += counting[0]
+        return families(self, alpha, beta)
+
+    def traced(self):
+        counting[0] = True
+        try:
+            return phase1(self)
+        finally:
+            counting[0] = False
+
+    monkeypatch.setattr(Caterpillar, "families", counted)
+    monkeypatch.setattr(_Engine, "phase1", traced)
+    per_event = {}
+    for n in (2000, 4000):
+        calls[0] = 0
+        res = optimize(random_tree(11, n, "caterpillar"),
+                       record_segments=False)
+        stops = sum(ev.phase == "I" and ev.kind in
+                    ("vertex-p", "vertex-q", "midpoint") for ev in res.events)
+        per_event[n] = calls[0] / stops
+    assert max(per_event.values()) <= 4.0, per_event
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e-9, 1e6, 1e200])
+def test_optimize_is_scale_invariant(factor):
+    # Every length the sweep compares scales with the tree: junctures are
+    # told apart, and phase-I stops placed, relative to its scale.
+    for seed in range(30):
+        t = corpus_tree(seed)
+        big = GeometricTree({v: (factor * x, factor * y)
+                             for v, (x, y) in t.coords.items()}, t.edges)
+        plain = optimize(t, record_segments=False)
+        scaled = optimize(big, record_segments=False)
+        got = scaled.diameter_after / factor
+        assert abs(got - plain.diameter_after) <= 1e-9 * t.scale, seed
+        assert scaled.phase_end == plain.phase_end, seed
+        phase1 = [sum(ev.phase == "I" for ev in res.events)
+                  for res in (plain, scaled)]
+        assert phase1[0] == phase1[1], (seed, phase1)

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -20,6 +21,7 @@ from treecut import (
     tree_from_data,
     tree_path,
 )
+from treecut.oracle import random_tree
 from treecut.tree_model import parse_tree_point, vertex_path
 
 
@@ -69,6 +71,26 @@ def test_distances_from_forkbent(t_forkbent):
     assert d[2] == pytest.approx(2 * s5)
     assert d[3] == pytest.approx(2 * s5 + math.sqrt(2))
     assert d[4] == pytest.approx(2 * s5 + math.sqrt(2))
+
+
+def test_distances_from_interior_point_is_one_walk():
+    # Inside an edge, one walk seeded at both ends with their offsets must
+    # agree with the nearer of the two whole-tree walks from the ends.
+    rng = random.Random(4)
+    for seed in range(40):
+        shape = ("uniform", "caterpillar")[seed % 2]
+        t = random_tree(seed, 3 + seed % 40, shape)
+        for _ in range(5):
+            u, v = rng.choice(t.edges)
+            a = TreePoint(u, v, rng.uniform(0.01, 0.99))
+            du = distances_from(t, TreePoint.at_vertex(u))
+            dv = distances_from(t, TreePoint.at_vertex(v))
+            w = t.edge_length[(u, v)]
+            got = distances_from(t, a)
+            assert got.keys() == t.coords.keys()
+            for x in t.coords:
+                want = min(a.lam * w + du[x], (1.0 - a.lam) * w + dv[x])
+                assert abs(got[x] - want) <= 1e-12 * t.scale, (seed, x)
 
 
 def test_tree_path_trace(t_l):
