@@ -5,7 +5,8 @@ arc.  Shortcut endpoints are arc positions ``alpha <= beta`` along the
 backbone (measured from the endpoint a).  For such shortcuts the
 augmented diameter can be evaluated exactly from the pendant data alone,
 and the candidate families tracked by the sweep (x-side, y-side,
-antipodal, x-y) admit O(1) range-maximum queries.
+antipodal, x-y) admit O(1) range-maximum queries, as does the longest
+wedge-shortcut-wedge path but for one prefix maximum.
 
 The paper's sweep runs mirror-symmetric phases: a shift toward y is a
 shift toward x seen from b.  ``Caterpillar.flip()`` gives that view as a
@@ -128,9 +129,11 @@ class Caterpillar:
     def _build_tables(self):
         t = np.asarray(self.t, dtype=float)
         h = np.asarray(self.h, dtype=float)
+        # Plain arrays for the vectorized part of ``wedge``.
+        self.np_t, self.np_hpt, self.np_hmt = t, h + t, h - t
         self.rm_h = RangeMax(h)
-        self.rm_hpt = RangeMax(h + t)
-        self.rm_hmt = RangeMax(h - t)
+        self.rm_hpt = RangeMax(self.np_hpt)
+        self.rm_hmt = RangeMax(self.np_hmt)
         # Entity arrays: x, the pendants, y — used for leaf-pair scans.
         self.et = [0.0] + self.t + [self.L]
         self.eh = [self.h_x] + self.h + [self.h_y]
@@ -256,6 +259,64 @@ class Caterpillar:
         return FamilyView(alpha, beta, e, darc, cyc, half, pbar, qbar,
                           xy, xy_branch, fx, fx_branch, fx_p,
                           fy, fy_branch, fy_p, fanti, fanti_p, diameter)
+
+    def wedge(self, alpha, beta):
+        """Longest wedge-shortcut-wedge path for backbone arcs alpha <= beta.
+
+        The query of ``smawk.wedge_path_on_arcs(t, h, chord, alpha, beta)``:
+        pendant i enters the shortcut at p, pendant j leaves it at q, and
+        the pair qualifies when that route is shorter than the tree path.
+        Returns (length, (i, j)) or None.
+
+        Only pairs with t_i < t_j can qualify.  Let s = (beta - alpha) - e
+        be the length the shortcut saves, and split the pendants into L
+        (t <= alpha), M (alpha < t < beta) and R (t >= beta).  The pairs
+        that qualify are L x R when s > 0, M x R when 2(t_i - alpha) < s,
+        L x M when 2(beta - t_j) < s, and M x M when t_j - t_i exceeds
+        (beta - alpha + e) / 2.  Each value is a term of i plus a term of
+        j, so the first three are range maxima after a bisection and
+        M x M is a prefix maximum.  Where s is within rounding of 0 (p and
+        q on one straight run) the route through the shortcut is the tree
+        route, any pair that qualifies does so by rounding, and the answer
+        is None.
+        """
+        e = self.chord(alpha, beta)
+        s = beta - alpha - e
+        if s <= 1e-12 * self.tree.scale:
+            return None
+        t = self.t
+        i_a = bisect_right(t, alpha)      # L is [0, i_a)
+        i_b = bisect_left(t, beta)        # R is [i_b, k), M is [i_a, i_b)
+        vl, il = self.rm_hmt.query(0, i_a)
+        vr, jr = self.rm_hpt.query(i_b, self.k)
+        cands = []                        # (length, i, j)
+        if il >= 0 and jr >= 0:
+            cands.append((vl + vr + e + alpha - beta, il, jr))
+        if jr >= 0:
+            v, i = self.rm_hpt.query(
+                i_a, bisect_left(t, alpha + 0.5 * s, i_a, i_b))
+            if i >= 0:
+                cands.append((v + vr + e - alpha - beta, i, jr))
+        if il >= 0:
+            v, j = self.rm_hmt.query(
+                bisect_right(t, beta - 0.5 * s, i_a, i_b), i_b)
+            if j >= 0:
+                cands.append((vl + v + e + alpha + beta, il, j))
+        w = 0.5 * (beta - alpha + e)
+        if i_b - i_a >= 2 and t[i_b - 1] - w > t[i_a]:
+            tm = self.np_t[i_a:i_b]
+            # Pendant j of M pairs with the first n[j] pendants of M.
+            n = np.searchsorted(tm, tm - w)
+            pm = np.maximum.accumulate(self.np_hpt[i_a:i_b])
+            vals = np.where(n > 0, pm[n - 1] + self.np_hmt[i_a:i_b], NEG)
+            j = int(np.argmax(vals))
+            _, i = self.rm_hpt.query(i_a, i_a + int(n[j]))
+            cands.append((float(vals[j]) + e + beta - alpha, i, i_a + j))
+        if not cands:
+            return None
+        # Ties go to the smallest j, then the smallest i, as in SMAWK.
+        v, i, j = max(cands, key=lambda c: (c[0], -c[2], -c[1]))
+        return v, (i, j)
 
     # -- exact evaluation -------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Row maxima of implicit totally monotone matrices (SMAWK).
 
-Used to find the longest leaf-to-leaf path routed through the shortcut
-between two secondary B-sub-trees (a wedge-shortcut-wedge path) in
-linear time, without materializing the quadratic pair matrix.
+``wedge_path_on_arcs`` finds the longest leaf-to-leaf path routed through
+the shortcut between two secondary B-sub-trees (a wedge-shortcut-wedge
+path) in linear time, without materializing the quadratic pair matrix.
+It is the reference for ``Caterpillar.wedge``, the closed form the sweep
+runs, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -76,6 +78,12 @@ def wedge_path_on_arcs(t, h, e, alpha, beta):
     A pair (i, j) qualifies when the shortcut is useful for the ordered
     root pair: |t_i - alpha| + e + |t_j - beta| < |t_j - t_i|.  Returns
     (length, (i, j)) over qualifying pairs or None.
+
+    Ties: among pairs of equal length the smallest j wins, then the
+    smallest i.  A pair whose two routes are equal qualifies or not as
+    the float comparison above rounds, so where p and q lie on one
+    straight run the answer can be a pair or None depending on the last
+    bit of e.
     """
     k = len(t)
     if k < 2:

@@ -10,7 +10,9 @@ endpoint.  Phase III out-shifts while balancing the x-side against the
 y-side families, with the x-component frozen while a tree-routed
 pendant path is diametral.  Each phase-III run keeps the trajectory it
 walked and finishes with a binary search on it for the first placement
-where a wedge-shortcut-wedge path becomes diametral.
+where a wedge-shortcut-wedge path becomes diametral, then an ITP root
+inside the bracketing step; the wedge path's length comes from the
+caterpillar's range-maximum tables (``Caterpillar.wedge``), not SMAWK.
 
 Every motion of phases II and III is one walk, ``_Engine._drive``: drive
 one endpoint across the backbone breakpoints, let a balance equation
@@ -36,7 +38,6 @@ from .augmented_eval import has_useful_shortcut
 from .caterpillar import Caterpillar, NEG
 from .diameter_core import backbone
 from .errors import NoRootInBracket
-from .smawk import wedge_path_on_arcs
 from .tree_model import Shortcut
 
 __all__ = [
@@ -643,9 +644,11 @@ class _Engine:
                     s_min, fvm = self._interior_min(seg, 0.0, span, d_active)
                     self.note_if_better(frame, fvm.alpha, fvm.beta,
                                         d_active(fvm), "interior-min")
+                    # A dip within tol of the stretch's ends is rounding
+                    # on a flat stretch, not a grow-shrink turn.
                     if law is not None and min(dvals[1:-1],
                                                default=dvals[0]) \
-                            < min(dvals[0], dvals[-1]):
+                            < min(dvals[0], dvals[-1]) - self.tol:
                         self.emit("grow-shrink", phase, frame, fvm.alpha,
                                   fvm.beta, seg(s_min), ("d-min",))
             d1 = d_active(fv1)
@@ -874,7 +877,7 @@ class _Engine:
         self.phase_end = "III"
 
     def _wedge_value(self, frame, a, b):
-        got = wedge_path_on_arcs(frame.t, frame.h, frame.chord(a, b), a, b)
+        got = frame.wedge(a, b)
         return got[0] if got else NEG
 
     def _wedge_crossing(self, frame, traj):
@@ -884,7 +887,9 @@ class _Engine:
         ``traj`` holds the (alpha, beta, diameter) points of one phase-III
         run in ``frame``.  A binary search finds the first point where the
         wedge path ties; between it and its predecessor the crossing is
-        located with q keeping the x-y balance.
+        the ITP root, given its end values, of "wedge minus diameter"
+        with q keeping the x-y balance.  Each wedge length is one
+        ``Caterpillar.wedge`` query.
         """
         if frame.k < 2:
             return
@@ -912,7 +917,8 @@ class _Engine:
             return self._wedge_value(frame, fv.alpha, fv.beta) \
                 - max(fv.fx, fv.fy) + self.tol
 
-        fv = state_at(a_lo - itp_root(gap, 0.0, width, self.eps))
+        fv = state_at(a_lo - itp_root(gap, 0.0, width, self.eps,
+                                      gap(0.0), gap(width)))
         self.note_candidate(frame, fv.alpha, fv.beta, "wedge-crossing")
         self.emit("path-state", "III", frame, fv.alpha, fv.beta, fv,
                   ("wedge-crossing",))

@@ -7,9 +7,10 @@ import weakref
 import numpy as np
 import pytest
 
-from treecut import backbone
+from treecut import GeometricTree, backbone
 from treecut.caterpillar import NEG, Caterpillar, RangeMax
 from treecut.oracle import random_tree
+from treecut.smawk import wedge_path_on_arcs
 
 
 def brute_range_max(vals, lo, hi):
@@ -119,3 +120,56 @@ def test_flip_pair_forms_no_reference_cycle():
     assert again.flip() is fl
     assert (again.h_x, again.h, again.t) == (fl.h_y, fl.h[::-1],
                                               [fl.L - x for x in fl.t[::-1]])
+
+
+@pytest.mark.parametrize("shape", ["caterpillar", "uniform", "balanced"])
+def test_wedge_matches_the_smawk_reference(shape):
+    # The closed form and SMAWK read the same pairs except at ties, where
+    # rounding decides; placements saving less than 1e-9*scale are left
+    # to the straight-run test below.
+    rng = random.Random(shape)
+    compared = found = 0
+    for n in (6, 8, 11, 15, 20, 30, 45, 70, 100, 150, 250, 400):
+        t = random_tree(n, n, shape)
+        cat = Caterpillar(t, backbone(t))
+        for frame in (cat, cat.flip()):
+            for _ in range(20):
+                a, b = sorted((rng.uniform(0.0, frame.L),
+                               rng.uniform(0.0, frame.L)))
+                e = frame.chord(a, b)
+                got = frame.wedge(a, b)
+                if b - a - e <= 1e-9 * t.scale:
+                    continue
+                want = wedge_path_on_arcs(frame.t, frame.h, e, a, b)
+                compared += 1
+                if want is None:
+                    assert got is None, (n, a, b)
+                    continue
+                found += 1
+                assert got is not None, (n, a, b)
+                assert got[0] == pytest.approx(want[0], abs=1e-12 * t.scale)
+                assert got[1] == want[1], (n, a, b)
+    assert compared >= 300 and found >= 100, (compared, found)
+
+
+def test_wedge_is_none_on_a_straight_run():
+    # On a straight backbone the route through the shortcut is the tree
+    # route: a pair only "qualifies" there by rounding in the chord.
+    ux, uy = math.cos(0.3), math.sin(0.3)
+    coords = {k: (2.0 * k * ux, 2.0 * k * uy) for k in range(6)}
+    edges = [(k, k + 1) for k in range(5)]
+    for k, h in ((1, 0.5), (2, 1.0), (3, 1.2), (4, 0.7)):
+        coords[10 + k] = (coords[k][0] + h * uy, coords[k][1] - h * ux)
+        edges.append((k, 10 + k))
+    t = GeometricTree(coords, edges)
+    cat = Caterpillar(t, backbone(t))
+    assert cat.k == 4
+    rng = random.Random(1)
+    for frame in (cat, cat.flip()):
+        # Both ends on one backbone edge, then anywhere on the run.
+        pts = [sorted((rng.uniform(2.0, 4.0), rng.uniform(2.0, 4.0)))
+               for _ in range(50)]
+        pts += [sorted((rng.uniform(0.0, frame.L), rng.uniform(0.0, frame.L)))
+                for _ in range(200)]
+        for a, b in pts:
+            assert frame.wedge(a, b) is None, (a, b)

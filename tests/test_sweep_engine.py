@@ -11,6 +11,7 @@ from treecut import (
     balance_solve,
     optimize,
 )
+from treecut import smawk
 from treecut.augmented_eval import has_useful_shortcut
 from treecut.caterpillar import NEG, Caterpillar
 from treecut.oracle import grid_search, random_tree
@@ -441,3 +442,70 @@ def test_optimize_is_scale_invariant(factor):
         phase1 = [sum(ev.phase == "I" for ev in res.events)
                   for res in (plain, scaled)]
         assert phase1[0] == phase1[1], (seed, phase1)
+
+
+def test_wedge_crossing_queries_bounded(monkeypatch):
+    # Work gate on the wedge crossing: ITP with its end values, on the
+    # caterpillar's closed-form wedge query.  SMAWK is only the reference
+    # the tests compare that query with; optimize never calls it.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("optimize called SMAWK")
+
+    monkeypatch.setattr(smawk, "wedge_path_on_arcs", forbidden)
+    monkeypatch.setattr(smawk, "row_maxima", forbidden)
+    queries, per_call = [0], []
+    wedge, crossing = Caterpillar.wedge, _Engine._wedge_crossing
+
+    def counted(self, alpha, beta):
+        queries[0] += 1
+        return wedge(self, alpha, beta)
+
+    def traced(self, frame, traj):
+        queries[0] = 0
+        crossing(self, frame, traj)
+        per_call.append(queries[0])
+
+    monkeypatch.setattr(Caterpillar, "wedge", counted)
+    monkeypatch.setattr(_Engine, "_wedge_crossing", traced)
+    for n in (2000, 4000):
+        optimize(random_tree(11, n, "caterpillar"), record_segments=False)
+    assert per_call and max(per_call) <= 25, per_call
+
+
+def test_d_min_events_mark_real_dips(monkeypatch):
+    # A ("d-min",) grow-shrink event marks a stretch whose active diameter
+    # dips inside it below both of its ends by more than tol; rounding on
+    # a flat stretch is no turn of the motion.
+    actives, scanned, dips = [], [None], []
+    drive, scan, emit = _Engine._drive, _Engine._scan, _Engine.emit
+
+    def traced_drive(self, phase, frame, state_at, x0, end, conds, d_active,
+                     *args, **kwargs):
+        actives.append(d_active)
+        try:
+            return drive(self, phase, frame, state_at, x0, end, conds,
+                         d_active, *args, **kwargs)
+        finally:
+            actives.pop()
+
+    def traced_scan(self, *args):
+        hits, states = scan(self, *args)
+        scanned[0] = states
+        return hits, states
+
+    def traced_emit(self, kind, phase, frame, a, b, fv=None, payload=()):
+        if payload == ("d-min",):
+            dvals = [actives[-1](state) for _, state in scanned[0]]
+            depth = min(dvals[0], dvals[-1]) - min(dvals[1:-1])
+            dips.append((self.tree.n, depth / self.tree.tol))
+        return emit(self, kind, phase, frame, a, b, fv, payload)
+
+    monkeypatch.setattr(_Engine, "_drive", traced_drive)
+    monkeypatch.setattr(_Engine, "_scan", traced_scan)
+    monkeypatch.setattr(_Engine, "emit", traced_emit)
+    for seed in range(1000, 1100):
+        optimize(random_tree(seed, 5 + seed % 96, CORPUS_SHAPES[seed % 3]),
+                 record_segments=False)
+    assert dips
+    flat = [(n, depth) for n, depth in dips if depth <= 1.0]
+    assert not flat, flat
