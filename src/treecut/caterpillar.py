@@ -122,6 +122,8 @@ class Caterpillar:
         # built by flip() holds its maker weakly, so that the two form no
         # reference cycle and are freed as soon as they are dropped.
         self._flipped = lambda: None
+        # The last alpha ``chord`` embedded, and its coordinates.
+        self._alpha_at = (None, None)
         self._build_tables()
 
     # -- precomputation --------------------------------------------------
@@ -174,7 +176,11 @@ class Caterpillar:
                 (1 - lam) * self.ys[i] + lam * self.ys[i + 1])
 
     def chord(self, alpha, beta):
-        xa, ya = self.embed(alpha)
+        if alpha == self._alpha_at[0]:
+            xa, ya = self._alpha_at[1]
+        else:
+            xa, ya = self.embed(alpha)
+            self._alpha_at = (alpha, (xa, ya))
         xb, yb = self.embed(beta)
         return math.hypot(xa - xb, ya - yb)
 

@@ -123,16 +123,24 @@ def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
     one step of bisection's; on smooth or piecewise-linear functions it
     needs far fewer steps.  Without usable end values, or while a bracket
     value is infinite, the step is the midpoint.
+
+    The truncation is k1 * w**2 with k1 = 0.002 / width, two orders of
+    magnitude below the usual 0.2 / width.  The sweep's residuals are
+    piecewise linear, so the regula-falsi point is usually within
+    rounding of the root; pushing it a fifth of the bracket toward the
+    midpoint threw most of that away and cost a near-linear balance 6-8
+    steps.  The worst case is bounded by the projection radius, which
+    does not depend on k1.
     """
     width = hi - lo
     if width <= eps:
         return hi
     if flo is None or fhi is None or not flo < 0.0 <= fhi:
         flo = fhi = None
-    # ITP parameters k1 = 0.2 / width, k2 = 2, n0 = 1.  After step j the
+    # ITP parameters k1 = 0.002 / width, k2 = 2, n0 = 1.  After step j the
     # bracket is at most eps * 2**(n_max - j - 1) wide.
     n_max = math.ceil(math.log2(width / eps)) + 1
-    k1 = 0.2 / width
+    k1 = 0.002 / width
     for j in range(min(n_max, 80)):
         if hi - lo <= eps:
             break
@@ -205,6 +213,50 @@ class OptimizeResult:
     diagnostic_phase3_changes: int
 
 
+class _WarmStart:
+    """What a run of balance solves knows about q's motion.
+
+    ``alpha``/``beta`` is the last solution (``alpha`` is None before the
+    first), ``slope`` the secant d beta / d alpha through the solution
+    before it, and ``step`` the first step of the bracket expansion: twice
+    the last correction |beta - guess|, at least ``floor``.  Between
+    events every speed law is linear in d and de, so the secant guess is
+    the law's first-order prediction of q, whichever law holds.  A solve
+    that accepts its guess leaves the step as it was: its correction is
+    below what the residual resolves, not zero.
+    """
+
+    __slots__ = ("alpha", "beta", "slope", "step", "floor")
+
+    def __init__(self, beta, step, floor):
+        self.alpha, self.beta, self.slope = None, beta, 0.0
+        self.step, self.floor = step, floor
+
+    def guess(self, alpha):
+        if self.alpha is None:
+            return self.beta
+        return self.beta + self.slope * (alpha - self.alpha)
+
+    def update(self, alpha, beta, guess):
+        """Record the solution ``beta`` at ``alpha``, solved from ``guess``.
+
+        Solutions closer in alpha than 64 floors give no secant: their
+        rounding would swamp it.
+        """
+        if (self.alpha is not None
+                and abs(alpha - self.alpha) > 64.0 * self.floor):
+            self.slope = (beta - self.beta) / (alpha - self.alpha)
+        self.alpha, self.beta = alpha, beta
+        if beta != guess:
+            self.step = max(2.0 * abs(beta - guess), self.floor)
+
+    def save(self):
+        return self.alpha, self.beta, self.slope, self.step
+
+    def restore(self, saved):
+        self.alpha, self.beta, self.slope, self.step = saved
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -216,6 +268,8 @@ class _Engine:
         self.cat = Caterpillar(tree, decomp)
         self.tol = tree.tol
         self.eps = 1e-12 * tree.scale
+        # The residual a balance solve accepts at its guess.
+        self.accept = 1e-3 * self.tol
         self.diagnostic = diagnostic
         self.record_segments = record_segments
         self.events = []
@@ -339,19 +393,36 @@ class _Engine:
         gap = _PAIR_GAP[pair]
         return lambda beta: gap(self.families(frame, alpha, beta))
 
-    def balance(self, frame, alpha, guess, pair):
-        """Solve for beta keeping the named family pair in balance."""
+    def balance(self, frame, alpha, warm, pair):
+        """Solve for beta keeping the named family pair in balance.
+
+        The solve starts from the secant guess of the ``_WarmStart``
+        ``warm``, expands the bracket from its step, and records the
+        solution in it.
+        """
         lo_lim = max(alpha, frame.c_arc)
         hi_lim = frame.L
         g = self._residual(frame, alpha, pair)
-        guess = min(max(guess, lo_lim), hi_lim)
+        guess = min(max(warm.guess(alpha), lo_lim), hi_lim)
+        beta = self._solve(g, guess, warm.step, lo_lim, hi_lim)
+        warm.update(alpha, beta, guess)
+        return beta
+
+    def _warm(self, frame, b0):
+        """A warm start at q = b0 that knows nothing of q's motion yet: no
+        secant, and a first step of 1e-4 * L."""
+        return _WarmStart(b0, max(64.0 * self.eps, 1e-4 * frame.L),
+                          64.0 * self.eps)
+
+    def _solve(self, g, guess, step, lo_lim, hi_lim):
+        """The root of g that stepping away from the guess brackets, or
+        the limit reached without a sign change."""
         gv = g(guess)
-        if abs(gv) <= 1e-3 * self.tol:
+        if abs(gv) <= self.accept:
             return guess
         # Step away from the guess, downward where g > 0, by growing steps
         # until g changes sign or the bracket limit is reached.
         d, lim = (-1.0, lo_lim) if gv > 0.0 else (1.0, hi_lim)
-        step = max(64.0 * self.eps, 1e-4 * frame.L)
         near, gnear = guess, gv
         far = max(lo_lim, min(hi_lim, guess + d * step))
         gfar = g(far)
@@ -428,15 +499,17 @@ class _Engine:
     def _reprobe(self, seg, span, warm, start):
         """The stretch [0, span] at 12 points, 24 when diagnosing.
 
-        q's balance starts from the warm start the scan started from, and
-        the one the scan left is restored: the walk never sees this.
+        q's balance starts from the warm-start state the scan started from
+        (``start``, saved from ``warm``), and the state the scan left is
+        restored: the walk never sees this.
         """
         if warm is not None:
-            left, warm[0] = warm[0], start
+            left = warm.save()
+            warm.restore(start)
         n = 24 if self.diagnostic else 12
         states = [(s, seg(s)) for s in (span * i / n for i in range(n + 1))]
         if warm is not None:
-            warm[0] = left
+            warm.restore(left)
         return states
 
     def _diag_probe(self, frame, states):
@@ -586,8 +659,8 @@ class _Engine:
         Every stretch is scanned at the same ``PROBES`` points whatever
         the options.  Recorded segments and, on phase-III stretches
         only, the diagnostic count read a finer re-probe of the stretch
-        (``_reprobe``); ``warm`` is the one-item list holding q's balance
-        warm start, when q follows one.
+        (``_reprobe``); ``warm`` is the ``_WarmStart`` of q's balance,
+        when q follows one.
         """
         bps = frame.bps
         sign = 1 if end > x0 else -1
@@ -602,7 +675,7 @@ class _Engine:
             target = bps[i] if at_bp else end
             span = abs(target - x)
             seg = lambda s: state_at(x + sign * s)
-            start = warm[0] if warm is not None else None
+            start = warm.save() if warm is not None else None
             hits, states = self._scan(seg, 0.0, span, conds)
             record = law is not None and self.record_segments and not hits
             diag = self.diagnostic and phase == "III"
@@ -663,17 +736,18 @@ class _Engine:
 
     def _balanced(self, frame, pair, b0):
         """State function of p with q keeping `pair` in balance, and the
-        one-item list holding q's warm start.
+        ``_WarmStart`` its solves share, starting at q = b0.
 
-        Each solve starts from the previous solution, so the order of
-        calls matters.
+        Each solve starts from the secant through the previous two
+        solutions and sizes its first bracket step by the last
+        correction, so the order of calls matters.
         """
-        beta_mem = [b0]
+        warm = self._warm(frame, b0)
 
         def state_at(alpha):
-            beta_mem[0] = self.balance(frame, alpha, beta_mem[0], pair)
-            return self.families(frame, alpha, beta_mem[0])
-        return state_at, beta_mem
+            return self.families(frame, alpha,
+                                 self.balance(frame, alpha, warm, pair))
+        return state_at, warm
 
     # -- phase II (shift toward x; y handled by frame flip) --------------
 
@@ -811,15 +885,15 @@ class _Engine:
 
     def phase3(self, frame, a0, b0):
         phase = "III"
-        beta_mem = [b0]
+        warm = self._warm(frame, b0)
 
         def state_at(alpha):
-            fv = self.families(frame, alpha, beta_mem[0])
+            fv = self.families(frame, alpha, warm.beta)
             # With both components frozen q mirrors the driven motion;
             # otherwise it balances the x-side against the y-side.
             if fv.fx_branch != "tree" or fv.fy_branch != "tree":
-                beta_mem[0] = self.balance(frame, alpha, beta_mem[0], "x-y")
-                fv = self.families(frame, alpha, beta_mem[0])
+                fv = self.families(frame, alpha,
+                                   self.balance(frame, alpha, warm, "x-y"))
             return fv
 
         def d_active(fv):
@@ -850,7 +924,7 @@ class _Engine:
         name, alpha, fvc = self._drive(phase, frame, state_at, a0, 0.0, conds,
                                        d_active, soft=soft,
                                        law=(sig_fn, law_fn), dip="d",
-                                       track=traj, warm=beta_mem)
+                                       track=traj, warm=warm)
         if name is not None:
             tag = "delta-floor" if name == "delta-floor" else "corollary-11"
             self.emit("terminal", phase, frame, fvc.alpha, fvc.beta, fvc,
@@ -861,7 +935,7 @@ class _Engine:
             alpha = max(alpha, 0.0)
             name, _, fvc = self._drive(
                 phase, frame, lambda beta: self.families(frame, alpha, beta),
-                beta_mem[0], frame.L, conds, d_active, drive_q=True, dip="d",
+                warm.beta, frame.L, conds, d_active, drive_q=True, dip="d",
                 track=traj)
             b_end = frame.L
             if name is not None:
@@ -889,14 +963,18 @@ class _Engine:
         wedge path ties; between it and its predecessor the crossing is
         the ITP root, given its end values, of "wedge minus diameter"
         with q keeping the x-y balance.  Each wedge length is one
-        ``Caterpillar.wedge`` query.
+        ``Caterpillar.wedge`` query; an end value at a trajectory point
+        that is in x-y balance is the margin the search already read.
         """
         if frame.k < 2:
             return
+        margins = {}
 
         def margin(i):
-            a, b, d = traj[i]
-            return self._wedge_value(frame, a, b) - d
+            if i not in margins:
+                a, b, d = traj[i]
+                margins[i] = self._wedge_value(frame, a, b) - d
+            return margins[i]
         lo, hi = 0, len(traj) - 1     # margin(lo) < -tol <= margin(hi)
         if margin(hi) < -self.tol or margin(lo) >= -self.tol:
             return
@@ -906,19 +984,30 @@ class _Engine:
                 hi = mid
             else:
                 lo = mid
-        a_lo, b_lo, _ = traj[lo]
-        width = a_lo - traj[hi][0]
+        (a_lo, b_lo, _), (a_hi, b_hi, _) = traj[lo], traj[hi]
+        width = a_lo - a_hi
         if width <= self.eps:
             return
-        state_at, _ = self._balanced(frame, "x-y", b_lo)
+        state_at, warm = self._balanced(frame, "x-y", b_hi)
+        # q's first guesses follow the secant through the two ends.
+        warm.update(a_hi, b_hi, b_hi)
+        warm.update(a_lo, b_lo, b_lo)
 
         def gap(s):
             fv = state_at(a_lo - s)
             return self._wedge_value(frame, fv.alpha, fv.beta) \
                 - max(fv.fx, fv.fy) + self.tol
 
+        def end_gap(i, s):
+            fv = self.families(frame, *traj[i][:2])
+            if abs(fv.fx - fv.fy) <= self.accept:
+                # A solve started at trajectory point i stops there, and
+                # the binary search has paid for its wedge query.
+                return margins[i] + self.tol
+            return gap(s)
+
         fv = state_at(a_lo - itp_root(gap, 0.0, width, self.eps,
-                                      gap(0.0), gap(width)))
+                                      end_gap(lo, 0.0), end_gap(hi, width)))
         self.note_candidate(frame, fv.alpha, fv.beta, "wedge-crossing")
         self.emit("path-state", "III", frame, fv.alpha, fv.beta, fv,
                   ("wedge-crossing",))
@@ -1050,5 +1139,5 @@ def balance_solve(tree, decomp, path_state, p_arc) -> float:
     else:
         raise NoRootInBracket(f"cannot balance path state {sorted(descs)}")
     alpha = min(max(p_arc, 0.0), cat.c_arc)
-    beta = eng.balance(cat, alpha, cat.c_arc, pair)
+    beta = eng.balance(cat, alpha, eng._warm(cat, cat.c_arc), pair)
     return cat.L - beta

@@ -173,3 +173,21 @@ def test_wedge_is_none_on_a_straight_run():
                 for _ in range(200)]
         for a, b in pts:
             assert frame.wedge(a, b) is None, (a, b)
+
+
+def test_chord_memo_is_exact():
+    # ``chord`` keeps the embedding of the last alpha; a run of calls that
+    # repeats, changes and returns to alphas (as balance solves and the
+    # wedge query do) must give exactly the embed-based chord.
+    t = random_tree(3, 40, "uniform")
+    cat = Caterpillar(t, backbone(t))
+    rng = random.Random(7)
+    alphas = [rng.uniform(0.0, cat.c_arc) for _ in range(5)] + [0.0, -0.0]
+    for _ in range(400):
+        alpha = rng.choice(alphas)
+        beta = rng.uniform(cat.c_arc, cat.L)
+        xa, ya = cat.embed(alpha)
+        xb, yb = cat.embed(beta)
+        assert cat.chord(alpha, beta) == math.hypot(xa - xb, ya - yb)
+        if rng.random() < 0.2:
+            cat.wedge(rng.choice(alphas), beta)

@@ -1,6 +1,9 @@
 import math
+from bisect import bisect_right
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treecut import (
     GeometricTree,
@@ -251,6 +254,55 @@ def test_itp_root_unusable_end_values_fall_back_to_bisection():
     assert 0.5 <= got <= 0.5 + 1e-9
 
 
+@st.composite
+def monotone_pieces(draw):
+    """A non-decreasing piecewise-linear fn with kinks and steps, and its
+    bracket (lo, hi) with fn(lo) < 0 <= fn(hi)."""
+    lo = draw(st.floats(-10.0, 10.0))
+    hi = lo + draw(st.floats(0.01, 10.0))
+    m = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=m - 1,
+                                max_size=m - 1)))
+    knots = [lo] + [lo + (hi - lo) * c for c in cuts]
+    slopes = draw(st.lists(st.sampled_from((0.0, 0.1, 1.0, 3.0))
+                           | st.floats(0.1, 10.0), min_size=m, max_size=m))
+    jumps = draw(st.lists(st.just(0.0) | st.floats(0.01, 10.0),
+                          min_size=m - 1, max_size=m - 1))
+    starts = [0.0]
+    for i in range(1, m):
+        starts.append(starts[-1] + slopes[i - 1] * (knots[i] - knots[i - 1])
+                      + jumps[i - 1])
+    top = starts[-1] + slopes[-1] * (hi - knots[-1])
+    assume(top > 0.0)
+    c = top * draw(st.floats(0.0, 1.0, exclude_min=True))
+    assume(c > 0.0)
+
+    def fn(x):
+        i = max(bisect_right(knots, x) - 1, 0)
+        return starts[i] + slopes[i] * (x - knots[i]) - c
+    return fn, lo, hi
+
+
+def _first_float_root(fn, lo, hi):
+    """The first float in [lo, hi] where the monotone fn is >= 0."""
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            mid = math.nextafter(lo, hi)
+        lo, hi = (lo, mid) if fn(mid) >= 0.0 else (mid, hi)
+    return hi
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(monotone_pieces(), st.integers(1, 9), st.booleans())
+def test_itp_root_on_monotone_piecewise_linear(case, digits, ends):
+    # fn(result) >= 0, the result within eps of the first root, and no more
+    # evaluations than bisection's bound, with and without end values.
+    fn, lo, hi = case
+    eps = (hi - lo) * 10.0 ** -digits
+    _root_case(fn, lo, hi, eps, _first_float_root(fn, lo, hi), ends)
+
+
 def test_balance_stays_in_bracket(monkeypatch):
     # On corpus trees 155 and 197 an unclamped first expansion step of a
     # balance solve drives q past b in phase III.
@@ -285,7 +337,36 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
         calls[0] = 0
         optimize(t, record_segments=False)
         per_vertex[n] = calls[0] / t.n
-    assert max(per_vertex.values()) <= 30.0, per_vertex
+    assert max(per_vertex.values()) <= 12.0, per_vertex
+
+
+def test_balance_families_per_solve(monkeypatch):
+    # Work gate on the balance: a secant warm start and a first bracket
+    # step sized by the last correction leave about five families calls
+    # per solve.
+    calls, solves, depth = [0], [0], [0]
+    families, balance = Caterpillar.families, _Engine.balance
+
+    def counted(self, alpha, beta):
+        calls[0] += depth[0] > 0
+        return families(self, alpha, beta)
+
+    def traced(self, frame, alpha, guess, pair):
+        solves[0] += 1
+        depth[0] += 1
+        try:
+            return balance(self, frame, alpha, guess, pair)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Caterpillar, "families", counted)
+    monkeypatch.setattr(_Engine, "balance", traced)
+    per_solve = {}
+    for n in (2000, 4000):
+        calls[0] = solves[0] = 0
+        optimize(random_tree(11, n, "caterpillar"), record_segments=False)
+        per_solve[n] = calls[0] / solves[0]
+    assert max(per_solve.values()) <= 6.5, per_solve
 
 
 def test_noted_values_match_their_position(monkeypatch):
