@@ -170,7 +170,7 @@ def _cmd_evaluate(args):
 
 def _cmd_optimize(args):
     tree = _read_tree(args)
-    res = optimize(tree, record_segments=False)
+    res = optimize(tree)
     doc = {
         "shortcut": {"p": res.shortcut.p.to_json(),
                      "q": res.shortcut.q.to_json()},

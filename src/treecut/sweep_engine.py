@@ -14,6 +14,9 @@ where a wedge-shortcut-wedge path becomes diametral, then an ITP root
 inside the bracketing step; the wedge path's length comes from the
 caterpillar's range-maximum tables (``Caterpillar.wedge``), not SMAWK.
 
+Phases II and III run from one depth-first work list (``_Engine.run``):
+no phase calls another; each returns the tasks that follow it, and a
+juncture is continued from one balance solve started at the juncture.
 Every motion of phases II and III is one walk, ``_Engine._drive``: drive
 one endpoint across the backbone breakpoints, let a balance equation
 carry the other, and stop at the first event.  Continuous motion is
@@ -24,7 +27,9 @@ inside the bracketing probe interval.  The phases note candidate
 placements (terminals, junctures, interior minima, segment ends, the
 wedge crossing) in one list; every one is evaluated exactly and the best
 is polished by a compass search.  ``OptimizeResult.events`` is the
-inspectable trace of a run.
+inspectable trace of a run.  Recording (``record_segments``, off by
+default) re-probes the walk to fill the motion segments and the
+phase-III diagnostic count; it never steers the sweep.
 """
 
 from __future__ import annotations
@@ -107,8 +112,6 @@ _PAIR_GAP = {
     "anti-y": lambda fv: fv.fanti - fv.fy,
     "x-y": lambda fv: fv.fx - fv.fy,
 }
-# balance_roots looks for sign changes at this many even steps.
-_ROOT_GRID = 64
 
 
 def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
@@ -200,6 +203,18 @@ class MotionSegment:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The shortcut ``optimize`` found and how the sweep reached it.
+
+    ``p_arc`` and ``q_arc`` place the shortcut's ends by their arcs from
+    a and from b.  ``phase_end`` is "degenerate" when no shortcut helps,
+    "I" when phase I ends the run, and "III" when phase III runs on the
+    main chain: straight after phase I, or after the x-xy shift that
+    phase I hands off to.  Otherwise it is "II", also when phase III runs
+    from a juncture of phase II.  ``events`` is the trace, at most
+    400 + 80n events, and ``event_count`` its length.  ``segments`` and
+    ``diagnostic_phase3_changes`` are filled only when recording.
+    """
+
     shortcut: Shortcut
     diameter_before: float
     diameter_after: float
@@ -263,14 +278,13 @@ class _WarmStart:
 class _Engine:
     PROBES = 6
 
-    def __init__(self, tree, decomp, diagnostic=False, record_segments=True):
+    def __init__(self, tree, decomp, record_segments=False):
         self.tree = tree
         self.cat = Caterpillar(tree, decomp)
         self.tol = tree.tol
         self.eps = 1e-12 * tree.scale
         # The residual a balance solve accepts at its guess.
         self.accept = 1e-3 * self.tol
-        self.diagnostic = diagnostic
         self.record_segments = record_segments
         self.events = []
         self.segments = []
@@ -325,6 +339,12 @@ class _Engine:
 
     def note_candidate(self, frame, a, b, tag):
         self.candidates.append((*self._to_base(frame, a, b), tag))
+
+    def _terminal(self, phase, frame, fv, payload, tag):
+        """A terminal event at the placement of ``fv``, noted as a
+        candidate under ``tag``."""
+        self.emit("terminal", phase, frame, fv.alpha, fv.beta, fv, payload)
+        self.note_candidate(frame, fv.alpha, fv.beta, tag)
 
     def note_if_better(self, frame, a, b, dval, tag):
         """Record a candidate only when it improves the monitored best."""
@@ -436,36 +456,18 @@ class _Engine:
         (lo, glo), (hi, ghi) = sorted([(near, gnear), (far, gfar)])
         return itp_root(g, lo, hi, self.eps, glo, ghi)
 
-    def balance_roots(self, frame, alpha, pair):
-        """All beta values balancing the pair at this alpha.
+    def _continuation(self, handler, frame, a, b, pair):
+        """The task that continues from the juncture (a, b) of ``frame``
+        with ``pair`` in balance, under the juncture tag ``pair``.
 
-        The balance function is only piecewise monotone: a kink where the
-        achieving pendant switches can hide a second root, and a shift
-        restarted at a juncture must consider every branch.
+        q is one balance solve started at the juncture's q; there is no
+        task where the solve stops at a bracket limit short of a root.
         """
-        lo = max(alpha, frame.c_arc)
-        hi = frame.L
-        g = self._residual(frame, alpha, pair)
-        if hi - lo <= self.eps:
-            return [lo]
-        bs = [lo + (hi - lo) * i / _ROOT_GRID for i in range(_ROOT_GRID + 1)]
-        vals = [g(b) for b in bs]
-        roots = []
-        for i in range(_ROOT_GRID):
-            if vals[i] == 0.0:
-                roots.append(bs[i])
-            elif (vals[i] < 0.0 <= vals[i + 1]) or (vals[i + 1] < 0.0 <= vals[i]):
-                sgn = 1.0 if vals[i] < 0.0 else -1.0
-                roots.append(itp_root(lambda b: sgn * g(b), bs[i], bs[i + 1],
-                                      self.eps, sgn * vals[i],
-                                      sgn * vals[i + 1]))
-        if vals[-1] == 0.0:
-            roots.append(bs[-1])
-        out = []
-        for r in roots:
-            if not out or r - out[-1] > 64.0 * self.eps:
-                out.append(r)
-        return out
+        beta = self.balance(frame, a, self._warm(frame, b), pair)
+        if (beta in (max(a, frame.c_arc), frame.L) and abs(
+                _PAIR_GAP[pair](self.families(frame, a, beta))) > self.accept):
+            return []
+        return [(handler, frame, a, beta, pair, {})]
 
     # -- generic segment scanning ----------------------------------------
 
@@ -497,7 +499,7 @@ class _Engine:
         return hits, states
 
     def _reprobe(self, seg, span, warm, start):
-        """The stretch [0, span] at 12 points, 24 when diagnosing.
+        """The stretch [0, span] at 24 points.
 
         q's balance starts from the warm-start state the scan started from
         (``start``, saved from ``warm``), and the state the scan left is
@@ -506,8 +508,7 @@ class _Engine:
         if warm is not None:
             left = warm.save()
             warm.restore(start)
-        n = 24 if self.diagnostic else 12
-        states = [(s, seg(s)) for s in (span * i / n for i in range(n + 1))]
+        states = [(s, seg(s)) for s in (span * i / 24 for i in range(25))]
         if warm is not None:
             warm.restore(left)
         return states
@@ -621,12 +622,10 @@ class _Engine:
 
         a, b = pos(tc)
         if name is None:
-            self.emit("terminal", "I", cat, a, b, fv, ("parked-ab",))
-            self.note_candidate(cat, a, b, "phase1-ab")
+            self._terminal("I", cat, fv, ("parked-ab",), "phase1-ab")
             return "ab", t_end
         if name == "delta-floor":
-            self.emit("terminal", "I", cat, a, b, fv, ("delta-floor",))
-            self.note_candidate(cat, a, b, "delta-floor")
+            self._terminal("I", cat, fv, ("delta-floor",), "delta-floor")
             return "delta", tc
         self.emit("path-state", "I", cat, a, b, fv, (name,))
         return "tie", tc
@@ -657,10 +656,10 @@ class _Engine:
         active diameter) when a list is given.
 
         Every stretch is scanned at the same ``PROBES`` points whatever
-        the options.  Recorded segments and, on phase-III stretches
-        only, the diagnostic count read a finer re-probe of the stretch
-        (``_reprobe``); ``warm`` is the ``_WarmStart`` of q's balance,
-        when q follows one.
+        the options.  When recording, the segments and, on phase-III
+        stretches only, the diagnostic count read a finer re-probe of the
+        stretch (``_reprobe``); ``warm`` is the ``_WarmStart`` of q's
+        balance, when q follows one.
         """
         bps = frame.bps
         sign = 1 if end > x0 else -1
@@ -677,9 +676,9 @@ class _Engine:
             seg = lambda s: state_at(x + sign * s)
             start = warm.save() if warm is not None else None
             hits, states = self._scan(seg, 0.0, span, conds)
-            record = law is not None and self.record_segments and not hits
-            diag = self.diagnostic and phase == "III"
-            if record or diag:
+            record = law is not None and not hits
+            diag = phase == "III"
+            if self.record_segments and (record or diag):
                 fine = self._reprobe(seg, span, warm, start)
                 if diag:
                     self._diag_probe(frame, fine)
@@ -751,12 +750,12 @@ class _Engine:
 
     # -- phase II (shift toward x; y handled by frame flip) --------------
 
-    def phase2x(self, frame, a0, b0, pair):
-        """Shift toward x balancing `pair`; returns the status.
+    def phase2x(self, frame, a0, b0, pair="x-xy"):
+        """Shift toward x balancing `pair`; returns the tasks that follow.
 
-        status: "phase3" (y-side tied; phase III has run from there),
-        "optimal" (a juncture; its continuations have run), "parked" (p
-        reached a), "delta".
+        The x-xy shift hands off to phase III where the y-side ties.  A
+        juncture is followed by the side shift and, from the anti-xy
+        shift, by an x-xy shift with the side family that tied.
         """
         state_at, warm = self._balanced(frame, pair, b0)
         if pair == "x-xy":
@@ -793,23 +792,18 @@ class _Engine:
                                    dip=dip, warm=warm)
         if name is None:
             fv = state_at(0.0)
-            a1, b1 = fv.alpha, fv.beta
-            self.emit("terminal", phase, frame, a1, b1, fv, ("parked-p",))
-            self.note_candidate(frame, a1, b1, "parked-p")
+            self._terminal(phase, frame, fv, ("parked-p",), "parked-p")
             if pair == "x-xy" and "y" in self.ties(fv):
-                self.phase3(frame, a1, b1)
-                return "phase3"
-            return "parked"
+                return [(self.phase3, frame, fv.alpha, fv.beta, None, {})]
+            return []
         ac, bc = fvc.alpha, fvc.beta
         if name == "delta-floor":
-            self.emit("terminal", phase, frame, ac, bc, fvc, ("delta-floor",))
-            self.note_candidate(frame, ac, bc, "delta-floor")
-            return "delta"
+            self._terminal(phase, frame, fvc, ("delta-floor",), "delta-floor")
+            return []
         self.emit("path-state", phase, frame, ac, bc, fvc, (name,))
         if pair == "x-xy" and name == "y-side":
             self.note_if_better(frame, ac, bc, d_active(fvc), "phase2-handoff")
-            self.phase3(frame, ac, bc)
-            return "phase3"
+            return [(self.phase3, frame, ac, bc, None, {})]
         # What is left is a juncture: the antipodal family tied during the
         # x-xy shift, or a side family tied during the anti-xy shift.
         self.note_candidate(frame, ac, bc, "juncture")
@@ -817,27 +811,24 @@ class _Engine:
         # against the side family that just tied.
         fr, a2, b2 = ((frame, ac, bc) if name == "y-side"
                       else self._mirror(frame, ac, bc))
-        if self._novel_juncture(fr, a2, b2, "side"):
-            self.phase2side(fr, a2, b2)
+        tasks = [(self.phase2side, fr, a2, b2, "side", {})]
         if pair == "anti-xy":
             # Alternatively the antipodal family drops out and the
             # sideways shift continues with the side family that just
-            # tied kept in balance.  The balance may have several
-            # branches here; each one is restarted separately.
-            fr2, a3, _ = ((frame, ac, bc) if name == "x-side"
-                          else self._mirror(frame, ac, bc))
-            for b3 in self.balance_roots(fr2, a3, "x-xy"):
-                if self._novel_juncture(fr2, a3, b3, "x-xy"):
-                    self.phase2x(fr2, a3, b3, "x-xy")
-        return "optimal"
+            # tied kept in balance.
+            fr2, a3, b3 = ((frame, ac, bc) if name == "x-side"
+                           else self._mirror(frame, ac, bc))
+            tasks += self._continuation(self.phase2x, fr2, a3, b3, "x-xy")
+        return tasks
 
-    def phase2side(self, frame, a0, b0):
+    def phase2side(self, frame, a0, b0, toward_c=False):
         """Shift balancing the antipodal family against the y family.
 
         Entered when a side family ties during the antipodal-balance
         shift: the x-y family leaves the diametral set, and the motion
         continues along fanti = fy.  Both drive directions of p are
-        explored; q follows from the balance.
+        explored, toward a and then toward c, each as its own task; q
+        follows from the balance.
         """
         phase = "II-o"
 
@@ -852,38 +843,39 @@ class _Engine:
             ("xy-retie", lambda fv: fv.xy - d_active(fv) - margin),
             ("delta-floor", lambda fv: frame.delta + self.tol - d_active(fv)),
         ]
-        for end in (0.0, frame.c_arc):
-            state_at, warm = self._balanced(frame, "anti-y", b0)
-            name, alpha, fvc = self._drive(phase, frame, state_at, a0, end,
-                                           conds, d_active, dip="d",
-                                           warm=warm)
-            if name is None:
-                fv = state_at(alpha)
-                self.emit("terminal", phase, frame, alpha, fv.beta, fv,
-                          ("parked-p",))
-                self.note_candidate(frame, alpha, fv.beta, "parked-p")
-                continue
-            ac, bc = fvc.alpha, fvc.beta
-            self.emit("terminal", phase, frame, ac, bc, fvc,
-                      ("corollary-11", name))
-            self.note_candidate(frame, ac, bc, "corollary-11")
-            if name == "x-side":
-                # Both side families tie; drop the antipodal family and
-                # balance them directly in an out-shift.
-                for b3 in self.balance_roots(frame, ac, "x-y"):
-                    if self._novel_juncture(frame, ac, b3, "p3"):
-                        self.phase3(frame, ac, b3)
-            elif name == "xy-retie":
-                # The x-y family rejoins the y family; drop the antipodal
-                # family and shift toward y.
-                fl, a3, _ = self._mirror(frame, ac, bc)
-                for b3 in self.balance_roots(fl, a3, "x-xy"):
-                    if self._novel_juncture(fl, a3, b3, "x-xy"):
-                        self.phase2x(fl, a3, b3, "x-xy")
+        end = frame.c_arc if toward_c else 0.0
+        state_at, warm = self._balanced(frame, "anti-y", b0)
+        name, alpha, fvc = self._drive(phase, frame, state_at, a0, end,
+                                       conds, d_active, dip="d", warm=warm)
+        # The drive toward c runs after this one's continuations.
+        then = [] if toward_c else [
+            (self.phase2side, frame, a0, b0, None, {"toward_c": True})]
+        if name is None:
+            self._terminal(phase, frame, state_at(alpha), ("parked-p",),
+                           "parked-p")
+            return then
+        ac, bc = fvc.alpha, fvc.beta
+        self._terminal(phase, frame, fvc, ("corollary-11", name),
+                       "corollary-11")
+        if name == "x-side":
+            # Both side families tie; drop the antipodal family and
+            # balance them directly in an out-shift.
+            return self._continuation(self.phase3, frame, ac, bc, "x-y") + then
+        if name == "xy-retie":
+            # The x-y family rejoins the y family; drop the antipodal
+            # family and shift toward y.
+            return self._continuation(self.phase2x,
+                                      *self._mirror(frame, ac, bc),
+                                      "x-xy") + then
+        return then
 
     # -- phase III -------------------------------------------------------
 
     def phase3(self, frame, a0, b0):
+        """Out-shift balancing the x-side against the y-side families.
+
+        Phase III ends the branch it runs on: it returns no tasks.
+        """
         phase = "III"
         warm = self._warm(frame, b0)
 
@@ -927,9 +919,9 @@ class _Engine:
                                        track=traj, warm=warm)
         if name is not None:
             tag = "delta-floor" if name == "delta-floor" else "corollary-11"
-            self.emit("terminal", phase, frame, fvc.alpha, fvc.beta, fvc,
-                      (tag,) if name == "delta-floor" else (tag, name))
-            self.note_candidate(frame, fvc.alpha, fvc.beta, tag)
+            self._terminal(phase, frame, fvc,
+                           (tag,) if name == "delta-floor" else (tag, name),
+                           tag)
         else:
             # p parked; drive q outward to b with p held fixed.
             alpha = max(alpha, 0.0)
@@ -940,15 +932,12 @@ class _Engine:
             b_end = frame.L
             if name is not None:
                 b_end = fvc.beta
-                self.emit("terminal", phase, frame, alpha, b_end, fvc,
-                          ("q-drive", name))
-                self.note_candidate(frame, alpha, b_end, "q-drive")
-            fve = self.families(frame, alpha, b_end)
-            self.emit("terminal", phase, frame, alpha, b_end, fve,
-                      ("parked-ab",))
-            self.note_candidate(frame, alpha, b_end, "phase3-end")
+                self._terminal(phase, frame, fvc, ("q-drive", name),
+                               "q-drive")
+            self._terminal(phase, frame, self.families(frame, alpha, b_end),
+                           ("parked-ab",), "phase3-end")
         self._wedge_crossing(frame, traj)
-        self.phase_end = "III"
+        return []
 
     def _wedge_value(self, frame, a, b):
         got = frame.wedge(a, b)
@@ -1015,6 +1004,18 @@ class _Engine:
     # -- driver ----------------------------------------------------------
 
     def run(self):
+        """Phase I, then phases II and III as one depth-first work list.
+
+        A task is (handler, frame, p, q, juncture tag, keywords); each
+        handler returns the tasks that follow it, which are pushed in
+        reverse so that the first runs next.  A task with a juncture tag
+        runs only if its position is novel under that tag.
+
+        ``phase_end`` is "III" when phase III runs on the main chain:
+        straight after phase I, or after the x-xy shift that phase I
+        hands off to.  Phase III runs reached from a juncture leave it
+        "II".
+        """
         status, tpos = self.phase1()
         cat = self.cat
         c = cat.c_arc
@@ -1024,25 +1025,32 @@ class _Engine:
         if status != "tie":
             self.phase_end = "I"
             return
-        ties = self.ties(self.families(cat, a, b))
+        fv = self.families(cat, a, b)
+        ties = self.ties(fv)
+        tasks = []
         if "x" in ties and "y" in ties:
-            self.phase3(cat, a, b)
+            tasks = [(self.phase3, cat, a, b, None, {})]
         elif "anti" in ties and ties & {"x", "y"}:
-            self.emit("terminal", "II", cat, a, b, None, ("corollary-11",))
-            self.note_candidate(cat, a, b, "corollary-11")
-            self.phase_end = "II"
+            self._terminal("II", cat, fv, ("corollary-11",), "corollary-11")
         elif "x" in ties or "y" in ties:
             frame = cat
             if "y" in ties:
                 frame, a, b = self._mirror(cat, a, b)
-            if self.phase2x(frame, a, b, "x-xy") != "phase3":
-                self.phase_end = "II"
+            tasks = self.phase2x(frame, a, b, "x-xy")
         elif "anti" in ties:
-            self.phase2x(cat, a, b, "anti-xy")
-            self.phase2x(*self._mirror(cat, a, b), "anti-xy")
-            self.phase_end = "II"
+            tasks = [(self.phase2x, cat, a, b, None, {"pair": "anti-xy"}),
+                     (self.phase2x, *self._mirror(cat, a, b), None,
+                      {"pair": "anti-xy"})]
         else:
             self.phase_end = "I"
+            return
+        self.phase_end = ("III" if tasks and tasks[0][0] == self.phase3
+                          else "II")
+        stack = tasks[::-1]
+        while stack:
+            handler, frame, a, b, tag, kw = stack.pop()
+            if tag is None or self._novel_juncture(frame, a, b, tag):
+                stack += handler(frame, a, b, **kw)[::-1]
 
     # -- final selection --------------------------------------------------
 
@@ -1084,12 +1092,12 @@ class _Engine:
         return val, (a, b)
 
 
-def optimize(tree, diagnostic=False, record_segments=True) -> OptimizeResult:
+def optimize(tree, record_segments=False) -> OptimizeResult:
     """Find a shortcut minimizing the continuous diameter of T + pq.
 
-    ``record_segments`` fills ``segments`` (the CLI passes False), and
-    ``diagnostic`` fills ``diagnostic_phase3_changes``.  Both only read a
-    re-probe of the walk, so neither changes the answer or the events.
+    ``record_segments`` fills ``segments`` and
+    ``diagnostic_phase3_changes``.  Both read a re-probe of the walk, so
+    recording changes neither the answer nor the events.
     """
     decomp = backbone(tree)
     diam = decomp.diameter
@@ -1098,8 +1106,7 @@ def optimize(tree, diagnostic=False, record_segments=True) -> OptimizeResult:
         return OptimizeResult(Shortcut(c, c), diam, diam, False, (),
                               "degenerate", decomp.center_arc,
                               decomp.length - decomp.center_arc, (), 0, 0)
-    eng = _Engine(tree, decomp, diagnostic=diagnostic,
-                  record_segments=record_segments)
+    eng = _Engine(tree, decomp, record_segments=record_segments)
     eng.run()
     val, (a, b) = eng.best()
     useful = val < diam - tree.tol
@@ -1122,7 +1129,7 @@ def balance_solve(tree, decomp, path_state, p_arc) -> float:
     "x-tree-wedge", or "wedge-p-interior"; it must name the x-y family
     together with an x-side or antipodal family, or both side families.
     """
-    eng = _Engine(tree, decomp, record_segments=False)
+    eng = _Engine(tree, decomp)
     cat = eng.cat
     descs = set(path_state)
     has_x = any(d.startswith("x-") and not d.endswith("-y") for d in descs)

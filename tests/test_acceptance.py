@@ -338,7 +338,7 @@ def test_criterion_09_event_counts_and_scaling():
     diag = {}
     for l in (5, 10, 20):
         t = stress_family(l)
-        res = optimize(t, diagnostic=True, record_segments=False)
+        res = optimize(t, record_segments=True)
         diag[l] = res.diagnostic_phase3_changes
     superlinear = (diag[10] >= 2 * 10 * 10
                    and diag[20] / max(diag[10], 1) >= 2.5)

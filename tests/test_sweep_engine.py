@@ -369,6 +369,33 @@ def test_balance_families_per_solve(monkeypatch):
     assert max(per_solve.values()) <= 6.5, per_solve
 
 
+def test_corpus_families_calls_bounded(monkeypatch):
+    # Work gate on the small trees, where fixed per-run costs dominate: a
+    # juncture continues from one balance solve, not from a scan of the
+    # balance for every root.
+    calls = [0]
+    families = Caterpillar.families
+
+    def counted(self, alpha, beta):
+        calls[0] += 1
+        return families(self, alpha, beta)
+
+    monkeypatch.setattr(Caterpillar, "families", counted)
+    for seed in range(70):
+        optimize(corpus_tree(seed))
+    assert calls[0] <= 43000, calls[0]
+
+
+def test_phase_end_follows_the_main_chain():
+    # Corpus tree 1 runs phase III from a juncture of phase II; only a
+    # phase III on the main chain (phase I, then the x-xy shift) ends
+    # the run in phase III.
+    res = optimize(corpus_tree(1))
+    assert any(ev.phase == "III" for ev in res.events)
+    assert any(ev.phase == "II-o" for ev in res.events)
+    assert res.phase_end == "II"
+
+
 def test_noted_values_match_their_position(monkeypatch):
     # Every candidate the sweep weighs by its monitored diameter must
     # carry the value of the position it records: one of the balanced
@@ -397,21 +424,18 @@ def test_noted_values_match_their_position(monkeypatch):
 def test_recording_does_not_steer_the_sweep():
     # Recorded segments and the diagnostic count read a re-probe of the
     # walk; the walk itself, and so the answer and the trace, must not
-    # depend on either option.
+    # depend on recording.
     shapes, sizes = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
     recorded = 0
     for seed in range(30):
         t = random_tree(seed, sizes[seed % 3], shapes[seed % 3])
-        runs = [optimize(t),
-                optimize(t, record_segments=False),
-                optimize(t, diagnostic=True, record_segments=False)]
-        recorded += len(runs[0].segments)
-        assert not runs[1].segments and not runs[2].segments
-        for res in runs[1:]:
-            assert res.shortcut == runs[0].shortcut, seed
-            assert res.diameter_after == runs[0].diameter_after, seed
-            assert res.phase_end == runs[0].phase_end, seed
-            assert res.events == runs[0].events, seed
+        rec, res = optimize(t, record_segments=True), optimize(t)
+        recorded += len(rec.segments)
+        assert not res.segments and not res.diagnostic_phase3_changes
+        assert res.shortcut == rec.shortcut, seed
+        assert res.diameter_after == rec.diameter_after, seed
+        assert res.phase_end == rec.phase_end, seed
+        assert res.events == rec.events, seed
     assert recorded > 0
 
 
@@ -437,7 +461,7 @@ def test_diagnostic_count_reads_phase_three_walks_only(monkeypatch):
     shapes, sizes = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
     for seed in range(210):
         t = random_tree(seed, sizes[seed % 3], shapes[seed % 3])
-        optimize(t, diagnostic=True, record_segments=False)
+        optimize(t, record_segments=True)
     assert probed
     assert set(probed) == {"III"}, sorted(set(probed))
 
