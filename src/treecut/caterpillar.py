@@ -3,10 +3,13 @@
 Every B-sub-tree collapses to a pendant of known height at its attachment
 arc.  Shortcut endpoints are arc positions ``alpha <= beta`` along the
 backbone (measured from the endpoint a).  For such shortcuts the
-augmented diameter can be evaluated exactly from the pendant data alone,
-and the candidate families tracked by the sweep (x-side, y-side,
-antipodal, x-y) admit O(1) range-maximum queries, as does the longest
-wedge-shortcut-wedge path but for one prefix maximum.
+augmented diameter can be evaluated exactly from the pendant data alone.
+It is the maximum of two queries.  ``families`` gives the candidate
+families tracked by the sweep (x-side, y-side, antipodal, x-y) by O(1)
+range-maximum queries; they cover every path with x or y as an end and
+every antipode.  ``pairs`` gives the rest: the longest path between two
+wedges (pendants), from prefix tables where the tree joins them on one
+side of the cycle and from a scan over the wedges inside the cycle.
 
 The paper's sweep runs mirror-symmetric phases: a shift toward y is a
 shift toward x seen from b.  ``Caterpillar.flip()`` gives that view as a
@@ -131,36 +134,22 @@ class Caterpillar:
     def _build_tables(self):
         t = np.asarray(self.t, dtype=float)
         h = np.asarray(self.h, dtype=float)
-        # Plain arrays for the vectorized part of ``wedge``.
-        self.np_t, self.np_hpt, self.np_hmt = t, h + t, h - t
         self.rm_h = RangeMax(h)
-        self.rm_hpt = RangeMax(self.np_hpt)
-        self.rm_hmt = RangeMax(self.np_hmt)
-        # Entity arrays: x, the pendants, y — used for leaf-pair scans.
+        self.rm_hpt = RangeMax(h + t)
+        self.rm_hmt = RangeMax(h - t)
+        # Entity arrays: x, the pendants, y — the grid evaluator's points.
         self.et = [0.0] + self.t + [self.L]
         self.eh = [self.h_x] + self.h + [self.h_y]
-        et = np.asarray(self.et)
-        eh = np.asarray(self.eh)
-        self.erm_hmt = RangeMax(eh - et)
-        self.erm_hpt = RangeMax(eh + et)
-        # Same-side pair maxima, exact tree distances:
-        #   left(alpha)  = max over i<j, et_j <= alpha of (eh_i-et_i)+(eh_j+et_j)
-        #   right(beta)  = max over i<j, et_i >= beta  of (eh_i-et_i)+(eh_j+et_j)
-        m = len(self.et)
-        pre = NEG
-        left_pair = np.full(m, NEG)
-        for j in range(m):
-            if j > 0:
-                left_pair[j] = pre + eh[j] + et[j]
-            pre = max(pre, eh[j] - et[j])
-        self.left_pair_prefmax = np.maximum.accumulate(left_pair)
-        suf = NEG
-        right_pair = np.full(m, NEG)
-        for i in range(m - 1, -1, -1):
-            if i < m - 1:
-                right_pair[i] = suf + eh[i] - et[i]
-            suf = max(suf, eh[i] + et[i])
-        self.right_pair_sufmax = np.maximum.accumulate(right_pair[::-1])[::-1]
+        # Same-side wedge pair maxima, exact tree distances:
+        #   left_pair[j]  = max over i < i' <= j of (h-t)_i + (h+t)_i'
+        #   right_pair[i] = max over i <= i' < j of (h-t)_i' + (h+t)_j
+        left = np.full(self.k, NEG)
+        left[1:] = np.maximum.accumulate(h - t)[:-1] + h[1:] + t[1:]
+        self.left_pair = np.maximum.accumulate(left)
+        right = np.full(self.k, NEG)
+        right[:-1] = (np.maximum.accumulate((h + t)[::-1])[::-1][1:]
+                      + h[:-1] - t[:-1])
+        self.right_pair = np.maximum.accumulate(right[::-1])[::-1]
 
     # -- geometry --------------------------------------------------------
 
@@ -266,109 +255,54 @@ class Caterpillar:
                           xy, xy_branch, fx, fx_branch, fx_p,
                           fy, fy_branch, fy_p, fanti, fanti_p, diameter)
 
-    def wedge(self, alpha, beta):
-        """Longest wedge-shortcut-wedge path for backbone arcs alpha <= beta.
-
-        The query of ``smawk.wedge_path_on_arcs(t, h, chord, alpha, beta)``:
-        pendant i enters the shortcut at p, pendant j leaves it at q, and
-        the pair qualifies when that route is shorter than the tree path.
-        Returns (length, (i, j)) or None.
-
-        Only pairs with t_i < t_j can qualify.  Let s = (beta - alpha) - e
-        be the length the shortcut saves, and split the pendants into L
-        (t <= alpha), M (alpha < t < beta) and R (t >= beta).  The pairs
-        that qualify are L x R when s > 0, M x R when 2(t_i - alpha) < s,
-        L x M when 2(beta - t_j) < s, and M x M when t_j - t_i exceeds
-        (beta - alpha + e) / 2.  Each value is a term of i plus a term of
-        j, so the first three are range maxima after a bisection and
-        M x M is a prefix maximum.  Where s is within rounding of 0 (p and
-        q on one straight run) the route through the shortcut is the tree
-        route, any pair that qualifies does so by rounding, and the answer
-        is None.
-        """
-        e = self.chord(alpha, beta)
-        s = beta - alpha - e
-        if s <= 1e-12 * self.tree.scale:
-            return None
-        t = self.t
-        i_a = bisect_right(t, alpha)      # L is [0, i_a)
-        i_b = bisect_left(t, beta)        # R is [i_b, k), M is [i_a, i_b)
-        vl, il = self.rm_hmt.query(0, i_a)
-        vr, jr = self.rm_hpt.query(i_b, self.k)
-        cands = []                        # (length, i, j)
-        if il >= 0 and jr >= 0:
-            cands.append((vl + vr + e + alpha - beta, il, jr))
-        if jr >= 0:
-            v, i = self.rm_hpt.query(
-                i_a, bisect_left(t, alpha + 0.5 * s, i_a, i_b))
-            if i >= 0:
-                cands.append((v + vr + e - alpha - beta, i, jr))
-        if il >= 0:
-            v, j = self.rm_hmt.query(
-                bisect_right(t, beta - 0.5 * s, i_a, i_b), i_b)
-            if j >= 0:
-                cands.append((vl + v + e + alpha + beta, il, j))
-        w = 0.5 * (beta - alpha + e)
-        if i_b - i_a >= 2 and t[i_b - 1] - w > t[i_a]:
-            tm = self.np_t[i_a:i_b]
-            # Pendant j of M pairs with the first n[j] pendants of M.
-            n = np.searchsorted(tm, tm - w)
-            pm = np.maximum.accumulate(self.np_hpt[i_a:i_b])
-            vals = np.where(n > 0, pm[n - 1] + self.np_hmt[i_a:i_b], NEG)
-            j = int(np.argmax(vals))
-            _, i = self.rm_hpt.query(i_a, i_a + int(n[j]))
-            cands.append((float(vals[j]) + e + beta - alpha, i, i_a + j))
-        if not cands:
-            return None
-        # Ties go to the smallest j, then the smallest i, as in SMAWK.
-        v, i, j = max(cands, key=lambda c: (c[0], -c[2], -c[1]))
-        return v, (i, j)
-
     # -- exact evaluation -------------------------------------------------
 
-    def evaluate(self, alpha, beta):
-        """Exact diam(T + pq) for backbone arcs alpha <= beta.
+    def pairs(self, alpha, beta):
+        """Longest path in T + pq between two wedges, for arcs alpha <= beta.
 
-        Combines the monitored families with the exact same-side pair
-        maxima and a cross-pair scan over cycle positions, plus the
-        B-sub-tree floor delta.
+        A wedge is a pendant.  Pairs on one side of the cycle are joined by
+        the tree and read from the prefix tables.  The other pairs meet on
+        the cycle, where the wedges left of p and right of q collapse to
+        one point each, and ``_cross_pair_max`` takes the shorter way round.
+        -inf with fewer than two wedges.
+        """
+        t, k = self.t, self.k
+        i_a = bisect_right(t, alpha)              # left of p: [0, i_a)
+        # Right of q: [i_b, k).  Where p = q, a wedge there is left of p.
+        i_b = max(bisect_left(t, beta), i_a)
+        best = float(self.left_pair[i_a - 1]) if i_a > 0 else NEG
+        if i_b < k:
+            best = max(best, float(self.right_pair[i_b]))
+        darc = beta - alpha
+        cyc = self.chord(alpha, beta) + darc
+        pts = [(0.0, self.rm_hmt.query(0, i_a)[0] + alpha)] if i_a > 0 else []
+        pts += [(t[i] - alpha, self.h[i]) for i in range(i_a, i_b)]
+        if i_b < k:
+            pts.append((darc, self.rm_hpt.query(i_b, k)[0] - beta))
+        return max(best, _cross_pair_max(pts, cyc, cyc / 2.0))
+
+    def evaluate(self, alpha, beta):
+        """Exact diam(T + pq) for backbone arcs alpha and beta.
+
+        The monitored families cover every path with x or y as an end,
+        every antipode and the B-sub-tree floor delta; ``pairs`` covers
+        the paths between two wedges.
         """
         if beta < alpha:
             alpha, beta = beta, alpha
         if beta - alpha <= 0.0:
             # p = q: the augmented tree is the tree itself.
             return self.diam_t
-        fv = self.families(alpha, beta)
-        best = max(fv.diameter, self.delta)
-        et, eh = self.et, self.eh
-        j_a = bisect_right(et, alpha) - 1   # last entity with et <= alpha
-        j_b = bisect_left(et, beta)         # first entity with et >= beta
-        if j_a >= 0:
-            best = max(best, float(self.left_pair_prefmax[j_a]))
-        if j_b < len(et):
-            best = max(best, float(self.right_pair_sufmax[j_b]))
-
-        # Cross pairs over cycle positions: collapsed left group, inside
-        # pendants, collapsed right group.
-        darc, cyc, half = fv.darc, fv.cyc, fv.half
-        hl, _ = self.erm_hmt.query(0, j_a + 1)
-        hr, _ = self.erm_hpt.query(j_b, len(et))
-        pts = []
-        if hl > NEG:
-            pts.append((0.0, hl + alpha))
-        for idx in range(bisect_right(self.t, alpha), bisect_left(self.t, beta)):
-            pts.append((self.t[idx] - alpha, self.h[idx]))
-        if hr > NEG:
-            pts.append((darc, hr - beta))
-        best = max(best, _cross_pair_max(pts, cyc, half))
-        return best
+        return max(self.families(alpha, beta).diameter,
+                   self.pairs(alpha, beta))
 
     def evaluate_grid(self, alphas, betas):
-        """Vectorized exact evaluation for many (alpha, beta) placements.
+        """Vectorized exact evaluation for many placements alpha <= beta.
 
-        A block of ``_GRID_CHUNK`` placements holds two ``chunk x m x m``
-        float arrays (m = k + 2 entities), so the chunk is capped to keep
-        each at 2**22 entries (32 MB).
+        Where beta - alpha <= 0 the value is the tree's diameter, as in
+        ``evaluate``.  A block of ``_GRID_CHUNK`` placements holds two
+        ``chunk x m x m`` float arrays (m = k + 2 entities), so the chunk
+        is capped to keep each at 2**22 entries (32 MB).
         """
         alphas = np.asarray(alphas, dtype=float)
         betas = np.asarray(betas, dtype=float)
@@ -404,7 +338,7 @@ class Caterpillar:
         hcyc = eh[None, :] + np.maximum(A[:, None] - et[None, :], 0.0) \
             + np.maximum(et[None, :] - B[:, None], 0.0)
         best = np.maximum(best, hcyc.max(axis=1) + half)
-        return np.maximum(best, self.delta)
+        return np.where(darc > 0.0, np.maximum(best, self.delta), self.diam_t)
 
     def _embed_many(self, arcs):
         arcs = np.clip(arcs, 0.0, self.L)
@@ -413,7 +347,9 @@ class Caterpillar:
         ys = np.asarray(self.ys)
         i = np.clip(np.searchsorted(av, arcs, side="right") - 1, 0, len(av) - 2)
         span = av[i + 1] - av[i]
-        lam = (arcs - av[i]) / span
+        # A one-vertex backbone has no edge: every arc is its vertex.
+        lam = np.divide(arcs - av[i], span, out=np.zeros_like(arcs),
+                        where=span > 0.0)
         return (1 - lam) * xs[i] + lam * xs[i + 1], \
             (1 - lam) * ys[i] + lam * ys[i + 1]
 

@@ -60,7 +60,12 @@ def _arc_grid(lo, hi, h):
 
 def grid_search(tree: GeometricTree, resolution: float,
                 restrict_to_backbone: bool = True) -> GridResult:
-    """Minimize diam(T+pq) over an arc-length grid of placements."""
+    """Minimize diam(T+pq) over an arc-length grid of placements.
+
+    As in ``optimize``, a placement wins only if it beats the tree's
+    diameter by more than ``tree.tol``; otherwise the result is the
+    degenerate shortcut at the center, with the diameter as its value.
+    """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     decomp = backbone(tree)
@@ -86,6 +91,8 @@ def _grid_restricted(tree, decomp, h):
     B = np.append(B, c)
     vals = np.append(vals, decomp.diameter)
     i = int(np.argmin(vals))
+    if vals[i] >= decomp.diameter - tree.tol:
+        i = len(vals) - 1
     p = cat.arc_to_treepoint(float(A[i]))
     q = cat.arc_to_treepoint(float(B[i]))
     return GridResult(Shortcut(p, q), float(vals[i]), h, len(vals), True)
@@ -121,6 +128,8 @@ def _grid_full(tree, decomp, h):
             if val < best[0]:
                 best = (val, pts[i], pts[j])
             count += 1
+    if best[0] >= decomp.diameter - tree.tol:
+        best = (decomp.diameter, decomp.center, decomp.center)
     return GridResult(Shortcut(best[1], best[2]), best[0], h, count, False)
 
 

@@ -3,8 +3,9 @@
 ``wedge_path_on_arcs`` finds the longest leaf-to-leaf path routed through
 the shortcut between two secondary B-sub-trees (a wedge-shortcut-wedge
 path) in linear time, without materializing the quadratic pair matrix.
-It is the reference for ``Caterpillar.wedge``, the closed form the sweep
-runs, and the tests compare the two.
+``longest_wedge_path`` asks the same of a tree and a backbone shortcut.
+The sweep does not use SMAWK: it reads wedge pairs from
+``Caterpillar.pairs``.
 """
 
 from __future__ import annotations

@@ -10,9 +10,10 @@ endpoint.  Phase III out-shifts while balancing the x-side against the
 y-side families, with the x-component frozen while a tree-routed
 pendant path is diametral.  Each phase-III run keeps the trajectory it
 walked and finishes with a binary search on it for the first placement
-where a wedge-shortcut-wedge path becomes diametral, then an ITP root
-inside the bracketing step; the wedge path's length comes from the
-caterpillar's range-maximum tables (``Caterpillar.wedge``), not SMAWK.
+where a path between two wedges becomes diametral, then an ITP root
+inside the bracketing step.  That path, by the tree or through the
+shortcut, is the one part of the exact diameter the families leave
+unmonitored; its length is one ``Caterpillar.pairs`` query.
 
 Phases II and III run from one depth-first work list (``_Engine.run``):
 no phase calls another; each returns the tasks that follow it, and a
@@ -306,15 +307,13 @@ class _Engine:
     def _to_base(self, frame, a, b):
         return (a, b) if frame is self.cat else self._mirror(frame, a, b)[1:]
 
-    def emit(self, kind, phase, frame, a, b, fv=None, payload=()):
+    def emit(self, kind, phase, frame, a, b, fv, payload=()):
         if len(self.events) >= self.event_cap:
             return
         ab, bb = self._to_base(frame, a, b)
-        # Events carry the monitored family value; cross pairs and wedge
-        # paths that the sweep deliberately ignores are reconciled when
-        # candidates are re-evaluated exactly.
-        if fv is None:
-            fv = self.families(frame, a, b)
+        # Events carry the monitored family value ``fv`` read at (a, b);
+        # the wedge-wedge paths the sweep does not monitor are reconciled
+        # when candidates are re-evaluated exactly.
         d = fv.diameter
         if self.events:
             last = self.events[-1]
@@ -529,7 +528,7 @@ class _Engine:
             prev = sig
 
     def _interior_min(self, state_at, s0, s1, key):
-        """Golden-section minimum of key(state) over [s0, s1]: (s, state).
+        """Golden-section minimum of key(state) over [s0, s1]: its state.
 
         Coarse stopping width: minima located here are only candidate
         seeds for the exact compass refinement at the end of the run.
@@ -551,8 +550,7 @@ class _Engine:
                 a, c, fc = c, d, fd
                 d = a + gr * (b - a)
                 fd = key(state_at(d))
-        s = 0.5 * (a + b)
-        return s, state_at(s)
+        return state_at(0.5 * (a + b))
 
     # -- phase I ---------------------------------------------------------
 
@@ -699,9 +697,7 @@ class _Engine:
                 prev = sig
             fv1 = states[-1][1]
             if dip == "e":
-                s_min, _ = self._interior_min(seg, 0.0, span,
-                                              lambda fv: fv.e)
-                fvm = seg(s_min)
+                fvm = self._interior_min(seg, 0.0, span, lambda fv: fv.e)
                 self.note_candidate(frame, fvm.alpha, fvm.beta,
                                     "interior-min")
                 self.emit("grow-shrink", phase, frame, fvm.alpha,
@@ -713,7 +709,7 @@ class _Engine:
                 dvals = [d_active(fv) for _, fv in states]
                 spacing = span / max(len(states) - 1, 1)
                 if min(dvals) - 8.0 * spacing < self.best_seen:
-                    s_min, fvm = self._interior_min(seg, 0.0, span, d_active)
+                    fvm = self._interior_min(seg, 0.0, span, d_active)
                     self.note_if_better(frame, fvm.alpha, fvm.beta,
                                         d_active(fvm), "interior-min")
                     # A dip within tol of the stretch's ends is rounding
@@ -722,7 +718,7 @@ class _Engine:
                                                default=dvals[0]) \
                             < min(dvals[0], dvals[-1]) - self.tol:
                         self.emit("grow-shrink", phase, frame, fvm.alpha,
-                                  fvm.beta, seg(s_min), ("d-min",))
+                                  fvm.beta, fvm, ("d-min",))
             d1 = d_active(fv1)
             if track is not None:
                 track.append((fv1.alpha, fv1.beta, d1))
@@ -939,30 +935,26 @@ class _Engine:
         self._wedge_crossing(frame, traj)
         return []
 
-    def _wedge_value(self, frame, a, b):
-        got = frame.wedge(a, b)
-        return got[0] if got else NEG
-
     def _wedge_crossing(self, frame, traj):
         """Note the first placement on phase III's trajectory where a
-        wedge-shortcut-wedge path ties the monitored diameter.
+        path between two wedges ties the monitored diameter.
 
         ``traj`` holds the (alpha, beta, diameter) points of one phase-III
-        run in ``frame``.  A binary search finds the first point where the
-        wedge path ties; between it and its predecessor the crossing is
-        the ITP root, given its end values, of "wedge minus diameter"
-        with q keeping the x-y balance.  Each wedge length is one
-        ``Caterpillar.wedge`` query; an end value at a trajectory point
-        that is in x-y balance is the margin the search already read.
+        run in ``frame``.  Wedge-wedge paths, by the tree or through the
+        shortcut, are what the monitored families leave out of the exact
+        diameter; ``Caterpillar.pairs`` gives the longest.  A binary
+        search finds the first point where it ties; between it and its
+        predecessor the crossing is the ITP root, given its end values,
+        of "pairs minus diameter" with q keeping the x-y balance.  An end
+        value at a trajectory point that is in x-y balance is the margin
+        the search already read.
         """
-        if frame.k < 2:
-            return
         margins = {}
 
         def margin(i):
             if i not in margins:
                 a, b, d = traj[i]
-                margins[i] = self._wedge_value(frame, a, b) - d
+                margins[i] = frame.pairs(a, b) - d
             return margins[i]
         lo, hi = 0, len(traj) - 1     # margin(lo) < -tol <= margin(hi)
         if margin(hi) < -self.tol or margin(lo) >= -self.tol:
@@ -984,14 +976,14 @@ class _Engine:
 
         def gap(s):
             fv = state_at(a_lo - s)
-            return self._wedge_value(frame, fv.alpha, fv.beta) \
-                - max(fv.fx, fv.fy) + self.tol
+            return (frame.pairs(fv.alpha, fv.beta) - max(fv.fx, fv.fy)
+                    + self.tol)
 
         def end_gap(i, s):
             fv = self.families(frame, *traj[i][:2])
             if abs(fv.fx - fv.fy) <= self.accept:
                 # A solve started at trajectory point i stops there, and
-                # the binary search has paid for its wedge query.
+                # the binary search has paid for its pairs query.
                 return margins[i] + self.tol
             return gap(s)
 

@@ -7,10 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from treecut import GeometricTree, backbone
+from treecut import Shortcut, augmented_diameter_value, backbone
 from treecut.caterpillar import NEG, Caterpillar, RangeMax
-from treecut.oracle import random_tree
-from treecut.smawk import wedge_path_on_arcs
+from treecut.oracle import random_tree, stress_family
 
 
 def brute_range_max(vals, lo, hi):
@@ -98,6 +97,8 @@ def test_flip_is_the_caterpillar_seen_from_b(spec):
                                                 abs=tol)
         assert cat.evaluate(a, b) == pytest.approx(fl.evaluate(L - b, L - a),
                                                    abs=tol)
+        assert cat.pairs(a, b) == pytest.approx(fl.pairs(L - b, L - a),
+                                                abs=tol)
     alphas, betas = (np.array(v) for v in zip(*pts))
     np.testing.assert_allclose(cat.evaluate_grid(alphas, betas),
                                fl.evaluate_grid(L - betas, L - alphas),
@@ -122,63 +123,68 @@ def test_flip_pair_forms_no_reference_cycle():
                                               [fl.L - x for x in fl.t[::-1]])
 
 
-@pytest.mark.parametrize("shape", ["caterpillar", "uniform", "balanced"])
-def test_wedge_matches_the_smawk_reference(shape):
-    # The closed form and SMAWK read the same pairs except at ties, where
-    # rounding decides; placements saving less than 1e-9*scale are left
-    # to the straight-run test below.
-    rng = random.Random(shape)
-    compared = found = 0
-    for n in (6, 8, 11, 15, 20, 30, 45, 70, 100, 150, 250, 400):
-        t = random_tree(n, n, shape)
-        cat = Caterpillar(t, backbone(t))
-        for frame in (cat, cat.flip()):
-            for _ in range(20):
-                a, b = sorted((rng.uniform(0.0, frame.L),
-                               rng.uniform(0.0, frame.L)))
-                e = frame.chord(a, b)
-                got = frame.wedge(a, b)
-                if b - a - e <= 1e-9 * t.scale:
-                    continue
-                want = wedge_path_on_arcs(frame.t, frame.h, e, a, b)
-                compared += 1
-                if want is None:
-                    assert got is None, (n, a, b)
-                    continue
-                found += 1
-                assert got is not None, (n, a, b)
-                assert got[0] == pytest.approx(want[0], abs=1e-12 * t.scale)
-                assert got[1] == want[1], (n, a, b)
-    assert compared >= 300 and found >= 100, (compared, found)
+def brute_pairs(cat, alpha, beta):
+    """Longest wedge-wedge path at (alpha, beta), pair by pair."""
+    e = cat.chord(alpha, beta)
+    best = NEG
+    for i in range(cat.k):
+        for j in range(i + 1, cat.k):
+            ti, tj = cat.t[i], cat.t[j]
+            tree = abs(tj - ti)
+            via = e + min(abs(ti - alpha) + abs(tj - beta),
+                          abs(ti - beta) + abs(tj - alpha))
+            best = max(best, cat.h[i] + cat.h[j] + min(tree, via))
+    return best
 
 
-def test_wedge_is_none_on_a_straight_run():
-    # On a straight backbone the route through the shortcut is the tree
-    # route: a pair only "qualifies" there by rounding in the chord.
-    ux, uy = math.cos(0.3), math.sin(0.3)
-    coords = {k: (2.0 * k * ux, 2.0 * k * uy) for k in range(6)}
-    edges = [(k, k + 1) for k in range(5)]
-    for k, h in ((1, 0.5), (2, 1.0), (3, 1.2), (4, 0.7)):
-        coords[10 + k] = (coords[k][0] + h * uy, coords[k][1] - h * ux)
-        edges.append((k, 10 + k))
-    t = GeometricTree(coords, edges)
+PAIR_TREES = [pytest.param(random_tree(n, n, shape), id=f"{shape}-{n}")
+              for n in (2, 3, 6, 11, 20, 45)
+              for shape in ("caterpillar", "uniform", "balanced")]
+PAIR_TREES += [pytest.param(stress_family(l), id=f"stress-{l}")
+               for l in (1, 2, 4)]
+
+
+@pytest.mark.parametrize("t", PAIR_TREES)
+def test_pairs_matches_brute_force(t):
     cat = Caterpillar(t, backbone(t))
-    assert cat.k == 4
-    rng = random.Random(1)
+    rng = random.Random(t.n)
     for frame in (cat, cat.flip()):
-        # Both ends on one backbone edge, then anywhere on the run.
-        pts = [sorted((rng.uniform(2.0, 4.0), rng.uniform(2.0, 4.0)))
-               for _ in range(50)]
-        pts += [sorted((rng.uniform(0.0, frame.L), rng.uniform(0.0, frame.L)))
-                for _ in range(200)]
+        c, L = frame.c_arc, frame.L
+        pts = [(0.0, L), (c, c), (0.0, c), (c, L)]
+        pts += [(a, a) for a in frame.t]
+        pts += [(frame.t[i], frame.t[j]) for i in range(frame.k)
+                for j in range(i, frame.k)][:40]
+        pts += [sorted((rng.uniform(0.0, L), rng.uniform(0.0, L)))
+                for _ in range(40)]
         for a, b in pts:
-            assert frame.wedge(a, b) is None, (a, b)
+            want = brute_pairs(frame, a, b)
+            got = frame.pairs(a, b)
+            if want == NEG:
+                assert got == NEG, (a, b)
+            else:
+                assert got == pytest.approx(want, abs=1e-12 * t.scale), (a, b)
+
+
+@pytest.mark.parametrize("t", PAIR_TREES[::2])
+def test_evaluate_matches_the_exact_evaluator(t):
+    # evaluate is the monitored families plus ``pairs``; on backbone
+    # placements it must read what the leaf-table evaluator reads.
+    cat = Caterpillar(t, backbone(t))
+    rng = random.Random(t.n)
+    c, L = cat.c_arc, cat.L
+    pts = [(0.0, L), (c, c), (0.0, c), (c, L)]
+    pts += [sorted((rng.uniform(0.0, L), rng.uniform(0.0, L)))
+            for _ in range(30)]
+    for a, b in pts:
+        sc = Shortcut(cat.arc_to_treepoint(a), cat.arc_to_treepoint(b))
+        want = augmented_diameter_value(t, sc)
+        assert cat.evaluate(a, b) == pytest.approx(want, abs=1e-12 * t.scale)
 
 
 def test_chord_memo_is_exact():
     # ``chord`` keeps the embedding of the last alpha; a run of calls that
     # repeats, changes and returns to alphas (as balance solves and the
-    # wedge query do) must give exactly the embed-based chord.
+    # pairs query do) must give exactly the embed-based chord.
     t = random_tree(3, 40, "uniform")
     cat = Caterpillar(t, backbone(t))
     rng = random.Random(7)
@@ -190,4 +196,4 @@ def test_chord_memo_is_exact():
         xb, yb = cat.embed(beta)
         assert cat.chord(alpha, beta) == math.hypot(xa - xb, ya - yb)
         if rng.random() < 0.2:
-            cat.wedge(rng.choice(alphas), beta)
+            cat.pairs(rng.choice(alphas), beta)

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import pytest
 
 from treecut import (
@@ -87,3 +90,21 @@ def test_dense_sample_diameter_with_shortcut(t_l):
     sc = Shortcut(TreePoint(0, 1, 0.2265410), TreePoint(1, 2, 0.7734590))
     approx, spacing = dense_sample_diameter(t_l, sc)
     assert approx == pytest.approx(1.5469182, abs=3 * spacing)
+
+
+@pytest.mark.parametrize("restrict", [True, False], ids=["backbone", "full"])
+def test_grid_search_on_degenerate_backbones(restrict):
+    # Criterion 3's straight and point backbones: no shortcut beats the
+    # diameter by more than tol, so the grid reports the degenerate one,
+    # with the diameter as a finite value and no warning on the way.
+    for seed in range(25):
+        for gen in (straight_backbone_tree, point_backbone_tree):
+            t = gen(seed, 6 + seed % 4)
+            d = backbone(t)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                g = grid_search(t, d.diameter / 40.0,
+                                restrict_to_backbone=restrict)
+            assert g.best_shortcut.is_degenerate, (gen.__name__, seed)
+            assert math.isfinite(g.best_diameter), (gen.__name__, seed)
+            assert abs(g.best_diameter - d.diameter) <= t.tol
