@@ -9,7 +9,11 @@ families tracked by the sweep (x-side, y-side, antipodal, x-y) by O(1)
 range-maximum queries; they cover every path with x or y as an end and
 every antipode.  ``pairs`` gives the rest: the longest path between two
 wedges (pendants), from prefix tables where the tree joins them on one
-side of the cycle and from a scan over the wedges inside the cycle.
+side of the cycle, and from range maxima over the wedges inside the
+cycle otherwise: for each wedge, one window of tree-route partners and
+one prefix of cycle-route partners, read for all wedges at once from
+the sparse tables as numpy gathers.  A cycle holding few wedges is
+scanned in Python instead, which is cheaper there.
 
 The paper's sweep runs mirror-symmetric phases: a shift toward y is a
 shift toward x seen from b.  ``Caterpillar.flip()`` gives that view as a
@@ -21,43 +25,54 @@ from __future__ import annotations
 
 import math
 import weakref
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 NEG = float("-inf")
 # Placements per block of ``Caterpillar.evaluate_grid``, before its cap.
 _GRID_CHUNK = 4096
+# Wedges inside the cycle from which ``Caterpillar.pairs`` runs its numpy
+# kernel rather than the Python scan.  The kernel's fixed cost is about
+# 20 us; the scan costs about 1 us a wedge and is cheaper below about 24
+# wedges (2 cores, Python 3.11, numpy 2.4).
+_KERNEL_MIN_WEDGES = 32
 
 
 class RangeMax:
     """Static range-maximum (with leftmost argmax) over a float array.
 
-    The sparse-table levels are built with numpy and stored as stdlib
-    arrays: indexing an ``array`` yields a Python float or int directly,
-    which keeps the O(1) query free of numpy scalar boxing.
+    The sparse-table levels are built with numpy; level j holds the max
+    over [i, i + 2**j).  ``query`` reads them through memoryviews:
+    indexing one yields a Python float or int directly, which keeps the
+    O(1) query free of numpy scalar boxing.  ``gather`` answers many
+    queries at once from ``flat``, the value levels end to end, level j
+    from ``start[j]``.
     """
 
     def __init__(self, values):
         vals = np.asarray(values, dtype=float)
         self.n = len(vals)
-        t, arg = vals, np.arange(self.n, dtype=np.int64)
-        self.t = [array("d", t.tobytes())]
-        self.arg = [array("q", arg.tobytes())]
+        t, arg = [vals], [np.arange(self.n, dtype=np.int64)]
         j = 1
         while (1 << j) <= self.n:
             half = 1 << (j - 1)
             m = self.n - (1 << j) + 1
-            left, right = t[:m], t[half:half + m]
+            left, right = t[-1][:m], t[-1][half:half + m]
             pick = right > left
-            t = np.where(pick, right, left)
-            arg = np.where(pick, arg[half:half + m], arg[:m])
-            self.t.append(array("d", t.tobytes()))
-            self.arg.append(array("q", arg.tobytes()))
+            t.append(np.where(pick, right, left))
+            arg.append(np.where(pick, arg[-1][half:half + m], arg[-1][:m]))
             j += 1
+        # The levels, then n + 1 entries of -inf that empty windows read.
+        self.flat = np.concatenate(t + [np.full(self.n + 1, NEG)])
+        self.start = list(accumulate(map(len, t), initial=0))
+        flat = memoryview(self.flat)
+        self.t = [flat[s:e] for s, e in zip(self.start, self.start[1:])]
+        self.arg = [memoryview(level) for level in arg]
 
     def query(self, lo, hi):
         """Max over indices [lo, hi); returns (value, argmax) or (-inf, -1)."""
@@ -73,6 +88,26 @@ class RangeMax:
         if t[r] > t[lo]:
             return t[r], arg[r]
         return t[lo], arg[lo]
+
+    @cached_property
+    def _offsets(self):
+        # By window width w >= 1: the offsets into ``flat`` of the two
+        # level-j reads, j = floor(log2 w), at lo and at hi - 2**j.  Width
+        # 0 reads the -inf entries.
+        levels = len(self.t)
+        lev = np.frexp(np.arange(self.n + 1, dtype=float))[1] - 1
+        lev[0] = levels
+        at_lo = np.asarray(self.start)[lev]
+        return at_lo, at_lo - np.where(lev < levels, 1 << lev, 0)
+
+    def gather(self, lo, hi):
+        """Max over each window [lo, hi), -inf where it is empty.
+
+        ``lo`` and ``hi`` broadcast together, with 0 <= lo <= hi <= n.
+        """
+        at_lo, at_hi = self._offsets
+        w = hi - lo
+        return np.maximum(self.flat[at_lo[w] + lo], self.flat[at_hi[w] + hi])
 
 
 @dataclass
@@ -134,6 +169,7 @@ class Caterpillar:
     def _build_tables(self):
         t = np.asarray(self.t, dtype=float)
         h = np.asarray(self.h, dtype=float)
+        self._t = t
         self.rm_h = RangeMax(h)
         self.rm_hpt = RangeMax(h + t)
         self.rm_hmt = RangeMax(h - t)
@@ -263,23 +299,77 @@ class Caterpillar:
         A wedge is a pendant.  Pairs on one side of the cycle are joined by
         the tree and read from the prefix tables.  The other pairs meet on
         the cycle, where the wedges left of p and right of q collapse to
-        one point each, and ``_cross_pair_max`` takes the shorter way round.
-        -inf with fewer than two wedges.
+        one point each and the shorter way round counts.  With at least
+        ``_KERNEL_MIN_WEDGES`` wedges inside the cycle ``_cross_pairs``
+        reads them by range maxima in numpy; below that, numpy's fixed
+        cost loses to ``_cross_pair_max``'s scan.  -inf with fewer than
+        two wedges.
         """
-        t, k = self.t, self.k
-        i_a = bisect_right(t, alpha)              # left of p: [0, i_a)
-        # Right of q: [i_b, k).  Where p = q, a wedge there is left of p.
-        i_b = max(bisect_left(t, beta), i_a)
+        k = self.k
+        i_a, i_b = self._in_cycle(alpha, beta)
         best = float(self.left_pair[i_a - 1]) if i_a > 0 else NEG
         if i_b < k:
             best = max(best, float(self.right_pair[i_b]))
-        darc = beta - alpha
-        cyc = self.chord(alpha, beta) + darc
+        cyc = self.chord(alpha, beta) + (beta - alpha)
+        if i_b - i_a >= _KERNEL_MIN_WEDGES:
+            cross = self._cross_pairs(alpha, beta, i_a, i_b, cyc)
+        else:
+            cross = _cross_pair_max(self._cycle_points(alpha, beta, i_a, i_b),
+                                    cyc, cyc / 2.0)
+        return max(best, cross)
+
+    def _in_cycle(self, alpha, beta):
+        """Pendant bounds (i_a, i_b): left of p is [0, i_a), inside the
+        cycle [i_a, i_b), right of q [i_b, k)."""
+        i_a = bisect_right(self.t, alpha)
+        # Where p = q, a wedge at q is left of p.
+        return i_a, max(bisect_left(self.t, beta), i_a)
+
+    def _cycle_points(self, alpha, beta, i_a, i_b):
+        """The (cycle position, height) points ``_cross_pair_max`` scans:
+        the end group left of p, the wedges inside, the group right of q."""
+        t, h, k = self.t, self.h, self.k
         pts = [(0.0, self.rm_hmt.query(0, i_a)[0] + alpha)] if i_a > 0 else []
-        pts += [(t[i] - alpha, self.h[i]) for i in range(i_a, i_b)]
+        pts += [(t[i] - alpha, h[i]) for i in range(i_a, i_b)]
         if i_b < k:
-            pts.append((darc, self.rm_hpt.query(i_b, k)[0] - beta))
-        return max(best, _cross_pair_max(pts, cyc, cyc / 2.0))
+            pts.append((beta - alpha, self.rm_hpt.query(i_b, k)[0] - beta))
+        return pts
+
+    def _cross_pairs(self, alpha, beta, i_a, i_b, cyc):
+        """``_cross_pair_max`` over ``_cycle_points``, by range maxima.
+
+        A wedge pair i < j scores (h-t)_i + (h+t)_j by the tree when
+        t_j - t_i <= half, else (h+t)_i + (h-t)_j + cyc round the cycle.
+        For every j at once, the tree partners are a window [lo_j, j) and
+        the cycle partners the prefix [i_a, lo_j), two sparse-table
+        gathers.  The end groups (max h-t left of p, max h+t right of q)
+        pair with the wedges and each other by O(1) queries.
+        """
+        half = cyc / 2.0
+        hmt, hpt = self.rm_hmt, self.rm_hpt
+        best = NEG
+        if i_b - i_a >= 2:
+            t = self._t[i_a:i_b]
+            lo = np.searchsorted(t, t - half, "left") + i_a
+            tree = hmt.gather(lo, np.arange(i_a, i_b))
+            tree += hpt.flat[i_a:i_b]       # level 0: the values
+            cycle = hpt.gather(i_a, lo)
+            cycle += hmt.flat[i_a:i_b]
+            best = max(float(tree.max()), float(cycle.max()) + cyc)
+        # The end groups, left: u = 0, H = m_l + alpha; right: u = beta -
+        # alpha, H = m_r - beta; an empty group is -inf.  The wedges split
+        # into tree and cycle partners at pbar for the left group, at qbar
+        # for the right one.
+        m_l = hmt.query(0, i_a)[0]
+        m_r = hpt.query(i_b, self.k)[0]
+        s_l = bisect_right(self.t, alpha + half, i_a, i_b)
+        s_r = bisect_left(self.t, beta - half, i_a, i_b)
+        return max(best,
+                   m_l + hpt.query(i_a, s_l)[0],
+                   m_l + 2.0 * alpha + cyc + hmt.query(s_l, i_b)[0],
+                   m_r + hmt.query(s_r, i_b)[0],
+                   m_r - 2.0 * beta + cyc + hpt.query(i_a, s_r)[0],
+                   m_l + m_r + min(0.0, cyc - 2.0 * (beta - alpha)))
 
     def evaluate(self, alpha, beta):
         """Exact diam(T + pq) for backbone arcs alpha and beta.

@@ -307,13 +307,14 @@ class _Engine:
     def _to_base(self, frame, a, b):
         return (a, b) if frame is self.cat else self._mirror(frame, a, b)[1:]
 
-    def emit(self, kind, phase, frame, a, b, fv, payload=()):
+    def emit(self, kind, phase, frame, fv, payload=()):
         if len(self.events) >= self.event_cap:
             return
-        ab, bb = self._to_base(frame, a, b)
-        # Events carry the monitored family value ``fv`` read at (a, b);
-        # the wedge-wedge paths the sweep does not monitor are reconciled
-        # when candidates are re-evaluated exactly.
+        ab, bb = self._to_base(frame, fv.alpha, fv.beta)
+        # Events sit at the placement of ``fv`` and carry the monitored
+        # family value read there; the wedge-wedge paths the sweep does
+        # not monitor are reconciled when candidates are re-evaluated
+        # exactly.
         d = fv.diameter
         if self.events:
             last = self.events[-1]
@@ -342,7 +343,7 @@ class _Engine:
     def _terminal(self, phase, frame, fv, payload, tag):
         """A terminal event at the placement of ``fv``, noted as a
         candidate under ``tag``."""
-        self.emit("terminal", phase, frame, fv.alpha, fv.beta, fv, payload)
+        self.emit("terminal", phase, frame, fv, payload)
         self.note_candidate(frame, fv.alpha, fv.beta, tag)
 
     def note_if_better(self, frame, a, b, dval, tag):
@@ -611,21 +612,19 @@ class _Engine:
                 thr = thresholds[i]
                 tx = itp_root(lambda t: thr - state_at(t).xy, t0, t1,
                               self.eps, thr - d0, thr - fv.xy)
-                self.emit("threshold", "I", cat, *pos(tx), state_at(tx),
-                          (thr,))
+                self.emit("threshold", "I", cat, state_at(tx), (thr,))
                 i += 1
             if kind is not None:
-                self.emit(kind, "I", cat, *pos(t1), fv, payload)
+                self.emit(kind, "I", cat, fv, payload)
             t0 = t1
 
-        a, b = pos(tc)
         if name is None:
             self._terminal("I", cat, fv, ("parked-ab",), "phase1-ab")
             return "ab", t_end
         if name == "delta-floor":
             self._terminal("I", cat, fv, ("delta-floor",), "delta-floor")
             return "delta", tc
-        self.emit("path-state", "I", cat, a, b, fv, (name,))
+        self.emit("path-state", "I", cat, fv, (name,))
         return "tie", tc
 
     # -- the walk shared by phases II and III -----------------------------
@@ -692,16 +691,15 @@ class _Engine:
             for _, fv in states:
                 sig = tuple(fn(fv) > 0 for _, fn in soft)
                 if prev is not None and sig != prev:
-                    self.emit("path-state", phase, frame, fv.alpha, fv.beta,
-                              fv, ("branch-change",))
+                    self.emit("path-state", phase, frame, fv,
+                              ("branch-change",))
                 prev = sig
             fv1 = states[-1][1]
             if dip == "e":
                 fvm = self._interior_min(seg, 0.0, span, lambda fv: fv.e)
                 self.note_candidate(frame, fvm.alpha, fvm.beta,
                                     "interior-min")
-                self.emit("grow-shrink", phase, frame, fvm.alpha,
-                          fvm.beta, fvm, ("e-min",))
+                self.emit("grow-shrink", phase, frame, fvm, ("e-min",))
             elif dip == "d":
                 # The diameter is unimodal between events, so a
                 # golden-section search suffices and also covers shallow
@@ -717,15 +715,15 @@ class _Engine:
                     if law is not None and min(dvals[1:-1],
                                                default=dvals[0]) \
                             < min(dvals[0], dvals[-1]) - self.tol:
-                        self.emit("grow-shrink", phase, frame, fvm.alpha,
-                                  fvm.beta, fvm, ("d-min",))
+                        self.emit("grow-shrink", phase, frame, fvm,
+                                  ("d-min",))
             d1 = d_active(fv1)
             if track is not None:
                 track.append((fv1.alpha, fv1.beta, d1))
             self.note_if_better(frame, fv1.alpha, fv1.beta, d1, "segment-end")
             if at_bp:
                 self.emit("vertex-q" if drive_q else "vertex-p", phase,
-                          frame, fv1.alpha, fv1.beta, fv1, (target,))
+                          frame, fv1, (target,))
             x = target
         return None, x, None
 
@@ -796,7 +794,7 @@ class _Engine:
         if name == "delta-floor":
             self._terminal(phase, frame, fvc, ("delta-floor",), "delta-floor")
             return []
-        self.emit("path-state", phase, frame, ac, bc, fvc, (name,))
+        self.emit("path-state", phase, frame, fvc, (name,))
         if pair == "x-xy" and name == "y-side":
             self.note_if_better(frame, ac, bc, d_active(fvc), "phase2-handoff")
             return [(self.phase3, frame, ac, bc, None, {})]
@@ -990,8 +988,7 @@ class _Engine:
         fv = state_at(a_lo - itp_root(gap, 0.0, width, self.eps,
                                       end_gap(lo, 0.0), end_gap(hi, width)))
         self.note_candidate(frame, fv.alpha, fv.beta, "wedge-crossing")
-        self.emit("path-state", "III", frame, fv.alpha, fv.beta, fv,
-                  ("wedge-crossing",))
+        self.emit("path-state", "III", frame, fv, ("wedge-crossing",))
 
     # -- driver ----------------------------------------------------------
 

@@ -6,9 +6,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treecut import Shortcut, augmented_diameter_value, backbone
-from treecut.caterpillar import NEG, Caterpillar, RangeMax
+import treecut.caterpillar as caterpillar_module
+from treecut import (GeometricTree, Shortcut, augmented_diameter_value,
+                     backbone, optimize)
+from treecut.caterpillar import (_KERNEL_MIN_WEDGES, NEG, Caterpillar,
+                                 RangeMax, _cross_pair_max)
 from treecut.oracle import random_tree, stress_family
 
 
@@ -35,6 +40,16 @@ def test_range_max_matches_brute_force():
                 got = rm.query(lo, hi)
                 assert got == brute_range_max(vals, lo, hi), (n, lo, hi)
                 assert type(got[0]) is float and type(got[1]) is int
+
+
+def test_range_max_gather_matches_query():
+    rng = random.Random(6)
+    for n in (1, 2, 3, 7, 8, 9, 64, 100):
+        vals = [float(rng.randrange(-3, 4)) for _ in range(n)]
+        rm = RangeMax(vals)
+        lo, hi = zip(*[(i, j) for i in range(n + 1) for j in range(i, n + 1)])
+        got = rm.gather(np.array(lo), np.array(hi))
+        assert list(got) == [rm.query(i, j)[0] for i, j in zip(lo, hi)]
 
 
 def test_evaluate_grid_bounded_memory():
@@ -197,3 +212,141 @@ def test_chord_memo_is_exact():
         assert cat.chord(alpha, beta) == math.hypot(xa - xb, ya - yb)
         if rng.random() < 0.2:
             cat.pairs(rng.choice(alphas), beta)
+
+
+def assert_kernel_matches_scan(frame, a, b, scale):
+    # The numpy kernel, called directly, against the Python scan over the
+    # same cycle points.
+    i_a, i_b = frame._in_cycle(a, b)
+    cyc = frame.chord(a, b) + (b - a)
+    got = frame._cross_pairs(a, b, i_a, i_b, cyc)
+    want = _cross_pair_max(frame._cycle_points(a, b, i_a, i_b), cyc,
+                           cyc / 2.0)
+    if want == NEG:
+        assert got == NEG, (a, b)
+    else:
+        assert got == pytest.approx(want, abs=1e-12 * scale), (a, b)
+
+
+def kernel_placements(frame, rng, count):
+    """Random placements, both ends on pendants, p = q on a pendant, and
+    placements that leave one or both end groups empty."""
+    L, t = frame.L, frame.t
+    pts = [(0.0, L), (frame.c_arc, frame.c_arc)]
+    pts += [sorted((rng.uniform(0.0, L), rng.uniform(0.0, L)))
+            for _ in range(count)]
+    pts += [tuple(sorted(rng.sample(t, 2))) for _ in range(count)]
+    pts += [(x, x) for x in rng.sample(t, min(5, frame.k))]
+    pts += [(0.0, x) for x in rng.sample(t, min(5, frame.k))]
+    pts += [(x, L) for x in rng.sample(t, min(5, frame.k))]
+    # Short cycles: a few wedges inside, under the kernel threshold.
+    for _ in range(count):
+        i = rng.randrange(frame.k)
+        j = min(frame.k - 1, i + rng.randrange(1, _KERNEL_MIN_WEDGES))
+        pts.append((t[i] - 1e-3, t[j] + 1e-3))
+    return pts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cross_pair_kernel_matches_the_scan(seed):
+    t = random_tree(seed, 2000, "caterpillar")
+    cat = Caterpillar(t, backbone(t))
+    assert cat.k >= 600
+    rng = random.Random(seed)
+    sizes = set()
+    for frame in (cat, cat.flip()):
+        for a, b in kernel_placements(frame, rng, 40):
+            i_a, i_b = frame._in_cycle(a, b)
+            sizes.add(i_b - i_a >= _KERNEL_MIN_WEDGES)
+            assert_kernel_matches_scan(frame, a, b, t.scale)
+    assert sizes == {False, True}
+
+
+def l_tree():
+    """An L-shaped backbone of quarter-unit edges, legs 8 and 6, with a
+    pendant of height 1/8, 1/4 or 3/8 at every vertex but two at each
+    end.  All arcs and heights are exact, and the chord between the two
+    ends is 10."""
+    bb = [(x / 4, 0.0) for x in range(33)] + [(8.0, y / 4) for y in
+                                              range(1, 25)]
+    coords, edges = dict(enumerate(bb)), [(i - 1, i) for i in
+                                          range(1, len(bb))]
+    for i in range(2, len(bb) - 2):
+        (x, y), h, v = bb[i], (0.125, 0.25, 0.375)[i % 3], len(coords)
+        coords[v] = (x, -h) if y == 0.0 and x < 8.0 else (8.0 + h, y)
+        edges.append((i, v))
+    return GeometricTree(coords, edges)
+
+
+def test_cross_pair_kernel_on_route_ties():
+    # With p and q at the two ends, cyc = 14 + 10 and half = 12: the
+    # wedge pairs 12 apart tie between the tree and the cycle route.
+    # At (2, 9) in one frame the chord is 5, so half = 6, and the end
+    # groups tie with the wedges 6 from them.
+    t = l_tree()
+    cat = Caterpillar(t, backbone(t))
+    assert cat.L == 14.0 and cat.k >= _KERNEL_MIN_WEDGES
+    for frame in (cat, cat.flip()):
+        assert frame.chord(0.0, 14.0) == 10.0
+        assert {0.5, 12.5} <= set(frame.t)
+        pts = [(0.0, 14.0), (2.0, 9.0), (5.0, 12.0), (0.5, 12.5),
+               (0.5, 0.5), (7.0, 7.0), (0.0, 0.0), (14.0, 14.0)]
+        for a, b in pts:
+            assert_kernel_matches_scan(frame, a, b, t.scale)
+    assert 5.0 in (cat.chord(2.0, 9.0), cat.chord(5.0, 12.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 400),
+       st.sampled_from(("uniform", "caterpillar", "balanced")),
+       st.booleans(), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+       st.lists(st.integers(0, 10 ** 6), max_size=4))
+def test_cross_pair_kernel_matches_the_scan_on_random_trees(
+        seed, n, shape, flipped, fracs, picks):
+    t = random_tree(seed, n, shape)
+    cat = Caterpillar(t, backbone(t))
+    frame = cat.flip() if flipped else cat
+    # Placements at the fractions of L, and on the picked pendants.
+    arcs = [f * frame.L for f in fracs]
+    if frame.k:
+        arcs += [frame.t[i % frame.k] for i in picks]
+    for a, b in zip(arcs, arcs[1:] + arcs[:1]):
+        a, b = min(a, b), max(a, b)
+        assert_kernel_matches_scan(frame, a, b, t.scale)
+
+
+def test_pairs_takes_the_kernel_from_the_threshold(monkeypatch):
+    # Every ``pairs`` call with at least _KERNEL_MIN_WEDGES wedges inside
+    # the cycle runs the numpy kernel and every other call the scan: on
+    # the n = 2000 caterpillar both occur, on the small corpus trees only
+    # the scan.
+    pairs, kernel = Caterpillar.pairs, Caterpillar._cross_pairs
+    calls = {"big": 0, "small": 0, "kernel": 0, "scan": 0}
+
+    def counted_pairs(self, alpha, beta):
+        i_a, i_b = self._in_cycle(alpha, beta)
+        calls["big" if i_b - i_a >= _KERNEL_MIN_WEDGES else "small"] += 1
+        return pairs(self, alpha, beta)
+
+    def counted_kernel(self, *args):
+        calls["kernel"] += 1
+        return kernel(self, *args)
+
+    def counted_scan(*args):
+        calls["scan"] += 1
+        return _cross_pair_max(*args)
+
+    monkeypatch.setattr(Caterpillar, "pairs", counted_pairs)
+    monkeypatch.setattr(Caterpillar, "_cross_pairs", counted_kernel)
+    monkeypatch.setattr(caterpillar_module, "_cross_pair_max", counted_scan)
+    optimize(random_tree(0, 2000, "caterpillar"), record_segments=False)
+    assert calls["big"] > 0
+    assert (calls["kernel"], calls["scan"]) == (calls["big"], calls["small"])
+    calls.update(big=0, small=0, kernel=0, scan=0)
+    shapes = ("uniform", "caterpillar", "balanced")
+    for s in range(70):
+        optimize(random_tree(s, (5, 9, 14)[s % 3], shapes[s % 3]),
+                 record_segments=False)
+    assert calls["small"] > 0
+    assert calls == {"big": 0, "small": calls["small"], "kernel": 0,
+                     "scan": calls["small"]}

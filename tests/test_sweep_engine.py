@@ -622,12 +622,12 @@ def test_d_min_events_mark_real_dips(monkeypatch):
         scanned[0] = states
         return hits, states
 
-    def traced_emit(self, kind, phase, frame, a, b, fv=None, payload=()):
+    def traced_emit(self, kind, phase, frame, fv, payload=()):
         if payload == ("d-min",):
             dvals = [actives[-1](state) for _, state in scanned[0]]
             depth = min(dvals[0], dvals[-1]) - min(dvals[1:-1])
             dips.append((self.tree.n, depth / self.tree.tol))
-        return emit(self, kind, phase, frame, a, b, fv, payload)
+        return emit(self, kind, phase, frame, fv, payload)
 
     monkeypatch.setattr(_Engine, "_drive", traced_drive)
     monkeypatch.setattr(_Engine, "_scan", traced_scan)
