@@ -57,8 +57,24 @@ def _read_tree(args) -> GeometricTree:
     tree = load_tree(text)
     scale = getattr(args, "tolerance_scale", None)
     if scale is not None:
-        tree.scale = _positive(scale, "--tolerance-scale")
+        scale = _positive(scale, "--tolerance-scale")
+        if not tree.scale / _SCALE_RANGE <= scale <= tree.scale * _SCALE_RANGE:
+            raise TreecutError(
+                f"--tolerance-scale must be within a factor of "
+                f"{_SCALE_RANGE:g} of the tree's length scale "
+                f"{tree.scale:.6g}, got {scale}")
+        tree.scale = scale
     return tree
+
+
+# How far --tolerance-scale may move the length scale from the tree's own
+# (its bounding-box diagonal).  Above the range the tolerance, 1e-9 of
+# the scale, passes a thousandth of the tree, and snapping within it can
+# put the absolute center on a leaf.  Below it the sweep's finest step,
+# 1e-12 of the scale, falls under 1e-18 of the tree, far below the
+# rounding of the coordinates; further down the root finder's step count
+# and then the step itself leave the float range.
+_SCALE_RANGE = 1e6
 
 
 def _positive(value, flag):
@@ -343,7 +359,8 @@ def _build_parser():
                        help="write JSON here instead of stdout")
         p.add_argument("--tolerance-scale", type=float, default=None,
                        dest="tolerance_scale",
-                       help="override the length scale used for tolerances")
+                       help="override the length scale used for tolerances "
+                            "(within a factor of 1e6 of the tree's own)")
 
     p = sub.add_parser("analyze", help="diameter, center, backbone")
     common(p)

@@ -20,7 +20,14 @@ no phase calls another; each returns the tasks that follow it, and a
 juncture is continued from one balance solve started at the juncture.
 Every motion of phases II and III is one walk, ``_Engine._drive``: drive
 one endpoint across the backbone breakpoints, let a balance equation
-carry the other, and stop at the first event.  Continuous motion is
+carry the other, and stop at the first event.  Every walk keeps one
+named pair of families in balance (``_PAIRS``: x-xy, anti-xy, anti-y or
+x-y), and the diameter it tracks is the larger of that pair.  The walk,
+not its phase, owns the rules they share: it stops on the delta floor
+(the largest B-sub-tree diameter, which no shortcut can shrink),
+with one ``("delta-floor",)`` terminal, and a watch for a family that
+tied where the walk started must clear one entry margin, ``2 tol``, so
+that it does not fire before the motion starts.  Continuous motion is
 realized by root-finding on monotone balance and condition functions
 rather than closed-form trajectories; events are located by sign
 probing, then by ITP root finding (bisection safeguarded by regula falsi)
@@ -39,6 +46,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
+from operator import sub
 
 from .augmented_eval import has_useful_shortcut
 from .caterpillar import Caterpillar, NEG
@@ -106,13 +114,22 @@ def _laws():
 
 SPEED_LAWS = _laws()
 
-# Balance residuals: the named family pair is in balance where g = 0.
-_PAIR_GAP = {
-    "x-xy": lambda fv: fv.fx - fv.xy,
-    "anti-xy": lambda fv: fv.fanti - fv.xy,
-    "anti-y": lambda fv: fv.fanti - fv.fy,
-    "x-y": lambda fv: fv.fx - fv.fy,
+# The family pairs a balance keeps equal, as the two lengths read off a
+# families view.  A balance's residual is their difference, and the
+# diameter a walk tracks is the larger of the two.
+_PAIRS = {
+    "x-xy": lambda fv: (fv.fx, fv.xy),
+    "anti-xy": lambda fv: (fv.fanti, fv.xy),
+    "anti-y": lambda fv: (fv.fanti, fv.fy),
+    "x-y": lambda fv: (fv.fx, fv.fy),
 }
+
+
+def _active(pair):
+    """The diameter a walk balancing ``pair`` tracks: the larger of the
+    pair."""
+    both = _PAIRS[pair]
+    return lambda fv: max(both(fv))
 
 
 def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
@@ -286,6 +303,10 @@ class _Engine:
         self.eps = 1e-12 * tree.scale
         # The residual a balance solve accepts at its guess.
         self.accept = 1e-3 * self.tol
+        # A walk that starts at a juncture starts with the family that
+        # tied there exactly tied.  Its watch must rise past this margin
+        # to fire, so it cannot fire before the motion starts.
+        self.entry = 2.0 * self.tol
         self.record_segments = record_segments
         self.events = []
         self.segments = []
@@ -381,7 +402,7 @@ class _Engine:
             out.add("anti")
         return out
 
-    def _record_lawful(self, phase, frame, states, d_active, sig_fn, law_fn):
+    def _record_lawful(self, phase, frame, states, active, sig_fn, law_fn):
         """Split probe states into constant-signature runs with a law.
 
         A run qualifies when the achieving-path signature is identical at
@@ -398,10 +419,10 @@ class _Engine:
                 continue
             law = law_fn(fvs[len(fvs) // 2])
             if law is None or any(
-                    abs(frame.evaluate(fv.alpha, fv.beta) - d_active(fv))
+                    abs(frame.evaluate(fv.alpha, fv.beta) - active(fv))
                     > 1e-9 * self.tree.scale for fv in (fvs[0], fvs[-1])):
                 continue
-            probes = tuple((fv.alpha, fv.beta, fv.e, d_active(fv))
+            probes = tuple((fv.alpha, fv.beta, fv.e, active(fv))
                            for fv in fvs)
             self.segments.append(
                 MotionSegment(phase, law, frame is not self.cat, probes))
@@ -410,8 +431,8 @@ class _Engine:
 
     def _residual(self, frame, alpha, pair):
         """g(beta) whose root balances the family pair at this alpha."""
-        gap = _PAIR_GAP[pair]
-        return lambda beta: gap(self.families(frame, alpha, beta))
+        both = _PAIRS[pair]
+        return lambda beta: sub(*both(self.families(frame, alpha, beta)))
 
     def balance(self, frame, alpha, warm, pair):
         """Solve for beta keeping the named family pair in balance.
@@ -464,8 +485,8 @@ class _Engine:
         task where the solve stops at a bracket limit short of a root.
         """
         beta = self.balance(frame, a, self._warm(frame, b), pair)
-        if (beta in (max(a, frame.c_arc), frame.L) and abs(
-                _PAIR_GAP[pair](self.families(frame, a, beta))) > self.accept):
+        if (beta in (max(a, frame.c_arc), frame.L)
+                and abs(self._residual(frame, a, pair)(beta)) > self.accept):
             return []
         return [(handler, frame, a, beta, pair, {})]
 
@@ -629,28 +650,43 @@ class _Engine:
 
     # -- the walk shared by phases II and III -----------------------------
 
-    def _drive(self, phase, frame, state_at, x0, end, conds, d_active,
-               drive_q=False, soft=(), law=None, dip=None, track=None,
+    def _antipodal_watch(self, pair):
+        """The antipodal family rising past the entry margin above the
+        diameter of a walk that balances ``pair``."""
+        active, entry = _active(pair), self.entry
+        return ("antipodal", lambda fv: (fv.fanti - active(fv) - entry)
+                if fv.fanti_pendant >= 0 else NEG)
+
+    def _drive(self, phase, frame, state_at, x0, end, conds, pair,
+               drive_q=False, branch_sig=None, law=None, dip=None, track=None,
                warm=None):
         """Drive one endpoint from x0 to end; stop at the first event.
 
         ``state_at(x)`` gives the families with the driven endpoint (p, or
         q when ``drive_q``) at x; the other endpoint follows its balance
         equation or stays put.  The motion is cut at the breakpoints of
-        the frame and each stretch is probed for the conditions ``conds``.
-        Returns (name, x, fv) at the first crossing, else (None, x, None)
-        once x has reached end.
+        the frame and each stretch is probed for the handler's watches
+        ``conds`` and for the delta floor.  Returns (name, x, fv) at the
+        first crossing, else (None, x, None) once x has reached end.
 
-        Along the way the walk reports branch changes of the ``soft``
-        conditions, records the motion segments that obey
-        ``law = (sig_fn, law_fn)``, and seeds a candidate at the minimum
-        inside each stretch (``dip``): of the chord e ("e"), or of the
-        active diameter where a Lipschitz bound on the probes leaves room
-        to beat the best seen ("d"); a walk with a law reports that
+        Every walk shares three rules.  Its diameter is the larger of the
+        family ``pair`` it keeps in balance (``_PAIRS``).  It stops on the
+        delta floor, where that diameter falls to the largest B-sub-tree
+        diameter; the walk then emits the ``("delta-floor",)`` terminal
+        and notes a delta-floor candidate, and nothing follows it.  A
+        watch for a family tied where the walk started subtracts the
+        entry margin ``_Engine.entry``.
+
+        Along the way the walk reports changes of ``branch_sig(fv)``, the
+        branches of the diametral paths, records the motion segments that
+        obey ``law = (sig_fn, law_fn)``, and seeds a candidate at the
+        minimum inside each stretch (``dip``): of the chord e ("e"), or of
+        the walk's diameter where a Lipschitz bound on the probes leaves
+        room to beat the best seen ("d"); a walk with a law reports that
         minimum as a grow-shrink event.  Each stretch ends with a
         segment-end candidate at the state reached there.  The crossing
         and the segment ends are appended to ``track`` as (alpha, beta,
-        active diameter) when a list is given.
+        diameter) when a list is given.
 
         Every stretch is scanned at the same ``PROBES`` points whatever
         the options.  When recording, the segments and, on phase-III
@@ -658,6 +694,9 @@ class _Engine:
         stretch (``_reprobe``); ``warm`` is the ``_WarmStart`` of q's
         balance, when q follows one.
         """
+        active = _active(pair)
+        conds = [*conds, ("delta-floor",
+                          lambda fv: frame.delta + self.tol - active(fv))]
         bps = frame.bps
         sign = 1 if end > x0 else -1
         x = x0
@@ -680,20 +719,20 @@ class _Engine:
                 if diag:
                     self._diag_probe(frame, fine)
                 if record:
-                    self._record_lawful(phase, frame, fine, d_active, *law)
+                    self._record_lawful(phase, frame, fine, active, *law)
             if hits:
                 sc, name = hits[0]
                 fvc = seg(sc)
                 if track is not None:
-                    track.append((fvc.alpha, fvc.beta, d_active(fvc)))
+                    track.append((fvc.alpha, fvc.beta, active(fvc)))
+                if name == "delta-floor":
+                    self._terminal(phase, frame, fvc, (name,), name)
                 return name, x + sign * sc, fvc
-            prev = None
-            for _, fv in states:
-                sig = tuple(fn(fv) > 0 for _, fn in soft)
-                if prev is not None and sig != prev:
+            sigs = [branch_sig(fv) for _, fv in states] if branch_sig else []
+            for (_, fv), prev, sig in zip(states[1:], sigs, sigs[1:]):
+                if sig != prev:
                     self.emit("path-state", phase, frame, fv,
                               ("branch-change",))
-                prev = sig
             fv1 = states[-1][1]
             if dip == "e":
                 fvm = self._interior_min(seg, 0.0, span, lambda fv: fv.e)
@@ -704,12 +743,12 @@ class _Engine:
                 # The diameter is unimodal between events, so a
                 # golden-section search suffices and also covers shallow
                 # dips the probe grid would miss.
-                dvals = [d_active(fv) for _, fv in states]
+                dvals = [active(fv) for _, fv in states]
                 spacing = span / max(len(states) - 1, 1)
                 if min(dvals) - 8.0 * spacing < self.best_seen:
-                    fvm = self._interior_min(seg, 0.0, span, d_active)
+                    fvm = self._interior_min(seg, 0.0, span, active)
                     self.note_if_better(frame, fvm.alpha, fvm.beta,
-                                        d_active(fvm), "interior-min")
+                                        active(fvm), "interior-min")
                     # A dip within tol of the stretch's ends is rounding
                     # on a flat stretch, not a grow-shrink turn.
                     if law is not None and min(dvals[1:-1],
@@ -717,7 +756,7 @@ class _Engine:
                             < min(dvals[0], dvals[-1]) - self.tol:
                         self.emit("grow-shrink", phase, frame, fvm,
                                   ("d-min",))
-            d1 = d_active(fv1)
+            d1 = active(fv1)
             if track is not None:
                 track.append((fv1.alpha, fv1.beta, d1))
             self.note_if_better(frame, fv1.alpha, fv1.beta, d1, "segment-end")
@@ -752,51 +791,37 @@ class _Engine:
         shift, by an x-xy shift with the side family that tied.
         """
         state_at, warm = self._balanced(frame, pair, b0)
+        active = _active(pair)
         if pair == "x-xy":
             phase, dip = "II-x", None
-            d_active = lambda fv: max(fv.fx, fv.xy)
-            # Entering from a juncture can leave the antipodal family
-            # exactly tied; the margin keeps its watch from re-firing
-            # before motion starts.
-            margin = 2.0 * self.tol
-            watch = ("antipodal", lambda fv: (fv.fanti - d_active(fv) - margin)
-                     if fv.fanti_pendant >= 0 else NEG)
+            watch = self._antipodal_watch(pair)
             sig_fn = lambda fv: (fv.fx_branch, fv.fx_pendant, fv.xy_branch)
             law = lambda fv: SPEED_LAWS[("t1", fv.fx_branch)]
         else:
             phase, dip = "II-o", "e"
-            d_active = lambda fv: max(fv.fanti, fv.xy)
-            watch = ("x-side", lambda fv: fv.fx - d_active(fv))
+            watch = ("x-side", lambda fv: fv.fx - active(fv))
             sig_fn = lambda fv: (fv.fanti_pendant, fv.xy_branch)
             law = lambda fv: SPEED_LAWS[("t1", "anti-balance")]
-        conds = [
-            ("y-side", lambda fv: fv.fy - d_active(fv)),
-            ("delta-floor", lambda fv: frame.delta + self.tol - d_active(fv)),
-            watch,
-        ]
-        soft = [
-            ("x-branch", lambda fv: -1.0 if fv.fx_branch == "via" else 1.0),
-            ("xy-branch", lambda fv: -1.0 if fv.xy_branch == "via" else 1.0),
-        ]
+        conds = [("y-side", lambda fv: fv.fy - active(fv)), watch]
         law_fn = lambda fv: law(fv) if fv.xy_branch == "via" else None
 
-        state_at(a0)
-        name, _, fvc = self._drive(phase, frame, state_at, a0, 0.0, conds,
-                                   d_active, soft=soft, law=(sig_fn, law_fn),
-                                   dip=dip, warm=warm)
+        name, _, fvc = self._drive(
+            phase, frame, state_at, a0, 0.0, conds, pair,
+            branch_sig=lambda fv: (fv.fx_branch == "via",
+                                   fv.xy_branch == "via"),
+            law=(sig_fn, law_fn), dip=dip, warm=warm)
         if name is None:
             fv = state_at(0.0)
             self._terminal(phase, frame, fv, ("parked-p",), "parked-p")
             if pair == "x-xy" and "y" in self.ties(fv):
                 return [(self.phase3, frame, fv.alpha, fv.beta, None, {})]
             return []
-        ac, bc = fvc.alpha, fvc.beta
         if name == "delta-floor":
-            self._terminal(phase, frame, fvc, ("delta-floor",), "delta-floor")
             return []
+        ac, bc = fvc.alpha, fvc.beta
         self.emit("path-state", phase, frame, fvc, (name,))
         if pair == "x-xy" and name == "y-side":
-            self.note_if_better(frame, ac, bc, d_active(fvc), "phase2-handoff")
+            self.note_if_better(frame, ac, bc, active(fvc), "phase2-handoff")
             return [(self.phase3, frame, ac, bc, None, {})]
         # What is left is a juncture: the antipodal family tied during the
         # x-xy shift, or a side family tied during the anti-xy shift.
@@ -822,31 +847,27 @@ class _Engine:
         shift: the x-y family leaves the diametral set, and the motion
         continues along fanti = fy.  Both drive directions of p are
         explored, toward a and then toward c, each as its own task; q
-        follows from the balance.
+        follows from the balance.  The x-y family is tied at the
+        juncture, so both watches take the entry margin.
         """
-        phase = "II-o"
-
-        def d_active(fv):
-            return max(fv.fanti, fv.fy)
-
-        # The x-y family is exactly tied at the juncture; a small margin
-        # keeps the re-tie watch from firing before the motion starts.
-        margin = 2.0 * self.tol
+        phase, pair = "II-o", "anti-y"
+        active, entry = _active(pair), self.entry
         conds = [
-            ("x-side", lambda fv: fv.fx - d_active(fv) - margin),
-            ("xy-retie", lambda fv: fv.xy - d_active(fv) - margin),
-            ("delta-floor", lambda fv: frame.delta + self.tol - d_active(fv)),
+            ("x-side", lambda fv: fv.fx - active(fv) - entry),
+            ("xy-retie", lambda fv: fv.xy - active(fv) - entry),
         ]
         end = frame.c_arc if toward_c else 0.0
-        state_at, warm = self._balanced(frame, "anti-y", b0)
+        state_at, warm = self._balanced(frame, pair, b0)
         name, alpha, fvc = self._drive(phase, frame, state_at, a0, end,
-                                       conds, d_active, dip="d", warm=warm)
+                                       conds, pair, dip="d", warm=warm)
         # The drive toward c runs after this one's continuations.
         then = [] if toward_c else [
             (self.phase2side, frame, a0, b0, None, {"toward_c": True})]
         if name is None:
             self._terminal(phase, frame, state_at(alpha), ("parked-p",),
                            "parked-p")
+            return then
+        if name == "delta-floor":
             return then
         ac, bc = fvc.alpha, fvc.beta
         self._terminal(phase, frame, fvc, ("corollary-11", name),
@@ -855,13 +876,10 @@ class _Engine:
             # Both side families tie; drop the antipodal family and
             # balance them directly in an out-shift.
             return self._continuation(self.phase3, frame, ac, bc, "x-y") + then
-        if name == "xy-retie":
-            # The x-y family rejoins the y family; drop the antipodal
-            # family and shift toward y.
-            return self._continuation(self.phase2x,
-                                      *self._mirror(frame, ac, bc),
-                                      "x-xy") + then
-        return then
+        # xy-retie: the x-y family rejoins the y family; drop the
+        # antipodal family and shift toward y.
+        return self._continuation(self.phase2x, *self._mirror(frame, ac, bc),
+                                  "x-xy") + then
 
     # -- phase III -------------------------------------------------------
 
@@ -870,7 +888,7 @@ class _Engine:
 
         Phase III ends the branch it runs on: it returns no tasks.
         """
-        phase = "III"
+        phase, pair = "III", "x-y"
         warm = self._warm(frame, b0)
 
         def state_at(alpha):
@@ -879,55 +897,36 @@ class _Engine:
             # otherwise it balances the x-side against the y-side.
             if fv.fx_branch != "tree" or fv.fy_branch != "tree":
                 fv = self.families(frame, alpha,
-                                   self.balance(frame, alpha, warm, "x-y"))
+                                   self.balance(frame, alpha, warm, pair))
             return fv
 
-        def d_active(fv):
-            return max(fv.fx, fv.fy)
-
-        # Entering from a juncture can leave the antipodal family exactly
-        # tied; the margin keeps its watch from re-firing immediately.
-        margin = 2.0 * self.tol
-        conds = [
-            ("antipodal", lambda fv: (fv.fanti - d_active(fv) - margin)
-             if fv.fanti_pendant >= 0 else NEG),
-            ("delta-floor", lambda fv: frame.delta + self.tol - d_active(fv)),
-        ]
-        soft = [
-            ("x-branch-tree", lambda fv: 1.0 if fv.fx_branch == "tree" else -1.0),
-            ("y-branch-tree", lambda fv: 1.0 if fv.fy_branch == "tree" else -1.0),
-        ]
-
+        conds = [self._antipodal_watch(pair)]
         sig_fn = lambda fv: (fv.fx_branch, fv.fx_pendant,
                              fv.fy_branch, fv.fy_pendant)
+        law_fn = lambda fv: SPEED_LAWS[("t2", fv.fx_branch, fv.fy_branch)]
 
-        def law_fn(fv):
-            return SPEED_LAWS[("t2", fv.fx_branch, fv.fy_branch)]
-
-        d0 = d_active(self.families(frame, a0, b0))
+        d0 = _active(pair)(self.families(frame, a0, b0))
         traj = [(a0, b0, d0)]
         self.note_if_better(frame, a0, b0, d0, "phase3-start")
-        name, alpha, fvc = self._drive(phase, frame, state_at, a0, 0.0, conds,
-                                       d_active, soft=soft,
-                                       law=(sig_fn, law_fn), dip="d",
-                                       track=traj, warm=warm)
-        if name is not None:
-            tag = "delta-floor" if name == "delta-floor" else "corollary-11"
-            self._terminal(phase, frame, fvc,
-                           (tag,) if name == "delta-floor" else (tag, name),
-                           tag)
-        else:
+        name, alpha, fvc = self._drive(
+            phase, frame, state_at, a0, 0.0, conds, pair,
+            branch_sig=lambda fv: (fv.fx_branch == "tree",
+                                   fv.fy_branch == "tree"),
+            law=(sig_fn, law_fn), dip="d", track=traj, warm=warm)
+        if name == "antipodal":
+            self._terminal(phase, frame, fvc, ("corollary-11", name),
+                           "corollary-11")
+        elif name is None:
             # p parked; drive q outward to b with p held fixed.
             alpha = max(alpha, 0.0)
             name, _, fvc = self._drive(
                 phase, frame, lambda beta: self.families(frame, alpha, beta),
-                warm.beta, frame.L, conds, d_active, drive_q=True, dip="d",
+                warm.beta, frame.L, conds, pair, drive_q=True, dip="d",
                 track=traj)
-            b_end = frame.L
-            if name is not None:
-                b_end = fvc.beta
+            if name == "antipodal":
                 self._terminal(phase, frame, fvc, ("q-drive", name),
                                "q-drive")
+            b_end = frame.L if fvc is None else fvc.beta
             self._terminal(phase, frame, self.families(frame, alpha, b_end),
                            ("parked-ab",), "phase3-end")
         self._wedge_crossing(frame, traj)

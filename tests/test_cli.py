@@ -361,3 +361,48 @@ def test_render_empty_diagnosis_matches_no_diagnosis(t_forkbent):
                                path_state=frozenset())
     with_empty = render_svg(t_forkbent, diagnosis=empty, decomp=d)
     assert plain == with_empty
+
+
+PATH_TREE = {"vertices": [{"id": i, "x": x, "y": y}
+                          for i, (x, y) in enumerate([(0, 0), (1, 0),
+                                                      (1, 1), (2, 1)])],
+             "edges": [[0, 1], [1, 2], [2, 3]]}
+
+
+@pytest.mark.parametrize("value", ["1e-320", "1e-300", "1e15", "1e308"])
+@pytest.mark.parametrize("cmd", ["analyze", "evaluate", "optimize", "oracle"])
+def test_extreme_tolerance_scale_is_an_answer_or_input_error(
+        tmp_path, capsys, cmd, value):
+    # Far from the tree's own length scale the tolerance either swallows
+    # the tree (the center snapped onto a leaf) or drops out of the float
+    # range (the root finder's bracket count overflowed).
+    argv = [cmd, write_tree_data(tmp_path, PATH_TREE),
+            "--tolerance-scale", value]
+    if cmd == "evaluate":
+        argv += ["--shortcut", json.dumps({"p": {"edge": [0, 1]},
+                                           "q": {"edge": [2, 3]}})]
+    if cmd == "oracle":
+        argv += ["--resolution", "0.5"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 2), err
+    if code == 2:
+        assert "--tolerance-scale" in err
+
+
+@pytest.mark.parametrize("end", [lambda s: s / 1e6, lambda s: s * 1e6],
+                         ids=["low", "high"])
+@pytest.mark.parametrize("coords", [1.0, 1e-300, 1e300])
+def test_tolerance_scale_range_ends_give_answers(tmp_path, capsys, end,
+                                                 coords):
+    # The accepted range is relative to the tree's own scale, so its ends
+    # work for trees of any size.
+    data = random_tree(3, 20, "caterpillar").to_json_data()
+    for v in data["vertices"]:
+        v["x"], v["y"] = v["x"] * coords, v["y"] * coords
+    path = write_tree_data(tmp_path, data)
+    scale = _read_tree(argparse.Namespace(input=path,
+                                          tolerance_scale=None)).scale
+    code, out, err = run_cli(capsys, "optimize", path, "--tolerance-scale",
+                             repr(end(scale)))
+    assert code == 0, err
+    assert json.loads(out)["diameter_after"] > 0.0

@@ -19,7 +19,7 @@ from treecut import smawk
 from treecut.augmented_eval import has_useful_shortcut
 from treecut.caterpillar import NEG, Caterpillar
 from treecut.oracle import grid_search, random_tree
-from treecut.sweep_engine import SPEED_LAWS, _Engine, itp_root
+from treecut.sweep_engine import SPEED_LAWS, _Engine, _active, itp_root
 
 
 def arc_of(cat, point):
@@ -134,6 +134,23 @@ def test_balance_solve_unbalanceable(t_l):
     d = backbone(t_l)
     with pytest.raises(NoRootInBracket):
         balance_solve(t_l, d, ["x-shortcut-y"], 0.2)
+
+
+@pytest.mark.parametrize("path_state, gap", [
+    (["x-shortcut-y", "x-shortcut-wedge"], lambda fv: fv.fx - fv.xy),
+    (["x-shortcut-y", "wedge-interior"], lambda fv: fv.fanti - fv.xy),
+    (["x-tree-wedge", "wedge-shortcut-y"], lambda fv: fv.fx - fv.fy),
+], ids=["x-xy", "anti-xy", "x-y"])
+def test_balance_solve_balances_the_named_pair(path_state, gap):
+    # On this tree the three pairs balance at three different q, where
+    # the other pairs' gaps are at least 0.11 (scale 7.5): a family
+    # swapped in the pair table would miss.
+    t = random_tree(3, 20, "caterpillar")
+    d = backbone(t)
+    p = 0.2 * d.center_arc
+    q = balance_solve(t, d, path_state, p)
+    fv = Caterpillar(t, d).families(p, d.length - q)
+    assert abs(gap(fv)) <= t.tol
 
 
 def test_balance_solve_degenerate_bracket(t_l):
@@ -608,12 +625,12 @@ def test_d_min_events_mark_real_dips(monkeypatch):
     actives, scanned, dips = [], [None], []
     drive, scan, emit = _Engine._drive, _Engine._scan, _Engine.emit
 
-    def traced_drive(self, phase, frame, state_at, x0, end, conds, d_active,
+    def traced_drive(self, phase, frame, state_at, x0, end, conds, pair,
                      *args, **kwargs):
-        actives.append(d_active)
+        actives.append(_active(pair))
         try:
             return drive(self, phase, frame, state_at, x0, end, conds,
-                         d_active, *args, **kwargs)
+                         pair, *args, **kwargs)
         finally:
             actives.pop()
 
@@ -638,3 +655,60 @@ def test_d_min_events_mark_real_dips(monkeypatch):
     assert dips
     flat = [(n, depth) for n, depth in dips if depth <= 1.0]
     assert not flat, flat
+
+
+@pytest.mark.parametrize("seed, frac, walks", [
+    (0, 0.5, {("III", "phase3")}),
+    (1, 0.5, {("II-x", "phase2x")}),
+    (1, 0.9, {("II-o", "phase2x")}),
+    (172, 0.01, {("II-o", "phase2side"), ("II-x", "phase2x")}),
+])
+def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
+    # No corpus tree ends a walk on the delta floor, so raise the floor
+    # between the diameter at the end of phase I and the answer: the
+    # walks after phase I then fall to it.  Every floor stop, whichever
+    # walk makes it, is one ("delta-floor",) terminal and one delta-floor
+    # candidate.
+    t = corpus_tree(seed)
+    after = optimize(t).diameter_after
+    probe = _Engine(t, backbone(t))
+    _, tpos = probe.phase1()
+    c, L = probe.cat.c_arc, probe.cat.L
+    end_of_phase1 = probe.families(probe.cat, max(0.0, c - tpos),
+                                   min(L, c + tpos)).diameter
+    eng = _Engine(t, backbone(t))
+    eng.cat.delta = eng.cat.flip().delta = (
+        after + frac * (end_of_phase1 - after))
+
+    handler, stops, terminals = [None], [], []
+    for name in ("phase2x", "phase2side", "phase3"):
+        def entered(self, *args, _name=name, _run=getattr(_Engine, name),
+                    **kwargs):
+            handler[0] = _name
+            return _run(self, *args, **kwargs)
+        monkeypatch.setattr(_Engine, name, entered)
+    drive, terminal = _Engine._drive, _Engine._terminal
+
+    def traced_drive(self, phase, *args, **kwargs):
+        out = drive(self, phase, *args, **kwargs)
+        if out[0] == "delta-floor":
+            stops.append((phase, handler[0]))
+        return out
+
+    def traced_terminal(self, phase, frame, fv, payload, tag):
+        terminals.append((payload, tag))
+        return terminal(self, phase, frame, fv, payload, tag)
+
+    monkeypatch.setattr(_Engine, "_drive", traced_drive)
+    monkeypatch.setattr(_Engine, "_terminal", traced_terminal)
+    eng.run()
+    assert set(stops) == walks
+    floor = [(payload, tag) for payload, tag in terminals
+             if "delta-floor" in payload + (tag,)]
+    assert floor == [(("delta-floor",), "delta-floor")] * len(stops)
+    assert sum(tag == "delta-floor" for *_, tag in eng.candidates) \
+        == len(stops)
+    # ``emit`` merges a repeated terminal at one placement, so the trace
+    # can hold fewer, all with the one label.
+    assert {ev.payload for ev in eng.events
+            if "delta-floor" in ev.payload} == {("delta-floor",)}
