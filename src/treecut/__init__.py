@@ -37,6 +37,7 @@ from .errors import (
     ParseError,
     PointsNotOnTree,
     ResolutionTooCoarse,
+    ResolutionTooFine,
     TreecutError,
     ZeroLengthEdge,
 )

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diameter_core import BackboneDecomposition, backbone
+from .diameter_core import BackboneDecomposition, _attachment, backbone
 from .tree_model import (
     GeometricTree,
     Shortcut,
@@ -95,35 +95,23 @@ def _leaf_classes(tree, decomp):
     A leaf's group is the backbone vertex its B-sub-tree hangs from or,
     on a point backbone, the centre's neighbour on the way to it.
     """
+    roots = decomp.backbone_ids
     if decomp.is_point:
-        cid = decomp.backbone_ids[0]
-        roots = [nb for (nb, _) in tree.adj[cid]]
-        root_of = {cid: None}
-    else:
-        roots = decomp.backbone_ids
-        root_of = {}
-    root_of.update((v, v) for v in roots)
-    stack = list(roots)
-    while stack:
-        w = stack.pop()
-        for (nb, _) in tree.adj[w]:
-            if nb not in root_of:
-                root_of[nb] = root_of[w]
-                stack.append(nb)
+        roots += tuple(nb for (nb, _) in tree.adj[roots[0]])
+    at = _attachment(tree, roots)
     if decomp.is_point:
-        x_root = root_of[cid] = root_of[decomp.x_leaf]
-        y_root = root_of[decomp.y_leaf]
+        x_root, y_root = at[decomp.x_leaf], at[decomp.y_leaf]
     else:
-        x_root, y_root = decomp.backbone_ids[0], decomp.backbone_ids[-1]
+        x_root, y_root = 0, len(roots) - 1
     classes = {}
     for lv in tree.leaves():
-        r = root_of[lv]
+        r = at[lv]
         if r == x_root:
             classes[lv] = ("x", "X")
         elif r == y_root:
             classes[lv] = ("y", "Y")
         else:
-            classes[lv] = ("wedge", ("S", r))
+            classes[lv] = ("wedge", ("S", roots[r]))
     return classes
 
 

@@ -21,6 +21,7 @@ from .sweep_engine import optimize
 from .tree_model import (
     GeometricTree,
     Shortcut,
+    check_scale,
     load_tree,
     parse_tree_point,
     point_coordinates,
@@ -63,7 +64,7 @@ def _read_tree(args) -> GeometricTree:
                 f"--tolerance-scale must be within a factor of "
                 f"{_SCALE_RANGE:g} of the tree's length scale "
                 f"{tree.scale:.6g}, got {scale}")
-        tree.scale = scale
+        tree.scale = check_scale(scale, "--tolerance-scale")
     return tree
 
 

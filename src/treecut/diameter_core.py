@@ -1,6 +1,11 @@
 """Continuous diameter, absolute center, and backbone decomposition.
 
-The backbone of a tree is the intersection of all diametral paths.  The
+The backbone of a tree is the intersection of all diametral paths.  Every
+diametral path runs through the center and so shares a stretch with the
+double sweep's pole path u1-u2: the backbone is the stretch of the pole
+path between the points, one on each side of the center, where the
+diametral leaves nearest to it hang from the path.  A diametral leaf
+hanging at the center vertex itself makes the backbone that point.  The
 sub-trees hanging off the backbone (the B-sub-trees) are summarized by
 their attachment arc, height, and diameter; this compressed caterpillar
 view is what the shortcut search operates on.
@@ -128,6 +133,20 @@ def _walk(tree: GeometricTree, root: int, blocked, gate=None) -> dict:
     return dist
 
 
+def _attachment(tree: GeometricTree, path) -> dict:
+    """The index in ``path`` of the path vertex each vertex hangs from:
+    one multi-source walk that does not cross the path."""
+    at = {v: i for i, v in enumerate(path)}
+    stack = list(path)
+    while stack:
+        w = stack.pop()
+        for (nb, _) in tree.adj[w]:
+            if nb not in at:
+                at[nb] = at[w]
+                stack.append(nb)
+    return at
+
+
 def continuous_diameter(tree: GeometricTree) -> DiameterResult:
     """Largest network distance between any two points of the tree.
 
@@ -199,7 +218,13 @@ def _hanging_subtree(tree, root, backbone_set):
 
 
 def backbone(tree: GeometricTree) -> BackboneDecomposition:
-    """Backbone endpoints, center, B-sub-trees, delta, and h-hat."""
+    """Backbone endpoints, center, B-sub-trees, delta, and h-hat.
+
+    The backbone is the pole path u1-u2 from a, the last vertex below
+    the center where a diametral leaf hangs, to b, the first one above
+    it; a is on u1's side.  It is the center alone when a diametral leaf
+    hangs at the center vertex.
+    """
     if tree.n == 1:
         vid = next(iter(tree.coords))
         p = TreePoint.at_vertex(vid)
@@ -209,50 +234,26 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
             center=p, center_arc=0.0, h_x=0.0, h_y=0.0, x_leaf=vid, y_leaf=vid,
             secondary=(), delta=0.0, h_max_secondary=0.0, diameter=0.0)
 
-    tol = tree.tol
     u1, u2, d1, d2 = _poles(tree)
     diam = d1[u2]
-    ecc = {v: max(d1[v], d2[v]) for v in tree.coords}
-    eleaves = [v for v in tree.leaves() if ecc[v] >= diam - tol]
-
     pole_path = vertex_path(tree, u1, u2)
     center = _locate_on_vertex_path(tree, pole_path, diam / 2.0)
-
-    # Group the diametral leaves by the branch in which they leave c.
+    # k is the center's index on the pole path, a half-integer inside an
+    # edge.
+    at = _attachment(tree, pole_path)
     if center.is_vertex:
-        cid = center.vertex_id()
-        branch_of = {}
-        for (sr, _) in tree.adj[cid]:
-            for w in _walk(tree, sr, {cid}):
-                branch_of[w] = sr
-        groups = {}
-        for lv in eleaves:
-            groups.setdefault(branch_of[lv], []).append(lv)
+        k = at[center.vertex_id()]
     else:
-        cu, cv = center.u, center.v
-        comp_u = _walk(tree, cu, {cv})
-        groups = {}
-        for lv in eleaves:
-            groups.setdefault(cu if lv in comp_u else cv, []).append(lv)
-
-    active = [g for g in groups.values() if g]
-    if len(active) >= 3:
-        # Three or more diametral directions: the intersection of all
-        # diametral paths degenerates to the center, which is a vertex.
-        cid = center.vertex_id()
-        return _point_backbone(tree, cid, diam)
-
-    # Exactly two directions; find the split vertex on each side.
-    (root_a, leaves_a), (root_b, leaves_b) = sorted(
-        ((r, g) for r, g in groups.items() if g), key=lambda it: it[0])
-    a_id = _split_vertex(tree, center, root_a, leaves_a)
-    b_id = _split_vertex(tree, center, root_b, leaves_b)
-
-    # Orient so that the first diametral leaf found (u1) is on the a side.
-    if u1 in set(leaves_b):
-        a_id, b_id = b_id, a_id
-
-    bpath = vertex_path(tree, a_id, b_id)
+        k = (at[center.u] + at[center.v]) / 2.0
+    hang = {at[v] for v in tree.leaves()
+            if max(d1[v], d2[v]) >= diam - tree.tol}
+    if k in hang:
+        # A third diametral direction leaves at the center vertex: the
+        # intersection of all diametral paths is the center alone.
+        return _point_backbone(tree, center.vertex_id(), diam)
+    bpath = pole_path[max(i for i in hang if i < k):
+                      min(i for i in hang if i > k) + 1]
+    a_id, b_id = bpath[0], bpath[-1]
     backbone_set = set(bpath)
     arcs = [0.0]
     for u, v in zip(bpath, bpath[1:]):
@@ -277,7 +278,7 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
     pa, pb = TreePoint.at_vertex(a_id), TreePoint.at_vertex(b_id)
     ax, ay = tree.coords[a_id]
     bx, by = tree.coords[b_id]
-    straight = math.hypot(ax - bx, ay - by) >= length - tol
+    straight = math.hypot(ax - bx, ay - by) >= length - tree.tol
     trace = PathTrace(tuple(TreePoint.at_vertex(v) for v in bpath), length)
     return BackboneDecomposition(
         a=pa, b=pb, backbone_path=trace, backbone_ids=tuple(bpath),
@@ -286,42 +287,6 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
         h_x=h_x, h_y=h_y, x_leaf=x_leaf, y_leaf=y_leaf,
         secondary=tuple(secondary), delta=delta, h_max_secondary=h_hat,
         diameter=diam)
-
-
-def _split_vertex(tree, center, side_root, side_leaves):
-    """Deepest vertex through which every diametral path of one side runs."""
-    target = set(side_leaves)
-    if center.is_vertex:
-        blocked = {center.vertex_id()}
-    else:
-        blocked = {center.u if side_root == center.v else center.v}
-    # Parent structure of the side component, rooted at side_root.
-    parent = {side_root: None}
-    order = [side_root]
-    stack = [side_root]
-    while stack:
-        w = stack.pop()
-        for (nb, _) in tree.adj[w]:
-            if nb in blocked or nb in parent:
-                continue
-            parent[nb] = w
-            order.append(nb)
-            stack.append(nb)
-    cnt = {v: (1 if v in target else 0) for v in parent}
-    for w in reversed(order):
-        if parent[w] is not None:
-            cnt[parent[w]] += cnt[w]
-    total = cnt[side_root]
-    v = side_root
-    while True:
-        if v in target:
-            return v
-        heirs = [nb for (nb, _) in tree.adj[v]
-                 if parent.get(nb) == v and cnt[nb] == total]
-        if len(heirs) == 1 and (1 if v in target else 0) == 0:
-            v = heirs[0]
-        else:
-            return v
 
 
 def _point_backbone(tree, cid, diam):

@@ -37,5 +37,9 @@ class ResolutionTooCoarse(TreecutError):
     """The grid resolution is too coarse relative to the tree diameter."""
 
 
+class ResolutionTooFine(TreecutError):
+    """The grid resolution is too fine relative to the tree diameter."""
+
+
 class EmptyMatrix(TreecutError):
     """Row-maxima search on a matrix with no rows or no columns."""

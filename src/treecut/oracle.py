@@ -24,7 +24,7 @@ from .augmented_eval import (
 )
 from .caterpillar import Caterpillar
 from .diameter_core import backbone, continuous_diameter
-from .errors import ResolutionTooCoarse
+from .errors import ResolutionTooCoarse, ResolutionTooFine
 from .tree_model import (
     GeometricTree,
     Shortcut,
@@ -58,6 +58,15 @@ def _arc_grid(lo, hi, h):
     return vals
 
 
+# Finest grid: 4096 steps across the diameter, the counterpart of the
+# coarsest, 4.  Each arc gets about arc / resolution placements and no
+# arc is longer than the diameter, so the floor bounds the grid before
+# it is built: at most 2049 x 2049 placements on the backbone halves and
+# 4097 per edge on the full tree.  The grid is a brute-force reference,
+# and without the floor a resolution of 1e-300 asks for 1e300 per edge.
+_FINEST_STEPS = 4096
+
+
 def grid_search(tree: GeometricTree, resolution: float,
                 restrict_to_backbone: bool = True) -> GridResult:
     """Minimize diam(T+pq) over an arc-length grid of placements.
@@ -73,6 +82,10 @@ def grid_search(tree: GeometricTree, resolution: float,
     if resolution > diam / 4.0:
         raise ResolutionTooCoarse(
             f"resolution {resolution} exceeds a quarter of the diameter {diam}")
+    if resolution < diam / _FINEST_STEPS:
+        raise ResolutionTooFine(
+            f"resolution {resolution} is finer than the diameter {diam} "
+            f"over {_FINEST_STEPS}; raise --resolution")
     if restrict_to_backbone:
         return _grid_restricted(tree, decomp, resolution)
     return _grid_full(tree, decomp, resolution)

@@ -33,6 +33,7 @@ __all__ = [
     "euclidean_distance",
     "tree_path",
     "distances_from",
+    "check_scale",
 ]
 
 # Fraction below which a lambda is snapped onto the adjacent vertex.
@@ -103,6 +104,22 @@ class PathTrace:
     length: float
 
 
+def check_scale(scale: float, name: str) -> float:
+    """``scale`` if every length derived from it is a positive float.
+
+    Every tolerance derives from the length scale, and the finest is the
+    sweep's step, 1e-12 of it.  A scale that overflows, or at which that
+    step underflows to 0, leaves the root finder without a step.
+    """
+    if not math.isfinite(scale):
+        raise ParseError(f"{name} overflows: the coordinates are too far "
+                         f"apart")
+    if 1e-12 * scale == 0.0:
+        raise ParseError(f"{name}, {scale!r}, is too small: 1e-12 of it, "
+                         f"the sweep's finest step, underflows to 0")
+    return scale
+
+
 class GeometricTree:
     """Connected acyclic straight-line network; immutable after construction."""
 
@@ -125,11 +142,10 @@ class GeometricTree:
         xs = [c[0] for c in self.coords.values()]
         ys = [c[1] for c in self.coords.values()]
         # Global length scale: diagonal of the bounding box (at least 1 edge).
-        self.scale = max(math.hypot(max(xs) - min(xs), max(ys) - min(ys)),
-                         max(self.edge_length.values(), default=1.0))
-        if not math.isfinite(self.scale):
-            raise ParseError("coordinates too far apart: the length scale "
-                             "of the tree overflows")
+        self.scale = check_scale(
+            max(math.hypot(max(xs) - min(xs), max(ys) - min(ys)),
+                max(self.edge_length.values(), default=1.0)),
+            "the length scale of the tree")
 
     @property
     def tol(self) -> float:

@@ -369,6 +369,25 @@ PATH_TREE = {"vertices": [{"id": i, "x": x, "y": y}
              "edges": [[0, 1], [1, 2], [2, 3]]}
 
 
+def scaled_path_tree(s):
+    """PATH_TREE with every coordinate multiplied by ``s``."""
+    return {"vertices": [{**v, "x": v["x"] * s, "y": v["y"] * s}
+                         for v in PATH_TREE["vertices"]],
+            "edges": PATH_TREE["edges"]}
+
+
+def command_argv(cmd, path, resolution):
+    """``cmd`` on a PATH_TREE document at ``path``: evaluate gets a fixed
+    shortcut and oracle the grid ``resolution``."""
+    argv = [cmd, path]
+    if cmd == "evaluate":
+        argv += ["--shortcut", json.dumps({"p": {"edge": [0, 1]},
+                                           "q": {"edge": [2, 3]}})]
+    if cmd == "oracle":
+        argv += ["--resolution", repr(resolution)]
+    return argv
+
+
 @pytest.mark.parametrize("value", ["1e-320", "1e-300", "1e15", "1e308"])
 @pytest.mark.parametrize("cmd", ["analyze", "evaluate", "optimize", "oracle"])
 def test_extreme_tolerance_scale_is_an_answer_or_input_error(
@@ -376,14 +395,8 @@ def test_extreme_tolerance_scale_is_an_answer_or_input_error(
     # Far from the tree's own length scale the tolerance either swallows
     # the tree (the center snapped onto a leaf) or drops out of the float
     # range (the root finder's bracket count overflowed).
-    argv = [cmd, write_tree_data(tmp_path, PATH_TREE),
-            "--tolerance-scale", value]
-    if cmd == "evaluate":
-        argv += ["--shortcut", json.dumps({"p": {"edge": [0, 1]},
-                                           "q": {"edge": [2, 3]}})]
-    if cmd == "oracle":
-        argv += ["--resolution", "0.5"]
-    code, _, err = run_cli(capsys, *argv)
+    argv = command_argv(cmd, write_tree_data(tmp_path, PATH_TREE), 0.5)
+    code, _, err = run_cli(capsys, *argv, "--tolerance-scale", value)
     assert code in (0, 2), err
     if code == 2:
         assert "--tolerance-scale" in err
@@ -406,3 +419,48 @@ def test_tolerance_scale_range_ends_give_answers(tmp_path, capsys, end,
                              repr(end(scale)))
     assert code == 0, err
     assert json.loads(out)["diameter_after"] > 0.0
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-310, 1e-312, 5e-324])
+@pytest.mark.parametrize("cmd", ["analyze", "evaluate", "optimize", "oracle"])
+def test_subnormal_coordinates_are_an_answer_or_input_error(
+        tmp_path, capsys, cmd, s):
+    # Below a length scale of about 2.5e-312 the sweep's finest step,
+    # 1e-12 of the scale, underflows to 0; such trees are rejected when
+    # they are read, by every command alike.
+    path = write_tree_data(tmp_path, scaled_path_tree(s))
+    code, out, err = run_cli(capsys, *command_argv(cmd, path, s / 2))
+    if s >= 1e-310:
+        assert code == 0, err
+        assert json.loads(out)
+    else:
+        assert code == 2, err
+        assert "underflows" in err
+
+
+@pytest.mark.parametrize("value, code", [("2.4e-312", 2), ("2.5e-312", 0)])
+@pytest.mark.parametrize("cmd", ["analyze", "evaluate", "optimize", "oracle"])
+def test_tolerance_scale_whose_step_underflows_is_input_error(
+        tmp_path, capsys, cmd, value, code):
+    # Inside the accepted range of the tree's scale (about 2.2e-306 here),
+    # but 1e-12 of 2.4e-312 rounds to 0 while 1e-12 of 2.5e-312 does not.
+    path = write_tree_data(tmp_path, scaled_path_tree(1e-306))
+    argv = command_argv(cmd, path, 0.5e-306) + ["--tolerance-scale", value]
+    got, _, err = run_cli(capsys, *argv)
+    assert got == code, err
+    if code == 2:
+        assert "--tolerance-scale" in err
+
+
+@pytest.mark.parametrize("restrict", [[], ["--restrict-backbone"]],
+                         ids=["full", "backbone"])
+def test_oracle_resolution_finer_than_the_floor_is_input_error(
+        tmp_path, capsys, t_l, restrict):
+    # Rejected before any placement is built: 1e-300 would ask for about
+    # 1e300 placements per edge.
+    path = write_tree(tmp_path, t_l)
+    code, out, err = run_cli(capsys, "oracle", path, "--resolution",
+                             "1e-300", *restrict)
+    assert code == 2
+    assert not out
+    assert "--resolution" in err

@@ -1,14 +1,22 @@
 import math
+import random
 
 import pytest
 
 from treecut import (
+    GeometricTree,
     absolute_center,
     backbone,
     continuous_diameter,
     point_coordinates,
 )
-from treecut.oracle import dense_sample_diameter, random_tree
+from treecut.oracle import (
+    dense_sample_diameter,
+    point_backbone_tree,
+    random_tree,
+    straight_backbone_tree,
+)
+from treecut.tree_model import vertex_path
 
 
 def test_diameter_l(t_l):
@@ -78,7 +86,6 @@ def test_backbone_forkbent(t_forkbent):
 
 
 def test_backbone_straight_line():
-    from treecut import GeometricTree
     t = GeometricTree({0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)},
                       [(0, 1), (1, 2)])
     d = backbone(t)
@@ -131,3 +138,74 @@ def test_reversed_decomposition_reads_from_b():
     assert [s.arc for s in r.secondary] == pytest.approx(
         [d.length - s.arc for s in d.secondary[::-1]])
     assert r.reversed().arcs == pytest.approx(d.arcs)
+
+
+_LATTICE_STEPS = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (2, 0), (0, 2))
+
+
+def lattice_tree(seed, n):
+    """Integer-lattice tree: each new vertex is one step from a random
+    earlier vertex, onto a point not used yet.  Equal path lengths, and
+    so ties between diametral paths, are common."""
+    rng = random.Random(("lattice", seed, n).__repr__())
+    coords = {0: (0.0, 0.0)}
+    edges = []
+    while len(coords) < n:
+        parent = rng.randrange(len(coords))
+        dx, dy = rng.choice(_LATTICE_STEPS)
+        x, y = coords[parent][0] + dx, coords[parent][1] + dy
+        if (x, y) not in coords.values():
+            edges.append((parent, len(coords)))
+            coords[len(coords)] = (x, y)
+    return GeometricTree(coords, edges)
+
+
+def star_tree(seed, arms):
+    """``arms`` equally long arms from a hub at 0, plus up to two
+    shorter ones; the arms are straight, some split into segments."""
+    rng = random.Random(("star", seed, arms).__repr__())
+    reach = rng.uniform(1.0, 4.0)
+    total = arms + rng.randrange(3)
+    coords = {0: (0.0, 0.0)}
+    edges = []
+    for k in range(total):
+        ang = 2.0 * math.pi * k / total + rng.uniform(-0.2, 0.2)
+        r = reach if k < arms else reach * rng.uniform(0.2, 0.9)
+        segs = rng.randint(1, 3)
+        prev = 0
+        for s in range(1, segs + 1):
+            coords[len(coords)] = (r * s / segs * math.cos(ang),
+                                   r * s / segs * math.sin(ang))
+            edges.append((prev, len(coords) - 1))
+            prev = len(coords) - 1
+    return GeometricTree(coords, edges)
+
+
+def definition_trees():
+    """The trees on which the backbone is checked against its definition."""
+    for s in range(300):
+        for shape in ("uniform", "caterpillar", "balanced"):
+            yield random_tree(s, 2 + s % 60, shape)
+    for s in range(200):
+        yield lattice_tree(s, 2 + s % 40)
+    for s in range(10):
+        for arms in (3, 4, 5, 6):
+            yield star_tree(s, arms)
+    for s in range(20):
+        yield straight_backbone_tree(s, 2 + s % 12)
+        yield point_backbone_tree(s, 4 + s % 12)
+
+
+def test_backbone_is_the_intersection_of_all_diametral_paths():
+    points = checked = 0
+    for t in definition_trees():
+        pairs = continuous_diameter(t).diametral_leaf_pairs
+        common = set.intersection(*(set(vertex_path(t, u, v))
+                                    for u, v in pairs))
+        d = backbone(t)
+        assert set(d.backbone_ids) == common, t.to_json_data()
+        assert d.is_point == (len(common) == 1)
+        points += d.is_point
+        checked += 1
+    assert checked == 1180
+    assert points >= 60

@@ -5,6 +5,7 @@ import pytest
 
 from treecut import (
     ResolutionTooCoarse,
+    ResolutionTooFine,
     Shortcut,
     TreePoint,
     backbone,
@@ -79,6 +80,15 @@ def test_grid_search_rejects_coarse_resolution(t_l):
         grid_search(t_l, 10.0)
     with pytest.raises(ValueError):
         grid_search(t_l, -1.0)
+
+
+@pytest.mark.parametrize("restrict", [True, False], ids=["backbone", "full"])
+def test_grid_search_rejects_fine_resolution(t_l, restrict):
+    # The floor is the diameter (2) over 4096; both values are rejected
+    # before any placement is built.
+    for h in (1e-300, 2.0 / 4097):
+        with pytest.raises(ResolutionTooFine, match="--resolution"):
+            grid_search(t_l, h, restrict_to_backbone=restrict)
 
 
 def test_dense_sample_diameter_plain(t_l):

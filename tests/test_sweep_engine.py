@@ -188,6 +188,7 @@ def test_speed_law_table_shapes():
 
 def test_recorded_segments_obey_their_law():
     checked = 0
+    laws = set()
     for seed in range(60):
         if checked >= 25:
             break
@@ -207,8 +208,13 @@ def test_recorded_segments_obey_their_law():
                 pred = sg.law.ddiam(drv, de)
                 assert pred == pytest.approx(d0 - d1,
                                              abs=1e-6 * max(1.0, d0))
+                # p is the driven end; the law's dq is how far q trails.
+                assert sg.law.dq(abs(a1 - a0), de) == pytest.approx(
+                    abs(b1 - b0), abs=1e-6 * max(1.0, d0))
+            laws.add(sg.law.name)
             checked += 1
     assert checked >= 20
+    assert len(laws) >= 5
 
 
 def test_blocked_at_optimum():
