@@ -112,7 +112,16 @@ class RangeMax:
 
 @dataclass
 class FamilyView:
-    """Candidate-family values of the monitored diametral-path families."""
+    """Candidate-family values of the monitored diametral-path families.
+
+    Each ``*_db`` is the slope in beta, at fixed alpha, of its family's
+    winning term.  That term is affine in beta, with slope 0, +-1/2 or
+    +-1, plus 0, 1/2 or 1 times the chord e, so its slope adds the same
+    multiple of de/dbeta.  The slope holds while the branches, the
+    argmax pendants and the backbone edge under q stay as they are.  It
+    is NaN where the chord is 0, and ``fanti_db`` also where there is no
+    pendant.
+    """
 
     alpha: float
     beta: float
@@ -133,6 +142,10 @@ class FamilyView:
     fanti: float
     fanti_pendant: int
     diameter: float         # max of the above and delta
+    xy_db: float
+    fx_db: float
+    fy_db: float
+    fanti_db: float
 
 
 class Caterpillar:
@@ -150,6 +163,13 @@ class Caterpillar:
         self.ids = list(decomp.backbone_ids)
         self.xs = [tree.coords[v][0] for v in self.ids]
         self.ys = [tree.coords[v][1] for v in self.ids]
+        # Unit direction of each backbone edge [arcs[i], arcs[i + 1]]; an
+        # edge too short to move the arc is never under q.
+        self._ux, self._uy = [], []
+        for i in range(len(self.ids) - 1):
+            span = self.arcs[i + 1] - self.arcs[i] or math.inf
+            self._ux.append((self.xs[i + 1] - self.xs[i]) / span)
+            self._uy.append((self.ys[i + 1] - self.ys[i]) / span)
         sec = sorted(decomp.secondary, key=lambda s: s.arc)
         self.t = [s.arc for s in sec]
         self.h = [s.height for s in sec]
@@ -191,23 +211,40 @@ class Caterpillar:
 
     def embed(self, arc):
         """Planar coordinates of the backbone point at the given arc."""
+        return self._locate(arc)[:2]
+
+    def _locate(self, arc):
+        """(x, y, i): the backbone point at ``arc`` and the edge i,
+        [arcs[i], arcs[i + 1]], that holds it; the last edge at L, and -1
+        on a backbone without edges."""
         arc = min(max(arc, 0.0), self.L)
         i = bisect_right(self.arcs, arc) - 1
         if i >= len(self.arcs) - 1:
-            return self.xs[-1], self.ys[-1]
+            return self.xs[-1], self.ys[-1], i - 1
         span = self.arcs[i + 1] - self.arcs[i]
         lam = (arc - self.arcs[i]) / span
         return ((1 - lam) * self.xs[i] + lam * self.xs[i + 1],
-                (1 - lam) * self.ys[i] + lam * self.ys[i + 1])
+                (1 - lam) * self.ys[i] + lam * self.ys[i + 1], i)
 
     def chord(self, alpha, beta):
+        return self._chord(alpha, beta)[0]
+
+    def _chord(self, alpha, beta):
+        """The chord e = |pq| and its slope de/dbeta at fixed alpha.
+
+        The slope is (Q - P).u / e, with u the unit direction of the edge
+        that holds q, and NaN where e = 0.
+        """
         if alpha == self._alpha_at[0]:
             xa, ya = self._alpha_at[1]
         else:
-            xa, ya = self.embed(alpha)
+            xa, ya, _ = self._locate(alpha)
             self._alpha_at = (alpha, (xa, ya))
-        xb, yb = self.embed(beta)
-        return math.hypot(xa - xb, ya - yb)
+        xb, yb, i = self._locate(beta)
+        e = math.hypot(xa - xb, ya - yb)
+        if e == 0.0:
+            return e, math.nan
+        return e, ((xb - xa) * self._ux[i] + (yb - ya) * self._uy[i]) / e
 
     def arc_to_treepoint(self, arc):
         from .tree_model import TreePoint
@@ -222,8 +259,9 @@ class Caterpillar:
     # -- candidate families ---------------------------------------------
 
     def families(self, alpha, beta):
-        """Exact values of the monitored diametral-path families at (p, q)."""
-        e = self.chord(alpha, beta)
+        """Exact values of the monitored diametral-path families at (p, q),
+        with their slopes in beta."""
+        e, de = self._chord(alpha, beta)
         darc = beta - alpha
         cyc = e + darc
         half = cyc / 2.0
@@ -237,9 +275,9 @@ class Caterpillar:
 
         xy_via = self.h_x + alpha + e + (self.L - beta) + self.h_y
         if xy_via < self.diam_t:
-            xy, xy_branch = xy_via, "via"
+            xy, xy_branch, xy_db = xy_via, "via", de - 1.0
         else:
-            xy, xy_branch = self.diam_t, "tree"
+            xy, xy_branch, xy_db = self.diam_t, "tree", 0.0
 
         # x-side family: min(tree, via) per pendant, plus x's antipodal.
         fx_anti = self.h_x + alpha + half
@@ -249,12 +287,13 @@ class Caterpillar:
         v2 = v2 + self.h_x + alpha + e + beta
         v3, a3 = self.rm_hpt.query(i_b, self.k)      # via: t >= beta
         v3 = v3 + self.h_x + alpha + e - beta
-        fx_via, fx_via_p = (v2, a2) if v2 >= v3 else (v3, a3)
-        fx, fx_branch, fx_p = fx_anti, "anti", -1
+        fx_via, fx_via_p, fx_via_db = ((v2, a2, 1.0 + de) if v2 >= v3
+                                       else (v3, a3, de - 1.0))
+        fx, fx_branch, fx_p, fx_db = fx_anti, "anti", -1, 0.5 * (1.0 + de)
         if fx_tree > fx:
-            fx, fx_branch, fx_p = fx_tree, "tree", fx_tree_p
+            fx, fx_branch, fx_p, fx_db = fx_tree, "tree", fx_tree_p, 0.0
         if fx_via > fx:
-            fx, fx_branch, fx_p = fx_via, "via", fx_via_p
+            fx, fx_branch, fx_p, fx_db = fx_via, "via", fx_via_p, fx_via_db
 
         # y-side family, mirrored.
         fy_anti = self.h_y + (self.L - beta) + half
@@ -265,23 +304,24 @@ class Caterpillar:
         v3, a3 = self.rm_hmt.query(0, i_a)           # via: t <= alpha
         v3 = v3 + self.h_y + (self.L - beta) + e + alpha
         fy_via, fy_via_p = (v2, a2) if v2 >= v3 else (v3, a3)
-        fy, fy_branch, fy_p = fy_anti, "anti", -1
+        fy, fy_branch, fy_p, fy_db = fy_anti, "anti", -1, 0.5 * (de - 1.0)
         if fy_tree > fy:
-            fy, fy_branch, fy_p = fy_tree, "tree", fy_tree_p
+            fy, fy_branch, fy_p, fy_db = fy_tree, "tree", fy_tree_p, 0.0
         if fy_via > fy:
-            fy, fy_branch, fy_p = fy_via, "via", fy_via_p
+            fy, fy_branch, fy_p, fy_db = fy_via, "via", fy_via_p, de - 1.0
 
-        # Pendant-to-antipodal family.
-        fanti, fanti_p = NEG, -1
+        # Pendant-to-antipodal family; a pendant at t <= beta gains half of
+        # q's motion, one past q loses the other half.
+        fanti, fanti_p, fanti_db = NEG, -1, math.nan
         v, a = self.rm_hmt.query(0, i_a)
         if v + alpha > fanti:
-            fanti, fanti_p = v + alpha, a
+            fanti, fanti_p, fanti_db = v + alpha, a, 0.5 * (1.0 + de)
         v, a = self.rm_h.query(i_a, i_b)
         if v > fanti:
-            fanti, fanti_p = v, a
+            fanti, fanti_p, fanti_db = v, a, 0.5 * (1.0 + de)
         v, a = self.rm_hpt.query(i_b, self.k)
         if v - beta > fanti:
-            fanti, fanti_p = v - beta, a
+            fanti, fanti_p, fanti_db = v - beta, a, 0.5 * (de - 1.0)
         fanti = fanti + half if fanti_p >= 0 else NEG
 
         diameter = max(xy, fx, fy, self.delta)
@@ -289,7 +329,8 @@ class Caterpillar:
             diameter = max(diameter, fanti)
         return FamilyView(alpha, beta, e, darc, cyc, half, pbar, qbar,
                           xy, xy_branch, fx, fx_branch, fx_p,
-                          fy, fy_branch, fy_p, fanti, fanti_p, diameter)
+                          fy, fy_branch, fy_p, fanti, fanti_p, diameter,
+                          xy_db, fx_db, fy_db, fanti_db)
 
     # -- exact evaluation -------------------------------------------------
 

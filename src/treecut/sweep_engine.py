@@ -29,14 +29,20 @@ with one ``("delta-floor",)`` terminal, and a watch for a family that
 tied where the walk started must clear one entry margin, ``2 tol``, so
 that it does not fire before the motion starts.  Continuous motion is
 realized by root-finding on monotone balance and condition functions
-rather than closed-form trajectories; events are located by sign
-probing, then by ITP root finding (bisection safeguarded by regula falsi)
-inside the bracketing probe interval.  The phases note candidate
-placements (terminals, junctures, interior minima, segment ends, the
-wedge crossing) in one list; every one is evaluated exactly and the best
-is polished by a compass search.  ``OptimizeResult.events`` is the
-inspectable trace of a run.  Recording (``record_segments``, off by
-default) re-probes the walk to fill the motion segments and the
+rather than closed-form trajectories.  A balance solve takes Newton
+steps on the residual's exact slope in q, which ``Caterpillar.families``
+reports with each family (inside a cell every family is affine plus a
+multiple of the chord), starting from the secant guess of the last two
+solutions; where a step would leave the bracket, meets a slope that is
+not positive, or fails to shrink the residual, the solve falls back to
+growing a bracket from the guess and an ITP root inside it.  Events are
+located by sign probing, then by ITP root finding (bisection safeguarded
+by regula falsi) inside the bracketing probe interval.  The phases note
+candidate placements (terminals, junctures, interior minima, segment
+ends, the wedge crossing) in one list; every one is evaluated exactly
+and the best is polished by a compass search.  ``OptimizeResult.events``
+is the inspectable trace of a run.  Recording (``record_segments``, off
+by default) re-probes the walk to fill the motion segments and the
 phase-III diagnostic count; it never steers the sweep.
 """
 
@@ -46,7 +52,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import groupby
-from operator import sub
+from operator import attrgetter
 
 from .augmented_eval import has_useful_shortcut
 from .caterpillar import Caterpillar, NEG
@@ -78,6 +84,8 @@ def _laws():
     t1 = {
         "via": SpeedLaw("x-shortcut-wedge", 1,
                         lambda d, de: 0.0, lambda d, de: d + de),
+        # Never recorded: no segment of random_tree(s, 5 + s % 40, shape)
+        # for s = 1000..1599 or of stress_family(1..40) follows this law.
         "anti": SpeedLaw("x-antipodal", 1,
                          lambda d, de: (d + de) / 3.0,
                          lambda d, de: 2.0 * (d + de) / 3.0),
@@ -103,6 +111,8 @@ def _laws():
                           lambda d, de: 0.0),
         ("tree", "anti"): ("tree-anti", lambda d, de: d - de,
                            lambda d, de: 0.0),
+        # Neither family depends on q here, and phase III holds q still
+        # rather than moving it by this dq.
         ("tree", "tree"): ("tree-tree", lambda d, de: d,
                            lambda d, de: 0.0),
     }
@@ -114,21 +124,22 @@ def _laws():
 
 SPEED_LAWS = _laws()
 
-# The family pairs a balance keeps equal, as the two lengths read off a
-# families view.  A balance's residual is their difference, and the
-# diameter a walk tracks is the larger of the two.
+# The family pairs a balance keeps equal, as the names of the two lengths
+# on a families view.  A balance's residual is their difference, its slope
+# the difference of their ``_db`` slopes, and the diameter a walk tracks
+# is the larger of the two.
 _PAIRS = {
-    "x-xy": lambda fv: (fv.fx, fv.xy),
-    "anti-xy": lambda fv: (fv.fanti, fv.xy),
-    "anti-y": lambda fv: (fv.fanti, fv.fy),
-    "x-y": lambda fv: (fv.fx, fv.fy),
+    "x-xy": ("fx", "xy"),
+    "anti-xy": ("fanti", "xy"),
+    "anti-y": ("fanti", "fy"),
+    "x-y": ("fx", "fy"),
 }
 
 
 def _active(pair):
     """The diameter a walk balancing ``pair`` tracks: the larger of the
     pair."""
-    both = _PAIRS[pair]
+    both = attrgetter(*_PAIRS[pair])
     return lambda fv: max(both(fv))
 
 
@@ -250,13 +261,14 @@ class _WarmStart:
     """What a run of balance solves knows about q's motion.
 
     ``alpha``/``beta`` is the last solution (``alpha`` is None before the
-    first), ``slope`` the secant d beta / d alpha through the solution
-    before it, and ``step`` the first step of the bracket expansion: twice
-    the last correction |beta - guess|, at least ``floor``.  Between
-    events every speed law is linear in d and de, so the secant guess is
-    the law's first-order prediction of q, whichever law holds.  A solve
-    that accepts its guess leaves the step as it was: its correction is
-    below what the residual resolves, not zero.
+    first) and ``slope`` the secant d beta / d alpha through the solution
+    before it.  Between events every speed law is linear in d and de, so
+    the secant guess is the law's first-order prediction of q, whichever
+    law holds; the solve's Newton steps start there.  ``step`` is the
+    first step of the bracket expansion that a solve falls back to when
+    Newton's guards fail: twice the last correction |beta - guess|, at
+    least ``floor``.  A solve that accepts its guess leaves the step as it
+    was: its correction is below what the residual resolves, not zero.
     """
 
     __slots__ = ("alpha", "beta", "slope", "step", "floor")
@@ -430,19 +442,23 @@ class _Engine:
     # -- balance ---------------------------------------------------------
 
     def _residual(self, frame, alpha, pair):
-        """g(beta) whose root balances the family pair at this alpha."""
-        both = _PAIRS[pair]
-        return lambda beta: sub(*both(self.families(frame, alpha, beta)))
+        """beta -> (g, g'): the residual whose root balances the family
+        pair at this alpha, and its slope in beta, from one families read."""
+        u, v = _PAIRS[pair]
+        read = attrgetter(u, v, u + "_db", v + "_db")
+
+        def g(beta):
+            fu, fv, du, dv = read(self.families(frame, alpha, beta))
+            return fu - fv, du - dv
+        return g
 
     def balance(self, frame, alpha, warm, pair):
         """Solve for beta keeping the named family pair in balance.
 
         The solve starts from the secant guess of the ``_WarmStart``
-        ``warm``, expands the bracket from its step, and records the
-        solution in it.
+        ``warm`` (``_solve``) and records the solution in it.
         """
-        lo_lim = max(alpha, frame.c_arc)
-        hi_lim = frame.L
+        lo_lim, hi_lim = max(alpha, frame.c_arc), frame.L
         g = self._residual(frame, alpha, pair)
         guess = min(max(warm.guess(alpha), lo_lim), hi_lim)
         beta = self._solve(g, guess, warm.step, lo_lim, hi_lim)
@@ -456,26 +472,44 @@ class _Engine:
                           64.0 * self.eps)
 
     def _solve(self, g, guess, step, lo_lim, hi_lim):
-        """The root of g that stepping away from the guess brackets, or
-        the limit reached without a sign change."""
-        gv = g(guess)
-        if abs(gv) <= self.accept:
-            return guess
+        """A root of g near the guess, or the limit reached without a sign
+        change; g(beta) gives the residual and its slope.
+
+        Inside a cell the residual is affine in beta plus a multiple of
+        the chord, so Newton steps on the exact slope converge in one or
+        two reads.  They run from the guess while the slope is positive
+        and finite, each iterate stays in [lo_lim, hi_lim] and |g|
+        strictly decreases, for at most four reads in all, and stop where
+        |g| <= ``accept``.  Otherwise the root is the one that stepping
+        away from the guess brackets, found by ITP.
+        """
+        gv, slope = g(guess)
+        beta, gb = guess, gv
+        for _ in range(3):
+            nxt = beta - gb / slope if 0.0 < slope < math.inf else math.nan
+            if abs(gb) <= self.accept or not lo_lim <= nxt <= hi_lim:
+                break
+            gn, slope = g(nxt)
+            if not abs(gn) < abs(gb):
+                break
+            beta, gb = nxt, gn
+        if abs(gb) <= self.accept:
+            return beta
         # Step away from the guess, downward where g > 0, by growing steps
         # until g changes sign or the bracket limit is reached.
         d, lim = (-1.0, lo_lim) if gv > 0.0 else (1.0, hi_lim)
         near, gnear = guess, gv
         far = max(lo_lim, min(hi_lim, guess + d * step))
-        gfar = g(far)
+        gfar = g(far)[0]
         while far != lim and d * gfar < 0.0:
             step *= 4.0
             near, gnear = far, gfar
             far = max(lo_lim, min(hi_lim, far + d * step))
-            gfar = g(far)
+            gfar = g(far)[0]
         if d * gfar < 0.0:
             return lim
         (lo, glo), (hi, ghi) = sorted([(near, gnear), (far, gfar)])
-        return itp_root(g, lo, hi, self.eps, glo, ghi)
+        return itp_root(lambda b: g(b)[0], lo, hi, self.eps, glo, ghi)
 
     def _continuation(self, handler, frame, a, b, pair):
         """The task that continues from the juncture (a, b) of ``frame``
@@ -485,8 +519,8 @@ class _Engine:
         task where the solve stops at a bracket limit short of a root.
         """
         beta = self.balance(frame, a, self._warm(frame, b), pair)
-        if (beta in (max(a, frame.c_arc), frame.L)
-                and abs(self._residual(frame, a, pair)(beta)) > self.accept):
+        gap = self._residual(frame, a, pair)(beta)[0]
+        if beta in (max(a, frame.c_arc), frame.L) and abs(gap) > self.accept:
             return []
         return [(handler, frame, a, beta, pair, {})]
 
@@ -554,6 +588,12 @@ class _Engine:
 
         Coarse stopping width: minima located here are only candidate
         seeds for the exact compass refinement at the end of the run.
+        The search assumes key is unimodal on [s0, s1].  A walk's diameter
+        can be flat and then dip, and the balance's residue, on either
+        side of its root, can tip a flat stretch either way.  So where
+        the walk's search over a whole stretch ends above the stretch's
+        lowest probe, and that probe is interior, the walk searches again
+        over the two probe intervals around it and keeps the lower.
         """
         gr = (math.sqrt(5.0) - 1.0) / 2.0
         stop = max(self.eps, 1e-4 * (s1 - s0))
@@ -740,13 +780,17 @@ class _Engine:
                                     "interior-min")
                 self.emit("grow-shrink", phase, frame, fvm, ("e-min",))
             elif dip == "d":
-                # The diameter is unimodal between events, so a
-                # golden-section search suffices and also covers shallow
-                # dips the probe grid would miss.
                 dvals = [active(fv) for _, fv in states]
-                spacing = span / max(len(states) - 1, 1)
-                if min(dvals) - 8.0 * spacing < self.best_seen:
+                if min(dvals) - 8.0 * (span / self.PROBES) < self.best_seen:
                     fvm = self._interior_min(seg, 0.0, span, active)
+                    # Search again around an interior lowest probe that
+                    # the whole-stretch search ended above (see
+                    # ``_interior_min``).
+                    j = dvals.index(min(dvals))
+                    if 0 < j < self.PROBES and active(fvm) > dvals[j]:
+                        fvn = self._interior_min(
+                            seg, states[j - 1][0], states[j + 1][0], active)
+                        fvm = min(fvm, fvn, key=active)
                     self.note_if_better(frame, fvm.alpha, fvm.beta,
                                         active(fvm), "interior-min")
                     # A dip within tol of the stretch's ends is rounding
@@ -893,8 +937,8 @@ class _Engine:
 
         def state_at(alpha):
             fv = self.families(frame, alpha, warm.beta)
-            # With both components frozen q mirrors the driven motion;
-            # otherwise it balances the x-side against the y-side.
+            # With both components frozen q stays where it is; otherwise
+            # it balances the x-side against the y-side.
             if fv.fx_branch != "tree" or fv.fy_branch != "tree":
                 fv = self.families(frame, alpha,
                                    self.balance(frame, alpha, warm, pair))

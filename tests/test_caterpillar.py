@@ -350,3 +350,59 @@ def test_pairs_takes_the_kernel_from_the_threshold(monkeypatch):
     assert calls["small"] > 0
     assert calls == {"big": 0, "small": calls["small"], "kernel": 0,
                      "scan": calls["small"]}
+
+
+def slope_rows(frame, fv):
+    """The row of the slope table each family's winning term is on."""
+    side = lambda i: "t<=beta" if frame.t[i] <= fv.beta else "t>beta"
+    rows = {("xy", fv.xy_branch), ("fy", fv.fy_branch)}
+    rows.add(("fx", fv.fx_branch) if fv.fx_branch != "via"
+             else ("fx", "via", side(fv.fx_pendant)))
+    if fv.fanti_pendant >= 0:
+        rows.add(("fanti", side(fv.fanti_pendant)))
+    return rows
+
+
+def test_family_slopes_match_central_differences():
+    # Each ``*_db`` is the exact slope in beta of its family's winning
+    # term.  Compare it with a central difference at +-1e-7 L wherever
+    # the branches, the argmax pendants and the edge under q are the same
+    # at both ends of the difference, so that the term is one smooth
+    # function there.  Slopes are dimensionless and of order 1.
+    trees = [random_tree(s, (5, 9, 14)[s % 3],
+                         ("uniform", "caterpillar", "balanced")[s % 3])
+             for s in range(0, 210, 7)]
+    trees.append(random_tree(0, 2000, "caterpillar"))
+    rng = random.Random(16)
+    seen = set()
+    for t in trees:
+        d = backbone(t)
+        if d.is_point or d.is_straight:
+            continue
+        cat = Caterpillar(t, d)
+        for frame in (cat, cat.flip()):
+            L = frame.L
+            h = 1e-7 * L
+            sig = lambda fv: (fv.xy_branch, fv.fx_branch, fv.fx_pendant,
+                              fv.fy_branch, fv.fy_pendant, fv.fanti_pendant,
+                              frame._locate(fv.beta)[2])
+            for _ in range(150):
+                a, b = sorted((rng.uniform(0.0, L), rng.uniform(0.0, L)))
+                if not (a < b - h and b + h < L):
+                    continue
+                lo, mid, hi = (frame.families(a, b + s) for s in (-h, 0.0, h))
+                if not sig(lo) == sig(mid) == sig(hi):
+                    continue
+                for name in ("xy", "fx", "fy", "fanti"):
+                    if name == "fanti" and mid.fanti_pendant < 0:
+                        continue
+                    diff = (getattr(hi, name) - getattr(lo, name)) / (2 * h)
+                    assert getattr(mid, name + "_db") == pytest.approx(
+                        diff, rel=1e-5, abs=1e-5), (t.n, name, a, b)
+                seen |= slope_rows(frame, mid)
+    # Every row of the slope table was checked.
+    assert seen == {("xy", "via"), ("xy", "tree"),
+                    ("fx", "anti"), ("fx", "tree"),
+                    ("fx", "via", "t<=beta"), ("fx", "via", "t>beta"),
+                    ("fy", "anti"), ("fy", "tree"), ("fy", "via"),
+                    ("fanti", "t<=beta"), ("fanti", "t>beta")}, seen

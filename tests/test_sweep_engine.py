@@ -217,6 +217,33 @@ def test_recorded_segments_obey_their_law():
     assert len(laws) >= 5
 
 
+# Trees whose recorded segments together cover every speed law the sweep
+# reaches: recording random_tree(s, 5 + s % 40, shape) for s = 1000..1599
+# and stress_family(1..40) shows 12 of the 13 laws, all but x-antipodal.
+# wedge-interior appears on tree 1248 only.
+LAW_SEEDS = (1056, 1248, 1477, 1566)
+
+
+def test_every_reachable_speed_law_is_recorded_and_obeyed():
+    laws = set()
+    for seed in LAW_SEEDS:
+        t = random_tree(seed, 5 + seed % 40, CORPUS_SHAPES[seed % 3])
+        tol = 1e-9 * t.scale
+        for sg in optimize(t, record_segments=True).segments:
+            a0, b0, e0, d0 = sg.probes[0]
+            for a1, b1, e1, d1 in sg.probes[1:]:
+                # p is the driven end; the law's dq is how far q trails.
+                d, de = abs(a1 - a0), e0 - e1
+                assert d0 - d1 == pytest.approx(sg.law.ddiam(d, de), abs=tol)
+                # Phase III holds q still while both side families are
+                # tree-routed (see SPEED_LAWS).
+                dq = 0.0 if sg.law.name == "tree-tree" else sg.law.dq(d, de)
+                assert abs(b1 - b0) == pytest.approx(dq, abs=tol), sg.law.name
+            laws.add(sg.law.name)
+    assert laws == {law.name for law in SPEED_LAWS.values()} \
+        - {"x-antipodal"}, laws
+
+
 def test_blocked_at_optimum():
     for seed in range(6):
         t = random_tree(seed, 10, "uniform")
@@ -346,7 +373,11 @@ def test_balance_stays_in_bracket(monkeypatch):
 
 
 def test_families_calls_per_vertex_bounded(monkeypatch):
-    """Deterministic work gate beside criterion 9's wall-clock gate."""
+    """Deterministic work gate beside criterion 9's wall-clock gate.
+
+    Balance solves by Newton steps leave about 4.7 and 5.9 families calls
+    per vertex at n = 2000 and 4000.
+    """
     calls = [0]
     families = Caterpillar.families
 
@@ -361,13 +392,13 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
         calls[0] = 0
         optimize(t, record_segments=False)
         per_vertex[n] = calls[0] / t.n
-    assert max(per_vertex.values()) <= 12.0, per_vertex
+    assert max(per_vertex.values()) <= 8.5, per_vertex
 
 
 def test_balance_families_per_solve(monkeypatch):
-    # Work gate on the balance: a secant warm start and a first bracket
-    # step sized by the last correction leave about five families calls
-    # per solve.
+    # Work gate on the balance: Newton steps on the exact slope from a
+    # secant warm start leave about 2.4 families calls per solve, where
+    # the bracket and ITP search alone took about 5.5.
     calls, solves, depth = [0], [0], [0]
     families, balance = Caterpillar.families, _Engine.balance
 
@@ -390,13 +421,14 @@ def test_balance_families_per_solve(monkeypatch):
         calls[0] = solves[0] = 0
         optimize(random_tree(11, n, "caterpillar"), record_segments=False)
         per_solve[n] = calls[0] / solves[0]
-    assert max(per_solve.values()) <= 6.5, per_solve
+    assert max(per_solve.values()) <= 3.0, per_solve
 
 
 def test_corpus_families_calls_bounded(monkeypatch):
     # Work gate on the small trees, where fixed per-run costs dominate: a
     # juncture continues from one balance solve, not from a scan of the
-    # balance for every root.
+    # balance for every root, and a solve takes Newton steps.  About
+    # 31,500 calls.
     calls = [0]
     families = Caterpillar.families
 
@@ -407,7 +439,7 @@ def test_corpus_families_calls_bounded(monkeypatch):
     monkeypatch.setattr(Caterpillar, "families", counted)
     for seed in range(70):
         optimize(corpus_tree(seed))
-    assert calls[0] <= 43000, calls[0]
+    assert calls[0] <= 36000, calls[0]
 
 
 def test_phase_end_follows_the_main_chain():
@@ -620,6 +652,34 @@ def test_sweep_finds_the_wedge_pair_optimum(i):
     # the sweep ended 2e-3 to 3.7e-2 * scale above the grid optimum.
     t = random_tree(1000000 + i, (5, 9, 14, 20, 30)[i % 5],
                     CORPUS_SHAPES[i % 3])
+    res = optimize(t)
+    assert res.diameter_after <= polished_grid_optimum(t) + 1e-6 * t.scale
+
+
+@pytest.mark.parametrize("spec, before", [
+    ((1003, 48, "caterpillar"), "0x1.f411dd775f4e8p+3"),
+    ((1053, 98, "uniform"), "0x1.a7766be1a5408p+3"),
+    ((1101, 50, "uniform"), "0x1.4f80744ceef2ep+3"),
+], ids=["caterpillar-1003", "uniform-1053", "uniform-1101"])
+def test_interior_min_survives_two_sided_balance_residue(spec, before):
+    # Newton's balance leaves a residue on either side of the root, where
+    # ITP's always had g >= 0.  On stretches that are flat and then dip,
+    # a golden section over the whole stretch alone then lost the dip on
+    # the two uniform trees (by 1.9e-2 and 6.7e-3 * scale), and one over
+    # the probe intervals around the lowest probe alone lost the first
+    # tree (by 1.8e-3 * scale).  ``before`` is the answer the bracket and
+    # ITP balance gave.
+    t = random_tree(*spec)
+    assert optimize(t).diameter_after \
+        <= float.fromhex(before) + 1e-9 * t.scale
+
+
+def test_sweep_finds_the_grid_optimum_of_tree_1001053():
+    # With the bracket and ITP balance this tree ended 7.4e-4 * scale
+    # above the polished grid optimum, while rotated and scaled copies of
+    # it found the optimum through an interior minimum the original
+    # missed.
+    t = random_tree(1001053, 20, "uniform")
     res = optimize(t)
     assert res.diameter_after <= polished_grid_optimum(t) + 1e-6 * t.scale
 
