@@ -25,9 +25,12 @@ named pair of families in balance (``_PAIRS``: x-xy, anti-xy, anti-y or
 x-y), and the diameter it tracks is the larger of that pair.  The walk,
 not its phase, owns the rules they share: it stops on the delta floor
 (the largest B-sub-tree diameter, which no shortcut can shrink),
-with one ``("delta-floor",)`` terminal, and a watch for a family that
+with one ``("delta-floor",)`` terminal, a watch for a family that
 tied where the walk started must clear one entry margin, ``2 tol``, so
-that it does not fire before the motion starts.  Continuous motion is
+that it does not fire before the motion starts, and a stretch whose
+lowest probe is interior is searched for its minimum.  No search moves
+the walk: q's next balance solve starts from the walk's own path, so
+phase III's q only moves toward b.  Continuous motion is
 realized by root-finding on monotone balance and condition functions
 rather than closed-form trajectories.  A balance solve takes Newton
 steps on the residual's exact slope in q, which ``Caterpillar.families``
@@ -35,7 +38,8 @@ reports with each family (inside a cell every family is affine plus a
 multiple of the chord), starting from the secant guess of the last two
 solutions; where a step would leave the bracket, meets a slope that is
 not positive, or fails to shrink the residual, the solve falls back to
-growing a bracket from the guess and an ITP root inside it.  Events are
+growing a bracket from the guess, from a fixed first step of 1e-4 L,
+and an ITP root inside it.  Events are
 located by sign probing, then by ITP root finding (bisection safeguarded
 by regula falsi) inside the bracketing probe interval.  The phases note
 candidate placements (terminals, junctures, interior minima, segment
@@ -264,26 +268,25 @@ class _WarmStart:
     first) and ``slope`` the secant d beta / d alpha through the solution
     before it.  Between events every speed law is linear in d and de, so
     the secant guess is the law's first-order prediction of q, whichever
-    law holds; the solve's Newton steps start there.  ``step`` is the
-    first step of the bracket expansion that a solve falls back to when
-    Newton's guards fail: twice the last correction |beta - guess|, at
-    least ``floor``.  A solve that accepts its guess leaves the step as it
-    was: its correction is below what the residual resolves, not zero.
+    law holds; the solve's Newton steps start there.  A search that reads
+    the walk off its path (a re-probe, an interior-minimum search) saves
+    this state first and restores it after, so that q's motion is the
+    walk's alone.
     """
 
-    __slots__ = ("alpha", "beta", "slope", "step", "floor")
+    __slots__ = ("alpha", "beta", "slope", "floor")
 
-    def __init__(self, beta, step, floor):
+    def __init__(self, beta, floor):
         self.alpha, self.beta, self.slope = None, beta, 0.0
-        self.step, self.floor = step, floor
+        self.floor = floor
 
     def guess(self, alpha):
         if self.alpha is None:
             return self.beta
         return self.beta + self.slope * (alpha - self.alpha)
 
-    def update(self, alpha, beta, guess):
-        """Record the solution ``beta`` at ``alpha``, solved from ``guess``.
+    def update(self, alpha, beta):
+        """Record the solution ``beta`` at ``alpha``.
 
         Solutions closer in alpha than 64 floors give no secant: their
         rounding would swamp it.
@@ -292,14 +295,12 @@ class _WarmStart:
                 and abs(alpha - self.alpha) > 64.0 * self.floor):
             self.slope = (beta - self.beta) / (alpha - self.alpha)
         self.alpha, self.beta = alpha, beta
-        if beta != guess:
-            self.step = max(2.0 * abs(beta - guess), self.floor)
 
     def save(self):
-        return self.alpha, self.beta, self.slope, self.step
+        return self.alpha, self.beta, self.slope
 
     def restore(self, saved):
-        self.alpha, self.beta, self.slope, self.step = saved
+        self.alpha, self.beta, self.slope = saved
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +320,9 @@ class _Engine:
         # tied there exactly tied.  Its watch must rise past this margin
         # to fire, so it cannot fire before the motion starts.
         self.entry = 2.0 * self.tol
+        # The first step of the bracket a balance solve grows when Newton's
+        # guards fail.
+        self.step = max(64.0 * self.eps, 1e-4 * self.cat.L)
         self.record_segments = record_segments
         self.events = []
         self.segments = []
@@ -461,17 +465,15 @@ class _Engine:
         lo_lim, hi_lim = max(alpha, frame.c_arc), frame.L
         g = self._residual(frame, alpha, pair)
         guess = min(max(warm.guess(alpha), lo_lim), hi_lim)
-        beta = self._solve(g, guess, warm.step, lo_lim, hi_lim)
-        warm.update(alpha, beta, guess)
+        beta = self._solve(g, guess, lo_lim, hi_lim)
+        warm.update(alpha, beta)
         return beta
 
-    def _warm(self, frame, b0):
-        """A warm start at q = b0 that knows nothing of q's motion yet: no
-        secant, and a first step of 1e-4 * L."""
-        return _WarmStart(b0, max(64.0 * self.eps, 1e-4 * frame.L),
-                          64.0 * self.eps)
+    def _warm(self, b0):
+        """A warm start at q = b0 that knows nothing of q's motion yet."""
+        return _WarmStart(b0, 64.0 * self.eps)
 
-    def _solve(self, g, guess, step, lo_lim, hi_lim):
+    def _solve(self, g, guess, lo_lim, hi_lim):
         """A root of g near the guess, or the limit reached without a sign
         change; g(beta) gives the residual and its slope.
 
@@ -481,7 +483,8 @@ class _Engine:
         and finite, each iterate stays in [lo_lim, hi_lim] and |g|
         strictly decreases, for at most four reads in all, and stop where
         |g| <= ``accept``.  Otherwise the root is the one that stepping
-        away from the guess brackets, found by ITP.
+        away from the guess, from a first step of ``_Engine.step`` growing
+        fourfold, brackets, found by ITP.
         """
         gv, slope = g(guess)
         beta, gb = guess, gv
@@ -498,7 +501,7 @@ class _Engine:
         # Step away from the guess, downward where g > 0, by growing steps
         # until g changes sign or the bracket limit is reached.
         d, lim = (-1.0, lo_lim) if gv > 0.0 else (1.0, hi_lim)
-        near, gnear = guess, gv
+        near, gnear, step = guess, gv, self.step
         far = max(lo_lim, min(hi_lim, guess + d * step))
         gfar = g(far)[0]
         while far != lim and d * gfar < 0.0:
@@ -518,7 +521,7 @@ class _Engine:
         q is one balance solve started at the juncture's q; there is no
         task where the solve stops at a bracket limit short of a root.
         """
-        beta = self.balance(frame, a, self._warm(frame, b), pair)
+        beta = self.balance(frame, a, self._warm(b), pair)
         gap = self._residual(frame, a, pair)(beta)[0]
         if beta in (max(a, frame.c_arc), frame.L) and abs(gap) > self.accept:
             return []
@@ -553,21 +556,6 @@ class _Engine:
         hits.sort()
         return hits, states
 
-    def _reprobe(self, seg, span, warm, start):
-        """The stretch [0, span] at 24 points.
-
-        q's balance starts from the warm-start state the scan started from
-        (``start``, saved from ``warm``), and the state the scan left is
-        restored: the walk never sees this.
-        """
-        if warm is not None:
-            left = warm.save()
-            warm.restore(start)
-        states = [(s, seg(s)) for s in (span * i / 24 for i in range(25))]
-        if warm is not None:
-            warm.restore(left)
-        return states
-
     def _diag_probe(self, frame, states):
         """Count unsuppressed routing flips: every pendant whose antipodal
         boundary crossing re-routes its diametral path would be a
@@ -590,10 +578,11 @@ class _Engine:
         seeds for the exact compass refinement at the end of the run.
         The search assumes key is unimodal on [s0, s1].  A walk's diameter
         can be flat and then dip, and the balance's residue, on either
-        side of its root, can tip a flat stretch either way.  So where
-        the walk's search over a whole stretch ends above the stretch's
-        lowest probe, and that probe is interior, the walk searches again
-        over the two probe intervals around it and keeps the lower.
+        side of its root, can tip a flat stretch either way.  So the walk
+        (``_drive``) searches a stretch only where an interior probe is
+        its lowest, and where the search over the whole stretch ends above
+        that probe it searches again over the two probe intervals around
+        it and keeps the lower.
         """
         gr = (math.sqrt(5.0) - 1.0) / 2.0
         stop = max(self.eps, 1e-4 * (s1 - s0))
@@ -697,42 +686,41 @@ class _Engine:
         return ("antipodal", lambda fv: (fv.fanti - active(fv) - entry)
                 if fv.fanti_pendant >= 0 else NEG)
 
-    def _drive(self, phase, frame, state_at, x0, end, conds, pair,
-               drive_q=False, branch_sig=None, law=None, dip=None, track=None,
-               warm=None):
+    def _drive(self, phase, frame, state_at, x0, end, conds, pair, warm,
+               drive_q=False, branch_sig=None, law=None, track=None):
         """Drive one endpoint from x0 to end; stop at the first event.
 
         ``state_at(x)`` gives the families with the driven endpoint (p, or
         q when ``drive_q``) at x; the other endpoint follows its balance
-        equation or stays put.  The motion is cut at the breakpoints of
-        the frame and each stretch is probed for the handler's watches
+        equation, whose solves share the ``_WarmStart`` ``warm``, or stays
+        put.  The motion is cut at the breakpoints of the frame and each
+        stretch is probed at ``PROBES`` points for the handler's watches
         ``conds`` and for the delta floor.  Returns (name, x, fv) at the
         first crossing, else (None, x, None) once x has reached end.
 
-        Every walk shares three rules.  Its diameter is the larger of the
+        Every walk shares its rules.  Its diameter is the larger of the
         family ``pair`` it keeps in balance (``_PAIRS``).  It stops on the
         delta floor, where that diameter falls to the largest B-sub-tree
         diameter; the walk then emits the ``("delta-floor",)`` terminal
         and notes a delta-floor candidate, and nothing follows it.  A
         watch for a family tied where the walk started subtracts the
-        entry margin ``_Engine.entry``.
+        entry margin ``_Engine.entry``.  A stretch whose lowest probe is
+        interior, and where a Lipschitz bound on the probes leaves room to
+        beat the best seen, is searched for its minimum
+        (``_interior_min``), which is noted as a candidate; a walk with a
+        law reports a dip below both stretch ends as a grow-shrink event.
+        No search moves the walk: the warm start the scan left is restored
+        after it, so q's next solve starts from the walk's own path.
 
         Along the way the walk reports changes of ``branch_sig(fv)``, the
-        branches of the diametral paths, records the motion segments that
-        obey ``law = (sig_fn, law_fn)``, and seeds a candidate at the
-        minimum inside each stretch (``dip``): of the chord e ("e"), or of
-        the walk's diameter where a Lipschitz bound on the probes leaves
-        room to beat the best seen ("d"); a walk with a law reports that
-        minimum as a grow-shrink event.  Each stretch ends with a
+        branches of the diametral paths, and records the motion segments
+        that obey ``law = (sig_fn, law_fn)``.  Each stretch ends with a
         segment-end candidate at the state reached there.  The crossing
         and the segment ends are appended to ``track`` as (alpha, beta,
-        diameter) when a list is given.
-
-        Every stretch is scanned at the same ``PROBES`` points whatever
-        the options.  When recording, the segments and, on phase-III
-        stretches only, the diagnostic count read a finer re-probe of the
-        stretch (``_reprobe``); ``warm`` is the ``_WarmStart`` of q's
-        balance, when q follows one.
+        diameter) when a list is given.  When recording, the segments and,
+        on phase-III stretches only, the diagnostic count read a re-probe
+        of the stretch at 24 points, from the warm start the scan started
+        from.
         """
         active = _active(pair)
         conds = [*conds, ("delta-floor",
@@ -750,12 +738,18 @@ class _Engine:
             target = bps[i] if at_bp else end
             span = abs(target - x)
             seg = lambda s: state_at(x + sign * s)
-            start = warm.save() if warm is not None else None
+            start = warm.save()
             hits, states = self._scan(seg, 0.0, span, conds)
+            left = warm.save()
             record = law is not None and not hits
             diag = phase == "III"
             if self.record_segments and (record or diag):
-                fine = self._reprobe(seg, span, warm, start)
+                # The re-probe starts from where the scan started: phase
+                # III's frozen test reads q at the warm start's beta.
+                warm.restore(start)
+                fine = [(s, seg(s))
+                        for s in (span * i / 24 for i in range(25))]
+                warm.restore(left)
                 if diag:
                     self._diag_probe(frame, fine)
                 if record:
@@ -773,37 +767,28 @@ class _Engine:
                 if sig != prev:
                     self.emit("path-state", phase, frame, fv,
                               ("branch-change",))
+            dvals = [active(fv) for _, fv in states]
+            j = dvals.index(min(dvals))
+            if (0 < j < self.PROBES and dvals[j] - 8.0 * (span / self.PROBES)
+                    < self.best_seen):
+                fvm = self._interior_min(seg, 0.0, span, active)
+                if active(fvm) > dvals[j]:
+                    fvn = self._interior_min(
+                        seg, states[j - 1][0], states[j + 1][0], active)
+                    fvm = min(fvm, fvn, key=active)
+                warm.restore(left)
+                self.note_if_better(frame, fvm.alpha, fvm.beta,
+                                    active(fvm), "interior-min")
+                # A dip within tol of the stretch's ends is rounding on a
+                # flat stretch, not a grow-shrink turn.
+                if law is not None and \
+                        dvals[j] < min(dvals[0], dvals[-1]) - self.tol:
+                    self.emit("grow-shrink", phase, frame, fvm, ("d-min",))
             fv1 = states[-1][1]
-            if dip == "e":
-                fvm = self._interior_min(seg, 0.0, span, lambda fv: fv.e)
-                self.note_candidate(frame, fvm.alpha, fvm.beta,
-                                    "interior-min")
-                self.emit("grow-shrink", phase, frame, fvm, ("e-min",))
-            elif dip == "d":
-                dvals = [active(fv) for _, fv in states]
-                if min(dvals) - 8.0 * (span / self.PROBES) < self.best_seen:
-                    fvm = self._interior_min(seg, 0.0, span, active)
-                    # Search again around an interior lowest probe that
-                    # the whole-stretch search ended above (see
-                    # ``_interior_min``).
-                    j = dvals.index(min(dvals))
-                    if 0 < j < self.PROBES and active(fvm) > dvals[j]:
-                        fvn = self._interior_min(
-                            seg, states[j - 1][0], states[j + 1][0], active)
-                        fvm = min(fvm, fvn, key=active)
-                    self.note_if_better(frame, fvm.alpha, fvm.beta,
-                                        active(fvm), "interior-min")
-                    # A dip within tol of the stretch's ends is rounding
-                    # on a flat stretch, not a grow-shrink turn.
-                    if law is not None and min(dvals[1:-1],
-                                               default=dvals[0]) \
-                            < min(dvals[0], dvals[-1]) - self.tol:
-                        self.emit("grow-shrink", phase, frame, fvm,
-                                  ("d-min",))
-            d1 = active(fv1)
             if track is not None:
-                track.append((fv1.alpha, fv1.beta, d1))
-            self.note_if_better(frame, fv1.alpha, fv1.beta, d1, "segment-end")
+                track.append((fv1.alpha, fv1.beta, dvals[-1]))
+            self.note_if_better(frame, fv1.alpha, fv1.beta, dvals[-1],
+                                "segment-end")
             if at_bp:
                 self.emit("vertex-q" if drive_q else "vertex-p", phase,
                           frame, fv1, (target,))
@@ -815,10 +800,9 @@ class _Engine:
         ``_WarmStart`` its solves share, starting at q = b0.
 
         Each solve starts from the secant through the previous two
-        solutions and sizes its first bracket step by the last
-        correction, so the order of calls matters.
+        solutions, so the order of calls matters.
         """
-        warm = self._warm(frame, b0)
+        warm = self._warm(b0)
 
         def state_at(alpha):
             return self.families(frame, alpha,
@@ -837,12 +821,12 @@ class _Engine:
         state_at, warm = self._balanced(frame, pair, b0)
         active = _active(pair)
         if pair == "x-xy":
-            phase, dip = "II-x", None
+            phase = "II-x"
             watch = self._antipodal_watch(pair)
             sig_fn = lambda fv: (fv.fx_branch, fv.fx_pendant, fv.xy_branch)
             law = lambda fv: SPEED_LAWS[("t1", fv.fx_branch)]
         else:
-            phase, dip = "II-o", "e"
+            phase = "II-o"
             watch = ("x-side", lambda fv: fv.fx - active(fv))
             sig_fn = lambda fv: (fv.fanti_pendant, fv.xy_branch)
             law = lambda fv: SPEED_LAWS[("t1", "anti-balance")]
@@ -850,10 +834,10 @@ class _Engine:
         law_fn = lambda fv: law(fv) if fv.xy_branch == "via" else None
 
         name, _, fvc = self._drive(
-            phase, frame, state_at, a0, 0.0, conds, pair,
+            phase, frame, state_at, a0, 0.0, conds, pair, warm,
             branch_sig=lambda fv: (fv.fx_branch == "via",
                                    fv.xy_branch == "via"),
-            law=(sig_fn, law_fn), dip=dip, warm=warm)
+            law=(sig_fn, law_fn))
         if name is None:
             fv = state_at(0.0)
             self._terminal(phase, frame, fv, ("parked-p",), "parked-p")
@@ -903,7 +887,7 @@ class _Engine:
         end = frame.c_arc if toward_c else 0.0
         state_at, warm = self._balanced(frame, pair, b0)
         name, alpha, fvc = self._drive(phase, frame, state_at, a0, end,
-                                       conds, pair, dip="d", warm=warm)
+                                       conds, pair, warm)
         # The drive toward c runs after this one's continuations.
         then = [] if toward_c else [
             (self.phase2side, frame, a0, b0, None, {"toward_c": True})]
@@ -933,7 +917,7 @@ class _Engine:
         Phase III ends the branch it runs on: it returns no tasks.
         """
         phase, pair = "III", "x-y"
-        warm = self._warm(frame, b0)
+        warm = self._warm(b0)
 
         def state_at(alpha):
             fv = self.families(frame, alpha, warm.beta)
@@ -953,10 +937,10 @@ class _Engine:
         traj = [(a0, b0, d0)]
         self.note_if_better(frame, a0, b0, d0, "phase3-start")
         name, alpha, fvc = self._drive(
-            phase, frame, state_at, a0, 0.0, conds, pair,
+            phase, frame, state_at, a0, 0.0, conds, pair, warm,
             branch_sig=lambda fv: (fv.fx_branch == "tree",
                                    fv.fy_branch == "tree"),
-            law=(sig_fn, law_fn), dip="d", track=traj, warm=warm)
+            law=(sig_fn, law_fn), track=traj)
         if name == "antipodal":
             self._terminal(phase, frame, fvc, ("corollary-11", name),
                            "corollary-11")
@@ -965,7 +949,7 @@ class _Engine:
             alpha = max(alpha, 0.0)
             name, _, fvc = self._drive(
                 phase, frame, lambda beta: self.families(frame, alpha, beta),
-                warm.beta, frame.L, conds, pair, drive_q=True, dip="d",
+                warm.beta, frame.L, conds, pair, warm, drive_q=True,
                 track=traj)
             if name == "antipodal":
                 self._terminal(phase, frame, fvc, ("q-drive", name),
@@ -1012,8 +996,8 @@ class _Engine:
             return
         state_at, warm = self._balanced(frame, "x-y", b_hi)
         # q's first guesses follow the secant through the two ends.
-        warm.update(a_hi, b_hi, b_hi)
-        warm.update(a_lo, b_lo, b_lo)
+        warm.update(a_hi, b_hi)
+        warm.update(a_lo, b_lo)
 
         def gap(s):
             fv = state_at(a_lo - s)
@@ -1178,5 +1162,5 @@ def balance_solve(tree, decomp, path_state, p_arc) -> float:
     else:
         raise NoRootInBracket(f"cannot balance path state {sorted(descs)}")
     alpha = min(max(p_arc, 0.0), cat.c_arc)
-    beta = eng.balance(cat, alpha, eng._warm(cat, cat.c_arc), pair)
+    beta = eng.balance(cat, alpha, eng._warm(cat.c_arc), pair)
     return cat.L - beta

@@ -1,0 +1,152 @@
+"""Dump the sweep's answers on the ROADMAP trees, or compare two dumps.
+
+    python tools/answers.py dump OUT.json
+    python tools/answers.py compare BEFORE.json AFTER.json
+
+``dump`` runs ``optimize`` from the ``src/`` beside this file on the
+ROADMAP comparison set (the 210 criterion-1 trees, the 210 hold-out
+corpus trees, ``random_tree(s, 5 + s % 96, shape)`` for s = 1000..1299
+and ``random_tree(s, 2000, "caterpillar")`` for s = 0..2) and on the
+1,500 item-1 trees.  Each tree gets one record: ``phase_end``,
+``diameter_after`` as ``float.hex``, the tree's scale, ``event_count``
+and the number of ``Caterpillar.families`` calls.  It runs two worker
+processes (one where there is one core).  To compare two versions of
+the program, run each version's copy of this file.
+
+``compare`` prints the ROADMAP identity verdict: ``phase_end`` identical
+on every tree and no ``diameter_after`` worse than before by more than
+1e-9 * scale.  It exits 1 when the verdict fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import multiprocessing
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from treecut.caterpillar import Caterpillar  # noqa: E402
+from treecut.oracle import random_tree  # noqa: E402
+from treecut.sweep_engine import optimize  # noqa: E402
+
+SHAPES, SIZES = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
+WORSE = 1e-9        # the largest loss allowed, in units of the tree's scale
+
+
+def trees():
+    """(set, name, (seed, n, shape)) of every tree, the large ones first."""
+    for s in range(3):
+        yield "large", f"large/{s}", (s, 2000, "caterpillar")
+    for s in range(210):
+        yield "criterion-1", f"criterion-1/{s}", (s, SIZES[s % 3],
+                                                  SHAPES[s % 3])
+    for i in range(210):
+        yield "hold-out", f"hold-out/{i}", (1000000 + i, SIZES[i % 3],
+                                            SHAPES[i % 3])
+    for s in range(1000, 1300):
+        yield "mixed", f"mixed/{s}", (s, 5 + s % 96, SHAPES[s % 3])
+    for i in range(1500):
+        yield "item-1", f"item-1/{i}", (1000000 + i, (5, 9, 14, 20, 30)[i % 5],
+                                        SHAPES[i % 3])
+
+
+def answer(job):
+    group, name, spec = job
+    calls = [0]
+    families = Caterpillar.families
+
+    def counted(self, alpha, beta):
+        calls[0] += 1
+        return families(self, alpha, beta)
+
+    Caterpillar.families = counted
+    try:
+        t = random_tree(*spec)
+        res = optimize(t)
+    finally:
+        Caterpillar.families = families
+    return name, {"set": group, "phase_end": res.phase_end,
+                  "diameter_after": res.diameter_after.hex(),
+                  "scale": t.scale, "event_count": res.event_count,
+                  "families": calls[0]}
+
+
+def dump(out):
+    ctx = multiprocessing.get_context("spawn")
+    with ctx.Pool(min(2, os.cpu_count() or 1)) as pool:
+        records = dict(pool.imap_unordered(answer, list(trees()), 8))
+    order = [name for _, name, _ in trees()]
+    Path(out).write_text(json.dumps({name: records[name] for name in order},
+                                    indent=0) + "\n")
+
+
+def compare(before_path, after_path):
+    before = json.loads(Path(before_path).read_text())
+    after = json.loads(Path(after_path).read_text())
+    if before.keys() != after.keys():
+        print("the dumps hold different trees")
+        return False
+    ok = True
+    sets = {}
+    for name, old in before.items():
+        new = after[name]
+        row = sets.setdefault(old["set"], {
+            "trees": 0, "phase_end": 0, "bitwise": 0, "worse": 0.0,
+            "better": 0.0, "families": [0, 0], "events": [0, 0]})
+        row["trees"] += 1
+        row["families"][0] += old["families"]
+        row["families"][1] += new["families"]
+        row["events"][0] += old["event_count"]
+        row["events"][1] += new["event_count"]
+        if old["phase_end"] != new["phase_end"]:
+            row["phase_end"] += 1
+            ok = False
+            print(f"{name}: phase_end {old['phase_end']} -> "
+                  f"{new['phase_end']}")
+        d0 = float.fromhex(old["diameter_after"])
+        d1 = float.fromhex(new["diameter_after"])
+        if d0 != d1:
+            row["bitwise"] += 1
+        change = (d1 - d0) / old["scale"]
+        row["worse"] = max(row["worse"], change)
+        row["better"] = max(row["better"], -change)
+        if change > WORSE:
+            ok = False
+            print(f"{name}: diameter_after worse by {change:.3g} scale")
+    print(f"{'set':<12}{'trees':>6}{'phase_end':>10}{'bitwise':>8}"
+          f"{'worst':>11}{'best':>11}{'families':>20}{'events':>16}")
+    for group, row in sets.items():
+        print(f"{group:<12}{row['trees']:>6}{row['phase_end']:>10}"
+              f"{row['bitwise']:>8}{row['worse']:>11.2e}"
+              f"{row['better']:>11.2e}"
+              f"{row['families'][0]:>10}{row['families'][1]:>10}"
+              f"{row['events'][0]:>8}{row['events'][1]:>8}")
+    print("worst and best: the largest loss and gain of diameter_after, "
+          "in units of scale")
+    print("verdict:", "PASS" if ok else "FAIL",
+          f"(phase_end identical, no answer worse by more than {WORSE:g} "
+          "scale)")
+    return ok
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="command", required=True)
+    d = sub.add_parser("dump", help="run optimize on every tree")
+    d.add_argument("out")
+    c = sub.add_parser("compare", help="the identity verdict of two dumps")
+    c.add_argument("before")
+    c.add_argument("after")
+    args = ap.parse_args(argv)
+    if args.command == "dump":
+        dump(args.out)
+        return 0
+    return 0 if compare(args.before, args.after) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
