@@ -5,15 +5,18 @@ arc.  Shortcut endpoints are arc positions ``alpha <= beta`` along the
 backbone (measured from the endpoint a).  For such shortcuts the
 augmented diameter can be evaluated exactly from the pendant data alone.
 It is the maximum of two queries.  ``families`` gives the candidate
-families tracked by the sweep (x-side, y-side, antipodal, x-y) by O(1)
-range-maximum queries; they cover every path with x or y as an end and
-every antipode.  ``pairs`` gives the rest: the longest path between two
-wedges (pendants), from prefix tables where the tree joins them on one
-side of the cycle, and from range maxima over the wedges inside the
-cycle otherwise: for each wedge, one window of tree-route partners and
-one prefix of cycle-route partners, read for all wedges at once from
-the sparse tables as numpy gathers.  A cycle holding few wedges is
-scanned in Python instead, which is cheaper there.
+families tracked by the sweep (x-side, y-side, antipodal, x-y) by three
+O(1) range-maximum queries and four reads of prefix and suffix maxima;
+they cover every path with x or y as an end and every antipode.  ``xy``
+gives the x-y family alone by the same formula; it is all that phase I
+reads at its stops and threshold crossings.  ``pairs`` gives the rest:
+the longest path between two wedges (pendants), from prefix tables
+where the tree joins them on one side of the cycle, and from range
+maxima over the wedges inside the cycle otherwise: for each wedge, one
+window of tree-route partners and one prefix of cycle-route partners,
+read for all wedges at once from the sparse tables as numpy gathers.  A
+cycle holding few wedges is scanned in Python instead, which is cheaper
+there.
 
 The paper's sweep runs mirror-symmetric phases: a shift toward y is a
 shift toward x seen from b.  ``Caterpillar.flip()`` gives that view as a
@@ -110,6 +113,35 @@ class RangeMax:
         return np.maximum(self.flat[at_lo[w] + lo], self.flat[at_hi[w] + hi])
 
 
+def _prefix_max(vals):
+    """Entry i is ``RangeMax(vals).query(0, i)``: the max over vals[:i]
+    and its leftmost argmax, (-inf, -1) at 0; as two memoryviews."""
+    n = len(vals)
+    val, arg = np.full(n + 1, NEG), np.full(n + 1, -1, dtype=np.int64)
+    if n:
+        rises = np.ones(n, dtype=bool)
+        rises[1:] = vals[1:] > np.maximum.accumulate(vals)[:-1]
+        arg[1:] = np.maximum.accumulate(np.where(rises, np.arange(n), 0))
+        val[1:] = vals[arg[1:]]
+    return memoryview(val), memoryview(arg)
+
+
+def _suffix_max(vals):
+    """Entry i is ``RangeMax(vals).query(i, n)``: the max over vals[i:]
+    and its leftmost argmax, (-inf, -1) at n; as two memoryviews."""
+    n = len(vals)
+    val, arg = np.full(n + 1, NEG), np.full(n + 1, -1, dtype=np.int64)
+    if n:
+        rev = vals[::-1]
+        # A tie goes to the later entry of the reversed array: the leftmost.
+        takes = np.ones(n, dtype=bool)
+        takes[1:] = rev[1:] >= np.maximum.accumulate(rev)[:-1]
+        last = np.maximum.accumulate(np.where(takes, np.arange(n), 0))
+        arg[:n] = (n - 1 - last)[::-1]
+        val[:n] = vals[arg[:n]]
+    return memoryview(val), memoryview(arg)
+
+
 @dataclass
 class FamilyView:
     """Candidate-family values of the monitored diametral-path families.
@@ -190,9 +222,15 @@ class Caterpillar:
         t = np.asarray(self.t, dtype=float)
         h = np.asarray(self.h, dtype=float)
         self._t = t
+        hpt, hmt = h + t, h - t
         self.rm_h = RangeMax(h)
-        self.rm_hpt = RangeMax(h + t)
-        self.rm_hmt = RangeMax(h - t)
+        self.rm_hpt = RangeMax(hpt)
+        self.rm_hmt = RangeMax(hmt)
+        # The windows that start at the first pendant or end at the last,
+        # as prefix and suffix maxima: entry i holds query(0, i) or
+        # query(i, k), with the same leftmost argmax.
+        self.hpt_pre, self.hpt_suf = _prefix_max(hpt), _suffix_max(hpt)
+        self.hmt_pre, self.hmt_suf = _prefix_max(hmt), _suffix_max(hmt)
         # Entity arrays: x, the pendants, y — the grid evaluator's points.
         self.et = [0.0] + self.t + [self.L]
         self.eh = [self.h_x] + self.h + [self.h_y]
@@ -258,6 +296,15 @@ class Caterpillar:
 
     # -- candidate families ---------------------------------------------
 
+    def _xy_via(self, alpha, beta, e):
+        """The x-y path through the shortcut, of chord length e."""
+        return self.h_x + alpha + e + (self.L - beta) + self.h_y
+
+    def xy(self, alpha, beta):
+        """The x-y family at (p, q): bitwise ``families(alpha, beta).xy``."""
+        via = self._xy_via(alpha, beta, self._chord(alpha, beta)[0])
+        return via if via < self.diam_t else self.diam_t
+
     def families(self, alpha, beta):
         """Exact values of the monitored diametral-path families at (p, q),
         with their slopes in beta."""
@@ -273,22 +320,27 @@ class Caterpillar:
         i_pbar = bisect_right(t, pbar)
         i_qbar = bisect_left(t, qbar)
 
-        xy_via = self.h_x + alpha + e + (self.L - beta) + self.h_y
+        xy_via = self._xy_via(alpha, beta, e)
         if xy_via < self.diam_t:
             xy, xy_branch, xy_db = xy_via, "via", de - 1.0
         else:
             xy, xy_branch, xy_db = self.diam_t, "tree", 0.0
 
+        # The end groups, which the side families and the antipodal family
+        # share: h-t left of p and h+t right of q.
+        (pre, pre_a), (suf, suf_a) = self.hmt_pre, self.hpt_suf
+        m_l, a_l = pre[i_a], pre_a[i_a]              # h-t over t < alpha
+        m_r, a_r = suf[i_b], suf_a[i_b]              # h+t over t > beta
+
         # x-side family: min(tree, via) per pendant, plus x's antipodal.
         fx_anti = self.h_x + alpha + half
-        v1, a1 = self.rm_hpt.query(0, i_pbar)        # tree: t <= pbar
-        fx_tree, fx_tree_p = v1 + self.h_x, a1
+        tab, arg = self.hpt_pre                      # tree: t <= pbar
+        fx_tree, fx_tree_p = tab[i_pbar] + self.h_x, arg[i_pbar]
         v2, a2 = self.rm_hmt.query(i_pbar, i_b)      # via: pbar <= t <= beta
         v2 = v2 + self.h_x + alpha + e + beta
-        v3, a3 = self.rm_hpt.query(i_b, self.k)      # via: t >= beta
-        v3 = v3 + self.h_x + alpha + e - beta
+        v3 = m_r + self.h_x + alpha + e - beta       # via: t >= beta
         fx_via, fx_via_p, fx_via_db = ((v2, a2, 1.0 + de) if v2 >= v3
-                                       else (v3, a3, de - 1.0))
+                                       else (v3, a_r, de - 1.0))
         fx, fx_branch, fx_p, fx_db = fx_anti, "anti", -1, 0.5 * (1.0 + de)
         if fx_tree > fx:
             fx, fx_branch, fx_p, fx_db = fx_tree, "tree", fx_tree_p, 0.0
@@ -297,13 +349,12 @@ class Caterpillar:
 
         # y-side family, mirrored.
         fy_anti = self.h_y + (self.L - beta) + half
-        v1, a1 = self.rm_hmt.query(i_qbar, self.k)   # tree: t >= qbar
-        fy_tree, fy_tree_p = v1 + self.h_y + self.L, a1
+        tab, arg = self.hmt_suf                      # tree: t >= qbar
+        fy_tree, fy_tree_p = tab[i_qbar] + self.h_y + self.L, arg[i_qbar]
         v2, a2 = self.rm_hpt.query(i_a, i_qbar)      # via: alpha <= t <= qbar
         v2 = v2 + self.h_y + (self.L - beta) + e - alpha
-        v3, a3 = self.rm_hmt.query(0, i_a)           # via: t <= alpha
-        v3 = v3 + self.h_y + (self.L - beta) + e + alpha
-        fy_via, fy_via_p = (v2, a2) if v2 >= v3 else (v3, a3)
+        v3 = m_l + self.h_y + (self.L - beta) + e + alpha  # via: t <= alpha
+        fy_via, fy_via_p = (v2, a2) if v2 >= v3 else (v3, a_l)
         fy, fy_branch, fy_p, fy_db = fy_anti, "anti", -1, 0.5 * (de - 1.0)
         if fy_tree > fy:
             fy, fy_branch, fy_p, fy_db = fy_tree, "tree", fy_tree_p, 0.0
@@ -313,15 +364,13 @@ class Caterpillar:
         # Pendant-to-antipodal family; a pendant at t <= beta gains half of
         # q's motion, one past q loses the other half.
         fanti, fanti_p, fanti_db = NEG, -1, math.nan
-        v, a = self.rm_hmt.query(0, i_a)
-        if v + alpha > fanti:
-            fanti, fanti_p, fanti_db = v + alpha, a, 0.5 * (1.0 + de)
+        if m_l + alpha > fanti:
+            fanti, fanti_p, fanti_db = m_l + alpha, a_l, 0.5 * (1.0 + de)
         v, a = self.rm_h.query(i_a, i_b)
         if v > fanti:
             fanti, fanti_p, fanti_db = v, a, 0.5 * (1.0 + de)
-        v, a = self.rm_hpt.query(i_b, self.k)
-        if v - beta > fanti:
-            fanti, fanti_p, fanti_db = v - beta, a, 0.5 * (de - 1.0)
+        if m_r - beta > fanti:
+            fanti, fanti_p, fanti_db = m_r - beta, a_r, 0.5 * (de - 1.0)
         fanti = fanti + half if fanti_p >= 0 else NEG
 
         diameter = max(xy, fx, fy, self.delta)
@@ -370,10 +419,10 @@ class Caterpillar:
         """The (cycle position, height) points ``_cross_pair_max`` scans:
         the end group left of p, the wedges inside, the group right of q."""
         t, h, k = self.t, self.h, self.k
-        pts = [(0.0, self.rm_hmt.query(0, i_a)[0] + alpha)] if i_a > 0 else []
+        pts = [(0.0, self.hmt_pre[0][i_a] + alpha)] if i_a > 0 else []
         pts += [(t[i] - alpha, h[i]) for i in range(i_a, i_b)]
         if i_b < k:
-            pts.append((beta - alpha, self.rm_hpt.query(i_b, k)[0] - beta))
+            pts.append((beta - alpha, self.hpt_suf[0][i_b] - beta))
         return pts
 
     def _cross_pairs(self, alpha, beta, i_a, i_b, cyc):
@@ -401,8 +450,8 @@ class Caterpillar:
         # alpha, H = m_r - beta; an empty group is -inf.  The wedges split
         # into tree and cycle partners at pbar for the left group, at qbar
         # for the right one.
-        m_l = hmt.query(0, i_a)[0]
-        m_r = hpt.query(i_b, self.k)[0]
+        m_l = self.hmt_pre[0][i_a]
+        m_r = self.hpt_suf[0][i_b]
         s_l = bisect_right(self.t, alpha + half, i_a, i_b)
         s_r = bisect_left(self.t, beta - half, i_a, i_b)
         return max(best,

@@ -9,6 +9,7 @@ codes: 0 success, 2 input/usage error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -346,7 +347,10 @@ def render_svg(tree, shortcut=None, diagnosis=None, decomp=None) -> str:
 # -- entry point ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and kept: building it
+    costs some 25 times what parsing one command line does."""
     ap = argparse.ArgumentParser(
         prog="treecut",
         description="Shortcuts minimizing the continuous diameter of a "

@@ -345,14 +345,20 @@ class _Engine:
         return (a, b) if frame is self.cat else self._mirror(frame, a, b)[1:]
 
     def emit(self, kind, phase, frame, fv, payload=()):
+        """An event at the placement of ``fv``, carrying its diameter."""
+        self.emit_at(kind, phase, frame, fv.alpha, fv.beta, fv.diameter,
+                     payload)
+
+    def emit_at(self, kind, phase, frame, a, b, d, payload=()):
+        """An event at the placement (a, b) of ``frame`` with diameter d.
+
+        Events carry the monitored family value read at their placement;
+        the wedge-wedge paths the sweep does not monitor are reconciled
+        when candidates are re-evaluated exactly.
+        """
         if len(self.events) >= self.event_cap:
             return
-        ab, bb = self._to_base(frame, fv.alpha, fv.beta)
-        # Events sit at the placement of ``fv`` and carry the monitored
-        # family value read there; the wedge-wedge paths the sweep does
-        # not monitor are reconciled when candidates are re-evaluated
-        # exactly.
-        d = fv.diameter
+        ab, bb = self._to_base(frame, a, b)
         if self.events:
             last = self.events[-1]
             if (last.kind == kind and abs(last.p_arc - ab) <= self.eps
@@ -614,13 +620,18 @@ class _Engine:
         cancels in each gap; while one end is parked, |de/dt| <= 1.  The
         first crossing is therefore the one root of the maximum of the
         conditions, found by ITP.  The vertex, midpoint and threshold
-        events below it are read off one sorted list of stops.
+        events below it are read off one sorted list of stops.  Below the
+        crossing every condition is negative, so the diameter there is
+        the x-y family: the stops and the threshold root finds read
+        ``Caterpillar.xy`` alone, and the families are read only at t = 0,
+        by the end-root find and at the crossing.
         """
         cat = self.cat
         c, L = cat.c_arc, cat.L
         t_end = max(c, L - c)
         pos = lambda t: (max(0.0, c - t), min(L, c + t))
         state_at = lambda t: self.families(cat, *pos(t))
+        xy_at = lambda t: cat.xy(*pos(t))
         # In sorted order: a hit is named after the first that holds.
         conds = [
             ("antipodal", lambda fv: (fv.fanti - fv.xy)
@@ -655,19 +666,21 @@ class _Engine:
         # above xy(0), then its label; the last stop, at tc, has none.
         thresholds = sorted((cat.h_x + tj + hj
                              for tj, hj in zip(cat.t, cat.h)), reverse=True)
-        i, t0 = sum(thr > fv.xy for thr in thresholds), 0.0
+        i, t0, d1 = sum(thr > fv.xy for thr in thresholds), 0.0, fv.xy
         for t1, kind, payload in stops + [(tc, None, ())]:
-            d0, fv = fv.xy, state_at(t1)
-            while i < len(thresholds) and thresholds[i] > fv.xy:
+            d0, d1 = d1, xy_at(t1)
+            while i < len(thresholds) and thresholds[i] > d1:
                 thr = thresholds[i]
-                tx = itp_root(lambda t: thr - state_at(t).xy, t0, t1,
-                              self.eps, thr - d0, thr - fv.xy)
-                self.emit("threshold", "I", cat, state_at(tx), (thr,))
+                tx = itp_root(lambda t: thr - xy_at(t), t0, t1,
+                              self.eps, thr - d0, thr - d1)
+                self.emit_at("threshold", "I", cat, *pos(tx), xy_at(tx),
+                             (thr,))
                 i += 1
             if kind is not None:
-                self.emit(kind, "I", cat, fv, payload)
+                self.emit_at(kind, "I", cat, *pos(t1), d1, payload)
             t0 = t1
 
+        fv = state_at(tc)
         if name is None:
             self._terminal("I", cat, fv, ("parked-ab",), "phase1-ab")
             return "ab", t_end

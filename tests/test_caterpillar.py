@@ -52,6 +52,47 @@ def test_range_max_gather_matches_query():
         assert list(got) == [rm.query(i, j)[0] for i, j in zip(lo, hi)]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 33])
+def test_prefix_and_suffix_tables_match_range_max(n):
+    # Entry i of a prefix table is RangeMax.query(0, i), of a suffix table
+    # query(i, n), in value and in leftmost argmax.  Few distinct integer
+    # values, so that most windows hold ties for the maximum.
+    rng = random.Random(8 + n)
+    for _ in range(20):
+        vals = [float(rng.randrange(-3, 4)) for _ in range(n)]
+        rm = RangeMax(vals)
+        arr = np.asarray(vals, dtype=float)
+        pre, pre_arg = caterpillar_module._prefix_max(arr)
+        suf, suf_arg = caterpillar_module._suffix_max(arr)
+        for i in range(n + 1):
+            assert (pre[i], pre_arg[i]) == rm.query(0, i), (vals, i)
+            assert (suf[i], suf_arg[i]) == rm.query(i, n), (vals, i)
+            assert type(pre[i]) is float and type(pre_arg[i]) is int
+            assert type(suf[i]) is float and type(suf_arg[i]) is int
+
+
+@pytest.mark.parametrize("t", [random_tree(3, 40, "uniform"),
+                               random_tree(4, 60, "caterpillar"),
+                               random_tree(5, 30, "balanced"),
+                               stress_family(4)],
+                         ids=["uniform", "caterpillar", "balanced", "stress"])
+def test_xy_is_bitwise_the_families_xy(t):
+    # Phase I reads Caterpillar.xy where it used to read the families: the
+    # two must agree to the bit, also where p = q and where an end sits
+    # at a or at b.
+    cat = Caterpillar(t, backbone(t))
+    rng = random.Random(9)
+    L, c = cat.L, cat.c_arc
+    points = [sorted((rng.uniform(0.0, L), rng.uniform(0.0, L)))
+              for _ in range(200)]
+    points += [(a, a) for a in [0.0, c, L] + cat.arcs + cat.t]
+    points += [(0.0, b) for b in [0.0, c, L] + cat.arcs]
+    points += [(a, L) for a in [0.0, c, L] + cat.arcs]
+    points += [(c - s, c + s) for s in (rng.uniform(0.0, c) for _ in range(50))]
+    for a, b in points:
+        assert cat.xy(a, b).hex() == cat.families(a, b).xy.hex(), (a, b)
+
+
 def test_evaluate_grid_bounded_memory():
     t = random_tree(7, 960, "caterpillar")
     cat = Caterpillar(t, backbone(t))

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from treecut import augmented_eval
+from treecut import augmented_eval, cli
 from treecut.cli import _read_tree, main, render_svg
 from treecut.oracle import random_tree
 
@@ -136,6 +136,27 @@ def test_malformed_ids_and_edges_are_input_errors(tmp_path, capsys, doc):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_kept_parser_answers_as_a_fresh_one(tmp_path, capsys, t_l):
+    # main builds its parser once and keeps it; a run of commands through
+    # the kept parser gives the outputs and exit codes of fresh parsers.
+    path = write_tree(tmp_path, t_l)
+    sc = json.dumps({"p": {"edge": [0, 1], "lambda": 0.5},
+                     "q": {"edge": [1, 2], "lambda": 0.5}})
+    commands = [("analyze", path), ("evaluate", path, "--shortcut", sc),
+                ("optimize", path, "--trace"), ("optimize", "--frobnicate"),
+                ("analyze", path)]
+    fresh = []
+    for argv in commands:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli._build_parser.cache_clear()
+    kept = [run_cli(capsys, *argv) for argv in commands]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(commands) - 1)
+    assert [code for code, _, _ in kept] == [0, 0, 0, 2, 0]
+    assert kept == fresh
 
 
 def test_evaluate_hook_useless(tmp_path, capsys, t_hook):

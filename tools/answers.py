@@ -8,19 +8,23 @@ ROADMAP comparison set (the 210 criterion-1 trees, the 210 hold-out
 corpus trees, ``random_tree(s, 5 + s % 96, shape)`` for s = 1000..1299
 and ``random_tree(s, 2000, "caterpillar")`` for s = 0..2) and on the
 1,500 item-1 trees.  Each tree gets one record: ``phase_end``,
-``diameter_after`` as ``float.hex``, the tree's scale, ``event_count``
-and the number of ``Caterpillar.families`` calls.  It runs two worker
+``diameter_after`` as ``float.hex``, the tree's scale, ``event_count``,
+the number of ``Caterpillar.families`` calls and ``events``, a digest of
+the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
+``float.hex`` and payload; not its diameter).  It runs two worker
 processes (one where there is one core).  To compare two versions of
 the program, run each version's copy of this file.
 
 ``compare`` prints the ROADMAP identity verdict: ``phase_end`` identical
 on every tree and no ``diameter_after`` worse than before by more than
-1e-9 * scale.  It exits 1 when the verdict fails.
+1e-9 * scale.  It exits 1 when the verdict fails.  It also counts the
+trees whose event trace changed, which is not part of the verdict.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -54,6 +58,16 @@ def trees():
                                         SHAPES[i % 3])
 
 
+def trace_digest(events):
+    """A digest of the event trace: kind, phase, both arcs to the bit and
+    payload of every event, in order."""
+    h = hashlib.sha256()
+    for ev in events:
+        h.update(repr((ev.kind, ev.phase, ev.p_arc.hex(), ev.q_arc.hex(),
+                       ev.payload)).encode())
+    return h.hexdigest()[:16]
+
+
 def answer(job):
     group, name, spec = job
     calls = [0]
@@ -72,7 +86,7 @@ def answer(job):
     return name, {"set": group, "phase_end": res.phase_end,
                   "diameter_after": res.diameter_after.hex(),
                   "scale": t.scale, "event_count": res.event_count,
-                  "families": calls[0]}
+                  "families": calls[0], "events": trace_digest(res.events)}
 
 
 def dump(out):
@@ -95,8 +109,9 @@ def compare(before_path, after_path):
     for name, old in before.items():
         new = after[name]
         row = sets.setdefault(old["set"], {
-            "trees": 0, "phase_end": 0, "bitwise": 0, "worse": 0.0,
-            "better": 0.0, "families": [0, 0], "events": [0, 0]})
+            "trees": 0, "phase_end": 0, "bitwise": 0, "traces": 0,
+            "worse": 0.0, "better": 0.0, "families": [0, 0],
+            "events": [0, 0]})
         row["trees"] += 1
         row["families"][0] += old["families"]
         row["families"][1] += new["families"]
@@ -111,6 +126,8 @@ def compare(before_path, after_path):
         d1 = float.fromhex(new["diameter_after"])
         if d0 != d1:
             row["bitwise"] += 1
+        if old.get("events") != new.get("events"):
+            row["traces"] += 1
         change = (d1 - d0) / old["scale"]
         row["worse"] = max(row["worse"], change)
         row["better"] = max(row["better"], -change)
@@ -118,15 +135,22 @@ def compare(before_path, after_path):
             ok = False
             print(f"{name}: diameter_after worse by {change:.3g} scale")
     print(f"{'set':<12}{'trees':>6}{'phase_end':>10}{'bitwise':>8}"
-          f"{'worst':>11}{'best':>11}{'families':>20}{'events':>16}")
+          f"{'traces':>7}{'worst':>11}{'best':>11}{'families':>20}"
+          f"{'events':>16}")
     for group, row in sets.items():
         print(f"{group:<12}{row['trees']:>6}{row['phase_end']:>10}"
-              f"{row['bitwise']:>8}{row['worse']:>11.2e}"
+              f"{row['bitwise']:>8}{row['traces']:>7}{row['worse']:>11.2e}"
               f"{row['better']:>11.2e}"
               f"{row['families'][0]:>10}{row['families'][1]:>10}"
               f"{row['events'][0]:>8}{row['events'][1]:>8}")
     print("worst and best: the largest loss and gain of diameter_after, "
           "in units of scale")
+    changed = sum(row["traces"] for row in sets.values())
+    if all("events" in rec for rec in (*before.values(), *after.values())):
+        print(f"event traces changed on {changed} trees (not part of the "
+              "verdict)")
+    else:
+        print("event traces: a dump without trace digests, not compared")
     print("verdict:", "PASS" if ok else "FAIL",
           f"(phase_end identical, no answer worse by more than {WORSE:g} "
           "scale)")
