@@ -66,6 +66,12 @@ def _arc_grid(lo, hi, h):
 # and without the floor a resolution of 1e-300 asks for 1e300 per edge.
 _FINEST_STEPS = 4096
 
+# The full grid evaluates every pair of placements, each one exact
+# evaluation (about 40 us on the right-angle tree), so it is quadratic in
+# the placements: at the floor the right-angle tree alone has 8.4M pairs.
+# A full grid with more pairs than this is refused before any evaluation.
+_MAX_FULL_PAIRS = 1_000_000
+
 
 def grid_search(tree: GeometricTree, resolution: float,
                 restrict_to_backbone: bool = True) -> GridResult:
@@ -88,6 +94,12 @@ def grid_search(tree: GeometricTree, resolution: float,
             f"over {_FINEST_STEPS}; raise --resolution")
     if restrict_to_backbone:
         return _grid_restricted(tree, decomp, resolution)
+    pairs = _full_pair_count(tree, resolution)
+    if pairs > _MAX_FULL_PAIRS:
+        raise ResolutionTooFine(
+            f"resolution {resolution} gives the full grid {pairs} placement "
+            f"pairs, more than {_MAX_FULL_PAIRS}; raise --resolution or "
+            f"pass --restrict-backbone")
     return _grid_full(tree, decomp, resolution)
 
 
@@ -111,13 +123,25 @@ def _grid_restricted(tree, decomp, h):
     return GridResult(Shortcut(p, q), float(vals[i]), h, len(vals), True)
 
 
+def _edge_steps(tree, u, v, h):
+    """The number of grid steps on the edge (u, v)."""
+    return max(1, int(math.ceil(tree.edge_length[(u, v)] / h)))
+
+
+def _full_pair_count(tree, h):
+    """The evaluations of the full grid: the degenerate placement plus one
+    per pair of distinct placements, each vertex and each interior step
+    point of an edge."""
+    pts = tree.n + sum(_edge_steps(tree, u, v, h) - 1 for u, v in tree.edges)
+    return 1 + pts * (pts - 1) // 2
+
+
 def _placements(tree, h):
     """All grid points (ordered deterministically) as TreePoints."""
     pts = []
     seen = set()
-    for ei, (u, v) in enumerate(tree.edges):
-        w = tree.edge_length[(u, v)]
-        steps = max(1, int(math.ceil(w / h)))
+    for u, v in tree.edges:
+        steps = _edge_steps(tree, u, v, h)
         for i in range(steps + 1):
             lam = i / steps
             tp = TreePoint(u, v, lam).canonical()

@@ -10,7 +10,7 @@ endpoint.  Phase III out-shifts while balancing the x-side against the
 y-side families, with the x-component frozen while a tree-routed
 pendant path is diametral.  Each phase-III run keeps the trajectory it
 walked and finishes with a binary search on it for the first placement
-where a path between two wedges becomes diametral, then an ITP root
+where a path between two wedges becomes diametral, then a stop find
 inside the bracketing step.  That path, by the tree or through the
 shortcut, is the one part of the exact diameter the families leave
 unmonitored; its length is one ``Caterpillar.pairs`` query.
@@ -39,9 +39,13 @@ multiple of the chord), starting from the secant guess of the last two
 solutions; where a step would leave the bracket, meets a slope that is
 not positive, or fails to shrink the residual, the solve falls back to
 growing a bracket from the guess, from a fixed first step of 1e-4 L,
-and an ITP root inside it.  Events are
-located by sign probing, then by ITP root finding (bisection safeguarded
-by regula falsi) inside the bracketing probe interval.  The phases note
+and an ITP root inside it.  Every stop (phase I's end, a walk's first
+event on a stretch, the wedge crossing) follows one rule,
+``_Engine._first_stop``: read the states at a few points, stop at the
+first where the largest watch holds or at the ITP root (bisection
+safeguarded by regula falsi) of that largest watch in the interval
+before it, keep the state the root finder read there, and name the
+stop after the first watch that holds in it.  The phases note
 candidate placements (terminals, junctures, interior minima, segment
 ends, the wedge crossing) in one list; every one is evaluated exactly
 and the best is polished by a compass search.  ``OptimizeResult.events``
@@ -533,34 +537,39 @@ class _Engine:
             return []
         return [(handler, frame, a, beta, pair, {})]
 
-    # -- generic segment scanning ----------------------------------------
+    # -- the stop rule ----------------------------------------------------
 
-    def _scan(self, state_at, s0, s1, conds):
-        """Find condition crossings in (s0, s1].
+    def _first_stop(self, state_at, points, watches):
+        """Where a motion stops: the first placement where a watch holds.
 
-        Returns (hits, states) where hits is a list of (s, name) sorted by
-        s for conditions whose value crosses from negative to >= 0, and
-        states the probe evaluations [(s, fv)].
+        ``watches`` is a list of (name, fn); a watch holds where fn >= 0.
+        The states at the ascending ``points`` are read first.  The stop is
+        the first point where the largest watch holds or, when that point
+        is not the first, the ITP root of the largest watch inside the
+        interval before it.  Its state is the one the root finder read
+        there, never a second read, since a balance solve started from
+        another warm start can land elsewhere; the stop is named after the
+        first watch, in list order, that holds in it.  Returns (s, name,
+        fv, states) with states the point reads [(s, fv)]; s, name and fv
+        are None where no watch holds at any point.
         """
-        p = self.PROBES
-        ss = [s0 + (s1 - s0) * i / p for i in range(p + 1)]
-        states = [(s, state_at(s)) for s in ss]
-        hits = []
-        for name, fn in conds:
-            prev_s, prev_v = states[0][0], fn(states[0][1])
-            if prev_v >= 0.0:
-                hits.append((s0, name))
-                continue
-            for s, fv in states[1:]:
-                v = fn(fv)
-                if prev_v < 0.0 <= v:
-                    sc = itp_root(lambda x: fn(state_at(x)), prev_s, s,
-                                  self.eps, prev_v, v)
-                    hits.append((sc, name))
-                    break
-                prev_s, prev_v = s, v
-        hits.sort()
-        return hits, states
+        top = lambda fv: max(fn(fv) for _, fn in watches)
+        states = [(s, state_at(s)) for s in points]
+        vals = [top(fv) for _, fv in states]
+        i = next((i for i, v in enumerate(vals) if v >= 0.0), None)
+        if i is None:
+            return None, None, None, states
+        s, fv = states[i]
+        if i > 0:
+            # ITP returns the right end or a point it read, where g >= 0;
+            # it never reads a point twice.
+            read = {}
+            g = lambda x: top(read.setdefault(x, state_at(x)))
+            s = itp_root(g, states[i - 1][0], s, self.eps, vals[i - 1],
+                         vals[i])
+            fv = read.get(s, fv)
+        name = next(nm for nm, fn in watches if fn(fv) >= 0.0)
+        return s, name, fv, states
 
     def _diag_probe(self, frame, states):
         """Count unsuppressed routing flips: every pendant whose antipodal
@@ -619,12 +628,13 @@ class _Engine:
         family.  While both ends move, alpha + beta = 2c and the chord
         cancels in each gap; while one end is parked, |de/dt| <= 1.  The
         first crossing is therefore the one root of the maximum of the
-        conditions, found by ITP.  The vertex, midpoint and threshold
-        events below it are read off one sorted list of stops.  Below the
-        crossing every condition is negative, so the diameter there is
-        the x-y family: the stops and the threshold root finds read
-        ``Caterpillar.xy`` alone, and the families are read only at t = 0,
-        by the end-root find and at the crossing.
+        conditions, the stop ``_first_stop`` finds on [0, t_end].  The
+        vertex, midpoint and threshold events below it are read off one
+        sorted list of stops.  Below the crossing every condition is
+        negative, so the diameter there is the x-y family: the stops and
+        the threshold root finds read ``Caterpillar.xy`` alone, and the
+        families are read only at t = 0, t_end and inside the end-root
+        find.
         """
         cat = self.cat
         c, L = cat.c_arc, cat.L
@@ -632,7 +642,7 @@ class _Engine:
         pos = lambda t: (max(0.0, c - t), min(L, c + t))
         state_at = lambda t: self.families(cat, *pos(t))
         xy_at = lambda t: cat.xy(*pos(t))
-        # In sorted order: a hit is named after the first that holds.
+        # In sorted order: a stop is named after the first that holds.
         conds = [
             ("antipodal", lambda fv: (fv.fanti - fv.xy)
              if fv.fanti_pendant >= 0 else NEG),
@@ -644,12 +654,10 @@ class _Engine:
         fv = state_at(0.0)
         if self.ties(fv) - {"xy"}:
             return "tie", 0.0
-        g = lambda t: max(fn(state_at(t)) for _, fn in conds)
-        g0, g_end = g(0.0), g(t_end)
-        tc = 0.0 if g0 >= 0.0 else t_end
-        if g0 < 0.0 <= g_end:
-            tc = itp_root(g, 0.0, t_end, self.eps, g0, g_end)
-        name = next((nm for nm, fn in conds if fn(state_at(tc)) >= 0.0), None)
+        tc, name, fvc, states = self._first_stop(state_at, [0.0, t_end],
+                                                 conds)
+        if name is None:
+            tc, fvc = states[-1]
 
         stops = [(abs(arc - c), "vertex-p" if arc < c else "vertex-q", (arc,))
                  for arc in cat.arcs if abs(arc - c) > self.eps]
@@ -680,14 +688,13 @@ class _Engine:
                 self.emit_at(kind, "I", cat, *pos(t1), d1, payload)
             t0 = t1
 
-        fv = state_at(tc)
         if name is None:
-            self._terminal("I", cat, fv, ("parked-ab",), "phase1-ab")
+            self._terminal("I", cat, fvc, ("parked-ab",), "phase1-ab")
             return "ab", t_end
         if name == "delta-floor":
-            self._terminal("I", cat, fv, ("delta-floor",), "delta-floor")
+            self._terminal("I", cat, fvc, ("delta-floor",), "delta-floor")
             return "delta", tc
-        self.emit("path-state", "I", cat, fv, (name,))
+        self.emit("path-state", "I", cat, fvc, (name,))
         return "tie", tc
 
     # -- the walk shared by phases II and III -----------------------------
@@ -706,10 +713,12 @@ class _Engine:
         ``state_at(x)`` gives the families with the driven endpoint (p, or
         q when ``drive_q``) at x; the other endpoint follows its balance
         equation, whose solves share the ``_WarmStart`` ``warm``, or stays
-        put.  The motion is cut at the breakpoints of the frame and each
-        stretch is probed at ``PROBES`` points for the handler's watches
-        ``conds`` and for the delta floor.  Returns (name, x, fv) at the
-        first crossing, else (None, x, None) once x has reached end.
+        put.  The motion is cut at the breakpoints of the frame, and on each
+        stretch ``_first_stop`` reads ``PROBES + 1`` evenly spaced points
+        and finds where the handler's watches ``conds`` or the delta floor
+        first hold.  Returns (name, x, fv) at that stop, in the state its
+        root finder read there, so the watch ``name`` holds in ``fv``;
+        else (None, x, None) once x has reached end.
 
         Every walk shares its rules.  Its diameter is the larger of the
         family ``pair`` it keeps in balance (``_PAIRS``).  It stops on the
@@ -722,8 +731,9 @@ class _Engine:
         beat the best seen, is searched for its minimum
         (``_interior_min``), which is noted as a candidate; a walk with a
         law reports a dip below both stretch ends as a grow-shrink event.
-        No search moves the walk: the warm start the scan left is restored
-        after it, so q's next solve starts from the walk's own path.
+        No search moves the walk: the warm start the stop find left is
+        restored after it, so q's next solve starts from the walk's own
+        path.
 
         Along the way the walk reports changes of ``branch_sig(fv)``, the
         branches of the diametral paths, and records the motion segments
@@ -732,8 +742,8 @@ class _Engine:
         and the segment ends are appended to ``track`` as (alpha, beta,
         diameter) when a list is given.  When recording, the segments and,
         on phase-III stretches only, the diagnostic count read a re-probe
-        of the stretch at 24 points, from the warm start the scan started
-        from.
+        of the stretch at 24 points, from the warm start the stop find
+        started from.
         """
         active = _active(pair)
         conds = [*conds, ("delta-floor",
@@ -752,13 +762,15 @@ class _Engine:
             span = abs(target - x)
             seg = lambda s: state_at(x + sign * s)
             start = warm.save()
-            hits, states = self._scan(seg, 0.0, span, conds)
+            sc, name, fvc, states = self._first_stop(
+                seg, [span * i / self.PROBES for i in range(self.PROBES + 1)],
+                conds)
             left = warm.save()
-            record = law is not None and not hits
+            record = law is not None and name is None
             diag = phase == "III"
             if self.record_segments and (record or diag):
-                # The re-probe starts from where the scan started: phase
-                # III's frozen test reads q at the warm start's beta.
+                # The re-probe starts from where the stop find started:
+                # phase III's frozen test reads q at the warm start's beta.
                 warm.restore(start)
                 fine = [(s, seg(s))
                         for s in (span * i / 24 for i in range(25))]
@@ -767,9 +779,7 @@ class _Engine:
                     self._diag_probe(frame, fine)
                 if record:
                     self._record_lawful(phase, frame, fine, active, *law)
-            if hits:
-                sc, name = hits[0]
-                fvc = seg(sc)
+            if name is not None:
                 if track is not None:
                     track.append((fvc.alpha, fvc.beta, active(fvc)))
                 if name == "delta-floor":
@@ -981,19 +991,14 @@ class _Engine:
         run in ``frame``.  Wedge-wedge paths, by the tree or through the
         shortcut, are what the monitored families leave out of the exact
         diameter; ``Caterpillar.pairs`` gives the longest.  A binary
-        search finds the first point where it ties; between it and its
-        predecessor the crossing is the ITP root, given its end values,
-        of "pairs minus diameter" with q keeping the x-y balance.  An end
-        value at a trajectory point that is in x-y balance is the margin
-        the search already read.
+        search finds the first point where it ties.  Between it and its
+        predecessor, ``_first_stop`` finds where "pairs minus diameter"
+        first rises to -tol with q keeping the x-y balance; where it does
+        not, no candidate is noted.
         """
-        margins = {}
-
         def margin(i):
-            if i not in margins:
-                a, b, d = traj[i]
-                margins[i] = frame.pairs(a, b) - d
-            return margins[i]
+            a, b, d = traj[i]
+            return frame.pairs(a, b) - d
         lo, hi = 0, len(traj) - 1     # margin(lo) < -tol <= margin(hi)
         if margin(hi) < -self.tol or margin(lo) >= -self.tol:
             return
@@ -1011,24 +1016,13 @@ class _Engine:
         # q's first guesses follow the secant through the two ends.
         warm.update(a_hi, b_hi)
         warm.update(a_lo, b_lo)
-
-        def gap(s):
-            fv = state_at(a_lo - s)
-            return (frame.pairs(fv.alpha, fv.beta) - max(fv.fx, fv.fy)
-                    + self.tol)
-
-        def end_gap(i, s):
-            fv = self.families(frame, *traj[i][:2])
-            if abs(fv.fx - fv.fy) <= self.accept:
-                # A solve started at trajectory point i stops there, and
-                # the binary search has paid for its pairs query.
-                return margins[i] + self.tol
-            return gap(s)
-
-        fv = state_at(a_lo - itp_root(gap, 0.0, width, self.eps,
-                                      end_gap(lo, 0.0), end_gap(hi, width)))
-        self.note_candidate(frame, fv.alpha, fv.beta, "wedge-crossing")
-        self.emit("path-state", "III", frame, fv, ("wedge-crossing",))
+        watch = ("wedge-crossing", lambda fv: frame.pairs(fv.alpha, fv.beta)
+                 - max(fv.fx, fv.fy) + self.tol)
+        _, name, fv, _ = self._first_stop(lambda s: state_at(a_lo - s),
+                                          [0.0, width], [watch])
+        if name is not None:
+            self.note_candidate(frame, fv.alpha, fv.beta, name)
+            self.emit("path-state", "III", frame, fv, (name,))
 
     # -- driver ----------------------------------------------------------
 

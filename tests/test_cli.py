@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import time
 
 import pytest
 
@@ -485,3 +486,16 @@ def test_oracle_resolution_finer_than_the_floor_is_input_error(
     assert code == 2
     assert not out
     assert "--resolution" in err
+
+
+def test_full_oracle_at_the_floor_is_input_error(tmp_path, capsys, t_l):
+    # The resolution floor admits diameter / 4096, but the full grid there
+    # has 8.4M placement pairs; it is refused before any evaluation.
+    path = write_tree(tmp_path, t_l)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "oracle", path, "--resolution",
+                             repr(2.0 / 4096))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert not out
+    assert "placement pairs" in err and "--resolution" in err

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import pytest
@@ -12,6 +13,7 @@ from treecut import (
     grid_search,
 )
 from treecut.oracle import (
+    _full_pair_count,
     dense_sample_diameter,
     point_backbone_tree,
     random_tree,
@@ -89,6 +91,28 @@ def test_grid_search_rejects_fine_resolution(t_l, restrict):
     for h in (1e-300, 2.0 / 4097):
         with pytest.raises(ResolutionTooFine, match="--resolution"):
             grid_search(t_l, h, restrict_to_backbone=restrict)
+
+
+def test_full_grid_refuses_too_many_pairs_before_evaluating(t_l):
+    # At the floor, diameter / 4096, the right-angle tree has 4,097
+    # placements: 8.4M pairs, about 5 minutes of exact evaluations.  The
+    # full grid counts them first and refuses, while the backbone grid at
+    # the same resolution runs and the full grid at 0.02 (5,051 pairs)
+    # still does.
+    h = 2.0 / 4096
+    start = time.perf_counter()
+    with pytest.raises(ResolutionTooFine, match="--resolution"):
+        grid_search(t_l, h, restrict_to_backbone=False)
+    assert time.perf_counter() - start < 1.0
+    assert grid_search(t_l, h, restrict_to_backbone=True).restricted
+    assert grid_search(t_l, 0.02,
+                       restrict_to_backbone=False).evaluations == 5051
+    # The count the refusal reads is the count the grid evaluates.
+    for seed in range(3):
+        t = random_tree(seed, 6, "uniform")
+        h = backbone(t).diameter / 20.0
+        assert _full_pair_count(t, h) == grid_search(
+            t, h, restrict_to_backbone=False).evaluations
 
 
 def test_dense_sample_diameter_plain(t_l):

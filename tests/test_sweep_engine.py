@@ -456,7 +456,7 @@ def test_corpus_families_calls_bounded(monkeypatch):
     # juncture continues from one balance solve, not from a scan of the
     # balance for every root, a solve takes Newton steps, and only a
     # stretch whose lowest probe is interior is searched for its minimum,
-    # and phase I reads the x-y family alone at its stops.  About 28,060
+    # and phase I reads the x-y family alone at its stops.  About 26,920
     # calls.
     calls = [0]
     families = Caterpillar.families
@@ -716,7 +716,7 @@ def test_d_min_events_mark_real_dips(monkeypatch):
     # dips inside it below both of its ends by more than tol; rounding on
     # a flat stretch is no turn of the motion.
     actives, scanned, dips = [], [None], []
-    drive, scan, emit = _Engine._drive, _Engine._scan, _Engine.emit
+    drive, first_stop, emit = _Engine._drive, _Engine._first_stop, _Engine.emit
 
     def traced_drive(self, phase, frame, state_at, x0, end, conds, pair,
                      *args, **kwargs):
@@ -727,10 +727,10 @@ def test_d_min_events_mark_real_dips(monkeypatch):
         finally:
             actives.pop()
 
-    def traced_scan(self, *args):
-        hits, states = scan(self, *args)
-        scanned[0] = states
-        return hits, states
+    def traced_first_stop(self, *args):
+        out = first_stop(self, *args)
+        scanned[0] = out[3]
+        return out
 
     def traced_emit(self, kind, phase, frame, fv, payload=()):
         if payload == ("d-min",):
@@ -740,7 +740,7 @@ def test_d_min_events_mark_real_dips(monkeypatch):
         return emit(self, kind, phase, frame, fv, payload)
 
     monkeypatch.setattr(_Engine, "_drive", traced_drive)
-    monkeypatch.setattr(_Engine, "_scan", traced_scan)
+    monkeypatch.setattr(_Engine, "_first_stop", traced_first_stop)
     monkeypatch.setattr(_Engine, "emit", traced_emit)
     for seed in range(1000, 1100):
         optimize(random_tree(seed, 5 + seed % 96, CORPUS_SHAPES[seed % 3]),
@@ -754,7 +754,11 @@ def test_d_min_events_mark_real_dips(monkeypatch):
     (0, 0.5, {("III", "phase3")}),
     (1, 0.5, {("II-x", "phase2x")}),
     (1, 0.9, {("II-o", "phase2x")}),
-    (172, 0.01, {("II-o", "phase2side"), ("II-x", "phase2x")}),
+    # The anti-xy walk touches the floor between two probes, inside the
+    # probe interval where the y-side family ties, so it stops on the floor
+    # before the juncture (p_arc 0.1117 against 0.0919) that would lead to
+    # the phase2side and II-x walks.
+    (172, 0.01, {("II-o", "phase2x")}),
 ])
 def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
     # No corpus tree ends a walk on the delta floor, so raise the floor
@@ -805,3 +809,168 @@ def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
     # can hold fewer, all with the one label.
     assert {ev.payload for ev in eng.events
             if "delta-floor" in ev.payload} == {("delta-floor",)}
+
+
+def test_phase2side_walk_stops_on_the_delta_floor(monkeypatch):
+    # No corpus tree gives a phase2side walk that stops on the floor, so
+    # start the walk toward a from tree 172's first juncture with the
+    # floor raised into the range of that walk's diameter.  The diameter
+    # only rises toward a, so the walk stops on the floor where it starts,
+    # in a state where the floor holds, with one ("delta-floor",) terminal
+    # and one delta-floor candidate; only the walk toward c follows it.
+    t = corpus_tree(172)
+    junctures = []
+    side, first_stop = _Engine.phase2side, _Engine._first_stop
+
+    def entered(self, frame, a0, b0, toward_c=False):
+        junctures.append((frame is self.cat, a0, b0))
+        return side(self, frame, a0, b0, toward_c)
+
+    monkeypatch.setattr(_Engine, "phase2side", entered)
+    optimize(t)
+    monkeypatch.setattr(_Engine, "phase2side", side)
+    base, a0, b0 = junctures[0]
+    active = _active("anti-y")
+    read, stops = [], []
+
+    def traced_first_stop(self, *args):
+        out = first_stop(self, *args)
+        read.extend(active(fv) for _, fv in out[3])
+        return out
+
+    def walk(delta=None):
+        eng = _Engine(t, backbone(t))
+        if delta is not None:
+            eng.cat.delta = eng.cat.flip().delta = delta
+        frame = eng.cat if base else eng.cat.flip()
+        return eng, eng.phase2side(frame, a0, b0)
+
+    drive = _Engine._drive
+
+    def traced_drive(self, *args, **kwargs):
+        stops.append(drive(self, *args, **kwargs))
+        return stops[-1]
+
+    monkeypatch.setattr(_Engine, "_first_stop", traced_first_stop)
+    monkeypatch.setattr(_Engine, "_drive", traced_drive)
+    walk()
+    assert stops.pop()[0] is None        # parked at a, with no floor
+    assert read[0] == min(read) and max(read) > read[0] + 1e-3 * t.scale
+    delta = read[0] + 0.5 * (max(read) - read[0])
+    eng, tasks = walk(delta)
+    name, x, fv = stops.pop()
+    assert (name, x) == ("delta-floor", a0)
+    assert active(fv) <= delta + t.tol
+    assert [task[-1] for task in tasks] == [{"toward_c": True}]
+    assert [ev.payload for ev in eng.events
+            if ev.kind == "terminal"] == [("delta-floor",)]
+    assert [tag for *_, tag in eng.candidates] == ["delta-floor"]
+
+
+# Trees with phase-III antipodal stops where solving q again at the root,
+# from the warm start the root finder's last step left, lands in a state
+# where the watch does not hold: by -0.22, -0.053, -0.11, -0.19 and
+# -0.026 times the scale.  A stop keeps the state its root finder read.
+STOP_TREES = [
+    (1000617, 14, "balanced"), (1000294, 30, "uniform"),
+    (1000644, 30, "balanced"), (1001353, 20, "uniform"),
+    (26, 14, "balanced"),
+]
+
+
+@pytest.mark.parametrize("spec", STOP_TREES,
+                         ids=[str(spec[0]) for spec in STOP_TREES])
+def test_every_walk_stop_holds_its_watch(monkeypatch, spec):
+    t = random_tree(*spec)
+    drive, stops = _Engine._drive, []
+
+    def traced_drive(self, phase, frame, state_at, x0, end, conds, pair,
+                     *args, **kwargs):
+        out = drive(self, phase, frame, state_at, x0, end, conds, pair,
+                    *args, **kwargs)
+        name, _, fv = out
+        if name is not None:
+            active = _active(pair)
+            watches = dict(conds, **{
+                "delta-floor":
+                    lambda fv: frame.delta + self.tol - active(fv)})
+            stops.append((phase, name, watches[name](fv) / t.scale))
+        return out
+
+    monkeypatch.setattr(_Engine, "_drive", traced_drive)
+    optimize(t, record_segments=False)
+    assert ("III", "antipodal") in {(phase, name) for phase, name, _ in stops}
+    missed = [stop for stop in stops if stop[2] < 0.0]
+    assert not missed, missed
+
+
+class _Read:
+    """A synthetic state: the point it was read at."""
+
+    def __init__(self, s):
+        self.s = s
+
+
+def _stop_case(points, watches):
+    """``_first_stop`` on synthetic states, and every state it read."""
+    eng = _Engine(corpus_tree(0), backbone(corpus_tree(0)))
+    made = []
+
+    def state_at(s):
+        made.append(_Read(s))
+        return made[-1]
+
+    return eng, eng._first_stop(state_at, points, watches), made
+
+
+def test_first_stop_at_the_first_point_that_holds():
+    watches = [("a", lambda st: st.s - 1.0), ("b", lambda st: 0.5 - st.s)]
+    _, (s, name, fv, states), made = _stop_case([0.0, 1.0, 2.0], watches)
+    # b holds at the first point: no root find, three reads.
+    assert (s, name) == (0.0, "b")
+    assert fv is made[0] and len(made) == 3
+    assert [(x, st.s) for x, st in states] == [(0.0, 0.0), (1.0, 1.0),
+                                               (2.0, 2.0)]
+
+
+def test_first_stop_inside_the_first_interval_whose_end_holds():
+    # The largest watch first holds at the point 2.0; the stop is its root
+    # in (1.0, 2.0], though the watch b holds at 3.0 as well.
+    watches = [("a", lambda st: st.s - 1.3 * math.pi / 3.0),
+               ("b", lambda st: st.s - 2.5)]
+    eng, (s, name, fv, states), made = _stop_case([0.0, 1.0, 2.0, 3.0],
+                                                  watches)
+    root = 1.3 * math.pi / 3.0
+    assert name == "a"
+    assert root <= s <= root + 2.0 * eng.eps
+    # The state is one the root finder read, at s, and the last read with
+    # the watch holding: no read follows to re-derive it.
+    reads = [0]
+
+    def counted(x):
+        reads[0] += 1
+        return max(fn(_Read(x)) for _, fn in watches)
+
+    itp_root(counted, 1.0, 2.0, eng.eps, 1.0 - root, 2.0 - root)
+    assert len(made) == 4 + reads[0]
+    assert fv in made[4:] and fv.s == s
+    assert [x for x, _ in states] == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_first_stop_is_named_after_the_first_watch_that_holds():
+    # Both watches cross at 1.5; b is larger, but a comes first.
+    watches = [("a", lambda st: st.s - 1.5),
+               ("b", lambda st: 2.0 * (st.s - 1.5))]
+    _, (s, name, fv, _), _ = _stop_case([0.0, 1.0, 2.0], watches)
+    assert name == "a" and s >= 1.5
+    # Where only the later watch holds, the stop takes its name.
+    watches = [("a", lambda st: st.s - 1.8), ("b", lambda st: st.s - 1.2)]
+    _, (s, name, fv, _), _ = _stop_case([0.0, 1.0, 2.0], watches)
+    assert name == "b" and 1.2 <= s < 1.8
+
+
+def test_first_stop_where_nothing_holds():
+    watches = [("a", lambda st: -1.0 - st.s), ("b", lambda st: NEG)]
+    _, (s, name, fv, states), made = _stop_case([0.0, 0.5, 1.0], watches)
+    assert (s, name, fv) == (None, None, None)
+    assert [st for _, st in states] == made and len(made) == 3
