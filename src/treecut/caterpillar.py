@@ -7,16 +7,14 @@ augmented diameter can be evaluated exactly from the pendant data alone.
 It is the maximum of two queries.  ``families`` gives the candidate
 families tracked by the sweep (x-side, y-side, antipodal, x-y) by three
 O(1) range-maximum queries and four reads of prefix and suffix maxima;
-they cover every path with x or y as an end and every antipode.  ``xy``
-gives the x-y family alone by the same formula; it is all that phase I
-reads at its stops and threshold crossings.  ``pairs`` gives the rest:
-the longest path between two wedges (pendants), from prefix tables
-where the tree joins them on one side of the cycle, and from range
-maxima over the wedges inside the cycle otherwise: for each wedge, one
-window of tree-route partners and one prefix of cycle-route partners,
-read for all wedges at once from the sparse tables as numpy gathers.  A
-cycle holding few wedges is scanned in Python instead, which is cheaper
-there.
+they cover every path with x or y as an end and every antipode.
+``pairs`` gives the rest: the longest path between two wedges
+(pendants), from prefix tables where the tree joins them on one side of
+the cycle, and from range maxima over the wedges inside the cycle
+otherwise: for each wedge, one window of tree-route partners and one
+prefix of cycle-route partners, read for all wedges at once from the
+sparse tables as numpy gathers.  A cycle holding few wedges is scanned
+in Python instead, which is cheaper there.
 
 The paper's sweep runs mirror-symmetric phases: a shift toward y is a
 shift toward x seen from b.  ``Caterpillar.flip()`` gives that view as a
@@ -296,15 +294,6 @@ class Caterpillar:
 
     # -- candidate families ---------------------------------------------
 
-    def _xy_via(self, alpha, beta, e):
-        """The x-y path through the shortcut, of chord length e."""
-        return self.h_x + alpha + e + (self.L - beta) + self.h_y
-
-    def xy(self, alpha, beta):
-        """The x-y family at (p, q): bitwise ``families(alpha, beta).xy``."""
-        via = self._xy_via(alpha, beta, self._chord(alpha, beta)[0])
-        return via if via < self.diam_t else self.diam_t
-
     def families(self, alpha, beta):
         """Exact values of the monitored diametral-path families at (p, q),
         with their slopes in beta."""
@@ -320,7 +309,7 @@ class Caterpillar:
         i_pbar = bisect_right(t, pbar)
         i_qbar = bisect_left(t, qbar)
 
-        xy_via = self._xy_via(alpha, beta, e)
+        xy_via = self.h_x + alpha + e + (self.L - beta) + self.h_y
         if xy_via < self.diam_t:
             xy, xy_branch, xy_db = xy_via, "via", de - 1.0
         else:

@@ -4,7 +4,8 @@ Phase I out-shifts the shortcut from the degenerate placement at the
 absolute center, shrinking the x-y diametral paths at unit speed, until
 a second family of diametral paths appears; its conditions never
 decrease, so that is one root of their maximum, found without a walk.
-Phase II shifts sideways (toward x or toward y, branching on an
+That root fixes the whole motion, and one event at it is phase I's
+trace.  Phase II shifts sideways (toward x or toward y, branching on an
 antipodal tie) while a balance equation re-derives the trailing
 endpoint.  Phase III out-shifts while balancing the x-side against the
 y-side families, with the x-component frozen while a tree-routed
@@ -248,7 +249,8 @@ class OptimizeResult:
     main chain: straight after phase I, or after the x-xy shift that
     phase I hands off to.  Otherwise it is "II", also when phase III runs
     from a juncture of phase II.  ``events`` is the trace, at most
-    400 + 80n events, and ``event_count`` its length.  ``segments`` and
+    400 + 80n events, of which phase I gives at most one, at its end;
+    ``event_count`` is its length.  ``segments`` and
     ``diagnostic_phase3_changes`` are filled only when recording.
     """
 
@@ -349,12 +351,7 @@ class _Engine:
         return (a, b) if frame is self.cat else self._mirror(frame, a, b)[1:]
 
     def emit(self, kind, phase, frame, fv, payload=()):
-        """An event at the placement of ``fv``, carrying its diameter."""
-        self.emit_at(kind, phase, frame, fv.alpha, fv.beta, fv.diameter,
-                     payload)
-
-    def emit_at(self, kind, phase, frame, a, b, d, payload=()):
-        """An event at the placement (a, b) of ``frame`` with diameter d.
+        """An event at the placement of ``fv``, carrying its diameter.
 
         Events carry the monitored family value read at their placement;
         the wedge-wedge paths the sweep does not monitor are reconciled
@@ -362,13 +359,14 @@ class _Engine:
         """
         if len(self.events) >= self.event_cap:
             return
-        ab, bb = self._to_base(frame, a, b)
+        ab, bb = self._to_base(frame, fv.alpha, fv.beta)
         if self.events:
             last = self.events[-1]
             if (last.kind == kind and abs(last.p_arc - ab) <= self.eps
                     and abs(last.q_arc - (self.cat.L - bb)) <= self.eps):
                 return
-        self.events.append(Event(kind, phase, ab, self.cat.L - bb, d, payload))
+        self.events.append(Event(kind, phase, ab, self.cat.L - bb,
+                                 fv.diameter, payload))
 
     def _novel_juncture(self, frame, a, b, tag):
         """Whether a continuation from this tied position was not yet run.
@@ -628,20 +626,19 @@ class _Engine:
         family.  While both ends move, alpha + beta = 2c and the chord
         cancels in each gap; while one end is parked, |de/dt| <= 1.  The
         first crossing is therefore the one root of the maximum of the
-        conditions, the stop ``_first_stop`` finds on [0, t_end].  The
-        vertex, midpoint and threshold events below it are read off one
-        sorted list of stops.  Below the crossing every condition is
-        negative, so the diameter there is the x-y family: the stops and
-        the threshold root finds read ``Caterpillar.xy`` alone, and the
-        families are read only at t = 0, t_end and inside the end-root
-        find.
+        conditions, the stop ``_first_stop`` finds on [0, t_end].  Its t
+        fixes the whole motion, so phase I's trace is one event at its
+        end, a terminal or a path state, and none where a second family
+        ties at t = 0.  Returns (status, fv): status "tie" where a second
+        family ties, "ab" where p and q park at a and b first, "delta"
+        on the delta floor; fv is the state read at the end, by the root
+        finder where the end is a root.
         """
         cat = self.cat
         c, L = cat.c_arc, cat.L
         t_end = max(c, L - c)
-        pos = lambda t: (max(0.0, c - t), min(L, c + t))
-        state_at = lambda t: self.families(cat, *pos(t))
-        xy_at = lambda t: cat.xy(*pos(t))
+        state_at = lambda t: self.families(cat, max(0.0, c - t),
+                                           min(L, c + t))
         # In sorted order: a stop is named after the first that holds.
         conds = [
             ("antipodal", lambda fv: (fv.fanti - fv.xy)
@@ -653,49 +650,17 @@ class _Engine:
 
         fv = state_at(0.0)
         if self.ties(fv) - {"xy"}:
-            return "tie", 0.0
-        tc, name, fvc, states = self._first_stop(state_at, [0.0, t_end],
-                                                 conds)
+            return "tie", fv
+        _, name, fvc, states = self._first_stop(state_at, [0.0, t_end], conds)
         if name is None:
-            tc, fvc = states[-1]
-
-        stops = [(abs(arc - c), "vertex-p" if arc < c else "vertex-q", (arc,))
-                 for arc in cat.arcs if abs(arc - c) > self.eps]
-        for i, (tj, hj) in enumerate(zip(cat.t, cat.h)):
-            u, v = (tj + hj - cat.h_x) / 2.0, (L + cat.h_y + tj - hj) / 2.0
-            if 0.0 < u < c:
-                stops.append((c - u, "midpoint", ("midpoint-p", i)))
-            if c < v < L:
-                stops.append((v - c, "midpoint", ("midpoint-q", i)))
-        # Sorted by t alone, so that labels at one t keep this order.
-        stops = [s for s in sorted(stops, key=lambda s: s[0])
-                 if name is None or s[0] < tc]
-        # A stop emits the thresholds xy crosses in (t0, t1], skipping any
-        # above xy(0), then its label; the last stop, at tc, has none.
-        thresholds = sorted((cat.h_x + tj + hj
-                             for tj, hj in zip(cat.t, cat.h)), reverse=True)
-        i, t0, d1 = sum(thr > fv.xy for thr in thresholds), 0.0, fv.xy
-        for t1, kind, payload in stops + [(tc, None, ())]:
-            d0, d1 = d1, xy_at(t1)
-            while i < len(thresholds) and thresholds[i] > d1:
-                thr = thresholds[i]
-                tx = itp_root(lambda t: thr - xy_at(t), t0, t1,
-                              self.eps, thr - d0, thr - d1)
-                self.emit_at("threshold", "I", cat, *pos(tx), xy_at(tx),
-                             (thr,))
-                i += 1
-            if kind is not None:
-                self.emit_at(kind, "I", cat, *pos(t1), d1, payload)
-            t0 = t1
-
-        if name is None:
-            self._terminal("I", cat, fvc, ("parked-ab",), "phase1-ab")
-            return "ab", t_end
+            fv = states[-1][1]
+            self._terminal("I", cat, fv, ("parked-ab",), "phase1-ab")
+            return "ab", fv
         if name == "delta-floor":
             self._terminal("I", cat, fvc, ("delta-floor",), "delta-floor")
-            return "delta", tc
+            return "delta", fvc
         self.emit("path-state", "I", cat, fvc, (name,))
-        return "tie", tc
+        return "tie", fvc
 
     # -- the walk shared by phases II and III -----------------------------
 
@@ -1039,16 +1004,13 @@ class _Engine:
         hands off to.  Phase III runs reached from a juncture leave it
         "II".
         """
-        status, tpos = self.phase1()
+        status, fv = self.phase1()
         cat = self.cat
-        c = cat.c_arc
-        a = max(0.0, c - tpos)
-        b = min(cat.L, c + tpos)
+        a, b = fv.alpha, fv.beta
         self.note_candidate(cat, a, b, "phase1-end")
         if status != "tie":
             self.phase_end = "I"
             return
-        fv = self.families(cat, a, b)
         ties = self.ties(fv)
         tasks = []
         if "x" in ties and "y" in ties:

@@ -71,28 +71,6 @@ def test_prefix_and_suffix_tables_match_range_max(n):
             assert type(suf[i]) is float and type(suf_arg[i]) is int
 
 
-@pytest.mark.parametrize("t", [random_tree(3, 40, "uniform"),
-                               random_tree(4, 60, "caterpillar"),
-                               random_tree(5, 30, "balanced"),
-                               stress_family(4)],
-                         ids=["uniform", "caterpillar", "balanced", "stress"])
-def test_xy_is_bitwise_the_families_xy(t):
-    # Phase I reads Caterpillar.xy where it used to read the families: the
-    # two must agree to the bit, also where p = q and where an end sits
-    # at a or at b.
-    cat = Caterpillar(t, backbone(t))
-    rng = random.Random(9)
-    L, c = cat.L, cat.c_arc
-    points = [sorted((rng.uniform(0.0, L), rng.uniform(0.0, L)))
-              for _ in range(200)]
-    points += [(a, a) for a in [0.0, c, L] + cat.arcs + cat.t]
-    points += [(0.0, b) for b in [0.0, c, L] + cat.arcs]
-    points += [(a, L) for a in [0.0, c, L] + cat.arcs]
-    points += [(c - s, c + s) for s in (rng.uniform(0.0, c) for _ in range(50))]
-    for a, b in points:
-        assert cat.xy(a, b).hex() == cat.families(a, b).xy.hex(), (a, b)
-
-
 def test_evaluate_grid_bounded_memory():
     t = random_tree(7, 960, "caterpillar")
     cat = Caterpillar(t, backbone(t))

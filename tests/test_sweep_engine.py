@@ -399,9 +399,9 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
     """Deterministic work gate beside criterion 9's wall-clock gate.
 
     Balance solves by Newton steps, interior-minimum searches only on
-    stretches whose lowest probe is interior, and a phase I that reads
-    the x-y family alone at its stops leave about 3.03 and 3.29 families
-    calls per vertex at n = 2000 and 4000.
+    stretches whose lowest probe is interior, and a phase I that is one
+    root find leave about 3.03 and 3.29 families calls per vertex at
+    n = 2000 and 4000.
     """
     calls = [0]
     families = Caterpillar.families
@@ -422,10 +422,11 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
 
 def test_balance_families_per_solve(monkeypatch):
     # Work gate on the balance: Newton steps on the exact slope from a
-    # secant warm start leave about 2.6 families calls per solve, where
-    # the bracket and ITP search alone took about 5.5.  It was 2.4 while
-    # interior-minimum searches also ran on stretches whose lowest probe
-    # is an end: the solves those made were cheap ones.
+    # secant warm start leave about 2.61 and 2.55 families calls per
+    # solve at n = 2000 and 4000, where the bracket and ITP search alone
+    # took about 5.5.  It was 2.4 while interior-minimum searches also ran
+    # on stretches whose lowest probe is an end: the solves those made
+    # were cheap ones.
     calls, solves, depth = [0], [0], [0]
     families, balance = Caterpillar.families, _Engine.balance
 
@@ -448,7 +449,7 @@ def test_balance_families_per_solve(monkeypatch):
         calls[0] = solves[0] = 0
         optimize(random_tree(11, n, "caterpillar"), record_segments=False)
         per_solve[n] = calls[0] / solves[0]
-    assert max(per_solve.values()) <= 3.0, per_solve
+    assert max(per_solve.values()) <= 2.75, per_solve
 
 
 def test_corpus_families_calls_bounded(monkeypatch):
@@ -456,8 +457,7 @@ def test_corpus_families_calls_bounded(monkeypatch):
     # juncture continues from one balance solve, not from a scan of the
     # balance for every root, a solve takes Newton steps, and only a
     # stretch whose lowest probe is interior is searched for its minimum,
-    # and phase I reads the x-y family alone at its stops.  About 26,920
-    # calls.
+    # and phase I is one root find.  About 26,920 calls.
     calls = [0]
     families = Caterpillar.families
 
@@ -587,9 +587,8 @@ def test_phase1_conditions_never_decrease():
 
 
 def test_phase1_families_calls_bounded(monkeypatch):
-    # Phase I reads the families only at t = 0, in the root find for its
-    # end and at that end, 45 calls on these trees however large they
-    # are; its stops and threshold root finds read the x-y family alone.
+    # Phase I reads the families only at t = 0, at t_end and in the root
+    # find for its end, 45 calls on these trees however large they are.
     calls, counting = [0], [False]
     families, phase1 = Caterpillar.families, _Engine.phase1
 
@@ -614,10 +613,36 @@ def test_phase1_families_calls_bounded(monkeypatch):
     assert max(per_tree.values()) <= 60, per_tree
 
 
+def test_phase1_trace_is_its_end(monkeypatch):
+    # With p = c - t and q = c + t, phase I's end fixes its whole motion,
+    # so its trace is at most one event, placed at that end.
+    ends, phase1 = [], _Engine.phase1
+
+    def traced(self):
+        out = phase1(self)
+        ends.append(out)
+        return out
+
+    monkeypatch.setattr(_Engine, "phase1", traced)
+    for seed in range(210):
+        t = corpus_tree(seed)
+        ends.clear()
+        res = optimize(t, record_segments=False)
+        assert not {"midpoint", "threshold"} & {ev.kind for ev in res.events}
+        first = [ev for ev in res.events if ev.phase == "I"]
+        assert len(first) <= 1, (seed, first)
+        if first:
+            (_, fv), = ends
+            d = backbone(t)
+            assert res.events[0] is first[0], seed
+            assert (first[0].p_arc, first[0].q_arc) == \
+                (fv.alpha, d.length - fv.beta), seed
+
+
 @pytest.mark.parametrize("factor", [1e-300, 1e-9, 1e6, 1e200])
 def test_optimize_is_scale_invariant(factor):
     # Every length the sweep compares scales with the tree: junctures are
-    # told apart, and phase-I stops placed, relative to its scale.
+    # told apart, and phase I's end found, relative to its scale.
     for seed in range(30):
         t = corpus_tree(seed)
         big = GeometricTree({v: (factor * x, factor * y)
@@ -769,10 +794,7 @@ def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
     t = corpus_tree(seed)
     after = optimize(t).diameter_after
     probe = _Engine(t, backbone(t))
-    _, tpos = probe.phase1()
-    c, L = probe.cat.c_arc, probe.cat.L
-    end_of_phase1 = probe.families(probe.cat, max(0.0, c - tpos),
-                                   min(L, c + tpos)).diameter
+    end_of_phase1 = probe.phase1()[1].diameter
     eng = _Engine(t, backbone(t))
     eng.cat.delta = eng.cat.flip().delta = (
         after + frac * (end_of_phase1 - after))
