@@ -8,9 +8,10 @@ antipodal of its cycle attachment point.  These candidates are exact;
 pairs inside a single B-sub-tree are kept for the value but excluded
 from the reported pair state.
 
-The tree distances of all leaf pairs come from one DFS
-(``leaf_distance_table``, the LCA as a range minimum: Bender and
-Farach-Colton, "The LCA problem revisited", LATIN 2000).  The formula
+The tree distances of all leaf pairs are read off the tree's stored
+preorder (``leaf_distance_table``, the LCA as a range minimum: Bender
+and Farach-Colton, "The LCA problem revisited", LATIN 2000), and the
+distances from p and q are array passes over it.  The formula
 lives in ``augmented_diameter_value``: one numpy pass over that table in
 blocks of rows, so that the table is its only quadratic array.
 ``augmented_diameter`` has the same pass collect the candidates near
@@ -20,19 +21,18 @@ value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diameter_core import BackboneDecomposition, _attachment, backbone
+from .diameter_core import BackboneDecomposition, backbone
 from .tree_model import (
     GeometricTree,
     Shortcut,
     TreePoint,
-    distances_from,
     euclidean_distance,
     network_distance,
+    point_distances,
 )
 
 USEFUL = "useful"
@@ -90,28 +90,24 @@ class AugmentedDiagnosis:
 
 
 def _leaf_classes(tree, decomp):
-    """Map each leaf to (class, group key); class in {x, y, wedge}.
+    """Map each leaf id to (class, group key); class in {x, y, wedge}.
 
-    A leaf's group is the backbone vertex its B-sub-tree hangs from or,
-    on a point backbone, the centre's neighbour on the way to it.
+    A leaf's group is the vertex its B-sub-tree hangs from
+    (``decomp.hang``): its backbone vertex or, on a point backbone, the
+    centre's neighbour on the way to it.
     """
-    roots = decomp.backbone_ids
-    if decomp.is_point:
-        roots += tuple(nb for (nb, _) in tree.adj[roots[0]])
-    at = _attachment(tree, roots)
-    if decomp.is_point:
-        x_root, y_root = at[decomp.x_leaf], at[decomp.y_leaf]
-    else:
-        x_root, y_root = 0, len(roots) - 1
+    ids, hang = tree.ids, decomp.hang.tolist()
+    x_root = hang[tree.index[decomp.x_leaf]]
+    y_root = hang[tree.index[decomp.y_leaf]]
     classes = {}
-    for lv in tree.leaves():
-        r = at[lv]
+    for lv in np.flatnonzero(tree.is_leaf).tolist():
+        r = hang[lv]
         if r == x_root:
-            classes[lv] = ("x", "X")
+            classes[ids[lv]] = ("x", "X")
         elif r == y_root:
-            classes[lv] = ("y", "Y")
+            classes[ids[lv]] = ("y", "Y")
         else:
-            classes[lv] = ("wedge", ("S", roots[r]))
+            classes[ids[lv]] = ("wedge", ("S", ids[r]))
     return classes
 
 
@@ -148,51 +144,32 @@ _BLOCK = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class LeafTable:
-    """Tree distances between the leaves, in the order of one DFS.
+    """Tree distances between the leaves, in the tree's preorder.
 
     ``dist[i, j]`` for i < j is the distance between ``leaves[i]`` and
-    ``leaves[j]``.  The entries on and below the diagonal are -inf, so a
-    maximum over the table runs over the pairs i < j only.
+    ``leaves[j]``, whose vertex indices are ``index[i]`` and ``index[j]``.
+    The entries on and below the diagonal are -inf, so a maximum over
+    the table runs over the pairs i < j only.
     """
 
     leaves: tuple
+    index: np.ndarray
     dist: np.ndarray
 
 
 def leaf_distance_table(tree: GeometricTree) -> LeafTable:
-    """All pairwise leaf distances from one DFS.
+    """All pairwise leaf distances, read off the tree's preorder.
 
-    The DFS starts at a leaf and records each vertex's depth D, the
-    leaves in the order it reaches them, and each gap: the depth of the
-    shallowest vertex walked between two consecutive leaves, where they
-    meet.  Leaves i < j meet at depth ``min(gaps[i:j])`` and lie
-    ``D[u] + D[v] - 2 * meet`` apart (the range-minimum form of the
-    lowest common ancestor).
+    Two vertices i < j of the preorder meet at the smallest parent depth
+    over i + 1 .. j.  Between consecutive leaves that is their gap, so
+    leaves i < j meet at depth ``min(gaps[i:j])`` and lie
+    ``D[u] + D[v] - 2 * meet`` apart, D being the root depth (the
+    range-minimum form of the lowest common ancestor).
     """
-    adj = tree.adj
-    root = tree.leaves()[0]
-    depth = {root: 0.0}
-    leaves, gaps = [], []
-    low = 0.0
-    stack = [(root, root)]
-    while stack:
-        w, parent = stack.pop()
-        if depth[parent] < low:
-            low = depth[parent]
-        nbrs = adj[w]
-        if len(nbrs) <= 1:
-            if leaves:
-                gaps.append(low)
-            leaves.append(w)
-            low = math.inf
-        dw = depth[w]
-        for (nb, wlen) in nbrs:
-            if nb != parent:
-                depth[nb] = dw + wlen
-                stack.append((nb, w))
-    n = len(leaves)
-    d = np.array([depth[v] for v in leaves])
-    gaps = np.array(gaps)
+    index = np.flatnonzero(tree.is_leaf)
+    n = len(index)
+    d = tree.depth[index]
+    gaps = np.minimum.reduceat(tree.parent_depth, index[:-1] + 1)
     dist = np.full((n, n), -np.inf)
     rows = max(1, _BLOCK // n)
     for r0 in range(0, n - 1, rows):
@@ -203,7 +180,7 @@ def leaf_distance_table(tree: GeometricTree) -> LeafTable:
                         np.inf, gaps)
         np.minimum.accumulate(meet, axis=1, out=meet)
         dist[r0:r1, 1:] = (d[r0:r1, None] - meet) + (d[1:] - meet)
-    return LeafTable(tuple(leaves), dist)
+    return LeafTable(tuple(tree.ids[i] for i in index.tolist()), index, dist)
 
 
 def _pair_entry(classes, u, v, treed, via, dist, tol):
@@ -277,19 +254,19 @@ def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
     tol = tree.tol
     floor = diameter - tol
     classes = _leaf_classes(tree, decomp)
-    rank = {leaf: k for k, leaf in enumerate(tree.leaves())}
+    ids, rank = tree.ids, tree.input_pos
     achieving = []
     for u, v, treed, via, dist in near.pairs:
         if dist >= floor:
             if rank[u] > rank[v]:
                 u, v = v, u
-            achieving.append(_pair_entry(classes, u, v, treed, via, dist,
-                                         tol))
+            achieving.append(_pair_entry(classes, ids[u], ids[v], treed, via,
+                                         dist, tol))
     for u, dist in near.antipodal:
         if dist >= floor:
             achieving.append(_antipodal_entry(
-                classes[u][0], u, near.dp[u], near.dq[u], near.dtpq,
-                near.cyc, dist, tol))
+                classes[ids[u]][0], ids[u], float(near.dp[u]),
+                float(near.dq[u]), near.dtpq, near.cyc, dist, tol))
     return _diagnosis(diameter, near.cyc, achieving)
 
 
@@ -305,16 +282,15 @@ def augmented_diameter_value(tree, shortcut, table=None, near=None):
     tree.check_shortcut(shortcut)
     p, q = shortcut.p, shortcut.q
     e = euclidean_distance(tree, p, q)
-    dp = distances_from(tree, p)
-    dq = distances_from(tree, q)
+    dp = point_distances(tree, p)
+    dq = point_distances(tree, q)
     dtpq = network_distance(tree, p, q, dp)
     cyc = e + dtpq
     if table is None:
         table = leaf_distance_table(tree)
-    leaves = table.leaves
+    leaves = table.index.tolist()
     n = len(leaves)
-    dpl = np.fromiter(map(dp.__getitem__, leaves), float, n)
-    dql = np.fromiter(map(dq.__getitem__, leaves), float, n)
+    dpl, dql = dp[table.index], dq[table.index]
     best = 0.0
     if near is not None:
         near.dp, near.dq, near.dtpq, near.cyc = dp, dq, dtpq, cyc

@@ -9,20 +9,23 @@ hanging at the center vertex itself makes the backbone that point.  The
 sub-trees hanging off the backbone (the B-sub-trees) are summarized by
 their attachment arc, height, and diameter; this compressed caterpillar
 view is what the shortcut search operates on.
+
+Nothing here walks the adjacency: every step reads the arrays of the
+tree's preorder (``tree_model``).  The double sweep and the heights are
+distance passes, the pole path and the vertex each vertex hangs from
+come from the preorder intervals and the pole distances, and one pass up
+the preorder gives the far leaves and diameters of all B-sub-trees at
+once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .tree_model import (
-    GeometricTree,
-    PathTrace,
-    TreePoint,
-    _vertex_distances,
-    vertex_path,
-)
+import numpy as np
+
+from .tree_model import GeometricTree, PathTrace, TreePoint, _vertex_path
 
 __all__ = [
     "DiameterResult",
@@ -66,7 +69,6 @@ class SecondaryTree:
 class BackboneDecomposition:
     a: TreePoint
     b: TreePoint
-    backbone_path: PathTrace
     backbone_ids: tuple
     arcs: tuple  # arc position of each backbone vertex, from a
     length: float
@@ -82,6 +84,15 @@ class BackboneDecomposition:
     delta: float
     h_max_secondary: float
     diameter: float
+    # By vertex index, the index of the vertex its B-sub-tree hangs from:
+    # a backbone vertex or, on a point backbone, the center's neighbour
+    # on its branch (the center's own entry is itself).
+    hang: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def backbone_path(self) -> PathTrace:
+        return PathTrace(tuple(map(TreePoint.at_vertex, self.backbone_ids)),
+                         self.length)
 
     @property
     def a_id(self) -> int:
@@ -97,7 +108,6 @@ class BackboneDecomposition:
         L = self.length
         return replace(
             self, a=self.b, b=self.a,
-            backbone_path=PathTrace(self.backbone_path.points[::-1], L),
             backbone_ids=self.backbone_ids[::-1],
             arcs=tuple(L - arc for arc in self.arcs[::-1]),
             center_arc=L - self.center_arc, h_x=self.h_y, h_y=self.h_x,
@@ -106,45 +116,73 @@ class BackboneDecomposition:
                             for s in self.secondary[::-1]))
 
 
-def _farthest(dist: dict) -> int:
-    return max(dist, key=lambda v: (dist[v], -v))
+def _farthest(tree, dist) -> int:
+    """The index of the farthest vertex by ``dist``; ties go to the
+    smallest id."""
+    far = np.flatnonzero(dist == dist.max()).tolist()
+    return min(far, key=tree.ids.__getitem__)
 
 
 def _poles(tree: GeometricTree):
-    """Double sweep: the poles u1, u2 of a diametral path and the
-    distances d1, d2 from each.  The diameter is d1[u2]."""
-    u1 = _farthest(_vertex_distances(tree, next(iter(tree.coords))))
-    d1 = _vertex_distances(tree, u1)
-    u2 = _farthest(d1)
-    return u1, u2, d1, _vertex_distances(tree, u2)
+    """Double sweep from the root: the poles u1, u2 of a diametral path
+    and the distances d1, d2 from each.  The diameter is d1[u2]."""
+    u1 = _farthest(tree, tree.depth)
+    d1 = tree.dist(u1)
+    u2 = _farthest(tree, d1)
+    return u1, u2, d1, tree.dist(u2)
 
 
-def _walk(tree: GeometricTree, root: int, blocked, gate=None) -> dict:
-    """Distances from root to every vertex reached without entering
-    ``blocked``, except that the vertex ``gate`` may be entered."""
-    dist = {root: 0.0}
-    stack = [root]
-    while stack:
-        w = stack.pop()
-        for (nb, wlen) in tree.adj[w]:
-            if nb not in dist and (nb not in blocked or nb == gate):
-                dist[nb] = dist[w] + wlen
-                stack.append(nb)
-    return dist
+def _arcs(tree, path) -> np.ndarray:
+    """Arc of each vertex of an index path, summed from its first."""
+    a, b = path[:-1], path[1:]
+    w = np.where(tree.parent[a] == b, tree.up[a], tree.up[b])
+    return np.concatenate(([0.0], np.cumsum(w)))
 
 
-def _attachment(tree: GeometricTree, path) -> dict:
-    """The index in ``path`` of the path vertex each vertex hangs from:
-    one multi-source walk that does not cross the path."""
-    at = {v: i for i, v in enumerate(path)}
-    stack = list(path)
-    while stack:
-        w = stack.pop()
-        for (nb, _) in tree.adj[w]:
-            if nb not in at:
-                at[nb] = at[w]
-                stack.append(nb)
-    return at
+def _attachment(arcs, d_first, d_last) -> np.ndarray:
+    """The index along a path, of vertex arcs ``arcs``, of the path vertex
+    each vertex hangs from, given its distances to the path's two ends.
+
+    A vertex hangs at arc (d_first - d_last + L) / 2, and the path vertex
+    nearest that arc is its own: edges are far longer than the rounding.
+    """
+    at = (d_first - d_last + arcs[-1]) / 2.0
+    return np.searchsorted((arcs[1:] + arcs[:-1]) / 2.0, at)
+
+
+def _hanging(tree, hang, height):
+    """Far leaf and diameter of every B-sub-tree, by the index of the
+    vertex it hangs from, given ``hang`` and each vertex's ``height``
+    above that vertex.
+
+    One pass up the preorder, over the forest left when the edges
+    between B-sub-trees are cut, gives each vertex the highest vertex
+    below it (ties go to the smallest id), the longest path down from it
+    and the longest path below it.  A B-sub-tree's tree in that forest
+    is rooted at the vertex it hangs from, except the root's, rooted
+    at 0.
+    """
+    ids, pa, up = tree.ids, tree.parent.tolist(), tree.up.tolist()
+    hg, best = hang.tolist(), height.tolist()
+    n = tree.n
+    far, down, diam = list(range(n)), [0.0] * n, [0.0] * n
+    for i, p in zip(range(n - 1, 0, -1), reversed(pa)):
+        if hg[i] != hg[p]:
+            continue
+        x, low = down[i] + up[i], down[p]
+        span = low + x
+        if diam[i] > span:
+            span = diam[i]
+        if span > diam[p]:
+            diam[p] = span
+        if x > low:
+            down[p] = x
+        h = best[i]
+        if h > best[p] or h == best[p] and ids[far[i]] < ids[far[p]]:
+            best[p], far[p] = h, far[i]
+    top = hg[0]
+    far[top], diam[top] = far[0], diam[0]
+    return np.array(far), np.array(diam)
 
 
 def continuous_diameter(tree: GeometricTree) -> DiameterResult:
@@ -153,68 +191,46 @@ def continuous_diameter(tree: GeometricTree) -> DiameterResult:
     For a tree this is attained at a pair of leaves; all attaining pairs
     (within tolerance) are reported.
     """
-    if tree.n == 1:
-        return DiameterResult(0.0, ())
     u1, u2, d1, d2 = _poles(tree)
-    diam = d1[u2]
-    tol = tree.tol
+    diam = float(d1[u2])
+    floor = diam - tree.tol
     # Eccentricity of any vertex is realized at one of the two sweep poles.
-    cand = [v for v in tree.leaves() if max(d1[v], d2[v]) >= diam - tol]
+    cand = np.flatnonzero(tree.is_leaf & (np.maximum(d1, d2) >= floor))
+    ids = tree.ids
     pairs = set()
-    for u in cand:
-        du = _vertex_distances(tree, u)
-        for v in cand:
-            if v > u and du[v] >= diam - tol:
-                pairs.add((u, v))
+    for u in cand.tolist():
+        for v in cand[tree.dist(u)[cand] >= floor].tolist():
+            if ids[v] > ids[u]:
+                pairs.add((ids[u], ids[v]))
     return DiameterResult(diam, tuple(sorted(pairs)))
 
 
-def _locate_on_vertex_path(tree, path, target_arc):
-    """TreePoint at arc-length target_arc along a vertex-id path.
+def _locate(tree, path, arcs, target_arc):
+    """TreePoint at arc-length target_arc along an index path of vertex
+    arcs ``arcs``.
 
     Positions within tolerance of a vertex snap onto it, so that centers
     of symmetric trees are recognized as vertex points.
     """
-    acc = 0.0
-    for u, v in zip(path, path[1:]):
-        w = tree.edge_length[(u, v)]
-        if acc + w >= target_arc - 1e-15 * max(1.0, tree.scale):
-            if target_arc - acc <= tree.tol:
-                return TreePoint.at_vertex(u)
-            if acc + w - target_arc <= tree.tol:
-                return TreePoint.at_vertex(v)
-            lam = min(max((target_arc - acc) / w, 0.0), 1.0)
-            return TreePoint(u, v, lam).canonical()
-        acc += w
-    return TreePoint.at_vertex(path[-1])
+    i = int(np.searchsorted(arcs[1:], target_arc - 1e-15 * max(1.0, tree.scale)))
+    if i >= len(path) - 1:
+        return TreePoint.at_vertex(tree.ids[path[-1]])
+    u, v, acc = tree.ids[path[i]], tree.ids[path[i + 1]], float(arcs[i])
+    if target_arc - acc <= tree.tol:
+        return TreePoint.at_vertex(u)
+    if float(arcs[i + 1]) - target_arc <= tree.tol:
+        return TreePoint.at_vertex(v)
+    lam = min(max((target_arc - acc) / tree.length(u, v), 0.0), 1.0)
+    return TreePoint(u, v, lam).canonical()
 
 
 def absolute_center(tree: GeometricTree) -> CenterResult:
     """The unique point minimizing the largest network distance."""
-    if tree.n == 1:
-        vid = next(iter(tree.coords))
-        return CenterResult(TreePoint.at_vertex(vid), 0.0)
     u1, u2, d1, _ = _poles(tree)
-    diam = d1[u2]
-    path = vertex_path(tree, u1, u2)
-    c = _locate_on_vertex_path(tree, path, diam / 2.0)
+    diam = float(d1[u2])
+    path = _vertex_path(tree, u1, u2)
+    c = _locate(tree, path, _arcs(tree, path), diam / 2.0)
     return CenterResult(c, diam / 2.0)
-
-
-def _hanging_subtree(tree, root, backbone_set):
-    """Metrics of the union of non-backbone branches at a backbone vertex.
-
-    Returns (height, far_leaf, diameter) measured from `root`; the
-    sub-tree includes `root` itself.  Height 0 when nothing hangs there.
-    """
-    dist = _walk(tree, root, backbone_set)
-    far = _farthest(dist)
-    if dist[far] == 0.0:
-        return 0.0, root, 0.0
-    # Double sweep restricted to the hanging sub-tree for its diameter;
-    # the second sweep starts at far and must pass through root.
-    d1 = _walk(tree, far, backbone_set, gate=root)
-    return dist[far], far, d1[_farthest(d1)]
 
 
 def backbone(tree: GeometricTree) -> BackboneDecomposition:
@@ -225,89 +241,79 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
     it; a is on u1's side.  It is the center alone when a diametral leaf
     hangs at the center vertex.
     """
-    if tree.n == 1:
-        vid = next(iter(tree.coords))
-        p = TreePoint.at_vertex(vid)
-        return BackboneDecomposition(
-            a=p, b=p, backbone_path=PathTrace((p,), 0.0), backbone_ids=(vid,),
-            arcs=(0.0,), length=0.0, is_point=True, is_straight=True,
-            center=p, center_arc=0.0, h_x=0.0, h_y=0.0, x_leaf=vid, y_leaf=vid,
-            secondary=(), delta=0.0, h_max_secondary=0.0, diameter=0.0)
-
     u1, u2, d1, d2 = _poles(tree)
-    diam = d1[u2]
-    pole_path = vertex_path(tree, u1, u2)
-    center = _locate_on_vertex_path(tree, pole_path, diam / 2.0)
+    diam = float(d1[u2])
+    pole_path = _vertex_path(tree, u1, u2)
+    pole_arcs = _arcs(tree, pole_path)
+    center = _locate(tree, pole_path, pole_arcs, diam / 2.0)
     # k is the center's index on the pole path, a half-integer inside an
     # edge.
-    at = _attachment(tree, pole_path)
+    at = _attachment(pole_arcs, d1, d2)
     if center.is_vertex:
-        k = at[center.vertex_id()]
+        k = at[tree.index[center.vertex_id()]]
     else:
-        k = (at[center.u] + at[center.v]) / 2.0
-    hang = {at[v] for v in tree.leaves()
-            if max(d1[v], d2[v]) >= diam - tree.tol}
+        k = (at[tree.index[center.u]] + at[tree.index[center.v]]) / 2.0
+    hang = at[tree.is_leaf & (np.maximum(d1, d2) >= diam - tree.tol)].tolist()
     if k in hang:
-        # A third diametral direction leaves at the center vertex: the
-        # intersection of all diametral paths is the center alone.
-        return _point_backbone(tree, center.vertex_id(), diam)
-    bpath = pole_path[max(i for i in hang if i < k):
-                      min(i for i in hang if i > k) + 1]
-    a_id, b_id = bpath[0], bpath[-1]
-    backbone_set = set(bpath)
-    arcs = [0.0]
-    for u, v in zip(bpath, bpath[1:]):
-        arcs.append(arcs[-1] + tree.edge_length[(u, v)])
+        # A third diametral direction leaves at the center vertex (or the
+        # tree is that vertex): the intersection of all diametral paths
+        # is the center alone.
+        return _point_backbone(tree, tree.index[center.vertex_id()], diam)
+    lo, hi = max(i for i in hang if i < k), min(i for i in hang if i > k)
+    bpath = pole_path[lo:hi + 1]
+    ids = list(map(tree.ids.__getitem__, bpath.tolist()))
+    arcs = _arcs(tree, bpath).tolist()
     length = arcs[-1]
+    # What hangs beyond a or b belongs to a's or b's B-sub-tree.  The
+    # path from u2 to a vertex runs through its backbone vertex when the
+    # vertex hangs before a, the path from u1 otherwise.
+    hang = bpath[np.minimum(np.maximum(at, lo), hi) - lo]
+    height = np.where(at < lo, d2 - d2[hang], d1 - d1[hang])
+    far, sdiam = _hanging(tree, hang, height)
+    h = height[far[bpath]].tolist()
+    sdiam = sdiam[bpath].tolist()
+    far = list(map(tree.ids.__getitem__, far[bpath].tolist()))
+    secondary = tuple(SecondaryTree(*s) for s in zip(
+        ids[1:-1], arcs[1:-1], h[1:-1], far[1:-1], sdiam[1:-1]) if s[2] > 0.0)
 
-    h_x, x_leaf, diam_x = _hanging_subtree(tree, a_id, backbone_set)
-    h_y, y_leaf, diam_y = _hanging_subtree(tree, b_id, backbone_set)
-    secondary = []
-    delta = max(diam_x, diam_y)
-    h_hat = 0.0
-    for vid, arc in zip(bpath[1:-1], arcs[1:-1]):
-        h, far, sdiam = _hanging_subtree(tree, vid, backbone_set)
-        if h > 0.0:
-            secondary.append(SecondaryTree(vid, arc, h, far, sdiam))
-            delta = max(delta, sdiam)
-            h_hat = max(h_hat, h)
-
-    center_arc = diam / 2.0 - h_x
-    center_arc = min(max(center_arc, 0.0), length)
-    cpoint = _locate_on_vertex_path(tree, bpath, center_arc)
-    pa, pb = TreePoint.at_vertex(a_id), TreePoint.at_vertex(b_id)
-    ax, ay = tree.coords[a_id]
-    bx, by = tree.coords[b_id]
+    center_arc = min(max(diam / 2.0 - h[0], 0.0), length)
+    cpoint = _locate(tree, bpath, np.array(arcs), center_arc)
+    (ax, ay), (bx, by) = tree.coords[ids[0]], tree.coords[ids[-1]]
     straight = math.hypot(ax - bx, ay - by) >= length - tree.tol
-    trace = PathTrace(tuple(TreePoint.at_vertex(v) for v in bpath), length)
     return BackboneDecomposition(
-        a=pa, b=pb, backbone_path=trace, backbone_ids=tuple(bpath),
-        arcs=tuple(arcs), length=length, is_point=(a_id == b_id),
-        is_straight=straight, center=cpoint, center_arc=center_arc,
-        h_x=h_x, h_y=h_y, x_leaf=x_leaf, y_leaf=y_leaf,
-        secondary=tuple(secondary), delta=delta, h_max_secondary=h_hat,
-        diameter=diam)
+        a=TreePoint.at_vertex(ids[0]), b=TreePoint.at_vertex(ids[-1]),
+        backbone_ids=tuple(ids), arcs=tuple(arcs), length=length,
+        is_point=False, is_straight=straight, center=cpoint,
+        center_arc=center_arc, h_x=h[0], h_y=h[-1], x_leaf=far[0], y_leaf=far[-1],
+        secondary=secondary, delta=max(sdiam),
+        h_max_secondary=max(h[1:-1], default=0.0), diameter=diam, hang=hang)
 
 
-def _point_backbone(tree, cid, diam):
+def _point_backbone(tree, c, diam):
+    cid = tree.ids[c]
     p = TreePoint.at_vertex(cid)
-    # Each branch at the center is its own B-sub-tree.
-    comps = []
-    for (nb, wlen) in tree.adj[cid]:
-        dist = {w: d + wlen for w, d in _walk(tree, nb, {cid}).items()}
-        far = _farthest(dist)
-        dd = _walk(tree, far, {cid})
-        comps.append((dist[far], far, dd[_farthest(dd)]))
-    comps.sort(key=lambda c: (-c[0], c[1]))
-    h_x, x_leaf, diam_x = comps[0]
-    h_y, y_leaf, diam_y = comps[1] if len(comps) > 1 else (0.0, cid, 0.0)
-    rest = comps[2:]
+    # Each branch at the center is its own B-sub-tree, named by the
+    # center's neighbour on it: a child of c, or c's parent.
+    hang = np.full(tree.n, tree.parent[c])
+    nbrs = np.flatnonzero(tree.parent == c).tolist()
+    for k in nbrs:
+        hang[k:tree.end[k]] = k
+    hang[c] = c
+    nbrs = np.array(nbrs + ([tree.parent[c]] if c else []), dtype=np.intp)
+    height = tree.dist(c)
+    far, sd = _hanging(tree, hang, height)
+    comps = sorted(zip(height[far[nbrs]].tolist(),
+                       map(tree.ids.__getitem__, far[nbrs].tolist()),
+                       sd[nbrs].tolist()), key=lambda s: (-s[0], s[1]))
+    # Missing sides, as on a one-vertex tree, are the center itself.
+    comps += [(0.0, cid, 0.0)] * (2 - min(len(comps), 2))
+    (h_x, x_leaf, diam_x), (h_y, y_leaf, diam_y), *rest = comps
     secondary = tuple(SecondaryTree(cid, 0.0, h, far, sd) for (h, far, sd) in rest)
     delta = max([diam_x, diam_y] + [sd for (_, _, sd) in rest])
     h_hat = max([h for (h, _, _) in rest], default=0.0)
     return BackboneDecomposition(
-        a=p, b=p, backbone_path=PathTrace((p,), 0.0), backbone_ids=(cid,),
+        a=p, b=p, backbone_ids=(cid,),
         arcs=(0.0,), length=0.0, is_point=True, is_straight=True,
         center=p, center_arc=0.0, h_x=h_x, h_y=h_y, x_leaf=x_leaf,
         y_leaf=y_leaf, secondary=secondary, delta=delta,
-        h_max_secondary=h_hat, diameter=diam)
+        h_max_secondary=h_hat, diameter=diam, hang=hang)

@@ -3,14 +3,27 @@
 A tree is embedded in the plane with straight-line edges weighted by their
 Euclidean length.  Points along edges are addressed by an edge and a
 fraction lambda in [0, 1] measured from the first endpoint of the edge.
+
+``GeometricTree`` builds flat arrays once, when it is made: CSR
+adjacency and one preorder DFS from the first vertex, which index every
+vertex by its preorder position and give its parent, edge length, root
+depth and subtree end.  Every query reads them: distances from a point
+are array passes (``point_distances``; ``distances_from`` is its dict
+by id), and the path between two vertices is read off the preorder
+intervals.  ``coords``, ``edges``, ``adj`` and ``edge_length`` stay as
+views by id.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     DuplicateVertexId,
@@ -33,6 +46,7 @@ __all__ = [
     "euclidean_distance",
     "tree_path",
     "distances_from",
+    "point_distances",
     "check_scale",
 ]
 
@@ -121,46 +135,81 @@ def check_scale(scale: float, name: str) -> float:
 
 
 class GeometricTree:
-    """Connected acyclic straight-line network; immutable after construction."""
+    """Connected acyclic straight-line network; immutable after construction.
+
+    The arrays are built once, here, from CSR adjacency and one preorder
+    DFS from the first vertex, which is also the connectivity check.  A
+    vertex's index is its position in that preorder: ``ids[i]`` and
+    ``index`` map between indices and ids, and ``parent``, ``up`` (the
+    length of the edge to the parent), ``depth`` (the distance from the
+    root), ``parent_depth``, ``end`` (one past the last index of the
+    subtree), ``is_leaf`` and ``input_pos`` (the position in ``coords``)
+    are read by index.  ``edge_len[k]`` is the length of ``edges[k]``.
+    """
 
     def __init__(self, vertices: Mapping[int, tuple], edges: Iterable[tuple]):
         self.coords = dict(vertices)
-        self.edges = [tuple(e) for e in edges]
-        self._validate()
-        self.adj: dict = {v: [] for v in self.coords}
-        self.edge_length: dict = {}
-        for (u, v) in self.edges:
-            w = math.hypot(self.coords[u][0] - self.coords[v][0],
-                           self.coords[u][1] - self.coords[v][1])
-            if w <= 0.0:
-                raise ZeroLengthEdge(f"edge {u}-{v} has zero length")
-            self.adj[u].append((v, w))
-            self.adj[v].append((u, w))
-            self.edge_length[(u, v)] = w
-            self.edge_length[(v, u)] = w
-        self._check_tree()
-        xs = [c[0] for c in self.coords.values()]
-        ys = [c[1] for c in self.coords.values()]
+        self.edges = [(u, v) for (u, v) in edges]
+        n, m = len(self.coords), len(self.edges)
+        if n < 1:
+            raise ParseError("tree needs at least one vertex")
+        xy = np.fromiter(chain.from_iterable(self.coords.values()), float,
+                         2 * n).reshape(n, 2)
+        index = dict(zip(self.coords, range(n)))
+        try:
+            ends = np.fromiter(map(index.__getitem__,
+                                   chain.from_iterable(self.edges)),
+                               np.intp, 2 * m)
+        except KeyError:
+            self._fault()
+        with np.errstate(over="ignore", invalid="ignore"):
+            dxy = xy[ends[0::2]] - xy[ends[1::2]]
+        self.edge_len = list(map(math.hypot, *dxy.T.tolist()))
+        # The bounding box; NaN or inf in any coordinate shows in it.
+        (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+        if not (all(map(math.isfinite, (x0, y0, x1, y1)))
+                and all(self.edge_len) and m == n - 1):
+            self._fault()
+        # CSR adjacency: dart k of ends leaves ends[k] for ends[k ^ 1].
+        by_end = np.argsort(ends, kind="stable")
+        starts = np.searchsorted(ends[by_end], np.arange(n + 1))
+        order, parent, up, depth = _preorder(
+            starts.tolist(), ends[by_end ^ 1].tolist(),
+            np.array(self.edge_len)[by_end >> 1].tolist())
+        if len(order) < n:
+            self._fault()
+        self.ids = list(map(list(self.coords).__getitem__, order))
+        self.index = dict(zip(self.ids, range(n)))
+        self.input_pos = np.fromiter(order, np.intp, n)
+        self.parent = np.fromiter(parent, np.intp, n)
+        self.up = np.fromiter(up, float, n)
+        self.depth = np.fromiter(depth, float, n)
+        self.parent_depth = np.append(np.inf, self.depth[self.parent[1:]])
+        self.is_leaf = np.diff(starts)[self.input_pos] <= 1
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[parent[i]] += size[i]
+        self.end = np.arange(n) + np.fromiter(size, np.intp, n)
         # Global length scale: diagonal of the bounding box (at least 1 edge).
-        self.scale = check_scale(
-            max(math.hypot(max(xs) - min(xs), max(ys) - min(ys)),
-                max(self.edge_length.values(), default=1.0)),
-            "the length scale of the tree")
+        self.scale = check_scale(max(math.hypot(x1 - x0, y1 - y0),
+                                     max(self.edge_len, default=1.0)),
+                                 "the length scale of the tree")
 
     @property
     def tol(self) -> float:
         """Length tolerance; every tolerance derives from ``scale``."""
         return 1e-9 * self.scale
 
-    # -- validation ------------------------------------------------------
-
-    def _validate(self):
-        if len(self.coords) < 1:
-            raise ParseError("tree needs at least one vertex")
-        for vid, c in self.coords.items():
-            if not (math.isfinite(c[0]) and math.isfinite(c[1])):
+    def _fault(self):
+        """Raise the first fault of the input, in the order the checks are
+        listed: a non-finite coordinate; a self-loop, an unknown end or a
+        parallel edge, edge by edge; a zero-length edge; the edge count;
+        and else a disconnected graph.  Called once a cheaper check has
+        failed."""
+        for vid, (x, y) in self.coords.items():
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ParseError(f"vertex {vid} has a non-finite coordinate "
-                                 f"({c[0]}, {c[1]})")
+                                 f"({x}, {y})")
         seen = set()
         for (u, v) in self.edges:
             if u == v:
@@ -171,22 +220,61 @@ class GeometricTree:
             if key in seen:
                 raise NotATree(f"parallel edge {u}-{v}")
             seen.add(key)
-
-    def _check_tree(self):
+        for (u, v), w in zip(self.edges, self.edge_len):
+            if w == 0.0:
+                raise ZeroLengthEdge(f"edge {u}-{v} has zero length")
         n = len(self.coords)
         if len(self.edges) != n - 1:
-            raise NotATree(f"{n} vertices require {n - 1} edges, got {len(self.edges)}")
-        root = next(iter(self.coords))
-        seen = {root}
-        stack = [root]
-        while stack:
-            w = stack.pop()
-            for (nb, _) in self.adj[w]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != n:
-            raise NotATree("graph is disconnected")
+            raise NotATree(f"{n} vertices require {n - 1} edges, "
+                           f"got {len(self.edges)}")
+        raise NotATree("graph is disconnected")
+
+    # -- array queries ---------------------------------------------------
+
+    def dist(self, s: int) -> np.ndarray:
+        """Tree distance from vertex s to every vertex, by index.
+
+        Vertices i < j meet, at their lowest common ancestor, at the
+        smallest parent depth over indices i + 1 .. j: the LCA as a range
+        minimum (Bender and Farach-Colton, "The LCA problem revisited",
+        LATIN 2000).  From one vertex those minima are two running ones.
+        """
+        pd, depth = self.parent_depth, self.depth
+        meet = np.empty(self.n)
+        meet[:s] = np.minimum.accumulate(pd[s:0:-1])[::-1]
+        meet[s] = depth[s]
+        np.minimum.accumulate(pd[s + 1:], out=meet[s + 1:])
+        return (depth - meet) + (depth[s] - meet)
+
+    def child(self, u: int, v: int):
+        """The index of the lower end of the edge u-v; None when u and v
+        are not adjacent."""
+        i, j = self.index.get(u), self.index.get(v)
+        for a, b in ((i, j), (j, i)):
+            if None not in (a, b) and self.parent[a] == b:
+                return a
+        return None
+
+    def length(self, u: int, v: int) -> float:
+        """Length of the edge u-v."""
+        return float(self.up[self.child(u, v)])
+
+    # -- views -------------------------------------------------------------
+
+    @cached_property
+    def edge_length(self) -> dict:
+        """(u, v) and (v, u) -> length of every edge."""
+        pairs = list(zip(self.edges, self.edge_len))
+        return dict(pairs + [((v, u), w) for (u, v), w in pairs])
+
+    @cached_property
+    def adj(self) -> dict:
+        """Vertex id -> [(neighbour id, edge length)], in edge order."""
+        adj = {v: [] for v in self.coords}
+        for (u, v), w in zip(self.edges, self.edge_len):
+            adj[u].append((v, w))
+            adj[v].append((u, w))
+        return adj
 
     # -- helpers ---------------------------------------------------------
 
@@ -195,16 +283,16 @@ class GeometricTree:
         return len(self.coords)
 
     def leaves(self) -> list:
-        if self.n == 1:
-            return list(self.coords)
-        return [v for v, nbrs in self.adj.items() if len(nbrs) == 1]
+        """Leaf ids in input order; the vertex of a one-vertex tree."""
+        return list(map(list(self.coords).__getitem__,
+                        np.sort(self.input_pos[self.is_leaf]).tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edge_length
+        return self.child(u, v) is not None
 
     def check_point(self, p: TreePoint):
         if p.u == p.v:
-            if p.u not in self.coords:
+            if p.u not in self.index:
                 raise InvalidEdgeReference(f"unknown vertex {p.u}")
             return
         if not self.has_edge(p.u, p.v):
@@ -227,11 +315,39 @@ class GeometricTree:
         }
 
 
+def _preorder(starts, ends, lengths) -> tuple:
+    """One DFS from vertex 0 over CSR adjacency: vertex i's neighbours
+    and edge lengths are ``ends`` and ``lengths`` at ``starts[i]`` to
+    ``starts[i + 1]``.  By preorder position: each vertex, its parent's
+    position, the length of the edge to the parent and the root depth.
+    The preorder falls short of every vertex when the edges do not
+    connect them."""
+    seen = bytearray(len(starts) - 1)
+    seen[0] = 1
+    order, parent, up, depth = [], [], [], []
+    stack = [(0, -1, 0.0, 0.0)]
+    while stack:
+        v, p, w, d = stack.pop()
+        k = len(order)
+        order.append(v)
+        parent.append(p)
+        up.append(w)
+        depth.append(d)
+        for j in range(starts[v], starts[v + 1]):
+            nb = ends[j]
+            if not seen[nb]:
+                seen[nb] = 1
+                stack.append((nb, k, lengths[j], d + lengths[j]))
+    return order, parent, up, depth
+
+
 # -- construction ---------------------------------------------------------
 
 
 def _vertex_id(value) -> int:
     """A vertex id read from JSON: an integer, or a float of integral value."""
+    if type(value) is int:
+        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, int) and not isinstance(value, bool):
@@ -309,42 +425,26 @@ def point_coordinates(tree: GeometricTree, a: TreePoint) -> tuple:
     return ((1.0 - a.lam) * xu + a.lam * xv, (1.0 - a.lam) * yu + a.lam * yv)
 
 
-def _vertex_distances(tree: GeometricTree, root: int) -> dict:
-    return _walk(tree, {root: 0.0})
-
-
-def _walk(tree: GeometricTree, seeds: dict) -> dict:
-    """Distance to every vertex from the seed vertices at their offsets.
-
-    No vertex is entered twice, so seeds at both ends of an edge never
-    cross it: each vertex is reached from the end on its side.
-    """
-    dist = dict(seeds)
-    stack = list(seeds)
-    while stack:
-        w = stack.pop()
-        dw = dist[w]
-        for (nb, wlen) in tree.adj[w]:
-            if nb not in dist:
-                dist[nb] = dw + wlen
-                stack.append(nb)
-    return dist
+def point_distances(tree: GeometricTree, a: TreePoint) -> np.ndarray:
+    """Network distance from ``a`` to every vertex, by index."""
+    tree.check_point(a)
+    if a.is_vertex:
+        return tree.dist(tree.index[a.vertex_id()])
+    w = tree.length(a.u, a.v)
+    return np.minimum(tree.dist(tree.index[a.u]) + a.lam * w,
+                      tree.dist(tree.index[a.v]) + (1.0 - a.lam) * w)
 
 
 def distances_from(tree: GeometricTree, a: TreePoint) -> dict:
-    """Network distance from ``a`` to every vertex."""
-    tree.check_point(a)
-    if a.u == a.v or a.is_vertex:
-        return _vertex_distances(tree, a.vertex_id())
-    w = tree.edge_length[(a.u, a.v)]
-    return _walk(tree, {a.u: a.lam * w, a.v: (1.0 - a.lam) * w})
+    """Network distance from ``a`` to every vertex, by id."""
+    return dict(zip(tree.ids, point_distances(tree, a).tolist()))
 
 
 def network_distance(tree: GeometricTree, a: TreePoint, b: TreePoint,
-                     dist_a: dict = None) -> float:
+                     dist_a: np.ndarray = None) -> float:
     """Network distance from ``a`` to ``b``.
 
-    ``dist_a``, when given, is ``distances_from(tree, a)``; it is read
+    ``dist_a``, when given, is ``point_distances(tree, a)``; it is read
     instead of built again.
     """
     tree.check_point(a)
@@ -353,12 +453,11 @@ def network_distance(tree: GeometricTree, a: TreePoint, b: TreePoint,
     if ca == cb:
         return 0.0
     if not ca.u == ca.v and not cb.u == cb.v and (ca.u, ca.v) == (cb.u, cb.v):
-        return abs(ca.lam - cb.lam) * tree.edge_length[(ca.u, ca.v)]
-    dist = distances_from(tree, a) if dist_a is None else dist_a
-    if cb.u == cb.v:
-        return dist[cb.u]
-    w = tree.edge_length[(cb.u, cb.v)]
-    return min(dist[cb.u] + cb.lam * w, dist[cb.v] + (1.0 - cb.lam) * w)
+        return abs(ca.lam - cb.lam) * tree.length(ca.u, ca.v)
+    dist = point_distances(tree, a) if dist_a is None else dist_a
+    du, dv = dist[tree.index[cb.u]], dist[tree.index[cb.v]]
+    w = 0.0 if cb.u == cb.v else tree.length(cb.u, cb.v)
+    return float(min(du + cb.lam * w, dv + (1.0 - cb.lam) * w))
 
 
 def euclidean_distance(tree: GeometricTree, a: TreePoint, b: TreePoint) -> float:
@@ -367,23 +466,19 @@ def euclidean_distance(tree: GeometricTree, a: TreePoint, b: TreePoint) -> float
     return math.hypot(xa - xb, ya - yb)
 
 
+def _vertex_path(tree: GeometricTree, i: int, j: int) -> np.ndarray:
+    """Indices along the path from vertex i to vertex j, inclusive: i's
+    ancestors below the lowest common one, that one, then j's."""
+    up_i = np.flatnonzero(tree.end[:i + 1] > i)
+    up_j = np.flatnonzero(tree.end[:j + 1] > j)
+    k = np.count_nonzero((up_i <= j) & (tree.end[up_i] > j))
+    return np.concatenate((up_i[k - 1:][::-1], up_j[k:]))
+
+
 def vertex_path(tree: GeometricTree, src: int, dst: int) -> list:
     """Vertex ids along the unique simple path from src to dst, inclusive."""
-    parent = {src: None}
-    stack = [src]
-    while stack:
-        w = stack.pop()
-        if w == dst:
-            break
-        for (nb, _) in tree.adj[w]:
-            if nb not in parent:
-                parent[nb] = w
-                stack.append(nb)
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+    path = _vertex_path(tree, tree.index[src], tree.index[dst])
+    return [tree.ids[i] for i in path.tolist()]
 
 
 def tree_path(tree: GeometricTree, a: TreePoint, b: TreePoint) -> PathTrace:
@@ -395,45 +490,18 @@ def tree_path(tree: GeometricTree, a: TreePoint, b: TreePoint) -> PathTrace:
         return PathTrace((ca,), 0.0)
     # Same interior edge: direct segment.
     if ca.u != ca.v and cb.u != cb.v and (ca.u, ca.v) == (cb.u, cb.v):
-        length = abs(ca.lam - cb.lam) * tree.edge_length[(ca.u, ca.v)]
+        length = abs(ca.lam - cb.lam) * tree.length(ca.u, ca.v)
         return PathTrace((ca, cb), length)
 
-    def endpoints(p: TreePoint) -> list:
-        return [p.vertex_id()] if p.is_vertex else [p.u, p.v]
+    # Each point leaves its edge through the end nearer the other point.
+    def exit_end(p: TreePoint, other: TreePoint) -> int:
+        if p.is_vertex:
+            return p.vertex_id()
+        dist = point_distances(tree, other)
+        return min(p.u, p.v, key=lambda x: dist[tree.index[x]])
 
-    dist_a = distances_from(tree, a)
-    best_src = min(endpoints(a), key=lambda x: dist_a[x])
-    dist_b = distances_from(tree, b)
-    best_dst = min(endpoints(b), key=lambda x: dist_b[x])
-    vpath = vertex_path(tree, best_src, best_dst)
-    # Avoid doubling back when the interior point hangs off the far side.
-    if not ca.is_vertex:
-        other = ca.v if best_src == ca.u else ca.u
-        if len(vpath) >= 2 and vpath[1] == other:
-            vpath = vpath[1:]
-    if not cb.is_vertex:
-        other = cb.v if best_dst == cb.u else cb.u
-        if len(vpath) >= 2 and vpath[-2] == other:
-            vpath = vpath[:-1]
-    points = []
-    if not ca.is_vertex:
-        points.append(ca)
-    points.extend(TreePoint.at_vertex(v) for v in vpath)
-    if not cb.is_vertex:
-        points.append(cb)
-    length = 0.0
-    for s, t in zip(points, points[1:]):
-        length += _segment_length(tree, s, t)
-    return PathTrace(tuple(points), length)
-
-
-def _segment_length(tree: GeometricTree, s: TreePoint, t: TreePoint) -> float:
-    if s.is_vertex and t.is_vertex:
-        return tree.edge_length[(s.vertex_id(), t.vertex_id())]
-    if s.is_vertex or t.is_vertex:
-        point = t if s.is_vertex else s
-        vert = s if s.is_vertex else t
-        vid = vert.vertex_id()
-        w = tree.edge_length[(point.u, point.v)]
-        return point.lam * w if vid == point.u else (1.0 - point.lam) * w
-    return abs(s.lam - t.lam) * tree.edge_length[(s.u, s.v)]
+    path = vertex_path(tree, exit_end(ca, cb), exit_end(cb, ca))
+    points = (([] if ca.is_vertex else [ca])
+              + [TreePoint.at_vertex(v) for v in path]
+              + ([] if cb.is_vertex else [cb]))
+    return PathTrace(tuple(points), network_distance(tree, ca, cb))

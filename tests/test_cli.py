@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from treecut import augmented_eval, cli
+from treecut import InvalidEdgeReference, augmented_eval, cli, tree_from_data
 from treecut.cli import _read_tree, main, render_svg
 from treecut.oracle import random_tree
 
@@ -291,8 +291,8 @@ def test_evaluate_builds_one_leaf_distance_table(tmp_path, capsys,
     sc = json.dumps({"p": {"edge": list(ends[0]), "lambda": 0.3},
                      "q": {"edge": list(ends[1]), "lambda": 0.6}})
     calls = []
-    real = augmented_eval.distances_from
-    monkeypatch.setattr(augmented_eval, "distances_from",
+    real = augmented_eval.point_distances
+    monkeypatch.setattr(augmented_eval, "point_distances",
                         lambda *a: calls.append(a) or real(*a))
     code, _, _ = run_cli(capsys, "evaluate", path, "--shortcut", sc)
     assert code == 0
@@ -302,16 +302,16 @@ def test_evaluate_builds_one_leaf_distance_table(tmp_path, capsys,
 @pytest.mark.parametrize("n", [40, 400])
 def test_evaluate_distance_calls_do_not_grow_with_leaves(tmp_path, capsys,
                                                          monkeypatch, n):
-    # The leaf-pair distances come from one DFS, so evaluate reads
-    # distances_from for p and q only.
+    # The leaf-pair distances come from the tree's preorder, so evaluate
+    # reads point_distances for p and q only.
     t = random_tree(2, n, "uniform")
     path = write_tree(tmp_path, t)
     ends = [e for e in t.edges if t.leaves()[0] not in e][:2]
     sc = json.dumps({"p": {"edge": list(ends[0]), "lambda": 0.3},
                      "q": {"edge": list(ends[1]), "lambda": 0.6}})
     calls = []
-    real = augmented_eval.distances_from
-    monkeypatch.setattr(augmented_eval, "distances_from",
+    real = augmented_eval.point_distances
+    monkeypatch.setattr(augmented_eval, "point_distances",
                         lambda *a: calls.append(a) or real(*a))
     code, _, _ = run_cli(capsys, "evaluate", path, "--shortcut", sc)
     assert code == 0
@@ -499,3 +499,85 @@ def test_full_oracle_at_the_floor_is_input_error(tmp_path, capsys, t_l):
     assert code == 2
     assert not out
     assert "placement pairs" in err and "--resolution" in err
+
+
+def _relabelled(data, name):
+    """The tree document with vertex i named ``name(i)``, in the same order."""
+    return {"vertices": [{**v, "id": name(v["id"])} for v in data["vertices"]],
+            "edges": [[name(u), name(v)] for u, v in data["edges"]]}
+
+
+# Sparse, negative, huge and integral-float ids; 3.0 reads as the id 3.
+SPARSE_IDS = (-7, 10 ** 15, 3.0, -2 ** 40, 12, 0)
+
+
+@pytest.mark.parametrize("args", [(3, 9, "uniform"), (4, 30, "caterpillar"),
+                                  (5, 14, "balanced")])
+def test_sparse_ids_give_the_same_answers(tmp_path, capsys, args):
+    # Vertex ids are labels: the arrays index vertices by their preorder
+    # position, so any ids give the numbers of the same tree named 0..n-1.
+    data = random_tree(*args).to_json_data()
+    n = len(data["vertices"])
+    name = dict(zip(range(n), SPARSE_IDS + tuple(97 * i + 5 for i in range(n))))
+    sparse = _relabelled(data, name.__getitem__)
+    back = {int(v): i for i, v in name.items()}
+    (u, v), (x, y) = data["edges"][1], data["edges"][-1]
+    shortcut = {"p": {"edge": [u, v], "lambda": 0.3},
+                "q": {"edge": [x, y], "lambda": 0.6}}
+    sparse_shortcut = {"p": {"edge": [name[u], name[v]], "lambda": 0.3},
+                       "q": {"edge": [name[x], name[y]], "lambda": 0.6}}
+    for cmd, extra, extra_sparse in (
+            ("analyze", [], []), ("optimize", [], []),
+            ("evaluate", ["--shortcut", json.dumps(shortcut)],
+             ["--shortcut", json.dumps(sparse_shortcut)])):
+        code, out, err = run_cli(capsys, cmd, write_tree_data(tmp_path, data),
+                                 *extra)
+        assert code == 0, err
+        code, out2, err = run_cli(capsys, cmd,
+                                  write_tree_data(tmp_path, sparse), *extra_sparse)
+        assert code == 0, err
+        want, got = json.loads(out), json.loads(out2)
+        if cmd == "analyze":
+            assert got["diameter"] == want["diameter"]
+            assert sorted(sorted(back[v] for v in p)
+                          for p in got["diametral_leaf_pairs"]) == sorted(
+                sorted(p) for p in want["diametral_leaf_pairs"])
+            gb, wb = got["backbone"], want["backbone"]
+            for key in ("length", "h_x", "h_y", "delta", "h_max_secondary",
+                        "center_arc", "is_point", "is_straight"):
+                assert gb[key] == wb[key], key
+            assert [back[gb[k]] for k in ("x_leaf", "y_leaf")] == [
+                wb[k] for k in ("x_leaf", "y_leaf")]
+            assert [(back[s["root"]], back[s["far_leaf"]], s["height"],
+                     s["diameter"]) for s in gb["secondary"]] == [
+                (s["root"], s["far_leaf"], s["height"], s["diameter"])
+                for s in wb["secondary"]]
+        elif cmd == "optimize":
+            for key in ("diameter_before", "diameter_after", "p_arc", "q_arc",
+                        "phase_end", "event_count", "useful"):
+                assert got[key] == want[key], key
+        else:
+            for key in ("usefulness", "diameter_before", "diameter_after"):
+                assert got[key] == want[key], key
+            assert got["diagnosis"]["pair_state"] == \
+                want["diagnosis"]["pair_state"]
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "evaluate", "optimize"])
+def test_unknown_id_far_past_n_is_an_input_error(tmp_path, capsys, cmd):
+    # An edge naming an id far past n is an InvalidEdgeReference, exit 2:
+    # never an IndexError or KeyError from the id -> index map.
+    data = json.loads(json.dumps(PATH_TREE))
+    data["edges"][1] = [1, 10 ** 18]
+    with pytest.raises(InvalidEdgeReference):
+        tree_from_data(data)
+    argv = command_argv(cmd, write_tree_data(tmp_path, data), 0.5)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    assert "unknown vertex" in err
+    # And a shortcut naming one, on a good tree.
+    if cmd == "evaluate":
+        path = write_tree_data(tmp_path, PATH_TREE)
+        bad = json.dumps({"p": {"edge": [0, 1]}, "q": {"edge": [2, 10 ** 18]}})
+        code, _, err = run_cli(capsys, "evaluate", path, "--shortcut", bad)
+        assert code == 2, err

@@ -5,9 +5,11 @@ import pytest
 
 from treecut import (
     GeometricTree,
+    TreePoint,
     absolute_center,
     backbone,
     continuous_diameter,
+    distances_from,
     point_coordinates,
 )
 from treecut.oracle import (
@@ -209,3 +211,59 @@ def test_backbone_is_the_intersection_of_all_diametral_paths():
         checked += 1
     assert checked == 1180
     assert points >= 60
+
+
+def _b_sub_trees(t, d):
+    """Reference: each backbone vertex's B-sub-tree by a walk over the
+    ``adj`` view that enters no other backbone vertex, with its height,
+    far leaf (ties go to the smallest id) and diameter."""
+    on = set(d.backbone_ids)
+    out = []
+    for r in d.backbone_ids:
+        group, stack = {r}, [r]
+        while stack:
+            for nb, _ in t.adj[stack.pop()]:
+                if nb not in group and nb not in on:
+                    group.add(nb)
+                    stack.append(nb)
+        dist = {v: distances_from(t, TreePoint.at_vertex(v)) for v in group}
+        height, far = max((dist[r][v], -v) for v in group)
+        out.append((r, height, -far, max(max(dist[u].get(v, 0.0)
+                                             for v in group) for u in group)))
+    return out
+
+
+def _listed_backwards(t):
+    """The same tree with its vertices and edges listed in reverse, so
+    that its preorder starts elsewhere."""
+    return GeometricTree(dict(reversed(list(t.coords.items()))),
+                         t.edges[::-1])
+
+
+@pytest.mark.parametrize("shape", ["uniform", "caterpillar", "balanced"])
+def test_b_sub_trees_match_a_walk_over_adj(shape, t_forkbent):
+    # Heights, far leaves and diameters of every B-sub-tree, whichever
+    # vertex the preorder starts at; the fork of t_forkbent ties its
+    # two leaves, and the smaller id is the far leaf.
+    trees = [t_forkbent] + [random_tree(s, 8 + s % 40, shape)
+                            for s in range(30)]
+    for t in trees + [_listed_backwards(t) for t in trees]:
+        d = backbone(t)
+        if d.is_point:
+            continue
+        ref = _b_sub_trees(t, d)
+        tol = 1e-12 * t.scale
+        (_, h_x, x_leaf, dx), (_, h_y, y_leaf, dy) = ref[0], ref[-1]
+        assert (d.x_leaf, d.y_leaf) == (x_leaf, y_leaf)
+        assert abs(d.h_x - h_x) <= tol and abs(d.h_y - h_y) <= tol
+        inner = [s for s in ref[1:-1] if s[1] > 0.0]
+        assert [(s.root_id, s.far_leaf) for s in d.secondary] == [
+            (r, far) for r, _, far, _ in inner]
+        for s, (_, h, _, sd) in zip(d.secondary, inner):
+            assert abs(s.height - h) <= tol and abs(s.diameter - sd) <= tol
+        assert abs(d.delta - max(s[3] for s in ref)) <= tol
+        assert abs(d.h_max_secondary
+                   - max([s[1] for s in inner], default=0.0)) <= tol
+    for t in (t_forkbent, _listed_backwards(t_forkbent)):
+        d = backbone(t)
+        assert {d.x_leaf, d.y_leaf} == {0, 3}

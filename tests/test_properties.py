@@ -7,6 +7,11 @@ that swaps a and b leaves the value unchanged: swapping p and q for
 ``augmented_diameter_value``, and reading the caterpillar from b through
 ``flip()`` for ``Caterpillar.evaluate``.
 
+``backbone`` and ``continuous_diameter`` are invariant too: the same
+numbers up to float noise (scaled by a uniform scale), the same backbone
+and diametral leaves under the renaming, whichever vertex the renamed
+tree lists first and so roots its preorder at.
+
 ``optimize`` is not held to the same invariance here.  The sweep is known
 to miss the optimum on some trees (ROADMAP item 1), and a moved copy of
 such a tree can end on a different branch, so the test would fail for
@@ -24,6 +29,7 @@ from treecut import (
     TreePoint,
     augmented_diameter_value,
     backbone,
+    continuous_diameter,
 )
 from treecut.caterpillar import Caterpillar
 from treecut.oracle import random_tree
@@ -148,3 +154,42 @@ def test_caterpillar_mirror_reads_through_flip(t, data):
     assert abs(got - cat.evaluate(a, b)) <= 1e-9 * t.scale
     # Reading from b, then from a again, is the caterpillar itself.
     assert cat.flip().flip() is cat
+
+
+def _same_backbone(d, d2, ids, factor, scale):
+    """d2, the backbone of the tree moved and renamed by ``ids`` and
+    scaled by ``factor``, is d: read from b when d2 runs the other way."""
+    if not d.is_point and ids[d.a_id] == d2.b_id:
+        d2 = d2.reversed()
+    tol = 1e-9 * factor * scale
+    assert d2.is_point == d.is_point
+    assert d2.is_straight == d.is_straight
+    assert d2.backbone_ids == tuple(ids[v] for v in d.backbone_ids)
+    for key in ("diameter", "length", "h_x", "h_y", "delta",
+                "h_max_secondary"):
+        assert abs(getattr(d2, key) - factor * getattr(d, key)) <= tol, key
+
+
+def _same_diameter(t, t2, ids, factor):
+    c, c2 = continuous_diameter(t), continuous_diameter(t2)
+    assert abs(c2.diameter - factor * c.diameter) <= 1e-9 * factor * t.scale
+    assert {frozenset(p) for p in c2.diametral_leaf_pairs} == {
+        frozenset(ids[v] for v in p) for p in c.diametral_leaf_pairs}
+
+
+@SETTINGS
+@given(trees, motions, st.data())
+def test_backbone_invariant_under_motion_and_relabelling(t, motion, data):
+    ids = data.draw(relabellings(t))
+    t2 = moved(t, ids, **motion)
+    _same_backbone(backbone(t), backbone(t2), ids, 1.0, t.scale)
+    _same_diameter(t, t2, ids, 1.0)
+
+
+@SETTINGS
+@given(trees, factors)
+def test_backbone_scales_with_the_tree(t, factor):
+    ids = {v: v for v in t.coords}
+    t2 = moved(t, ids, factor=factor)
+    _same_backbone(backbone(t), backbone(t2), ids, factor, t.scale)
+    _same_diameter(t, t2, ids, factor)

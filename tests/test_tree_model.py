@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from treecut import (
@@ -215,3 +216,87 @@ def test_parse_tree_point_validates(t_l):
 
 def test_leaves(t_hook):
     assert sorted(t_hook.leaves()) == [0, 2, 3]
+
+
+def _walk_forbidden(*args, **kwargs):
+    raise AssertionError("a dict walk over the adjacency ran")
+
+
+@pytest.mark.parametrize("n, shape", [(300, "uniform"), (2000, "caterpillar")])
+def test_one_whole_tree_dfs_per_tree(monkeypatch, n, shape):
+    # Load, backbone, the augmented diameter and the continuous diameter
+    # read the arrays that one preorder DFS built when the tree was read.
+    from treecut import augmented_eval, diameter_core, tree_model
+
+    calls = []
+    real = tree_model._preorder
+    monkeypatch.setattr(tree_model, "_preorder",
+                        lambda *a: calls.append(1) or real(*a))
+    for mod in (tree_model, diameter_core):
+        monkeypatch.setattr(mod, "_walk", _walk_forbidden, raising=False)
+    for s in (0, 1):
+        t = random_tree(s, n, shape)
+        doc = json.dumps(t.to_json_data())
+        sc = Shortcut(TreePoint(*t.edges[3], 0.3), TreePoint(*t.edges[-2], 0.6))
+        calls.clear()
+        tree = load_tree(doc)
+        decomp = diameter_core.backbone(tree)
+        augmented_eval.augmented_diameter(tree, decomp, sc)
+        diameter_core.continuous_diameter(tree)
+        assert len(calls) == 1
+
+
+def _scipy_distances(t, sources):
+    """Vertex-graph distances by scipy's Dijkstra, from the coordinates,
+    as the dense-sampling oracle builds its graph: row k holds the
+    distances from ``sources[k]`` to the vertices in sorted id order."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    row = {v: i for i, v in enumerate(sorted(t.coords))}
+    rows, cols, data = [], [], []
+    for u, v in t.edges:
+        (xu, yu), (xv, yv) = t.coords[u], t.coords[v]
+        w = math.hypot(xu - xv, yu - yv)
+        rows += [row[u], row[v]]
+        cols += [row[v], row[u]]
+        data += [w, w]
+    mat = csr_matrix((data, (rows, cols)), shape=(t.n, t.n))
+    return shortest_path(mat, method="D", directed=False,
+                         indices=[row[s] for s in sources])
+
+
+@pytest.mark.parametrize("n", [30, 300, 2000])
+@pytest.mark.parametrize("shape", ["uniform", "caterpillar", "balanced"])
+def test_distances_and_paths_match_scipy(n, shape):
+    # An independent reference: Dijkstra on the vertex graph, not the
+    # preorder arrays that distances_from, vertex_path and the
+    # attachment all read.
+    from treecut.diameter_core import _arcs, _attachment
+
+    t = random_tree(7, n, shape)
+    rng = random.Random(n)
+    tol = 1e-12 * t.scale
+    ids = sorted(t.coords)
+    ends = [rng.choice(t.edges) for _ in range(3)]
+    sources = sorted({v for e in ends for v in e} | {ids[0], ids[-1]})
+    ref = dict(zip(sources, _scipy_distances(t, sources)))
+    for s in sources:
+        got = distances_from(t, TreePoint.at_vertex(s))
+        assert np.abs([got[v] for v in ids] - ref[s]).max() <= tol
+    for u, v in ends:
+        a = TreePoint(u, v, rng.uniform(0.01, 0.99))
+        w = t.edge_length[(u, v)]
+        got = distances_from(t, a)
+        want = np.minimum(ref[u] + a.lam * w, ref[v] + (1.0 - a.lam) * w)
+        assert np.abs([got[x] for x in ids] - want).max() <= tol
+    for s, e in zip(sources, sources[1:]):
+        path = vertex_path(t, s, e)
+        assert path[0] == s and path[-1] == e and len(set(path)) == len(path)
+        length = sum(t.edge_length[(a, b)] for a, b in zip(path, path[1:]))
+        assert abs(length - ref[s][ids.index(e)]) <= tol
+        # Each vertex hangs from the path vertex nearest to it.
+        idx = np.array([t.index[v] for v in path])
+        at = _attachment(_arcs(t, idx), t.dist(idx[0]), t.dist(idx[-1]))
+        want = _scipy_distances(t, path).argmin(axis=0)
+        assert (at[[t.index[x] for x in ids]] == want).all()
