@@ -8,12 +8,12 @@ antipodal of its cycle attachment point.  These candidates are exact;
 pairs inside a single B-sub-tree are kept for the value but excluded
 from the reported pair state.
 
-The tree distances of all leaf pairs are read off the tree's stored
-preorder (``leaf_distance_table``, the LCA as a range minimum: Bender
-and Farach-Colton, "The LCA problem revisited", LATIN 2000), and the
-distances from p and q are array passes over it.  The formula
-lives in ``augmented_diameter_value``: one numpy pass over that table in
-blocks of rows, so that the table is its only quadratic array.
+The formula lives in ``augmented_diameter_value``: one numpy pass over
+the leaf pairs in blocks of rows, with no array of leaves x leaves.
+Each block computes its own tree distances off the tree's stored
+preorder (``_distance_blocks``, the LCA as a range minimum: Bender and
+Farach-Colton, "The LCA problem revisited", LATIN 2000), and the
+distances from p and q are array passes over it.
 ``augmented_diameter`` has the same pass collect the candidates near
 its running maximum and diagnoses the ones within ``tree.tol`` of the
 value.
@@ -46,10 +46,6 @@ VIA_Q = "via-q"
 
 _ROUTE_TOKEN = {VIA_SHORTCUT: "shortcut", VIA_TREE: "tree",
                 VIA_P: "p", VIA_Q: "q"}
-
-# Coarse pair types; "sub" is any B-sub-tree endpoint (wedge or antipodal).
-PAIR_TYPES = ("x-y", "x-sub", "sub-y", "sub-sub", "sub-interior")
-
 
 @dataclass(frozen=True)
 class Usefulness:
@@ -137,50 +133,31 @@ def _descriptor(subtype, route):
     return f"{a}-{_ROUTE_TOKEN[route]}-{b}"
 
 
-# Entries per block of rows in the table build and the route pass: the
-# L x L table stays the only quadratic array.
+# Entries per block of rows in the pass over the leaf pairs.
 _BLOCK = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
-class LeafTable:
-    """Tree distances between the leaves, in the tree's preorder.
+def _distance_blocks(depth, gaps):
+    """Tree distances between the leaves, one block of rows at a time.
 
-    ``dist[i, j]`` for i < j is the distance between ``leaves[i]`` and
-    ``leaves[j]``, whose vertex indices are ``index[i]`` and ``index[j]``.
-    The entries on and below the diagonal are -inf, so a maximum over
-    the table runs over the pairs i < j only.
+    ``depth`` and ``gaps`` are the last two arrays of
+    ``GeometricTree.leaf_depths``.  Yields ``(r0, r1, dist)``:
+    ``dist[i - r0, j - r0 - 1]`` is the distance between leaves
+    r0 <= i < r1 and j > i, ``depth[i] + depth[j] - 2 * min(gaps[i:j])``
+    (the LCA as a range minimum), and -inf where j <= i.  A block reads
+    only the columns right of r0 and holds at most about ``_BLOCK``
+    entries.
     """
-
-    leaves: tuple
-    index: np.ndarray
-    dist: np.ndarray
-
-
-def leaf_distance_table(tree: GeometricTree) -> LeafTable:
-    """All pairwise leaf distances, read off the tree's preorder.
-
-    Two vertices i < j of the preorder meet at the smallest parent depth
-    over i + 1 .. j.  Between consecutive leaves that is their gap, so
-    leaves i < j meet at depth ``min(gaps[i:j])`` and lie
-    ``D[u] + D[v] - 2 * meet`` apart, D being the root depth (the
-    range-minimum form of the lowest common ancestor).
-    """
-    index = np.flatnonzero(tree.is_leaf)
-    n = len(index)
-    d = tree.depth[index]
-    gaps = np.minimum.reduceat(tree.parent_depth, index[:-1] + 1)
-    dist = np.full((n, n), -np.inf)
+    n = len(depth)
     rows = max(1, _BLOCK // n)
     for r0 in range(0, n - 1, rows):
         r1 = min(r0 + rows, n - 1)
-        # meet[i - r0, j - 1] for leaves i < j; inf where j <= i, which
-        # leaves those entries at -inf.
-        meet = np.where(np.tri(r1 - r0, n - 1, r0 - 1, dtype=bool),
-                        np.inf, gaps)
+        # meet[i - r0, j - r0 - 1]; inf where j <= i, which leaves those
+        # entries at -inf.
+        meet = np.where(np.tri(r1 - r0, n - 1 - r0, -1, dtype=bool),
+                        np.inf, gaps[r0:])
         np.minimum.accumulate(meet, axis=1, out=meet)
-        dist[r0:r1, 1:] = (d[r0:r1, None] - meet) + (d[1:] - meet)
-    return LeafTable(tuple(tree.ids[i] for i in index.tolist()), index, dist)
+        yield r0, r1, (depth[r0:r1, None] - meet) + (depth[r0 + 1:] - meet)
 
 
 def _pair_entry(classes, u, v, treed, via, dist, tol):
@@ -270,14 +247,13 @@ def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
     return _diagnosis(diameter, near.cyc, achieving)
 
 
-def augmented_diameter_value(tree, shortcut, table=None, near=None):
+def augmented_diameter_value(tree, shortcut, near=None):
     """Diameter of T + pq.
 
     The maximum over leaf pairs of the shortest of the three routes, and,
     when pq closes a cycle, over leaves of the distance to the antipodal
-    point of their cycle attachment.  ``table`` is the tree's
-    ``leaf_distance_table``; it is built when not given.  ``near`` is
-    the diagnosis' ``_Near``, filled as the pass goes.
+    point of their cycle attachment.  ``near`` is the diagnosis'
+    ``_Near``, filled as the pass goes.
     """
     tree.check_shortcut(shortcut)
     p, q = shortcut.p, shortcut.q
@@ -286,11 +262,9 @@ def augmented_diameter_value(tree, shortcut, table=None, near=None):
     dq = point_distances(tree, q)
     dtpq = network_distance(tree, p, q, dp)
     cyc = e + dtpq
-    if table is None:
-        table = leaf_distance_table(tree)
-    leaves = table.index.tolist()
-    n = len(leaves)
-    dpl, dql = dp[table.index], dq[table.index]
+    index, depth, gaps = tree.leaf_depths
+    leaves = index.tolist()
+    dpl, dql = dp[index], dq[index]
     best = 0.0
     if near is not None:
         near.dp, near.dq, near.dtpq, near.cyc = dp, dq, dtpq, cyc
@@ -300,16 +274,14 @@ def augmented_diameter_value(tree, shortcut, table=None, near=None):
         if near is not None:
             for i in np.flatnonzero(anti >= best - tree.tol):
                 near.antipodal.append((leaves[i], float(anti[i])))
-    rows = max(1, _BLOCK // n)
-    for r0 in range(0, n - 1, rows):
-        treed = table.dist[r0:r0 + rows]
-        via = np.add.outer(dpl[r0:r0 + rows] + e, dql)
-        np.minimum(via, np.add.outer(dql[r0:r0 + rows] + e, dpl), out=via)
+    for r0, r1, treed in _distance_blocks(depth, gaps):
+        via = np.add.outer(dpl[r0:r1] + e, dql[r0 + 1:])
+        np.minimum(via, np.add.outer(dql[r0:r1] + e, dpl[r0 + 1:]), out=via)
         val = np.minimum(treed, via)
         best = max(best, float(val.max()))
         if near is not None:
             for i, j in np.argwhere(val >= best - tree.tol):
-                near.pairs.append((leaves[r0 + i], leaves[j],
+                near.pairs.append((leaves[r0 + i], leaves[r0 + 1 + j],
                                    float(treed[i, j]), float(via[i, j]),
                                    float(val[i, j])))
     return best

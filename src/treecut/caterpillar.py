@@ -372,8 +372,9 @@ class Caterpillar:
 
     # -- exact evaluation -------------------------------------------------
 
-    def pairs(self, alpha, beta):
-        """Longest path in T + pq between two wedges, for arcs alpha <= beta.
+    def pairs(self, alpha, beta, cyc):
+        """Longest path in T + pq between two wedges, for arcs alpha <= beta
+        and the cycle length ``cyc``, ``chord(alpha, beta) + beta - alpha``.
 
         A wedge is a pendant.  Pairs on one side of the cycle are joined by
         the tree and read from the prefix tables.  The other pairs meet on
@@ -389,7 +390,6 @@ class Caterpillar:
         best = float(self.left_pair[i_a - 1]) if i_a > 0 else NEG
         if i_b < k:
             best = max(best, float(self.right_pair[i_b]))
-        cyc = self.chord(alpha, beta) + (beta - alpha)
         if i_b - i_a >= _KERNEL_MIN_WEDGES:
             cross = self._cross_pairs(alpha, beta, i_a, i_b, cyc)
         else:
@@ -462,8 +462,8 @@ class Caterpillar:
         if beta - alpha <= 0.0:
             # p = q: the augmented tree is the tree itself.
             return self.diam_t
-        return max(self.families(alpha, beta).diameter,
-                   self.pairs(alpha, beta))
+        fv = self.families(alpha, beta)
+        return max(fv.diameter, self.pairs(alpha, beta, fv.cyc))
 
     def evaluate_grid(self, alphas, betas):
         """Vectorized exact evaluation for many placements alpha <= beta.

@@ -20,7 +20,6 @@ from .augmented_eval import (
     _leaf_classes,
     _pair_entry,
     augmented_diameter_value,
-    leaf_distance_table,
 )
 from .caterpillar import Caterpillar
 from .diameter_core import backbone, continuous_diameter
@@ -155,13 +154,11 @@ def _placements(tree, h):
 
 def _grid_full(tree, decomp, h):
     pts = _placements(tree, h)
-    table = leaf_distance_table(tree)
     best = (decomp.diameter, decomp.center, decomp.center)
     count = 1
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            val = augmented_diameter_value(tree, Shortcut(pts[i], pts[j]),
-                                           table)
+            val = augmented_diameter_value(tree, Shortcut(pts[i], pts[j]))
             if val < best[0]:
                 best = (val, pts[i], pts[j])
             count += 1

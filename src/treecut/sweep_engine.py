@@ -963,7 +963,7 @@ class _Engine:
         """
         def margin(i):
             a, b, d = traj[i]
-            return frame.pairs(a, b) - d
+            return frame.pairs(a, b, frame.chord(a, b) + (b - a)) - d
         lo, hi = 0, len(traj) - 1     # margin(lo) < -tol <= margin(hi)
         if margin(hi) < -self.tol or margin(lo) >= -self.tol:
             return
@@ -981,7 +981,8 @@ class _Engine:
         # q's first guesses follow the secant through the two ends.
         warm.update(a_hi, b_hi)
         warm.update(a_lo, b_lo)
-        watch = ("wedge-crossing", lambda fv: frame.pairs(fv.alpha, fv.beta)
+        watch = ("wedge-crossing",
+                 lambda fv: frame.pairs(fv.alpha, fv.beta, fv.cyc)
                  - max(fv.fx, fv.fy) + self.tol)
         _, name, fv, _ = self._first_stop(lambda s: state_at(a_lo - s),
                                           [0.0, width], [watch])

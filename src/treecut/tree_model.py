@@ -145,6 +145,7 @@ class GeometricTree:
     root), ``parent_depth``, ``end`` (one past the last index of the
     subtree), ``is_leaf`` and ``input_pos`` (the position in ``coords``)
     are read by index.  ``edge_len[k]`` is the length of ``edges[k]``.
+    ``leaf_depths``, the leaves' arrays, is built on first use.
     """
 
     def __init__(self, vertices: Mapping[int, tuple], edges: Iterable[tuple]):
@@ -275,6 +276,19 @@ class GeometricTree:
             adj[u].append((v, w))
             adj[v].append((u, w))
         return adj
+
+    @cached_property
+    def leaf_depths(self) -> tuple:
+        """The leaves' indices in preorder, their root depths and the gaps
+        between consecutive leaves.
+
+        Two vertices i < j of the preorder meet at the smallest parent
+        depth over i + 1 .. j.  Between consecutive leaves that is their
+        gap, so leaves i < j meet at depth ``min(gaps[i:j])``.
+        """
+        index = np.flatnonzero(self.is_leaf)
+        gaps = np.minimum.reduceat(self.parent_depth, index[:-1] + 1)
+        return index, self.depth[index], gaps
 
     # -- helpers ---------------------------------------------------------
 

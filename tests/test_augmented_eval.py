@@ -19,7 +19,8 @@ from treecut import (
     has_useful_shortcut,
     pair_is_useful,
 )
-from treecut.augmented_eval import leaf_distance_table
+from treecut import augmented_eval
+from treecut.augmented_eval import _distance_blocks
 from treecut.oracle import (
     dense_sample_diameter,
     leaf_pair_diameter,
@@ -161,25 +162,67 @@ def test_matches_leaf_pair_oracle():
             assert got.path_state == want.path_state
 
 
-def test_leaf_distance_table_matches_distances_from():
+@pytest.mark.parametrize("block", [None, 64], ids=["one-block", "64"])
+def test_distance_blocks_match_distances_from(monkeypatch, block):
+    # Every leaf pair i < j appears once, in the row of i, and matches
+    # distances_from; the entries with j <= i are -inf.  With 64 entries
+    # a block, the trees span many blocks.
+    if block is not None:
+        monkeypatch.setattr(augmented_eval, "_BLOCK", block)
     for t in (random_tree(4, 30, "uniform"), random_tree(5, 25, "balanced"),
-              point_backbone_tree(1, 10), stress_family(2)):
-        table = leaf_distance_table(t)
-        assert sorted(table.leaves) == sorted(t.leaves())
-        for i, u in enumerate(table.leaves):
-            du = distances_from(t, TreePoint.at_vertex(u))
-            for j, v in enumerate(table.leaves):
-                if i < j:
-                    assert abs(table.dist[i, j] - du[v]) <= 1e-12 * t.scale
-                else:
-                    assert table.dist[i, j] == -math.inf
+              random_tree(6, 200, "uniform"), point_backbone_tree(1, 10),
+              stress_family(2)):
+        index, depth, gaps = t.leaf_depths
+        leaves = [t.ids[i] for i in index.tolist()]
+        assert sorted(leaves) == sorted(t.leaves())
+        n, rows_seen = len(leaves), 0
+        for r0, r1, dist in _distance_blocks(depth, gaps):
+            assert r0 == rows_seen < r1
+            rows_seen = r1
+            assert dist.shape == (r1 - r0, n - 1 - r0)
+            assert dist.size <= max(augmented_eval._BLOCK, n - 1)
+            for i in range(r0, r1):
+                du = distances_from(t, TreePoint.at_vertex(leaves[i]))
+                for j in range(r0 + 1, n):
+                    got = dist[i - r0, j - r0 - 1]
+                    if i < j:
+                        assert abs(got - du[leaves[j]]) <= 1e-12 * t.scale
+                    else:
+                        assert got == -math.inf
+        assert rows_seen == n - 1
+
+
+def test_blocks_of_64_entries_give_the_same_diagnosis(monkeypatch):
+    # Trees of 30 to 200 vertices, read in blocks of 64 entries, against
+    # the one-block pass (floats exactly) and the pair-by-pair oracle.
+    shapes = ("uniform", "caterpillar", "balanced")
+    trees = [random_tree(s, 30 + 17 * s, shapes[s % 3]) for s in range(11)]
+    rng = random.Random(9)
+    for t in trees:
+        d = backbone(t)
+        shortcuts = shortcut_kinds(t, d, rng)
+        plain = [augmented_diameter(t, d, sc) for sc in shortcuts]
+        with monkeypatch.context() as m:
+            m.setattr(augmented_eval, "_BLOCK", 64)
+            blocks = list(_distance_blocks(*t.leaf_depths[1:]))
+            assert len(blocks) >= 3
+            patched = [augmented_diameter(t, d, sc) for sc in shortcuts]
+        for sc, got, want in zip(shortcuts, patched, plain):
+            assert got == want, (t.n, sc)
+            oracle = leaf_pair_diameter(t, sc)
+            assert abs(got.diameter - oracle.diameter) <= 1e-12 * t.scale
+            assert got.cycle_length == oracle.cycle_length
+            assert summary(got) == summary(oracle), (t.n, sc)
+            assert got.pair_state == oracle.pair_state
+            assert got.path_state == oracle.path_state
 
 
 def test_single_vertex_tree():
     t = GeometricTree({0: (1.0, 2.0)}, [])
     sc = Shortcut(TreePoint.at_vertex(0), TreePoint.at_vertex(0))
-    table = leaf_distance_table(t)
-    assert table.leaves == (0,) and table.dist.shape == (1, 1)
+    index, depth, gaps = t.leaf_depths
+    assert index.tolist() == [0] and len(gaps) == 0
+    assert list(_distance_blocks(depth, gaps)) == []
     diag = augmented_diameter(t, backbone(t), sc)
     assert diag.diameter == 0.0 and diag.cycle_length == 0.0
     assert diag.achieving_pairs == ()
@@ -217,7 +260,8 @@ def test_no_antipodal_term_without_a_cycle(t_hook):
 
 
 def test_large_tree_memory():
-    # 2015 leaves: the leaf table is the one quadratic array (32 MB).
+    # 2015 leaves: the pass over the leaf pairs holds a few arrays of one
+    # block of rows each, about _BLOCK entries (8 MB) apiece.
     t = random_tree(0, 4000, "uniform")
     d = backbone(t)
     tracemalloc.start()
@@ -229,3 +273,19 @@ def test_large_tree_memory():
     assert len(t.leaves()) == 2015
     assert diag.achieving_pairs
     assert peak < 100 * 2 ** 20
+
+
+def test_evaluate_memory_at_8000_vertices():
+    # 3,959 leaves.  A table of every leaf pair alone would take 120 MiB;
+    # the blocks of rows keep the whole evaluation under 64 MiB.
+    t = random_tree(0, 8000, "uniform")
+    d = backbone(t)
+    tracemalloc.start()
+    try:
+        diag = augmented_diameter(t, d, Shortcut(d.a, d.b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(t.leaves()) == 3959
+    assert diag.achieving_pairs
+    assert peak < 64 * 2 ** 20

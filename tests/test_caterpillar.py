@@ -95,6 +95,11 @@ FLIP_TREES = [(3, 30, "caterpillar"), (4, 14, "balanced"), (5, 20, "uniform"),
               (8, 60, "caterpillar"), (9, 9, "uniform")]
 
 
+def wedge_pairs(frame, a, b):
+    """``pairs`` at (a, b), with the cycle length ``evaluate`` hands it."""
+    return frame.pairs(a, b, frame.chord(a, b) + (b - a))
+
+
 def _swapped_pendant(cat, i):
     return cat.k - 1 - i if i >= 0 else -1
 
@@ -131,8 +136,8 @@ def test_flip_is_the_caterpillar_seen_from_b(spec):
                                                 abs=tol)
         assert cat.evaluate(a, b) == pytest.approx(fl.evaluate(L - b, L - a),
                                                    abs=tol)
-        assert cat.pairs(a, b) == pytest.approx(fl.pairs(L - b, L - a),
-                                                abs=tol)
+        assert wedge_pairs(cat, a, b) == pytest.approx(
+            wedge_pairs(fl, L - b, L - a), abs=tol)
     alphas, betas = (np.array(v) for v in zip(*pts))
     np.testing.assert_allclose(cat.evaluate_grid(alphas, betas),
                                fl.evaluate_grid(L - betas, L - alphas),
@@ -192,7 +197,7 @@ def test_pairs_matches_brute_force(t):
                 for _ in range(40)]
         for a, b in pts:
             want = brute_pairs(frame, a, b)
-            got = frame.pairs(a, b)
+            got = wedge_pairs(frame, a, b)
             if want == NEG:
                 assert got == NEG, (a, b)
             else:
@@ -217,8 +222,8 @@ def test_evaluate_matches_the_exact_evaluator(t):
 
 def test_chord_memo_is_exact():
     # ``chord`` keeps the embedding of the last alpha; a run of calls that
-    # repeats, changes and returns to alphas (as balance solves and the
-    # pairs query do) must give exactly the embed-based chord.
+    # repeats, changes and returns to alphas (as balance solves and
+    # evaluate do) must give exactly the embed-based chord.
     t = random_tree(3, 40, "uniform")
     cat = Caterpillar(t, backbone(t))
     rng = random.Random(7)
@@ -230,7 +235,7 @@ def test_chord_memo_is_exact():
         xb, yb = cat.embed(beta)
         assert cat.chord(alpha, beta) == math.hypot(xa - xb, ya - yb)
         if rng.random() < 0.2:
-            cat.pairs(rng.choice(alphas), beta)
+            cat.evaluate(rng.choice(alphas), beta)
 
 
 def assert_kernel_matches_scan(frame, a, b, scale):
@@ -342,10 +347,10 @@ def test_pairs_takes_the_kernel_from_the_threshold(monkeypatch):
     pairs, kernel = Caterpillar.pairs, Caterpillar._cross_pairs
     calls = {"big": 0, "small": 0, "kernel": 0, "scan": 0}
 
-    def counted_pairs(self, alpha, beta):
+    def counted_pairs(self, alpha, beta, cyc):
         i_a, i_b = self._in_cycle(alpha, beta)
         calls["big" if i_b - i_a >= _KERNEL_MIN_WEDGES else "small"] += 1
-        return pairs(self, alpha, beta)
+        return pairs(self, alpha, beta, cyc)
 
     def counted_kernel(self, *args):
         calls["kernel"] += 1

@@ -669,9 +669,9 @@ def test_wedge_crossing_queries_bounded(monkeypatch):
     queries, per_call = [0], []
     pairs, crossing = Caterpillar.pairs, _Engine._wedge_crossing
 
-    def counted(self, alpha, beta):
+    def counted(self, alpha, beta, cyc):
         queries[0] += 1
-        return pairs(self, alpha, beta)
+        return pairs(self, alpha, beta, cyc)
 
     def traced(self, frame, traj):
         queries[0] = 0

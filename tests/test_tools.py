@@ -77,6 +77,88 @@ def test_compare_counts_a_changed_trace_outside_the_verdict(tmp_path,
     assert row[-2:] == ["14", "10"]
 
 
+def evaluate_record(**change):
+    rec = {"set": "evaluate", "diameter": (3.0).hex(), "scale": 4.0,
+           "usefulness": "useful", "pairs": "0123456789abcdef"}
+    rec.update(change)
+    return rec
+
+
+def compare_evaluate(tmp_path, capsys, old_records=True, **change):
+    """``compare`` on dumps of one optimize and two evaluate records, the
+    second evaluate record changed by ``change``; with ``old_records``
+    false, the older dump has no evaluate records."""
+    before = {"criterion-1/0": record(),
+              "evaluate/shortcuts/0": evaluate_record(),
+              "evaluate/mixed/1000": evaluate_record()}
+    after = dict(before, **{"evaluate/mixed/1000": evaluate_record(**change)})
+    if not old_records:
+        before = {"criterion-1/0": record()}
+    paths = []
+    for name, dump in (("before", before), ("after", after)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dump))
+        paths.append(str(path))
+    code = answers.main(["compare", *paths])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("move, code, verdict, bitwise", [
+    (2e-9, 1, "FAIL", 1),
+    (-2e-9, 1, "FAIL", 1),
+    (5e-10, 0, "PASS", 1),
+    (0.0, 0, "PASS", 0),
+])
+def test_compare_bounds_a_moved_evaluate_diameter(tmp_path, capsys, move,
+                                                  code, verdict, bitwise):
+    # A diameter that moves either way by more than 1e-9 of the scale (4)
+    # fails; a smaller move passes and counts as one bitwise change.
+    got, out = compare_evaluate(tmp_path, capsys,
+                                diameter=(3.0 + move * 4.0).hex())
+    assert got == code
+    assert f"verdict: {verdict}" in out
+    assert f"evaluate records: 2; changed: {bitwise} diameters bitwise" in out
+    assert ("evaluate/mixed/1000: diameter moved" in out) == (code == 1)
+
+
+def test_compare_counts_changed_usefulness_and_pairs(tmp_path, capsys):
+    code, out = compare_evaluate(tmp_path, capsys, usefulness="useless",
+                                 pairs="fedcba9876543210")
+    assert code == 0
+    assert ("changed: 0 diameters bitwise (largest move 0.00e+00 scale), "
+            "1 usefulness, 1 achieving pairs") in out
+
+
+def test_compare_skips_evaluate_records_the_older_dump_lacks(tmp_path,
+                                                             capsys):
+    # A dump made before the evaluate records existed: the optimize
+    # records are compared, the evaluate check is skipped and says so.
+    code, out = compare_evaluate(tmp_path, capsys, old_records=False,
+                                 diameter=(9.0).hex())
+    assert code == 0
+    assert "evaluate records: none in the older dump, not compared" in out
+    assert "verdict: PASS" in out
+
+
+def test_seeded_shortcut_is_the_benchmark_request():
+    # The evaluate records of the pool trees read the shortcut the
+    # benchmark's evaluate-shortcuts workload sends for the same seed.
+    import sys
+    sys.path.insert(0, str(TOOLS.parent))
+    try:
+        from perfbench.workloads import random_shortcut, random_tree_data
+    finally:
+        sys.path.pop(0)
+    for seed in (0, 7, 119):
+        data = random_tree_data(seed, 300, "uniform")
+        want = random_shortcut(seed, data)
+        sc = answers.seeded_shortcut(answers.random_tree(seed, 300,
+                                                         "uniform"), seed)
+        got = {"p": {"edge": [sc.p.u, sc.p.v], "lambda": sc.p.lam},
+               "q": {"edge": [sc.q.u, sc.q.v], "lambda": sc.q.lam}}
+        assert json.loads(json.dumps(got)) == json.loads(json.dumps(want))
+
+
 def test_code_lines_skips_docstrings_comments_and_blank_lines():
     source = '''"""Module docstring,
 over two lines."""

@@ -11,14 +11,24 @@ and ``random_tree(s, 2000, "caterpillar")`` for s = 0..2) and on the
 ``diameter_after`` as ``float.hex``, the tree's scale, ``event_count``,
 the number of ``Caterpillar.families`` calls and ``events``, a digest of
 the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
-``float.hex`` and payload; not its diameter).  It runs two worker
-processes (one where there is one core).  To compare two versions of
-the program, run each version's copy of this file.
+``float.hex`` and payload; not its diameter).  ``dump`` also runs
+``augmented_diameter`` on the 120 trees of the benchmark's
+``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
+s = 0..119, and on the mixed trees, each with one seeded random shortcut
+(``seeded_shortcut``).  Each of these gets an ``evaluate/...`` record:
+the diameter as ``float.hex``, the scale, the usefulness and a digest of
+the achieving pairs.  It runs two worker processes (one where there is
+one core).  To compare two versions of the program, run each version's
+copy of this file.
 
 ``compare`` prints the ROADMAP identity verdict: ``phase_end`` identical
-on every tree and no ``diameter_after`` worse than before by more than
+on every tree, no ``diameter_after`` worse than before by more than
+1e-9 * scale, and no evaluate diameter moved, either way, by more than
 1e-9 * scale.  It exits 1 when the verdict fails.  It also counts the
-trees whose event trace changed, which is not part of the verdict.
+trees whose event trace changed and the evaluate records whose diameter,
+usefulness or achieving pairs changed at all, which are not part of the
+verdict.  A dump from before the evaluate records were added has none;
+``compare`` then says so and checks the optimize records alone.
 """
 
 from __future__ import annotations
@@ -28,17 +38,25 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from treecut.augmented_eval import (  # noqa: E402
+    augmented_diameter,
+    classify_usefulness,
+)
 from treecut.caterpillar import Caterpillar  # noqa: E402
+from treecut.diameter_core import backbone  # noqa: E402
 from treecut.oracle import random_tree  # noqa: E402
 from treecut.sweep_engine import optimize  # noqa: E402
+from treecut.tree_model import Shortcut, TreePoint  # noqa: E402
 
 SHAPES, SIZES = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
 WORSE = 1e-9        # the largest loss allowed, in units of the tree's scale
+EVALUATE = "evaluate/"      # the name prefix of the evaluate records
 
 
 def trees():
@@ -56,6 +74,38 @@ def trees():
     for i in range(1500):
         yield "item-1", f"item-1/{i}", (1000000 + i, (5, 9, 14, 20, 30)[i % 5],
                                         SHAPES[i % 3])
+
+
+def evaluations():
+    """(set, name, (seed, n, shape)) of every evaluate record."""
+    for s in range(120):
+        yield "evaluate", f"{EVALUATE}shortcuts/{s}", (s, 300, "uniform")
+    for s in range(1000, 1300):
+        yield "evaluate", f"{EVALUATE}mixed/{s}", (s, 5 + s % 96,
+                                                   SHAPES[s % 3])
+
+
+def seeded_shortcut(tree, seed):
+    """Interior points of two distinct random edges: the shortcut the
+    benchmark's ``evaluate-shortcuts`` pool draws for the same seed."""
+    rng = random.Random(f"perfbench-shortcut:{seed}")
+    i, j = rng.sample(range(len(tree.edges)), 2)
+    (a, b), (c, d) = tree.edges[i], tree.edges[j]
+    return Shortcut(TreePoint(a, b, rng.uniform(0.05, 0.95)),
+                    TreePoint(c, d, rng.uniform(0.05, 0.95)))
+
+
+def pairs_digest(pairs):
+    """A digest of the achieving pairs: both ends, types, routes and the
+    distance to the bit, in order."""
+    h = hashlib.sha256()
+    for ap in pairs:
+        end2 = ap.end2
+        if isinstance(end2, dict):
+            end2 = (end2["kind"], end2["cycle_position"].hex())
+        h.update(repr((ap.end1, end2, ap.subtype, ap.pair_type,
+                       sorted(ap.path_types), ap.distance.hex())).encode())
+    return h.hexdigest()[:16]
 
 
 def trace_digest(events):
@@ -89,18 +139,70 @@ def answer(job):
                   "families": calls[0], "events": trace_digest(res.events)}
 
 
+def evaluation(job):
+    group, name, spec = job
+    t = random_tree(*spec)
+    sc = seeded_shortcut(t, spec[0])
+    decomp = backbone(t)
+    diag = augmented_diameter(t, decomp, sc)
+    use = classify_usefulness(t, sc, decomp)
+    return name, {"set": group, "diameter": diag.diameter.hex(),
+                  "scale": t.scale, "usefulness": use.classification,
+                  "pairs": pairs_digest(diag.achieving_pairs)}
+
+
+def run(job):
+    return (evaluation if job[1].startswith(EVALUATE) else answer)(job)
+
+
 def dump(out):
+    jobs = list(trees()) + list(evaluations())
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(min(2, os.cpu_count() or 1)) as pool:
-        records = dict(pool.imap_unordered(answer, list(trees()), 8))
-    order = [name for _, name, _ in trees()]
+        records = dict(pool.imap_unordered(run, jobs, 8))
+    order = [name for _, name, _ in jobs]
     Path(out).write_text(json.dumps({name: records[name] for name in order},
                                     indent=0) + "\n")
 
 
+def split(records):
+    """The optimize records and the evaluate records of a dump."""
+    evaluate = {k: v for k, v in records.items() if k.startswith(EVALUATE)}
+    return ({k: v for k, v in records.items() if k not in evaluate},
+            evaluate)
+
+
+def compare_evaluate(before, after):
+    """The evaluate part of the verdict: no diameter moved by more than
+    WORSE * scale.  Counts the bitwise changes outside the verdict."""
+    if not before:
+        print("evaluate records: none in the older dump, not compared")
+        return True
+    if before.keys() != after.keys():
+        print("the dumps hold different evaluate records")
+        return False
+    ok, moved, counts = True, 0.0, {"diameter": 0, "usefulness": 0,
+                                    "pairs": 0}
+    for name, old in before.items():
+        new = after[name]
+        for field in counts:
+            counts[field] += old[field] != new[field]
+        move = abs(float.fromhex(new["diameter"])
+                   - float.fromhex(old["diameter"])) / old["scale"]
+        moved = max(moved, move)
+        if move > WORSE:
+            ok = False
+            print(f"{name}: diameter moved by {move:.3g} scale")
+    print(f"evaluate records: {len(before)}; changed: "
+          f"{counts['diameter']} diameters bitwise (largest move "
+          f"{moved:.2e} scale), {counts['usefulness']} usefulness, "
+          f"{counts['pairs']} achieving pairs")
+    return ok
+
+
 def compare(before_path, after_path):
-    before = json.loads(Path(before_path).read_text())
-    after = json.loads(Path(after_path).read_text())
+    before, before_evaluate = split(json.loads(Path(before_path).read_text()))
+    after, after_evaluate = split(json.loads(Path(after_path).read_text()))
     if before.keys() != after.keys():
         print("the dumps hold different trees")
         return False
@@ -151,16 +253,18 @@ def compare(before_path, after_path):
               "verdict)")
     else:
         print("event traces: a dump without trace digests, not compared")
+    ok = compare_evaluate(before_evaluate, after_evaluate) and ok
     print("verdict:", "PASS" if ok else "FAIL",
-          f"(phase_end identical, no answer worse by more than {WORSE:g} "
-          "scale)")
+          f"(phase_end identical, no answer worse and no evaluate diameter "
+          f"moved by more than {WORSE:g} scale)")
     return ok
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    d = sub.add_parser("dump", help="run optimize on every tree")
+    d = sub.add_parser("dump", help="run optimize and evaluate on every "
+                       "tree")
     d.add_argument("out")
     c = sub.add_parser("compare", help="the identity verdict of two dumps")
     c.add_argument("before")
