@@ -93,9 +93,7 @@ def _parse_shortcut(tree, text) -> Shortcut:
         q = parse_tree_point(tree, data["q"])
     except (KeyError, TypeError, ValueError) as exc:
         raise TreecutError(f"bad --shortcut value: {exc}") from exc
-    sc = Shortcut(p, q)
-    tree.check_shortcut(sc)
-    return sc
+    return Shortcut(p, q)
 
 
 def _decomp_json(decomp):

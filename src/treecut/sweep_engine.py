@@ -8,8 +8,8 @@ That root fixes the whole motion, and one event at it is phase I's
 trace.  Phase II shifts sideways (toward x or toward y, branching on an
 antipodal tie) while a balance equation re-derives the trailing
 endpoint.  Phase III out-shifts while balancing the x-side against the
-y-side families, with the x-component frozen while a tree-routed
-pendant path is diametral.  Each phase-III run keeps the trajectory it
+y-side families; where both are tree-routed neither depends on q, and
+the balance leaves q free.  Each phase-III run keeps the trajectory it
 walked and finishes with a binary search on it for the first placement
 where a path between two wedges becomes diametral, then a stop find
 inside the bracketing step.  That path, by the tree or through the
@@ -30,10 +30,11 @@ with one ``("delta-floor",)`` terminal, a watch for a family that
 tied where the walk started must clear one entry margin, ``2 tol``, so
 that it does not fire before the motion starts, and a stretch whose
 lowest probe is interior is searched for its minimum.  No search moves
-the walk: q's next balance solve starts from the walk's own path, so
-phase III's q only moves toward b.  Continuous motion is
-realized by root-finding on monotone balance and condition functions
-rather than closed-form trajectories.  A balance solve takes Newton
+the walk: q's next balance solve starts from the walk's own path.  The
+solves themselves can still move phase III's q back toward c between
+the probes of a stretch, on a few trees.  Continuous motion is realized
+by root-finding on monotone balance and condition functions rather than
+closed-form trajectories.  A balance solve takes Newton
 steps on the residual's exact slope in q, which ``Caterpillar.families``
 reports with each family (inside a cell every family is affine plus a
 multiple of the chord), starting from the secant guess of the last two
@@ -81,26 +82,26 @@ class SpeedLaw:
 
     Arguments of the callables: d = d_T(p, p') of the driven endpoint and
     de = |pq| - |p'q'|; they return d_T(q, q') and the diameter decrease.
+    ``dq`` is None where the balance leaves q free.
     """
 
     name: str
-    table: int
     dq: object
     ddiam: object
 
 
 def _laws():
     t1 = {
-        "via": SpeedLaw("x-shortcut-wedge", 1,
+        "via": SpeedLaw("x-shortcut-wedge",
                         lambda d, de: 0.0, lambda d, de: d + de),
         # Never recorded: no segment of random_tree(s, 5 + s % 40, shape)
         # for s = 1000..1599 or of stress_family(1..40) follows this law.
-        "anti": SpeedLaw("x-antipodal", 1,
+        "anti": SpeedLaw("x-antipodal",
                          lambda d, de: (d + de) / 3.0,
                          lambda d, de: 2.0 * (d + de) / 3.0),
-        "tree": SpeedLaw("x-tree-wedge", 1,
+        "tree": SpeedLaw("x-tree-wedge",
                          lambda d, de: d + de, lambda d, de: 0.0),
-        "anti-balance": SpeedLaw("wedge-interior", 1,
+        "anti-balance": SpeedLaw("wedge-interior",
                                  lambda d, de: d + de / 3.0,
                                  lambda d, de: 2.0 * de / 3.0),
     }
@@ -120,14 +121,12 @@ def _laws():
                           lambda d, de: 0.0),
         ("tree", "anti"): ("tree-anti", lambda d, de: d - de,
                            lambda d, de: 0.0),
-        # Neither family depends on q here, and phase III holds q still
-        # rather than moving it by this dq.
-        ("tree", "tree"): ("tree-tree", lambda d, de: d,
-                           lambda d, de: 0.0),
+        # Neither family depends on q here: the balance leaves q free.
+        ("tree", "tree"): ("tree-tree", None, lambda d, de: 0.0),
     }
     laws = {("t1", key): law for key, law in t1.items()}
     for key, (name, dq, dd) in t2.items():
-        laws[("t2",) + key] = SpeedLaw(name, 2, dq, dd)
+        laws[("t2",) + key] = SpeedLaw(name, dq, dd)
     return laws
 
 
@@ -570,9 +569,9 @@ class _Engine:
         return s, name, fv, states
 
     def _diag_probe(self, frame, states):
-        """Count unsuppressed routing flips: every pendant whose antipodal
-        boundary crossing re-routes its diametral path would be a
-        processed event without the freeze rule."""
+        """Count the routing changes a re-probe passes: every pendant that
+        p or q crosses and every branch change of a side family.  The
+        walk processes none of them as events."""
         prev = None
         for _, fv in states:
             ip = bisect_right(frame.t, fv.pbar)
@@ -735,7 +734,8 @@ class _Engine:
             diag = phase == "III"
             if self.record_segments and (record or diag):
                 # The re-probe starts from where the stop find started:
-                # phase III's frozen test reads q at the warm start's beta.
+                # where the balance leaves q free, only the walk's own warm
+                # start reproduces the walk's path.
                 warm.restore(start)
                 fine = [(s, seg(s))
                         for s in (span * i / 24 for i in range(25))]
@@ -902,20 +902,14 @@ class _Engine:
     def phase3(self, frame, a0, b0):
         """Out-shift balancing the x-side against the y-side families.
 
-        Phase III ends the branch it runs on: it returns no tasks.
+        Every solve balances the pair, also where both side families are
+        tree-routed.  Neither depends on q there, so the balance leaves q
+        free: the solve accepts its secant guess from the walk's last
+        solutions, and ``SPEED_LAWS`` fixes no dq for that row.  Phase III
+        ends the branch it runs on: it returns no tasks.
         """
         phase, pair = "III", "x-y"
-        warm = self._warm(b0)
-
-        def state_at(alpha):
-            fv = self.families(frame, alpha, warm.beta)
-            # With both components frozen q stays where it is; otherwise
-            # it balances the x-side against the y-side.
-            if fv.fx_branch != "tree" or fv.fy_branch != "tree":
-                fv = self.families(frame, alpha,
-                                   self.balance(frame, alpha, warm, pair))
-            return fv
-
+        state_at, warm = self._balanced(frame, pair, b0)
         conds = [self._antipodal_watch(pair)]
         sig_fn = lambda fv: (fv.fx_branch, fv.fx_pendant,
                              fv.fy_branch, fv.fy_pendant)

@@ -173,11 +173,21 @@ def test_evaluate_hook_useless(tmp_path, capsys, t_hook):
 
 
 def test_evaluate_rejects_bad_shortcut(tmp_path, capsys, t_l):
+    # A bad point is an input error, exit 2, whose message names its
+    # fault.
     path = write_tree(tmp_path, t_l)
-    code, _, err = run_cli(capsys, "evaluate", path, "--shortcut",
-                           '{"p": {"edge": [0, 2], "lambda": 0.5},'
-                           ' "q": {"edge": [1, 2], "lambda": 0.5}}')
-    assert code == 2
+    cases = [
+        ({"edge": [0, 2], "lambda": 0.5}, {"edge": [1, 2], "lambda": 0.5},
+         "edge 0-2 not in tree"),
+        ({"edge": [0, 1], "lambda": 0.5}, {"edge": [1, 2], "lambda": 1.5},
+         "lambda 1.5 outside [0, 1]"),
+        ({"edge": [0, 1]}, {"edge": [7, 7]}, "unknown vertex 7"),
+        ({"edge": "x"}, {"edge": [1, 2]}, "bad point record {'edge': 'x'}"),
+    ]
+    for p, q, message in cases:
+        code, out, err = run_cli(capsys, "evaluate", path, "--shortcut",
+                                 json.dumps({"p": p, "q": q}))
+        assert (code, out, err) == (2, "", f"treecut: {message}\n")
 
 
 def test_optimize_l(tmp_path, capsys, t_l):
@@ -281,22 +291,6 @@ def test_optimize_huge_coordinates(tmp_path, capsys, factor):
         assert code == 0
         scaled = json.loads(out)["diameter_after"] / factor
         assert scaled == pytest.approx(plain, rel=1e-9)
-
-
-def test_evaluate_builds_one_leaf_distance_table(tmp_path, capsys,
-                                                 monkeypatch):
-    t = random_tree(2, 40, "uniform")
-    path = write_tree(tmp_path, t)
-    ends = [e for e in t.edges if t.leaves()[0] not in e][:2]
-    sc = json.dumps({"p": {"edge": list(ends[0]), "lambda": 0.3},
-                     "q": {"edge": list(ends[1]), "lambda": 0.6}})
-    calls = []
-    real = augmented_eval.point_distances
-    monkeypatch.setattr(augmented_eval, "point_distances",
-                        lambda *a: calls.append(a) or real(*a))
-    code, _, _ = run_cli(capsys, "evaluate", path, "--shortcut", sc)
-    assert code == 0
-    assert len(calls) <= len(t.leaves()) + 6
 
 
 @pytest.mark.parametrize("n", [40, 400])

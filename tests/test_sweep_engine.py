@@ -18,7 +18,7 @@ from treecut import (
 from treecut import smawk
 from treecut.augmented_eval import has_useful_shortcut
 from treecut.caterpillar import NEG, Caterpillar
-from treecut.oracle import grid_search, random_tree
+from treecut.oracle import grid_search, random_tree, stress_family
 from treecut.sweep_engine import SPEED_LAWS, _Engine, _active, itp_root
 
 
@@ -175,9 +175,10 @@ def test_speed_law_table_shapes():
     law = SPEED_LAWS[("t1", "anti")]
     assert law.dq(0.3, 0.06) == pytest.approx(0.12)
     assert law.ddiam(0.3, 0.06) == pytest.approx(0.24)
-    # tree-routed paths on both sides: plateau
+    # tree-routed paths on both sides: plateau, and q is free
     law = SPEED_LAWS[("t2", "tree", "tree")]
     assert law.ddiam(0.5, 0.1) == pytest.approx(0.0)
+    assert law.dq is None
     # both sides through the shortcut: full chord gain
     law = SPEED_LAWS[("t2", "via", "via")]
     assert law.ddiam(0.5, 0.1) == pytest.approx(0.1)
@@ -208,9 +209,11 @@ def test_recorded_segments_obey_their_law():
                 pred = sg.law.ddiam(drv, de)
                 assert pred == pytest.approx(d0 - d1,
                                              abs=1e-6 * max(1.0, d0))
-                # p is the driven end; the law's dq is how far q trails.
-                assert sg.law.dq(abs(a1 - a0), de) == pytest.approx(
-                    abs(b1 - b0), abs=1e-6 * max(1.0, d0))
+                # p is the driven end; the law's dq, where it fixes one,
+                # is how far q trails.
+                if sg.law.dq is not None:
+                    assert sg.law.dq(abs(a1 - a0), de) == pytest.approx(
+                        abs(b1 - b0), abs=1e-6 * max(1.0, d0))
             laws.add(sg.law.name)
             checked += 1
     assert checked >= 20
@@ -220,25 +223,27 @@ def test_recorded_segments_obey_their_law():
 # Trees whose recorded segments together cover every speed law the sweep
 # reaches: recording random_tree(s, 5 + s % 40, shape) for s = 1000..1599
 # and stress_family(1..40) shows 12 of the 13 laws, all but x-antipodal.
-# wedge-interior appears on tree 1248 only, tree-tree on tree 1010 only.
+# wedge-interior appears on tree 1248 only.  tree-tree appears on stress
+# trees only, three times on stress_family(4).
 LAW_SEEDS = (1010, 1056, 1248, 1477, 1566)
 
 
 def test_every_reachable_speed_law_is_recorded_and_obeyed():
     laws = set()
-    for seed in LAW_SEEDS:
-        t = random_tree(seed, 5 + seed % 40, CORPUS_SHAPES[seed % 3])
+    trees = [random_tree(seed, 5 + seed % 40, CORPUS_SHAPES[seed % 3])
+             for seed in LAW_SEEDS] + [stress_family(4)]
+    for t in trees:
         tol = 1e-9 * t.scale
         for sg in optimize(t, record_segments=True).segments:
             a0, b0, e0, d0 = sg.probes[0]
             for a1, b1, e1, d1 in sg.probes[1:]:
-                # p is the driven end; the law's dq is how far q trails.
+                # p is the driven end; the law's dq, where it fixes one,
+                # is how far q trails.
                 d, de = abs(a1 - a0), e0 - e1
                 assert d0 - d1 == pytest.approx(sg.law.ddiam(d, de), abs=tol)
-                # Phase III holds q still while both side families are
-                # tree-routed (see SPEED_LAWS).
-                dq = 0.0 if sg.law.name == "tree-tree" else sg.law.dq(d, de)
-                assert abs(b1 - b0) == pytest.approx(dq, abs=tol), sg.law.name
+                if sg.law.dq is not None:
+                    assert abs(b1 - b0) == pytest.approx(sg.law.dq(d, de),
+                                                         abs=tol)
             laws.add(sg.law.name)
     assert laws == {law.name for law in SPEED_LAWS.values()} \
         - {"x-antipodal"}, laws
@@ -246,10 +251,13 @@ def test_every_reachable_speed_law_is_recorded_and_obeyed():
 
 @pytest.mark.parametrize("seed", [1067, 1071, 1253, 1388, 1550])
 def test_phase3_never_moves_q_back_toward_c(monkeypatch, seed):
-    # Phase III is an out-shift: p moves toward a and q toward b.  When an
-    # interior-minimum search ran its balance solves through the walk's
-    # warm start, phase III's frozen test read q where the search stopped,
-    # and q jumped back toward c by up to 0.23 * scale (tree 1388).
+    # No search moves phase III's q.  When an interior-minimum search ran
+    # its balance solves through the walk's warm start, phase III's next
+    # solve started where the search stopped, and q jumped back toward c
+    # by up to 0.23 * scale (tree 1388).  This does not say that q only
+    # moves toward b: on a few other trees the walk's own solves move it
+    # back between the probes of a stretch, by up to 0.27 * scale
+    # between segment ends on random_tree(1000234, 30, "uniform").
     trajs = []
     crossing = _Engine._wedge_crossing
 
@@ -399,9 +407,9 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
     """Deterministic work gate beside criterion 9's wall-clock gate.
 
     Balance solves by Newton steps, interior-minimum searches only on
-    stretches whose lowest probe is interior, and a phase I that is one
-    root find leave about 3.03 and 3.29 families calls per vertex at
-    n = 2000 and 4000.
+    stretches whose lowest probe is interior, a phase I that is one root
+    find and a phase III that reads nothing outside its solves leave
+    about 2.29 and 2.53 families calls per vertex at n = 2000 and 4000.
     """
     calls = [0]
     families = Caterpillar.families
@@ -417,12 +425,12 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
         calls[0] = 0
         optimize(t, record_segments=False)
         per_vertex[n] = calls[0] / t.n
-    assert max(per_vertex.values()) <= 3.75, per_vertex
+    assert max(per_vertex.values()) <= 2.9, per_vertex
 
 
 def test_balance_families_per_solve(monkeypatch):
     # Work gate on the balance: Newton steps on the exact slope from a
-    # secant warm start leave about 2.61 and 2.55 families calls per
+    # secant warm start leave about 2.55 and 2.56 families calls per
     # solve at n = 2000 and 4000, where the bracket and ITP search alone
     # took about 5.5.  It was 2.4 while interior-minimum searches also ran
     # on stretches whose lowest probe is an end: the solves those made
@@ -457,7 +465,7 @@ def test_corpus_families_calls_bounded(monkeypatch):
     # juncture continues from one balance solve, not from a scan of the
     # balance for every root, a solve takes Newton steps, and only a
     # stretch whose lowest probe is interior is searched for its minimum,
-    # and phase I is one root find.  About 26,920 calls.
+    # and phase I is one root find.  About 26,310 calls.
     calls = [0]
     families = Caterpillar.families
 
