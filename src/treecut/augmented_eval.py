@@ -30,9 +30,9 @@ from .tree_model import (
     GeometricTree,
     Shortcut,
     TreePoint,
-    euclidean_distance,
-    network_distance,
-    point_distances,
+    _euclidean_distance,
+    _network_distance,
+    _point_distances,
 )
 
 USEFUL = "useful"
@@ -253,14 +253,15 @@ def augmented_diameter_value(tree, shortcut, near=None):
     The maximum over leaf pairs of the shortest of the three routes, and,
     when pq closes a cycle, over leaves of the distance to the antipodal
     point of their cycle attachment.  ``near`` is the diagnosis'
-    ``_Near``, filled as the pass goes.
+    ``_Near``, filled as the pass goes.  Each end of the shortcut is
+    checked once.
     """
     tree.check_shortcut(shortcut)
     p, q = shortcut.p, shortcut.q
-    e = euclidean_distance(tree, p, q)
-    dp = point_distances(tree, p)
-    dq = point_distances(tree, q)
-    dtpq = network_distance(tree, p, q, dp)
+    e = _euclidean_distance(tree, p, q)
+    dp = _point_distances(tree, p)
+    dq = _point_distances(tree, q)
+    dtpq = _network_distance(tree, p, q, dp)
     cyc = e + dtpq
     index, depth, gaps = tree.leaf_depths
     leaves = index.tolist()
@@ -314,10 +315,12 @@ def has_useful_shortcut(decomp: BackboneDecomposition) -> bool:
 def pair_is_useful(tree: GeometricTree, shortcut: Shortcut,
                    u: TreePoint, v: TreePoint) -> OrderedUsefulness:
     tree.check_shortcut(shortcut)
+    tree.check_point(u)
+    tree.check_point(v)
     p, q = shortcut.p, shortcut.q
-    e = euclidean_distance(tree, p, q)
-    duv = network_distance(tree, u, v)
-    fwd = network_distance(tree, u, p) + e + network_distance(tree, q, v)
-    bwd = network_distance(tree, u, q) + e + network_distance(tree, p, v)
+    e = _euclidean_distance(tree, p, q)
+    duv = _network_distance(tree, u, v)
+    fwd = _network_distance(tree, u, p) + e + _network_distance(tree, q, v)
+    bwd = _network_distance(tree, u, q) + e + _network_distance(tree, p, v)
     tol = tree.tol
     return OrderedUsefulness(fwd < duv - tol, bwd < duv - tol)

@@ -150,7 +150,10 @@ class FamilyView:
     multiple of de/dbeta.  The slope holds while the branches, the
     argmax pendants and the backbone edge under q stay as they are.  It
     is NaN where the chord is 0, and ``fanti_db`` also where there is no
-    pendant.
+    pendant.  ``e_da`` is the chord's slope in alpha at fixed beta,
+    (P - Q).u / e with u the unit direction of the edge under p (NaN
+    where e = 0); each term's slope in alpha follows from it and the
+    term's branch, as in ``Caterpillar.still_step``.
     """
 
     alpha: float
@@ -176,6 +179,7 @@ class FamilyView:
     fx_db: float
     fy_db: float
     fanti_db: float
+    e_da: float
 
 
 class Caterpillar:
@@ -210,7 +214,7 @@ class Caterpillar:
         # built by flip() holds its maker weakly, so that the two form no
         # reference cycle and are freed as soon as they are dropped.
         self._flipped = lambda: None
-        # The last alpha ``chord`` embedded, and its coordinates.
+        # The last alpha ``chord`` embedded, its coordinates and edge.
         self._alpha_at = (None, None)
         self._build_tables()
 
@@ -266,21 +270,25 @@ class Caterpillar:
         return self._chord(alpha, beta)[0]
 
     def _chord(self, alpha, beta):
-        """The chord e = |pq| and its slope de/dbeta at fixed alpha.
+        """The chord e = |pq|, its slope de/dbeta at fixed alpha and its
+        slope de/dalpha at fixed beta.
 
-        The slope is (Q - P).u / e, with u the unit direction of the edge
-        that holds q, and NaN where e = 0.
+        The slopes are (Q - P).u_q / e and (P - Q).u_p / e, with u_q and
+        u_p the unit directions of the edges that hold q and p, and NaN
+        where e = 0.
         """
         if alpha == self._alpha_at[0]:
-            xa, ya = self._alpha_at[1]
+            xa, ya, j = self._alpha_at[1]
         else:
-            xa, ya, _ = self._locate(alpha)
-            self._alpha_at = (alpha, (xa, ya))
+            xa, ya, j = self._locate(alpha)
+            self._alpha_at = (alpha, (xa, ya, j))
         xb, yb, i = self._locate(beta)
-        e = math.hypot(xa - xb, ya - yb)
+        dx, dy = xb - xa, yb - ya
+        e = math.hypot(dx, dy)
         if e == 0.0:
-            return e, math.nan
-        return e, ((xb - xa) * self._ux[i] + (yb - ya) * self._uy[i]) / e
+            return e, math.nan, math.nan
+        return (e, (dx * self._ux[i] + dy * self._uy[i]) / e,
+                -(dx * self._ux[j] + dy * self._uy[j]) / e)
 
     def arc_to_treepoint(self, arc):
         from .tree_model import TreePoint
@@ -297,7 +305,7 @@ class Caterpillar:
     def families(self, alpha, beta):
         """Exact values of the monitored diametral-path families at (p, q),
         with their slopes in beta."""
-        e, de = self._chord(alpha, beta)
+        e, de, e_da = self._chord(alpha, beta)
         darc = beta - alpha
         cyc = e + darc
         half = cyc / 2.0
@@ -368,7 +376,7 @@ class Caterpillar:
         return FamilyView(alpha, beta, e, darc, cyc, half, pbar, qbar,
                           xy, xy_branch, fx, fx_branch, fx_p,
                           fy, fy_branch, fy_p, fanti, fanti_p, diameter,
-                          xy_db, fx_db, fy_db, fanti_db)
+                          xy_db, fx_db, fy_db, fanti_db, e_da)
 
     # -- exact evaluation -------------------------------------------------
 
@@ -464,6 +472,97 @@ class Caterpillar:
             return self.diam_t
         fv = self.families(alpha, beta)
         return max(fv.diameter, self.pairs(alpha, beta, fv.cyc))
+
+    def still_step(self, alpha, beta, val, s_min):
+        """The largest step s* such that no compass probe from (alpha,
+        beta) at a step in [s_min, s*] evaluates below ``val``; 0 where
+        that cannot be shown.
+
+        A probe moves alpha and beta by -s, 0 or +s each, clamped to the
+        box 0 <= alpha <= c_arc <= beta <= L as ``_Engine._polish``
+        clamps them.  The witnesses are the winning term of each monitored
+        family and the delta floor.  Each is the length of a real path in
+        T + pq, so at most the diameter wherever its branch holds, and is
+        affine in (alpha, beta) plus 0, 1/2 or 1 times the chord: convex
+        along a ray on which p and q keep their backbone edges, so above
+        its tangent there.  A direction is safe up to s when some witness
+        keeps its cell and branch that far and its tangent is at least
+        ``val`` at both s_min and s.  The tangent is Clarke's criterion
+        along the ray: at a local minimum some active term does not fall
+        in any direction.
+        """
+        if beta - alpha <= 0.0:
+            return 0.0
+        fv = self.families(alpha, beta)
+        e_da, t = fv.e_da, self.t
+        xy_via = self.h_x + alpha + fv.e + (self.L - beta) + self.h_y
+        # (value, slope in alpha, slope in beta, branch margin): pbar and
+        # qbar move at most 2 per unit step, the x-y via route at most 4.
+        witnesses = [
+            (self.delta, 0.0, 0.0, math.inf),
+            (fv.xy, 1.0 + e_da if fv.xy_branch == "via" else 0.0, fv.xy_db,
+             abs(self.diam_t - xy_via) / 4.0)]
+        j = fv.fx_pendant
+        if fv.fx_branch == "anti":
+            witnesses.append((fv.fx, 0.5 * (1.0 + e_da), fv.fx_db, math.inf))
+        elif fv.fx_branch == "tree":
+            witnesses.append((fv.fx, 0.0, 0.0, (fv.pbar - t[j]) / 2.0))
+        else:
+            witnesses.append((fv.fx, 1.0 + e_da, fv.fx_db,
+                              (t[j] - fv.pbar) / 2.0))
+        j = fv.fy_pendant
+        if fv.fy_branch == "anti":
+            witnesses.append((fv.fy, 0.5 * (e_da - 1.0), fv.fy_db, math.inf))
+        elif fv.fy_branch == "tree":
+            witnesses.append((fv.fy, 0.0, 0.0, (t[j] - fv.qbar) / 2.0))
+        else:
+            witnesses.append((fv.fy, e_da + (1.0 if t[j] < alpha else -1.0),
+                              fv.fy_db, (fv.qbar - t[j]) / 2.0))
+        j = fv.fanti_pendant
+        if j >= 0:
+            witnesses.append((fv.fanti, 0.5 * (e_da + (1.0 if t[j] < alpha
+                                                       else -1.0)),
+                              fv.fanti_db, math.inf))
+        # How far each end can move before it meets a breakpoint, where
+        # the cell or the edge under it changes, or a box edge it is not
+        # on, where the probes bend.
+        room_a = self._room(alpha, 0.0, self.c_arc)
+        room_b = self._room(beta, self.c_arc, self.L)
+        best = math.inf
+        for da in (-1.0, 0.0, 1.0):
+            if alpha == (0.0 if da < 0 else self.c_arc):
+                da = 0.0                # the probe clamps alpha back
+            for db in (-1.0, 0.0, 1.0):
+                if beta == (self.c_arc if db < 0 else self.L):
+                    db = 0.0
+                if not (da or db):
+                    continue
+                room = min(room_a if da else math.inf,
+                           room_b if db else math.inf)
+                reach = 0.0
+                for w, w_a, w_b, margin in witnesses:
+                    slope = da * w_a + db * w_b
+                    if w + s_min * slope >= val:
+                        far = min(room, margin)
+                        if slope < 0.0:
+                            far = min(far, (w - val) / -slope)
+                        reach = max(reach, far)
+                best = min(best, reach)
+                if best < s_min:
+                    return 0.0
+        return best
+
+    def _room(self, arc, lo, hi):
+        """Distance from ``arc`` to the nearest breakpoint and to the box
+        edges lo and hi that it is not on."""
+        bps = self.bps
+        i = bisect_left(bps, arc)
+        room = min(abs(arc - bps[k]) for k in (i - 1, i)
+                   if 0 <= k < len(bps))
+        for edge in (lo, hi):
+            if edge != arc:
+                room = min(room, abs(arc - edge))
+        return room
 
     def evaluate_grid(self, alphas, betas):
         """Vectorized exact evaluation for many placements alpha <= beta.

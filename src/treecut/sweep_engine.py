@@ -50,7 +50,10 @@ before it, keep the state the root finder read there, and name the
 stop after the first watch that holds in it.  The phases note
 candidate placements (terminals, junctures, interior minima, segment
 ends, the wedge crossing) in one list; every one is evaluated exactly
-and the best is polished by a compass search.  ``OptimizeResult.events``
+and the best is polished by a compass search on the exact evaluator,
+which stops as soon as a stationarity certificate
+(``Caterpillar.still_step``) shows that no probe still ahead of it can
+improve, so it ends where the full search ends.  ``OptimizeResult.events``
 is the inspectable trace of a run.  Recording (``record_segments``, off
 by default) re-probes the walk to fill the motion segments and the
 phase-III diagnostic count; it never steers the sweep.
@@ -1049,7 +1052,13 @@ class _Engine:
         """Compass-search refinement of the exact evaluator around ab.
 
         The evaluator is exact, so this can only improve the answer; it
-        tightens the root-finding residue left by the event sweep.
+        tightens the root-finding residue left by the event sweep and
+        rescues the answers the sweep misses.  The step halves from
+        ``L/64`` while no probe improves, down to ``tol/4``.  Wherever the
+        center changes, ``Caterpillar.still_step`` bounds the steps at
+        which no probe can improve; once the step is within that bound
+        the search could not move again, so it stops there, with the
+        answer it would have ended with.
         """
         cat = self.cat
         a, b = ab
@@ -1057,17 +1066,28 @@ class _Engine:
         b = min(max(b, cat.c_arc), cat.L)
         dirs = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
                 (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
-        step = max(cat.L / 64.0, 4.0 * self.eps)
+        step = floor = max(cat.L / 64.0, 4.0 * self.eps)
+        while floor * 0.5 > 0.25 * self.tol:
+            floor *= 0.5                # the last step the search takes
+        still = None                    # still_step at the center
         while step > 0.25 * self.tol:
+            if still is None:
+                still = cat.still_step(a, b, val, floor)
+            if step <= still:
+                break
             moved = False
             for da, db in dirs:
                 a2 = min(max(a + step * da, 0.0), cat.c_arc)
                 b2 = min(max(b + step * db, cat.c_arc), cat.L)
+                if a2 == a and b2 == b:
+                    continue            # clamped onto the center
                 v2 = cat.evaluate(a2, b2)
                 if v2 < val - 1e-15 * cat.L:
                     val, a, b = v2, a2, b2
                     moved = True
-            if not moved:
+            if moved:
+                still = None
+            else:
                 step *= 0.5
         return val, (a, b)
 

@@ -432,21 +432,13 @@ def parse_tree_point(tree: GeometricTree, data: dict) -> TreePoint:
 
 def point_coordinates(tree: GeometricTree, a: TreePoint) -> tuple:
     tree.check_point(a)
-    if a.u == a.v:
-        return tree.coords[a.u]
-    xu, yu = tree.coords[a.u]
-    xv, yv = tree.coords[a.v]
-    return ((1.0 - a.lam) * xu + a.lam * xv, (1.0 - a.lam) * yu + a.lam * yv)
+    return _point_coordinates(tree, a)
 
 
 def point_distances(tree: GeometricTree, a: TreePoint) -> np.ndarray:
     """Network distance from ``a`` to every vertex, by index."""
     tree.check_point(a)
-    if a.is_vertex:
-        return tree.dist(tree.index[a.vertex_id()])
-    w = tree.length(a.u, a.v)
-    return np.minimum(tree.dist(tree.index[a.u]) + a.lam * w,
-                      tree.dist(tree.index[a.v]) + (1.0 - a.lam) * w)
+    return _point_distances(tree, a)
 
 
 def distances_from(tree: GeometricTree, a: TreePoint) -> dict:
@@ -463,20 +455,51 @@ def network_distance(tree: GeometricTree, a: TreePoint, b: TreePoint,
     """
     tree.check_point(a)
     tree.check_point(b)
+    return _network_distance(tree, a, b, dist_a)
+
+
+def euclidean_distance(tree: GeometricTree, a: TreePoint, b: TreePoint) -> float:
+    tree.check_point(a)
+    tree.check_point(b)
+    return _euclidean_distance(tree, a, b)
+
+
+# The metric queries on points the caller has already checked: an
+# evaluation checks its points once, not once per query.
+
+def _point_coordinates(tree: GeometricTree, a: TreePoint) -> tuple:
+    if a.u == a.v:
+        return tree.coords[a.u]
+    xu, yu = tree.coords[a.u]
+    xv, yv = tree.coords[a.v]
+    return ((1.0 - a.lam) * xu + a.lam * xv, (1.0 - a.lam) * yu + a.lam * yv)
+
+
+def _point_distances(tree: GeometricTree, a: TreePoint) -> np.ndarray:
+    if a.is_vertex:
+        return tree.dist(tree.index[a.vertex_id()])
+    w = tree.length(a.u, a.v)
+    return np.minimum(tree.dist(tree.index[a.u]) + a.lam * w,
+                      tree.dist(tree.index[a.v]) + (1.0 - a.lam) * w)
+
+
+def _network_distance(tree: GeometricTree, a: TreePoint, b: TreePoint,
+                      dist_a: np.ndarray = None) -> float:
     ca, cb = a.canonical(), b.canonical()
     if ca == cb:
         return 0.0
     if not ca.u == ca.v and not cb.u == cb.v and (ca.u, ca.v) == (cb.u, cb.v):
         return abs(ca.lam - cb.lam) * tree.length(ca.u, ca.v)
-    dist = point_distances(tree, a) if dist_a is None else dist_a
+    dist = _point_distances(tree, a) if dist_a is None else dist_a
     du, dv = dist[tree.index[cb.u]], dist[tree.index[cb.v]]
     w = 0.0 if cb.u == cb.v else tree.length(cb.u, cb.v)
     return float(min(du + cb.lam * w, dv + (1.0 - cb.lam) * w))
 
 
-def euclidean_distance(tree: GeometricTree, a: TreePoint, b: TreePoint) -> float:
-    xa, ya = point_coordinates(tree, a)
-    xb, yb = point_coordinates(tree, b)
+def _euclidean_distance(tree: GeometricTree, a: TreePoint,
+                        b: TreePoint) -> float:
+    xa, ya = _point_coordinates(tree, a)
+    xb, yb = _point_coordinates(tree, b)
     return math.hypot(xa - xb, ya - yb)
 
 
@@ -511,11 +534,11 @@ def tree_path(tree: GeometricTree, a: TreePoint, b: TreePoint) -> PathTrace:
     def exit_end(p: TreePoint, other: TreePoint) -> int:
         if p.is_vertex:
             return p.vertex_id()
-        dist = point_distances(tree, other)
+        dist = _point_distances(tree, other)
         return min(p.u, p.v, key=lambda x: dist[tree.index[x]])
 
     path = vertex_path(tree, exit_end(ca, cb), exit_end(cb, ca))
     points = (([] if ca.is_vertex else [ca])
               + [TreePoint.at_vertex(v) for v in path]
               + ([] if cb.is_vertex else [cb]))
-    return PathTrace(tuple(points), network_distance(tree, ca, cb))
+    return PathTrace(tuple(points), _network_distance(tree, ca, cb))

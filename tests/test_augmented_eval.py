@@ -85,6 +85,26 @@ def test_pair_is_useful_orientations(t_l):
     assert r2.indifferent
 
 
+def test_each_shortcut_end_is_checked_once(monkeypatch):
+    # The evaluation checks p and q once each; the distance queries it
+    # runs after that do not check them again.
+    calls = []
+    check = GeometricTree.check_point
+    monkeypatch.setattr(GeometricTree, "check_point",
+                        lambda self, pt: calls.append(pt) or check(self, pt))
+    t = random_tree(3, 40, "uniform")
+    rng = random.Random(3)
+    for sc in shortcut_kinds(t, backbone(t), rng):
+        calls.clear()
+        augmented_diameter_value(t, sc)
+        assert len(calls) <= 2, sc
+    u, v = TreePoint.at_vertex(t.leaves()[0]), TreePoint.at_vertex(
+        t.leaves()[-1])
+    calls.clear()
+    pair_is_useful(t, sc, u, v)
+    assert len(calls) <= 4
+
+
 def shortcut_kinds(t, d, rng):
     """p == q at the centre, (a, b), p == q inside an edge, a shortcut
     along a single edge, and three random shortcuts."""

@@ -430,3 +430,67 @@ def test_family_slopes_match_central_differences():
                     ("fx", "via", "t<=beta"), ("fx", "via", "t>beta"),
                     ("fy", "anti"), ("fy", "tree"), ("fy", "via"),
                     ("fanti", "t<=beta"), ("fanti", "t>beta")}, seen
+
+
+def compass_probes(cat, a, b, s):
+    """The eight compass probes at step s, clamped as the polish clamps."""
+    for da in (-1.0, 0.0, 1.0):
+        for db in (-1.0, 0.0, 1.0):
+            if da or db:
+                yield (min(max(a + s * da, 0.0), cat.c_arc),
+                       min(max(b + s * db, cat.c_arc), cat.L))
+
+
+def test_chord_alpha_slope_matches_central_differences():
+    # ``e_da`` is the exact slope in alpha of the chord, wherever p stays
+    # on its backbone edge for the difference.
+    rng = random.Random(24)
+    checked = 0
+    for s in range(0, 60, 3):
+        t = random_tree(s, (5, 9, 14)[s % 3],
+                        ("uniform", "caterpillar", "balanced")[s % 3])
+        cat = Caterpillar(t, backbone(t))
+        h = 1e-7 * cat.L
+        for _ in range(20):
+            a, b = sorted((rng.uniform(0.0, cat.L), rng.uniform(0.0, cat.L)))
+            edge = cat._locate(a)[2]
+            if not (h < a < b - h and cat._locate(a - h)[2] == edge
+                    == cat._locate(a + h)[2]):
+                continue
+            diff = (cat.chord(a + h, b) - cat.chord(a - h, b)) / (2 * h)
+            assert cat.families(a, b).e_da == pytest.approx(
+                diff, rel=1e-5, abs=1e-5), (s, a, b)
+            checked += 1
+    assert checked >= 100, checked
+
+
+def test_still_step_bounds_every_probe_it_certifies():
+    # Wherever still_step certifies s*, every compass probe at a step in
+    # [s_min, s*] evaluates at least ``val``.  ``val`` is the value at the
+    # center less a random gap, so that inactive witnesses certify too.
+    rng = random.Random(7)
+    fired = 0
+    for s in range(0, 120, 2):
+        t = random_tree(s, (5, 9, 14, 30)[s % 4],
+                        ("uniform", "caterpillar", "balanced")[s % 3])
+        d = backbone(t)
+        if d.is_point or d.is_straight:
+            continue
+        cat = Caterpillar(t, d)
+        for _ in range(16):
+            a = rng.choice([0.0, rng.uniform(0.0, cat.c_arc)])
+            b = rng.choice([cat.L, rng.uniform(cat.c_arc, cat.L)])
+            val = cat.evaluate(a, b) - rng.choice([0.0, 1e-3, 0.05]) * cat.L
+            s_min = rng.choice([1e-9, 1e-4]) * cat.L
+            far = cat.still_step(a, b, val, s_min)
+            if far == 0.0:
+                continue
+            assert far >= s_min
+            fired += 1
+            far = min(far, cat.L)
+            for step in (s_min, (s_min + far) / 2.0, far,
+                         rng.uniform(s_min, far)):
+                for a2, b2 in compass_probes(cat, a, b, step):
+                    assert cat.evaluate(a2, b2) >= val - 1e-12 * t.scale, (
+                        s, a, b, step, a2, b2)
+    assert fired >= 100, fired

@@ -297,15 +297,15 @@ def test_optimize_huge_coordinates(tmp_path, capsys, factor):
 def test_evaluate_distance_calls_do_not_grow_with_leaves(tmp_path, capsys,
                                                          monkeypatch, n):
     # The leaf-pair distances come from the tree's preorder, so evaluate
-    # reads point_distances for p and q only.
+    # reads the distances from p and q only.
     t = random_tree(2, n, "uniform")
     path = write_tree(tmp_path, t)
     ends = [e for e in t.edges if t.leaves()[0] not in e][:2]
     sc = json.dumps({"p": {"edge": list(ends[0]), "lambda": 0.3},
                      "q": {"edge": list(ends[1]), "lambda": 0.6}})
     calls = []
-    real = augmented_eval.point_distances
-    monkeypatch.setattr(augmented_eval, "point_distances",
+    real = augmented_eval._point_distances
+    monkeypatch.setattr(augmented_eval, "_point_distances",
                         lambda *a: calls.append(a) or real(*a))
     code, _, _ = run_cli(capsys, "evaluate", path, "--shortcut", sc)
     assert code == 0

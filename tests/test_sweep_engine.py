@@ -479,6 +479,96 @@ def test_corpus_families_calls_bounded(monkeypatch):
     assert calls[0] <= 30000, calls[0]
 
 
+def full_compass(eng, val, ab):
+    """The polish without its stationarity stop: every step level from
+    L/64 down to tol/4, eight probes each."""
+    cat = eng.cat
+    a, b = ab
+    a = min(max(a, 0.0), cat.c_arc)
+    b = min(max(b, cat.c_arc), cat.L)
+    dirs = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+            (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
+    step = max(cat.L / 64.0, 4.0 * eng.eps)
+    while step > 0.25 * eng.tol:
+        moved = False
+        for da, db in dirs:
+            a2 = min(max(a + step * da, 0.0), cat.c_arc)
+            b2 = min(max(b + step * db, cat.c_arc), cat.L)
+            v2 = cat.evaluate(a2, b2)
+            if v2 < val - 1e-15 * cat.L:
+                val, a, b = v2, a2, b2
+                moved = True
+        if not moved:
+            step *= 0.5
+    return val, (a, b)
+
+
+def polish_start(t):
+    """The engine after its sweep, and the (val, (a, b)) that ``best``
+    hands to ``_polish``; None where no shortcut is useful."""
+    decomp = backbone(t)
+    if not has_useful_shortcut(decomp):
+        return None
+    eng = _Engine(t, decomp)
+    eng.run()
+    seen = []
+    eng._polish = lambda val, ab: seen.append((val, ab)) or (val, ab)
+    eng.best()
+    del eng._polish
+    return eng, *seen[0]
+
+
+@pytest.mark.parametrize("trees", [
+    "criterion-1",
+    "mixed",
+])
+def test_polish_ends_where_the_full_compass_search_ends(trees):
+    # The stationarity stop only skips probes that cannot improve, so the
+    # polish returns bitwise what the full compass search returns: from
+    # the sweep's best candidate, and from the middle of the box, where
+    # the search walks far before it stops and meets the breakpoints and
+    # branch changes that bound the certificate.
+    if trees == "criterion-1":
+        specs = [(s, CORPUS_SIZES[s % 3], CORPUS_SHAPES[s % 3])
+                 for s in range(210)]
+    else:
+        specs = [(s, 5 + s % 96, CORPUS_SHAPES[s % 3])
+                 for s in range(1000, 1100)]
+    moved = 0
+    for spec in specs:
+        start = polish_start(random_tree(*spec))
+        if start is None:
+            continue
+        eng, val, ab = start
+        cat = eng.cat
+        mid = (0.5 * cat.c_arc, 0.5 * (cat.c_arc + cat.L))
+        for val, ab in ((val, ab), (cat.evaluate(*mid), mid)):
+            want = full_compass(eng, val, ab)
+            assert eng._polish(val, ab) == want, (spec, ab)
+            moved += want != (val, ab)
+    assert moved >= 50, moved
+
+
+def test_polish_evaluate_calls_bounded():
+    # Work gate: on most corpus trees the sweep's best candidate is
+    # already stationary, and the polish stops once still_step shows it.
+    # The full compass search makes a median of 216 evaluate calls here.
+    calls = []
+    for seed in range(70):
+        eng, val, ab = polish_start(corpus_tree(seed))
+        count = [0]
+        evaluate = eng.cat.evaluate
+
+        def counted(a, b):
+            count[0] += 1
+            return evaluate(a, b)
+
+        eng.cat.evaluate = counted
+        eng._polish(val, ab)
+        calls.append(count[0])
+    assert np.median(calls) <= 110, sorted(calls)
+
+
 def test_phase_end_follows_the_main_chain():
     # Corpus tree 1 runs phase III from a juncture of phase II; only a
     # phase III on the main chain (phase I, then the x-xy shift) ends

@@ -24,7 +24,8 @@ code_lines = load("code_lines")
 def record(**change):
     rec = {"set": "criterion-1", "phase_end": "III",
            "diameter_after": (3.0).hex(), "scale": 4.0, "event_count": 7,
-           "families": 120, "events": "0123456789abcdef"}
+           "families": 120, "evaluate_calls": 225,
+           "events": "0123456789abcdef"}
     rec.update(change)
     return rec
 
@@ -75,6 +76,39 @@ def test_compare_counts_a_changed_trace_outside_the_verdict(tmp_path,
     # trees, phase_end, bitwise, traces, ..., events before and after.
     assert row[1:5] == ["2", "0", "0", "1"]
     assert row[-2:] == ["14", "10"]
+
+
+def test_compare_totals_evaluate_calls_per_set(tmp_path, capsys):
+    code, out = compare(tmp_path, capsys, evaluate_calls=40)
+    assert code == 0
+    row = next(line.split() for line in out.splitlines()
+               if line.startswith("criterion-1 "))
+    # families, evaluate calls and events, each before and after.
+    assert row[-6:] == ["240", "240", "450", "265", "14", "14"]
+    assert "evaluate calls: a dump without them" not in out
+
+
+def test_compare_skips_evaluate_calls_the_older_dump_lacks(tmp_path,
+                                                           capsys):
+    # A dump made before evaluate calls were counted: the column is left
+    # out and the verdict does not read it.
+    before = {"criterion-1/0": record()}
+    for rec in before.values():
+        del rec["evaluate_calls"]
+    after = {"criterion-1/0": record(evaluate_calls=9)}
+    paths = []
+    for name, dump in (("before", before), ("after", after)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dump))
+        paths.append(str(path))
+    code = answers.main(["compare", *paths])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "evaluate calls: a dump without them, not compared" in out
+    row = next(line.split() for line in out.splitlines()
+               if line.startswith("criterion-1 "))
+    assert row[-4:] == ["120", "120", "7", "7"]
+    assert "verdict: PASS" in out
 
 
 def evaluate_record(**change):

@@ -9,8 +9,9 @@ corpus trees, ``random_tree(s, 5 + s % 96, shape)`` for s = 1000..1299
 and ``random_tree(s, 2000, "caterpillar")`` for s = 0..2) and on the
 1,500 item-1 trees.  Each tree gets one record: ``phase_end``,
 ``diameter_after`` as ``float.hex``, the tree's scale, ``event_count``,
-the number of ``Caterpillar.families`` calls and ``events``, a digest of
-the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
+the number of ``Caterpillar.families`` calls, the number of
+``Caterpillar.evaluate`` calls (``evaluate_calls``) and ``events``, a
+digest of the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
 ``float.hex`` and payload; not its diameter).  ``dump`` also runs
 ``augmented_diameter`` on the 120 trees of the benchmark's
 ``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
@@ -26,9 +27,13 @@ on every tree, no ``diameter_after`` worse than before by more than
 1e-9 * scale, and no evaluate diameter moved, either way, by more than
 1e-9 * scale.  It exits 1 when the verdict fails.  It also counts the
 trees whose event trace changed and the evaluate records whose diameter,
-usefulness or achieving pairs changed at all, which are not part of the
-verdict.  A dump from before the evaluate records were added has none;
-``compare`` then says so and checks the optimize records alone.
+usefulness or achieving pairs changed at all, and prints each set's
+totals of ``families`` calls, ``evaluate`` calls and events before and
+after, which are not part of the verdict.  A dump from before the
+evaluate records were added has none; ``compare`` then says so and
+checks the optimize records alone.  A dump from before ``evaluate_calls``
+was recorded is treated the same way: ``compare`` says so and leaves
+that column out.
 """
 
 from __future__ import annotations
@@ -120,23 +125,29 @@ def trace_digest(events):
 
 def answer(job):
     group, name, spec = job
-    calls = [0]
-    families = Caterpillar.families
+    calls = {"families": 0, "evaluate": 0}
+    originals = {method: getattr(Caterpillar, method) for method in calls}
 
-    def counted(self, alpha, beta):
-        calls[0] += 1
-        return families(self, alpha, beta)
+    def counting(method):
+        def counted(self, alpha, beta):
+            calls[method] += 1
+            return originals[method](self, alpha, beta)
+        return counted
 
-    Caterpillar.families = counted
+    for method in calls:
+        setattr(Caterpillar, method, counting(method))
     try:
         t = random_tree(*spec)
         res = optimize(t)
     finally:
-        Caterpillar.families = families
+        for method, original in originals.items():
+            setattr(Caterpillar, method, original)
     return name, {"set": group, "phase_end": res.phase_end,
                   "diameter_after": res.diameter_after.hex(),
                   "scale": t.scale, "event_count": res.event_count,
-                  "families": calls[0], "events": trace_digest(res.events)}
+                  "families": calls["families"],
+                  "evaluate_calls": calls["evaluate"],
+                  "events": trace_digest(res.events)}
 
 
 def evaluation(job):
@@ -208,15 +219,20 @@ def compare(before_path, after_path):
         return False
     ok = True
     sets = {}
+    evaluates = all("evaluate_calls" in rec
+                    for rec in (*before.values(), *after.values()))
     for name, old in before.items():
         new = after[name]
         row = sets.setdefault(old["set"], {
             "trees": 0, "phase_end": 0, "bitwise": 0, "traces": 0,
             "worse": 0.0, "better": 0.0, "families": [0, 0],
-            "events": [0, 0]})
+            "evaluate_calls": [0, 0], "events": [0, 0]})
         row["trees"] += 1
         row["families"][0] += old["families"]
         row["families"][1] += new["families"]
+        if evaluates:
+            row["evaluate_calls"][0] += old["evaluate_calls"]
+            row["evaluate_calls"][1] += new["evaluate_calls"]
         row["events"][0] += old["event_count"]
         row["events"][1] += new["event_count"]
         if old["phase_end"] != new["phase_end"]:
@@ -238,15 +254,20 @@ def compare(before_path, after_path):
             print(f"{name}: diameter_after worse by {change:.3g} scale")
     print(f"{'set':<12}{'trees':>6}{'phase_end':>10}{'bitwise':>8}"
           f"{'traces':>7}{'worst':>11}{'best':>11}{'families':>20}"
-          f"{'events':>16}")
+          + (f"{'evaluate':>20}" if evaluates else "") + f"{'events':>16}")
     for group, row in sets.items():
+        calls = row["evaluate_calls"]
         print(f"{group:<12}{row['trees']:>6}{row['phase_end']:>10}"
               f"{row['bitwise']:>8}{row['traces']:>7}{row['worse']:>11.2e}"
               f"{row['better']:>11.2e}"
               f"{row['families'][0]:>10}{row['families'][1]:>10}"
-              f"{row['events'][0]:>8}{row['events'][1]:>8}")
+              + (f"{calls[0]:>10}{calls[1]:>10}" if evaluates else "")
+              + f"{row['events'][0]:>8}{row['events'][1]:>8}")
     print("worst and best: the largest loss and gain of diameter_after, "
-          "in units of scale")
+          "in units of scale; families, evaluate and events: the totals "
+          "before and after")
+    if not evaluates:
+        print("evaluate calls: a dump without them, not compared")
     changed = sum(row["traces"] for row in sets.values())
     if all("events" in rec for rec in (*before.values(), *after.values())):
         print(f"event traces changed on {changed} trees (not part of the "
