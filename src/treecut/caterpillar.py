@@ -16,6 +16,11 @@ prefix of cycle-route partners, read for all wedges at once from the
 sparse tables as numpy gathers.  A cycle holding few wedges is scanned
 in Python instead, which is cheaper there.
 
+``safe_steps`` is the compass polish's stationarity certificate: from
+the winning family terms, the delta floor and the longest wedge pair,
+each a shortest path whose length is convex along a compass ray, it
+reads the steps at which no probe can evaluate below a given value.
+
 The paper's sweep runs mirror-symmetric phases: a shift toward y is a
 shift toward x seen from b.  ``Caterpillar.flip()`` gives that view as a
 caterpillar of its own, built over the reversed decomposition, so both
@@ -150,10 +155,7 @@ class FamilyView:
     multiple of de/dbeta.  The slope holds while the branches, the
     argmax pendants and the backbone edge under q stay as they are.  It
     is NaN where the chord is 0, and ``fanti_db`` also where there is no
-    pendant.  ``e_da`` is the chord's slope in alpha at fixed beta,
-    (P - Q).u / e with u the unit direction of the edge under p (NaN
-    where e = 0); each term's slope in alpha follows from it and the
-    term's branch, as in ``Caterpillar.still_step``.
+    pendant.
     """
 
     alpha: float
@@ -179,7 +181,6 @@ class FamilyView:
     fx_db: float
     fy_db: float
     fanti_db: float
-    e_da: float
 
 
 class Caterpillar:
@@ -214,7 +215,7 @@ class Caterpillar:
         # built by flip() holds its maker weakly, so that the two form no
         # reference cycle and are freed as soon as they are dropped.
         self._flipped = lambda: None
-        # The last alpha ``chord`` embedded, its coordinates and edge.
+        # The last alpha ``chord`` embedded and its coordinates.
         self._alpha_at = (None, None)
         self._build_tables()
 
@@ -270,25 +271,20 @@ class Caterpillar:
         return self._chord(alpha, beta)[0]
 
     def _chord(self, alpha, beta):
-        """The chord e = |pq|, its slope de/dbeta at fixed alpha and its
-        slope de/dalpha at fixed beta.
-
-        The slopes are (Q - P).u_q / e and (P - Q).u_p / e, with u_q and
-        u_p the unit directions of the edges that hold q and p, and NaN
-        where e = 0.
-        """
+        """The chord e = |pq| and its slope de/dbeta at fixed alpha,
+        (Q - P).u / e with u the unit direction of the edge that holds q;
+        NaN where e = 0."""
         if alpha == self._alpha_at[0]:
-            xa, ya, j = self._alpha_at[1]
+            xa, ya = self._alpha_at[1]
         else:
-            xa, ya, j = self._locate(alpha)
-            self._alpha_at = (alpha, (xa, ya, j))
+            xa, ya, _ = self._locate(alpha)
+            self._alpha_at = (alpha, (xa, ya))
         xb, yb, i = self._locate(beta)
         dx, dy = xb - xa, yb - ya
         e = math.hypot(dx, dy)
         if e == 0.0:
-            return e, math.nan, math.nan
-        return (e, (dx * self._ux[i] + dy * self._uy[i]) / e,
-                -(dx * self._ux[j] + dy * self._uy[j]) / e)
+            return e, math.nan
+        return e, (dx * self._ux[i] + dy * self._uy[i]) / e
 
     def arc_to_treepoint(self, arc):
         from .tree_model import TreePoint
@@ -305,7 +301,7 @@ class Caterpillar:
     def families(self, alpha, beta):
         """Exact values of the monitored diametral-path families at (p, q),
         with their slopes in beta."""
-        e, de, e_da = self._chord(alpha, beta)
+        e, de = self._chord(alpha, beta)
         darc = beta - alpha
         cyc = e + darc
         half = cyc / 2.0
@@ -376,7 +372,7 @@ class Caterpillar:
         return FamilyView(alpha, beta, e, darc, cyc, half, pbar, qbar,
                           xy, xy_branch, fx, fx_branch, fx_p,
                           fy, fy_branch, fy_p, fanti, fanti_p, diameter,
-                          xy_db, fx_db, fy_db, fanti_db, e_da)
+                          xy_db, fx_db, fy_db, fanti_db)
 
     # -- exact evaluation -------------------------------------------------
 
@@ -473,96 +469,223 @@ class Caterpillar:
         fv = self.families(alpha, beta)
         return max(fv.diameter, self.pairs(alpha, beta, fv.cyc))
 
-    def still_step(self, alpha, beta, val, s_min):
-        """The largest step s* such that no compass probe from (alpha,
-        beta) at a step in [s_min, s*] evaluates below ``val``; 0 where
-        that cannot be shown.
+    # The compass directions (d alpha, d beta) of ``_Engine._polish``, in
+    # the order in which it probes them.
+    COMPASS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+               (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 
-        A probe moves alpha and beta by -s, 0 or +s each, clamped to the
-        box 0 <= alpha <= c_arc <= beta <= L as ``_Engine._polish``
-        clamps them.  The witnesses are the winning term of each monitored
-        family and the delta floor.  Each is the length of a real path in
-        T + pq, so at most the diameter wherever its branch holds, and is
-        affine in (alpha, beta) plus 0, 1/2 or 1 times the chord: convex
-        along a ray on which p and q keep their backbone edges, so above
-        its tangent there.  A direction is safe up to s when some witness
-        keeps its cell and branch that far and its tangent is at least
-        ``val`` at both s_min and s.  The tangent is Clarke's criterion
-        along the ray: at a local minimum some active term does not fall
-        in any direction.
+    def safe_steps(self, alpha, beta, val, lo, hi):
+        """For each of the ``COMPASS`` directions, the steps in [lo, hi] at
+        which no compass probe from (alpha, beta) evaluates below ``val``.
+
+        Each entry is a list of closed intervals [l, h] within [lo, hi];
+        it is [(lo, hi)] where the probe clamps onto the center.  A probe
+        moves alpha and beta by s times the direction, clamped to the box
+        0 <= alpha <= c_arc <= beta <= L as ``_Engine._polish`` clamps
+        them: an end on the box edge it would cross stays.
+
+        The witnesses (``_witnesses``) are lengths of real shortest paths
+        in T + pq, so at most the diameter.  Along a ray each is
+        w + A s + k (e(s) - e), with e(s) = |D + s W| the chord, D = Q - P
+        and W = d beta u_q - d alpha u_p, u_p and u_q the directions of
+        the edges the ends move along.  That is convex in s, and at most
+        the path's length, while p and q keep those edges and no pendant
+        crosses them, and while the witness keeps its shortest route: up
+        to ``far``, the rooms (``_side``) of the ends on the sides they
+        move to, or the witness's branch margin.  A pendant at p or q
+        itself falls on one side as the end moves away; where the witness
+        has it on the other, its arc distance to the end is read with the
+        wrong sign, which only shortens the witness.  A convex function
+        that is at least ``val`` at a point s and does not fall toward
+        s = 0 (or toward ``far``) stays at least ``val`` on that side, so
+        ``_ray_pieces`` reads the safe steps from a few points: the roots
+        of the squared equation w(s) = val, the minimum of w (the kink of
+        e where p and q move along one line and the chord passes through
+        0) and ``far``.  This is Clarke's criterion along the ray: at a
+        local minimum some witness does not fall in any direction.
         """
-        if beta - alpha <= 0.0:
-            return 0.0
-        fv = self.families(alpha, beta)
-        e_da, t = fv.e_da, self.t
-        xy_via = self.h_x + alpha + fv.e + (self.L - beta) + self.h_y
-        # (value, slope in alpha, slope in beta, branch margin): pbar and
-        # qbar move at most 2 per unit step, the x-y via route at most 4.
-        witnesses = [
-            (self.delta, 0.0, 0.0, math.inf),
-            (fv.xy, 1.0 + e_da if fv.xy_branch == "via" else 0.0, fv.xy_db,
-             abs(self.diam_t - xy_via) / 4.0)]
-        j = fv.fx_pendant
-        if fv.fx_branch == "anti":
-            witnesses.append((fv.fx, 0.5 * (1.0 + e_da), fv.fx_db, math.inf))
-        elif fv.fx_branch == "tree":
-            witnesses.append((fv.fx, 0.0, 0.0, (fv.pbar - t[j]) / 2.0))
-        else:
-            witnesses.append((fv.fx, 1.0 + e_da, fv.fx_db,
-                              (t[j] - fv.pbar) / 2.0))
-        j = fv.fy_pendant
-        if fv.fy_branch == "anti":
-            witnesses.append((fv.fy, 0.5 * (e_da - 1.0), fv.fy_db, math.inf))
-        elif fv.fy_branch == "tree":
-            witnesses.append((fv.fy, 0.0, 0.0, (t[j] - fv.qbar) / 2.0))
-        else:
-            witnesses.append((fv.fy, e_da + (1.0 if t[j] < alpha else -1.0),
-                              fv.fy_db, (fv.qbar - t[j]) / 2.0))
-        j = fv.fanti_pendant
-        if j >= 0:
-            witnesses.append((fv.fanti, 0.5 * (e_da + (1.0 if t[j] < alpha
-                                                       else -1.0)),
-                              fv.fanti_db, math.inf))
-        # How far each end can move before it meets a breakpoint, where
-        # the cell or the edge under it changes, or a box edge it is not
-        # on, where the probes bend.
-        room_a = self._room(alpha, 0.0, self.c_arc)
-        room_b = self._room(beta, self.c_arc, self.L)
-        best = math.inf
-        for da in (-1.0, 0.0, 1.0):
+        dirs = []
+        for da, db in self.COMPASS:
             if alpha == (0.0 if da < 0 else self.c_arc):
                 da = 0.0                # the probe clamps alpha back
-            for db in (-1.0, 0.0, 1.0):
-                if beta == (self.c_arc if db < 0 else self.L):
-                    db = 0.0
-                if not (da or db):
-                    continue
-                room = min(room_a if da else math.inf,
-                           room_b if db else math.inf)
-                reach = 0.0
-                for w, w_a, w_b, margin in witnesses:
-                    slope = da * w_a + db * w_b
-                    if w + s_min * slope >= val:
-                        far = min(room, margin)
-                        if slope < 0.0:
-                            far = min(far, (w - val) / -slope)
-                        reach = max(reach, far)
-                best = min(best, reach)
-                if best < s_min:
-                    return 0.0
-        return best
+            if beta == (self.c_arc if db < 0 else self.L):
+                db = 0.0
+            dirs.append((da, db))
+        everywhere = [(lo, hi)]
+        if beta - alpha <= 0.0:
+            return [[] if da or db else everywhere for da, db in dirs]
+        xa, ya, _ = self._locate(alpha)
+        xb, yb, _ = self._locate(beta)
+        dx, dy = xb - xa, yb - ya
+        e = math.hypot(dx, dy)
+        # Each end's room and edge direction toward lower and toward higher
+        # arcs.
+        sides_a = [self._side(alpha, d, 0.0, self.c_arc) for d in (-1, 1)]
+        sides_b = [self._side(beta, d, self.c_arc, self.L) for d in (-1, 1)]
+        reach = min(max(sides_a[0][0], sides_a[1][0], sides_b[0][0],
+                        sides_b[1][0]), hi)
+        # The witnesses at or above val, and those below it that could
+        # rise to it within reach: a witness moves by at most |A_alpha| +
+        # |A_beta| + 2 k a unit step.
+        top, low = [], []
+        for wit in self._witnesses(alpha, beta, val):
+            w, w_a, w_b, k, margin = wit
+            if w >= val:
+                top.append(wit)
+            elif w - val + (abs(w_a) + abs(w_b) + 2.0 * k) * min(
+                    margin, reach) >= 0.0:
+                low.append(wit)
+        out = []
+        for da, db in dirs:
+            if not (da or db):
+                out.append(everywhere)
+                continue
+            room, upx, upy = sides_a[da > 0] if da else (math.inf, 0.0, 0.0)
+            room_b, uqx, uqy = sides_b[db > 0] if db else (math.inf, 0.0, 0.0)
+            room = min(room, room_b, hi)
+            if room < lo:
+                out.append([])
+                continue
+            wx, wy = db * uqx - da * upx, db * uqy - da * upy
+            slope_e = (dx * wx + dy * wy) / e
+            # A witness at or above val that does not fall along the ray
+            # is safe up to its far end.
+            covered, rest = NEG, []
+            for wit in top:
+                if da * wit[1] + db * wit[2] + wit[3] * slope_e < 0.0:
+                    rest.append(wit)
+                elif wit[4] > covered:
+                    covered = wit[4] if wit[4] < room else room
+            pieces = [(lo, covered)] if covered >= lo else []
+            out.append(pieces)
+            if covered >= room:
+                continue
+            # The others, where they are at least val at lo or at far:
+            # below it at both, a convex witness is below it between.
+            ray = (dx, dy, wx, wy, e)
+            e_lo = math.hypot(dx + lo * wx, dy + lo * wy) - e
+            e_room = math.hypot(dx + room * wx, dy + room * wy) - e
+            for w, w_a, w_b, k, margin in rest + low:
+                if margin < room:
+                    if margin < lo:
+                        continue
+                    far = margin
+                    e_far = math.hypot(dx + far * wx, dy + far * wy) - e
+                else:
+                    far, e_far = room, e_room
+                g0, a = w - val, da * w_a + db * w_b
+                g_lo = g0 + a * lo + k * e_lo
+                g_far = g0 + a * far + k * e_far
+                if g_lo >= 0.0 or g_far >= 0.0:
+                    for piece in _ray_pieces(g0, a, k, ray, lo, far, g_lo,
+                                             g_far):
+                        pieces.append(piece)
+                        if piece[0] <= max(covered, lo) < piece[1]:
+                            covered = piece[1]
+                    if covered >= room:
+                        break
+        return out
 
-    def _room(self, arc, lo, hi):
-        """Distance from ``arc`` to the nearest breakpoint and to the box
-        edges lo and hi that it is not on."""
-        bps = self.bps
-        i = bisect_left(bps, arc)
-        room = min(abs(arc - bps[k]) for k in (i - 1, i)
-                   if 0 <= k < len(bps))
-        for edge in (lo, hi):
-            if edge != arc:
-                room = min(room, abs(arc - edge))
-        return room
+    def _witnesses(self, alpha, beta, val):
+        """The certificate's witnesses at (alpha, beta):
+        (w, A_alpha, A_beta, k, margin), a path of length w that
+        moves as A_alpha alpha + A_beta beta + k e, and stays a shortest
+        path while the ends move by less than ``margin``.
+
+        They are the winning term of each monitored family, the delta
+        floor and, where ``pairs`` is within tol of the families, the
+        longest wedge-wedge path (``_pair_witnesses``).  pbar and qbar
+        move at most 2 per unit step, the x-y via route at most 4.
+        """
+        fv = self.families(alpha, beta)
+        t = self.t
+        xy_via = self.h_x + alpha + fv.e + (self.L - beta) + self.h_y
+        margin = abs(self.diam_t - xy_via) / 4.0
+        out = [(self.delta, 0.0, 0.0, 0.0, math.inf),
+               (fv.xy, 1.0, -1.0, 1.0, margin) if fv.xy_branch == "via"
+               else (fv.xy, 0.0, 0.0, 0.0, margin)]
+        j = fv.fx_pendant
+        if fv.fx_branch == "anti":
+            out.append((fv.fx, 0.5, 0.5, 0.5, math.inf))
+        elif fv.fx_branch == "tree":
+            out.append((fv.fx, 0.0, 0.0, 0.0, (fv.pbar - t[j]) / 2.0))
+        else:
+            out.append((fv.fx, 1.0, 1.0 if t[j] <= beta else -1.0, 1.0,
+                        (t[j] - fv.pbar) / 2.0))
+        j = fv.fy_pendant
+        if fv.fy_branch == "anti":
+            out.append((fv.fy, -0.5, -0.5, 0.5, math.inf))
+        elif fv.fy_branch == "tree":
+            out.append((fv.fy, 0.0, 0.0, 0.0, (t[j] - fv.qbar) / 2.0))
+        else:
+            out.append((fv.fy, 1.0 if t[j] < alpha else -1.0, -1.0, 1.0,
+                        (fv.qbar - t[j]) / 2.0))
+        j = fv.fanti_pendant
+        if j >= 0:
+            out.append((fv.fanti, 0.5 if t[j] < alpha else -0.5,
+                        -0.5 if t[j] > beta else 0.5, 0.5, math.inf))
+        if self.k >= 2 and (self.pairs(alpha, beta, fv.cyc)
+                            >= fv.diameter - self.tree.tol):
+            out += self._pair_witnesses(alpha, beta, fv.cyc)
+        return out
+
+    def _pair_witnesses(self, alpha, beta, cyc):
+        """The wedge pairs behind ``pairs`` as witnesses, in the form of
+        ``_witnesses``.
+
+        A pair joined by the tree on one side of the cycle has a constant
+        length while no wedge crosses p or q, which the room prevents.  A
+        wedge at p or q itself enters the cycle as that end moves away,
+        so these pairs leave it out.  The argmax pair on the cycle
+        (``_cross_pair_arg``) takes its shorter route: by the tree,
+        constant, or round the cycle, affine with slopes +-1 in alpha and
+        beta plus the chord; there a wedge at p or q that enters the
+        cycle only lengthens the route.  The gap to the other route moves
+        at most 4 per unit step.
+        """
+        k, t = self.k, self.t
+        out = []
+        i = bisect_left(t, alpha)           # the wedges left of p
+        if i >= 2:
+            out.append((float(self.left_pair[i - 1]), 0.0, 0.0, 0.0,
+                        math.inf))
+        i = bisect_right(t, beta)           # the first wedge right of q
+        if i <= k - 2:
+            out.append((float(self.right_pair[i]), 0.0, 0.0, 0.0, math.inf))
+        i_a, i_b = self._in_cycle(alpha, beta)
+        pts = self._cycle_points(alpha, beta, i_a, i_b)
+        half = cyc / 2.0
+        w, i, j = _cross_pair_arg(pts, cyc, half)
+        if i >= 0:
+            d = pts[j][0] - pts[i][0]
+            margin = abs(cyc - 2.0 * d) / 4.0
+            if d <= half:
+                out.append((w, 0.0, 0.0, 0.0, margin))
+            else:
+                # Round the cycle: a wedge inside it is left behind by p
+                # and approached by q; the end groups move with p and q.
+                out.append((w, 1.0 if i == 0 and i_a > 0 else -1.0,
+                            -1.0 if j == len(pts) - 1 and i_b < k else 1.0,
+                            1.0, margin))
+        return out
+
+    def _side(self, arc, d, lo, hi):
+        """(room, ux, uy) of a shortcut end at ``arc`` that moves toward
+        higher arcs (d = 1) or lower ones (d = -1): the distance to the
+        next breakpoint that way, where the cell or the edge under it
+        changes, or to the box edge hi or lo that way, where the probes
+        bend; and the unit direction of the backbone edge it moves along.
+        """
+        bps, arcs = self.bps, self.arcs
+        if d > 0:
+            i = bisect_right(bps, arc)
+            room = min(bps[i] if i < len(bps) else math.inf, hi) - arc
+            edge = min(bisect_right(arcs, arc) - 1, len(self._ux) - 1)
+        else:
+            i = bisect_left(bps, arc) - 1
+            room = arc - max(bps[i] if i >= 0 else NEG, lo)
+            edge = max(bisect_left(arcs, arc) - 1, 0)
+        return room, self._ux[edge], self._uy[edge]
 
     def evaluate_grid(self, alphas, betas):
         """Vectorized exact evaluation for many placements alpha <= beta.
@@ -644,11 +767,16 @@ def _cross_pair_max(pts, cyc, half):
     position, all positions distinct groups; the cycle distance is the
     shorter way around.  Runs in O(len(pts)) with a sliding-window max.
     """
-    if len(pts) < 2:
-        return NEG
-    best = NEG
+    return _cross_pair_arg(pts, cyc, half)[0]
+
+
+def _cross_pair_arg(pts, cyc, half):
+    """``_cross_pair_max`` with its argmax: (max, i, j), the indices
+    i < j into `pts` of a pair that attains it; (-inf, -1, -1) with
+    fewer than two points."""
+    best, at = NEG, (-1, -1)
     win = deque()   # indices, decreasing H - u (tree-route window)
-    prefix_best = NEG  # max of H + u over points left of the window
+    prefix_best, prefix_at = NEG, -1  # max of H + u left of the window
     lo = 0
     for j in range(len(pts)):
         uj, hj = pts[j]
@@ -656,7 +784,8 @@ def _cross_pair_max(pts, cyc, half):
         while lo < j and uj - pts[lo][0] > half:
             if win and win[0] == lo:
                 win.popleft()
-            prefix_best = max(prefix_best, pts[lo][1] + pts[lo][0])
+            if pts[lo][1] + pts[lo][0] > prefix_best:
+                prefix_best, prefix_at = pts[lo][1] + pts[lo][0], lo
             lo += 1
         if j > 0:
             i = j - 1
@@ -667,7 +796,114 @@ def _cross_pair_max(pts, cyc, half):
             while win and win[0] < lo:
                 win.popleft()
             if win:
-                best = max(best, pts[win[0]][1] - pts[win[0]][0] + hj + uj)
+                val = pts[win[0]][1] - pts[win[0]][0] + hj + uj
+                if val > best:
+                    best, at = val, (win[0], j)
             if prefix_best > NEG:
-                best = max(best, prefix_best + hj - uj + cyc)
-    return best
+                val = prefix_best + hj - uj + cyc
+                if val > best:
+                    best, at = val, (prefix_at, j)
+    return best, *at
+
+
+def _ray_pieces(g0, a, k, ray, lo, far, g_lo, g_far):
+    """The pieces of [lo, far] on which g(s) = g0 + a s + k (e(s) - e) is
+    at least 0, for ``ray`` = (Dx, Dy, Wx, Wy, e) and e(s) = |D + s W|,
+    e = |D|; g is convex on [0, far], and g_lo and g_far are its values
+    at lo and far.
+
+    A point s with g(s) >= 0 where g does not rise toward 0 makes [lo, s]
+    safe, and one where g does not fall toward ``far`` makes [s, far]
+    safe; where g0 < 0, every such point rises toward far.  The points
+    read are 0, ``far``, the roots of the squared equation k e(s) = k e -
+    g0 - a s (one may be spurious, which the test of g itself discards)
+    and, where g0 >= 0, the minimum of g: its stationary point, or the
+    kink of e where D + s W passes through 0.  At least 0 there, g is at
+    least 0 everywhere.  A root that rounding puts just below 0 is moved
+    1e-9 far toward the side where g rises.
+    """
+    dx, dy, wx, wy, e = ray
+
+    def g(s):
+        return g0 + a * s + k * (math.hypot(dx + s * wx, dy + s * wy) - e)
+
+    if g0 < 0.0 and g_lo >= 0.0:
+        return [(lo, far)]
+    w2 = wx * wx + wy * wy
+    wn = math.sqrt(w2)
+    dw = dx * wx + dy * wy
+    points = []
+    if k == 0.0:
+        if a != 0.0:
+            points.append(-g0 / a)
+    else:
+        c0 = k * e - g0
+        a2 = k * k * w2 - a * a
+        a1 = 2.0 * (k * k * dw + a * c0)
+        a0 = g0 * (2.0 * k * e - g0)
+        if a2 == 0.0:
+            if a1 != 0.0:
+                points.append(-a0 / a1)
+        else:
+            disc = a1 * a1 - 4.0 * a2 * a0
+            if disc >= 0.0:
+                q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
+                points.append(q / a2)
+                if q != 0.0:
+                    points.append(a0 / q)
+    if g0 < 0.0:
+        # g rises through 0 once, before far: the first point in (lo, far]
+        # where g is at least 0 starts the one piece.
+        start = far if g_far >= 0.0 else math.inf
+        for s in points:
+            if lo < s < start:
+                if g(s) < 0.0:
+                    s = min(s + 1e-9 * far, far)
+                if s < start and g(s) >= 0.0:
+                    start = s
+        return [(start, far)] if start <= far else []
+    # The minimum of g: the kink of e, where D + s W is nearest 0, or
+    # g's stationary point, which nears the kink as D and W line up; g
+    # has one where the chord's pull k |W| outweighs the slope a.
+    lowest = []
+    if k and w2 > 0.0:
+        kink = -dw / w2
+        lowest.append(kink)
+        rho = -a / (k * wn)
+        if -1.0 < rho < 1.0:
+            perp = abs(dx * wy - dy * wx) / wn
+            low = kink + rho * perp / math.sqrt(1.0 - rho * rho) / wn
+            lowest.append(low)
+            if 0.0 < low < far and min(g(s) for s in lowest
+                                       if 0.0 <= s <= far) >= 0.0:
+                return [(lo, far)]      # g is at least 0 at its minimum
+
+    def slopes(s):
+        """g's slopes at s from the left and from the right; at the kink,
+        rounding may give any slope between them, which serves as
+        either."""
+        ux, uy = dx + s * wx, dy + s * wy
+        es = math.hypot(ux, uy)
+        if es == 0.0:
+            return a - k * wn, a + k * wn
+        r = min(max((ux * wx + uy * wy) / es, -wn), wn)
+        return a + k * r, a + k * r
+
+    pieces = []
+    for s in [0.0, far] + points + lowest:
+        if not 0.0 <= s <= far:
+            continue
+        gs = g_far if s == far else g(s)
+        left, right = slopes(s)
+        if gs < 0.0:
+            if left > 0.0 or right < 0.0:
+                s = min(max(s + math.copysign(1e-9 * far, left), 0.0), far)
+                gs = g(s)
+                left, right = slopes(s)
+            if gs < 0.0:
+                continue
+        if left <= 0.0 and s >= lo:
+            pieces.append((lo, s))
+        if right >= 0.0:
+            pieces.append((max(s, lo), far))
+    return pieces

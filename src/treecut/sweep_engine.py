@@ -49,11 +49,12 @@ safeguarded by regula falsi) of that largest watch in the interval
 before it, keep the state the root finder read there, and name the
 stop after the first watch that holds in it.  The phases note
 candidate placements (terminals, junctures, interior minima, segment
-ends, the wedge crossing) in one list; every one is evaluated exactly
-and the best is polished by a compass search on the exact evaluator,
-which stops as soon as a stationarity certificate
-(``Caterpillar.still_step``) shows that no probe still ahead of it can
-improve, so it ends where the full search ends.  ``OptimizeResult.events``
+ends, the wedge crossing) in one list; every distinct one is evaluated
+exactly and the best is polished by a compass search on the exact
+evaluator.  A stationarity certificate (``Caterpillar.safe_steps``)
+shows at which steps a probe cannot improve; the search evaluates no
+such probe and halves past every step level where all probes are
+safe, so it ends where the full search ends.  ``OptimizeResult.events``
 is the inspectable trace of a run.  Recording (``record_segments``, off
 by default) re-probes the walk to fill the motion segments and the
 phase-III diagnostic count; it never steers the sweep.
@@ -1038,10 +1039,13 @@ class _Engine:
     # -- final selection --------------------------------------------------
 
     def best(self):
+        """The best candidate, polished.  Each placement is evaluated
+        once: a repeat scores what it scored before, which cannot beat
+        the best by ``1e-3 tol``."""
         cat = self.cat
         best_val = cat.diam_t
         best_ab = (cat.c_arc, cat.c_arc)
-        for a, b, _ in self.candidates:
+        for a, b in dict.fromkeys((a, b) for a, b, _ in self.candidates):
             val = cat.evaluate(a, b)
             if val < best_val - 1e-3 * self.tol:
                 best_val = val
@@ -1055,28 +1059,42 @@ class _Engine:
         tightens the root-finding residue left by the event sweep and
         rescues the answers the sweep misses.  The step halves from
         ``L/64`` while no probe improves, down to ``tol/4``.  Wherever the
-        center changes, ``Caterpillar.still_step`` bounds the steps at
-        which no probe can improve; once the step is within that bound
-        the search could not move again, so it stops there, with the
-        answer it would have ended with.
+        center changes, ``Caterpillar.safe_steps`` shows at which steps
+        each direction's probe cannot improve on ``val``.  Such a probe
+        is not evaluated, and a step level where every probe is safe is
+        halved without evaluating, down to the end of the search where
+        every level left is safe.  Only probes that could not move the
+        search are skipped, so it visits the centers, and ends with the
+        answer, of the full compass search.
         """
         cat = self.cat
         a, b = ab
         a = min(max(a, 0.0), cat.c_arc)
         b = min(max(b, cat.c_arc), cat.L)
-        dirs = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
-                (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
-        step = floor = max(cat.L / 64.0, 4.0 * self.eps)
-        while floor * 0.5 > 0.25 * self.tol:
-            floor *= 0.5                # the last step the search takes
-        still = None                    # still_step at the center
+        # The step levels, smallest first.
+        levels = []
+        step = max(cat.L / 64.0, 4.0 * self.eps)
         while step > 0.25 * self.tol:
-            if still is None:
-                still = cat.still_step(a, b, val, floor)
-            if step <= still:
-                break
+            levels.append(step)
+            step *= 0.5
+        levels.reverse()
+        k = len(levels) - 1             # the current level
+        safe = None                     # per direction, its safe levels
+        while k >= 0:
+            if safe is None:
+                safe = [_level_mask(levels, pieces) for pieces in
+                        cat.safe_steps(a, b, val, levels[0], levels[k])]
+                every = safe[0]
+                for mask in safe[1:]:
+                    every &= mask
+            if every >> k & 1:
+                k -= 1
+                continue
+            step = levels[k]
             moved = False
-            for da, db in dirs:
+            for (da, db), mask in zip(cat.COMPASS, safe):
+                if not moved and mask >> k & 1:
+                    continue            # certified from this center
                 a2 = min(max(a + step * da, 0.0), cat.c_arc)
                 b2 = min(max(b + step * db, cat.c_arc), cat.L)
                 if a2 == a and b2 == b:
@@ -1086,10 +1104,20 @@ class _Engine:
                     val, a, b = v2, a2, b2
                     moved = True
             if moved:
-                still = None
+                safe = None
             else:
-                step *= 0.5
+                k -= 1
         return val, (a, b)
+
+
+def _level_mask(levels, pieces):
+    """The levels (ascending step sizes) inside any of the closed
+    intervals ``pieces``, as a bit mask over their indices."""
+    mask = 0
+    for lo, hi in pieces:
+        mask |= (1 << bisect_right(levels, hi)) - (1 << bisect_left(levels,
+                                                                    lo))
+    return mask
 
 
 def optimize(tree, record_segments=False) -> OptimizeResult:

@@ -432,65 +432,122 @@ def test_family_slopes_match_central_differences():
                     ("fanti", "t<=beta"), ("fanti", "t>beta")}, seen
 
 
-def compass_probes(cat, a, b, s):
-    """The eight compass probes at step s, clamped as the polish clamps."""
-    for da in (-1.0, 0.0, 1.0):
-        for db in (-1.0, 0.0, 1.0):
-            if da or db:
-                yield (min(max(a + s * da, 0.0), cat.c_arc),
-                       min(max(b + s * db, cat.c_arc), cat.L))
+def certificate_centers(cat, rng, count):
+    """Polish centers for the certificate: (0, L), then random ones,
+    each end anywhere in its box, on a box edge or on a breakpoint."""
+    bps_a = [x for x in cat.bps if x <= cat.c_arc]
+    bps_b = [x for x in cat.bps if x >= cat.c_arc]
+    yield 0.0, cat.L
+    for _ in range(count):
+        yield (rng.choice([0.0, rng.uniform(0.0, cat.c_arc),
+                           rng.choice(bps_a)]),
+               rng.choice([cat.L, rng.uniform(cat.c_arc, cat.L),
+                           rng.choice(bps_b)]))
 
 
-def test_chord_alpha_slope_matches_central_differences():
-    # ``e_da`` is the exact slope in alpha of the chord, wherever p stays
-    # on its backbone edge for the difference.
-    rng = random.Random(24)
-    checked = 0
-    for s in range(0, 60, 3):
-        t = random_tree(s, (5, 9, 14)[s % 3],
-                        ("uniform", "caterpillar", "balanced")[s % 3])
-        cat = Caterpillar(t, backbone(t))
-        h = 1e-7 * cat.L
-        for _ in range(20):
-            a, b = sorted((rng.uniform(0.0, cat.L), rng.uniform(0.0, cat.L)))
-            edge = cat._locate(a)[2]
-            if not (h < a < b - h and cat._locate(a - h)[2] == edge
-                    == cat._locate(a + h)[2]):
-                continue
-            diff = (cat.chord(a + h, b) - cat.chord(a - h, b)) / (2 * h)
-            assert cat.families(a, b).e_da == pytest.approx(
-                diff, rel=1e-5, abs=1e-5), (s, a, b)
-            checked += 1
-    assert checked >= 100, checked
+def safe_at(pieces, s):
+    return any(lo <= s <= hi for lo, hi in pieces)
 
 
-def test_still_step_bounds_every_probe_it_certifies():
-    # Wherever still_step certifies s*, every compass probe at a step in
-    # [s_min, s*] evaluates at least ``val``.  ``val`` is the value at the
-    # center less a random gap, so that inactive witnesses certify too.
+def test_safe_steps_bounds_every_probe_it_certifies():
+    # At every step safe_steps calls safe for a direction, the compass
+    # probe, clamped as the polish clamps it, evaluates at least ``val``:
+    # at both ends and inside each safe interval.  ``val`` is the value at
+    # the center less a random gap, so that witnesses below it certify
+    # too.  The centers are random, on breakpoints, at (0, L) and at the
+    # optimum, where ``pairs`` often sets the value; on the L-shaped tree
+    # p and q lie on one line and some rays move them along it.  A firing
+    # is one safe interval; the pair witness fires where the certificate
+    # without it calls fewer steps safe.
     rng = random.Random(7)
-    fired = 0
-    for s in range(0, 120, 2):
-        t = random_tree(s, (5, 9, 14, 30)[s % 4],
-                        ("uniform", "caterpillar", "balanced")[s % 3])
+    trees = [random_tree(s, (5, 9, 14, 30)[s % 4],
+                         ("uniform", "caterpillar", "balanced")[s % 3])
+             for s in range(0, 120, 2)] + [l_tree()]
+    fired = paired = 0
+    for t in trees:
         d = backbone(t)
         if d.is_point or d.is_straight:
             continue
         cat = Caterpillar(t, d)
-        for _ in range(16):
-            a = rng.choice([0.0, rng.uniform(0.0, cat.c_arc)])
-            b = rng.choice([cat.L, rng.uniform(cat.c_arc, cat.L)])
+        res = optimize(t)
+        centers = list(certificate_centers(cat, rng, 16))
+        if res.useful:
+            centers.append((res.p_arc, cat.L - res.q_arc))
+        if t.n > 100:                       # the L-shaped tree
+            centers += [(rng.uniform(0.0, cat.c_arc),
+                         rng.uniform(cat.c_arc, 8.0)) for _ in range(16)]
+        for a, b in centers:
             val = cat.evaluate(a, b) - rng.choice([0.0, 1e-3, 0.05]) * cat.L
-            s_min = rng.choice([1e-9, 1e-4]) * cat.L
-            far = cat.still_step(a, b, val, s_min)
-            if far == 0.0:
-                continue
-            assert far >= s_min
-            fired += 1
-            far = min(far, cat.L)
-            for step in (s_min, (s_min + far) / 2.0, far,
-                         rng.uniform(s_min, far)):
-                for a2, b2 in compass_probes(cat, a, b, step):
-                    assert cat.evaluate(a2, b2) >= val - 1e-12 * t.scale, (
-                        s, a, b, step, a2, b2)
+            lo = rng.choice([1e-9, 1e-4]) * cat.L
+            hi = rng.choice([lo, cat.L / 64.0, cat.L / 4.0])
+            safe = cat.safe_steps(a, b, val, lo, hi)
+            for (da, db), pieces in zip(cat.COMPASS, safe):
+                for l, h in pieces:
+                    assert lo <= l <= h <= hi
+                    fired += 1
+                    for step in (l, h, (l + h) / 2.0, rng.uniform(l, h)):
+                        a2 = min(max(a + step * da, 0.0), cat.c_arc)
+                        b2 = min(max(b + step * db, cat.c_arc), cat.L)
+                        assert cat.evaluate(a2, b2) >= (
+                            val - 1e-12 * t.scale), (t.n, a, b, step, da, db)
+            cat._pair_witnesses = lambda *args: []
+            without = cat.safe_steps(a, b, val, lo, hi)
+            del cat._pair_witnesses
+            steps = [lo * 2.0 ** i for i in range(64) if lo * 2.0 ** i <= hi]
+            paired += any(safe_at(p, s) and not safe_at(q, s) for s in steps
+                          for p, q in zip(safe, without))
     assert fired >= 100, fired
+    assert paired >= 20, paired
+
+
+def ray_witness(g0, a, k, ray, s):
+    dx, dy, wx, wy, e = ray
+    return g0 + a * s + k * (math.hypot(dx + s * wx, dy + s * wy) - e)
+
+
+def test_ray_pieces_are_the_steps_where_the_witness_holds():
+    # ``_ray_pieces`` calls safe only steps where the witness is at least
+    # val (g >= 0), and every step where it is clearly above: on random
+    # rays, on rays where p and q move along one line (the chord has a
+    # kink where it passes through 0) and on rays that keep the chord.
+    rng = random.Random(25)
+    for case in range(3000):
+        dx, dy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        e = math.hypot(dx, dy)
+        wx, wy = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+        if case % 3 == 1:                   # along the chord's line
+            f = rng.uniform(-2.5, 2.5) / e
+            wx, wy = f * dx, f * dy
+        elif case % 6 == 5:                 # the chord does not change
+            wx = wy = 0.0
+        ray = (dx, dy, wx, wy, e)
+        k = rng.choice([0.0, 0.5, 1.0])
+        a = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0]) * rng.choice([1.0, 2.0])
+        g0 = rng.choice([0.0, rng.uniform(-0.5, 0.5)])
+        lo, far = rng.choice([(1e-3, 2.0), (0.0, 1.0), (0.1, 0.1)])
+        pieces = caterpillar_module._ray_pieces(
+            g0, a, k, ray, lo, far, ray_witness(g0, a, k, ray, lo),
+            ray_witness(g0, a, k, ray, far))
+        for l, h in pieces:
+            assert lo <= l <= h <= far
+            for s in (l, h, (l + h) / 2.0, rng.uniform(l, h)):
+                assert ray_witness(g0, a, k, ray, s) >= -1e-12, (case, s)
+        for i in range(101):
+            s = lo + (far - lo) * i / 100.0
+            if ray_witness(g0, a, k, ray, s) >= 1e-7:
+                assert safe_at(pieces, s), (case, s, pieces)
+
+
+def test_ray_pieces_reads_the_kink():
+    # p and q close in along one line: the chord |1 - 2s| has its kink at
+    # s = 1/2, where the witness g0 + s + (|1 - 2s| - 1) is lowest.  With
+    # g0 = 0.6 it stays above 0 and the squared equation has no root;
+    # with g0 = 0.5 it just reaches 0 there, a double root.  Only the
+    # kink shows the whole ray safe.
+    ray = (1.0, 0.0, -2.0, 0.0, 1.0)
+    for g0 in (0.6, 0.5):
+        pieces = caterpillar_module._ray_pieces(
+            g0, 1.0, 1.0, ray, 1e-3, 1.0, ray_witness(g0, 1.0, 1.0, ray, 1e-3),
+            ray_witness(g0, 1.0, 1.0, ray, 1.0))
+        assert all(safe_at(pieces, s / 1000.0) for s in range(1, 1001)), (
+            g0, pieces)

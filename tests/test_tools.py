@@ -88,6 +88,18 @@ def test_compare_totals_evaluate_calls_per_set(tmp_path, capsys):
     assert "evaluate calls: a dump without them" not in out
 
 
+def test_compare_prints_mean_and_median_evaluate_calls_per_set(tmp_path,
+                                                               capsys):
+    # Two trees of 225 calls each, the second down to 40 after.
+    code, out = compare(tmp_path, capsys, evaluate_calls=40)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("evaluate calls per tree, mean / median, before -> "
+                     "after:")
+    assert lines[at + 1].split() == ["criterion-1", "225.0", "/", "225",
+                                     "->", "132.5", "/", "132.5"]
+
+
 def test_compare_skips_evaluate_calls_the_older_dump_lacks(tmp_path,
                                                            capsys):
     # A dump made before evaluate calls were counted: the column is left
@@ -105,6 +117,7 @@ def test_compare_skips_evaluate_calls_the_older_dump_lacks(tmp_path,
     out = capsys.readouterr().out
     assert code == 0
     assert "evaluate calls: a dump without them, not compared" in out
+    assert "evaluate calls per tree" not in out
     row = next(line.split() for line in out.splitlines()
                if line.startswith("criterion-1 "))
     assert row[-4:] == ["120", "120", "7", "7"]

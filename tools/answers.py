@@ -29,7 +29,8 @@ on every tree, no ``diameter_after`` worse than before by more than
 trees whose event trace changed and the evaluate records whose diameter,
 usefulness or achieving pairs changed at all, and prints each set's
 totals of ``families`` calls, ``evaluate`` calls and events before and
-after, which are not part of the verdict.  A dump from before the
+after, and each set's mean and median ``evaluate`` calls per tree, which
+are not part of the verdict.  A dump from before the
 evaluate records were added has none; ``compare`` then says so and
 checks the optimize records alone.  A dump from before ``evaluate_calls``
 was recorded is treated the same way: ``compare`` says so and leaves
@@ -44,6 +45,7 @@ import json
 import multiprocessing
 import os
 import random
+import statistics
 import sys
 from pathlib import Path
 
@@ -226,13 +228,13 @@ def compare(before_path, after_path):
         row = sets.setdefault(old["set"], {
             "trees": 0, "phase_end": 0, "bitwise": 0, "traces": 0,
             "worse": 0.0, "better": 0.0, "families": [0, 0],
-            "evaluate_calls": [0, 0], "events": [0, 0]})
+            "evaluate_calls": ([], []), "events": [0, 0]})
         row["trees"] += 1
         row["families"][0] += old["families"]
         row["families"][1] += new["families"]
         if evaluates:
-            row["evaluate_calls"][0] += old["evaluate_calls"]
-            row["evaluate_calls"][1] += new["evaluate_calls"]
+            for calls, rec in zip(row["evaluate_calls"], (old, new)):
+                calls.append(rec["evaluate_calls"])
         row["events"][0] += old["event_count"]
         row["events"][1] += new["event_count"]
         if old["phase_end"] != new["phase_end"]:
@@ -256,7 +258,7 @@ def compare(before_path, after_path):
           f"{'traces':>7}{'worst':>11}{'best':>11}{'families':>20}"
           + (f"{'evaluate':>20}" if evaluates else "") + f"{'events':>16}")
     for group, row in sets.items():
-        calls = row["evaluate_calls"]
+        calls = list(map(sum, row["evaluate_calls"]))
         print(f"{group:<12}{row['trees']:>6}{row['phase_end']:>10}"
               f"{row['bitwise']:>8}{row['traces']:>7}{row['worse']:>11.2e}"
               f"{row['better']:>11.2e}"
@@ -266,7 +268,14 @@ def compare(before_path, after_path):
     print("worst and best: the largest loss and gain of diameter_after, "
           "in units of scale; families, evaluate and events: the totals "
           "before and after")
-    if not evaluates:
+    if evaluates:
+        print("evaluate calls per tree, mean / median, before -> after:")
+        for group, row in sets.items():
+            old, new = (f"{statistics.mean(calls):.1f} / "
+                        f"{statistics.median(calls):g}"
+                        for calls in row["evaluate_calls"])
+            print(f"  {group:<12}{old:>16} -> {new}")
+    else:
         print("evaluate calls: a dump without them, not compared")
     changed = sum(row["traces"] for row in sets.values())
     if all("events" in rec for rec in (*before.values(), *after.values())):
