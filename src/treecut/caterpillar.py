@@ -42,8 +42,8 @@ import numpy as np
 NEG = float("-inf")
 # Placements per block of ``Caterpillar.evaluate_grid``, before its cap.
 _GRID_CHUNK = 4096
-# Wedges inside the cycle from which ``Caterpillar.pairs`` runs its numpy
-# kernel rather than the Python scan.  The kernel's fixed cost is about
+# Wedges inside the cycle from which ``Caterpillar._cross_pair`` runs its
+# numpy kernel rather than the Python scan.  The kernel's fixed cost is about
 # 20 us; the scan costs about 1 us a wedge and is cheaper below about 24
 # wedges (2 cores, Python 3.11, numpy 2.4).
 _KERNEL_MIN_WEDGES = 32
@@ -381,25 +381,13 @@ class Caterpillar:
         and the cycle length ``cyc``, ``chord(alpha, beta) + beta - alpha``.
 
         A wedge is a pendant.  Pairs on one side of the cycle are joined by
-        the tree and read from the prefix tables.  The other pairs meet on
-        the cycle, where the wedges left of p and right of q collapse to
-        one point each and the shorter way round counts.  With at least
-        ``_KERNEL_MIN_WEDGES`` wedges inside the cycle ``_cross_pairs``
-        reads them by range maxima in numpy; below that, numpy's fixed
-        cost loses to ``_cross_pair_max``'s scan.  -inf with fewer than
+        the tree and read from the prefix tables (``_same_side_pair``); the
+        others meet on the cycle (``_cross_pair``).  -inf with fewer than
         two wedges.
         """
-        k = self.k
         i_a, i_b = self._in_cycle(alpha, beta)
-        best = float(self.left_pair[i_a - 1]) if i_a > 0 else NEG
-        if i_b < k:
-            best = max(best, float(self.right_pair[i_b]))
-        if i_b - i_a >= _KERNEL_MIN_WEDGES:
-            cross = self._cross_pairs(alpha, beta, i_a, i_b, cyc)
-        else:
-            cross = _cross_pair_max(self._cycle_points(alpha, beta, i_a, i_b),
-                                    cyc, cyc / 2.0)
-        return max(best, cross)
+        return max(self._same_side_pair(i_a, i_b),
+                   self._cross_pair(alpha, beta, i_a, i_b, cyc)[0])
 
     def _in_cycle(self, alpha, beta):
         """Pendant bounds (i_a, i_b): left of p is [0, i_a), inside the
@@ -408,8 +396,39 @@ class Caterpillar:
         # Where p = q, a wedge at q is left of p.
         return i_a, max(bisect_left(self.t, beta), i_a)
 
+    def _same_side_pair(self, i_a, i_b):
+        """The longest pair of wedges both left of p or both right of q."""
+        best = float(self.left_pair[i_a - 1]) if i_a > 0 else NEG
+        if i_b < self.k:
+            best = max(best, float(self.right_pair[i_b]))
+        return best
+
+    def _cross_pair(self, alpha, beta, i_a, i_b, cyc):
+        """The longest pair that meets on the cycle, as (w, i, j): its
+        length and its wedges i < j, where i = -1 stands for the group left
+        of p and j = k for the group right of q; (-inf, -1, -1) with fewer
+        than two points.
+
+        The wedges left of p and right of q collapse to one point each,
+        and the shorter way round counts.  With at least
+        ``_KERNEL_MIN_WEDGES`` wedges inside the cycle ``_cross_pairs``
+        reads them by range maxima in numpy; below that, numpy's fixed
+        cost loses to ``_cross_pair_arg``'s scan of ``_cycle_points``.
+        """
+        if i_b - i_a >= _KERNEL_MIN_WEDGES:
+            return self._cross_pairs(alpha, beta, i_a, i_b, cyc)
+        w, i, j = _cross_pair_arg(self._cycle_points(alpha, beta, i_a, i_b),
+                                  cyc, cyc / 2.0)
+        if i < 0:
+            return w, i, j
+        # Point 0 is the left group where there is one, and the point
+        # after the wedges the right group.
+        first = i_a - 1 if i_a > 0 else i_a
+        return (w, -1 if i_a > 0 and i == 0 else first + i,
+                self.k if first + j == i_b else first + j)
+
     def _cycle_points(self, alpha, beta, i_a, i_b):
-        """The (cycle position, height) points ``_cross_pair_max`` scans:
+        """The (cycle position, height) points ``_cross_pair_arg`` scans:
         the end group left of p, the wedges inside, the group right of q."""
         t, h, k = self.t, self.h, self.k
         pts = [(0.0, self.hmt_pre[0][i_a] + alpha)] if i_a > 0 else []
@@ -419,18 +438,19 @@ class Caterpillar:
         return pts
 
     def _cross_pairs(self, alpha, beta, i_a, i_b, cyc):
-        """``_cross_pair_max`` over ``_cycle_points``, by range maxima.
+        """``_cross_pair`` by range maxima.
 
         A wedge pair i < j scores (h-t)_i + (h+t)_j by the tree when
         t_j - t_i <= half, else (h+t)_i + (h-t)_j + cyc round the cycle.
         For every j at once, the tree partners are a window [lo_j, j) and
         the cycle partners the prefix [i_a, lo_j), two sparse-table
-        gathers.  The end groups (max h-t left of p, max h+t right of q)
-        pair with the wedges and each other by O(1) queries.
+        gathers; one query finds the best j's partner.  The end groups
+        (max h-t left of p, max h+t right of q) pair with the wedges and
+        each other by O(1) queries.
         """
         half = cyc / 2.0
-        hmt, hpt = self.rm_hmt, self.rm_hpt
-        best = NEG
+        hmt, hpt, k = self.rm_hmt, self.rm_hpt, self.k
+        best = [(NEG, -1, -1)]
         if i_b - i_a >= 2:
             t = self._t[i_a:i_b]
             lo = np.searchsorted(t, t - half, "left") + i_a
@@ -438,7 +458,11 @@ class Caterpillar:
             tree += hpt.flat[i_a:i_b]       # level 0: the values
             cycle = hpt.gather(i_a, lo)
             cycle += hmt.flat[i_a:i_b]
-            best = max(float(tree.max()), float(cycle.max()) + cyc)
+            j, jc = int(tree.argmax()), int(cycle.argmax())
+            best.append((float(tree[j]), hmt.query(int(lo[j]), i_a + j)[1],
+                         i_a + j))
+            best.append((float(cycle[jc]) + cyc,
+                         hpt.query(i_a, int(lo[jc]))[1], i_a + jc))
         # The end groups, left: u = 0, H = m_l + alpha; right: u = beta -
         # alpha, H = m_r - beta; an empty group is -inf.  The wedges split
         # into tree and cycle partners at pbar for the left group, at qbar
@@ -447,12 +471,17 @@ class Caterpillar:
         m_r = self.hpt_suf[0][i_b]
         s_l = bisect_right(self.t, alpha + half, i_a, i_b)
         s_r = bisect_left(self.t, beta - half, i_a, i_b)
-        return max(best,
-                   m_l + hpt.query(i_a, s_l)[0],
-                   m_l + 2.0 * alpha + cyc + hmt.query(s_l, i_b)[0],
-                   m_r + hmt.query(s_r, i_b)[0],
-                   m_r - 2.0 * beta + cyc + hpt.query(i_a, s_r)[0],
-                   m_l + m_r + min(0.0, cyc - 2.0 * (beta - alpha)))
+        v, j = hpt.query(i_a, s_l)
+        best.append((m_l + v, -1, j))
+        v, j = hmt.query(s_l, i_b)
+        best.append((m_l + 2.0 * alpha + cyc + v, -1, j))
+        v, i = hmt.query(s_r, i_b)
+        best.append((m_r + v, i, k))
+        v, i = hpt.query(i_a, s_r)
+        best.append((m_r - 2.0 * beta + cyc + v, i, k))
+        best.append((m_l + m_r + min(0.0, cyc - 2.0 * (beta - alpha)),
+                     -1, k))
+        return max(best, key=lambda c: c[0])
 
     def evaluate(self, alpha, beta):
         """Exact diam(T + pq) for backbone arcs alpha and beta.
@@ -547,7 +576,9 @@ class Caterpillar:
                 out.append([])
                 continue
             wx, wy = db * uqx - da * upx, db * uqy - da * upy
-            slope_e = (dx * wx + dy * wy) / e
+            # The chord's slope as the step grows from 0; where p and q
+            # sit on one point, e(s) = s |W|.
+            slope_e = (dx * wx + dy * wy) / e if e else math.hypot(wx, wy)
             # A witness at or above val that does not fall along the ray
             # is safe up to its far end.
             covered, rest = NEG, []
@@ -624,49 +655,50 @@ class Caterpillar:
         if j >= 0:
             out.append((fv.fanti, 0.5 if t[j] < alpha else -0.5,
                         -0.5 if t[j] > beta else 0.5, 0.5, math.inf))
-        if self.k >= 2 and (self.pairs(alpha, beta, fv.cyc)
-                            >= fv.diameter - self.tree.tol):
-            out += self._pair_witnesses(alpha, beta, fv.cyc)
+        if self.k >= 2:
+            out += self._pair_witnesses(alpha, beta, fv.cyc,
+                                        fv.diameter - self.tree.tol)
         return out
 
-    def _pair_witnesses(self, alpha, beta, cyc):
+    def _pair_witnesses(self, alpha, beta, cyc, floor):
         """The wedge pairs behind ``pairs`` as witnesses, in the form of
-        ``_witnesses``.
+        ``_witnesses``, where ``pairs`` is at least ``floor``; else none.
 
         A pair joined by the tree on one side of the cycle has a constant
         length while no wedge crosses p or q, which the room prevents.  A
         wedge at p or q itself enters the cycle as that end moves away,
         so these pairs leave it out.  The argmax pair on the cycle
-        (``_cross_pair_arg``) takes its shorter route: by the tree,
-        constant, or round the cycle, affine with slopes +-1 in alpha and
-        beta plus the chord; there a wedge at p or q that enters the
-        cycle only lengthens the route.  The gap to the other route moves
-        at most 4 per unit step.
+        (``_cross_pair``) takes its shorter route: by the tree, constant,
+        or round the cycle, affine with slopes +-1 in alpha and beta plus
+        the chord; there a wedge at p or q that enters the cycle only
+        lengthens the route.  The gap to the other route moves at most 4
+        per unit step.
         """
         k, t = self.k, self.t
-        out = []
-        i = bisect_left(t, alpha)           # the wedges left of p
-        if i >= 2:
-            out.append((float(self.left_pair[i - 1]), 0.0, 0.0, 0.0,
-                        math.inf))
-        i = bisect_right(t, beta)           # the first wedge right of q
-        if i <= k - 2:
-            out.append((float(self.right_pair[i]), 0.0, 0.0, 0.0, math.inf))
         i_a, i_b = self._in_cycle(alpha, beta)
-        pts = self._cycle_points(alpha, beta, i_a, i_b)
-        half = cyc / 2.0
-        w, i, j = _cross_pair_arg(pts, cyc, half)
-        if i >= 0:
-            d = pts[j][0] - pts[i][0]
+        w, i, j = self._cross_pair(alpha, beta, i_a, i_b, cyc)
+        if max(w, self._same_side_pair(i_a, i_b)) < floor:
+            return []
+        out = []
+        n = bisect_left(t, alpha)           # the wedges left of p
+        if n >= 2:
+            out.append((float(self.left_pair[n - 1]), 0.0, 0.0, 0.0,
+                        math.inf))
+        n = bisect_right(t, beta)           # the first wedge right of q
+        if n <= k - 2:
+            out.append((float(self.right_pair[n]), 0.0, 0.0, 0.0, math.inf))
+        if w > NEG:
+            # Cycle positions: the left group at p, the right one at q.
+            d = (beta - alpha if j == k else t[j] - alpha) - (
+                0.0 if i < 0 else t[i] - alpha)
             margin = abs(cyc - 2.0 * d) / 4.0
-            if d <= half:
+            if d <= cyc / 2.0:
                 out.append((w, 0.0, 0.0, 0.0, margin))
             else:
                 # Round the cycle: a wedge inside it is left behind by p
                 # and approached by q; the end groups move with p and q.
-                out.append((w, 1.0 if i == 0 and i_a > 0 else -1.0,
-                            -1.0 if j == len(pts) - 1 and i_b < k else 1.0,
-                            1.0, margin))
+                out.append((w, 1.0 if i < 0 else -1.0,
+                            -1.0 if j == k else 1.0, 1.0, margin))
         return out
 
     def _side(self, arc, d, lo, hi):
@@ -760,20 +792,15 @@ class Caterpillar:
         return fl
 
 
-def _cross_pair_max(pts, cyc, half):
-    """Max over point pairs on the cycle of H_i + H_j + cycle distance.
+def _cross_pair_arg(pts, cyc, half):
+    """Max over point pairs on the cycle of H_i + H_j + cycle distance,
+    with its argmax: (max, i, j), the indices i < j into `pts` of a pair
+    that attains it; (-inf, -1, -1) with fewer than two points.
 
     `pts` is a list of (cycle position on the tree arc, height), sorted by
     position, all positions distinct groups; the cycle distance is the
     shorter way around.  Runs in O(len(pts)) with a sliding-window max.
     """
-    return _cross_pair_arg(pts, cyc, half)[0]
-
-
-def _cross_pair_arg(pts, cyc, half):
-    """``_cross_pair_max`` with its argmax: (max, i, j), the indices
-    i < j into `pts` of a pair that attains it; (-inf, -1, -1) with
-    fewer than two points."""
     best, at = NEG, (-1, -1)
     win = deque()   # indices, decreasing H - u (tree-route window)
     prefix_best, prefix_at = NEG, -1  # max of H + u left of the window
@@ -862,21 +889,20 @@ def _ray_pieces(g0, a, k, ray, lo, far, g_lo, g_far):
                 if s < start and g(s) >= 0.0:
                     start = s
         return [(start, far)] if start <= far else []
-    # The minimum of g: the kink of e, where D + s W is nearest 0, or
-    # g's stationary point, which nears the kink as D and W line up; g
-    # has one where the chord's pull k |W| outweighs the slope a.
+    # The minimum of g, where the chord's pull k |W| outweighs the slope
+    # a (else g is monotone): off the point s = -D.W / |W|^2 where
+    # D + s W is nearest 0 by an amount that shrinks with the distance
+    # perp between them, and at that point, the chord's kink, where D and
+    # W line up.
     lowest = []
     if k and w2 > 0.0:
-        kink = -dw / w2
-        lowest.append(kink)
         rho = -a / (k * wn)
         if -1.0 < rho < 1.0:
             perp = abs(dx * wy - dy * wx) / wn
-            low = kink + rho * perp / math.sqrt(1.0 - rho * rho) / wn
-            lowest.append(low)
-            if 0.0 < low < far and min(g(s) for s in lowest
-                                       if 0.0 <= s <= far) >= 0.0:
+            low = -dw / w2 + rho * perp / math.sqrt(1.0 - rho * rho) / wn
+            if 0.0 < low < far and g(low) >= 0.0:
                 return [(lo, far)]      # g is at least 0 at its minimum
+            lowest.append(low)
 
     def slopes(s):
         """g's slopes at s from the left and from the right; at the kink,

@@ -13,7 +13,7 @@ import treecut.caterpillar as caterpillar_module
 from treecut import (GeometricTree, Shortcut, augmented_diameter_value,
                      backbone, optimize)
 from treecut.caterpillar import (_KERNEL_MIN_WEDGES, NEG, Caterpillar,
-                                 RangeMax, _cross_pair_max)
+                                 RangeMax, _cross_pair_arg)
 from treecut.oracle import random_tree, stress_family
 
 
@@ -238,18 +238,41 @@ def test_chord_memo_is_exact():
             cat.evaluate(rng.choice(alphas), beta)
 
 
+def cross_pair_length(frame, a, b, cyc, i, j):
+    """The length of the pair (i, j) that ``_cross_pair`` names: wedges,
+    or i = -1 for the group left of p and j = k for the group right of
+    q, on the cycle at their positions, by the shorter way round."""
+    i_a, i_b = frame._in_cycle(a, b)
+
+    def point(n):
+        if n < 0:
+            return 0.0, frame.hmt_pre[0][i_a] + a
+        if n == frame.k:
+            return b - a, frame.hpt_suf[0][i_b] - b
+        assert i_a <= n < i_b
+        return frame.t[n] - a, frame.h[n]
+
+    (ui, hi), (uj, hj) = point(i), point(j)
+    assert ui <= uj
+    return hi + hj + min(uj - ui, cyc - (uj - ui))
+
+
 def assert_kernel_matches_scan(frame, a, b, scale):
     # The numpy kernel, called directly, against the Python scan over the
-    # same cycle points.
+    # same cycle points; the kernel and ``_cross_pair`` (the scan below
+    # the threshold) each name a pair of the length they give.
     i_a, i_b = frame._in_cycle(a, b)
     cyc = frame.chord(a, b) + (b - a)
-    got = frame._cross_pairs(a, b, i_a, i_b, cyc)
-    want = _cross_pair_max(frame._cycle_points(a, b, i_a, i_b), cyc,
-                           cyc / 2.0)
-    if want == NEG:
-        assert got == NEG, (a, b)
-    else:
-        assert got == pytest.approx(want, abs=1e-12 * scale), (a, b)
+    want = _cross_pair_arg(frame._cycle_points(a, b, i_a, i_b), cyc,
+                           cyc / 2.0)[0]
+    for got in (frame._cross_pairs(a, b, i_a, i_b, cyc),
+                frame._cross_pair(a, b, i_a, i_b, cyc)):
+        if want == NEG:
+            assert got == (NEG, -1, -1), (a, b)
+            continue
+        assert got[0] == pytest.approx(want, abs=1e-12 * scale), (a, b)
+        assert cross_pair_length(frame, a, b, cyc, *got[1:]) == (
+            pytest.approx(got[0], abs=1e-12 * scale)), (a, b, got)
 
 
 def kernel_placements(frame, rng, count):
@@ -302,6 +325,17 @@ def l_tree():
     return GeometricTree(coords, edges)
 
 
+def square_tree():
+    """A square path of unit edges whose two ends are distinct vertices
+    at (0, 0), with a pendant into the square at each of its three
+    corners: at (0, L) the chord is 0."""
+    coords = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0),
+              4: (0.0, 0.0), 5: (0.875, 0.125), 6: (0.75, 0.75),
+              7: (0.125, 0.875)}
+    return GeometricTree(coords, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5),
+                                  (2, 6), (3, 7)])
+
+
 def test_cross_pair_kernel_on_route_ties():
     # With p and q at the two ends, cyc = 14 + 10 and half = 12: the
     # wedge pairs 12 apart tie between the tree and the cycle route.
@@ -340,17 +374,16 @@ def test_cross_pair_kernel_matches_the_scan_on_random_trees(
 
 
 def test_pairs_takes_the_kernel_from_the_threshold(monkeypatch):
-    # Every ``pairs`` call with at least _KERNEL_MIN_WEDGES wedges inside
-    # the cycle runs the numpy kernel and every other call the scan: on
-    # the n = 2000 caterpillar both occur, on the small corpus trees only
-    # the scan.
-    pairs, kernel = Caterpillar.pairs, Caterpillar._cross_pairs
+    # Every cross-pair read (by ``pairs`` or by the polish certificate)
+    # with at least _KERNEL_MIN_WEDGES wedges inside the cycle runs the
+    # numpy kernel and every other one the scan: on the n = 2000
+    # caterpillar both occur, on the small corpus trees only the scan.
+    cross, kernel = Caterpillar._cross_pair, Caterpillar._cross_pairs
     calls = {"big": 0, "small": 0, "kernel": 0, "scan": 0}
 
-    def counted_pairs(self, alpha, beta, cyc):
-        i_a, i_b = self._in_cycle(alpha, beta)
+    def counted_cross(self, alpha, beta, i_a, i_b, cyc):
         calls["big" if i_b - i_a >= _KERNEL_MIN_WEDGES else "small"] += 1
-        return pairs(self, alpha, beta, cyc)
+        return cross(self, alpha, beta, i_a, i_b, cyc)
 
     def counted_kernel(self, *args):
         calls["kernel"] += 1
@@ -358,11 +391,11 @@ def test_pairs_takes_the_kernel_from_the_threshold(monkeypatch):
 
     def counted_scan(*args):
         calls["scan"] += 1
-        return _cross_pair_max(*args)
+        return _cross_pair_arg(*args)
 
-    monkeypatch.setattr(Caterpillar, "pairs", counted_pairs)
+    monkeypatch.setattr(Caterpillar, "_cross_pair", counted_cross)
     monkeypatch.setattr(Caterpillar, "_cross_pairs", counted_kernel)
-    monkeypatch.setattr(caterpillar_module, "_cross_pair_max", counted_scan)
+    monkeypatch.setattr(caterpillar_module, "_cross_pair_arg", counted_scan)
     optimize(random_tree(0, 2000, "caterpillar"), record_segments=False)
     assert calls["big"] > 0
     assert (calls["kernel"], calls["scan"]) == (calls["big"], calls["small"])
@@ -456,13 +489,14 @@ def test_safe_steps_bounds_every_probe_it_certifies():
     # the center less a random gap, so that witnesses below it certify
     # too.  The centers are random, on breakpoints, at (0, L) and at the
     # optimum, where ``pairs`` often sets the value; on the L-shaped tree
-    # p and q lie on one line and some rays move them along it.  A firing
+    # p and q lie on one line and some rays move them along it, and on the
+    # square tree (0, L) puts them on one point.  A firing
     # is one safe interval; the pair witness fires where the certificate
     # without it calls fewer steps safe.
     rng = random.Random(7)
     trees = [random_tree(s, (5, 9, 14, 30)[s % 4],
                          ("uniform", "caterpillar", "balanced")[s % 3])
-             for s in range(0, 120, 2)] + [l_tree()]
+             for s in range(0, 120, 2)] + [l_tree(), square_tree()]
     fired = paired = 0
     for t in trees:
         d = backbone(t)

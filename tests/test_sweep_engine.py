@@ -52,6 +52,19 @@ def test_optimize_straight_backbone_degenerate():
     assert res.diameter_after == pytest.approx(2.0)
 
 
+def test_optimize_backbone_ends_on_one_point():
+    # A square path whose ends are two vertices at one point: the shortcut
+    # between them has length 0 and halves the diameter, and the polish
+    # certificate reads a chord of 0 there.
+    coords = {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 1.0),
+              4: (0.0, 0.0)}
+    t = GeometricTree(coords, [(i, i + 1) for i in range(4)])
+    res = optimize(t)
+    assert res.useful
+    assert res.diameter_after == pytest.approx(2.0)
+    assert (res.p_arc, res.q_arc) == (0.0, 0.0)
+
+
 def test_optimize_never_worse_than_grid():
     for seed in range(8):
         t = random_tree(seed, 10, "uniform")
