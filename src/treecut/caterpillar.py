@@ -7,7 +7,13 @@ augmented diameter can be evaluated exactly from the pendant data alone.
 It is the maximum of two queries.  ``families`` gives the candidate
 families tracked by the sweep (x-side, y-side, antipodal, x-y) by three
 O(1) range-maximum queries and four reads of prefix and suffix maxima;
-they cover every path with x or y as an end and every antipode.
+they cover every path with x or y as an end and every antipode.  Each
+family comes with its winning term (A_alpha, A_beta, k): inside a cell,
+where p and q keep their backbone edges and the route its pendant, its
+length is w + A_alpha d alpha + A_beta d beta + k de, A in {0, +-1/2,
++-1} and k in {0, 1/2, 1}.  The paper's speed laws are this fact solved
+for q; the sweep's balance solves read their slopes from it, and the
+polish certificate its witnesses.
 ``pairs`` gives the rest: the longest path between two wedges
 (pendants), from prefix tables where the tree joins them on one side of
 the cycle, and from range maxima over the wedges inside the cycle
@@ -17,7 +23,7 @@ sparse tables as numpy gathers.  A cycle holding few wedges is scanned
 in Python instead, which is cheaper there.
 
 ``safe_steps`` is the compass polish's stationarity certificate: from
-the winning family terms, the delta floor and the longest wedge pair,
+the families' terms, the delta floor and the longest wedge pair,
 each a shortest path whose length is convex along a compass ray, it
 reads the steps at which no probe can evaluate below a given value.
 
@@ -145,42 +151,54 @@ def _suffix_max(vals):
     return memoryview(val), memoryview(arg)
 
 
+# The winning terms of ``families``, (A_alpha, A_beta, k): a route's
+# length is w + A_alpha d alpha + A_beta d beta + k de while p and q keep
+# their backbone edges and no pendant crosses an end, antipode or route
+# split.  Each names its route; left and right mean left of p and right of q.
+_TREE = (0.0, 0.0, 0.0)         # by the tree alone
+_VIA = (1.0, -1.0, 1.0)         # left, through pq, to right
+_X_ANTI = (0.5, 0.5, 0.5)       # left, to the cycle point opposite p
+_Y_ANTI = (-0.5, -0.5, 0.5)     # right, to the cycle point opposite q
+_X_IN = (1.0, 1.0, 1.0)         # left, through pq, back to a cycle wedge
+_Y_IN = (-1.0, -1.0, 1.0)       # right, through qp, on to a cycle wedge
+_ANTI_IN = (-0.5, 0.5, 0.5)     # a cycle wedge, to its opposite point
+
+
 @dataclass
 class FamilyView:
     """Candidate-family values of the monitored diametral-path families.
 
-    Each ``*_db`` is the slope in beta, at fixed alpha, of its family's
-    winning term.  That term is affine in beta, with slope 0, +-1/2 or
-    +-1, plus 0, 1/2 or 1 times the chord e, so its slope adds the same
-    multiple of de/dbeta.  The slope holds while the branches, the
-    argmax pendants and the backbone edge under q stay as they are.  It
-    is NaN where the chord is 0, and ``fanti_db`` also where there is no
+    Each ``*_term`` is its family's winning term (A_alpha, A_beta, k):
+    the length moves by A_alpha d alpha + A_beta d beta + k de while the
+    branches, the argmax pendants and the backbone edges under p and q
+    stay as they are.  ``de`` is the chord's slope de/dbeta at fixed
+    alpha, NaN where the chord is 0, so a family's slope in beta is
+    A_beta + k de.  ``fanti_term`` is ``_TREE`` where there is no
     pendant.
     """
 
     alpha: float
     beta: float
     e: float
-    darc: float
+    de: float
     cyc: float
-    half: float
     pbar: float
     qbar: float
     xy: float
     xy_branch: str          # "via" | "tree"
+    xy_term: tuple
     fx: float
     fx_branch: str          # "via" | "tree" | "anti"
     fx_pendant: int         # pendant index or -1
+    fx_term: tuple
     fy: float
     fy_branch: str
     fy_pendant: int
+    fy_term: tuple
     fanti: float
     fanti_pendant: int
+    fanti_term: tuple
     diameter: float         # max of the above and delta
-    xy_db: float
-    fx_db: float
-    fy_db: float
-    fanti_db: float
 
 
 class Caterpillar:
@@ -300,10 +318,9 @@ class Caterpillar:
 
     def families(self, alpha, beta):
         """Exact values of the monitored diametral-path families at (p, q),
-        with their slopes in beta."""
+        with their winning terms."""
         e, de = self._chord(alpha, beta)
-        darc = beta - alpha
-        cyc = e + darc
+        cyc = e + (beta - alpha)
         half = cyc / 2.0
         pbar = alpha + half           # antipodal of p, always on the tree arc
         qbar = beta - half
@@ -315,9 +332,9 @@ class Caterpillar:
 
         xy_via = self.h_x + alpha + e + (self.L - beta) + self.h_y
         if xy_via < self.diam_t:
-            xy, xy_branch, xy_db = xy_via, "via", de - 1.0
+            xy, xy_branch, xy_term = xy_via, "via", _VIA
         else:
-            xy, xy_branch, xy_db = self.diam_t, "tree", 0.0
+            xy, xy_branch, xy_term = self.diam_t, "tree", _TREE
 
         # The end groups, which the side families and the antipodal family
         # share: h-t left of p and h+t right of q.
@@ -332,13 +349,13 @@ class Caterpillar:
         v2, a2 = self.rm_hmt.query(i_pbar, i_b)      # via: pbar <= t <= beta
         v2 = v2 + self.h_x + alpha + e + beta
         v3 = m_r + self.h_x + alpha + e - beta       # via: t >= beta
-        fx_via, fx_via_p, fx_via_db = ((v2, a2, 1.0 + de) if v2 >= v3
-                                       else (v3, a_r, de - 1.0))
-        fx, fx_branch, fx_p, fx_db = fx_anti, "anti", -1, 0.5 * (1.0 + de)
+        fx_via, fx_via_p, fx_via_term = ((v2, a2, _X_IN) if v2 >= v3
+                                         else (v3, a_r, _VIA))
+        fx, fx_branch, fx_p, fx_term = fx_anti, "anti", -1, _X_ANTI
         if fx_tree > fx:
-            fx, fx_branch, fx_p, fx_db = fx_tree, "tree", fx_tree_p, 0.0
+            fx, fx_branch, fx_p, fx_term = fx_tree, "tree", fx_tree_p, _TREE
         if fx_via > fx:
-            fx, fx_branch, fx_p, fx_db = fx_via, "via", fx_via_p, fx_via_db
+            fx, fx_branch, fx_p, fx_term = fx_via, "via", fx_via_p, fx_via_term
 
         # y-side family, mirrored.
         fy_anti = self.h_y + (self.L - beta) + half
@@ -347,32 +364,33 @@ class Caterpillar:
         v2, a2 = self.rm_hpt.query(i_a, i_qbar)      # via: alpha <= t <= qbar
         v2 = v2 + self.h_y + (self.L - beta) + e - alpha
         v3 = m_l + self.h_y + (self.L - beta) + e + alpha  # via: t <= alpha
-        fy_via, fy_via_p = (v2, a2) if v2 >= v3 else (v3, a_l)
-        fy, fy_branch, fy_p, fy_db = fy_anti, "anti", -1, 0.5 * (de - 1.0)
+        fy_via, fy_via_p, fy_via_term = ((v2, a2, _Y_IN) if v2 >= v3
+                                         else (v3, a_l, _VIA))
+        fy, fy_branch, fy_p, fy_term = fy_anti, "anti", -1, _Y_ANTI
         if fy_tree > fy:
-            fy, fy_branch, fy_p, fy_db = fy_tree, "tree", fy_tree_p, 0.0
+            fy, fy_branch, fy_p, fy_term = fy_tree, "tree", fy_tree_p, _TREE
         if fy_via > fy:
-            fy, fy_branch, fy_p, fy_db = fy_via, "via", fy_via_p, de - 1.0
+            fy, fy_branch, fy_p, fy_term = fy_via, "via", fy_via_p, fy_via_term
 
         # Pendant-to-antipodal family; a pendant at t <= beta gains half of
         # q's motion, one past q loses the other half.
-        fanti, fanti_p, fanti_db = NEG, -1, math.nan
+        fanti, fanti_p, fanti_term = NEG, -1, _TREE
         if m_l + alpha > fanti:
-            fanti, fanti_p, fanti_db = m_l + alpha, a_l, 0.5 * (1.0 + de)
+            fanti, fanti_p, fanti_term = m_l + alpha, a_l, _X_ANTI
         v, a = self.rm_h.query(i_a, i_b)
         if v > fanti:
-            fanti, fanti_p, fanti_db = v, a, 0.5 * (1.0 + de)
+            fanti, fanti_p, fanti_term = v, a, _ANTI_IN
         if m_r - beta > fanti:
-            fanti, fanti_p, fanti_db = m_r - beta, a_r, 0.5 * (de - 1.0)
+            fanti, fanti_p, fanti_term = m_r - beta, a_r, _Y_ANTI
         fanti = fanti + half if fanti_p >= 0 else NEG
 
         diameter = max(xy, fx, fy, self.delta)
         if fanti_p >= 0:
             diameter = max(diameter, fanti)
-        return FamilyView(alpha, beta, e, darc, cyc, half, pbar, qbar,
-                          xy, xy_branch, fx, fx_branch, fx_p,
-                          fy, fy_branch, fy_p, fanti, fanti_p, diameter,
-                          xy_db, fx_db, fy_db, fanti_db)
+        return FamilyView(alpha, beta, e, de, cyc, pbar, qbar,
+                          xy, xy_branch, xy_term, fx, fx_branch, fx_p, fx_term,
+                          fy, fy_branch, fy_p, fy_term,
+                          fanti, fanti_p, fanti_term, diameter)
 
     # -- exact evaluation -------------------------------------------------
 
@@ -623,38 +641,25 @@ class Caterpillar:
         moves as A_alpha alpha + A_beta beta + k e, and stays a shortest
         path while the ends move by less than ``margin``.
 
-        They are the winning term of each monitored family, the delta
-        floor and, where ``pairs`` is within tol of the families, the
-        longest wedge-wedge path (``_pair_witnesses``).  pbar and qbar
-        move at most 2 per unit step, the x-y via route at most 4.
+        They are the delta floor, the winning term of each monitored
+        family (``families``) and, where ``pairs`` is within tol of the
+        families, the longest wedge-wedge path (``_pair_witnesses``).  A
+        side family's pendant keeps its route until pbar (x side) or qbar
+        (y side) reaches it, and those move at most 2 per unit step; the
+        x-y family keeps its route until the via route meets the tree's
+        diameter, and their gap moves at most 4.  The rest keep theirs.
         """
         fv = self.families(alpha, beta)
         t = self.t
         xy_via = self.h_x + alpha + fv.e + (self.L - beta) + self.h_y
-        margin = abs(self.diam_t - xy_via) / 4.0
-        out = [(self.delta, 0.0, 0.0, 0.0, math.inf),
-               (fv.xy, 1.0, -1.0, 1.0, margin) if fv.xy_branch == "via"
-               else (fv.xy, 0.0, 0.0, 0.0, margin)]
-        j = fv.fx_pendant
-        if fv.fx_branch == "anti":
-            out.append((fv.fx, 0.5, 0.5, 0.5, math.inf))
-        elif fv.fx_branch == "tree":
-            out.append((fv.fx, 0.0, 0.0, 0.0, (fv.pbar - t[j]) / 2.0))
-        else:
-            out.append((fv.fx, 1.0, 1.0 if t[j] <= beta else -1.0, 1.0,
-                        (t[j] - fv.pbar) / 2.0))
-        j = fv.fy_pendant
-        if fv.fy_branch == "anti":
-            out.append((fv.fy, -0.5, -0.5, 0.5, math.inf))
-        elif fv.fy_branch == "tree":
-            out.append((fv.fy, 0.0, 0.0, 0.0, (t[j] - fv.qbar) / 2.0))
-        else:
-            out.append((fv.fy, 1.0 if t[j] < alpha else -1.0, -1.0, 1.0,
-                        (fv.qbar - t[j]) / 2.0))
-        j = fv.fanti_pendant
-        if j >= 0:
-            out.append((fv.fanti, 0.5 if t[j] < alpha else -0.5,
-                        -0.5 if t[j] > beta else 0.5, 0.5, math.inf))
+        out = [(self.delta, *_TREE, math.inf),
+               (fv.xy, *fv.xy_term, abs(self.diam_t - xy_via) / 4.0)]
+        for w, term, j, bar in ((fv.fx, fv.fx_term, fv.fx_pendant, fv.pbar),
+                                (fv.fy, fv.fy_term, fv.fy_pendant, fv.qbar)):
+            out.append((w, *term, abs(bar - t[j]) / 2.0 if j >= 0
+                        else math.inf))
+        if fv.fanti_pendant >= 0:
+            out.append((fv.fanti, *fv.fanti_term, math.inf))
         if self.k >= 2:
             out += self._pair_witnesses(alpha, beta, fv.cyc,
                                         fv.diameter - self.tree.tol)

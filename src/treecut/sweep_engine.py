@@ -34,20 +34,22 @@ the walk: q's next balance solve starts from the walk's own path.  The
 solves themselves can still move phase III's q back toward c between
 the probes of a stretch, on a few trees.  Continuous motion is realized
 by root-finding on monotone balance and condition functions rather than
-closed-form trajectories.  A balance solve takes Newton
-steps on the residual's exact slope in q, which ``Caterpillar.families``
-reports with each family (inside a cell every family is affine plus a
-multiple of the chord), starting from the secant guess of the last two
-solutions; where a step would leave the bracket, meets a slope that is
-not positive, or fails to shrink the residual, the solve falls back to
-growing a bracket from the guess, from a fixed first step of 1e-4 L,
-and an ITP root inside it.  Every stop (phase I's end, a walk's first
-event on a stretch, the wedge crossing) follows one rule,
-``_Engine._first_stop``: read the states at a few points, stop at the
-first where the largest watch holds or at the ITP root (bisection
-safeguarded by regula falsi) of that largest watch in the interval
-before it, keep the state the root finder read there, and name the
-stop after the first watch that holds in it.  The phases note
+closed-form trajectories.  Inside a cell every family's length is one
+term, w + A_alpha d alpha + A_beta d beta + k de, and
+``Caterpillar.families`` reports each family's (A_alpha, A_beta, k).  A
+balance solve takes Newton steps on the residual's exact slope in q,
+A_beta + k de/dbeta for each of its two families, starting from the
+secant guess of the last two solutions; where a step would leave the
+bracket, meets a slope that is not positive, or fails to shrink the
+residual, the solve falls back to growing a bracket from the guess,
+from a fixed first step of 1e-4 L, and an ITP root inside it.  Every
+stop (phase I's end, a walk's first event on a stretch, the wedge
+crossing) follows one rule, ``_Engine._first_stop``: read the states
+at a few points, stop at the first where the largest watch holds or
+at the ITP root (bisection safeguarded by regula falsi) of that
+largest watch in the interval before it, keep the state the root
+finder read there, and name the stop after the first watch that holds
+in it.  The phases note
 candidate placements (terminals, junctures, interior minima, segment
 ends, the wedge crossing) in one list; every distinct one is evaluated
 exactly and the best is polished by a compass search on the exact
@@ -138,8 +140,8 @@ SPEED_LAWS = _laws()
 
 # The family pairs a balance keeps equal, as the names of the two lengths
 # on a families view.  A balance's residual is their difference, its slope
-# the difference of their ``_db`` slopes, and the diameter a walk tracks
-# is the larger of the two.
+# the difference of their slopes in beta, A_beta + k de from their terms,
+# and the diameter a walk tracks is the larger of the two.
 _PAIRS = {
     "x-xy": ("fx", "xy"),
     "anti-xy": ("fanti", "xy"),
@@ -460,11 +462,11 @@ class _Engine:
         """beta -> (g, g'): the residual whose root balances the family
         pair at this alpha, and its slope in beta, from one families read."""
         u, v = _PAIRS[pair]
-        read = attrgetter(u, v, u + "_db", v + "_db")
+        read = attrgetter(u, v, u + "_term", v + "_term", "de")
 
         def g(beta):
-            fu, fv, du, dv = read(self.families(frame, alpha, beta))
-            return fu - fv, du - dv
+            fu, fv, tu, tv, de = read(self.families(frame, alpha, beta))
+            return fu - fv, (tu[1] + tu[2] * de) - (tv[1] + tv[2] * de)
         return g
 
     def balance(self, frame, alpha, warm, pair):
@@ -488,8 +490,10 @@ class _Engine:
         """A root of g near the guess, or the limit reached without a sign
         change; g(beta) gives the residual and its slope.
 
-        Inside a cell the residual is affine in beta plus a multiple of
-        the chord, so Newton steps on the exact slope converge in one or
+        Inside a cell each family of the pair is one term (A_alpha, A_beta,
+        k) of ``Caterpillar.families``, so the residual is affine in beta
+        plus a multiple of the chord, and Newton steps on its exact slope,
+        the difference of the two A_beta + k de/dbeta, converge in one or
         two reads.  They run from the guess while the slope is positive
         and finite, each iterate stays in [lo_lim, hi_lim] and |g|
         strictly decreases, for at most four reads in all, and stop where
@@ -1063,9 +1067,11 @@ class _Engine:
         each direction's probe cannot improve on ``val``.  Such a probe
         is not evaluated, and a step level where every probe is safe is
         halved without evaluating, down to the end of the search where
-        every level left is safe.  Only probes that could not move the
-        search are skipped, so it visits the centers, and ends with the
-        answer, of the full compass search.
+        every level left is safe.  Nor is a point read before, the center
+        included: ``val`` only falls, so such a point cannot beat it now.
+        Only probes that could not move the search are skipped, so it
+        visits the centers, and ends with the answer, of the full compass
+        search.
         """
         cat = self.cat
         a, b = ab
@@ -1079,17 +1085,12 @@ class _Engine:
             step *= 0.5
         levels.reverse()
         k = len(levels) - 1             # the current level
+        seen = {(a, b)}                 # the points read, and the center
         safe = None                     # per direction, its safe levels
         while k >= 0:
             if safe is None:
                 safe = [_level_mask(levels, pieces) for pieces in
                         cat.safe_steps(a, b, val, levels[0], levels[k])]
-                every = safe[0]
-                for mask in safe[1:]:
-                    every &= mask
-            if every >> k & 1:
-                k -= 1
-                continue
             step = levels[k]
             moved = False
             for (da, db), mask in zip(cat.COMPASS, safe):
@@ -1097,8 +1098,9 @@ class _Engine:
                     continue            # certified from this center
                 a2 = min(max(a + step * da, 0.0), cat.c_arc)
                 b2 = min(max(b + step * db, cat.c_arc), cat.L)
-                if a2 == a and b2 == b:
-                    continue            # clamped onto the center
+                if (a2, b2) in seen:
+                    continue            # read before: cannot beat val now
+                seen.add((a2, b2))
                 v2 = cat.evaluate(a2, b2)
                 if v2 < val - 1e-15 * cat.L:
                     val, a, b = v2, a2, b2

@@ -122,7 +122,7 @@ def test_flip_is_the_caterpillar_seen_from_b(spec):
             for _ in range(60)]
     for a, b in pts:
         f, g = cat.families(a, b), fl.families(L - b, L - a)
-        for x, y in ((f.e, g.e), (f.darc, g.darc), (f.cyc, g.cyc),
+        for x, y in ((f.e, g.e), (f.cyc, g.cyc),
                      (f.pbar, L - g.qbar), (f.qbar, L - g.pbar),
                      (f.xy, g.xy), (f.fx, g.fy), (f.fy, g.fx),
                      (f.fanti, g.fanti), (f.diameter, g.diameter)):
@@ -132,6 +132,11 @@ def test_flip_is_the_caterpillar_seen_from_b(spec):
         assert f.fx_pendant == _swapped_pendant(cat, g.fy_pendant)
         assert f.fy_pendant == _swapped_pendant(cat, g.fx_pendant)
         assert f.fanti_pendant == _swapped_pendant(cat, g.fanti_pendant)
+        # A term (A_alpha, A_beta, k) read from b is (-A_beta, -A_alpha, k):
+        # alpha there is L - beta here, and beta is L - alpha.
+        mirror = lambda term: (-term[1], -term[0], term[2])
+        assert (f.xy_term, f.fx_term, f.fy_term, f.fanti_term) == tuple(
+            map(mirror, (g.xy_term, g.fy_term, g.fx_term, g.fanti_term)))
         assert cat.chord(a, b) == pytest.approx(fl.chord(L - b, L - a),
                                                 abs=tol)
         assert cat.evaluate(a, b) == pytest.approx(fl.evaluate(L - b, L - a),
@@ -409,23 +414,21 @@ def test_pairs_takes_the_kernel_from_the_threshold(monkeypatch):
                      "scan": calls["small"]}
 
 
-def slope_rows(frame, fv):
-    """The row of the slope table each family's winning term is on."""
-    side = lambda i: "t<=beta" if frame.t[i] <= fv.beta else "t>beta"
-    rows = {("xy", fv.xy_branch), ("fy", fv.fy_branch)}
-    rows.add(("fx", fv.fx_branch) if fv.fx_branch != "via"
-             else ("fx", "via", side(fv.fx_pendant)))
-    if fv.fanti_pendant >= 0:
-        rows.add(("fanti", side(fv.fanti_pendant)))
-    return rows
+def slope_rows(fv):
+    """The rows of the slope table the families are on: each family's
+    name and winning term."""
+    names = ("xy", "fx", "fy") + (("fanti",) if fv.fanti_pendant >= 0 else ())
+    return {(name, getattr(fv, name + "_term")) for name in names}
 
 
 def test_family_slopes_match_central_differences():
-    # Each ``*_db`` is the exact slope in beta of its family's winning
-    # term.  Compare it with a central difference at +-1e-7 L wherever
-    # the branches, the argmax pendants and the edge under q are the same
-    # at both ends of the difference, so that the term is one smooth
-    # function there.  Slopes are dimensionless and of order 1.
+    # Each family's winning term (A_alpha, A_beta, k) gives its exact
+    # slopes: A_beta + k de in beta, with the chord's slope de on the view,
+    # and A_alpha + k de/dalpha in alpha.  Compare them with central
+    # differences at +-1e-7 L wherever the branches, the argmax pendants
+    # and the edges under p and q are the same at both ends of the
+    # difference, so that the term is one smooth function there.  Slopes
+    # are dimensionless and of order 1.
     trees = [random_tree(s, (5, 9, 14)[s % 3],
                          ("uniform", "caterpillar", "balanced")[s % 3])
              for s in range(0, 210, 7)]
@@ -442,27 +445,37 @@ def test_family_slopes_match_central_differences():
             h = 1e-7 * L
             sig = lambda fv: (fv.xy_branch, fv.fx_branch, fv.fx_pendant,
                               fv.fy_branch, fv.fy_pendant, fv.fanti_pendant,
+                              frame._locate(fv.alpha)[2],
                               frame._locate(fv.beta)[2])
             for _ in range(150):
                 a, b = sorted((rng.uniform(0.0, L), rng.uniform(0.0, L)))
-                if not (a < b - h and b + h < L):
+                if not (h < a < b - 2 * h and b + h < L):
                     continue
-                lo, mid, hi = (frame.families(a, b + s) for s in (-h, 0.0, h))
-                if not sig(lo) == sig(mid) == sig(hi):
-                    continue
-                for name in ("xy", "fx", "fy", "fanti"):
-                    if name == "fanti" and mid.fanti_pendant < 0:
+                mid = frame.families(a, b)
+                de_a = (frame.chord(a + h, b) - frame.chord(a - h, b)) / h / 2
+                for axis, lo, hi, de in (
+                        (1, frame.families(a, b - h), frame.families(a, b + h),
+                         mid.de),
+                        (0, frame.families(a - h, b), frame.families(a + h, b),
+                         de_a)):
+                    if not sig(lo) == sig(mid) == sig(hi):
                         continue
-                    diff = (getattr(hi, name) - getattr(lo, name)) / (2 * h)
-                    assert getattr(mid, name + "_db") == pytest.approx(
-                        diff, rel=1e-5, abs=1e-5), (t.n, name, a, b)
-                seen |= slope_rows(frame, mid)
-    # Every row of the slope table was checked.
-    assert seen == {("xy", "via"), ("xy", "tree"),
-                    ("fx", "anti"), ("fx", "tree"),
-                    ("fx", "via", "t<=beta"), ("fx", "via", "t>beta"),
-                    ("fy", "anti"), ("fy", "tree"), ("fy", "via"),
-                    ("fanti", "t<=beta"), ("fanti", "t>beta")}, seen
+                    for name, term in slope_rows(mid):
+                        diff = (getattr(hi, name) - getattr(lo, name)) / h / 2
+                        assert term[axis] + term[2] * de == pytest.approx(
+                            diff, rel=1e-5, abs=1e-5), (t.n, name, axis, a, b)
+                        seen.add((axis, name, term))
+    # Every row of the slope table was checked, in alpha and in beta.
+    half, one = 0.5, 1.0
+    tree = (0.0, 0.0, 0.0)
+    rows = {("xy", (one, -one, one)), ("xy", tree),
+            ("fx", (half, half, half)), ("fx", tree),
+            ("fx", (one, one, one)), ("fx", (one, -one, one)),
+            ("fy", (-half, -half, half)), ("fy", tree),
+            ("fy", (-one, -one, one)), ("fy", (one, -one, one)),
+            ("fanti", (half, half, half)), ("fanti", (-half, half, half)),
+            ("fanti", (-half, -half, half))}
+    assert seen == {(axis,) + row for row in rows for axis in (0, 1)}, seen
 
 
 def certificate_centers(cat, rng, count):
