@@ -235,6 +235,9 @@ class Caterpillar:
         self._flipped = lambda: None
         # The last alpha ``chord`` embedded and its coordinates.
         self._alpha_at = (None, None)
+        # What the last ``evaluate`` read, (alpha, beta, fv, cross) with
+        # the families view and ``_cross_pair``'s result; None where p = q.
+        self.last_read = None
         self._build_tables()
 
     # -- precomputation --------------------------------------------------
@@ -512,16 +515,20 @@ class Caterpillar:
             alpha, beta = beta, alpha
         if beta - alpha <= 0.0:
             # p = q: the augmented tree is the tree itself.
+            self.last_read = None
             return self.diam_t
         fv = self.families(alpha, beta)
-        return max(fv.diameter, self.pairs(alpha, beta, fv.cyc))
+        i_a, i_b = self._in_cycle(alpha, beta)
+        cross = self._cross_pair(alpha, beta, i_a, i_b, fv.cyc)
+        self.last_read = (alpha, beta, fv, cross)
+        return max(fv.diameter, self._same_side_pair(i_a, i_b), cross[0])
 
     # The compass directions (d alpha, d beta) of ``_Engine._polish``, in
     # the order in which it probes them.
     COMPASS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
                (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 
-    def safe_steps(self, alpha, beta, val, lo, hi):
+    def safe_steps(self, alpha, beta, val, lo, hi, read=None):
         """For each of the ``COMPASS`` directions, the steps in [lo, hi] at
         which no compass probe from (alpha, beta) evaluates below ``val``.
 
@@ -529,7 +536,9 @@ class Caterpillar:
         it is [(lo, hi)] where the probe clamps onto the center.  A probe
         moves alpha and beta by s times the direction, clamped to the box
         0 <= alpha <= c_arc <= beta <= L as ``_Engine._polish`` clamps
-        them: an end on the box edge it would cross stays.
+        them: an end on the box edge it would cross stays.  ``read`` is a
+        ``last_read`` of ``evaluate``; at (alpha, beta) the witnesses take
+        its families view and cross pair instead of reading them again.
 
         The witnesses (``_witnesses``) are lengths of real shortest paths
         in T + pq, so at most the diameter.  Along a ray each is
@@ -575,7 +584,7 @@ class Caterpillar:
         # rise to it within reach: a witness moves by at most |A_alpha| +
         # |A_beta| + 2 k a unit step.
         top, low = [], []
-        for wit in self._witnesses(alpha, beta, val):
+        for wit in self._witnesses(alpha, beta, val, read):
             w, w_a, w_b, k, margin = wit
             if w >= val:
                 top.append(wit)
@@ -635,7 +644,7 @@ class Caterpillar:
                         break
         return out
 
-    def _witnesses(self, alpha, beta, val):
+    def _witnesses(self, alpha, beta, val, read=None):
         """The certificate's witnesses at (alpha, beta):
         (w, A_alpha, A_beta, k, margin), a path of length w that
         moves as A_alpha alpha + A_beta beta + k e, and stays a shortest
@@ -648,8 +657,13 @@ class Caterpillar:
         (y side) reaches it, and those move at most 2 per unit step; the
         x-y family keeps its route until the via route meets the tree's
         diameter, and their gap moves at most 4.  The rest keep theirs.
+        A ``read`` of ``evaluate`` at (alpha, beta) gives the families
+        view and the cross pair; one at another point is ignored.
         """
-        fv = self.families(alpha, beta)
+        if read is not None and read[:2] == (alpha, beta):
+            fv, cross = read[2:]
+        else:
+            fv, cross = self.families(alpha, beta), None
         t = self.t
         xy_via = self.h_x + alpha + fv.e + (self.L - beta) + self.h_y
         out = [(self.delta, *_TREE, math.inf),
@@ -662,12 +676,14 @@ class Caterpillar:
             out.append((fv.fanti, *fv.fanti_term, math.inf))
         if self.k >= 2:
             out += self._pair_witnesses(alpha, beta, fv.cyc,
-                                        fv.diameter - self.tree.tol)
+                                        fv.diameter - self.tree.tol, cross)
         return out
 
-    def _pair_witnesses(self, alpha, beta, cyc, floor):
+    def _pair_witnesses(self, alpha, beta, cyc, floor, cross=None):
         """The wedge pairs behind ``pairs`` as witnesses, in the form of
         ``_witnesses``, where ``pairs`` is at least ``floor``; else none.
+        ``cross`` is ``_cross_pair``'s result at (alpha, beta) where the
+        caller has it.
 
         A pair joined by the tree on one side of the cycle has a constant
         length while no wedge crosses p or q, which the room prevents.  A
@@ -681,7 +697,7 @@ class Caterpillar:
         """
         k, t = self.k, self.t
         i_a, i_b = self._in_cycle(alpha, beta)
-        w, i, j = self._cross_pair(alpha, beta, i_a, i_b, cyc)
+        w, i, j = cross or self._cross_pair(alpha, beta, i_a, i_b, cyc)
         if max(w, self._same_side_pair(i_a, i_b)) < floor:
             return []
         out = []

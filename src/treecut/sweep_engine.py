@@ -39,17 +39,18 @@ term, w + A_alpha d alpha + A_beta d beta + k de, and
 ``Caterpillar.families`` reports each family's (A_alpha, A_beta, k).  A
 balance solve takes Newton steps on the residual's exact slope in q,
 A_beta + k de/dbeta for each of its two families, starting from the
-secant guess of the last two solutions; where a step would leave the
-bracket, meets a slope that is not positive, or fails to shrink the
-residual, the solve falls back to growing a bracket from the guess,
-from a fixed first step of 1e-4 L, and an ITP root inside it.  Every
-stop (phase I's end, a walk's first event on a stretch, the wedge
-crossing) follows one rule, ``_Engine._first_stop``: read the states
-at a few points, stop at the first where the largest watch holds or
-at the ITP root (bisection safeguarded by regula falsi) of that
-largest watch in the interval before it, keep the state the root
-finder read there, and name the stop after the first watch that holds
-in it.  The phases note
+secant guess of the last two solutions.  A step across the root
+brackets it; where a step would leave the limits, meets a slope that
+is not positive, or fails to shrink the residual, a bracket grown from
+the guess, from a fixed first step of 1e-4 L, does.  Inside the bracket
+``newton_root`` takes Newton steps from the slopes of its reads,
+safeguarded by bisection.  Every stop (phase I's end, a walk's first
+event on a stretch, the wedge crossing) follows one rule,
+``_Engine._first_stop``: read the states at a few points in order until
+the largest watch holds at one, stop there or at the ITP root
+(bisection safeguarded by regula falsi) of that largest watch in the
+interval before it, keep the state the root finder read there, and
+name the stop after the first watch that holds in it.  The phases note
 candidate placements (terminals, junctures, interior minima, segment
 ends, the wedge crossing) in one list; every distinct one is evaluated
 exactly and the best is polished by a compass search on the exact
@@ -160,23 +161,23 @@ def _active(pair):
 def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
     """First point in [lo, hi] where fn >= 0, given fn(lo) < 0 <= fn(hi).
 
-    Returns the right end of a bracket of width at most eps (up to
-    rounding), after at most ceil(log2((hi - lo) / eps)) + 1 and never
-    more than 80 evaluations.  With the end values ``flo``/``fhi``
-    supplied this is the ITP method (Oliveira and Takahashi, ACM TOMS
-    2020): a regula-falsi point, truncated toward the midpoint and
-    projected into a ball around it whose radius keeps the bracket within
-    one step of bisection's; on smooth or piecewise-linear functions it
-    needs far fewer steps.  Without usable end values, or while a bracket
-    value is infinite, the step is the midpoint.
+    The root finder of the stops (``_Engine._first_stop``), whose watches
+    give values but no slopes.  Returns the right end of a bracket of
+    width at most eps (up to rounding), after at most
+    ceil(log2((hi - lo) / eps)) + 1 and never more than 80 evaluations.
+    With the end values ``flo``/``fhi`` supplied this is the ITP method
+    (Oliveira and Takahashi, ACM TOMS 2020): a regula-falsi point,
+    truncated toward the midpoint and projected into a ball around it
+    whose radius keeps the bracket within one step of bisection's; on
+    smooth or piecewise-linear functions it needs far fewer steps.
+    Without usable end values, or while a bracket value is infinite, the
+    step is the midpoint.
 
     The truncation is k1 * w**2 with k1 = 0.002 / width, two orders of
-    magnitude below the usual 0.2 / width.  The sweep's residuals are
-    piecewise linear, so the regula-falsi point is usually within
-    rounding of the root; pushing it a fifth of the bracket toward the
-    midpoint threw most of that away and cost a near-linear balance 6-8
-    steps.  The worst case is bounded by the projection radius, which
-    does not depend on k1.
+    magnitude below the usual 0.2 / width: on a piecewise-linear watch
+    the regula-falsi point is often within rounding of the root, and a
+    larger truncation throws that away.  The worst case is bounded by
+    the projection radius, which does not depend on k1.
     """
     width = hi - lo
     if width <= eps:
@@ -217,6 +218,52 @@ def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
             lo = x
             flo = fx if flo is not None else None
     return hi
+
+
+def newton_root(fn, lo, hi, eps, accept):
+    """A root of fn inside the bracket of the reads ``lo`` and ``hi``.
+
+    fn(x) gives (f, f'), the value and its exact slope; ``lo`` and
+    ``hi`` are such reads (x, f, f') with lo's x below hi's and
+    f(lo) < 0 <= f(hi).  Returns a point where |f| <= accept, else the
+    right end of a bracket at most eps wide (up to rounding), as
+    ``itp_root`` does.
+
+    Newton's method safeguarded by bisection (Brent, "Algorithms for
+    Minimization without Derivatives", 1973, ch. 4).  Each step is the
+    Newton point of the end that predicts the shorter step, where that
+    point lies inside the bracket and the slope there is positive and
+    finite, else the midpoint.  A Newton step that does not halve the
+    bracket is followed by a midpoint step, except the first: on a
+    residual with one kink inside the bracket, the end beyond the kink
+    either predicts a step longer than the other end's exact one or
+    lands on the root's side of the kink, where the next Newton step is
+    exact, so at most two reads follow the bracket.  Every other read
+    halves the bracket or precedes one that does, so the finder reads at
+    most 2 ceil(log2((hi - lo) / eps)) + 1 points, about twice
+    bisection's count, and never more than 200.
+    """
+    ends = [lo, hi]                 # the reads where f < 0 and f >= 0
+    for x, f, _ in ends:
+        if abs(f) <= accept:
+            return x
+    mid_next = False
+    for i in range(200):
+        (a, fa, sa), (b, fb, sb) = ends
+        w = b - a
+        if w <= eps:
+            break
+        d_lo = -fa / sa if 0.0 < sa < math.inf else math.inf
+        d_hi = fb / sb if 0.0 < sb < math.inf else math.inf
+        x = a + d_lo if d_lo <= d_hi else b - d_hi
+        newton = not mid_next and a < x < b
+        x = x if newton else 0.5 * (a + b)
+        f, s = fn(x)
+        if abs(f) <= accept:
+            return x
+        ends[f >= 0.0] = (x, f, s)
+        mid_next = newton and i > 0 and ends[1][0] - ends[0][0] > 0.5 * w
+    return ends[1][0]
 
 
 @dataclass(frozen=True)
@@ -344,6 +391,8 @@ class _Engine:
         self.phase_end = "phase1"
         self.event_cap = 400 + 80 * tree.n
         self._recent = {}
+        # What ``best`` read at the candidate it hands to ``_polish``.
+        self._best_read = None
 
     # -- utilities -------------------------------------------------------
 
@@ -419,15 +468,11 @@ class _Engine:
         return fv
 
     def ties(self, fv):
-        d = fv.diameter
-        out = set()
-        if fv.xy >= d - self.tol:
-            out.add("xy")
-        if fv.fx >= d - self.tol:
-            out.add("x")
-        if fv.fy >= d - self.tol:
-            out.add("y")
-        if fv.fanti_pendant >= 0 and fv.fanti >= d - self.tol:
+        """The families within tol of the diameter of ``fv``."""
+        d = fv.diameter - self.tol
+        out = {name for name, w in (("xy", fv.xy), ("x", fv.fx),
+                                    ("y", fv.fy)) if w >= d}
+        if fv.fanti_pendant >= 0 and fv.fanti >= d:
             out.add("anti")
         return out
 
@@ -497,37 +542,39 @@ class _Engine:
         two reads.  They run from the guess while the slope is positive
         and finite, each iterate stays in [lo_lim, hi_lim] and |g|
         strictly decreases, for at most four reads in all, and stop where
-        |g| <= ``accept``.  Otherwise the root is the one that stepping
-        away from the guess, from a first step of ``_Engine.step`` growing
-        fourfold, brackets, found by ITP.
+        |g| <= ``accept``.  A step across the root brackets it with the
+        point it started from.  Without one, stepping away from the
+        guess, from a first step of ``_Engine.step`` growing fourfold,
+        brackets it.  Either way ``newton_root`` finds it inside the
+        bracket from the slopes of the reads.
         """
-        gv, slope = g(guess)
-        beta, gb = guess, gv
-        for _ in range(3):
+        start = read = (guess, *g(guess))
+        for i in range(4):
+            beta, gb, slope = read
+            if abs(gb) <= self.accept:
+                return beta
             nxt = beta - gb / slope if 0.0 < slope < math.inf else math.nan
-            if abs(gb) <= self.accept or not lo_lim <= nxt <= hi_lim:
+            if i == 3 or not lo_lim <= nxt <= hi_lim:
                 break
-            gn, slope = g(nxt)
-            if not abs(gn) < abs(gb):
+            after = (nxt, *g(nxt))
+            if (after[1] >= 0.0) != (gb >= 0.0):
+                return newton_root(g, *sorted([read, after]), self.eps,
+                                   self.accept)
+            if not abs(after[1]) < abs(gb):
                 break
-            beta, gb = nxt, gn
-        if abs(gb) <= self.accept:
-            return beta
+            read = after
         # Step away from the guess, downward where g > 0, by growing steps
         # until g changes sign or the bracket limit is reached.
-        d, lim = (-1.0, lo_lim) if gv > 0.0 else (1.0, hi_lim)
-        near, gnear, step = guess, gv, self.step
-        far = max(lo_lim, min(hi_lim, guess + d * step))
-        gfar = g(far)[0]
-        while far != lim and d * gfar < 0.0:
+        d, lim = (-1.0, lo_lim) if start[1] > 0.0 else (1.0, hi_lim)
+        near = far = start
+        step = self.step
+        while d * far[1] < 0.0:
+            if far[0] == lim:
+                return lim
+            near, x = far, max(lo_lim, min(hi_lim, far[0] + d * step))
+            far = (x, *g(x))
             step *= 4.0
-            near, gnear = far, gfar
-            far = max(lo_lim, min(hi_lim, far + d * step))
-            gfar = g(far)[0]
-        if d * gfar < 0.0:
-            return lim
-        (lo, glo), (hi, ghi) = sorted([(near, gnear), (far, gfar)])
-        return itp_root(lambda b: g(b)[0], lo, hi, self.eps, glo, ghi)
+        return newton_root(g, *sorted([near, far]), self.eps, self.accept)
 
     def _continuation(self, handler, frame, a, b, pair):
         """The task that continues from the juncture (a, b) of ``frame``
@@ -548,30 +595,34 @@ class _Engine:
         """Where a motion stops: the first placement where a watch holds.
 
         ``watches`` is a list of (name, fn); a watch holds where fn >= 0.
-        The states at the ascending ``points`` are read first.  The stop is
-        the first point where the largest watch holds or, when that point
-        is not the first, the ITP root of the largest watch inside the
-        interval before it.  Its state is the one the root finder read
-        there, never a second read, since a balance solve started from
-        another warm start can land elsewhere; the stop is named after the
-        first watch, in list order, that holds in it.  Returns (s, name,
-        fv, states) with states the point reads [(s, fv)]; s, name and fv
-        are None where no watch holds at any point.
+        The states at the ascending ``points`` are read in order, up to
+        the first where the largest watch holds; none after it.  The stop
+        is that point or, when it is not the first, the ITP root of the
+        largest watch inside the interval before it.  Its state is the one
+        the root finder read there, never a second read, since a balance
+        solve started from another warm start can land elsewhere; the stop
+        is named after the first watch, in list order, that holds in it.
+        Returns (s, name, fv, states) with states the point reads
+        [(s, fv)]; s, name and fv are None where no watch holds at any
+        point, and every point is read.
         """
         top = lambda fv: max(fn(fv) for _, fn in watches)
-        states = [(s, state_at(s)) for s in points]
-        vals = [top(fv) for _, fv in states]
-        i = next((i for i, v in enumerate(vals) if v >= 0.0), None)
-        if i is None:
+        states, prev = [], None
+        for s in points:
+            fv = state_at(s)
+            states.append((s, fv))
+            v = top(fv)
+            if v >= 0.0:
+                break
+            prev = (s, v)
+        else:
             return None, None, None, states
-        s, fv = states[i]
-        if i > 0:
+        if prev is not None:
             # ITP returns the right end or a point it read, where g >= 0;
             # it never reads a point twice.
             read = {}
             g = lambda x: top(read.setdefault(x, state_at(x)))
-            s = itp_root(g, states[i - 1][0], s, self.eps, vals[i - 1],
-                         vals[i])
+            s = itp_root(g, prev[0], s, self.eps, prev[1], v)
             fv = read.get(s, fv)
         name = next(nm for nm, fn in watches if fn(fv) >= 0.0)
         return s, name, fv, states
@@ -686,11 +737,12 @@ class _Engine:
         q when ``drive_q``) at x; the other endpoint follows its balance
         equation, whose solves share the ``_WarmStart`` ``warm``, or stays
         put.  The motion is cut at the breakpoints of the frame, and on each
-        stretch ``_first_stop`` reads ``PROBES + 1`` evenly spaced points
-        and finds where the handler's watches ``conds`` or the delta floor
-        first hold.  Returns (name, x, fv) at that stop, in the state its
-        root finder read there, so the watch ``name`` holds in ``fv``;
-        else (None, x, None) once x has reached end.
+        stretch ``_first_stop`` reads ``PROBES + 1`` evenly spaced points,
+        the last on the stretch's end exactly, up to the first where the
+        handler's watches ``conds`` or the delta floor hold, and finds
+        where they first hold.  Returns (name, x, fv) at that stop, in the
+        state its root finder read there, so the watch ``name`` holds in
+        ``fv``; else (None, x, None) once x has reached end.
 
         Every walk shares its rules.  Its diameter is the larger of the
         family ``pair`` it keeps in balance (``_PAIRS``).  It stops on the
@@ -732,11 +784,14 @@ class _Engine:
                 at_bp = i >= 0 and bps[i] >= end
             target = bps[i] if at_bp else end
             span = abs(target - x)
-            seg = lambda s: state_at(x + sign * s)
+            # The stretch's last point is its end exactly: x + span can
+            # round off the breakpoint, even out of [0, L].
+            at = lambda s: target if s == span else x + sign * s
+            seg = lambda s: state_at(at(s))
+            grid = lambda m: [span * i / m for i in range(m)] + [span]
             start = warm.save()
-            sc, name, fvc, states = self._first_stop(
-                seg, [span * i / self.PROBES for i in range(self.PROBES + 1)],
-                conds)
+            sc, name, fvc, states = self._first_stop(seg, grid(self.PROBES),
+                                                     conds)
             left = warm.save()
             record = law is not None and name is None
             diag = phase == "III"
@@ -745,8 +800,7 @@ class _Engine:
                 # where the balance leaves q free, only the walk's own warm
                 # start reproduces the walk's path.
                 warm.restore(start)
-                fine = [(s, seg(s))
-                        for s in (span * i / 24 for i in range(25))]
+                fine = [(s, seg(s)) for s in grid(24)]
                 warm.restore(left)
                 if diag:
                     self._diag_probe(frame, fine)
@@ -757,7 +811,7 @@ class _Engine:
                     track.append((fvc.alpha, fvc.beta, active(fvc)))
                 if name == "delta-floor":
                     self._terminal(phase, frame, fvc, (name,), name)
-                return name, x + sign * sc, fvc
+                return name, at(sc), fvc
             sigs = [branch_sig(fv) for _, fv in states] if branch_sig else []
             for (_, fv), prev, sig in zip(states[1:], sigs, sigs[1:]):
                 if sig != prev:
@@ -1047,13 +1101,11 @@ class _Engine:
         once: a repeat scores what it scored before, which cannot beat
         the best by ``1e-3 tol``."""
         cat = self.cat
-        best_val = cat.diam_t
-        best_ab = (cat.c_arc, cat.c_arc)
+        best_val, best_ab = cat.diam_t, (cat.c_arc, cat.c_arc)
         for a, b in dict.fromkeys((a, b) for a, b, _ in self.candidates):
             val = cat.evaluate(a, b)
             if val < best_val - 1e-3 * self.tol:
-                best_val = val
-                best_ab = (a, b)
+                best_val, best_ab, self._best_read = val, (a, b), cat.last_read
         return self._polish(best_val, best_ab)
 
     def _polish(self, val, ab):
@@ -1071,9 +1123,12 @@ class _Engine:
         included: ``val`` only falls, so such a point cannot beat it now.
         Only probes that could not move the search are skipped, so it
         visits the centers, and ends with the answer, of the full compass
-        search.
+        search.  The certificate takes the center's families view and cross
+        pair from the ``evaluate`` that read it, by ``best`` or as the
+        accepted probe.
         """
         cat = self.cat
+        read = self._best_read
         a, b = ab
         a = min(max(a, 0.0), cat.c_arc)
         b = min(max(b, cat.c_arc), cat.L)
@@ -1090,7 +1145,8 @@ class _Engine:
         while k >= 0:
             if safe is None:
                 safe = [_level_mask(levels, pieces) for pieces in
-                        cat.safe_steps(a, b, val, levels[0], levels[k])]
+                        cat.safe_steps(a, b, val, levels[0], levels[k],
+                                       read)]
             step = levels[k]
             moved = False
             for (da, db), mask in zip(cat.COMPASS, safe):
@@ -1103,7 +1159,7 @@ class _Engine:
                 seen.add((a2, b2))
                 v2 = cat.evaluate(a2, b2)
                 if v2 < val - 1e-15 * cat.L:
-                    val, a, b = v2, a2, b2
+                    val, a, b, read = v2, a2, b2, cat.last_read
                     moved = True
             if moved:
                 safe = None

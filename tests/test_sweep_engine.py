@@ -19,7 +19,9 @@ from treecut import smawk
 from treecut.augmented_eval import has_useful_shortcut
 from treecut.caterpillar import NEG, Caterpillar
 from treecut.oracle import grid_search, random_tree, stress_family
-from treecut.sweep_engine import SPEED_LAWS, _Engine, _active, itp_root
+from treecut.sweep_engine import (
+    SPEED_LAWS, _Engine, _active, itp_root, newton_root,
+)
 
 
 def arc_of(cat, point):
@@ -434,6 +436,93 @@ def test_itp_root_on_monotone_piecewise_linear(case, digits, ends):
     _root_case(fn, lo, hi, eps, _first_float_root(fn, lo, hi), ends)
 
 
+@st.composite
+def kinked_residuals(draw):
+    """A continuous non-decreasing piecewise-linear residual with up to 40
+    kinks, as (fn, lo, hi, kinks): fn(x) gives its value and its exact
+    slope on the piece that holds x, and fn(lo) < 0 <= fn(hi).  The
+    slopes are drawn, sorted into a convex or a concave residual, or grow
+    geometrically over even pieces, either way: there Newton steps from
+    the steep end creep a few kinks at a time."""
+    lo = draw(st.floats(-10.0, 10.0))
+    hi = lo + draw(st.floats(0.01, 10.0))
+    m = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(("drawn", "convex", "concave", "geometric",
+                                  "geometric-concave")))
+    if shape.startswith("geometric"):
+        cuts = [i / m for i in range(1, m)]
+        r = draw(st.floats(1.05, 2.0))
+        slopes = [r ** i for i in range(m)]
+    else:
+        cuts = sorted(draw(st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=m - 1, max_size=m - 1, unique=True)))
+        slopes = draw(st.lists(st.just(0.0) | st.floats(-8.0, 8.0).map(
+            lambda e: 2.0 ** e), min_size=m, max_size=m))
+    if shape != "drawn":
+        slopes.sort(reverse=shape.endswith("concave"))
+    knots = [lo] + [lo + (hi - lo) * c for c in cuts]
+    assume(all(a < b for a, b in zip(knots, knots[1:] + [hi])))
+    starts = [0.0]
+    for i in range(1, m):
+        starts.append(starts[-1] + slopes[i - 1] * (knots[i] - knots[i - 1]))
+    top = starts[-1] + slopes[-1] * (hi - knots[-1])
+    # The root anywhere, or near lo, where the steep end is far from it.
+    c = top * draw(st.floats(0.0, 1.0, exclude_min=True)
+                   | st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e))
+    assume(0.0 < c <= top)
+
+    def fn(x):
+        i = max(bisect_right(knots, x) - 1, 0)
+        return starts[i] + slopes[i] * (x - knots[i]) - c, slopes[i]
+    return fn, lo, hi, m - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kinked_residuals(), st.integers(1, 9))
+def test_newton_root_on_kinked_residuals(case, digits):
+    # The result is within accept of a root or the right end of an
+    # eps-wide bracket of the first root, after no more reads than the
+    # bound the docstring states; with one kink, at most two reads.
+    fn, lo, hi, kinks = case
+    eps = (hi - lo) * 10.0 ** -digits
+    ends = [(x, *fn(x)) for x in (lo, hi)]
+    accept = 1e-10 * (ends[1][1] - ends[0][1])
+    reads = []
+
+    def counted(x):
+        reads.append(x)
+        return fn(x)
+
+    got = newton_root(counted, *ends, eps, accept)
+    g = fn(got)[0]
+    if abs(g) > accept:
+        root = _first_float_root(lambda x: fn(x)[0], lo, hi)
+        slack = 4 * math.ulp(root)
+        assert g >= 0.0 and root - slack <= got <= root + eps + slack
+    assert len(reads) <= 2 * math.ceil(math.log2((hi - lo) / eps)) + 1
+    if kinks == 1:
+        assert len(reads) <= 2, (reads, got)
+
+
+def test_newton_root_steps_again_after_the_first_step_past_a_kink():
+    # Slope 1 left of the kink at 0.8, 10 right of it, root at 0.6.  The
+    # steep end predicts the shorter step and lands at 0.78, beside the
+    # root and short of halving the bracket; the next Newton step, from
+    # the root's piece, is exact.  A midpoint there would cost a read.
+    fn = lambda x: (x - 0.6, 1.0) if x < 0.8 else (0.2 + 10.0 * (x - 0.8),
+                                                  10.0)
+    reads = []
+
+    def counted(x):
+        reads.append(x)
+        return fn(x)
+
+    ends = [(x, *fn(x)) for x in (0.0, 1.0)]
+    assert newton_root(counted, *ends, 1e-12, 1e-12) == 0.6
+    assert reads == [pytest.approx(0.78), 0.6]
+
+
 def test_balance_stays_in_bracket(monkeypatch):
     # On corpus trees 155 and 197 an unclamped first expansion step of a
     # balance solve drives q past b in phase III.
@@ -455,10 +544,13 @@ def test_balance_stays_in_bracket(monkeypatch):
 def test_families_calls_per_vertex_bounded(monkeypatch):
     """Deterministic work gate beside criterion 9's wall-clock gate.
 
-    Balance solves by Newton steps, interior-minimum searches only on
-    stretches whose lowest probe is interior, a phase I that is one root
-    find and a phase III that reads nothing outside its solves leave
-    about 2.29 and 2.53 families calls per vertex at n = 2000 and 4000.
+    Balance solves by Newton steps with a bracketed Newton fallback,
+    interior-minimum searches only on stretches whose lowest probe is
+    interior, stop finds that read no probe past the first where a watch
+    holds, a phase I that is one root find and a phase III that reads
+    nothing outside its solves leave about 1.76 and 1.96 families calls
+    per vertex at n = 2000 and 4000 (2.20 and 2.49 with the ITP fallback
+    and every probe read).
     """
     calls = [0]
     families = Caterpillar.families
@@ -474,16 +566,16 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
         calls[0] = 0
         optimize(t, record_segments=False)
         per_vertex[n] = calls[0] / t.n
-    assert max(per_vertex.values()) <= 2.9, per_vertex
+    assert max(per_vertex.values()) <= 2.25, per_vertex
 
 
 def test_balance_families_per_solve(monkeypatch):
     # Work gate on the balance: Newton steps on the exact slope from a
-    # secant warm start leave about 2.55 and 2.56 families calls per
-    # solve at n = 2000 and 4000, where the bracket and ITP search alone
-    # took about 5.5.  It was 2.4 while interior-minimum searches also ran
-    # on stretches whose lowest probe is an end: the solves those made
-    # were cheap ones.
+    # secant warm start, and where they fail a bracket searched by Newton
+    # steps on the slopes of its reads (``newton_root``), leave about
+    # 2.03 and 1.98 families calls per solve at n = 2000 and 4000.  With
+    # an ITP search of the bracket, which reads no slopes, it was 2.55
+    # and 2.56, and about 5.5 with the bracket and ITP search alone.
     calls, solves, depth = [0], [0], [0]
     families, balance = Caterpillar.families, _Engine.balance
 
@@ -506,7 +598,7 @@ def test_balance_families_per_solve(monkeypatch):
         calls[0] = solves[0] = 0
         optimize(random_tree(11, n, "caterpillar"), record_segments=False)
         per_solve[n] = calls[0] / solves[0]
-    assert max(per_solve.values()) <= 2.75, per_solve
+    assert max(per_solve.values()) <= 2.3, per_solve
 
 
 def test_corpus_families_calls_bounded(monkeypatch):
@@ -514,7 +606,11 @@ def test_corpus_families_calls_bounded(monkeypatch):
     # juncture continues from one balance solve, not from a scan of the
     # balance for every root, a solve takes Newton steps, and only a
     # stretch whose lowest probe is interior is searched for its minimum,
-    # and phase I is one root find.  About 26,310 calls.
+    # phase I is one root find, a stop find reads no probe past the first
+    # where a watch holds, a failed Newton solve searches its bracket by
+    # Newton steps, and the polish certificate reads no families of its
+    # own.  About 7,900 calls (11,482 with every probe read and an ITP
+    # bracket search).
     calls = [0]
     families = Caterpillar.families
 
@@ -525,7 +621,7 @@ def test_corpus_families_calls_bounded(monkeypatch):
     monkeypatch.setattr(Caterpillar, "families", counted)
     for seed in range(70):
         optimize(corpus_tree(seed))
-    assert calls[0] <= 30000, calls[0]
+    assert calls[0] <= 9500, calls[0]
 
 
 def full_compass(eng, val, ab):
@@ -670,6 +766,72 @@ def test_noted_values_match_their_position(monkeypatch):
     assert any(tag == "segment-end" for tag, _ in notes)
     bad = [(tag, off) for tag, off in notes if off > 1e-9]
     assert not bad, bad
+
+
+def test_stretch_ends_land_on_their_breakpoints(monkeypatch):
+    # A walk reads each stretch's last point at the breakpoint itself:
+    # x + (target - x) can round off it, and out of [0, L] where the
+    # breakpoint is a backbone end.  Every vertex event sits on the
+    # breakpoint its payload names, and every candidate in [0, L].
+    emit, best = _Engine.emit, _Engine.best
+    off, outside, vertices = [], [], [0]
+
+    def traced_emit(self, kind, phase, frame, fv, payload=()):
+        if kind in ("vertex-p", "vertex-q"):
+            vertices[0] += 1
+            at = fv.alpha if kind == "vertex-p" else fv.beta
+            if at != payload[0]:
+                off.append((self.tree.n, kind, at - payload[0]))
+        return emit(self, kind, phase, frame, fv, payload)
+
+    def traced_best(self):
+        outside.extend((self.tree.n, a, b) for a, b, _ in self.candidates
+                       if not (0.0 <= a <= self.cat.L
+                               and 0.0 <= b <= self.cat.L))
+        return best(self)
+
+    monkeypatch.setattr(_Engine, "emit", traced_emit)
+    monkeypatch.setattr(_Engine, "best", traced_best)
+    for seed in range(210):
+        optimize(corpus_tree(seed))
+    for seed in range(1000, 1100):
+        optimize(random_tree(seed, 5 + seed % 96, CORPUS_SHAPES[seed % 3]))
+    assert vertices[0] >= 500, vertices
+    assert not off, off
+    assert not outside, outside
+
+
+def test_polish_reads_no_families_beyond_its_evaluates(monkeypatch):
+    # The polish certificate takes the center's families view and cross
+    # pair from the evaluate that read the center, in ``best`` or as the
+    # accepted probe, so a polish reads families once per evaluate.
+    calls = {"families": 0, "evaluate": 0, "_cross_pair": 0}
+    inside = [False]
+    originals = {name: getattr(Caterpillar, name) for name in calls}
+
+    def counting(name):
+        def counted(self, *args):
+            calls[name] += inside[0]
+            return originals[name](self, *args)
+        return counted
+
+    polish = _Engine._polish
+
+    def traced_polish(self, val, ab):
+        inside[0] = True
+        try:
+            return polish(self, val, ab)
+        finally:
+            inside[0] = False
+
+    for name in calls:
+        monkeypatch.setattr(Caterpillar, name, counting(name))
+    monkeypatch.setattr(_Engine, "_polish", traced_polish)
+    for seed in range(210):
+        optimize(corpus_tree(seed))
+    assert calls["evaluate"] >= 1000, calls
+    assert calls["families"] == calls["evaluate"], calls
+    assert calls["_cross_pair"] <= calls["evaluate"], calls
 
 
 def test_recording_does_not_steer_the_sweep():
@@ -1114,16 +1276,17 @@ def _stop_case(points, watches):
 def test_first_stop_at_the_first_point_that_holds():
     watches = [("a", lambda st: st.s - 1.0), ("b", lambda st: 0.5 - st.s)]
     _, (s, name, fv, states), made = _stop_case([0.0, 1.0, 2.0], watches)
-    # b holds at the first point: no root find, three reads.
+    # b holds at the first point: no root find, and no point read after
+    # it.
     assert (s, name) == (0.0, "b")
-    assert fv is made[0] and len(made) == 3
-    assert [(x, st.s) for x, st in states] == [(0.0, 0.0), (1.0, 1.0),
-                                               (2.0, 2.0)]
+    assert fv is made[0] and len(made) == 1
+    assert [(x, st.s) for x, st in states] == [(0.0, 0.0)]
 
 
 def test_first_stop_inside_the_first_interval_whose_end_holds():
     # The largest watch first holds at the point 2.0; the stop is its root
-    # in (1.0, 2.0], though the watch b holds at 3.0 as well.
+    # in (1.0, 2.0].  The point 3.0, where the watch b holds as well, is
+    # never read.
     watches = [("a", lambda st: st.s - 1.3 * math.pi / 3.0),
                ("b", lambda st: st.s - 2.5)]
     eng, (s, name, fv, states), made = _stop_case([0.0, 1.0, 2.0, 3.0],
@@ -1140,9 +1303,9 @@ def test_first_stop_inside_the_first_interval_whose_end_holds():
         return max(fn(_Read(x)) for _, fn in watches)
 
     itp_root(counted, 1.0, 2.0, eng.eps, 1.0 - root, 2.0 - root)
-    assert len(made) == 4 + reads[0]
-    assert fv in made[4:] and fv.s == s
-    assert [x for x, _ in states] == [0.0, 1.0, 2.0, 3.0]
+    assert len(made) == 3 + reads[0]
+    assert fv in made[3:] and fv.s == s
+    assert [x for x, _ in states] == [0.0, 1.0, 2.0]
 
 
 def test_first_stop_is_named_after_the_first_watch_that_holds():

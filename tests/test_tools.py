@@ -24,8 +24,8 @@ code_lines = load("code_lines")
 def record(**change):
     rec = {"set": "criterion-1", "phase_end": "III",
            "diameter_after": (3.0).hex(), "scale": 4.0, "event_count": 7,
-           "families": 120, "evaluate_calls": 225,
-           "events": "0123456789abcdef"}
+           "families": 120, "evaluate_calls": 225, "solves": 40,
+           "solve_families": 100, "events": "0123456789abcdef"}
     rec.update(change)
     return rec
 
@@ -121,6 +121,49 @@ def test_compare_skips_evaluate_calls_the_older_dump_lacks(tmp_path,
     row = next(line.split() for line in out.splitlines()
                if line.startswith("criterion-1 "))
     assert row[-4:] == ["120", "120", "7", "7"]
+    assert "verdict: PASS" in out
+
+
+def test_compare_prints_solves_and_families_per_solve(tmp_path, capsys):
+    # Two trees of 40 solves and 100 families calls inside them; after,
+    # the second makes 20 solves that read 30.
+    code, out = compare(tmp_path, capsys, solves=20, solve_families=30)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("balance solves / families calls per solve, before "
+                     "-> after:")
+    assert lines[at + 1].split() == ["criterion-1", "80", "/", "2.50", "->",
+                                     "60", "/", "2.17"]
+    assert "balance solves: a dump without them" not in out
+
+
+def test_dump_counts_solves_beside_families():
+    # One record of ``dump``: corpus tree 0 balances q at every probe, and
+    # the families calls inside the solves are some of its calls.
+    name, rec = answers.answer(("criterion-1", "criterion-1/0",
+                                (0, 5, "uniform")))
+    assert name == "criterion-1/0"
+    assert rec["solves"] > 0
+    assert 0 < rec["solve_families"] < rec["families"]
+
+
+def test_compare_skips_solves_the_older_dump_lacks(tmp_path, capsys):
+    # A dump made before solves were counted: their block is left out and
+    # the verdict does not read it.
+    before = {"criterion-1/0": record()}
+    for rec in before.values():
+        del rec["solves"], rec["solve_families"]
+    after = {"criterion-1/0": record(solves=9)}
+    paths = []
+    for name, dump in (("before", before), ("after", after)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(dump))
+        paths.append(str(path))
+    code = answers.main(["compare", *paths])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "balance solves: a dump without them, not compared" in out
+    assert "families calls per solve" not in out
     assert "verdict: PASS" in out
 
 

@@ -10,9 +10,12 @@ and ``random_tree(s, 2000, "caterpillar")`` for s = 0..2) and on the
 1,500 item-1 trees.  Each tree gets one record: ``phase_end``,
 ``diameter_after`` as ``float.hex``, the tree's scale, ``event_count``,
 the number of ``Caterpillar.families`` calls, the number of
-``Caterpillar.evaluate`` calls (``evaluate_calls``) and ``events``, a
-digest of the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
-``float.hex`` and payload; not its diameter).  ``dump`` also runs
+``Caterpillar.evaluate`` calls (``evaluate_calls``), the number of
+balance solves (``_Engine.balance`` calls, ``solves``) and of the
+``families`` calls made inside them (``solve_families``), and
+``events``, a digest of the event trace (each event's kind, phase,
+``p_arc`` and ``q_arc`` as ``float.hex`` and payload; not its
+diameter).  ``dump`` also runs
 ``augmented_diameter`` on the 120 trees of the benchmark's
 ``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
 s = 0..119, and on the mixed trees, each with one seeded random shortcut
@@ -29,12 +32,13 @@ on every tree, no ``diameter_after`` worse than before by more than
 trees whose event trace changed and the evaluate records whose diameter,
 usefulness or achieving pairs changed at all, and prints each set's
 totals of ``families`` calls, ``evaluate`` calls and events before and
-after, and each set's mean and median ``evaluate`` calls per tree, which
-are not part of the verdict.  A dump from before the
-evaluate records were added has none; ``compare`` then says so and
-checks the optimize records alone.  A dump from before ``evaluate_calls``
-was recorded is treated the same way: ``compare`` says so and leaves
-that column out.
+after, each set's mean and median ``evaluate`` calls per tree, and
+each set's balance solves and ``families`` calls per solve, which are
+not part of the verdict.  A dump from before the evaluate records were
+added has none; ``compare`` then says so and checks the optimize records
+alone.  A dump from before ``evaluate_calls`` or the solves were
+recorded is treated the same way: ``compare`` says so and leaves those
+columns out.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from treecut.augmented_eval import (  # noqa: E402
 from treecut.caterpillar import Caterpillar  # noqa: E402
 from treecut.diameter_core import backbone  # noqa: E402
 from treecut.oracle import random_tree  # noqa: E402
-from treecut.sweep_engine import optimize  # noqa: E402
+from treecut.sweep_engine import _Engine, optimize  # noqa: E402
 from treecut.tree_model import Shortcut, TreePoint  # noqa: E402
 
 SHAPES, SIZES = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
@@ -127,28 +131,41 @@ def trace_digest(events):
 
 def answer(job):
     group, name, spec = job
-    calls = {"families": 0, "evaluate": 0}
-    originals = {method: getattr(Caterpillar, method) for method in calls}
+    calls = {"families": 0, "evaluate": 0, "balance": 0, "solve_families": 0}
+    depth = [0]         # open balance solves
+    targets = {"families": Caterpillar, "evaluate": Caterpillar,
+               "balance": _Engine}
+    originals = {method: getattr(cls, method)
+                 for method, cls in targets.items()}
 
     def counting(method):
-        def counted(self, alpha, beta):
+        def counted(self, *args):
             calls[method] += 1
-            return originals[method](self, alpha, beta)
+            if method == "families":
+                calls["solve_families"] += depth[0] > 0
+            inside = method == "balance"
+            depth[0] += inside
+            try:
+                return originals[method](self, *args)
+            finally:
+                depth[0] -= inside
         return counted
 
-    for method in calls:
-        setattr(Caterpillar, method, counting(method))
+    for method, cls in targets.items():
+        setattr(cls, method, counting(method))
     try:
         t = random_tree(*spec)
         res = optimize(t)
     finally:
-        for method, original in originals.items():
-            setattr(Caterpillar, method, original)
+        for method, cls in targets.items():
+            setattr(cls, method, originals[method])
     return name, {"set": group, "phase_end": res.phase_end,
                   "diameter_after": res.diameter_after.hex(),
                   "scale": t.scale, "event_count": res.event_count,
                   "families": calls["families"],
                   "evaluate_calls": calls["evaluate"],
+                  "solves": calls["balance"],
+                  "solve_families": calls["solve_families"],
                   "events": trace_digest(res.events)}
 
 
@@ -223,18 +240,25 @@ def compare(before_path, after_path):
     sets = {}
     evaluates = all("evaluate_calls" in rec
                     for rec in (*before.values(), *after.values()))
+    solves = all("solves" in rec and "solve_families" in rec
+                 for rec in (*before.values(), *after.values()))
     for name, old in before.items():
         new = after[name]
         row = sets.setdefault(old["set"], {
             "trees": 0, "phase_end": 0, "bitwise": 0, "traces": 0,
             "worse": 0.0, "better": 0.0, "families": [0, 0],
-            "evaluate_calls": ([], []), "events": [0, 0]})
+            "evaluate_calls": ([], []), "events": [0, 0],
+            "solves": [0, 0], "solve_families": [0, 0]})
         row["trees"] += 1
         row["families"][0] += old["families"]
         row["families"][1] += new["families"]
         if evaluates:
             for calls, rec in zip(row["evaluate_calls"], (old, new)):
                 calls.append(rec["evaluate_calls"])
+        if solves:
+            for field in ("solves", "solve_families"):
+                row[field][0] += old[field]
+                row[field][1] += new[field]
         row["events"][0] += old["event_count"]
         row["events"][1] += new["event_count"]
         if old["phase_end"] != new["phase_end"]:
@@ -277,6 +301,14 @@ def compare(before_path, after_path):
             print(f"  {group:<12}{old:>16} -> {new}")
     else:
         print("evaluate calls: a dump without them, not compared")
+    if solves:
+        print("balance solves / families calls per solve, before -> after:")
+        for group, row in sets.items():
+            old, new = (f"{n} / {f / n if n else 0.0:.2f}" for n, f in
+                        zip(row["solves"], row["solve_families"]))
+            print(f"  {group:<12}{old:>16} -> {new}")
+    else:
+        print("balance solves: a dump without them, not compared")
     changed = sum(row["traces"] for row in sets.values())
     if all("events" in rec for rec in (*before.values(), *after.values())):
         print(f"event traces changed on {changed} trees (not part of the "
