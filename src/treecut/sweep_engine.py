@@ -43,21 +43,25 @@ secant guess of the last two solutions.  A step across the root
 brackets it; where a step would leave the limits, meets a slope that
 is not positive, or fails to shrink the residual, a bracket grown from
 the guess, from a fixed first step of 1e-4 L, does.  Inside the bracket
-``newton_root`` takes Newton steps from the slopes of its reads,
-safeguarded by bisection.  Every stop (phase I's end, a walk's first
-event on a stretch, the wedge crossing) follows one rule,
-``_Engine._first_stop``: read the states at a few points in order until
-the largest watch holds at one, stop there or at the ITP root
-(bisection safeguarded by regula falsi) of that largest watch in the
-interval before it, keep the state the root finder read there, and
-name the stop after the first watch that holds in it.  The phases note
-candidate placements (terminals, junctures, interior minima, segment
-ends, the wedge crossing) in one list; every distinct one is evaluated
-exactly and the best is polished by a compass search on the exact
-evaluator.  A stationarity certificate (``Caterpillar.safe_steps``)
-shows at which steps a probe cannot improve; the search evaluates no
-such probe and halves past every step level where all probes are
-safe, so it ends where the full search ends.  ``OptimizeResult.events``
+``newton_root``, the one root finder, takes Newton steps safeguarded by
+bisection, each at least eps/4 long, and stops where |g| is within the
+caller's acceptance, the bracket is eps wide or no float lies inside
+it.  Every stop (phase I's end, a walk's first event on a stretch, the
+wedge crossing) follows one rule, ``_Engine._first_stop``: read the
+states at a few points in order until the largest watch holds at one,
+stop there or at the root ``newton_root`` finds of that largest watch
+in the interval before it, keep the state the root finder read there,
+and name the stop after the first watch that holds in it.  A watch
+gives no slopes: each of its reads takes the secant through the bracket
+end it replaces, and until an end is replaced the bracket's own secant
+(regula falsi) serves.  The phases note candidate placements
+(terminals, junctures, interior minima, segment ends, the wedge
+crossing) in one list; every distinct one is evaluated exactly and the
+best is polished by a compass search on the exact evaluator.  A
+stationarity certificate (``Caterpillar.safe_steps``) shows at which
+steps a probe cannot improve; the search evaluates no such probe and
+halves past every step level where all probes are safe, so it ends
+where the full search ends.  ``OptimizeResult.events``
 is the inspectable trace of a run.  Recording (``record_segments``, off
 by default) re-probes the walk to fill the motion segments and the
 phase-III diagnostic count; it never steers the sweep.
@@ -158,92 +162,36 @@ def _active(pair):
     return lambda fv: max(both(fv))
 
 
-def itp_root(fn, lo, hi, eps, flo=None, fhi=None):
-    """First point in [lo, hi] where fn >= 0, given fn(lo) < 0 <= fn(hi).
-
-    The root finder of the stops (``_Engine._first_stop``), whose watches
-    give values but no slopes.  Returns the right end of a bracket of
-    width at most eps (up to rounding), after at most
-    ceil(log2((hi - lo) / eps)) + 1 and never more than 80 evaluations.
-    With the end values ``flo``/``fhi`` supplied this is the ITP method
-    (Oliveira and Takahashi, ACM TOMS 2020): a regula-falsi point,
-    truncated toward the midpoint and projected into a ball around it
-    whose radius keeps the bracket within one step of bisection's; on
-    smooth or piecewise-linear functions it needs far fewer steps.
-    Without usable end values, or while a bracket value is infinite, the
-    step is the midpoint.
-
-    The truncation is k1 * w**2 with k1 = 0.002 / width, two orders of
-    magnitude below the usual 0.2 / width: on a piecewise-linear watch
-    the regula-falsi point is often within rounding of the root, and a
-    larger truncation throws that away.  The worst case is bounded by
-    the projection radius, which does not depend on k1.
-    """
-    width = hi - lo
-    if width <= eps:
-        return hi
-    if flo is None or fhi is None or not flo < 0.0 <= fhi:
-        flo = fhi = None
-    # ITP parameters k1 = 0.002 / width, k2 = 2, n0 = 1.  After step j the
-    # bracket is at most eps * 2**(n_max - j - 1) wide.
-    n_max = math.ceil(math.log2(width / eps)) + 1
-    k1 = 0.002 / width
-    for j in range(min(n_max, 80)):
-        if hi - lo <= eps:
-            break
-        mid = 0.5 * (lo + hi)
-        x = mid
-        if flo is not None and math.isfinite(flo) and math.isfinite(fhi):
-            half = 0.5 * (hi - lo)
-            xf = (fhi * lo - flo * hi) / (fhi - flo)
-            # Truncation by at least eps/4 (as in Brent's method) lands the
-            # next point across a root that regula falsi has already
-            # pinned, so the far bracket end closes in one step.
-            w = hi - lo
-            # w ** 2 raises OverflowError beyond about 1.3e154.  The two
-            # forms can round differently, so w ** 2 stays below 1e150.
-            delta = max(k1 * w * w if w >= 1e150 else k1 * w ** 2,
-                        0.25 * eps)
-            diff = mid - xf
-            xt = xf + math.copysign(delta, diff) if delta <= abs(diff) else mid
-            r = max(0.5 * eps * 2.0 ** (n_max - j) - half, 0.0)
-            x = xt if abs(xt - mid) <= r else mid - math.copysign(r, diff)
-            if not lo < x < hi:
-                x = mid
-        fx = fn(x)
-        if fx >= 0.0:
-            hi = x
-            fhi = fx if flo is not None else None
-        else:
-            lo = x
-            flo = fx if flo is not None else None
-    return hi
-
-
 def newton_root(fn, lo, hi, eps, accept):
     """A root of fn inside the bracket of the reads ``lo`` and ``hi``.
 
-    fn(x) gives (f, f'), the value and its exact slope; ``lo`` and
-    ``hi`` are such reads (x, f, f') with lo's x below hi's and
-    f(lo) < 0 <= f(hi).  Returns a point where |f| <= accept, else the
-    right end of a bracket at most eps wide (up to rounding), as
-    ``itp_root`` does.
+    fn(x) gives (f, f'), the value and its slope, or None for the slope
+    where the caller has none; ``lo`` and ``hi`` are such reads (x, f, f')
+    with lo's x below hi's and f(lo) < 0 <= f(hi).  Returns a point where
+    |f| <= accept, else the right end of a bracket at most eps wide (up
+    to rounding) or with no float strictly inside.
 
     Newton's method safeguarded by bisection (Brent, "Algorithms for
-    Minimization without Derivatives", 1973, ch. 4).  Each step is the
-    Newton point of the end that predicts the shorter step, where that
-    point lies inside the bracket and the slope there is positive and
-    finite, else the midpoint.  A Newton step that does not halve the
-    bracket is followed by a midpoint step, except the first: on a
-    residual with one kink inside the bracket, the end beyond the kink
-    either predicts a step longer than the other end's exact one or
-    lands on the root's side of the kink, where the next Newton step is
-    exact, so at most two reads follow the bracket.  Every other read
-    halves the bracket or precedes one that does, so the finder reads at
-    most 2 ceil(log2((hi - lo) / eps)) + 1 points, about twice
-    bisection's count, and never more than 200.
+    Minimization without Derivatives", 1973, ch. 4).  A read without a
+    slope takes the secant through the bracket end it replaces; until an
+    end is replaced, the bracket's own secant (regula falsi) serves.
+    Each step is the Newton point of the end that predicts the shorter
+    step, moved at least eps/4 as in Brent's method, so that a step that
+    pins a root lands across it and the bracket closes.  Where that point
+    lies outside the bracket or the slope there is not positive and
+    finite, the step is the midpoint.  A Newton step that does not halve
+    the bracket is followed by a midpoint step, except the first: on a
+    residual with one kink inside the bracket and exact slopes, the end
+    beyond the kink either predicts a step longer than the other end's
+    exact one or lands on the root's side of the kink, where the next
+    Newton step is exact, so at most two reads follow the bracket.  Every
+    other read halves the bracket or precedes one that does, so the
+    finder reads at most 2 ceil(log2((hi - lo) / eps)) + 1 points, about
+    twice bisection's count, and never more than 200.
     """
-    ends = [lo, hi]                 # the reads where f < 0 and f >= 0
+    chord = (hi[1] - lo[1]) / (hi[0] - lo[0])
+    # The reads where f < 0 and f >= 0.
+    ends = [(x, f, chord if s is None else s) for x, f, s in (lo, hi)]
     for x, f, _ in ends:
         if abs(f) <= accept:
             return x
@@ -251,17 +199,21 @@ def newton_root(fn, lo, hi, eps, accept):
     for i in range(200):
         (a, fa, sa), (b, fb, sb) = ends
         w = b - a
-        if w <= eps:
+        if w <= eps or math.nextafter(a, b) == b:
             break
         d_lo = -fa / sa if 0.0 < sa < math.inf else math.inf
         d_hi = fb / sb if 0.0 < sb < math.inf else math.inf
-        x = a + d_lo if d_lo <= d_hi else b - d_hi
+        x = (a + max(d_lo, 0.25 * eps) if d_lo <= d_hi
+             else b - max(d_hi, 0.25 * eps))
         newton = not mid_next and a < x < b
         x = x if newton else 0.5 * (a + b)
         f, s = fn(x)
         if abs(f) <= accept:
             return x
-        ends[f >= 0.0] = (x, f, s)
+        side = f >= 0.0
+        if s is None:
+            s = (f - ends[side][1]) / (x - ends[side][0])
+        ends[side] = (x, f, s)
         mid_next = newton and i > 0 and ends[1][0] - ends[0][0] > 0.5 * w
     return ends[1][0]
 
@@ -597,9 +549,11 @@ class _Engine:
         ``watches`` is a list of (name, fn); a watch holds where fn >= 0.
         The states at the ascending ``points`` are read in order, up to
         the first where the largest watch holds; none after it.  The stop
-        is that point or, when it is not the first, the ITP root of the
-        largest watch inside the interval before it.  Its state is the one
-        the root finder read there, never a second read, since a balance
+        is that point or, when it is not the first, the root of the
+        largest watch inside the interval before it: a read where it is 0
+        or the right end of a bracket at most eps wide, found by
+        ``newton_root`` from the secants of its reads.  Its state is the
+        one the root finder read there, never a second read, since a balance
         solve started from another warm start can land elsewhere; the stop
         is named after the first watch, in list order, that holds in it.
         Returns (s, name, fv, states) with states the point reads
@@ -618,11 +572,12 @@ class _Engine:
         else:
             return None, None, None, states
         if prev is not None:
-            # ITP returns the right end or a point it read, where g >= 0;
-            # it never reads a point twice.
+            # The watch gives no slopes.  With accept 0 the root finder
+            # returns the right end or a point it read where g = 0; either
+            # way g >= 0.  It never reads a point twice.
             read = {}
-            g = lambda x: top(read.setdefault(x, state_at(x)))
-            s = itp_root(g, prev[0], s, self.eps, prev[1], v)
+            g = lambda x: (top(read.setdefault(x, state_at(x))), None)
+            s = newton_root(g, (*prev, None), (s, v, None), self.eps, 0.0)
             fv = read.get(s, fv)
         name = next(nm for nm, fn in watches if fn(fv) >= 0.0)
         return s, name, fv, states

@@ -20,7 +20,7 @@ from treecut.augmented_eval import has_useful_shortcut
 from treecut.caterpillar import NEG, Caterpillar
 from treecut.oracle import grid_search, random_tree, stress_family
 from treecut.sweep_engine import (
-    SPEED_LAWS, _Engine, _active, itp_root, newton_root,
+    SPEED_LAWS, _Engine, _active, newton_root,
 )
 
 
@@ -344,20 +344,27 @@ def test_blocked_at_optimum():
             assert cat.evaluate(a2, b2) >= base - 1e-9 * t.scale
 
 
-def _root_case(fn, lo, hi, eps, root, ends):
-    calls = []
+def _root_case(fn, lo, hi, eps, root, accept=-1.0):
+    """``newton_root`` on a fn that gives no slopes, as a stop's watch: the
+    result holds, lies within eps of the first root ``root``, and takes at
+    most 2 ceil(log2((hi - lo) / eps)) + 1 reads.  Returns the reads.
+
+    A stop accepts a read where fn is 0; the default accepts none, so
+    that on a stretch where fn is 0 the bracket still closes on its
+    start."""
+    reads = []
 
     def counted(x):
-        calls.append(x)
-        return fn(x)
+        reads.append(x)
+        return fn(x), None
 
-    flo, fhi = (fn(lo), fn(hi)) if ends else (None, None)
-    got = itp_root(counted, lo, hi, eps, flo, fhi)
+    got = newton_root(counted, (lo, fn(lo), None), (hi, fn(hi), None), eps,
+                      accept)
     assert fn(got) >= 0.0
     slack = 4 * math.ulp(root)      # bracket ends are rounded floats
     assert root - slack <= got <= root + eps + slack
-    assert len(calls) <= math.ceil(math.log2((hi - lo) / eps)) + 1
-    return len(calls)
+    assert len(reads) <= 2 * math.ceil(math.log2((hi - lo) / eps)) + 1
+    return reads
 
 
 ROOT_CASES = {
@@ -365,26 +372,50 @@ ROOT_CASES = {
     "kinked": (lambda x: (x - 0.37) * (0.5 if x < 0.37 else 40.0), -3.0, 1.0,
                0.37),
     "step": (lambda x: -1.0 if x < 0.37 else 1.0, 0.0, 1.0, 0.37),
+    # An end where fn is -inf gives no secant: the steps bisect.
+    "infinite-end": (lambda x: NEG if x < 0.25 else x - 0.5, 0.0, 1.0, 0.5),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ROOT_CASES))
-def test_itp_root_brackets_first_root(case):
+def test_newton_root_without_slopes_brackets_first_root(case):
     fn, lo, hi, root = ROOT_CASES[case]
     eps = 1e-12
-    with_ends = _root_case(fn, lo, hi, eps, root, ends=True)
-    plain = _root_case(fn, lo, hi, eps, root, ends=False)
+    reads = _root_case(fn, lo, hi, eps, root)
     if case == "smooth":
-        # The regula-falsi step pays off where the function is smooth.
-        assert 2 * with_ends <= plain, (with_ends, plain)
+        # The secant steps pay off where the function is smooth: at most
+        # half of bisection's reads.
+        bisection = math.ceil(math.log2((hi - lo) / eps)) + 1
+        assert 2 * len(reads) <= bisection, reads
 
 
-def test_itp_root_unusable_end_values_fall_back_to_bisection():
-    fn = lambda x: NEG if x < 0.25 else x - 0.5
-    _root_case(fn, 0.0, 1.0, 1e-9, 0.5, ends=True)
-    # End values that do not bracket a sign change are ignored.
-    got = itp_root(lambda x: x - 0.5, 0.0, 1.0, 1e-9, 0.3, 0.7)
-    assert 0.5 <= got <= 0.5 + 1e-9
+def test_newton_root_without_slopes_on_one_kink():
+    # Slope 1, then 3 past the kink at 0.7, and the root at 0.37: the
+    # bracket's secant lands on the first piece, the secant through the
+    # end it replaced has that piece's slope, and the Newton step from it
+    # is exact.  Regula falsi on the bracket alone keeps the steep end and
+    # creeps up on the root.  As in a stop, a read where fn is 0 ends the
+    # search.
+    fn = lambda x: x - 0.37 if x < 0.7 else 0.33 + 3.0 * (x - 0.7)
+    reads = _root_case(fn, 0.0, 1.0, 1e-12, 0.37, accept=0.0)
+    assert len(reads) <= 2, reads
+
+
+def test_newton_root_stops_where_no_float_lies_between_its_ends():
+    # eps far below the ulp of the bracket: once its ends are adjacent
+    # floats the midpoint is one of them, and the finder stops rather than
+    # read it again up to its cap of 200 reads.
+    u = math.ulp(1.0)
+    fn = lambda x: (x - 1.0 - 1.5 * u, 1.0)
+    reads = []
+
+    def counted(x):
+        reads.append(x)
+        return fn(x)
+
+    ends = [(x, *fn(x)) for x in (1.0, 1.0 + 4 * u)]
+    assert newton_root(counted, *ends, 1e-20, 0.0) == 1.0 + 2 * u
+    assert len(reads) <= 3, reads
 
 
 @st.composite
@@ -427,13 +458,14 @@ def _first_float_root(fn, lo, hi):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(monotone_pieces(), st.integers(1, 9), st.booleans())
-def test_itp_root_on_monotone_piecewise_linear(case, digits, ends):
+@given(monotone_pieces(), st.integers(1, 9))
+def test_newton_root_without_slopes_on_monotone_piecewise_linear(case,
+                                                                 digits):
     # fn(result) >= 0, the result within eps of the first root, and no more
-    # evaluations than bisection's bound, with and without end values.
+    # reads than the bound of the docstring, on kinks, steps and flats.
     fn, lo, hi = case
     eps = (hi - lo) * 10.0 ** -digits
-    _root_case(fn, lo, hi, eps, _first_float_root(fn, lo, hi), ends)
+    _root_case(fn, lo, hi, eps, _first_float_root(fn, lo, hi))
 
 
 @st.composite
@@ -548,9 +580,9 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
     interior-minimum searches only on stretches whose lowest probe is
     interior, stop finds that read no probe past the first where a watch
     holds, a phase I that is one root find and a phase III that reads
-    nothing outside its solves leave about 1.76 and 1.96 families calls
-    per vertex at n = 2000 and 4000 (2.20 and 2.49 with the ITP fallback
-    and every probe read).
+    nothing outside its solves leave about 1.75 and 1.94 families calls
+    per vertex at n = 2000 and 4000 (2.20 and 2.49 with a bracket
+    fallback that read no slopes and every probe read).
     """
     calls = [0]
     families = Caterpillar.families
@@ -574,8 +606,8 @@ def test_balance_families_per_solve(monkeypatch):
     # secant warm start, and where they fail a bracket searched by Newton
     # steps on the slopes of its reads (``newton_root``), leave about
     # 2.03 and 1.98 families calls per solve at n = 2000 and 4000.  With
-    # an ITP search of the bracket, which reads no slopes, it was 2.55
-    # and 2.56, and about 5.5 with the bracket and ITP search alone.
+    # a search of the bracket that read no slopes it was 2.55 and 2.56,
+    # and about 5.5 with the bracket and that search alone.
     calls, solves, depth = [0], [0], [0]
     families, balance = Caterpillar.families, _Engine.balance
 
@@ -608,20 +640,32 @@ def test_corpus_families_calls_bounded(monkeypatch):
     # stretch whose lowest probe is interior is searched for its minimum,
     # phase I is one root find, a stop find reads no probe past the first
     # where a watch holds, a failed Newton solve searches its bracket by
-    # Newton steps, and the polish certificate reads no families of its
-    # own.  About 7,900 calls (11,482 with every probe read and an ITP
-    # bracket search).
-    calls = [0]
-    families = Caterpillar.families
+    # Newton steps, a stop's root find takes Newton steps on the secants
+    # of its reads, and the polish certificate reads no families of its
+    # own.  About 6,300 calls (7,872 with the stops' search safeguarded
+    # by regula falsi on the bracket, 11,482 with every probe read too).
+    # Phase I's root find reads about 800 of them (1,945 before).
+    calls, phase1_calls, inside = [0], [0], [False]
+    families, phase1 = Caterpillar.families, _Engine.phase1
 
     def counted(self, alpha, beta):
         calls[0] += 1
+        phase1_calls[0] += inside[0]
         return families(self, alpha, beta)
 
+    def traced(self):
+        inside[0] = True
+        try:
+            return phase1(self)
+        finally:
+            inside[0] = False
+
     monkeypatch.setattr(Caterpillar, "families", counted)
+    monkeypatch.setattr(_Engine, "phase1", traced)
     for seed in range(70):
         optimize(corpus_tree(seed))
-    assert calls[0] <= 9500, calls[0]
+    assert calls[0] <= 7000, calls[0]
+    assert phase1_calls[0] <= 1000, phase1_calls[0]
 
 
 def full_compass(eng, val, ab):
@@ -986,7 +1030,7 @@ def test_optimize_is_scale_invariant(factor):
 
 
 def test_wedge_crossing_queries_bounded(monkeypatch):
-    # Work gate on the wedge crossing: ITP with its end values, on the
+    # Work gate on the wedge crossing: a stop's root find, on the
     # caterpillar's ``pairs`` query.  SMAWK is only a reference for the
     # tests; optimize never calls it.
     def forbidden(*args, **kwargs):
@@ -1043,22 +1087,22 @@ def test_sweep_finds_the_wedge_pair_optimum(i):
 ], ids=["caterpillar-1003", "uniform-1053", "uniform-1101"])
 def test_interior_min_survives_two_sided_balance_residue(spec, before):
     # Newton's balance leaves a residue on either side of the root, where
-    # ITP's always had g >= 0.  On stretches that are flat and then dip,
-    # a golden section over the whole stretch alone then lost the dip on
-    # the two uniform trees (by 1.9e-2 and 6.7e-3 * scale), and one over
-    # the probe intervals around the lowest probe alone lost the first
-    # tree (by 1.8e-3 * scale).  ``before`` is the answer the bracket and
-    # ITP balance gave.
+    # the earlier bracket balance's always had g >= 0.  On stretches that
+    # are flat and then dip, a golden section over the whole stretch alone
+    # then lost the dip on the two uniform trees (by 1.9e-2 and 6.7e-3 *
+    # scale), and one over the probe intervals around the lowest probe
+    # alone lost the first tree (by 1.8e-3 * scale).  ``before`` is the
+    # answer the bracket balance, which read no slopes, gave.
     t = random_tree(*spec)
     assert optimize(t).diameter_after \
         <= float.fromhex(before) + 1e-9 * t.scale
 
 
 def test_sweep_finds_the_grid_optimum_of_tree_1001053():
-    # With the bracket and ITP balance this tree ended 7.4e-4 * scale
-    # above the polished grid optimum, while rotated and scaled copies of
-    # it found the optimum through an interior minimum the original
-    # missed.
+    # With the bracket balance that read no slopes this tree ended
+    # 7.4e-4 * scale above the polished grid optimum, while rotated and
+    # scaled copies of it found the optimum through an interior minimum
+    # the original missed.
     t = random_tree(1001053, 20, "uniform")
     res = optimize(t)
     assert res.diameter_after <= polished_grid_optimum(t) + 1e-6 * t.scale
@@ -1300,9 +1344,10 @@ def test_first_stop_inside_the_first_interval_whose_end_holds():
 
     def counted(x):
         reads[0] += 1
-        return max(fn(_Read(x)) for _, fn in watches)
+        return max(fn(_Read(x)) for _, fn in watches), None
 
-    itp_root(counted, 1.0, 2.0, eng.eps, 1.0 - root, 2.0 - root)
+    newton_root(counted, (1.0, 1.0 - root, None), (2.0, 2.0 - root, None),
+                eng.eps, 0.0)
     assert len(made) == 3 + reads[0]
     assert fv in made[3:] and fv.s == s
     assert [x for x, _ in states] == [0.0, 1.0, 2.0]

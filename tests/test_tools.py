@@ -25,16 +25,15 @@ def record(**change):
     rec = {"set": "criterion-1", "phase_end": "III",
            "diameter_after": (3.0).hex(), "scale": 4.0, "event_count": 7,
            "families": 120, "evaluate_calls": 225, "solves": 40,
-           "solve_families": 100, "events": "0123456789abcdef"}
+           "solve_families": 100, "phase1_families": 30,
+           "events": "0123456789abcdef"}
     rec.update(change)
     return rec
 
 
-def compare(tmp_path, capsys, **change):
-    """Exit code and output of ``compare`` on a dump of two trees against
-    the same dump with ``change`` applied to its second tree."""
-    before = {"criterion-1/0": record(), "criterion-1/1": record()}
-    after = {"criterion-1/0": record(), "criterion-1/1": record(**change)}
+def compare_dumps(tmp_path, capsys, before, after):
+    """Exit code and output of ``compare`` on the dumps ``before`` and
+    ``after``."""
     paths = []
     for name, dump in (("before", before), ("after", after)):
         path = tmp_path / f"{name}.json"
@@ -42,6 +41,14 @@ def compare(tmp_path, capsys, **change):
         paths.append(str(path))
     code = answers.main(["compare", *paths])
     return code, capsys.readouterr().out
+
+
+def compare(tmp_path, capsys, **change):
+    """Exit code and output of ``compare`` on a dump of two trees against
+    the same dump with ``change`` applied to its second tree."""
+    before = {"criterion-1/0": record(), "criterion-1/1": record()}
+    after = {"criterion-1/0": record(), "criterion-1/1": record(**change)}
+    return compare_dumps(tmp_path, capsys, before, after)
 
 
 def test_compare_fails_on_a_changed_phase_end(tmp_path, capsys):
@@ -108,13 +115,7 @@ def test_compare_skips_evaluate_calls_the_older_dump_lacks(tmp_path,
     for rec in before.values():
         del rec["evaluate_calls"]
     after = {"criterion-1/0": record(evaluate_calls=9)}
-    paths = []
-    for name, dump in (("before", before), ("after", after)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(dump))
-        paths.append(str(path))
-    code = answers.main(["compare", *paths])
-    out = capsys.readouterr().out
+    code, out = compare_dumps(tmp_path, capsys, before, after)
     assert code == 0
     assert "evaluate calls: a dump without them, not compared" in out
     assert "evaluate calls per tree" not in out
@@ -137,14 +138,27 @@ def test_compare_prints_solves_and_families_per_solve(tmp_path, capsys):
     assert "balance solves: a dump without them" not in out
 
 
+def test_compare_prints_phase1_families_per_set(tmp_path, capsys):
+    # Two trees whose phase I reads 30 families each; after, the second
+    # reads 12.
+    code, out = compare(tmp_path, capsys, phase1_families=12)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("families calls inside phase I, before -> after:")
+    assert lines[at + 1].split() == ["criterion-1", "60", "->", "42"]
+    assert "phase I families calls: a dump without them" not in out
+
+
 def test_dump_counts_solves_beside_families():
     # One record of ``dump``: corpus tree 0 balances q at every probe, and
-    # the families calls inside the solves are some of its calls.
+    # the families calls inside the solves, and those inside phase I, are
+    # some of its calls.
     name, rec = answers.answer(("criterion-1", "criterion-1/0",
                                 (0, 5, "uniform")))
     assert name == "criterion-1/0"
     assert rec["solves"] > 0
     assert 0 < rec["solve_families"] < rec["families"]
+    assert 0 < rec["phase1_families"] < rec["families"]
 
 
 def test_compare_skips_solves_the_older_dump_lacks(tmp_path, capsys):
@@ -154,16 +168,25 @@ def test_compare_skips_solves_the_older_dump_lacks(tmp_path, capsys):
     for rec in before.values():
         del rec["solves"], rec["solve_families"]
     after = {"criterion-1/0": record(solves=9)}
-    paths = []
-    for name, dump in (("before", before), ("after", after)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(dump))
-        paths.append(str(path))
-    code = answers.main(["compare", *paths])
-    out = capsys.readouterr().out
+    code, out = compare_dumps(tmp_path, capsys, before, after)
     assert code == 0
     assert "balance solves: a dump without them, not compared" in out
     assert "families calls per solve" not in out
+    assert "verdict: PASS" in out
+
+
+def test_compare_skips_phase1_families_the_older_dump_lacks(tmp_path,
+                                                           capsys):
+    # A dump made before phase I's families calls were counted: their
+    # block is left out and the verdict does not read it.
+    before = {"criterion-1/0": record()}
+    for rec in before.values():
+        del rec["phase1_families"]
+    after = {"criterion-1/0": record(phase1_families=9)}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    assert "phase I families calls: a dump without them, not compared" in out
+    assert "families calls inside phase I" not in out
     assert "verdict: PASS" in out
 
 
@@ -184,13 +207,7 @@ def compare_evaluate(tmp_path, capsys, old_records=True, **change):
     after = dict(before, **{"evaluate/mixed/1000": evaluate_record(**change)})
     if not old_records:
         before = {"criterion-1/0": record()}
-    paths = []
-    for name, dump in (("before", before), ("after", after)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(dump))
-        paths.append(str(path))
-    code = answers.main(["compare", *paths])
-    return code, capsys.readouterr().out
+    return compare_dumps(tmp_path, capsys, before, after)
 
 
 @pytest.mark.parametrize("move, code, verdict, bitwise", [

@@ -12,13 +12,14 @@ and ``random_tree(s, 2000, "caterpillar")`` for s = 0..2) and on the
 the number of ``Caterpillar.families`` calls, the number of
 ``Caterpillar.evaluate`` calls (``evaluate_calls``), the number of
 balance solves (``_Engine.balance`` calls, ``solves``) and of the
-``families`` calls made inside them (``solve_families``), and
-``events``, a digest of the event trace (each event's kind, phase,
+``families`` calls made inside them (``solve_families``), the number of
+``families`` calls made inside ``_Engine.phase1`` (``phase1_families``),
+and ``events``, a digest of the event trace (each event's kind, phase,
 ``p_arc`` and ``q_arc`` as ``float.hex`` and payload; not its
-diameter).  ``dump`` also runs
-``augmented_diameter`` on the 120 trees of the benchmark's
-``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
-s = 0..119, and on the mixed trees, each with one seeded random shortcut
+diameter).  ``dump`` also runs ``augmented_diameter`` on the 120 trees
+of the benchmark's ``evaluate-shortcuts`` pool,
+``random_tree(s, 300, "uniform")`` for s = 0..119, and on the mixed
+trees, each with one seeded random shortcut
 (``seeded_shortcut``).  Each of these gets an ``evaluate/...`` record:
 the diameter as ``float.hex``, the scale, the usefulness and a digest of
 the achieving pairs.  It runs two worker processes (one where there is
@@ -32,11 +33,12 @@ on every tree, no ``diameter_after`` worse than before by more than
 trees whose event trace changed and the evaluate records whose diameter,
 usefulness or achieving pairs changed at all, and prints each set's
 totals of ``families`` calls, ``evaluate`` calls and events before and
-after, each set's mean and median ``evaluate`` calls per tree, and
-each set's balance solves and ``families`` calls per solve, which are
-not part of the verdict.  A dump from before the evaluate records were
-added has none; ``compare`` then says so and checks the optimize records
-alone.  A dump from before ``evaluate_calls`` or the solves were
+after, each set's mean and median ``evaluate`` calls per tree, each
+set's balance solves and ``families`` calls per solve, and each set's
+``families`` calls inside phase I, which are not part of the verdict.
+A dump from before the evaluate records were added has none;
+``compare`` then says so and checks the optimize records alone.  A dump
+from before ``evaluate_calls``, the solves or ``phase1_families`` were
 recorded is treated the same way: ``compare`` says so and leaves those
 columns out.
 """
@@ -131,10 +133,11 @@ def trace_digest(events):
 
 def answer(job):
     group, name, spec = job
-    calls = {"families": 0, "evaluate": 0, "balance": 0, "solve_families": 0}
-    depth = [0]         # open balance solves
+    calls = {"families": 0, "evaluate": 0, "balance": 0, "phase1": 0,
+             "solve_families": 0, "phase1_families": 0}
     targets = {"families": Caterpillar, "evaluate": Caterpillar,
-               "balance": _Engine}
+               "balance": _Engine, "phase1": _Engine}
+    depth = dict.fromkeys(targets, 0)       # open calls of each method
     originals = {method: getattr(cls, method)
                  for method, cls in targets.items()}
 
@@ -142,13 +145,13 @@ def answer(job):
         def counted(self, *args):
             calls[method] += 1
             if method == "families":
-                calls["solve_families"] += depth[0] > 0
-            inside = method == "balance"
-            depth[0] += inside
+                calls["solve_families"] += depth["balance"] > 0
+                calls["phase1_families"] += depth["phase1"] > 0
+            depth[method] += 1
             try:
                 return originals[method](self, *args)
             finally:
-                depth[0] -= inside
+                depth[method] -= 1
         return counted
 
     for method, cls in targets.items():
@@ -166,6 +169,7 @@ def answer(job):
                   "evaluate_calls": calls["evaluate"],
                   "solves": calls["balance"],
                   "solve_families": calls["solve_families"],
+                  "phase1_families": calls["phase1_families"],
                   "events": trace_digest(res.events)}
 
 
@@ -242,23 +246,27 @@ def compare(before_path, after_path):
                     for rec in (*before.values(), *after.values()))
     solves = all("solves" in rec and "solve_families" in rec
                  for rec in (*before.values(), *after.values()))
+    phase1 = all("phase1_families" in rec
+                 for rec in (*before.values(), *after.values()))
     for name, old in before.items():
         new = after[name]
         row = sets.setdefault(old["set"], {
             "trees": 0, "phase_end": 0, "bitwise": 0, "traces": 0,
             "worse": 0.0, "better": 0.0, "families": [0, 0],
             "evaluate_calls": ([], []), "events": [0, 0],
-            "solves": [0, 0], "solve_families": [0, 0]})
+            "solves": [0, 0], "solve_families": [0, 0],
+            "phase1_families": [0, 0]})
         row["trees"] += 1
         row["families"][0] += old["families"]
         row["families"][1] += new["families"]
         if evaluates:
             for calls, rec in zip(row["evaluate_calls"], (old, new)):
                 calls.append(rec["evaluate_calls"])
-        if solves:
-            for field in ("solves", "solve_families"):
-                row[field][0] += old[field]
-                row[field][1] += new[field]
+        fields = (("solves", "solve_families") if solves else ()) + (
+            ("phase1_families",) if phase1 else ())
+        for field in fields:
+            row[field][0] += old[field]
+            row[field][1] += new[field]
         row["events"][0] += old["event_count"]
         row["events"][1] += new["event_count"]
         if old["phase_end"] != new["phase_end"]:
@@ -309,6 +317,13 @@ def compare(before_path, after_path):
             print(f"  {group:<12}{old:>16} -> {new}")
     else:
         print("balance solves: a dump without them, not compared")
+    if phase1:
+        print("families calls inside phase I, before -> after:")
+        for group, row in sets.items():
+            old, new = row["phase1_families"]
+            print(f"  {group:<12}{old:>16} -> {new}")
+    else:
+        print("phase I families calls: a dump without them, not compared")
     changed = sum(row["traces"] for row in sets.values())
     if all("events" in rec for rec in (*before.values(), *after.values())):
         print(f"event traces changed on {changed} trees (not part of the "
