@@ -63,7 +63,8 @@ class RangeMax:
     indexing one yields a Python float or int directly, which keeps the
     O(1) query free of numpy scalar boxing.  ``gather`` answers many
     queries at once from ``flat``, the value levels end to end, level j
-    from ``start[j]``.
+    from ``start[j]``; both are built on first use, since only the cycle
+    kernels gather.
     """
 
     def __init__(self, values):
@@ -79,11 +80,8 @@ class RangeMax:
             t.append(np.where(pick, right, left))
             arg.append(np.where(pick, arg[-1][half:half + m], arg[-1][:m]))
             j += 1
-        # The levels, then n + 1 entries of -inf that empty windows read.
-        self.flat = np.concatenate(t + [np.full(self.n + 1, NEG)])
-        self.start = list(accumulate(map(len, t), initial=0))
-        flat = memoryview(self.flat)
-        self.t = [flat[s:e] for s, e in zip(self.start, self.start[1:])]
+        self._levels = t
+        self.t = [memoryview(level) for level in t]
         self.arg = [memoryview(level) for level in arg]
 
     def query(self, lo, hi):
@@ -100,6 +98,15 @@ class RangeMax:
         if t[r] > t[lo]:
             return t[r], arg[r]
         return t[lo], arg[lo]
+
+    @cached_property
+    def flat(self):
+        # The levels, then n + 1 entries of -inf that empty windows read.
+        return np.concatenate(self._levels + [np.full(self.n + 1, NEG)])
+
+    @cached_property
+    def start(self):
+        return list(accumulate(map(len, self._levels), initial=0))
 
     @cached_property
     def _offsets(self):

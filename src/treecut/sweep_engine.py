@@ -28,14 +28,16 @@ not its phase, owns the rules they share: it stops on the delta floor
 (the largest B-sub-tree diameter, which no shortcut can shrink),
 with one ``("delta-floor",)`` terminal, a watch for a family that
 tied where the walk started must clear one entry margin, ``2 tol``, so
-that it does not fire before the motion starts, and a stretch whose
-lowest probe is interior is searched for its minimum.  No search moves
-the walk: q's next balance solve starts from the walk's own path.  The
-solves themselves can still move phase III's q back toward c between
-the probes of a stretch, on a few trees.  Continuous motion is realized
-by root-finding on monotone balance and condition functions rather than
-closed-form trajectories.  Inside a cell every family's length is one
-term, w + A_alpha d alpha + A_beta d beta + k de, and
+that it does not fire before the motion starts, and every stretch, the
+one the walk stops in too, ends alike: where an interior probe dips
+below both of its ends the stretch, up to its stop, is searched for its
+minimum, and its last state is noted as its segment end.  No search
+moves the walk: q's next balance solve starts from the walk's own
+path.  The solves themselves can still move phase III's q back toward
+c between the probes of a stretch, on a few trees.  Continuous motion
+is realized by root-finding on monotone balance and condition functions
+rather than closed-form trajectories.  Inside a cell every family's
+length is one term, w + A_alpha d alpha + A_beta d beta + k de, and
 ``Caterpillar.families`` reports each family's (A_alpha, A_beta, k).  A
 balance solve takes Newton steps on the residual's exact slope in q,
 A_beta + k de/dbeta for each of its two families, starting from the
@@ -54,15 +56,16 @@ in the interval before it, keep the state the root finder read there,
 and name the stop after the first watch that holds in it.  A watch
 gives no slopes: each of its reads takes the secant through the bracket
 end it replaces, and until an end is replaced the bracket's own secant
-(regula falsi) serves.  The phases note candidate placements
-(terminals, junctures, interior minima, segment ends, the wedge
-crossing) in one list; every distinct one is evaluated exactly and the
-best is polished by a compass search on the exact evaluator.  A
-stationarity certificate (``Caterpillar.safe_steps``) shows at which
-steps a probe cannot improve; the search evaluates no such probe and
-halves past every step level where all probes are safe, so it ends
-where the full search ends.  ``OptimizeResult.events``
-is the inspectable trace of a run.  Recording (``record_segments``, off
+(regula falsi) serves.  The phases note candidate placements in one
+list: phase I's end, phase III's starts, the walks' interior minima and
+segment ends, and the wedge crossing; a stop notes none of its own, its
+state ends the stretch it stops in.  Every distinct one is evaluated
+exactly and the best is polished by a compass search on the exact
+evaluator.  A stationarity certificate (``Caterpillar.safe_steps``)
+shows at which steps a probe cannot improve; the search evaluates no
+such probe and halves past every step level where all probes are safe,
+so it ends where the full search ends.  ``OptimizeResult.events`` is
+the inspectable trace of a run.  Recording (``record_segments``, off
 by default) re-probes the walk to fill the motion segments and the
 phase-III diagnostic count; it never steers the sweep.
 """
@@ -391,12 +394,6 @@ class _Engine:
     def note_candidate(self, frame, a, b, tag):
         self.candidates.append((*self._to_base(frame, a, b), tag))
 
-    def _terminal(self, phase, frame, fv, payload, tag):
-        """A terminal event at the placement of ``fv``, noted as a
-        candidate under ``tag``."""
-        self.emit("terminal", phase, frame, fv, payload)
-        self.note_candidate(frame, fv.alpha, fv.beta, tag)
-
     def note_if_better(self, frame, a, b, dval, tag):
         """Record a candidate only when it improves the monitored best."""
         if dval < self.best_seen - 1e-12 * self.tree.scale:
@@ -606,9 +603,9 @@ class _Engine:
         can be flat and then dip, and the balance's residue, on either
         side of its root, can tip a flat stretch either way.  So the walk
         (``_drive``) searches a stretch only where an interior probe is
-        its lowest, and where the search over the whole stretch ends above
-        that probe it searches again over the two probe intervals around
-        it and keeps the lower.
+        its lowest and below its last state, and where the search over the
+        whole stretch ends above that probe it searches again over the two
+        probe intervals around it and keeps the lower.
         """
         gr = (math.sqrt(5.0) - 1.0) / 2.0
         stop = max(self.eps, 1e-4 * (s1 - s0))
@@ -667,10 +664,10 @@ class _Engine:
         _, name, fvc, states = self._first_stop(state_at, [0.0, t_end], conds)
         if name is None:
             fv = states[-1][1]
-            self._terminal("I", cat, fv, ("parked-ab",), "phase1-ab")
+            self.emit("terminal", "I", cat, fv, ("parked-ab",))
             return "ab", fv
         if name == "delta-floor":
-            self._terminal("I", cat, fvc, ("delta-floor",), "delta-floor")
+            self.emit("terminal", "I", cat, fvc, ("delta-floor",))
             return "delta", fvc
         self.emit("path-state", "I", cat, fvc, (name,))
         return "tie", fvc
@@ -702,27 +699,30 @@ class _Engine:
         Every walk shares its rules.  Its diameter is the larger of the
         family ``pair`` it keeps in balance (``_PAIRS``).  It stops on the
         delta floor, where that diameter falls to the largest B-sub-tree
-        diameter; the walk then emits the ``("delta-floor",)`` terminal
-        and notes a delta-floor candidate, and nothing follows it.  A
-        watch for a family tied where the walk started subtracts the
-        entry margin ``_Engine.entry``.  A stretch whose lowest probe is
-        interior, and where a Lipschitz bound on the probes leaves room to
-        beat the best seen, is searched for its minimum
-        (``_interior_min``), which is noted as a candidate; a walk with a
-        law reports a dip below both stretch ends as a grow-shrink event.
-        No search moves the walk: the warm start the stop find left is
-        restored after it, so q's next solve starts from the walk's own
-        path.
+        diameter; the walk then emits the ``("delta-floor",)`` terminal,
+        and nothing follows it.  A watch for a family tied where the walk
+        started subtracts the entry margin ``_Engine.entry``.
 
-        Along the way the walk reports changes of ``branch_sig(fv)``, the
-        branches of the diametral paths, and records the motion segments
-        that obey ``law = (sig_fn, law_fn)``.  Each stretch ends with a
-        segment-end candidate at the state reached there.  The crossing
-        and the segment ends are appended to ``track`` as (alpha, beta,
-        diameter) when a list is given.  When recording, the segments and,
-        on phase-III stretches only, the diagnostic count read a re-probe
-        of the stretch at 24 points, from the warm start the stop find
-        started from.
+        Every stretch, the one the walk stops in too, ends with one tail.
+        Its states are the probes read before the stop and the stop's own
+        state: all ``PROBES + 1`` probes where no watch holds.  The tail
+        reports changes of ``branch_sig(fv)``, the branches of the
+        diametral paths, between them.  Where the first lowest state is
+        interior and below the last one, and a Lipschitz bound on the
+        probes leaves room to beat the best seen, it searches the stretch
+        up to its last state for its minimum (``_interior_min``), which is
+        noted as a candidate; a walk with a law reports a dip below both
+        stretch ends as a grow-shrink event.  No search moves the walk:
+        the warm start the stop find left is restored after it, so q's
+        next solve starts from the walk's own path.  The last state is
+        appended to ``track`` as (alpha, beta, diameter) when a list is
+        given, and noted as a segment-end candidate; a stop notes no
+        candidate of its own.  Candidates are noted only where they beat
+        the best seen (``note_if_better``).  The walk records the motion
+        segments that obey ``law = (sig_fn, law_fn)`` on the stretches it
+        crosses.  When recording, the segments and, on phase-III stretches
+        only, the diagnostic count read a re-probe of the stretch at 24
+        points, from the warm start the stop find started from.
         """
         active = _active(pair)
         conds = [*conds, ("delta-floor",
@@ -762,11 +762,8 @@ class _Engine:
                 if record:
                     self._record_lawful(phase, frame, fine, active, *law)
             if name is not None:
-                if track is not None:
-                    track.append((fvc.alpha, fvc.beta, active(fvc)))
-                if name == "delta-floor":
-                    self._terminal(phase, frame, fvc, (name,), name)
-                return name, at(sc), fvc
+                # A stopped stretch ends in the stop's own state.
+                states[-1] = (sc, fvc)
             sigs = [branch_sig(fv) for _, fv in states] if branch_sig else []
             for (_, fv), prev, sig in zip(states[1:], sigs, sigs[1:]):
                 if sig != prev:
@@ -774,9 +771,9 @@ class _Engine:
                               ("branch-change",))
             dvals = [active(fv) for _, fv in states]
             j = dvals.index(min(dvals))
-            if (0 < j < self.PROBES and dvals[j] - 8.0 * (span / self.PROBES)
-                    < self.best_seen):
-                fvm = self._interior_min(seg, 0.0, span, active)
+            if (0 < j and dvals[j] < dvals[-1] and
+                    dvals[j] - 8.0 * (span / self.PROBES) < self.best_seen):
+                fvm = self._interior_min(seg, 0.0, states[-1][0], active)
                 if active(fvm) > dvals[j]:
                     fvn = self._interior_min(
                         seg, states[j - 1][0], states[j + 1][0], active)
@@ -794,6 +791,10 @@ class _Engine:
                 track.append((fv1.alpha, fv1.beta, dvals[-1]))
             self.note_if_better(frame, fv1.alpha, fv1.beta, dvals[-1],
                                 "segment-end")
+            if name is not None:
+                if name == "delta-floor":
+                    self.emit("terminal", phase, frame, fvc, (name,))
+                return name, at(sc), fvc
             if at_bp:
                 self.emit("vertex-q" if drive_q else "vertex-p", phase,
                           frame, fv1, (target,))
@@ -845,7 +846,7 @@ class _Engine:
             law=(sig_fn, law_fn))
         if name is None:
             fv = state_at(0.0)
-            self._terminal(phase, frame, fv, ("parked-p",), "parked-p")
+            self.emit("terminal", phase, frame, fv, ("parked-p",))
             if pair == "x-xy" and "y" in self.ties(fv):
                 return [(self.phase3, frame, fv.alpha, fv.beta, None, {})]
             return []
@@ -854,12 +855,10 @@ class _Engine:
         ac, bc = fvc.alpha, fvc.beta
         self.emit("path-state", phase, frame, fvc, (name,))
         if pair == "x-xy" and name == "y-side":
-            self.note_if_better(frame, ac, bc, active(fvc), "phase2-handoff")
             return [(self.phase3, frame, ac, bc, None, {})]
         # What is left is a juncture: the antipodal family tied during the
-        # x-xy shift, or a side family tied during the anti-xy shift.
-        self.note_candidate(frame, ac, bc, "juncture")
-        # The x-y family drops out; keep the antipodal family balanced
+        # x-xy shift, or a side family tied during the anti-xy shift.  The
+        # x-y family drops out; keep the antipodal family balanced
         # against the side family that just tied.
         fr, a2, b2 = ((frame, ac, bc) if name == "y-side"
                       else self._mirror(frame, ac, bc))
@@ -897,14 +896,12 @@ class _Engine:
         then = [] if toward_c else [
             (self.phase2side, frame, a0, b0, None, {"toward_c": True})]
         if name is None:
-            self._terminal(phase, frame, state_at(alpha), ("parked-p",),
-                           "parked-p")
+            self.emit("terminal", phase, frame, state_at(alpha), ("parked-p",))
             return then
         if name == "delta-floor":
             return then
         ac, bc = fvc.alpha, fvc.beta
-        self._terminal(phase, frame, fvc, ("corollary-11", name),
-                       "corollary-11")
+        self.emit("terminal", phase, frame, fvc, ("corollary-11", name))
         if name == "x-side":
             # Both side families tie; drop the antipodal family and
             # balance them directly in an out-shift.
@@ -941,8 +938,7 @@ class _Engine:
                                    fv.fy_branch == "tree"),
             law=(sig_fn, law_fn), track=traj)
         if name == "antipodal":
-            self._terminal(phase, frame, fvc, ("corollary-11", name),
-                           "corollary-11")
+            self.emit("terminal", phase, frame, fvc, ("corollary-11", name))
         elif name is None:
             # p parked; drive q outward to b with p held fixed.
             alpha = max(alpha, 0.0)
@@ -951,11 +947,10 @@ class _Engine:
                 warm.beta, frame.L, conds, pair, warm, drive_q=True,
                 track=traj)
             if name == "antipodal":
-                self._terminal(phase, frame, fvc, ("q-drive", name),
-                               "q-drive")
+                self.emit("terminal", phase, frame, fvc, ("q-drive", name))
             b_end = frame.L if fvc is None else fvc.beta
-            self._terminal(phase, frame, self.families(frame, alpha, b_end),
-                           ("parked-ab",), "phase3-end")
+            self.emit("terminal", phase, frame,
+                      self.families(frame, alpha, b_end), ("parked-ab",))
         self._wedge_crossing(frame, traj)
         return []
 
@@ -1028,7 +1023,7 @@ class _Engine:
         if "x" in ties and "y" in ties:
             tasks = [(self.phase3, cat, a, b, None, {})]
         elif "anti" in ties and ties & {"x", "y"}:
-            self._terminal("II", cat, fv, ("corollary-11",), "corollary-11")
+            self.emit("terminal", "II", cat, fv, ("corollary-11",))
         elif "x" in ties or "y" in ties:
             frame = cat
             if "y" in ties:

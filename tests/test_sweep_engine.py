@@ -748,6 +748,47 @@ def test_polish_ends_where_the_full_compass_search_ends(trees):
     assert paired >= 20, paired
 
 
+def test_sweep_rescues_bounded():
+    # The sweep should find the optimum by itself: a rescue is a tree on
+    # which the polish moves the sweep's best candidate by more than
+    # 1e-6 * scale.  On the 210 criterion-1 and 210 hold-out trees there
+    # are 8 (28 when a walk's stop noted its own state but the stretch it
+    # stopped in was never searched for its dip).
+    specs = [(s, CORPUS_SIZES[s % 3], CORPUS_SHAPES[s % 3])
+             for s in range(210)]
+    specs += [(1000000 + i, CORPUS_SIZES[i % 3], CORPUS_SHAPES[i % 3])
+              for i in range(210)]
+    rescues = []
+    for spec in specs:
+        t = random_tree(*spec)
+        start = polish_start(t)
+        if start is None:
+            continue
+        eng, val, ab = start
+        gap = (val - eng._polish(val, ab)[0]) / t.scale
+        if gap > 1e-6:
+            rescues.append((spec[0], gap))
+    assert len(rescues) <= 10, rescues
+
+
+def test_corpus_evaluate_calls_bounded(monkeypatch):
+    # Work gate on ``optimize``'s exact evaluations over corpus trees
+    # 0..69: every distinct candidate once, then the polish.  About 960
+    # calls; 1,212 while every stop noted its own state unconditionally
+    # and the stretch it stopped in was not searched, so that the polish
+    # started farther from the optimum.
+    calls, evaluate = [0], Caterpillar.evaluate
+
+    def counted(self, alpha, beta):
+        calls[0] += 1
+        return evaluate(self, alpha, beta)
+
+    monkeypatch.setattr(Caterpillar, "evaluate", counted)
+    for seed in range(70):
+        optimize(corpus_tree(seed))
+    assert calls[0] <= 1050, calls[0]
+
+
 def test_polish_evaluate_calls_bounded():
     # Work gate: on most corpus trees the sweep's best candidate is
     # already stationary, and the polish skips every step level that
@@ -1069,13 +1110,25 @@ def polished_grid_optimum(t):
     return eng._polish(float(vals[i]), (float(A[i]), float(B[i])))[0]
 
 
-@pytest.mark.parametrize("i", [41, 219, 609, 704, 752])
-def test_sweep_finds_the_wedge_pair_optimum(i):
-    # Trees on which the only tight term at the optimum is a wedge pair
-    # the families do not monitor: before phase III watched ``pairs``
-    # the sweep ended 2e-3 to 3.7e-2 * scale above the grid optimum.
-    t = random_tree(1000000 + i, (5, 9, 14, 20, 30)[i % 5],
-                    CORPUS_SHAPES[i % 3])
+def item1_tree(i):
+    """Tree ``i`` of the ROADMAP's item-1 trees."""
+    return (1000000 + i, (5, 9, 14, 20, 30)[i % 5], CORPUS_SHAPES[i % 3])
+
+
+@pytest.mark.parametrize("spec", [
+    *(item1_tree(i) for i in (41, 219, 609, 704, 752, 627)),
+    (1000179, 14, "balanced"),
+], ids=["41", "219", "609", "704", "752", "627", "hold-out-1000179"])
+def test_sweep_finds_the_wedge_pair_optimum(spec):
+    # Item-1 trees on which the only tight term at the optimum is a wedge
+    # pair the families do not monitor: before phase III watched
+    # ``pairs`` the sweep ended 2e-3 to 3.7e-2 * scale above the grid
+    # optimum on the first five.  On tree 627, and on hold-out tree
+    # 1000179, whose optimum ties the two side families, phase III's
+    # diameter dips and rises again to the antipodal stop within one
+    # stretch; before the stretch a walk stops in was searched for its
+    # dip the sweep ended 6.5e-2 and 3.6e-2 * scale above it.
+    t = random_tree(*spec)
     res = optimize(t)
     assert res.diameter_after <= polished_grid_optimum(t) + 1e-6 * t.scale
 
@@ -1161,8 +1214,9 @@ def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
     # No corpus tree ends a walk on the delta floor, so raise the floor
     # between the diameter at the end of phase I and the answer: the
     # walks after phase I then fall to it.  Every floor stop, whichever
-    # walk makes it, is one ("delta-floor",) terminal and one delta-floor
-    # candidate.
+    # walk makes it, is one ("delta-floor",) terminal.  It notes no
+    # candidate of its own: its state ends the stretch it stops in, and
+    # is noted as that stretch's segment-end.
     t = corpus_tree(seed)
     after = optimize(t).diameter_after
     probe = _Engine(t, backbone(t))
@@ -1171,34 +1225,37 @@ def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
     eng.cat.delta = eng.cat.flip().delta = (
         after + frac * (end_of_phase1 - after))
 
-    handler, stops, terminals = [None], [], []
+    handler, stops, terminals, noted = [None], [], [], []
     for name in ("phase2x", "phase2side", "phase3"):
         def entered(self, *args, _name=name, _run=getattr(_Engine, name),
                     **kwargs):
             handler[0] = _name
             return _run(self, *args, **kwargs)
         monkeypatch.setattr(_Engine, name, entered)
-    drive, terminal = _Engine._drive, _Engine._terminal
+    drive, emit = _Engine._drive, _Engine.emit
 
-    def traced_drive(self, phase, *args, **kwargs):
-        out = drive(self, phase, *args, **kwargs)
+    def traced_drive(self, phase, frame, *args, **kwargs):
+        out = drive(self, phase, frame, *args, **kwargs)
         if out[0] == "delta-floor":
             stops.append((phase, handler[0]))
+            fv = out[2]
+            noted.append((*self._to_base(frame, fv.alpha, fv.beta),
+                          "segment-end") in self.candidates)
         return out
 
-    def traced_terminal(self, phase, frame, fv, payload, tag):
-        terminals.append((payload, tag))
-        return terminal(self, phase, frame, fv, payload, tag)
+    def traced_emit(self, kind, phase, frame, fv, payload=()):
+        if kind == "terminal":
+            terminals.append(payload)
+        return emit(self, kind, phase, frame, fv, payload)
 
     monkeypatch.setattr(_Engine, "_drive", traced_drive)
-    monkeypatch.setattr(_Engine, "_terminal", traced_terminal)
+    monkeypatch.setattr(_Engine, "emit", traced_emit)
     eng.run()
     assert set(stops) == walks
-    floor = [(payload, tag) for payload, tag in terminals
-             if "delta-floor" in payload + (tag,)]
-    assert floor == [(("delta-floor",), "delta-floor")] * len(stops)
-    assert sum(tag == "delta-floor" for *_, tag in eng.candidates) \
-        == len(stops)
+    floor = [payload for payload in terminals if "delta-floor" in payload]
+    assert floor == [("delta-floor",)] * len(stops)
+    assert noted == [True] * len(stops)
+    assert not any(tag == "delta-floor" for *_, tag in eng.candidates)
     # ``emit`` merges a repeated terminal at one placement, so the trace
     # can hold fewer, all with the one label.
     assert {ev.payload for ev in eng.events
@@ -1210,8 +1267,9 @@ def test_phase2side_walk_stops_on_the_delta_floor(monkeypatch):
     # start the walk toward a from tree 172's first juncture with the
     # floor raised into the range of that walk's diameter.  The diameter
     # only rises toward a, so the walk stops on the floor where it starts,
-    # in a state where the floor holds, with one ("delta-floor",) terminal
-    # and one delta-floor candidate; only the walk toward c follows it.
+    # in a state where the floor holds, with one ("delta-floor",) terminal;
+    # only the walk toward c follows it.  The one candidate is the stop's
+    # state, noted as the segment-end of the stretch it stops in.
     t = corpus_tree(172)
     junctures = []
     side, first_stop = _Engine.phase2side, _Engine._first_stop
@@ -1237,7 +1295,7 @@ def test_phase2side_walk_stops_on_the_delta_floor(monkeypatch):
         if delta is not None:
             eng.cat.delta = eng.cat.flip().delta = delta
         frame = eng.cat if base else eng.cat.flip()
-        return eng, eng.phase2side(frame, a0, b0)
+        return eng, frame, eng.phase2side(frame, a0, b0)
 
     drive = _Engine._drive
 
@@ -1251,14 +1309,15 @@ def test_phase2side_walk_stops_on_the_delta_floor(monkeypatch):
     assert stops.pop()[0] is None        # parked at a, with no floor
     assert read[0] == min(read) and max(read) > read[0] + 1e-3 * t.scale
     delta = read[0] + 0.5 * (max(read) - read[0])
-    eng, tasks = walk(delta)
+    eng, frame, tasks = walk(delta)
     name, x, fv = stops.pop()
     assert (name, x) == ("delta-floor", a0)
     assert active(fv) <= delta + t.tol
     assert [task[-1] for task in tasks] == [{"toward_c": True}]
     assert [ev.payload for ev in eng.events
             if ev.kind == "terminal"] == [("delta-floor",)]
-    assert [tag for *_, tag in eng.candidates] == ["delta-floor"]
+    assert eng.candidates == [(*eng._to_base(frame, fv.alpha, fv.beta),
+                               "segment-end")]
 
 
 # Trees with phase-III antipodal stops where solving q again at the root,

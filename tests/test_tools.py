@@ -25,7 +25,7 @@ def record(**change):
     rec = {"set": "criterion-1", "phase_end": "III",
            "diameter_after": (3.0).hex(), "scale": 4.0, "event_count": 7,
            "families": 120, "evaluate_calls": 225, "solves": 40,
-           "solve_families": 100, "phase1_families": 30,
+           "solve_families": 100, "phase1_families": 30, "sweep_gap": 0.0,
            "events": "0123456789abcdef"}
     rec.update(change)
     return rec
@@ -147,6 +147,50 @@ def test_compare_prints_phase1_families_per_set(tmp_path, capsys):
     at = lines.index("families calls inside phase I, before -> after:")
     assert lines[at + 1].split() == ["criterion-1", "60", "->", "42"]
     assert "phase I families calls: a dump without them" not in out
+
+
+def test_compare_prints_rescues_per_set(tmp_path, capsys):
+    # A rescue is a tree whose sweep_gap exceeds 1e-6 * scale: before, the
+    # polish moved the second tree by 2e-6 * scale; after, the first by
+    # 5e-7, which is no rescue.  Rescues are not part of the verdict.
+    before = {"criterion-1/0": record(), "criterion-1/1":
+              record(sweep_gap=2e-6), "hold-out/0": record(set="hold-out")}
+    after = {"criterion-1/0": record(sweep_gap=5e-7),
+             "criterion-1/1": record(), "hold-out/0": record(set="hold-out")}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("rescues (sweep_gap > 1e-06 scale), before -> after:")
+    assert [line.split() for line in lines[at + 1:at + 3]] == [
+        ["criterion-1", "1", "->", "0"], ["hold-out", "0", "->", "0"]]
+    assert "rescues: a dump without sweep_gap" not in out
+
+
+def test_compare_skips_rescues_the_older_dump_lacks(tmp_path, capsys):
+    # A dump made before sweep_gap was recorded: the rescues are left out
+    # and the verdict does not read them.
+    before = {"criterion-1/0": record()}
+    for rec in before.values():
+        del rec["sweep_gap"]
+    after = {"criterion-1/0": record(sweep_gap=1.0)}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    assert "rescues: a dump without sweep_gap, not compared" in out
+    assert "rescues (sweep_gap" not in out
+    assert "verdict: PASS" in out
+
+
+@pytest.mark.parametrize("seed, rescued", [(0, False), (12, True)])
+def test_dump_records_the_sweep_gap(seed, rescued):
+    # The polish can only improve on the sweep's best candidate, so the
+    # gap is never negative; on corpus tree 0 it is below the rescue
+    # bound, and on corpus tree 12 the polish moves the sweep's best
+    # candidate by about 4.9e-4 * scale.
+    spec = (seed, (5, 9, 14)[seed % 3],
+            ("uniform", "caterpillar", "balanced")[seed % 3])
+    _, rec = answers.answer(("criterion-1", f"criterion-1/{seed}", spec))
+    assert rec["sweep_gap"] >= 0.0
+    assert (rec["sweep_gap"] > answers.RESCUE) == rescued
 
 
 def test_dump_counts_solves_beside_families():

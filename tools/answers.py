@@ -14,13 +14,15 @@ the number of ``Caterpillar.families`` calls, the number of
 balance solves (``_Engine.balance`` calls, ``solves``) and of the
 ``families`` calls made inside them (``solve_families``), the number of
 ``families`` calls made inside ``_Engine.phase1`` (``phase1_families``),
-and ``events``, a digest of the event trace (each event's kind, phase,
-``p_arc`` and ``q_arc`` as ``float.hex`` and payload; not its
-diameter).  ``dump`` also runs ``augmented_diameter`` on the 120 trees
-of the benchmark's ``evaluate-shortcuts`` pool,
-``random_tree(s, 300, "uniform")`` for s = 0..119, and on the mixed
-trees, each with one seeded random shortcut
-(``seeded_shortcut``).  Each of these gets an ``evaluate/...`` record:
+``sweep_gap``, the value ``best`` hands to ``_Engine._polish`` minus the
+value the polish returns, in units of the tree's scale (0 where no
+shortcut helps and nothing is polished), and ``events``, a digest of
+the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
+``float.hex`` and payload; not its diameter).  ``dump`` also runs
+``augmented_diameter`` on the 120 trees of the benchmark's
+``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
+s = 0..119, and on the mixed trees, each with one seeded random
+shortcut (``seeded_shortcut``).  Each of these gets an ``evaluate/...`` record:
 the diameter as ``float.hex``, the scale, the usefulness and a digest of
 the achieving pairs.  It runs two worker processes (one where there is
 one core).  To compare two versions of the program, run each version's
@@ -34,13 +36,15 @@ trees whose event trace changed and the evaluate records whose diameter,
 usefulness or achieving pairs changed at all, and prints each set's
 totals of ``families`` calls, ``evaluate`` calls and events before and
 after, each set's mean and median ``evaluate`` calls per tree, each
-set's balance solves and ``families`` calls per solve, and each set's
-``families`` calls inside phase I, which are not part of the verdict.
+set's balance solves and ``families`` calls per solve, each set's
+``families`` calls inside phase I, and each set's rescues, the trees
+whose sweep_gap exceeds 1e-6 (the polish found an answer the sweep did
+not), which are not part of the verdict.
 A dump from before the evaluate records were added has none;
 ``compare`` then says so and checks the optimize records alone.  A dump
-from before ``evaluate_calls``, the solves or ``phase1_families`` were
-recorded is treated the same way: ``compare`` says so and leaves those
-columns out.
+from before ``evaluate_calls``, the solves, ``phase1_families`` or
+``sweep_gap`` were recorded is treated the same way: ``compare`` says so
+and leaves those columns out.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ from treecut.tree_model import Shortcut, TreePoint  # noqa: E402
 
 SHAPES, SIZES = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
 WORSE = 1e-9        # the largest loss allowed, in units of the tree's scale
+RESCUE = 1e-6       # a sweep_gap above this, in units of scale, is a rescue
 EVALUATE = "evaluate/"      # the name prefix of the evaluate records
 
 
@@ -140,6 +145,12 @@ def answer(job):
     depth = dict.fromkeys(targets, 0)       # open calls of each method
     originals = {method: getattr(cls, method)
                  for method, cls in targets.items()}
+    polish, gap = _Engine._polish, [0.0]
+
+    def polished(self, val, ab):
+        out = polish(self, val, ab)
+        gap[0] = val - out[0]
+        return out
 
     def counting(method):
         def counted(self, *args):
@@ -156,12 +167,14 @@ def answer(job):
 
     for method, cls in targets.items():
         setattr(cls, method, counting(method))
+    _Engine._polish = polished
     try:
         t = random_tree(*spec)
         res = optimize(t)
     finally:
         for method, cls in targets.items():
             setattr(cls, method, originals[method])
+        _Engine._polish = polish
     return name, {"set": group, "phase_end": res.phase_end,
                   "diameter_after": res.diameter_after.hex(),
                   "scale": t.scale, "event_count": res.event_count,
@@ -170,6 +183,7 @@ def answer(job):
                   "solves": calls["balance"],
                   "solve_families": calls["solve_families"],
                   "phase1_families": calls["phase1_families"],
+                  "sweep_gap": gap[0] / t.scale,
                   "events": trace_digest(res.events)}
 
 
@@ -248,6 +262,8 @@ def compare(before_path, after_path):
                  for rec in (*before.values(), *after.values()))
     phase1 = all("phase1_families" in rec
                  for rec in (*before.values(), *after.values()))
+    rescues = all("sweep_gap" in rec
+                  for rec in (*before.values(), *after.values()))
     for name, old in before.items():
         new = after[name]
         row = sets.setdefault(old["set"], {
@@ -255,7 +271,7 @@ def compare(before_path, after_path):
             "worse": 0.0, "better": 0.0, "families": [0, 0],
             "evaluate_calls": ([], []), "events": [0, 0],
             "solves": [0, 0], "solve_families": [0, 0],
-            "phase1_families": [0, 0]})
+            "phase1_families": [0, 0], "rescues": [0, 0]})
         row["trees"] += 1
         row["families"][0] += old["families"]
         row["families"][1] += new["families"]
@@ -267,6 +283,9 @@ def compare(before_path, after_path):
         for field in fields:
             row[field][0] += old[field]
             row[field][1] += new[field]
+        if rescues:
+            row["rescues"][0] += old["sweep_gap"] > RESCUE
+            row["rescues"][1] += new["sweep_gap"] > RESCUE
         row["events"][0] += old["event_count"]
         row["events"][1] += new["event_count"]
         if old["phase_end"] != new["phase_end"]:
@@ -324,6 +343,13 @@ def compare(before_path, after_path):
             print(f"  {group:<12}{old:>16} -> {new}")
     else:
         print("phase I families calls: a dump without them, not compared")
+    if rescues:
+        print(f"rescues (sweep_gap > {RESCUE:g} scale), before -> after:")
+        for group, row in sets.items():
+            old, new = row["rescues"]
+            print(f"  {group:<12}{old:>16} -> {new}")
+    else:
+        print("rescues: a dump without sweep_gap, not compared")
     changed = sum(row["traces"] for row in sets.values())
     if all("events" in rec for rec in (*before.values(), *after.values())):
         print(f"event traces changed on {changed} trees (not part of the "
