@@ -42,6 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
@@ -169,6 +170,9 @@ _Y_ANTI = (-0.5, -0.5, 0.5)     # right, to the cycle point opposite q
 _X_IN = (1.0, 1.0, 1.0)         # left, through pq, back to a cycle wedge
 _Y_IN = (-1.0, -1.0, 1.0)       # right, through qp, on to a cycle wedge
 _ANTI_IN = (-0.5, 0.5, 0.5)     # a cycle wedge, to its opposite point
+# A family's length and winning term on a ``FamilyView``, by its name.
+_FAMILY = {name: attrgetter(name, name + "_term")
+           for name in ("xy", "fx", "fy", "fanti")}
 
 
 @dataclass
@@ -188,6 +192,8 @@ class FamilyView:
     beta: float
     e: float
     de: float
+    q_point: tuple          # (x, y) of q
+    q_edge: int             # the backbone edge under q, as in ``_locate``
     cyc: float
     pbar: float
     qbar: float
@@ -298,21 +304,24 @@ class Caterpillar:
     def chord(self, alpha, beta):
         return self._chord(alpha, beta)[0]
 
+    def _p_point(self, alpha):
+        """``embed(alpha)``, remembering the last alpha: a walk reads many
+        q at one p."""
+        if alpha != self._alpha_at[0]:
+            self._alpha_at = (alpha, self._locate(alpha)[:2])
+        return self._alpha_at[1]
+
     def _chord(self, alpha, beta):
-        """The chord e = |pq| and its slope de/dbeta at fixed alpha,
-        (Q - P).u / e with u the unit direction of the edge that holds q;
-        NaN where e = 0."""
-        if alpha == self._alpha_at[0]:
-            xa, ya = self._alpha_at[1]
-        else:
-            xa, ya, _ = self._locate(alpha)
-            self._alpha_at = (alpha, (xa, ya))
+        """(e, de, Q, i): the chord e = |pq|, its slope de/dbeta at fixed
+        alpha, (Q - P).u / e with u the unit direction of the edge i that
+        holds q (NaN where e = 0), and q's point Q."""
+        xa, ya = self._p_point(alpha)
         xb, yb, i = self._locate(beta)
         dx, dy = xb - xa, yb - ya
         e = math.hypot(dx, dy)
         if e == 0.0:
-            return e, math.nan
-        return e, (dx * self._ux[i] + dy * self._uy[i]) / e
+            return e, math.nan, (xb, yb), i
+        return e, (dx * self._ux[i] + dy * self._uy[i]) / e, (xb, yb), i
 
     def arc_to_treepoint(self, arc):
         from .tree_model import TreePoint
@@ -329,7 +338,7 @@ class Caterpillar:
     def families(self, alpha, beta):
         """Exact values of the monitored diametral-path families at (p, q),
         with their winning terms."""
-        e, de = self._chord(alpha, beta)
+        e, de, q_point, q_edge = self._chord(alpha, beta)
         cyc = e + (beta - alpha)
         half = cyc / 2.0
         pbar = alpha + half           # antipodal of p, always on the tree arc
@@ -397,10 +406,52 @@ class Caterpillar:
         diameter = max(xy, fx, fy, self.delta)
         if fanti_p >= 0:
             diameter = max(diameter, fanti)
-        return FamilyView(alpha, beta, e, de, cyc, pbar, qbar,
-                          xy, xy_branch, xy_term, fx, fx_branch, fx_p, fx_term,
+        return FamilyView(alpha, beta, e, de, q_point, q_edge, cyc,
+                          pbar, qbar, xy, xy_branch, xy_term,
+                          fx, fx_branch, fx_p, fx_term,
                           fy, fy_branch, fy_p, fy_term,
                           fanti, fanti_p, fanti_term, diameter)
+
+    def balance_root(self, fv, alpha, u, v):
+        """The beta at which the families named ``u`` and ``v`` (fields of
+        ``fv``, as "fx" or "xy") balance at ``alpha``, while the cell of the
+        view ``fv`` holds; NaN where they do not balance there.
+
+        With x = beta - fv.beta and the difference (dA_alpha, dA_beta, dk)
+        of the two terms the residual is c + dA_beta x + dk e(x): c is
+        u - v on ``fv``, moved by dA_alpha (alpha - fv.alpha), less dk
+        fv.e, and e(x) is |D + x d| with D = Q(fv.beta) - P(alpha) and d
+        the unit direction of q's edge.  Where dk = 0 the root is linear
+        in x.  Otherwise squaring dk e = -(c + dA_beta x), with e(x)^2 =
+        |D|^2 + 2x D.d + x^2, gives one quadratic in x; of its roots with
+        e >= 0 the one nearest fv.beta is kept.  Where q is free (both
+        families tree-routed) the residual is constant and there is none.
+        """
+        (wu, (au, bu, ku)), (wv, (av, bv, kv)) = _FAMILY[u](fv), _FAMILY[v](fv)
+        a, k = bu - bv, ku - kv
+        c = wu - wv + (au - av) * (alpha - fv.alpha)
+        if k == 0.0:
+            return fv.beta - c / a if a else math.nan
+        c -= k * fv.e
+        xa, ya = self._p_point(alpha)
+        dx, dy = fv.q_point[0] - xa, fv.q_point[1] - ya
+        e0 = math.hypot(dx, dy)
+        du = dx * self._ux[fv.q_edge] + dy * self._uy[fv.q_edge]
+        # k^2 (e0^2 + 2 du x + x^2) = (c + a x)^2, as A x^2 + 2 B x + C = 0;
+        # C = (k e0 - c) r(0) keeps the residual at x = 0 exact.
+        quad, half = k * k - a * a, k * k * du - a * c
+        const = (k * e0 - c) * (c + k * e0)
+        disc = half * half - quad * const
+        if disc < 0.0:
+            return math.nan
+        big = -(half + math.copysign(math.sqrt(disc), half))
+        roots = [const / big] if big else []
+        if quad:
+            roots.append(big / quad)
+        for x in sorted(roots, key=abs):
+            if k * (c + a * x) <= 0.0:      # e(x) = -(c + a x) / k >= 0
+                return fv.beta + x
+        return math.nan
 
     # -- exact evaluation -------------------------------------------------
 

@@ -35,16 +35,22 @@ minimum, and its last state is noted as its segment end.  No search
 moves the walk: q's next balance solve starts from the walk's own
 path.  The solves themselves can still move phase III's q back toward
 c between the probes of a stretch, on a few trees.  Continuous motion
-is realized by root-finding on monotone balance and condition functions
-rather than closed-form trajectories.  Inside a cell every family's
-length is one term, w + A_alpha d alpha + A_beta d beta + k de, and
-``Caterpillar.families`` reports each family's (A_alpha, A_beta, k).  A
-balance solve takes Newton steps on the residual's exact slope in q,
-A_beta + k de/dbeta for each of its two families, starting from the
-secant guess of the last two solutions.  A step across the root
-brackets it; where a step would leave the limits, meets a slope that
-is not positive, or fails to shrink the residual, a bracket grown from
-the guess, from a fixed first step of 1e-4 L, does.  Inside the bracket
+is realized by root-finding on balance and condition functions, cell
+by cell.  Inside a cell every family's length is one term, w + A_alpha
+d alpha + A_beta d beta + k de, and ``Caterpillar.families`` reports
+each family's (A_alpha, A_beta, k), so the balance of two families has
+a closed-form root there, one quadratic in q after squaring the chord
+(``Caterpillar.balance_root``).  A balance solve starts at the root
+the cell of the walk's last solved state predicts, or at the secant
+guess of the last two solutions where it predicts none, and reads the
+families there once; where the residual is within the acceptance that
+read is the walk's state.  Else the solve steps to the closed-form root
+of each read's cell.  The interior-minimum search alone keeps Newton
+steps on the residual's exact slope in q, A_beta + k de/dbeta for each
+of its two families, from the secant guess.  A step across the root
+brackets it; where a step would leave the limits, is not defined or
+fails to shrink the residual, a bracket grown from the guess, from a
+fixed first step of 1e-4 L, does.  Inside the bracket
 ``newton_root``, the one root finder, takes Newton steps safeguarded by
 bisection, each at least eps/4 long, and stops where |g| is within the
 caller's acceptance, the bracket is eps wide or no float lies inside
@@ -156,6 +162,11 @@ _PAIRS = {
     "anti-y": ("fanti", "fy"),
     "x-y": ("fx", "fy"),
 }
+
+
+# By pair: the two lengths and their terms on a families view.
+_READS = {pair: attrgetter(u, v, u + "_term", v + "_term")
+          for pair, (u, v) in _PAIRS.items()}
 
 
 def _active(pair):
@@ -278,28 +289,34 @@ class _WarmStart:
     """What a run of balance solves knows about q's motion.
 
     ``alpha``/``beta`` is the last solution (``alpha`` is None before the
-    first) and ``slope`` the secant d beta / d alpha through the solution
-    before it.  Between events every speed law is linear in d and de, so
-    the secant guess is the law's first-order prediction of q, whichever
-    law holds; the solve's Newton steps start there.  A search that reads
-    the walk off its path (a re-probe, an interior-minimum search) saves
-    this state first and restores it after, so that q's motion is the
-    walk's alone.
+    first), ``slope`` the secant d beta / d alpha through the solution
+    before it and ``state`` the families view read at the last solution
+    (None before the first).  A solve starts at the root that state's
+    cell predicts (``Caterpillar.balance_root``): between events the cell
+    holds, and its root is exact.  Where it predicts none, or the solve
+    is at the last solution's alpha, the solve starts at the secant
+    guess, the speed law's first-order prediction of q, whichever law
+    holds; at the last solution's alpha that is its beta.  A search that
+    reads the walk off its path (a re-probe, an interior-minimum search)
+    saves this state first and restores it after, so that q's motion is
+    the walk's alone; the interior-minimum search sets ``newton``, and
+    its solves start at the secant guess and take Newton steps.
     """
 
-    __slots__ = ("alpha", "beta", "slope", "floor")
+    __slots__ = ("alpha", "beta", "slope", "floor", "state", "newton")
 
     def __init__(self, beta, floor):
         self.alpha, self.beta, self.slope = None, beta, 0.0
         self.floor = floor
+        self.state, self.newton = None, False
 
     def guess(self, alpha):
         if self.alpha is None:
             return self.beta
         return self.beta + self.slope * (alpha - self.alpha)
 
-    def update(self, alpha, beta):
-        """Record the solution ``beta`` at ``alpha``.
+    def update(self, alpha, beta, state=None):
+        """Record the solution ``beta`` at ``alpha``, read as ``state``.
 
         Solutions closer in alpha than 64 floors give no secant: their
         rounding would swamp it.
@@ -307,13 +324,13 @@ class _WarmStart:
         if (self.alpha is not None
                 and abs(alpha - self.alpha) > 64.0 * self.floor):
             self.slope = (beta - self.beta) / (alpha - self.alpha)
-        self.alpha, self.beta = alpha, beta
+        self.alpha, self.beta, self.state = alpha, beta, state
 
     def save(self):
-        return self.alpha, self.beta, self.slope
+        return self.alpha, self.beta, self.slope, self.state, self.newton
 
     def restore(self, saved):
-        self.alpha, self.beta, self.slope = saved
+        self.alpha, self.beta, self.slope, self.state, self.newton = saved
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +350,8 @@ class _Engine:
         # tied there exactly tied.  Its watch must rise past this margin
         # to fire, so it cannot fire before the motion starts.
         self.entry = 2.0 * self.tol
-        # The first step of the bracket a balance solve grows when Newton's
-        # guards fail.
+        # The first step of the bracket a balance solve grows when its
+        # steps' guards fail.
         self.step = max(64.0 * self.eps, 1e-4 * self.cat.L)
         self.record_segments = record_segments
         self.events = []
@@ -452,63 +469,74 @@ class _Engine:
 
     # -- balance ---------------------------------------------------------
 
-    def _residual(self, frame, alpha, pair):
-        """beta -> (g, g'): the residual whose root balances the family
-        pair at this alpha, and its slope in beta, from one families read."""
-        u, v = _PAIRS[pair]
-        read = attrgetter(u, v, u + "_term", v + "_term", "de")
-
-        def g(beta):
-            fu, fv, tu, tv, de = read(self.families(frame, alpha, beta))
-            return fu - fv, (tu[1] + tu[2] * de) - (tv[1] + tv[2] * de)
-        return g
-
     def balance(self, frame, alpha, warm, pair):
         """Solve for beta keeping the named family pair in balance.
 
-        The solve starts from the secant guess of the ``_WarmStart``
-        ``warm`` (``_solve``) and records the solution in it.
+        The solve (``_solve``) starts at the root the last solved state of
+        the ``_WarmStart`` ``warm`` predicts, or at its secant guess, and
+        records the solution and the state read there in it.
         """
         lo_lim, hi_lim = max(alpha, frame.c_arc), frame.L
-        g = self._residual(frame, alpha, pair)
-        guess = min(max(warm.guess(alpha), lo_lim), hi_lim)
-        beta = self._solve(g, guess, lo_lim, hi_lim)
-        warm.update(alpha, beta)
-        return beta
+        u, v = _PAIRS[pair]
+        guess = math.nan
+        if warm.state is not None and not warm.newton and alpha != warm.alpha:
+            guess = frame.balance_root(warm.state, alpha, u, v)
+        if math.isnan(guess):
+            guess = warm.guess(alpha)
+        fv = self._solve(frame, alpha, pair, min(max(guess, lo_lim), hi_lim),
+                         lo_lim, hi_lim, warm.newton)
+        warm.update(alpha, fv.beta, fv)
+        return fv.beta
 
     def _warm(self, b0):
         """A warm start at q = b0 that knows nothing of q's motion yet."""
         return _WarmStart(b0, 64.0 * self.eps)
 
-    def _solve(self, g, guess, lo_lim, hi_lim):
-        """A root of g near the guess, or the limit reached without a sign
-        change; g(beta) gives the residual and its slope.
+    def _solve(self, frame, alpha, pair, guess, lo_lim, hi_lim, newton):
+        """The state at a root of the balance of the family ``pair`` near
+        the guess, or at the limit reached without a sign change.
 
         Inside a cell each family of the pair is one term (A_alpha, A_beta,
-        k) of ``Caterpillar.families``, so the residual is affine in beta
-        plus a multiple of the chord, and Newton steps on its exact slope,
-        the difference of the two A_beta + k de/dbeta, converge in one or
-        two reads.  They run from the guess while the slope is positive
-        and finite, each iterate stays in [lo_lim, hi_lim] and |g|
-        strictly decreases, for at most four reads in all, and stop where
-        |g| <= ``accept``.  A step across the root brackets it with the
-        point it started from.  Without one, stepping away from the
-        guess, from a first step of ``_Engine.step`` growing fourfold,
-        brackets it.  Either way ``newton_root`` finds it inside the
-        bracket from the slopes of the reads.
+        k) of ``Caterpillar.families``, so the residual g, their
+        difference, has a closed-form root there
+        (``Caterpillar.balance_root``), exact while the cell holds.  The
+        solve reads the guess; where |g| <= ``accept`` that read is the
+        solution.  Else it steps to the root of the cell of each read, or
+        with ``newton`` takes Newton steps on the residual's exact slope,
+        the difference of the two A_beta + k de/dbeta.  It steps while
+        the step is defined, each iterate stays in [lo_lim, hi_lim] and
+        |g| strictly decreases, for at most four reads in all.  A step
+        across the root brackets it with the point it started from.
+        Without one, stepping away from the guess, from a first step of
+        ``_Engine.step`` growing fourfold, brackets it.  Either way
+        ``newton_root`` finds it inside the bracket from the slopes of
+        the reads.
         """
+        u, v = _PAIRS[pair]
+        terms, reads = _READS[pair], {}
+
+        def g(beta):
+            fv = reads[beta] = self.families(frame, alpha, beta)
+            wu, wv, (_, bu, ku), (_, bv, kv) = terms(fv)
+            return wu - wv, (bu + ku * fv.de) - (bv + kv * fv.de)
+
         start = read = (guess, *g(guess))
         for i in range(4):
             beta, gb, slope = read
             if abs(gb) <= self.accept:
-                return beta
-            nxt = beta - gb / slope if 0.0 < slope < math.inf else math.nan
+                return reads[beta]
+            if not newton:
+                nxt = frame.balance_root(reads[beta], alpha, u, v)
+            elif 0.0 < slope < math.inf:
+                nxt = beta - gb / slope
+            else:
+                nxt = math.nan
             if i == 3 or not lo_lim <= nxt <= hi_lim:
                 break
             after = (nxt, *g(nxt))
             if (after[1] >= 0.0) != (gb >= 0.0):
-                return newton_root(g, *sorted([read, after]), self.eps,
-                                   self.accept)
+                return reads[newton_root(g, *sorted([read, after]), self.eps,
+                                         self.accept)]
             if not abs(after[1]) < abs(gb):
                 break
             read = after
@@ -519,11 +547,12 @@ class _Engine:
         step = self.step
         while d * far[1] < 0.0:
             if far[0] == lim:
-                return lim
+                return reads[lim]
             near, x = far, max(lo_lim, min(hi_lim, far[0] + d * step))
             far = (x, *g(x))
             step *= 4.0
-        return newton_root(g, *sorted([near, far]), self.eps, self.accept)
+        return reads[newton_root(g, *sorted([near, far]), self.eps,
+                                 self.accept)]
 
     def _continuation(self, handler, frame, a, b, pair):
         """The task that continues from the juncture (a, b) of ``frame``
@@ -532,8 +561,10 @@ class _Engine:
         q is one balance solve started at the juncture's q; there is no
         task where the solve stops at a bracket limit short of a root.
         """
-        beta = self.balance(frame, a, self._warm(b), pair)
-        gap = self._residual(frame, a, pair)(beta)[0]
+        warm = self._warm(b)
+        beta = self.balance(frame, a, warm, pair)
+        u, v = _PAIRS[pair]
+        gap = getattr(warm.state, u) - getattr(warm.state, v)
         if beta in (max(a, frame.c_arc), frame.L) and abs(gap) > self.accept:
             return []
         return [(handler, frame, a, beta, pair, {})]
@@ -712,7 +743,10 @@ class _Engine:
         probes leaves room to beat the best seen, it searches the stretch
         up to its last state for its minimum (``_interior_min``), which is
         noted as a candidate; a walk with a law reports a dip below both
-        stretch ends as a grow-shrink event.  No search moves the walk:
+        stretch ends as a grow-shrink event.  The search's solves take
+        Newton steps from the secant guess (``_WarmStart.newton``): where
+        the balance has two roots, which one they land on decides some
+        answers.  No search moves the walk:
         the warm start the stop find left is restored after it, so q's
         next solve starts from the walk's own path.  The last state is
         appended to ``track`` as (alpha, beta, diameter) when a list is
@@ -773,6 +807,7 @@ class _Engine:
             j = dvals.index(min(dvals))
             if (0 < j and dvals[j] < dvals[-1] and
                     dvals[j] - 8.0 * (span / self.PROBES) < self.best_seen):
+                warm.newton = True
                 fvm = self._interior_min(seg, 0.0, states[-1][0], active)
                 if active(fvm) > dvals[j]:
                     fvn = self._interior_min(
@@ -805,14 +840,15 @@ class _Engine:
         """State function of p with q keeping `pair` in balance, and the
         ``_WarmStart`` its solves share, starting at q = b0.
 
-        Each solve starts from the secant through the previous two
-        solutions, so the order of calls matters.
+        Each solve starts from the last solved state or the secant
+        through the previous two solutions, so the order of calls
+        matters.
         """
         warm = self._warm(b0)
 
         def state_at(alpha):
-            return self.families(frame, alpha,
-                                 self.balance(frame, alpha, warm, pair))
+            self.balance(frame, alpha, warm, pair)
+            return warm.state
         return state_at, warm
 
     # -- phase II (shift toward x; y handled by frame flip) --------------
@@ -918,9 +954,10 @@ class _Engine:
 
         Every solve balances the pair, also where both side families are
         tree-routed.  Neither depends on q there, so the balance leaves q
-        free: the solve accepts its secant guess from the walk's last
-        solutions, and ``SPEED_LAWS`` fixes no dq for that row.  Phase III
-        ends the branch it runs on: it returns no tasks.
+        free: the cell predicts no root (``Caterpillar.balance_root``), the
+        solve accepts its secant guess from the walk's last solutions, and
+        ``SPEED_LAWS`` fixes no dq for that row.  Phase III ends the branch
+        it runs on: it returns no tasks.
         """
         phase, pair = "III", "x-y"
         state_at, warm = self._balanced(frame, pair, b0)

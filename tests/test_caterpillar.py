@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from treecut import (GeometricTree, Shortcut, augmented_diameter_value,
                      backbone, optimize)
 from treecut.caterpillar import (_KERNEL_MIN_WEDGES, NEG, Caterpillar,
                                  RangeMax, _cross_pair_arg)
+from treecut.augmented_eval import has_useful_shortcut
 from treecut.oracle import random_tree, stress_family
+from treecut.sweep_engine import _PAIRS, _Engine
 
 
 def brute_range_max(vals, lo, hi):
@@ -476,6 +479,97 @@ def test_family_slopes_match_central_differences():
             ("fanti", (half, half, half)), ("fanti", (-half, half, half)),
             ("fanti", (-half, -half, half))}
     assert seen == {(axis,) + row for row in rows for axis in (0, 1)}, seen
+
+
+def walk_solves(monkeypatch):
+    """Every balance solve of the sweep on the 210 criterion-1 trees that
+    starts from a walk's last solved state: (engine, frame, alpha, pair,
+    state, secant guess)."""
+    out = []
+    balance = _Engine.balance
+
+    def recorded(self, frame, alpha, warm, pair):
+        if warm.state is not None and not warm.newton:
+            out.append((self, frame, alpha, pair, warm.state,
+                        warm.guess(alpha)))
+        return balance(self, frame, alpha, warm, pair)
+
+    monkeypatch.setattr(_Engine, "balance", recorded)
+    for s in range(210):
+        t = random_tree(s, (5, 9, 14)[s % 3],
+                        ("uniform", "caterpillar", "balanced")[s % 3])
+        d = backbone(t)
+        if has_useful_shortcut(d):
+            _Engine(t, d).run()
+    monkeypatch.undo()
+    return out
+
+
+def cell(fv, u, v):
+    """What ``balance_root`` assumes of the families u and v: their
+    terms and argmax pendants, and the edge under q."""
+    return tuple(getattr(fv, name + field, None) for name in (u, v)
+                 for field in ("_term", "_pendant")) + (fv.q_edge,)
+
+
+def test_balance_root_balances_where_the_cell_holds(monkeypatch):
+    # From a walk's last solved state the root its cell predicts at the
+    # next alpha balances the pair, to the solve's acceptance, wherever
+    # the read there is in the same cell.  Where the Newton solve from
+    # the secant guess (the solve of the interior-minimum search) ends in
+    # that cell too, it finds the same root.
+    checked = newton = 0
+    for eng, frame, alpha, pair, state, guess in walk_solves(monkeypatch):
+        u, v = _PAIRS[pair]
+        beta = frame.balance_root(state, alpha, u, v)
+        if not 0.0 <= beta <= frame.L:      # NaN too
+            continue
+        fv = frame.families(alpha, beta)
+        if cell(fv, u, v) != cell(state, u, v):
+            continue
+        checked += 1
+        assert abs(getattr(fv, u) - getattr(fv, v)) <= eng.accept
+        lo = max(alpha, frame.c_arc)
+        fn = eng._solve(frame, alpha, pair, min(max(guess, lo), frame.L),
+                        lo, frame.L, True)
+        if cell(fn, u, v) == cell(state, u, v):
+            newton += 1
+            assert abs(fn.beta - beta) <= 1e-9 * eng.tree.scale
+    # 6,359 of each.
+    assert checked >= 6000 and newton >= 6000, (checked, newton)
+
+
+def test_balance_root_cases():
+    # The closed form on one view with its terms and values replaced:
+    # no root where q is free or where every root of the squared
+    # equation has e < 0, and the linear cases, dk = 0 and a zero
+    # quadratic coefficient (dk^2 = dA_beta^2).
+    t = random_tree(4, 14, "uniform")
+    cat = Caterpillar(t, backbone(t))
+    i = max(range(len(cat.arcs) - 1),
+            key=lambda i: cat.arcs[i + 1] - cat.arcs[i]
+            if cat.arcs[i] >= cat.c_arc else 0.0)
+    b0 = 0.5 * (cat.arcs[i] + cat.arcs[i + 1])      # mid-edge, right of c
+    a0 = 0.5 * cat.c_arc
+    fv = cat.families(a0, b0)
+    tree, via, x_in, y_in = ((0.0, 0.0, 0.0), (1.0, -1.0, 1.0),
+                             (1.0, 1.0, 1.0), (-1.0, -1.0, 1.0))
+    view = lambda g, tu, tv: replace(fv, fx=fv.fy + g, fx_term=tu,
+                                     fy_term=tv)
+    assert math.isnan(cat.balance_root(view(1.0, tree, tree), a0, "fx",
+                                       "fy"))
+    # r(x) = e(x) + e0: squared, e(x) = e0 at x = 0, where e = -e0 < 0.
+    assert math.isnan(cat.balance_root(
+        view(2.0 * fv.e, (0.0, 0.0, 1.0), tree), a0, "fx", "fy"))
+    assert cat.balance_root(view(0.25, x_in, y_in), a0, "fx", "fy") == (
+        b0 - 0.125)
+    g = 1e-3 * (cat.arcs[i + 1] - cat.arcs[i])
+    for sign in (1.0, -1.0):
+        beta = cat.balance_root(view(sign * g, via, tree), a0, "fx", "fy")
+        x = beta - b0
+        assert 0.0 < abs(x) < 0.5 * (cat.arcs[i + 1] - cat.arcs[i])
+        r = sign * g - x + (cat.chord(a0, beta) - fv.e)
+        assert abs(r) <= 1e-12 * t.scale, (sign, r)
 
 
 def certificate_centers(cat, rng, count):

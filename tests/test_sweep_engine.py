@@ -576,13 +576,16 @@ def test_balance_stays_in_bracket(monkeypatch):
 def test_families_calls_per_vertex_bounded(monkeypatch):
     """Deterministic work gate beside criterion 9's wall-clock gate.
 
-    Balance solves by Newton steps with a bracketed Newton fallback,
-    interior-minimum searches only on stretches whose lowest probe is
-    interior, stop finds that read no probe past the first where a watch
-    holds, a phase I that is one root find and a phase III that reads
-    nothing outside its solves leave about 1.75 and 1.94 families calls
-    per vertex at n = 2000 and 4000 (2.20 and 2.49 with a bracket
-    fallback that read no slopes and every probe read).
+    Balance solves that start at the root their last state's cell
+    predicts and step to the roots of their reads' cells, with a
+    bracketed Newton fallback, interior-minimum searches only on
+    stretches whose lowest probe is interior, stop finds that read no
+    probe past the first where a watch holds, a phase I that is one root
+    find and a phase III that reads nothing outside its solves leave
+    about 1.00 and 1.15 families calls per vertex at n = 2000 and 4000
+    (1.72 and 1.92 with solves by Newton steps from a secant guess, 2.20
+    and 2.49 with a bracket fallback that read no slopes and every probe
+    read).
     """
     calls = [0]
     families = Caterpillar.families
@@ -598,16 +601,19 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
         calls[0] = 0
         optimize(t, record_segments=False)
         per_vertex[n] = calls[0] / t.n
-    assert max(per_vertex.values()) <= 2.25, per_vertex
+    assert max(per_vertex.values()) <= 1.25, per_vertex
 
 
 def test_balance_families_per_solve(monkeypatch):
-    # Work gate on the balance: Newton steps on the exact slope from a
-    # secant warm start, and where they fail a bracket searched by Newton
-    # steps on the slopes of its reads (``newton_root``), leave about
-    # 2.03 and 1.98 families calls per solve at n = 2000 and 4000.  With
-    # a search of the bracket that read no slopes it was 2.55 and 2.56,
-    # and about 5.5 with the bracket and that search alone.
+    # Work gate on the balance: a solve that starts at the root its last
+    # state's cell predicts and steps to the roots of its reads' cells,
+    # and where that fails a bracket searched by Newton steps on the
+    # slopes of its reads (``newton_root``), leaves about 1.22 and 1.25
+    # families calls per solve at n = 2000 and 4000, and 1.30 on the
+    # three trees of the benchmark's ``optimize-large`` pool.  Newton
+    # steps from a secant guess left 2.06, 1.98 and 2.16; with a search
+    # of the bracket that read no slopes it was 2.55 and 2.56 at n = 2000
+    # and 4000, and about 5.5 with the bracket and that search alone.
     calls, solves, depth = [0], [0], [0]
     families, balance = Caterpillar.families, _Engine.balance
 
@@ -626,24 +632,30 @@ def test_balance_families_per_solve(monkeypatch):
     monkeypatch.setattr(Caterpillar, "families", counted)
     monkeypatch.setattr(_Engine, "balance", traced)
     per_solve = {}
-    for n in (2000, 4000):
+    pools = {2000: [11], 4000: [11], "optimize-large": [0, 1, 2]}
+    for name, seeds in pools.items():
         calls[0] = solves[0] = 0
-        optimize(random_tree(11, n, "caterpillar"), record_segments=False)
-        per_solve[n] = calls[0] / solves[0]
-    assert max(per_solve.values()) <= 2.3, per_solve
+        for seed in seeds:
+            n = 2000 if name == "optimize-large" else name
+            optimize(random_tree(seed, n, "caterpillar"),
+                     record_segments=False)
+        per_solve[name] = calls[0] / solves[0]
+    assert max(per_solve.values()) <= 1.5, per_solve
 
 
 def test_corpus_families_calls_bounded(monkeypatch):
     # Work gate on the small trees, where fixed per-run costs dominate: a
     # juncture continues from one balance solve, not from a scan of the
-    # balance for every root, a solve takes Newton steps, and only a
+    # balance for every root, a solve steps to the closed-form root of
+    # the cell it reads (Newton steps in a dip search), and only a
     # stretch whose lowest probe is interior is searched for its minimum,
     # phase I is one root find, a stop find reads no probe past the first
     # where a watch holds, a failed Newton solve searches its bracket by
     # Newton steps, a stop's root find takes Newton steps on the secants
     # of its reads, and the polish certificate reads no families of its
-    # own.  About 6,300 calls (7,872 with the stops' search safeguarded
-    # by regula falsi on the bracket, 11,482 with every probe read too).
+    # own.  About 4,600 calls (6,244 with solves by Newton steps from a
+    # secant guess, 7,872 with the stops' search safeguarded by regula
+    # falsi on the bracket too, 11,482 with every probe read as well).
     # Phase I's root find reads about 800 of them (1,945 before).
     calls, phase1_calls, inside = [0], [0], [False]
     families, phase1 = Caterpillar.families, _Engine.phase1
@@ -664,7 +676,7 @@ def test_corpus_families_calls_bounded(monkeypatch):
     monkeypatch.setattr(_Engine, "phase1", traced)
     for seed in range(70):
         optimize(corpus_tree(seed))
-    assert calls[0] <= 7000, calls[0]
+    assert calls[0] <= 5200, calls[0]
     assert phase1_calls[0] <= 1000, phase1_calls[0]
 
 
@@ -719,8 +731,11 @@ def test_polish_ends_where_the_full_compass_search_ends(trees):
     # the search walks far before it stops and meets the breakpoints and
     # branch changes that bound the certificate.  The hold-out trees are
     # built as ``tools/answers.py`` builds them.  On each set ``pairs``,
-    # which only the wedge-pair witness follows, sets the value at 20
-    # starts or more.
+    # which only the wedge-pair witness follows, is within tol of the
+    # families, where the certificate takes that witness
+    # (``Caterpillar._witnesses``), at 40 starts or more (96, 101 and 44).
+    # Counting only where ``pairs`` exceeds the families counted sweep
+    # starts where it does so by rounding, 4e-16 to 5e-12 * scale.
     if trees == "criterion-1":
         specs = [(s, CORPUS_SIZES[s % 3], CORPUS_SHAPES[s % 3])
                  for s in range(210)]
@@ -743,9 +758,9 @@ def test_polish_ends_where_the_full_compass_search_ends(trees):
             assert eng._polish(val, ab) == want, (spec, ab)
             moved += want != (val, ab)
             fv = cat.families(*ab)
-            paired += cat.pairs(*ab, fv.cyc) > fv.diameter
+            paired += cat.pairs(*ab, fv.cyc) >= fv.diameter - eng.tol
     assert moved >= 50, moved
-    assert paired >= 20, paired
+    assert paired >= 40, paired
 
 
 def test_sweep_rescues_bounded():

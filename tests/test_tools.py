@@ -3,9 +3,12 @@
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
+
+from treecut.oracle import random_tree
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -308,6 +311,31 @@ def test_seeded_shortcut_is_the_benchmark_request():
         got = {"p": {"edge": [sc.p.u, sc.p.v], "lambda": sc.p.lam},
                "q": {"edge": [sc.q.u, sc.q.v], "lambda": sc.q.lam}}
         assert json.loads(json.dumps(got)) == json.loads(json.dumps(want))
+
+
+def test_motions_counts_copies_beyond_the_bound(monkeypatch, capsys):
+    # The original reads 0.5; of the moved copies one is better and one
+    # worse beyond 1e-9, and the rest are within it.
+    reads = iter([0.5, 0.5 - 3e-9, 0.5 + 2e-9] + [0.5 + 5e-10] * 38)
+    monkeypatch.setattr(answers, "measure", lambda tree: next(reads))
+    assert answers.main(["motions", "0", "9", "caterpillar"]) == 0
+    out = capsys.readouterr().out
+    assert "random_tree(0, 9, 'caterpillar')" in out
+    assert "40 moved copies: 1 better, 1 worse (beyond 1e-09); " \
+        "difference from -3e-09 to 2e-09" in out
+
+
+def test_moved_copies_are_similarities():
+    # Every edge of a moved copy is scaled by one factor, and the answer's
+    # measure, which a similarity keeps, holds on this tree.
+    t = random_tree(5, 14, "balanced")
+    base = answers.measure(t)
+    rng = random.Random(3)
+    for _ in range(8):
+        m = answers.moved(t, rng)
+        ratios = [a / b for a, b in zip(m.edge_len, t.edge_len)]
+        assert max(ratios) == pytest.approx(min(ratios), rel=1e-9)
+        assert answers.measure(m) == pytest.approx(base, abs=1e-9)
 
 
 def test_code_lines_skips_docstrings_comments_and_blank_lines():

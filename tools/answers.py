@@ -1,7 +1,9 @@
-"""Dump the sweep's answers on the ROADMAP trees, or compare two dumps.
+"""Dump the sweep's answers on the ROADMAP trees, compare two dumps, or
+check one tree's answer under motions.
 
     python tools/answers.py dump OUT.json
     python tools/answers.py compare BEFORE.json AFTER.json
+    python tools/answers.py motions SEED N SHAPE
 
 ``dump`` runs ``optimize`` from the ``src/`` beside this file on the
 ROADMAP comparison set (the 210 criterion-1 trees, the 210 hold-out
@@ -45,6 +47,15 @@ A dump from before the evaluate records were added has none;
 from before ``evaluate_calls``, the solves, ``phase1_families`` or
 ``sweep_gap`` were recorded is treated the same way: ``compare`` says so
 and leaves those columns out.
+
+``motions`` runs ``optimize`` on ``random_tree(SEED, N, SHAPE)`` and on
+40 moved copies of it (``moved``): each rotated, mirrored half the time,
+scaled by 10^u with u uniform in [-3, 3] and translated, from a stream
+seeded by SEED.  The answer's measure is ``diameter_after /
+diameter_before``, which a similarity keeps; the tree's scale, a
+bounding-box diagonal, changes under rotation.  It prints how many
+copies answer better and how many worse than the original by more than
+1e-9, and the least and largest difference of the measure.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import random
@@ -69,12 +81,18 @@ from treecut.caterpillar import Caterpillar  # noqa: E402
 from treecut.diameter_core import backbone  # noqa: E402
 from treecut.oracle import random_tree  # noqa: E402
 from treecut.sweep_engine import _Engine, optimize  # noqa: E402
-from treecut.tree_model import Shortcut, TreePoint  # noqa: E402
+from treecut.tree_model import (  # noqa: E402
+    GeometricTree,
+    Shortcut,
+    TreePoint,
+)
 
 SHAPES, SIZES = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
 WORSE = 1e-9        # the largest loss allowed, in units of the tree's scale
 RESCUE = 1e-6       # a sweep_gap above this, in units of scale, is a rescue
 EVALUATE = "evaluate/"      # the name prefix of the evaluate records
+MOTIONS = 40        # the moved copies ``motions`` checks
+MOVED = 1e-9        # a moved copy's measure differs beyond this
 
 
 def trees():
@@ -363,6 +381,46 @@ def compare(before_path, after_path):
     return ok
 
 
+def moved(tree, rng):
+    """A copy of ``tree`` moved by a similarity drawn from ``rng``: a
+    rotation, a mirror half the time, a scaling by 10^u with u uniform in
+    [-3, 3], and a translation by up to ten times the moved scale."""
+    turn = rng.uniform(0.0, 2.0 * math.pi)
+    cos, sin = math.cos(turn), math.sin(turn)
+    mirror = -1.0 if rng.random() < 0.5 else 1.0
+    factor = 10.0 ** rng.uniform(-3.0, 3.0)
+    dx, dy = (rng.uniform(-10.0, 10.0) * factor * tree.scale
+              for _ in range(2))
+    coords = {v: (factor * (cos * x - sin * mirror * y) + dx,
+                  factor * (sin * x + cos * mirror * y) + dy)
+              for v, (x, y) in tree.coords.items()}
+    return GeometricTree(coords, tree.edges)
+
+
+def measure(tree):
+    """``diameter_after / diameter_before`` of ``optimize`` on ``tree``."""
+    res = optimize(tree)
+    return res.diameter_after / res.diameter_before
+
+
+def motions(seed, n, shape):
+    """Print how ``MOTIONS`` moved copies of ``random_tree(seed, n,
+    shape)`` answer against the original; returns the differences of
+    their measures."""
+    tree = random_tree(seed, n, shape)
+    base = measure(tree)
+    rng = random.Random(f"motions:{seed}")
+    diffs = [measure(moved(tree, rng)) - base for _ in range(MOTIONS)]
+    better = sum(d < -MOVED for d in diffs)
+    worse = sum(d > MOVED for d in diffs)
+    print(f"random_tree({seed}, {n}, {shape!r}): diameter_after / "
+          f"diameter_before {base!r}")
+    print(f"{MOTIONS} moved copies: {better} better, {worse} worse "
+          f"(beyond {MOVED:g}); difference from {min(diffs):.3g} to "
+          f"{max(diffs):.3g}")
+    return diffs
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -372,9 +430,17 @@ def main(argv=None):
     c = sub.add_parser("compare", help="the identity verdict of two dumps")
     c.add_argument("before")
     c.add_argument("after")
+    m = sub.add_parser("motions", help="one tree's answer under moved "
+                       "copies")
+    m.add_argument("seed", type=int)
+    m.add_argument("n", type=int)
+    m.add_argument("shape", choices=SHAPES)
     args = ap.parse_args(argv)
     if args.command == "dump":
         dump(args.out)
+        return 0
+    if args.command == "motions":
+        motions(args.seed, args.n, args.shape)
         return 0
     return 0 if compare(args.before, args.after) else 1
 
