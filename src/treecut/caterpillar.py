@@ -183,15 +183,17 @@ class FamilyView:
     the length moves by A_alpha d alpha + A_beta d beta + k de while the
     branches, the argmax pendants and the backbone edges under p and q
     stay as they are.  ``de`` is the chord's slope de/dbeta at fixed
-    alpha, NaN where the chord is 0, so a family's slope in beta is
-    A_beta + k de.  ``fanti_term`` is ``_TREE`` where there is no
-    pendant.
+    alpha and ``de_alpha`` its slope de/dalpha at fixed beta, both NaN
+    where the chord is 0, so a family's slopes are A_alpha + k de_alpha
+    in alpha and A_beta + k de in beta.  ``fanti_term`` is ``_TREE``
+    where there is no pendant.
     """
 
     alpha: float
     beta: float
     e: float
     de: float
+    de_alpha: float
     q_point: tuple          # (x, y) of q
     q_edge: int             # the backbone edge under q, as in ``_locate``
     cyc: float
@@ -246,7 +248,7 @@ class Caterpillar:
         # built by flip() holds its maker weakly, so that the two form no
         # reference cycle and are freed as soon as they are dropped.
         self._flipped = lambda: None
-        # The last alpha ``chord`` embedded and its coordinates.
+        # The last alpha ``chord`` embedded, its point and its edge.
         self._alpha_at = (None, None)
         # What the last ``evaluate`` read, (alpha, beta, fv, cross) with
         # the families view and ``_cross_pair``'s result; None where p = q.
@@ -305,23 +307,26 @@ class Caterpillar:
         return self._chord(alpha, beta)[0]
 
     def _p_point(self, alpha):
-        """``embed(alpha)``, remembering the last alpha: a walk reads many
-        q at one p."""
+        """``_locate(alpha)``, remembering the last alpha: a walk reads
+        many q at one p."""
         if alpha != self._alpha_at[0]:
-            self._alpha_at = (alpha, self._locate(alpha)[:2])
+            self._alpha_at = (alpha, self._locate(alpha))
         return self._alpha_at[1]
 
     def _chord(self, alpha, beta):
-        """(e, de, Q, i): the chord e = |pq|, its slope de/dbeta at fixed
-        alpha, (Q - P).u / e with u the unit direction of the edge i that
-        holds q (NaN where e = 0), and q's point Q."""
-        xa, ya = self._p_point(alpha)
+        """(e, de, de_alpha, Q, i): the chord e = |pq|, its slope de/dbeta
+        at fixed alpha, (Q - P).u / e with u the unit direction of the
+        edge i that holds q, its slope de/dalpha at fixed beta, -(Q -
+        P).u_p / e with u_p that of p's edge (both NaN where e = 0), and
+        q's point Q."""
+        xa, ya, j = self._p_point(alpha)
         xb, yb, i = self._locate(beta)
         dx, dy = xb - xa, yb - ya
         e = math.hypot(dx, dy)
         if e == 0.0:
-            return e, math.nan, (xb, yb), i
-        return e, (dx * self._ux[i] + dy * self._uy[i]) / e, (xb, yb), i
+            return e, math.nan, math.nan, (xb, yb), i
+        return (e, (dx * self._ux[i] + dy * self._uy[i]) / e,
+                -(dx * self._ux[j] + dy * self._uy[j]) / e, (xb, yb), i)
 
     def arc_to_treepoint(self, arc):
         from .tree_model import TreePoint
@@ -338,7 +343,7 @@ class Caterpillar:
     def families(self, alpha, beta):
         """Exact values of the monitored diametral-path families at (p, q),
         with their winning terms."""
-        e, de, q_point, q_edge = self._chord(alpha, beta)
+        e, de, de_alpha, q_point, q_edge = self._chord(alpha, beta)
         cyc = e + (beta - alpha)
         half = cyc / 2.0
         pbar = alpha + half           # antipodal of p, always on the tree arc
@@ -406,8 +411,8 @@ class Caterpillar:
         diameter = max(xy, fx, fy, self.delta)
         if fanti_p >= 0:
             diameter = max(diameter, fanti)
-        return FamilyView(alpha, beta, e, de, q_point, q_edge, cyc,
-                          pbar, qbar, xy, xy_branch, xy_term,
+        return FamilyView(alpha, beta, e, de, de_alpha, q_point, q_edge,
+                          cyc, pbar, qbar, xy, xy_branch, xy_term,
                           fx, fx_branch, fx_p, fx_term,
                           fy, fy_branch, fy_p, fy_term,
                           fanti, fanti_p, fanti_term, diameter)
@@ -415,31 +420,48 @@ class Caterpillar:
     def balance_root(self, fv, alpha, u, v):
         """The beta at which the families named ``u`` and ``v`` (fields of
         ``fv``, as "fx" or "xy") balance at ``alpha``, while the cell of the
-        view ``fv`` holds; NaN where they do not balance there.
-
-        With x = beta - fv.beta and the difference (dA_alpha, dA_beta, dk)
-        of the two terms the residual is c + dA_beta x + dk e(x): c is
-        u - v on ``fv``, moved by dA_alpha (alpha - fv.alpha), less dk
-        fv.e, and e(x) is |D + x d| with D = Q(fv.beta) - P(alpha) and d
-        the unit direction of q's edge.  Where dk = 0 the root is linear
-        in x.  Otherwise squaring dk e = -(c + dA_beta x), with e(x)^2 =
-        |D|^2 + 2x D.d + x^2, gives one quadratic in x; of its roots with
-        e >= 0 the one nearest fv.beta is kept.  Where q is free (both
-        families tree-routed) the residual is constant and there is none.
+        view ``fv`` holds; NaN where they do not balance there: the root
+        ``line_root`` finds of u - v along beta from (alpha, fv.beta).
+        Where q is free (both families tree-routed) the residual is
+        constant and there is none.
         """
-        (wu, (au, bu, ku)), (wv, (av, bv, kv)) = _FAMILY[u](fv), _FAMILY[v](fv)
-        a, k = bu - bv, ku - kv
-        c = wu - wv + (au - av) * (alpha - fv.alpha)
+        (wu, tu), (wv, tv) = _FAMILY[u](fv), _FAMILY[v](fv)
+        return fv.beta + self.line_root(fv, alpha, wu - wv, tu, tv, 0.0, 1.0)
+
+    def line_root(self, fv, alpha, r, term, less, da, db):
+        """The s at which a length of the cell of the view ``fv`` is 0 at
+        (alpha + da s, fv.beta + db s), while the cell holds; NaN where it
+        is not 0 there.  The length reads r on ``fv``, a length of term
+        ``term`` less one of term ``less``, each (A_alpha, A_beta, k), so
+        it moves by their difference (dA_alpha, dA_beta, dk).
+
+        With c the length at (alpha, fv.beta) less dk e there, and a =
+        dA_alpha da + dA_beta db, the length is c + a s + dk e(s): e(s) is
+        |D + s w| with D = Q(fv.beta) - P(alpha) and w = db u_q - da u_p,
+        u_q and u_p the unit directions of the edges under q and p.  Where
+        dk = 0 the root is linear in s.  Otherwise squaring dk e = -(c + a
+        s), with e(s)^2 = |D|^2 + 2s D.w + s^2 |w|^2, gives one quadratic
+        in s; of its roots with e >= 0 the one nearest 0 is kept.
+        """
+        (ta, tb, tk), (la, lb, lk) = term, less
+        a_alpha, k = ta - la, tk - lk
+        c = r + a_alpha * (alpha - fv.alpha)
+        a = a_alpha * da + (tb - lb) * db
         if k == 0.0:
-            return fv.beta - c / a if a else math.nan
+            return -c / a if a else math.nan
         c -= k * fv.e
-        xa, ya = self._p_point(alpha)
+        xa, ya, j = self._p_point(alpha)
+        i = fv.q_edge
         dx, dy = fv.q_point[0] - xa, fv.q_point[1] - ya
         e0 = math.hypot(dx, dy)
-        du = dx * self._ux[fv.q_edge] + dy * self._uy[fv.q_edge]
-        # k^2 (e0^2 + 2 du x + x^2) = (c + a x)^2, as A x^2 + 2 B x + C = 0;
-        # C = (k e0 - c) r(0) keeps the residual at x = 0 exact.
-        quad, half = k * k - a * a, k * k * du - a * c
+        du, ww = db * (dx * self._ux[i] + dy * self._uy[i]), db * db
+        if da:
+            du -= da * (dx * self._ux[j] + dy * self._uy[j])
+            ww += da * da - 2.0 * da * db * (
+                self._ux[i] * self._ux[j] + self._uy[i] * self._uy[j])
+        # k^2 (e0^2 + 2 du s + ww s^2) = (c + a s)^2, as A s^2 + 2 B s + C
+        # = 0; C = (k e0 - c) r(0) keeps the length at s = 0 exact.
+        quad, half = k * k * ww - a * a, k * k * du - a * c
         const = (k * e0 - c) * (c + k * e0)
         disc = half * half - quad * const
         if disc < 0.0:
@@ -449,8 +471,8 @@ class Caterpillar:
         if quad:
             roots.append(big / quad)
         for x in sorted(roots, key=abs):
-            if k * (c + a * x) <= 0.0:      # e(x) = -(c + a x) / k >= 0
-                return fv.beta + x
+            if k * (c + a * x) <= 0.0:      # e(s) = -(c + a s) / k >= 0
+                return x
         return math.nan
 
     # -- exact evaluation -------------------------------------------------

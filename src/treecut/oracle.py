@@ -36,7 +36,7 @@ from .tree_model import (
 __all__ = [
     "GridResult", "grid_search", "random_tree", "stress_family",
     "straight_backbone_tree", "point_backbone_tree", "dense_sample_diameter",
-    "leaf_pair_diameter",
+    "leaf_pair_diameter", "polished_grid_optimum",
 ]
 
 
@@ -165,6 +165,25 @@ def _grid_full(tree, decomp, h):
     if best[0] >= decomp.diameter - tree.tol:
         best = (decomp.diameter, decomp.center, decomp.center)
     return GridResult(Shortcut(best[1], best[2]), best[0], h, count, False)
+
+
+def polished_grid_optimum(tree: GeometricTree, m: int = 161) -> float:
+    """The least value of an m x m backbone grid of the exact evaluator,
+    from that point polished by ``optimize``'s compass search.
+
+    The grid spans p in [0, c] and q in [c, L] in arc from a, c the
+    absolute center; it is the reference a sweep answer is checked
+    against for a miss.
+    """
+    from .sweep_engine import _Engine
+    eng = _Engine(tree, backbone(tree))
+    cat = eng.cat
+    A, B = np.meshgrid(np.linspace(0.0, cat.c_arc, m),
+                       np.linspace(cat.c_arc, cat.L, m), indexing="ij")
+    A, B = A.ravel(), B.ravel()
+    vals = cat.evaluate_grid(A, B)
+    i = int(np.argmin(vals))
+    return eng._polish(float(vals[i]), (float(A[i]), float(B[i])))[0]
 
 
 def leaf_pair_diameter(tree: GeometricTree, shortcut: Shortcut):

@@ -30,8 +30,8 @@ with one ``("delta-floor",)`` terminal, a watch for a family that
 tied where the walk started must clear one entry margin, ``2 tol``, so
 that it does not fire before the motion starts, and every stretch, the
 one the walk stops in too, ends alike: where an interior probe dips
-below both of its ends the stretch, up to its stop, is searched for its
-minimum, and its last state is noted as its segment end.  No search
+below both of its ends the stretch is searched for its dip around that
+probe, and its last state is noted as its segment end.  No search
 moves the walk: q's next balance solve starts from the walk's own
 path.  The solves themselves can still move phase III's q back toward
 c between the probes of a stretch, on a few trees.  Continuous motion
@@ -45,12 +45,10 @@ the cell of the walk's last solved state predicts, or at the secant
 guess of the last two solutions where it predicts none, and reads the
 families there once; where the residual is within the acceptance that
 read is the walk's state.  Else the solve steps to the closed-form root
-of each read's cell.  The interior-minimum search alone keeps Newton
-steps on the residual's exact slope in q, A_beta + k de/dbeta for each
-of its two families, from the secant guess.  A step across the root
-brackets it; where a step would leave the limits, is not defined or
-fails to shrink the residual, a bracket grown from the guess, from a
-fixed first step of 1e-4 L, does.  Inside the bracket
+of each read's cell.  A step across the root brackets it; where a step
+would leave the limits, is not defined or fails to shrink the residual,
+a bracket grown from the guess, from a fixed first step of 1e-4 L,
+does.  Inside the bracket
 ``newton_root``, the one root finder, takes Newton steps safeguarded by
 bisection, each at least eps/4 long, and stops where |g| is within the
 caller's acceptance, the bracket is eps wide or no float lies inside
@@ -59,13 +57,20 @@ wedge crossing) follows one rule, ``_Engine._first_stop``: read the
 states at a few points in order until the largest watch holds at one,
 stop there or at the root ``newton_root`` finds of that largest watch
 in the interval before it, keep the state the root finder read there,
-and name the stop after the first watch that holds in it.  A watch
-gives no slopes: each of its reads takes the secant through the bracket
-end it replaces, and until an end is replaced the bracket's own secant
-(regula falsi) serves.  The phases note candidate placements in one
-list: phase I's end, phase III's starts, the walks' interior minima and
-segment ends, and the wedge crossing; a stop notes none of its own, its
-state ends the stretch it stops in.  Every distinct one is evaluated
+and name the stop after the first watch that holds in it.  The same
+terms give every watch its exact slope along the motion: a watch is a
+family less the diameter the motion tracks, and along a walk that
+balances g = u - v q moves by d beta / d alpha = -g_alpha / g_beta,
+each partial A + k times the chord's partial (``FamilyView.de`` and
+``de_alpha``).  The root finder takes Newton steps on that slope at
+every read, about two reads a walk stop.  Phase I moves along a line
+in (alpha, beta), so its watch has a closed-form root in each cell
+(``Caterpillar.line_root``), and its Newton steps land there.  A dip
+is found alike, as the root from - to + of the diameter's slope along
+the walk beside the stretch's lowest read.  The phases note candidate
+placements in one list: phase I's end, phase III's starts, the walks'
+dips and segment ends, and the wedge crossing; a stop notes none of
+its own, its state ends the stretch it stops in.  Every distinct one is evaluated
 exactly and the best is polished by a compass search on the exact
 evaluator.  A stationarity certificate (``Caterpillar.safe_steps``)
 shows at which steps a probe cannot improve; the search evaluates no
@@ -85,7 +90,7 @@ from itertools import groupby
 from operator import attrgetter
 
 from .augmented_eval import has_useful_shortcut
-from .caterpillar import Caterpillar, NEG
+from .caterpillar import Caterpillar
 from .diameter_core import backbone
 from .errors import NoRootInBracket
 from .tree_model import Shortcut
@@ -176,6 +181,29 @@ def _active(pair):
     return lambda fv: max(both(fv))
 
 
+# The family each watch of a stop watches, by the watch's name; the delta
+# floor watches a constant.  A watch is that family less the diameter the
+# motion tracks and a margin (``_Engine._watches``), so its slope along
+# the motion is that of the difference of their terms.
+_WATCHED = {"antipodal": "fanti", "x-side": "fx", "y-side": "fy",
+            "xy-retie": "xy"}
+# By watch name: its family's term on a families view, 0 for the floor.
+_TERM = {"delta-floor": lambda fv: (0.0, 0.0, 0.0), **{
+    name: attrgetter(fam + "_term") for name, fam in _WATCHED.items()}}
+
+
+def _rate(fv, term, less, da, db):
+    """The slope at the view ``fv`` along the motion (da, db) in (alpha,
+    beta) of a length of term ``term`` less one of term ``less``, each
+    (A_alpha, A_beta, k): the A's difference along the motion plus dk
+    times the chord's, from ``FamilyView.de_alpha`` and ``de``.  Where dk
+    is 0 the chord cancels, also where its slopes are NaN."""
+    (a, b, k), (la, lb, lk) = term, less
+    k -= lk
+    return (a - la) * da + (b - lb) * db + (k and k * (
+        fv.de_alpha * da + fv.de * db))
+
+
 def newton_root(fn, lo, hi, eps, accept):
     """A root of fn inside the bracket of the reads ``lo`` and ``hi``.
 
@@ -191,10 +219,13 @@ def newton_root(fn, lo, hi, eps, accept):
     end is replaced, the bracket's own secant (regula falsi) serves.
     Each step is the Newton point of the end that predicts the shorter
     step, moved at least eps/4 as in Brent's method, so that a step that
-    pins a root lands across it and the bracket closes.  Where that point
-    lies outside the bracket or the slope there is not positive and
-    finite, the step is the midpoint.  A Newton step that does not halve
-    the bracket is followed by a midpoint step, except the first: on a
+    pins a root lands across it and the bracket closes.  Where accept is
+    0 or less the search can only end on a read where f >= 0, so a step
+    from an end with fn's own slope aims eps/8 past its Newton point: one
+    that pins the root lands across it.  Where the Newton point lies
+    outside the bracket or the slope there is not positive and finite,
+    the step is the midpoint.  A Newton step that does not halve the
+    bracket is followed by a midpoint step, except the first: on a
     residual with one kink inside the bracket and exact slopes, the end
     beyond the kink either predicts a step longer than the other end's
     exact one or lands on the root's side of the kink, where the next
@@ -204,30 +235,32 @@ def newton_root(fn, lo, hi, eps, accept):
     twice bisection's count, and never more than 200.
     """
     chord = (hi[1] - lo[1]) / (hi[0] - lo[0])
-    # The reads where f < 0 and f >= 0.
-    ends = [(x, f, chord if s is None else s) for x, f, s in (lo, hi)]
-    for x, f, _ in ends:
+    # The reads where f < 0 and f >= 0, each with its slope and, as 1 or
+    # 0, whether that slope is fn's own.
+    ends = [(x, f, chord if s is None else s, s is not None)
+            for x, f, s in (lo, hi)]
+    for x, f, *_ in ends:
         if abs(f) <= accept:
             return x
+    bias = 0.125 * eps if accept <= 0.0 else 0.0
     mid_next = False
     for i in range(200):
-        (a, fa, sa), (b, fb, sb) = ends
+        (a, fa, sa, own_a), (b, fb, sb, own_b) = ends
         w = b - a
         if w <= eps or math.nextafter(a, b) == b:
             break
         d_lo = -fa / sa if 0.0 < sa < math.inf else math.inf
         d_hi = fb / sb if 0.0 < sb < math.inf else math.inf
-        x = (a + max(d_lo, 0.25 * eps) if d_lo <= d_hi
-             else b - max(d_hi, 0.25 * eps))
+        x = (a + max(d_lo + bias * own_a, 0.25 * eps) if d_lo <= d_hi
+             else b - max(d_hi - bias * own_b, 0.25 * eps))
         newton = not mid_next and a < x < b
         x = x if newton else 0.5 * (a + b)
         f, s = fn(x)
         if abs(f) <= accept:
             return x
         side = f >= 0.0
-        if s is None:
-            s = (f - ends[side][1]) / (x - ends[side][0])
-        ends[side] = (x, f, s)
+        ends[side] = (x, f, s, True) if s is not None else (
+            x, f, (f - ends[side][1]) / (x - ends[side][0]), False)
         mid_next = newton and i > 0 and ends[1][0] - ends[0][0] > 0.5 * w
     return ends[1][0]
 
@@ -297,18 +330,18 @@ class _WarmStart:
     is at the last solution's alpha, the solve starts at the secant
     guess, the speed law's first-order prediction of q, whichever law
     holds; at the last solution's alpha that is its beta.  A search that
-    reads the walk off its path (a re-probe, an interior-minimum search)
-    saves this state first and restores it after, so that q's motion is
-    the walk's alone; the interior-minimum search sets ``newton``, and
-    its solves start at the secant guess and take Newton steps.
+    reads the walk off its path (a re-probe, a dip search) saves this
+    state first and restores it after, so that q's motion is the walk's
+    alone.  ``slope`` is also d beta / d alpha along a walk where the
+    balance leaves q free.
     """
 
-    __slots__ = ("alpha", "beta", "slope", "floor", "state", "newton")
+    __slots__ = ("alpha", "beta", "slope", "floor", "state")
 
     def __init__(self, beta, floor):
         self.alpha, self.beta, self.slope = None, beta, 0.0
         self.floor = floor
-        self.state, self.newton = None, False
+        self.state = None
 
     def guess(self, alpha):
         if self.alpha is None:
@@ -327,10 +360,10 @@ class _WarmStart:
         self.alpha, self.beta, self.state = alpha, beta, state
 
     def save(self):
-        return self.alpha, self.beta, self.slope, self.state, self.newton
+        return self.alpha, self.beta, self.slope, self.state
 
     def restore(self, saved):
-        self.alpha, self.beta, self.slope, self.state, self.newton = saved
+        self.alpha, self.beta, self.slope, self.state = saved
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +467,12 @@ class _Engine:
         return fv
 
     def ties(self, fv):
-        """The families within tol of the diameter of ``fv``."""
+        """The families within tol of the diameter of ``fv``; the
+        antipodal family is -inf where it has no pendant."""
         d = fv.diameter - self.tol
-        out = {name for name, w in (("xy", fv.xy), ("x", fv.fx),
-                                    ("y", fv.fy)) if w >= d}
-        if fv.fanti_pendant >= 0 and fv.fanti >= d:
-            out.add("anti")
-        return out
+        return {name for name, w in (("xy", fv.xy), ("x", fv.fx),
+                                     ("y", fv.fy), ("anti", fv.fanti))
+                if w >= d}
 
     def _record_lawful(self, phase, frame, states, active, sig_fn, law_fn):
         """Split probe states into constant-signature runs with a law.
@@ -479,12 +511,12 @@ class _Engine:
         lo_lim, hi_lim = max(alpha, frame.c_arc), frame.L
         u, v = _PAIRS[pair]
         guess = math.nan
-        if warm.state is not None and not warm.newton and alpha != warm.alpha:
+        if warm.state is not None and alpha != warm.alpha:
             guess = frame.balance_root(warm.state, alpha, u, v)
         if math.isnan(guess):
             guess = warm.guess(alpha)
         fv = self._solve(frame, alpha, pair, min(max(guess, lo_lim), hi_lim),
-                         lo_lim, hi_lim, warm.newton)
+                         lo_lim, hi_lim)
         warm.update(alpha, fv.beta, fv)
         return fv.beta
 
@@ -492,7 +524,7 @@ class _Engine:
         """A warm start at q = b0 that knows nothing of q's motion yet."""
         return _WarmStart(b0, 64.0 * self.eps)
 
-    def _solve(self, frame, alpha, pair, guess, lo_lim, hi_lim, newton):
+    def _solve(self, frame, alpha, pair, guess, lo_lim, hi_lim):
         """The state at a root of the balance of the family ``pair`` near
         the guess, or at the limit reached without a sign change.
 
@@ -501,16 +533,15 @@ class _Engine:
         difference, has a closed-form root there
         (``Caterpillar.balance_root``), exact while the cell holds.  The
         solve reads the guess; where |g| <= ``accept`` that read is the
-        solution.  Else it steps to the root of the cell of each read, or
-        with ``newton`` takes Newton steps on the residual's exact slope,
-        the difference of the two A_beta + k de/dbeta.  It steps while
-        the step is defined, each iterate stays in [lo_lim, hi_lim] and
-        |g| strictly decreases, for at most four reads in all.  A step
+        solution.  Else it steps to the root of the cell of each read
+        while the step is defined, each iterate stays in [lo_lim, hi_lim]
+        and |g| strictly decreases, for at most four reads in all.  A step
         across the root brackets it with the point it started from.
         Without one, stepping away from the guess, from a first step of
         ``_Engine.step`` growing fourfold, brackets it.  Either way
-        ``newton_root`` finds it inside the bracket from the slopes of
-        the reads.
+        ``newton_root`` finds it inside the bracket from the residual's
+        exact slope at each read, the difference of the two A_beta + k
+        de/dbeta.
         """
         u, v = _PAIRS[pair]
         terms, reads = _READS[pair], {}
@@ -522,15 +553,10 @@ class _Engine:
 
         start = read = (guess, *g(guess))
         for i in range(4):
-            beta, gb, slope = read
+            beta, gb, _ = read
             if abs(gb) <= self.accept:
                 return reads[beta]
-            if not newton:
-                nxt = frame.balance_root(reads[beta], alpha, u, v)
-            elif 0.0 < slope < math.inf:
-                nxt = beta - gb / slope
-            else:
-                nxt = math.nan
+            nxt = frame.balance_root(reads[beta], alpha, u, v)
             if i == 3 or not lo_lim <= nxt <= hi_lim:
                 break
             after = (nxt, *g(nxt))
@@ -571,41 +597,54 @@ class _Engine:
 
     # -- the stop rule ----------------------------------------------------
 
-    def _first_stop(self, state_at, points, watches):
+    def _first_stop(self, state_at, points, watches, slope=None):
         """Where a motion stops: the first placement where a watch holds.
 
         ``watches`` is a list of (name, fn); a watch holds where fn >= 0.
+        ``slope(fv, name, v)`` gives the slope along the motion of the
+        watch ``name``, which reads v at ``fv``; without it the watches
+        give no slopes.
         The states at the ascending ``points`` are read in order, up to
         the first where the largest watch holds; none after it.  The stop
         is that point or, when it is not the first, the root of the
         largest watch inside the interval before it: a read where it is 0
         or the right end of a bracket at most eps wide, found by
-        ``newton_root`` from the secants of its reads.  Its state is the
-        one the root finder read there, never a second read, since a balance
-        solve started from another warm start can land elsewhere; the stop
-        is named after the first watch, in list order, that holds in it.
-        Returns (s, name, fv, states) with states the point reads
-        [(s, fv)]; s, name and fv are None where no watch holds at any
-        point, and every point is read.
+        ``newton_root`` from the largest watch's slope at every read, at
+        the two points that bracket it too, or from the secants of its
+        reads without slopes.  Where a watch holds at a read and its slope
+        puts the root within eps/4 before the read, the read is the root.
+        Its state is the one the root finder read there, never a second
+        read, since a balance solve started from another warm start can
+        land elsewhere; the stop is named after the first watch, in list
+        order, that holds in it.  Returns (s, name, fv, states) with
+        states the point reads [(s, fv)]; s, name and fv are None where no
+        watch holds at any point, and every point is read.
         """
-        top = lambda fv: max(fn(fv) for _, fn in watches)
+        def top(fv):
+            # The largest watch, the first of equals, and its slope; a
+            # read whose slope puts the root within eps/4 before it is the
+            # root.
+            v, i = max((fn(fv), -i) for i, (_, fn) in enumerate(watches))
+            r = slope and slope(fv, watches[-i][0], v)
+            return (0.0 if r and 0.0 <= v <= 0.25 * self.eps * r else v), r
+
         states, prev = [], None
         for s in points:
             fv = state_at(s)
             states.append((s, fv))
-            v = top(fv)
-            if v >= 0.0:
+            if max(fn(fv) for _, fn in watches) >= 0.0:
                 break
-            prev = (s, v)
+            prev = s, fv
         else:
             return None, None, None, states
         if prev is not None:
-            # The watch gives no slopes.  With accept 0 the root finder
-            # returns the right end or a point it read where g = 0; either
-            # way g >= 0.  It never reads a point twice.
+            # With accept 0 the root finder returns the right end or a
+            # point it read where g = 0; either way g >= 0.  It never
+            # reads a point twice.
             read = {}
-            g = lambda x: (top(read.setdefault(x, state_at(x))), None)
-            s = newton_root(g, (*prev, None), (s, v, None), self.eps, 0.0)
+            g = lambda x: top(read.setdefault(x, state_at(x)))
+            s = newton_root(g, (prev[0], *top(prev[1])), (s, *top(fv)),
+                            self.eps, 0.0)
             fv = read.get(s, fv)
         name = next(nm for nm, fn in watches if fn(fv) >= 0.0)
         return s, name, fv, states
@@ -625,37 +664,45 @@ class _Engine:
                     self.diag_count += 1
             prev = sig
 
-    def _interior_min(self, state_at, s0, s1, key):
-        """Golden-section minimum of key(state) over [s0, s1]: its state.
+    def _dip(self, state_at, states, j, key, dslope):
+        """The lowest state a search for the bottom of a dip reads.
 
-        Coarse stopping width: minima located here are only candidate
-        seeds for the exact compass refinement at the end of the run.
-        The search assumes key is unimodal on [s0, s1].  A walk's diameter
-        can be flat and then dip, and the balance's residue, on either
-        side of its root, can tip a flat stretch either way.  So the walk
-        (``_drive``) searches a stretch only where an interior probe is
-        its lowest and below its last state, and where the search over the
-        whole stretch ends above that probe it searches again over the two
-        probe intervals around it and keeps the lower.
+        ``states`` holds a stretch's probe reads [(s, fv)], the lowest at
+        j; ``key(fv)`` is the diameter and ``dslope(fv)`` its slope along
+        the motion.  Flat probes (slope 0) within tol of the lowest show
+        nothing of what lies between them, so where the lowest is flat
+        the midpoint of every interval between two of them is read first.
+        The bottom is the root, from - to +, of the slope inside the
+        interval beside the lowest read on the side its slope points to,
+        found by ``newton_root`` on the secants of its reads to 1e-6 of
+        the two probe intervals beside it.  A read
+        above the lowest lies on the far side of the bottom from it,
+        whatever its own slope: between them the diameter turns down (a
+        flat read, or a kink where the tracked family changes, shows no
+        sign of that).  Without a sign change the lowest read is the
+        dip.
         """
-        gr = (math.sqrt(5.0) - 1.0) / 2.0
-        stop = max(self.eps, 1e-4 * (s1 - s0))
-        a, b = s0, s1
-        c = b - gr * (b - a)
-        d = a + gr * (b - a)
-        fc, fd = key(state_at(c)), key(state_at(d))
-        for _ in range(48):
-            if b - a <= stop:
-                break
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = key(state_at(c))
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = key(state_at(d))
-        return state_at(0.5 * (a + b))
+        read, low = dict(states), key(states[j][1])
+        flat = not dslope(states[j][1])
+        for (a, fa), (b, fb) in zip(states, states[1:]):
+            if flat and max(key(fa), key(fb)) <= low + self.tol:
+                read[0.5 * (a + b)] = state_at(0.5 * (a + b))
+        xs = sorted(read)
+        m = min(range(len(xs)), key=lambda i: key(read[xs[i]]))
+        s, low = xs[m], key(read[xs[m]])
+
+        def g(x):
+            fv = read.get(x) or read.setdefault(x, state_at(x))
+            d, up = dslope(fv), key(fv) - low
+            return (math.copysign(abs(d) or up, x - s) if up > 0.0 else d,
+                    None)
+
+        ends = [(x, *g(x)) for x in xs[m - 1:m + 2]]
+        lo, hi = ends[:2] if ends[1][1] >= 0.0 else ends[1:]
+        if lo[1] < 0.0 <= hi[1]:
+            newton_root(g, lo, hi, max(self.eps, 1e-6 * (
+                ends[2][0] - ends[0][0])), 0.0)
+        return min(read.values(), key=key)
 
     # -- phase I ---------------------------------------------------------
 
@@ -667,13 +714,20 @@ class _Engine:
         family.  While both ends move, alpha + beta = 2c and the chord
         cancels in each gap; while one end is parked, |de/dt| <= 1.  The
         first crossing is therefore the one root of the maximum of the
-        conditions, the stop ``_first_stop`` finds on [0, t_end].  Its t
-        fixes the whole motion, so phase I's trace is one event at its
-        end, a terminal or a path state, and none where a second family
-        ties at t = 0.  Returns (status, fv): status "tie" where a second
-        family ties, "ab" where p and q park at a and b first, "delta"
-        on the delta floor; fv is the state read at the end, by the root
-        finder where the end is a root.
+        conditions, the stop ``_first_stop`` finds on [0, t_end], with
+        the point where the first end parks between, since there every
+        condition's slope in t changes.  p and q move along a line in
+        (alpha, beta), so inside a cell each condition, its family's term
+        less the x-y family's, has a closed-form root
+        (``Caterpillar.line_root``); a read's slope is the one whose Newton
+        step lands there, and where the cell has no root it is the exact
+        slope, -d/d alpha + d/d beta while both ends move.  Its t fixes
+        the whole motion, so phase I's
+        trace is one event at its end, a terminal or a path state, and
+        none where a second family ties at t = 0.  Returns (status, fv):
+        status "tie" where a second family ties, "ab" where p and q park
+        at a and b first, "delta" on the delta floor; fv is the state read
+        at the end, by the root finder where the end is a root.
         """
         cat = self.cat
         c, L = cat.c_arc, cat.L
@@ -681,18 +735,26 @@ class _Engine:
         state_at = lambda t: self.families(cat, max(0.0, c - t),
                                            min(L, c + t))
         # In sorted order: a stop is named after the first that holds.
-        conds = [
-            ("antipodal", lambda fv: (fv.fanti - fv.xy)
-             if fv.fanti_pendant >= 0 else NEG),
-            ("delta-floor", lambda fv: cat.delta + self.tol - fv.xy),
-            ("x-side", lambda fv: fv.fx - fv.xy),
-            ("y-side", lambda fv: fv.fy - fv.xy),
-        ]
+        conds = self._watches(cat, attrgetter("xy"), (
+            "antipodal", "delta-floor", "x-side", "y-side"))
+
+        def slope(fv, name, v):
+            # d/dt from the left: p moves up to t = c, q up to t = L - c.
+            # Where the read's cell has a root, the slope is the one whose
+            # Newton step lands on it (``Caterpillar.line_root``).
+            t = max(c - fv.alpha, fv.beta - c)
+            da, db = -float(t <= c), float(t <= L - c)
+            term = _TERM[name](fv)
+            dt = cat.line_root(fv, fv.alpha, v, term, fv.xy_term, da, db)
+            return (-v / dt if dt and math.isfinite(dt)
+                    else _rate(fv, term, fv.xy_term, da, db))
 
         fv = state_at(0.0)
         if self.ties(fv) - {"xy"}:
             return "tie", fv
-        _, name, fvc, states = self._first_stop(state_at, [0.0, t_end], conds)
+        # Every condition's slope changes where the first end parks.
+        points = sorted({0.0, min(c, L - c), t_end})
+        _, name, fvc, states = self._first_stop(state_at, points, conds, slope)
         if name is None:
             fv = states[-1][1]
             self.emit("terminal", "I", cat, fv, ("parked-ab",))
@@ -705,12 +767,20 @@ class _Engine:
 
     # -- the walk shared by phases II and III -----------------------------
 
-    def _antipodal_watch(self, pair):
-        """The antipodal family rising past the entry margin above the
-        diameter of a walk that balances ``pair``."""
-        active, entry = _active(pair), self.entry
-        return ("antipodal", lambda fv: (fv.fanti - active(fv) - entry)
-                if fv.fanti_pendant >= 0 else NEG)
+    def _watches(self, frame, ref, names, tied=()):
+        """The watches ``names`` of a motion that tracks the diameter
+        ``ref(fv)`` in ``frame``, as (name, fn) pairs: each is the family
+        it watches (``_WATCHED``) less ``ref``, less the entry margin for
+        the names in ``tied``, families that tied where the motion
+        starts; the delta floor is the largest B-sub-tree diameter, plus
+        tol, less ``ref``.  A family without a pendant is -inf."""
+        def watch(name):
+            if name == "delta-floor":
+                return lambda fv: frame.delta + self.tol - ref(fv)
+            get = attrgetter(_WATCHED[name])
+            margin = self.entry if name in tied else 0.0
+            return lambda fv: get(fv) - ref(fv) - margin
+        return [(name, watch(name)) for name in names]
 
     def _drive(self, phase, frame, state_at, x0, end, conds, pair, warm,
                drive_q=False, branch_sig=None, law=None, track=None):
@@ -723,9 +793,13 @@ class _Engine:
         stretch ``_first_stop`` reads ``PROBES + 1`` evenly spaced points,
         the last on the stretch's end exactly, up to the first where the
         handler's watches ``conds`` or the delta floor hold, and finds
-        where they first hold.  Returns (name, x, fv) at that stop, in the
-        state its root finder read there, so the watch ``name`` holds in
-        ``fv``; else (None, x, None) once x has reached end.
+        where they first hold, on each watch's exact slope along the walk:
+        q moves by d beta / d alpha = -g_alpha / g_beta, g the difference
+        of the pair, by the walk's secant where the balance leaves q free
+        and not at all where it is parked at a limit.  Returns (name, x,
+        fv) at that stop, in the state its root finder read there, so the
+        watch ``name`` holds in ``fv``; else (None, x, None) once x has
+        reached end.
 
         Every walk shares its rules.  Its diameter is the larger of the
         family ``pair`` it keeps in balance (``_PAIRS``).  It stops on the
@@ -740,13 +814,12 @@ class _Engine:
         reports changes of ``branch_sig(fv)``, the branches of the
         diametral paths, between them.  Where the first lowest state is
         interior and below the last one, and a Lipschitz bound on the
-        probes leaves room to beat the best seen, it searches the stretch
-        up to its last state for its minimum (``_interior_min``), which is
-        noted as a candidate; a walk with a law reports a dip below both
-        stretch ends as a grow-shrink event.  The search's solves take
-        Newton steps from the secant guess (``_WarmStart.newton``): where
-        the balance has two roots, which one they land on decides some
-        answers.  No search moves the walk:
+        probes leaves room to beat the best seen, it searches beside that
+        state for the bottom of the dip (``_dip``), the root of the
+        diameter's slope along the walk, and notes the
+        lowest state the search read as a candidate; a walk with a law
+        reports a dip below both stretch ends as a grow-shrink event.  The
+        search's solves are the walk's own.  No search moves the walk:
         the warm start the stop find left is restored after it, so q's
         next solve starts from the walk's own path.  The last state is
         appended to ``track`` as (alpha, beta, diameter) when a list is
@@ -758,11 +831,25 @@ class _Engine:
         only, the diagnostic count read a re-probe of the stretch at 24
         points, from the warm start the stop find started from.
         """
-        active = _active(pair)
-        conds = [*conds, ("delta-floor",
-                          lambda fv: frame.delta + self.tol - active(fv))]
+        active, terms = _active(pair), _READS[pair]
+        conds = [*conds, *self._watches(frame, active, ("delta-floor",))]
         bps = frame.bps
         sign = 1 if end > x0 else -1
+
+        def slope(fv, name, v=None):
+            # Along the walk q keeps g = u - v at 0: d beta / d alpha is
+            # -g_alpha / g_beta, or the walk's secant where q is free, and
+            # u and v move alike, the one with the lesser chord term the
+            # most exactly.  q parked at a limit, where g is not 0, stays.
+            wu, wv, tu, tv = terms(fv)
+            ref, da, db = tu if wu >= wv else tv, 1.0 - drive_q, 1.0 * drive_q
+            if not drive_q and abs(wu - wv) <= self.accept:
+                gb = _rate(fv, tu, tv, 0.0, 1.0)
+                db = (-_rate(fv, tu, tv, 1.0, 0.0) / gb
+                      if gb and math.isfinite(gb) else warm.slope)
+                ref = tu if tu[2] < tv[2] else tv
+            return _rate(fv, _TERM[name](fv), ref, sign * da, sign * db)
+
         x = x0
         while sign * (end - x) > self.eps:
             if sign > 0:
@@ -780,7 +867,7 @@ class _Engine:
             grid = lambda m: [span * i / m for i in range(m)] + [span]
             start = warm.save()
             sc, name, fvc, states = self._first_stop(seg, grid(self.PROBES),
-                                                     conds)
+                                                     conds, slope)
             left = warm.save()
             record = law is not None and name is None
             diag = phase == "III"
@@ -807,12 +894,8 @@ class _Engine:
             j = dvals.index(min(dvals))
             if (0 < j and dvals[j] < dvals[-1] and
                     dvals[j] - 8.0 * (span / self.PROBES) < self.best_seen):
-                warm.newton = True
-                fvm = self._interior_min(seg, 0.0, states[-1][0], active)
-                if active(fvm) > dvals[j]:
-                    fvn = self._interior_min(
-                        seg, states[j - 1][0], states[j + 1][0], active)
-                    fvm = min(fvm, fvn, key=active)
+                fvm = self._dip(seg, states, j, active,
+                                lambda fv: -slope(fv, "delta-floor"))
                 warm.restore(left)
                 self.note_if_better(frame, fvm.alpha, fvm.beta,
                                     active(fvm), "interior-min")
@@ -861,18 +944,16 @@ class _Engine:
         shift, by an x-xy shift with the side family that tied.
         """
         state_at, warm = self._balanced(frame, pair, b0)
-        active = _active(pair)
         if pair == "x-xy":
-            phase = "II-x"
-            watch = self._antipodal_watch(pair)
+            phase, watch = "II-x", "antipodal"
             sig_fn = lambda fv: (fv.fx_branch, fv.fx_pendant, fv.xy_branch)
             law = lambda fv: SPEED_LAWS[("t1", fv.fx_branch)]
         else:
-            phase = "II-o"
-            watch = ("x-side", lambda fv: fv.fx - active(fv))
+            phase, watch = "II-o", "x-side"
             sig_fn = lambda fv: (fv.fanti_pendant, fv.xy_branch)
             law = lambda fv: SPEED_LAWS[("t1", "anti-balance")]
-        conds = [("y-side", lambda fv: fv.fy - active(fv)), watch]
+        conds = self._watches(frame, _active(pair), ("y-side", watch),
+                              ("antipodal",))
         law_fn = lambda fv: law(fv) if fv.xy_branch == "via" else None
 
         name, _, fvc = self._drive(
@@ -919,11 +1000,8 @@ class _Engine:
         juncture, so both watches take the entry margin.
         """
         phase, pair = "II-o", "anti-y"
-        active, entry = _active(pair), self.entry
-        conds = [
-            ("x-side", lambda fv: fv.fx - active(fv) - entry),
-            ("xy-retie", lambda fv: fv.xy - active(fv) - entry),
-        ]
+        names = ("x-side", "xy-retie")
+        conds = self._watches(frame, _active(pair), names, names)
         end = frame.c_arc if toward_c else 0.0
         state_at, warm = self._balanced(frame, pair, b0)
         name, alpha, fvc = self._drive(phase, frame, state_at, a0, end,
@@ -961,7 +1039,8 @@ class _Engine:
         """
         phase, pair = "III", "x-y"
         state_at, warm = self._balanced(frame, pair, b0)
-        conds = [self._antipodal_watch(pair)]
+        conds = self._watches(frame, _active(pair), ("antipodal",),
+                              ("antipodal",))
         sig_fn = lambda fv: (fv.fx_branch, fv.fx_pendant,
                              fv.fy_branch, fv.fy_pendant)
         law_fn = lambda fv: SPEED_LAWS[("t2", fv.fx_branch, fv.fy_branch)]

@@ -426,12 +426,12 @@ def slope_rows(fv):
 
 def test_family_slopes_match_central_differences():
     # Each family's winning term (A_alpha, A_beta, k) gives its exact
-    # slopes: A_beta + k de in beta, with the chord's slope de on the view,
-    # and A_alpha + k de/dalpha in alpha.  Compare them with central
-    # differences at +-1e-7 L wherever the branches, the argmax pendants
-    # and the edges under p and q are the same at both ends of the
-    # difference, so that the term is one smooth function there.  Slopes
-    # are dimensionless and of order 1.
+    # slopes: A_beta + k de in beta and A_alpha + k de_alpha in alpha, with
+    # the chord's slopes de and de_alpha on the view.  Compare them, and
+    # de_alpha itself, with central differences at +-1e-7 L wherever the
+    # branches, the argmax pendants and the edges under p and q are the
+    # same at both ends of the difference, so that the term is one smooth
+    # function there.  Slopes are dimensionless and of order 1.
     trees = [random_tree(s, (5, 9, 14)[s % 3],
                          ("uniform", "caterpillar", "balanced")[s % 3])
              for s in range(0, 210, 7)]
@@ -460,9 +460,12 @@ def test_family_slopes_match_central_differences():
                         (1, frame.families(a, b - h), frame.families(a, b + h),
                          mid.de),
                         (0, frame.families(a - h, b), frame.families(a + h, b),
-                         de_a)):
+                         mid.de_alpha)):
                     if not sig(lo) == sig(mid) == sig(hi):
                         continue
+                    if axis == 0:
+                        assert mid.de_alpha == pytest.approx(
+                            de_a, rel=1e-5, abs=1e-5), (t.n, a, b)
                     for name, term in slope_rows(mid):
                         diff = (getattr(hi, name) - getattr(lo, name)) / h / 2
                         assert term[axis] + term[2] * de == pytest.approx(
@@ -489,7 +492,7 @@ def walk_solves(monkeypatch):
     balance = _Engine.balance
 
     def recorded(self, frame, alpha, warm, pair):
-        if warm.state is not None and not warm.newton:
+        if warm.state is not None:
             out.append((self, frame, alpha, pair, warm.state,
                         warm.guess(alpha)))
         return balance(self, frame, alpha, warm, pair)
@@ -512,31 +515,54 @@ def cell(fv, u, v):
                  for field in ("_term", "_pendant")) + (fv.q_edge,)
 
 
+def newton_balance(frame, alpha, pair, beta, lo, accept):
+    """Newton's method on the balance g = u - v of ``pair`` in q at fixed
+    alpha, from ``beta``, on g's exact slope, the difference of the two
+    A_beta + k de: the read where |g| <= accept, or None where a step is
+    not defined or leaves [lo, L] first."""
+    u, v = _PAIRS[pair]
+    for _ in range(20):
+        fv = frame.families(alpha, beta)
+        g = getattr(fv, u) - getattr(fv, v)
+        if abs(g) <= accept:
+            return fv
+        (_, bu, ku), (_, bv, kv) = (getattr(fv, u + "_term"),
+                                    getattr(fv, v + "_term"))
+        slope = bu - bv + (ku - kv and (ku - kv) * fv.de)
+        if not 0.0 < abs(slope) < math.inf:
+            return None
+        beta -= g / slope
+        if not lo <= beta <= frame.L:
+            return None
+    return None
+
+
 def test_balance_root_balances_where_the_cell_holds(monkeypatch):
     # From a walk's last solved state the root its cell predicts at the
-    # next alpha balances the pair, to the solve's acceptance, wherever
-    # the read there is in the same cell.  Where the Newton solve from
-    # the secant guess (the solve of the interior-minimum search) ends in
-    # that cell too, it finds the same root.
+    # next alpha, and halfway to it, balances the pair, to the solve's
+    # acceptance, wherever the read there is in the same cell.  Where
+    # Newton's method from the secant guess ends in that cell too, it
+    # finds the same root.
     checked = newton = 0
     for eng, frame, alpha, pair, state, guess in walk_solves(monkeypatch):
         u, v = _PAIRS[pair]
-        beta = frame.balance_root(state, alpha, u, v)
-        if not 0.0 <= beta <= frame.L:      # NaN too
-            continue
-        fv = frame.families(alpha, beta)
-        if cell(fv, u, v) != cell(state, u, v):
-            continue
-        checked += 1
-        assert abs(getattr(fv, u) - getattr(fv, v)) <= eng.accept
-        lo = max(alpha, frame.c_arc)
-        fn = eng._solve(frame, alpha, pair, min(max(guess, lo), frame.L),
-                        lo, frame.L, True)
-        if cell(fn, u, v) == cell(state, u, v):
-            newton += 1
-            assert abs(fn.beta - beta) <= 1e-9 * eng.tree.scale
-    # 6,359 of each.
-    assert checked >= 6000 and newton >= 6000, (checked, newton)
+        for a in (0.5 * (state.alpha + alpha), alpha):
+            beta = frame.balance_root(state, a, u, v)
+            if not 0.0 <= beta <= frame.L:      # NaN too
+                continue
+            fv = frame.families(a, beta)
+            if cell(fv, u, v) != cell(state, u, v):
+                continue
+            checked += 1
+            assert abs(getattr(fv, u) - getattr(fv, v)) <= eng.accept
+            lo = max(a, frame.c_arc)
+            fn = newton_balance(frame, a, pair, min(max(guess, lo), frame.L),
+                                lo, eng.accept)
+            if fn is not None and cell(fn, u, v) == cell(state, u, v):
+                newton += 1
+                assert abs(fn.beta - beta) <= 1e-9 * eng.tree.scale
+    # 9,923 and 9,766 cases.
+    assert checked >= 9000 and newton >= 9000, (checked, newton)
 
 
 def test_balance_root_cases():

@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from treecut import (
     balance_solve,
     optimize,
 )
-from treecut import smawk
+from treecut import smawk, sweep_engine
 from treecut.augmented_eval import has_useful_shortcut
 from treecut.caterpillar import NEG, Caterpillar
-from treecut.oracle import grid_search, random_tree, stress_family
+from treecut.oracle import (
+    grid_search, polished_grid_optimum, random_tree, stress_family,
+)
 from treecut.sweep_engine import (
     SPEED_LAWS, _Engine, _active, newton_root,
 )
@@ -578,14 +581,15 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
 
     Balance solves that start at the root their last state's cell
     predicts and step to the roots of their reads' cells, with a
-    bracketed Newton fallback, interior-minimum searches only on
-    stretches whose lowest probe is interior, stop finds that read no
-    probe past the first where a watch holds, a phase I that is one root
-    find and a phase III that reads nothing outside its solves leave
-    about 1.00 and 1.15 families calls per vertex at n = 2000 and 4000
-    (1.72 and 1.92 with solves by Newton steps from a secant guess, 2.20
-    and 2.49 with a bracket fallback that read no slopes and every probe
-    read).
+    bracketed Newton fallback, dip searches only on stretches whose
+    lowest probe is interior, stop finds that read no probe past the
+    first where a watch holds, a phase I that is one root find and a
+    phase III that reads nothing outside its solves leave about 1.00 and
+    1.10 families calls per vertex at n = 2000 and 4000 with stop roots
+    on the watches' exact slopes (1.00 and 1.15 on the secants of their
+    reads, 1.72 and 1.92 with solves by Newton steps from a secant
+    guess, 2.20 and 2.49 with a bracket fallback that read no slopes and
+    every probe read).
     """
     calls = [0]
     families = Caterpillar.families
@@ -647,16 +651,18 @@ def test_corpus_families_calls_bounded(monkeypatch):
     # Work gate on the small trees, where fixed per-run costs dominate: a
     # juncture continues from one balance solve, not from a scan of the
     # balance for every root, a solve steps to the closed-form root of
-    # the cell it reads (Newton steps in a dip search), and only a
-    # stretch whose lowest probe is interior is searched for its minimum,
-    # phase I is one root find, a stop find reads no probe past the first
-    # where a watch holds, a failed Newton solve searches its bracket by
-    # Newton steps, a stop's root find takes Newton steps on the secants
-    # of its reads, and the polish certificate reads no families of its
-    # own.  About 4,600 calls (6,244 with solves by Newton steps from a
+    # the cell it reads, and only a stretch whose lowest probe is interior
+    # is searched for its dip, phase I is one root find, a stop find reads
+    # no probe past the first where a watch holds, a failed solve searches
+    # its bracket by Newton steps, a stop's root find and a dip search
+    # take Newton steps on the watch's and the diameter's exact slopes
+    # along the motion, phase I's on the root of the read's cell, and the
+    # polish certificate reads no families of its own.  About 3,270 calls
+    # (4,587 with stop roots on the secants of their reads and a
+    # golden-section dip search, 6,244 with solves by Newton steps from a
     # secant guess, 7,872 with the stops' search safeguarded by regula
     # falsi on the bracket too, 11,482 with every probe read as well).
-    # Phase I's root find reads about 800 of them (1,945 before).
+    # Phase I reads about 280 of them (787 on secants, 1,945 before).
     calls, phase1_calls, inside = [0], [0], [False]
     families, phase1 = Caterpillar.families, _Engine.phase1
 
@@ -676,8 +682,64 @@ def test_corpus_families_calls_bounded(monkeypatch):
     monkeypatch.setattr(_Engine, "phase1", traced)
     for seed in range(70):
         optimize(corpus_tree(seed))
-    assert calls[0] <= 5200, calls[0]
-    assert phase1_calls[0] <= 1000, phase1_calls[0]
+    assert calls[0] <= 3900, calls[0]
+    assert phase1_calls[0] <= 400, phase1_calls[0]
+
+
+def test_corpus_reads_per_stop_root_and_dip_bounded(monkeypatch):
+    # Work gate on the root finds themselves, on corpus trees 0..69: the
+    # families calls inside each root find of ``_first_stop`` (not those
+    # of its probes), split into walk stops and phase I's end, and inside
+    # each dip search.  With the watch's exact slope along the motion a
+    # walk stop's root reads about 2.2 and phase I's about 2.1; a dip
+    # search, a root find of the diameter's slope, about 5.  On the
+    # secants of their reads with a golden-section dip search it was 4.3,
+    # 9.2 and 35.4.  Phase I's conditions bend with the chord, so a
+    # Newton step on their exact slope lands short of the root; a step to
+    # the root of the read's cell (``Caterpillar.line_root``) lands on it
+    # where the cell holds there.
+    roots, reads, stack = Counter(), Counter(), []
+    families, newton = Caterpillar.families, sweep_engine.newton_root
+
+    def counted(self, alpha, beta):
+        for key in reversed(stack):         # the innermost root find
+            if key in ("walk", "phase I", "dip"):
+                reads[key] += 1
+                break
+        return families(self, alpha, beta)
+
+    def entered(key, fn):
+        def traced(*args, **kwargs):
+            roots[key] += 1
+            stack.append(key)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+        return traced
+
+    def root(*args):
+        # A stop's root find is the newton_root call of _first_stop itself,
+        # not one of a balance solve inside it.
+        if stack and stack[-1] == "stop":
+            key = "phase I" if "phase1" in stack else "walk"
+            return entered(key, newton)(*args)
+        return newton(*args)
+
+    monkeypatch.setattr(Caterpillar, "families", counted)
+    monkeypatch.setattr(sweep_engine, "newton_root", root)
+    for name, key in (("_first_stop", "stop"), ("balance", "solve"),
+                      ("phase1", "phase1"), ("_dip", "dip")):
+        monkeypatch.setattr(_Engine, name, entered(key, getattr(_Engine,
+                                                                name)))
+    for seed in range(70):
+        optimize(corpus_tree(seed))
+    per = {key: reads[key] / roots[key] for key in ("walk", "phase I", "dip")}
+    assert roots["walk"] > 100 and roots["phase I"] > 50, roots
+    assert roots["dip"] > 5, roots
+    assert per["walk"] <= 3.0, per
+    assert per["phase I"] <= 3.0, per
+    assert per["dip"] <= 8.0, per
 
 
 def full_compass(eng, val, ab):
@@ -1113,18 +1175,6 @@ def test_wedge_crossing_queries_bounded(monkeypatch):
     assert per_call and max(per_call) <= 25, per_call
 
 
-def polished_grid_optimum(t):
-    """The least value of a 161 x 161 backbone grid, polished."""
-    eng = _Engine(t, backbone(t))
-    cat = eng.cat
-    A, B = np.meshgrid(np.linspace(0.0, cat.c_arc, 161),
-                       np.linspace(cat.c_arc, cat.L, 161), indexing="ij")
-    A, B = A.ravel(), B.ravel()
-    vals = cat.evaluate_grid(A, B)
-    i = int(np.argmin(vals))
-    return eng._polish(float(vals[i]), (float(A[i]), float(B[i])))[0]
-
-
 def item1_tree(i):
     """Tree ``i`` of the ROADMAP's item-1 trees."""
     return (1000000 + i, (5, 9, 14, 20, 30)[i % 5], CORPUS_SHAPES[i % 3])
@@ -1152,15 +1202,20 @@ def test_sweep_finds_the_wedge_pair_optimum(spec):
     ((1003, 48, "caterpillar"), "0x1.f411dd775f4e8p+3"),
     ((1053, 98, "uniform"), "0x1.a7766be1a5408p+3"),
     ((1101, 50, "uniform"), "0x1.4f80744ceef2ep+3"),
-], ids=["caterpillar-1003", "uniform-1053", "uniform-1101"])
+    ((1001227, 14, "uniform"), "0x1.89fc962d7cb08p+2"),
+], ids=["caterpillar-1003", "uniform-1053", "uniform-1101", "uniform-1001227"])
 def test_interior_min_survives_two_sided_balance_residue(spec, before):
-    # Newton's balance leaves a residue on either side of the root, where
-    # the earlier bracket balance's always had g >= 0.  On stretches that
-    # are flat and then dip, a golden section over the whole stretch alone
-    # then lost the dip on the two uniform trees (by 1.9e-2 and 6.7e-3 *
-    # scale), and one over the probe intervals around the lowest probe
-    # alone lost the first tree (by 1.8e-3 * scale).  ``before`` is the
-    # answer the bracket balance, which read no slopes, gave.
+    # A walk's diameter can be flat and then dip, and the balance's
+    # residue, on either side of its root, can tip a flat stretch either
+    # way, so the lowest probe of such a stretch need not lie beside the
+    # dip, nor its slope point to it.  ``_dip`` takes every read above the
+    # lowest to lie on the far side of the bottom from it, and where the
+    # lowest probe is flat it reads between the flat probes first: on the
+    # last tree the stretch reads flat, slope 0, at its first four probes
+    # and dips by 4.4e-3 * scale between the third and the fourth.
+    # ``before`` is the answer of the bracket balance, which read no
+    # slopes, on the first three trees, and of the golden-section search
+    # that ``_dip`` replaced on the last.
     t = random_tree(*spec)
     assert optimize(t).diameter_after \
         <= float.fromhex(before) + 1e-9 * t.scale

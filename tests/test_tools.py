@@ -28,8 +28,9 @@ def record(**change):
     rec = {"set": "criterion-1", "phase_end": "III",
            "diameter_after": (3.0).hex(), "scale": 4.0, "event_count": 7,
            "families": 120, "evaluate_calls": 225, "solves": 40,
-           "solve_families": 100, "phase1_families": 30, "sweep_gap": 0.0,
-           "events": "0123456789abcdef"}
+           "solve_families": 100, "phase1_families": 30, "stop_roots": 10,
+           "stop_families": 30, "dips": 2, "dip_families": 40,
+           "sweep_gap": 0.0, "events": "0123456789abcdef"}
     rec.update(change)
     return rec
 
@@ -152,6 +153,37 @@ def test_compare_prints_phase1_families_per_set(tmp_path, capsys):
     assert "phase I families calls: a dump without them" not in out
 
 
+def test_compare_prints_reads_per_stop_root_and_dip(tmp_path, capsys):
+    # Two trees of 10 stop roots reading 30 families and 2 dip searches
+    # reading 40; after, the second tree's 10 stop roots read 20 and its 4
+    # dip searches 12.
+    code, out = compare(tmp_path, capsys, stop_families=20, dips=4,
+                        dip_families=12)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("families calls per stop root / per dip search, "
+                     "before -> after:")
+    assert lines[at + 1].split() == ["criterion-1", "3.00", "/", "20.00",
+                                     "->", "2.50", "/", "8.67"]
+    assert "stop roots and dips: a dump without them" not in out
+
+
+def test_compare_skips_stop_roots_and_dips_the_older_dump_lacks(tmp_path,
+                                                                capsys):
+    # A dump made before stop roots and dips were counted: their block is
+    # left out and the verdict does not read it.
+    before = {"criterion-1/0": record()}
+    for rec in before.values():
+        for field in answers.ROOTS:
+            del rec[field]
+    after = {"criterion-1/0": record(dips=9)}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    assert "stop roots and dips: a dump without them, not compared" in out
+    assert "per stop root" not in out
+    assert "verdict: PASS" in out
+
+
 def test_compare_prints_rescues_per_set(tmp_path, capsys):
     # A rescue is a tree whose sweep_gap exceeds 1e-6 * scale: before, the
     # polish moved the second tree by 2e-6 * scale; after, the first by
@@ -206,6 +238,10 @@ def test_dump_counts_solves_beside_families():
     assert rec["solves"] > 0
     assert 0 < rec["solve_families"] < rec["families"]
     assert 0 < rec["phase1_families"] < rec["families"]
+    # Its stops' root finds, phase I's among them, read some of them too.
+    assert rec["stop_roots"] > 0
+    assert 0 < rec["stop_families"] < rec["families"]
+    assert rec["dip_families"] >= rec["dips"] >= 0
 
 
 def test_compare_skips_solves_the_older_dump_lacks(tmp_path, capsys):
@@ -292,6 +328,24 @@ def test_compare_skips_evaluate_records_the_older_dump_lacks(tmp_path,
     assert code == 0
     assert "evaluate records: none in the older dump, not compared" in out
     assert "verdict: PASS" in out
+
+
+def test_misses_prints_the_trees_above_the_grid_optimum(capsys):
+    # Hold-out tree 88 ends about 5.4e-3 * scale above its polished grid
+    # optimum, in phase II; hold-out tree 0 ends at it.  The scan runs in
+    # this process here.
+    jobs = [job for job in answers.trees()
+            if job[1] in ("hold-out/0", "hold-out/88")]
+    found = answers.misses(jobs, scan=lambda fn, jobs: dict(map(fn, jobs)))
+    out = capsys.readouterr().out
+    assert list(found) == ["hold-out/88"]
+    assert found["hold-out/88"]["phase_end"] == "II"
+    assert 5e-3 < found["hold-out/88"]["gap"] < 6e-3
+    lines = out.splitlines()
+    assert lines[0] == ("hold-out: 1 misses (above the grid optimum by more "
+                        "than 1e-06 scale) of 2 trees with a useful shortcut")
+    assert lines[1].split()[:2] == ["hold-out/88", "gap"]
+    assert lines[1].split()[-2:] == ["phase_end", "II"]
 
 
 def test_seeded_shortcut_is_the_benchmark_request():

@@ -1,9 +1,10 @@
-"""Dump the sweep's answers on the ROADMAP trees, compare two dumps, or
-check one tree's answer under motions.
+"""Dump the sweep's answers on the ROADMAP trees, compare two dumps,
+check one tree's answer under motions, or scan for misses.
 
     python tools/answers.py dump OUT.json
     python tools/answers.py compare BEFORE.json AFTER.json
     python tools/answers.py motions SEED N SHAPE
+    python tools/answers.py misses
 
 ``dump`` runs ``optimize`` from the ``src/`` beside this file on the
 ROADMAP comparison set (the 210 criterion-1 trees, the 210 hold-out
@@ -16,9 +17,15 @@ the number of ``Caterpillar.families`` calls, the number of
 balance solves (``_Engine.balance`` calls, ``solves``) and of the
 ``families`` calls made inside them (``solve_families``), the number of
 ``families`` calls made inside ``_Engine.phase1`` (``phase1_families``),
-``sweep_gap``, the value ``best`` hands to ``_Engine._polish`` minus the
-value the polish returns, in units of the tree's scale (0 where no
-shortcut helps and nothing is polished), and ``events``, a digest of
+the number of stop root finds (``stop_roots``: the ``newton_root`` calls
+of ``_Engine._first_stop``, phase I's included, not those of the balance
+solves inside it) and of the ``families`` calls inside them
+(``stop_families``; the stops' probes are not counted), the number of
+dip searches (``dips``, calls of ``_Engine._dip``) and of the
+``families`` calls inside them (``dip_families``), ``sweep_gap``, the
+value ``best`` hands to ``_Engine._polish`` minus the value the polish
+returns, in units of the tree's scale (0 where no shortcut helps and
+nothing is polished), and ``events``, a digest of
 the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
 ``float.hex`` and payload; not its diameter).  ``dump`` also runs
 ``augmented_diameter`` on the 120 trees of the benchmark's
@@ -39,14 +46,15 @@ usefulness or achieving pairs changed at all, and prints each set's
 totals of ``families`` calls, ``evaluate`` calls and events before and
 after, each set's mean and median ``evaluate`` calls per tree, each
 set's balance solves and ``families`` calls per solve, each set's
-``families`` calls inside phase I, and each set's rescues, the trees
+``families`` calls inside phase I, each set's ``families`` calls per stop
+root and per dip search, and each set's rescues, the trees
 whose sweep_gap exceeds 1e-6 (the polish found an answer the sweep did
 not), which are not part of the verdict.
 A dump from before the evaluate records were added has none;
 ``compare`` then says so and checks the optimize records alone.  A dump
-from before ``evaluate_calls``, the solves, ``phase1_families`` or
-``sweep_gap`` were recorded is treated the same way: ``compare`` says so
-and leaves those columns out.
+from before ``evaluate_calls``, the solves, ``phase1_families``, the stop
+roots and dips or ``sweep_gap`` were recorded is treated the same way:
+``compare`` says so and leaves those columns out.
 
 ``motions`` runs ``optimize`` on ``random_tree(SEED, N, SHAPE)`` and on
 40 moved copies of it (``moved``): each rotated, mirrored half the time,
@@ -56,6 +64,15 @@ diameter_before``, which a similarity keeps; the tree's scale, a
 bounding-box diagonal, changes under rotation.  It prints how many
 copies answer better and how many worse than the original by more than
 1e-9, and the least and largest difference of the measure.
+
+``misses`` runs ``optimize`` on the 1,500 item-1 trees and the 210
+hold-out trees, in two worker processes like ``dump``, and for each tree
+with a useful shortcut computes how far the answer lies above the
+polished optimum of a 161 x 161 backbone grid of the exact evaluator
+(``treecut.oracle.polished_grid_optimum``), in units of the tree's
+scale.  It prints, per set, the misses, the trees more than 1e-6 * scale
+above it, each with its gap and ``phase_end``.  It is a report, not a
+gate: it exits 0.  It takes about 36 s on one core.
 """
 
 from __future__ import annotations
@@ -79,7 +96,8 @@ from treecut.augmented_eval import (  # noqa: E402
 )
 from treecut.caterpillar import Caterpillar  # noqa: E402
 from treecut.diameter_core import backbone  # noqa: E402
-from treecut.oracle import random_tree  # noqa: E402
+from treecut import sweep_engine  # noqa: E402
+from treecut.oracle import polished_grid_optimum, random_tree  # noqa: E402
 from treecut.sweep_engine import _Engine, optimize  # noqa: E402
 from treecut.tree_model import (  # noqa: E402
     GeometricTree,
@@ -91,8 +109,11 @@ SHAPES, SIZES = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
 WORSE = 1e-9        # the largest loss allowed, in units of the tree's scale
 RESCUE = 1e-6       # a sweep_gap above this, in units of scale, is a rescue
 EVALUATE = "evaluate/"      # the name prefix of the evaluate records
+# The counts of stop root finds and dip searches and their families calls.
+ROOTS = ("stop_roots", "stop_families", "dips", "dip_families")
 MOTIONS = 40        # the moved copies ``motions`` checks
 MOVED = 1e-9        # a moved copy's measure differs beyond this
+MISS = 1e-6         # an answer this far above the grid optimum, in scale
 
 
 def trees():
@@ -157,9 +178,12 @@ def trace_digest(events):
 def answer(job):
     group, name, spec = job
     calls = {"families": 0, "evaluate": 0, "balance": 0, "phase1": 0,
-             "solve_families": 0, "phase1_families": 0}
+             "_first_stop": 0, "_dip": 0, "newton_root": 0,
+             "solve_families": 0, "phase1_families": 0, "stop_roots": 0,
+             "stop_families": 0, "dip_families": 0}
     targets = {"families": Caterpillar, "evaluate": Caterpillar,
-               "balance": _Engine, "phase1": _Engine}
+               "balance": _Engine, "phase1": _Engine, "_first_stop": _Engine,
+               "_dip": _Engine, "newton_root": sweep_engine}
     depth = dict.fromkeys(targets, 0)       # open calls of each method
     originals = {method: getattr(cls, method)
                  for method, cls in targets.items()}
@@ -171,18 +195,28 @@ def answer(job):
         return out
 
     def counting(method):
-        def counted(self, *args):
+        def counted(*args):
             calls[method] += 1
             if method == "families":
                 calls["solve_families"] += depth["balance"] > 0
                 calls["phase1_families"] += depth["phase1"] > 0
+                calls["stop_families"] += depth["stop"] > 0
+                calls["dip_families"] += depth["_dip"] > 0
+            # A stop's root find: ``newton_root`` called by ``_first_stop``
+            # itself, not by a balance solve inside it.
+            stop = (method == "newton_root" and depth["_first_stop"] > 0
+                    and depth["balance"] == 0)
+            calls["stop_roots"] += stop
             depth[method] += 1
+            depth["stop"] += stop
             try:
-                return originals[method](self, *args)
+                return originals[method](*args)
             finally:
                 depth[method] -= 1
+                depth["stop"] -= stop
         return counted
 
+    depth["stop"] = 0
     for method, cls in targets.items():
         setattr(cls, method, counting(method))
     _Engine._polish = polished
@@ -201,6 +235,10 @@ def answer(job):
                   "solves": calls["balance"],
                   "solve_families": calls["solve_families"],
                   "phase1_families": calls["phase1_families"],
+                  "stop_roots": calls["stop_roots"],
+                  "stop_families": calls["stop_families"],
+                  "dips": calls["_dip"],
+                  "dip_families": calls["dip_families"],
                   "sweep_gap": gap[0] / t.scale,
                   "events": trace_digest(res.events)}
 
@@ -221,11 +259,17 @@ def run(job):
     return (evaluation if job[1].startswith(EVALUATE) else answer)(job)
 
 
-def dump(out):
-    jobs = list(trees()) + list(evaluations())
+def run_all(fn, jobs):
+    """{name: record} of fn over the jobs, in two worker processes (one
+    where there is one core)."""
     ctx = multiprocessing.get_context("spawn")
     with ctx.Pool(min(2, os.cpu_count() or 1)) as pool:
-        records = dict(pool.imap_unordered(run, jobs, 8))
+        return dict(pool.imap_unordered(fn, jobs, 8))
+
+
+def dump(out):
+    jobs = list(trees()) + list(evaluations())
+    records = run_all(run, jobs)
     order = [name for _, name, _ in jobs]
     Path(out).write_text(json.dumps({name: records[name] for name in order},
                                     indent=0) + "\n")
@@ -280,6 +324,8 @@ def compare(before_path, after_path):
                  for rec in (*before.values(), *after.values()))
     phase1 = all("phase1_families" in rec
                  for rec in (*before.values(), *after.values()))
+    roots = all(all(field in rec for field in ROOTS)
+                for rec in (*before.values(), *after.values()))
     rescues = all("sweep_gap" in rec
                   for rec in (*before.values(), *after.values()))
     for name, old in before.items():
@@ -289,7 +335,8 @@ def compare(before_path, after_path):
             "worse": 0.0, "better": 0.0, "families": [0, 0],
             "evaluate_calls": ([], []), "events": [0, 0],
             "solves": [0, 0], "solve_families": [0, 0],
-            "phase1_families": [0, 0], "rescues": [0, 0]})
+            "phase1_families": [0, 0], "rescues": [0, 0],
+            **{field: [0, 0] for field in ROOTS}})
         row["trees"] += 1
         row["families"][0] += old["families"]
         row["families"][1] += new["families"]
@@ -297,7 +344,8 @@ def compare(before_path, after_path):
             for calls, rec in zip(row["evaluate_calls"], (old, new)):
                 calls.append(rec["evaluate_calls"])
         fields = (("solves", "solve_families") if solves else ()) + (
-            ("phase1_families",) if phase1 else ())
+            ("phase1_families",) if phase1 else ()) + (
+            ROOTS if roots else ())
         for field in fields:
             row[field][0] += old[field]
             row[field][1] += new[field]
@@ -361,6 +409,16 @@ def compare(before_path, after_path):
             print(f"  {group:<12}{old:>16} -> {new}")
     else:
         print("phase I families calls: a dump without them, not compared")
+    if roots:
+        print("families calls per stop root / per dip search, before -> "
+              "after:")
+        for group, row in sets.items():
+            old, new = (f"{sf / sr if sr else 0.0:.2f} / "
+                        f"{df / d if d else 0.0:.2f}"
+                        for sr, sf, d, df in zip(*(row[f] for f in ROOTS)))
+            print(f"  {group:<12}{old:>16} -> {new}")
+    else:
+        print("stop roots and dips: a dump without them, not compared")
     if rescues:
         print(f"rescues (sweep_gap > {RESCUE:g} scale), before -> after:")
         for group, row in sets.items():
@@ -421,6 +479,40 @@ def motions(seed, n, shape):
     return diffs
 
 
+def miss(job):
+    """(name, record) of one tree of ``misses``: its set, how far the
+    answer lies above the polished grid optimum in units of scale, and
+    its ``phase_end``; the record is None where no shortcut helps."""
+    group, name, spec = job
+    t = random_tree(*spec)
+    res = optimize(t)
+    if res.phase_end == "degenerate":
+        return name, None
+    gap = (res.diameter_after - polished_grid_optimum(t)) / t.scale
+    return name, {"set": group, "gap": gap, "phase_end": res.phase_end}
+
+
+def misses(jobs=None, scan=run_all):
+    """Print the misses among ``jobs``, by default the item-1 and hold-out
+    trees, per set; returns them as {name: record}."""
+    if jobs is None:
+        jobs = [job for job in trees() if job[0] in ("item-1", "hold-out")]
+    records = scan(miss, jobs)
+    found = {}
+    for group in dict.fromkeys(job[0] for job in jobs):
+        names = [name for g, name, _ in jobs if g == group]
+        useful = [name for name in names if records[name] is not None]
+        hits = [name for name in useful if records[name]["gap"] > MISS]
+        print(f"{group}: {len(hits)} misses (above the grid optimum by "
+              f"more than {MISS:g} scale) of {len(useful)} trees with a "
+              f"useful shortcut")
+        for name in hits:
+            rec = found[name] = records[name]
+            print(f"  {name}  gap {rec['gap']:.3g}  phase_end "
+                  f"{rec['phase_end']}")
+    return found
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
@@ -435,12 +527,17 @@ def main(argv=None):
     m.add_argument("seed", type=int)
     m.add_argument("n", type=int)
     m.add_argument("shape", choices=SHAPES)
+    sub.add_parser("misses", help="answers above the grid optimum on the "
+                   "item-1 and hold-out trees")
     args = ap.parse_args(argv)
     if args.command == "dump":
         dump(args.out)
         return 0
     if args.command == "motions":
         motions(args.seed, args.n, args.shape)
+        return 0
+    if args.command == "misses":
+        misses()
         return 0
     return 0 if compare(args.before, args.after) else 1
 
