@@ -13,7 +13,9 @@ where p and q keep their backbone edges and the route its pendant, its
 length is w + A_alpha d alpha + A_beta d beta + k de, A in {0, +-1/2,
 +-1} and k in {0, 1/2, 1}.  The paper's speed laws are this fact solved
 for q; the sweep's balance solves read their slopes from it, and the
-polish certificate its witnesses.
+polish certificate its witnesses.  Each view also reports what bounds
+its cell, and ``cell_end`` where the cell ends along a motion: the
+sweep's walks read once per cell.
 ``pairs`` gives the rest: the longest path between two wedges
 (pendants), from prefix tables where the tree joins them on one side of
 the cycle, and from range maxima over the wedges inside the cycle
@@ -170,6 +172,7 @@ _Y_ANTI = (-0.5, -0.5, 0.5)     # right, to the cycle point opposite q
 _X_IN = (1.0, 1.0, 1.0)         # left, through pq, back to a cycle wedge
 _Y_IN = (-1.0, -1.0, 1.0)       # right, through qp, on to a cycle wedge
 _ANTI_IN = (-0.5, 0.5, 0.5)     # a cycle wedge, to its opposite point
+_Q_BAR = (0.5, 0.5, -0.5)       # qbar, the cycle point opposite q
 # A family's length and winning term on a ``FamilyView``, by its name.
 _FAMILY = {name: attrgetter(name, name + "_term")
            for name in ("xy", "fx", "fy", "fanti")}
@@ -183,10 +186,13 @@ class FamilyView:
     the length moves by A_alpha d alpha + A_beta d beta + k de while the
     branches, the argmax pendants and the backbone edges under p and q
     stay as they are.  ``de`` is the chord's slope de/dbeta at fixed
-    alpha and ``de_alpha`` its slope de/dalpha at fixed beta, both NaN
+    alpha and ``de_alpha`` its slope de/dalpha at fixed beta (at a vertex,
+    along the edge below it, toward a), both NaN
     where the chord is 0, so a family's slopes are A_alpha + k de_alpha
     in alpha and A_beta + k de in beta.  ``fanti_term`` is ``_TREE``
-    where there is no pendant.
+    where there is no pendant.  ``cell`` is (i_b, i_pbar, i_qbar), the
+    pendant indices that q, pbar and qbar lie between, which with
+    ``q_edge`` bound the cell (``Caterpillar.cell_end``).
     """
 
     alpha: float
@@ -214,6 +220,7 @@ class FamilyView:
     fanti_pendant: int
     fanti_term: tuple
     diameter: float         # max of the above and delta
+    cell: tuple
 
 
 class Caterpillar:
@@ -240,10 +247,14 @@ class Caterpillar:
             self._uy.append((self.ys[i + 1] - self.ys[i]) / span)
         sec = sorted(decomp.secondary, key=lambda s: s.arc)
         self.t = [s.arc for s in sec]
+        # The pendant arcs between -inf and inf, for ``cell_end``.
+        self._t_pad = [NEG] + self.t + [math.inf]
         self.h = [s.height for s in sec]
         self.k = len(sec)
-        # Vertex and pendant arcs, where the sweep's motion laws change.
+        # Vertex and pendant arcs, where the sweep's motion laws change,
+        # and the same between -inf and inf.
         self.bps = sorted(set(self.arcs) | set(self.t))
+        self.bps_pad = [NEG] + self.bps + [math.inf]
         # The view from b, as a callable returning it or None.  A view
         # built by flip() holds its maker weakly, so that the two form no
         # reference cycle and are freed as soon as they are dropped.
@@ -308,9 +319,12 @@ class Caterpillar:
 
     def _p_point(self, alpha):
         """``_locate(alpha)``, remembering the last alpha: a walk reads
-        many q at one p."""
+        many q at one p.  At a vertex p takes the edge below it, along
+        which the sweep moves p toward a."""
         if alpha != self._alpha_at[0]:
-            self._alpha_at = (alpha, self._locate(alpha))
+            x, y, j = self._locate(alpha)
+            self._alpha_at = (alpha, (x, y, j - (0 < j and
+                                                 alpha == self.arcs[j])))
         return self._alpha_at[1]
 
     def _chord(self, alpha, beta):
@@ -342,7 +356,8 @@ class Caterpillar:
 
     def families(self, alpha, beta):
         """Exact values of the monitored diametral-path families at (p, q),
-        with their winning terms."""
+        with their winning terms and the pendant indices that bound their
+        cell (``FamilyView.cell``; ``cell_end`` reads where it ends)."""
         e, de, de_alpha, q_point, q_edge = self._chord(alpha, beta)
         cyc = e + (beta - alpha)
         half = cyc / 2.0
@@ -415,7 +430,61 @@ class Caterpillar:
                           cyc, pbar, qbar, xy, xy_branch, xy_term,
                           fx, fx_branch, fx_p, fx_term,
                           fy, fy_branch, fy_p, fy_term,
-                          fanti, fanti_p, fanti_term, diameter)
+                          fanti, fanti_p, fanti_term, diameter,
+                          (i_b, i_pbar, i_qbar))
+
+    def cell_end(self, fv, da, db, end=math.inf):
+        """The step s at which the cell of the view ``fv`` ends as p and q
+        move by s (da, db) in (alpha, beta) along a line; inf where it
+        does not end.  The cell ends where q crosses a pendant or
+        a vertex, or pbar or qbar a pendant: there a route splits
+        elsewhere or a window of a range maximum changes, and with them
+        the winning terms and argmax pendants, and where p crosses a
+        pendant or a vertex.  pbar and qbar move with the chord: where one
+        can reach a pendant before the other bounds, its crossing is the
+        root ``line_root`` finds along the line, if any.  A family's
+        winner changing inside the cell is a kink the slopes of the reads
+        at both ends show.  ``end`` caps the step.
+        """
+        de = fv.de_alpha * da + fv.de * db          # NaN where e = 0
+        tp, bp = self._t_pad, self.bps_pad
+        if da:                  # p's next breakpoint that way
+            i = bisect_right(bp, fv.alpha) if da > 0.0 else \
+                bisect_left(bp, fv.alpha) - 1
+            end = min(end, (bp[i] - fv.alpha) / da)
+        if db:                  # q's next pendant or vertex that way
+            i, j, up = fv.cell[0], fv.q_edge, db > 0.0
+            end = min(end, ((min if up else max)(
+                tp[i + up], self.arcs[j + up]) - fv.beta) / db)
+        # Off its line, the chord bends by at most (|da| + |db|)^2 s^2 / 2e.
+        bend = 0.25 * (abs(da) + abs(db)) ** 2 / fv.e if fv.e else math.inf
+        for x, r, i, term in (
+                (fv.pbar, 0.5 * (da + db + de), fv.cell[1], _X_ANTI),
+                (fv.qbar, 0.5 * (da + db - de), fv.cell[2], _Q_BAR)):
+            for t in tp[i:i + 2]:
+                if abs(t - x) <= (abs(r) * ((t > x) == (r > 0.0))
+                                  + bend * end) * end:
+                    end = min(end, self.line_root(fv, fv.alpha, x - t, term,
+                                                  _TREE, da, db, True))
+        return end if end > 0.0 else math.inf
+
+    def turn(self, fv, term, da, db):
+        """The step s at which a length of term ``term`` (A_alpha, A_beta,
+        k) in the cell of the view ``fv`` stops falling as p and q move by
+        s (da, db): where A + k de/ds = 0, e(s) = |D + s W| the chord as in
+        ``line_root``; inf where it does not turn ahead.  de/ds rises
+        through c = -A / k, where D.W + s |W|^2 = c |D x W| / sqrt(|W|^2 -
+        c^2)."""
+        (a, b, k), (xa, ya, j), i = term, self._p_point(fv.alpha), fv.q_edge
+        dx, dy = fv.q_point[0] - xa, fv.q_point[1] - ya
+        wx = db * self._ux[i] - da * self._ux[j]
+        wy = db * self._uy[i] - da * self._uy[j]
+        w2, c = wx * wx + wy * wy, -(a * da + b * db) / k if k else math.inf
+        if not c * c < w2:
+            return math.inf
+        s = (c * abs(dx * wy - dy * wx) / math.sqrt(w2 - c * c)
+             - dx * wx - dy * wy) / w2
+        return s if s > 0.0 else math.inf
 
     def balance_root(self, fv, alpha, u, v):
         """The beta at which the families named ``u`` and ``v`` (fields of
@@ -428,7 +497,7 @@ class Caterpillar:
         (wu, tu), (wv, tv) = _FAMILY[u](fv), _FAMILY[v](fv)
         return fv.beta + self.line_root(fv, alpha, wu - wv, tu, tv, 0.0, 1.0)
 
-    def line_root(self, fv, alpha, r, term, less, da, db):
+    def line_root(self, fv, alpha, r, term, less, da, db, ahead=False):
         """The s at which a length of the cell of the view ``fv`` is 0 at
         (alpha + da s, fv.beta + db s), while the cell holds; NaN where it
         is not 0 there.  The length reads r on ``fv``, a length of term
@@ -441,7 +510,8 @@ class Caterpillar:
         u_q and u_p the unit directions of the edges under q and p.  Where
         dk = 0 the root is linear in s.  Otherwise squaring dk e = -(c + a
         s), with e(s)^2 = |D|^2 + 2s D.w + s^2 |w|^2, gives one quadratic
-        in s; of its roots with e >= 0 the one nearest 0 is kept.
+        in s; of its roots with e >= 0 the one nearest 0 is kept, or
+        ``ahead``, the least above 0.
         """
         (ta, tb, tk), (la, lb, lk) = term, less
         a_alpha, k = ta - la, tk - lk
@@ -460,17 +530,20 @@ class Caterpillar:
             ww += da * da - 2.0 * da * db * (
                 self._ux[i] * self._ux[j] + self._uy[i] * self._uy[j])
         # k^2 (e0^2 + 2 du s + ww s^2) = (c + a s)^2, as A s^2 + 2 B s + C
-        # = 0; C = (k e0 - c) r(0) keeps the length at s = 0 exact.
-        quad, half = k * k * ww - a * a, k * k * du - a * c
-        const = (k * e0 - c) * (c + k * e0)
+        # = 0; C = (k e0 - c) r(0) keeps the length at s = 0 exact.  In
+        # units of m = |c| + |k| e0, so that no product of lengths
+        # underflows.
+        m = abs(c) + abs(k) * e0 or 1.0
+        quad, half = k * k * ww - a * a, (k * k * du - a * c) / m
+        const = (k * e0 - c) / m * ((c + k * e0) / m)
         disc = half * half - quad * const
         if disc < 0.0:
             return math.nan
         big = -(half + math.copysign(math.sqrt(disc), half))
-        roots = [const / big] if big else []
+        roots = [m * const / big] if big else []
         if quad:
-            roots.append(big / quad)
-        for x in sorted(roots, key=abs):
+            roots.append(m * big / quad)
+        for x in sorted((x for x in roots if x > 0.0 or not ahead), key=abs):
             if k * (c + a * x) <= 0.0:      # e(s) = -(c + a s) / k >= 0
                 return x
         return math.nan

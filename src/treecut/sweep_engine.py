@@ -29,32 +29,37 @@ not its phase, owns the rules they share: it stops on the delta floor
 with one ``("delta-floor",)`` terminal, a watch for a family that
 tied where the walk started must clear one entry margin, ``2 tol``, so
 that it does not fire before the motion starts, and every stretch, the
-one the walk stops in too, ends alike: where an interior probe dips
-below both of its ends the stretch is searched for its dip around that
-probe, and its last state is noted as its segment end.  No search
-moves the walk: q's next balance solve starts from the walk's own
-path.  The solves themselves can still move phase III's q back toward
-c between the probes of a stretch, on a few trees.  Continuous motion
-is realized by root-finding on balance and condition functions, cell
-by cell.  Inside a cell every family's length is one term, w + A_alpha
-d alpha + A_beta d beta + k de, and ``Caterpillar.families`` reports
-each family's (A_alpha, A_beta, k), so the balance of two families has
-a closed-form root there, one quadratic in q after squaring the chord
-(``Caterpillar.balance_root``).  A balance solve starts at the root
-the cell of the walk's last solved state predicts, or at the secant
-guess of the last two solutions where it predicts none, and reads the
-families there once; where the residual is within the acceptance that
-read is the walk's state.  Else the solve steps to the closed-form root
-of each read's cell.  A step across the root brackets it; where a step
-would leave the limits, is not defined or fails to shrink the residual,
-a bracket grown from the guess, from a fixed first step of 1e-4 L,
-does.  Inside the bracket
+one the walk stops in too, ends alike: each interval between two reads
+where the diameter falls and rises again is searched for its dip, and
+the stretch's last state is noted as its segment end.  No search moves
+the walk: q's next balance solve starts from the walk's own path.  The
+solves themselves can still move phase III's q back toward c, on a few
+trees.  Continuous motion is realized cell by cell.  Inside a cell
+every family's length is one term, w + A_alpha d alpha + A_beta d beta
++ k de, and ``Caterpillar.families`` reports each family's (A_alpha,
+A_beta, k) and what bounds the cell, so the balance of two families
+has a closed-form root there, one quadratic in q after squaring the
+chord (``Caterpillar.balance_root``), and the cell's end along a line
+is one more (``Caterpillar.cell_end``).  A walk reads once per cell,
+the kinetic way (Basch, Guibas and Hershberger, "Data structures for
+mobile data", SODA 1997): from each read it steps a tenth past the end
+of the read's cell, where the diameter stops falling or a watch's rate
+brings it to 0, whichever comes first, and reads the families once at
+the root the cell of the last read predicts.  That read is the walk's
+state even where the cell has changed under it: the pair is off balance
+there, but the root of its own cell, which the next read starts from,
+keeps the walk's path exact.  A balance solve that must balance (at a
+stop, a dip, a juncture) steps to the closed-form root of each read's
+cell until the residual is within the acceptance.  A step across the
+root brackets it; where a step would leave the limits, is not defined
+or fails to shrink the residual, a bracket grown from the guess, from
+a fixed first step of 1e-4 L, does.  Inside the bracket
 ``newton_root``, the one root finder, takes Newton steps safeguarded by
 bisection, each at least eps/4 long, and stops where |g| is within the
 caller's acceptance, the bracket is eps wide or no float lies inside
 it.  Every stop (phase I's end, a walk's first event on a stretch, the
-wedge crossing) follows one rule, ``_Engine._first_stop``: read the
-states at a few points in order until the largest watch holds at one,
+wedge crossing) follows one rule, ``_Engine._first_stop``: take the
+states read at points in order until the largest watch holds at one,
 stop there or at the root ``newton_root`` finds of that largest watch
 in the interval before it, keep the state the root finder read there,
 and name the stop after the first watch that holds in it.  The same
@@ -67,11 +72,12 @@ every read, about two reads a walk stop.  Phase I moves along a line
 in (alpha, beta), so its watch has a closed-form root in each cell
 (``Caterpillar.line_root``), and its Newton steps land there.  A dip
 is found alike, as the root from - to + of the diameter's slope along
-the walk beside the stretch's lowest read.  The phases note candidate
+the walk, after a first read where the tangents of the interval's ends
+cross.  The phases note candidate
 placements in one list: phase I's end, phase III's starts, the walks'
 dips and segment ends, and the wedge crossing; a stop notes none of
-its own, its state ends the stretch it stops in.  Every distinct one is evaluated
-exactly and the best is polished by a compass search on the exact
+its own, its state ends the stretch it stops in.  Every distinct one is
+evaluated exactly and the best is polished by a compass search on the exact
 evaluator.  A stationarity certificate (``Caterpillar.safe_steps``)
 shows at which steps a probe cannot improve; the search evaluates no
 such probe and halves past every step level where all probes are safe,
@@ -323,8 +329,9 @@ class _WarmStart:
 
     ``alpha``/``beta`` is the last solution (``alpha`` is None before the
     first), ``slope`` the secant d beta / d alpha through the solution
-    before it and ``state`` the families view read at the last solution
-    (None before the first).  A solve starts at the root that state's
+    before it and ``state`` the families view read at the last solution,
+    or by a probe whose cell the solution is the root of (None before
+    the first).  A solve starts at the root that state's
     cell predicts (``Caterpillar.balance_root``): between events the cell
     holds, and its root is exact.  Where it predicts none, or the solve
     is at the last solution's alpha, the solve starts at the secant
@@ -370,8 +377,6 @@ class _WarmStart:
 
 
 class _Engine:
-    PROBES = 6
-
     def __init__(self, tree, decomp, record_segments=False):
         self.tree = tree
         self.cat = Caterpillar(tree, decomp)
@@ -395,7 +400,6 @@ class _Engine:
         self._junctures = set()
         self.phase_end = "phase1"
         self.event_cap = 400 + 80 * tree.n
-        self._recent = {}
         # What ``best`` read at the candidate it hands to ``_polish``.
         self._best_read = None
 
@@ -450,22 +454,6 @@ class _Engine:
             self.best_seen = dval
             self.note_candidate(frame, a, b, tag)
 
-    def families(self, frame, alpha, beta):
-        """``frame.families(alpha, beta)``, remembering the last few points.
-
-        The sweep often re-reads a point it has just evaluated: a balance
-        solve ends on a point its root finder probed, and a segment's
-        first probe is the previous segment's last.  The sweep runs in
-        two frames, the caterpillar and its flip, so the key records which.
-        """
-        key = (frame is self.cat, alpha, beta)
-        fv = self._recent.get(key)
-        if fv is None:
-            if len(self._recent) >= 16:
-                self._recent.clear()
-            fv = self._recent[key] = frame.families(alpha, beta)
-        return fv
-
     def ties(self, fv):
         """The families within tol of the diameter of ``fv``; the
         antipodal family is -inf where it has no pendant."""
@@ -501,32 +489,32 @@ class _Engine:
 
     # -- balance ---------------------------------------------------------
 
-    def balance(self, frame, alpha, warm, pair):
+    def balance(self, frame, alpha, warm, pair, probe=False):
         """Solve for beta keeping the named family pair in balance.
 
         The solve (``_solve``) starts at the root the last solved state of
         the ``_WarmStart`` ``warm`` predicts, or at its secant guess, and
-        records the solution and the state read there in it.
+        records the solution and the state read there in it; a ``probe``
+        may record a read off balance, with its cell's root.
         """
         lo_lim, hi_lim = max(alpha, frame.c_arc), frame.L
         u, v = _PAIRS[pair]
-        guess = math.nan
-        if warm.state is not None and alpha != warm.alpha:
-            guess = frame.balance_root(warm.state, alpha, u, v)
-        if math.isnan(guess):
-            guess = warm.guess(alpha)
-        fv = self._solve(frame, alpha, pair, min(max(guess, lo_lim), hi_lim),
-                         lo_lim, hi_lim)
-        warm.update(alpha, fv.beta, fv)
-        return fv.beta
+        guess = math.nan if warm.state is None or alpha == warm.alpha else \
+            frame.balance_root(warm.state, alpha, u, v)
+        guess = warm.guess(alpha) if math.isnan(guess) else guess
+        fv, beta = self._solve(frame, alpha, pair, min(max(
+            guess, lo_lim), hi_lim), lo_lim, hi_lim, probe)
+        warm.update(alpha, beta, fv)
+        return beta
 
     def _warm(self, b0):
         """A warm start at q = b0 that knows nothing of q's motion yet."""
         return _WarmStart(b0, 64.0 * self.eps)
 
-    def _solve(self, frame, alpha, pair, guess, lo_lim, hi_lim):
-        """The state at a root of the balance of the family ``pair`` near
-        the guess, or at the limit reached without a sign change.
+    def _solve(self, frame, alpha, pair, guess, lo_lim, hi_lim, probe=False):
+        """(fv, beta): the state at a root beta of the balance of the
+        family ``pair`` near the guess, or at the limit reached without a
+        sign change.
 
         Inside a cell each family of the pair is one term (A_alpha, A_beta,
         k) of ``Caterpillar.families``, so the residual g, their
@@ -541,13 +529,16 @@ class _Engine:
         ``_Engine.step`` growing fourfold, brackets it.  Either way
         ``newton_root`` finds it inside the bracket from the residual's
         exact slope at each read, the difference of the two A_beta + k
-        de/dbeta.
+        de/dbeta.  A ``probe`` takes the first read with a root in its cell
+        inside the limits, and that root: where the cell has changed under
+        the read, the pair is off balance there, the walk's path stays
+        exact, and the state is off it by that much in beta.
         """
         u, v = _PAIRS[pair]
         terms, reads = _READS[pair], {}
 
         def g(beta):
-            fv = reads[beta] = self.families(frame, alpha, beta)
+            fv = reads[beta] = frame.families(alpha, beta)
             wu, wv, (_, bu, ku), (_, bv, kv) = terms(fv)
             return wu - wv, (bu + ku * fv.de) - (bv + kv * fv.de)
 
@@ -555,14 +546,17 @@ class _Engine:
         for i in range(4):
             beta, gb, _ = read
             if abs(gb) <= self.accept:
-                return reads[beta]
+                return reads[beta], beta
             nxt = frame.balance_root(reads[beta], alpha, u, v)
+            if probe and lo_lim <= nxt <= hi_lim:
+                return reads[beta], nxt
             if i == 3 or not lo_lim <= nxt <= hi_lim:
                 break
             after = (nxt, *g(nxt))
             if (after[1] >= 0.0) != (gb >= 0.0):
-                return reads[newton_root(g, *sorted([read, after]), self.eps,
-                                         self.accept)]
+                x = newton_root(g, *sorted([read, after]), self.eps,
+                                self.accept)
+                return reads[x], x
             if not abs(after[1]) < abs(gb):
                 break
             read = after
@@ -573,12 +567,12 @@ class _Engine:
         step = self.step
         while d * far[1] < 0.0:
             if far[0] == lim:
-                return reads[lim]
+                return reads[lim], lim
             near, x = far, max(lo_lim, min(hi_lim, far[0] + d * step))
             far = (x, *g(x))
             step *= 4.0
-        return reads[newton_root(g, *sorted([near, far]), self.eps,
-                                 self.accept)]
+        x = newton_root(g, *sorted([near, far]), self.eps, self.accept)
+        return reads[x], x
 
     def _continuation(self, handler, frame, a, b, pair):
         """The task that continues from the juncture (a, b) of ``frame``
@@ -597,28 +591,30 @@ class _Engine:
 
     # -- the stop rule ----------------------------------------------------
 
-    def _first_stop(self, state_at, points, watches, slope=None):
+    def _first_stop(self, state_at, reads, watches, slope=None):
         """Where a motion stops: the first placement where a watch holds.
 
         ``watches`` is a list of (name, fn); a watch holds where fn >= 0.
         ``slope(fv, name, v)`` gives the slope along the motion of the
         watch ``name``, which reads v at ``fv``; without it the watches
         give no slopes.
-        The states at the ascending ``points`` are read in order, up to
-        the first where the largest watch holds; none after it.  The stop
+        ``reads`` yields the states (s, fv) at ascending points; they are
+        taken in order, up to the first where the largest watch holds;
+        none after it.  The stop
         is that point or, when it is not the first, the root of the
         largest watch inside the interval before it: a read where it is 0
         or the right end of a bracket at most eps wide, found by
         ``newton_root`` from the largest watch's slope at every read, at
         the two points that bracket it too, or from the secants of its
-        reads without slopes.  Where a watch holds at a read and its slope
+        reads without slopes; the root finder reads ``state_at(s)``.
+        Where a watch holds at a read and its slope
         puts the root within eps/4 before the read, the read is the root.
         Its state is the one the root finder read there, never a second
         read, since a balance solve started from another warm start can
         land elsewhere; the stop is named after the first watch, in list
         order, that holds in it.  Returns (s, name, fv, states) with
-        states the point reads [(s, fv)]; s, name and fv are None where no
-        watch holds at any point, and every point is read.
+        states the reads [(s, fv)] taken; s, name and fv are None where no
+        watch holds at any of them, and every read is taken.
         """
         def top(fv):
             # The largest watch, the first of equals, and its slope; a
@@ -629,8 +625,7 @@ class _Engine:
             return (0.0 if r and 0.0 <= v <= 0.25 * self.eps * r else v), r
 
         states, prev = [], None
-        for s in points:
-            fv = state_at(s)
+        for s, fv in reads:
             states.append((s, fv))
             if max(fn(fv) for _, fn in watches) >= 0.0:
                 break
@@ -651,45 +646,35 @@ class _Engine:
 
     def _diag_probe(self, frame, states):
         """Count the routing changes a re-probe passes: every pendant that
-        p or q crosses and every branch change of a side family.  The
-        walk processes none of them as events."""
-        prev = None
-        for _, fv in states:
-            ip = bisect_right(frame.t, fv.pbar)
-            iq = bisect_left(frame.t, fv.qbar)
-            sig = (ip, iq, fv.fx_branch, fv.fy_branch)
-            if prev is not None:
-                self.diag_count += abs(sig[0] - prev[0]) + abs(sig[1] - prev[1])
-                if sig[2:] != prev[2:]:
-                    self.diag_count += 1
-            prev = sig
+        pbar or qbar crosses (``FamilyView.cell``) and every branch change
+        of a side family.  The walk processes none of them as events."""
+        sigs = [(*fv.cell[1:], fv.fx_branch, fv.fy_branch) for _, fv in states]
+        for a, b in zip(sigs, sigs[1:]):
+            self.diag_count += abs(a[0] - b[0]) + abs(a[1] - b[1]) + (
+                a[2:] != b[2:])
 
-    def _dip(self, state_at, states, j, key, dslope):
+    def _dip(self, state_at, lo, hi, key, dslope):
         """The lowest state a search for the bottom of a dip reads.
 
-        ``states`` holds a stretch's probe reads [(s, fv)], the lowest at
-        j; ``key(fv)`` is the diameter and ``dslope(fv)`` its slope along
-        the motion.  Flat probes (slope 0) within tol of the lowest show
-        nothing of what lies between them, so where the lowest is flat
-        the midpoint of every interval between two of them is read first.
-        The bottom is the root, from - to +, of the slope inside the
-        interval beside the lowest read on the side its slope points to,
-        found by ``newton_root`` on the secants of its reads to 1e-6 of
-        the two probe intervals beside it.  A read
+        ``lo`` and ``hi`` are reads (s, fv) of a walk, lo before hi, where
+        the diameter falls from lo on and rises again; ``key(fv)`` is the
+        diameter and ``dslope(fv)`` its slope along the motion.  Where the
+        slopes at the ends turn from - to +, the point where their
+        tangents cross is read first, the bottom of a kink where the
+        tracked family changes or q crosses a vertex; else, an end being
+        flat or rising, the middle is.  The bottom is the root, from - to
+        +, of the slope beside the lowest read, found by ``newton_root``
+        on the secants of its reads to 1e-6 of the interval.  A read
         above the lowest lies on the far side of the bottom from it,
-        whatever its own slope: between them the diameter turns down (a
-        flat read, or a kink where the tracked family changes, shows no
-        sign of that).  Without a sign change the lowest read is the
-        dip.
+        whatever its own slope: between them the diameter turns down.
+        Without a sign change the lowest read is the dip.
         """
-        read, low = dict(states), key(states[j][1])
-        flat = not dslope(states[j][1])
-        for (a, fa), (b, fb) in zip(states, states[1:]):
-            if flat and max(key(fa), key(fb)) <= low + self.tol:
-                read[0.5 * (a + b)] = state_at(0.5 * (a + b))
-        xs = sorted(read)
-        m = min(range(len(xs)), key=lambda i: key(read[xs[i]]))
-        s, low = xs[m], key(read[xs[m]])
+        (a, fa), (b, fb) = lo, hi
+        ra, rb = dslope(fa), dslope(fb)
+        m = min(max((key(fb) - key(fa) + ra * a - rb * b) / (ra - rb), a),
+                b) if ra < 0.0 < rb else 0.5 * (a + b)
+        read = {a: fa, b: fb, m: state_at(m)}
+        low, s = min((key(fv), x) for x, fv in read.items())
 
         def g(x):
             fv = read.get(x) or read.setdefault(x, state_at(x))
@@ -697,11 +682,12 @@ class _Engine:
             return (math.copysign(abs(d) or up, x - s) if up > 0.0 else d,
                     None)
 
-        ends = [(x, *g(x)) for x in xs[m - 1:m + 2]]
-        lo, hi = ends[:2] if ends[1][1] >= 0.0 else ends[1:]
-        if lo[1] < 0.0 <= hi[1]:
-            newton_root(g, lo, hi, max(self.eps, 1e-6 * (
-                ends[2][0] - ends[0][0])), 0.0)
+        ends = [(x, *g(x)) for x in sorted(read)]
+        for left, right in zip(ends, ends[1:]):
+            if left[1] < 0.0 <= right[1]:
+                newton_root(g, left, right, max(self.eps, 1e-6 * (b - a)),
+                            0.0)
+                break
         return min(read.values(), key=key)
 
     # -- phase I ---------------------------------------------------------
@@ -732,8 +718,8 @@ class _Engine:
         cat = self.cat
         c, L = cat.c_arc, cat.L
         t_end = max(c, L - c)
-        state_at = lambda t: self.families(cat, max(0.0, c - t),
-                                           min(L, c + t))
+        state_at = lambda t: cat.families(max(0.0, c - t),
+                                          min(L, c + t))
         # In sorted order: a stop is named after the first that holds.
         conds = self._watches(cat, attrgetter("xy"), (
             "antipodal", "delta-floor", "x-side", "y-side"))
@@ -754,7 +740,8 @@ class _Engine:
             return "tie", fv
         # Every condition's slope changes where the first end parks.
         points = sorted({0.0, min(c, L - c), t_end})
-        _, name, fvc, states = self._first_stop(state_at, points, conds, slope)
+        _, name, fvc, states = self._first_stop(state_at, (
+            (t, state_at(t) if t else fv) for t in points), conds, slope)
         if name is None:
             fv = states[-1][1]
             self.emit("terminal", "I", cat, fv, ("parked-ab",))
@@ -786,20 +773,29 @@ class _Engine:
                drive_q=False, branch_sig=None, law=None, track=None):
         """Drive one endpoint from x0 to end; stop at the first event.
 
-        ``state_at(x)`` gives the families with the driven endpoint (p, or
-        q when ``drive_q``) at x; the other endpoint follows its balance
-        equation, whose solves share the ``_WarmStart`` ``warm``, or stays
-        put.  The motion is cut at the breakpoints of the frame, and on each
-        stretch ``_first_stop`` reads ``PROBES + 1`` evenly spaced points,
-        the last on the stretch's end exactly, up to the first where the
-        handler's watches ``conds`` or the delta floor hold, and finds
-        where they first hold, on each watch's exact slope along the walk:
-        q moves by d beta / d alpha = -g_alpha / g_beta, g the difference
-        of the pair, by the walk's secant where the balance leaves q free
-        and not at all where it is parked at a limit.  Returns (name, x,
-        fv) at that stop, in the state its root finder read there, so the
-        watch ``name`` holds in ``fv``; else (None, x, None) once x has
-        reached end.
+        ``state_at(x, probe=False)`` gives the families with the driven
+        endpoint (p, or q when ``drive_q``) at x; the other endpoint
+        follows its balance equation, whose solves share the
+        ``_WarmStart`` ``warm``, or stays put.  The motion is cut at the
+        breakpoints of the frame into stretches, and on each stretch the
+        walk reads once per cell of ``families``: from each read it steps
+        a tenth past the end of the read's cell along the walk
+        (``Caterpillar.cell_end``), past where the diameter stops falling
+        (``Caterpillar.turn``) or past where a watch's rate there brings
+        it to 0, whichever comes first, to the stretch's end exactly at
+        the last.  The stretch's first read is the last one's end.  Each
+        read is a probe (``balance``): where the cell has changed under
+        it, it is off the walk's path by d beta, and where that leaves a
+        watch within 4 d beta of holding it is solved.  ``_first_stop``
+        takes the reads up to the first where the handler's watches
+        ``conds`` or the delta floor hold, and finds where they first
+        hold, on each watch's exact slope along the walk: q moves by d
+        beta / d alpha = -g_alpha / g_beta, g the difference of the pair,
+        by the walk's secant where the balance leaves q free and not at
+        all where it is parked at a limit.  Returns (name, x, fv) at that
+        stop, in the state its root finder read there, so the watch
+        ``name`` holds in ``fv``; else (None, x, None) once x has reached
+        end.
 
         Every walk shares its rules.  Its diameter is the larger of the
         family ``pair`` it keeps in balance (``_PAIRS``).  It stops on the
@@ -809,20 +805,20 @@ class _Engine:
         started subtracts the entry margin ``_Engine.entry``.
 
         Every stretch, the one the walk stops in too, ends with one tail.
-        Its states are the probes read before the stop and the stop's own
-        state: all ``PROBES + 1`` probes where no watch holds.  The tail
-        reports changes of ``branch_sig(fv)``, the branches of the
-        diametral paths, between them.  Where the first lowest state is
-        interior and below the last one, and a Lipschitz bound on the
-        probes leaves room to beat the best seen, it searches beside that
-        state for the bottom of the dip (``_dip``), the root of the
-        diameter's slope along the walk, and notes the
-        lowest state the search read as a candidate; a walk with a law
-        reports a dip below both stretch ends as a grow-shrink event.  The
-        search's solves are the walk's own.  No search moves the walk:
-        the warm start the stop find left is restored after it, so q's
-        next solve starts from the walk's own path.  The last state is
-        appended to ``track`` as (alpha, beta, diameter) when a list is
+        Its states are the reads taken before the stop and the stop's own
+        state.  The tail reports changes of ``branch_sig(fv)``, the
+        branches of the diametral paths, between them.  Each interval
+        between two reads where the diameter's slope at the first is
+        negative and the diameter is back up by the second, or its slope
+        there is not negative, holds a dip; where the tangent at the first
+        leaves room to beat the best seen, ``_dip`` searches it for the
+        bottom, the root of the diameter's slope along the walk, and the
+        lowest state the search read is noted as a candidate; a walk with
+        a law reports a dip below both stretch ends as a grow-shrink
+        event.  The search's solves are the walk's own.  No search moves
+        the walk: the warm start the stop find left is restored after it,
+        so q's next solve starts from the walk's own path.  The last state
+        is appended to ``track`` as (alpha, beta, diameter) when a list is
         given, and noted as a segment-end candidate; a stop notes no
         candidate of its own.  Candidates are noted only where they beat
         the best seen (``note_if_better``).  The walk records the motion
@@ -833,50 +829,86 @@ class _Engine:
         """
         active, terms = _active(pair), _READS[pair]
         conds = [*conds, *self._watches(frame, active, ("delta-floor",))]
-        bps = frame.bps
-        sign = 1 if end > x0 else -1
+        bps, sign = frame.bps_pad, 1 if end > x0 else -1
 
-        def slope(fv, name, v=None):
-            # Along the walk q keeps g = u - v at 0: d beta / d alpha is
-            # -g_alpha / g_beta, or the walk's secant where q is free, and
-            # u and v move alike, the one with the lesser chord term the
-            # most exactly.  q parked at a limit, where g is not 0, stays.
+        def motion(fv):
+            # (ref, da, db): along the walk q keeps g = u - v at 0, so d beta
+            # / d alpha is -g_alpha / g_beta, or the walk's secant where q
+            # is free, and u and v move alike, the one with the lesser chord
+            # term the most exactly; ref is its term.  q parked at a limit,
+            # where g is not 0, stays; a probe off balance moves on.
             wu, wv, tu, tv = terms(fv)
             ref, da, db = tu if wu >= wv else tv, 1.0 - drive_q, 1.0 * drive_q
-            if not drive_q and abs(wu - wv) <= self.accept:
+            if not (drive_q or abs(wu - wv) > self.accept and fv.beta in (
+                    frame.L, max(fv.alpha, frame.c_arc))):
                 gb = _rate(fv, tu, tv, 0.0, 1.0)
                 db = (-_rate(fv, tu, tv, 1.0, 0.0) / gb
                       if gb and math.isfinite(gb) else warm.slope)
                 ref = tu if tu[2] < tv[2] else tv
-            return _rate(fv, _TERM[name](fv), ref, sign * da, sign * db)
+            return ref, sign * da, sign * db
 
-        x = x0
+        slope = lambda fv, name, v=None: _rate(fv, _TERM[name](fv),
+                                               *motion(fv))
+
+        def step(fv, rest):
+            # To the end of the read's cell, to where the diameter stops
+            # falling, or to where a watch's rate there brings it to 0,
+            # whichever comes first.  The diameter's slope at the read is
+            # kept for the stretch's tail.
+            ref, da, db = motion(fv)
+            de = fv.de_alpha * da + fv.de * db
+            rate = lambda t: t[0] * da + t[1] * db + (t[2] and t[2] * de)
+            rates.append(r := rate(ref))
+            out = min(frame.cell_end(fv, da, db, rest), frame.turn(
+                fv, ref, da, db) if r < 0.0 and ref[2] else math.inf)
+            for name, fn in conds:
+                v, w = fn(fv), rate(_TERM[name](fv)) - r
+                if -v < w * out:
+                    out = -v / w
+            return out
+
+        x, fv0 = x0, None
         while sign * (end - x) > self.eps:
-            if sign > 0:
-                i = bisect_right(bps, x + self.eps)
-                at_bp = i < len(bps) and bps[i] <= end
-            else:
-                i = bisect_left(bps, x - self.eps) - 1
-                at_bp = i >= 0 and bps[i] >= end
+            i = bisect_right(bps, x + self.eps) if sign > 0 else \
+                bisect_left(bps, x - self.eps) - 1
+            at_bp = sign * (end - bps[i]) >= 0.0
             target = bps[i] if at_bp else end
             span = abs(target - x)
             # The stretch's last point is its end exactly: x + span can
             # round off the breakpoint, even out of [0, L].
             at = lambda s: target if s == span else x + sign * s
-            seg = lambda s: state_at(at(s))
-            grid = lambda m: [span * i / m for i in range(m)] + [span]
+            seg = lambda s, probe=False: state_at(at(s), probe)
+            rates = []
+
+            def reads():
+                # From each read on to a tenth past the end of its cell, so
+                # that the next read is in the next cell; the first read is
+                # the last stretch's end.  A read is a probe: off the path
+                # by d beta it reads each watch to within 4 d beta, and
+                # where that leaves one near holding, the balance is solved.
+                s, fv = 0.0, fv0 or seg(0.0)
+                while s < span:
+                    yield s, fv
+                    s += 1.1 * step(fv, span - s) + 0.125 * self.eps
+                    s = span if s > span - self.eps else s
+                    fv = seg(s, True)
+                    off = (not drive_q) * abs(warm.beta - fv.beta)
+                    if off and max(fn(fv) for _, fn in conds) >= -4.0 * off:
+                        fv = seg(s)
+                yield s, fv
+
             start = warm.save()
-            sc, name, fvc, states = self._first_stop(seg, grid(self.PROBES),
-                                                     conds, slope)
+            sc, name, fvc, states = self._first_stop(seg, reads(), conds,
+                                                     slope)
             left = warm.save()
-            record = law is not None and name is None
-            diag = phase == "III"
+            record, diag = law is not None and name is None, phase == "III"
             if self.record_segments and (record or diag):
                 # The re-probe starts from where the stop find started:
                 # where the balance leaves q free, only the walk's own warm
                 # start reproduces the walk's path.
                 warm.restore(start)
-                fine = [(s, seg(s)) for s in grid(24)]
+                fine = [(s, seg(s)) for s in [span * i / 24 for i in range(
+                    24)] + [span]]
                 warm.restore(left)
                 if diag:
                     self._diag_probe(frame, fine)
@@ -890,21 +922,28 @@ class _Engine:
                 if sig != prev:
                     self.emit("path-state", phase, frame, fv,
                               ("branch-change",))
+            # An interval holds a dip where the diameter falls from its
+            # start and rises again: by its end, or from its end on.  It
+            # is searched where the tangent at its start, which a dip lies
+            # above, leaves room to beat the best seen.
+            dslope = lambda fv: -slope(fv, "delta-floor")
+            rates.append(dslope(states[-1][1]))
             dvals = [active(fv) for _, fv in states]
-            j = dvals.index(min(dvals))
-            if (0 < j and dvals[j] < dvals[-1] and
-                    dvals[j] - 8.0 * (span / self.PROBES) < self.best_seen):
-                fvm = self._dip(seg, states, j, active,
-                                lambda fv: -slope(fv, "delta-floor"))
-                warm.restore(left)
-                self.note_if_better(frame, fvm.alpha, fvm.beta,
-                                    active(fvm), "interior-min")
-                # A dip within tol of the stretch's ends is rounding on a
-                # flat stretch, not a grow-shrink turn.
-                if law is not None and \
-                        dvals[j] < min(dvals[0], dvals[-1]) - self.tol:
-                    self.emit("grow-shrink", phase, frame, fvm, ("d-min",))
-            fv1 = states[-1][1]
+            for k, ((a, lo), (b, hi)) in enumerate(zip(states, states[1:])):
+                (ra, rb), d = rates[k:k + 2], dvals[k]
+                if ra < 0.0 and (dvals[k + 1] >= d or rb >= 0.0) and \
+                        d + ra * (b - a) < self.best_seen:
+                    fvm = self._dip(seg, (a, lo), (b, hi), active, dslope)
+                    self.note_if_better(frame, fvm.alpha, fvm.beta,
+                                        active(fvm), "interior-min")
+                    # A dip within tol of the stretch's ends is rounding
+                    # on a flat stretch, not a grow-shrink turn.
+                    if law is not None and active(fvm) < min(
+                            dvals[0], dvals[-1]) - self.tol:
+                        self.emit("grow-shrink", phase, frame, fvm,
+                                  ("d-min",))
+                    warm.restore(left)
+            fv0 = fv1 = states[-1][1]
             if track is not None:
                 track.append((fv1.alpha, fv1.beta, dvals[-1]))
             self.note_if_better(frame, fv1.alpha, fv1.beta, dvals[-1],
@@ -929,8 +968,8 @@ class _Engine:
         """
         warm = self._warm(b0)
 
-        def state_at(alpha):
-            self.balance(frame, alpha, warm, pair)
+        def state_at(alpha, probe=False):
+            self.balance(frame, alpha, warm, pair, probe=probe)
             return warm.state
         return state_at, warm
 
@@ -1045,7 +1084,7 @@ class _Engine:
                              fv.fy_branch, fv.fy_pendant)
         law_fn = lambda fv: SPEED_LAWS[("t2", fv.fx_branch, fv.fy_branch)]
 
-        d0 = _active(pair)(self.families(frame, a0, b0))
+        d0 = _active(pair)(frame.families(a0, b0))
         traj = [(a0, b0, d0)]
         self.note_if_better(frame, a0, b0, d0, "phase3-start")
         name, alpha, fvc = self._drive(
@@ -1059,14 +1098,14 @@ class _Engine:
             # p parked; drive q outward to b with p held fixed.
             alpha = max(alpha, 0.0)
             name, _, fvc = self._drive(
-                phase, frame, lambda beta: self.families(frame, alpha, beta),
+                phase, frame, lambda b, probe=False: frame.families(alpha, b),
                 warm.beta, frame.L, conds, pair, warm, drive_q=True,
                 track=traj)
             if name == "antipodal":
                 self.emit("terminal", phase, frame, fvc, ("q-drive", name))
             b_end = frame.L if fvc is None else fvc.beta
             self.emit("terminal", phase, frame,
-                      self.families(frame, alpha, b_end), ("parked-ab",))
+                      frame.families(alpha, b_end), ("parked-ab",))
         self._wedge_crossing(frame, traj)
         return []
 
@@ -1086,16 +1125,12 @@ class _Engine:
         def margin(i):
             a, b, d = traj[i]
             return frame.pairs(a, b, frame.chord(a, b) + (b - a)) - d
-        lo, hi = 0, len(traj) - 1     # margin(lo) < -tol <= margin(hi)
-        if margin(hi) < -self.tol or margin(lo) >= -self.tol:
+        n = len(traj) - 1             # margin(0) < -tol <= margin(n)
+        if margin(n) < -self.tol or margin(0) >= -self.tol:
             return
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if margin(mid) >= -self.tol:
-                hi = mid
-            else:
-                lo = mid
-        (a_lo, b_lo, _), (a_hi, b_hi, _) = traj[lo], traj[hi]
+        hi = bisect_left(range(n), True, 1,
+                         key=lambda i: margin(i) >= -self.tol)
+        (a_lo, b_lo, _), (a_hi, b_hi, _) = traj[hi - 1], traj[hi]
         width = a_lo - a_hi
         if width <= self.eps:
             return
@@ -1106,8 +1141,9 @@ class _Engine:
         watch = ("wedge-crossing",
                  lambda fv: frame.pairs(fv.alpha, fv.beta, fv.cyc)
                  - max(fv.fx, fv.fy) + self.tol)
-        _, name, fv, _ = self._first_stop(lambda s: state_at(a_lo - s),
-                                          [0.0, width], [watch])
+        at = lambda s: state_at(a_lo - s)
+        _, name, fv, _ = self._first_stop(
+            at, ((s, at(s)) for s in (0.0, width)), [watch])
         if name is not None:
             self.note_candidate(frame, fv.alpha, fv.beta, name)
             self.emit("path-state", "III", frame, fv, (name,))

@@ -327,9 +327,14 @@ def test_criterion_09_event_counts_and_scaling():
     times = []
     for n in (1000, 2000, 4000, 8000):
         t = random_tree(11, n, "caterpillar")
-        t0 = time.time()
-        res = optimize(t, record_segments=False)
-        times.append(time.time() - t0)
+        # The least of three runs: one run on a shared machine can read
+        # a neighbour's load.
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            res = optimize(t, record_segments=False)
+            runs.append(time.perf_counter() - t0)
+        times.append(min(runs))
         if res.event_count > 40 * t.n:
             over.append(("random", n, res.event_count))
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]

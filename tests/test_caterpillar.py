@@ -485,22 +485,25 @@ def test_family_slopes_match_central_differences():
 
 
 def walk_solves(monkeypatch):
-    """Every balance solve of the sweep on the 210 criterion-1 trees that
-    starts from a walk's last solved state: (engine, frame, alpha, pair,
-    state, secant guess)."""
+    """Every balance solve of the sweep on the 210 criterion-1 trees and
+    the mixed trees ``random_tree(s, 5 + s % 96, shape)`` for s =
+    1000..1099 that starts from a walk's last solved state, a walk's
+    probes included: (engine, frame, alpha, pair, state, secant guess)."""
     out = []
     balance = _Engine.balance
 
-    def recorded(self, frame, alpha, warm, pair):
+    def recorded(self, frame, alpha, warm, pair, **kwargs):
         if warm.state is not None:
             out.append((self, frame, alpha, pair, warm.state,
                         warm.guess(alpha)))
-        return balance(self, frame, alpha, warm, pair)
+        return balance(self, frame, alpha, warm, pair, **kwargs)
 
     monkeypatch.setattr(_Engine, "balance", recorded)
-    for s in range(210):
-        t = random_tree(s, (5, 9, 14)[s % 3],
-                        ("uniform", "caterpillar", "balanced")[s % 3])
+    shapes = ("uniform", "caterpillar", "balanced")
+    specs = [(s, (5, 9, 14)[s % 3], shapes[s % 3]) for s in range(210)]
+    specs += [(s, 5 + s % 96, shapes[s % 3]) for s in range(1000, 1100)]
+    for spec in specs:
+        t = random_tree(*spec)
         d = backbone(t)
         if has_useful_shortcut(d):
             _Engine(t, d).run()
@@ -561,7 +564,8 @@ def test_balance_root_balances_where_the_cell_holds(monkeypatch):
             if fn is not None and cell(fn, u, v) == cell(state, u, v):
                 newton += 1
                 assert abs(fn.beta - beta) <= 1e-9 * eng.tree.scale
-    # 9,923 and 9,766 cases.
+    # 10,101 and 9,535 cases (9,923 and 9,766 on the criterion-1 trees
+    # alone, when a walk solved the balance at six probes a stretch).
     assert checked >= 9000 and newton >= 9000, (checked, newton)
 
 

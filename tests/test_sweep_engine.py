@@ -564,8 +564,8 @@ def test_balance_stays_in_bracket(monkeypatch):
     out = []
     balance = _Engine.balance
 
-    def checked(self, frame, alpha, guess, pair):
-        beta = balance(self, frame, alpha, guess, pair)
+    def checked(self, frame, alpha, guess, pair, **kwargs):
+        beta = balance(self, frame, alpha, guess, pair, **kwargs)
         out.append((max(alpha, frame.c_arc), beta, frame.L))
         return beta
 
@@ -579,17 +579,16 @@ def test_balance_stays_in_bracket(monkeypatch):
 def test_families_calls_per_vertex_bounded(monkeypatch):
     """Deterministic work gate beside criterion 9's wall-clock gate.
 
-    Balance solves that start at the root their last state's cell
-    predicts and step to the roots of their reads' cells, with a
-    bracketed Newton fallback, dip searches only on stretches whose
-    lowest probe is interior, stop finds that read no probe past the
-    first where a watch holds, a phase I that is one root find and a
-    phase III that reads nothing outside its solves leave about 1.00 and
-    1.10 families calls per vertex at n = 2000 and 4000 with stop roots
-    on the watches' exact slopes (1.00 and 1.15 on the secants of their
-    reads, 1.72 and 1.92 with solves by Newton steps from a secant
-    guess, 2.20 and 2.49 with a bracket fallback that read no slopes and
-    every probe read).
+    Walks that read once per cell of ``families``, each read at the root
+    its last state's cell predicts, balance solves that step to the roots
+    of their reads' cells, with a bracketed Newton fallback, dip searches
+    only where the diameter's slope turns, stop finds that read no point
+    past the first where a watch holds, a phase I that is one root find
+    and a phase III that reads nothing outside its solves leave about
+    0.46 and 0.56 families calls per vertex at n = 2000 and 4000 (1.00
+    and 1.10 with six probes a stretch, 1.72 and 1.92 with solves by
+    Newton steps from a secant guess, 2.20 and 2.49 with a bracket
+    fallback that read no slopes and every probe read).
     """
     calls = [0]
     families = Caterpillar.families
@@ -605,19 +604,38 @@ def test_families_calls_per_vertex_bounded(monkeypatch):
         calls[0] = 0
         optimize(t, record_segments=False)
         per_vertex[n] = calls[0] / t.n
-    assert max(per_vertex.values()) <= 1.25, per_vertex
+    assert max(per_vertex.values()) <= 0.9, per_vertex
+
+
+def test_large_families_calls_bounded(monkeypatch):
+    # Work gate on the benchmark's ``optimize-large`` trees: a walk reads
+    # once per cell of ``families`` and takes each read as its state
+    # with its own cell's balance root, about 3,400 calls on the three
+    # trees (6,769 with six probes a stretch).
+    calls, families = [0], Caterpillar.families
+
+    def counted(self, alpha, beta):
+        calls[0] += 1
+        return families(self, alpha, beta)
+
+    monkeypatch.setattr(Caterpillar, "families", counted)
+    for seed in range(3):
+        optimize(random_tree(seed, 2000, "caterpillar"))
+    assert calls[0] <= 4500, calls[0]
 
 
 def test_balance_families_per_solve(monkeypatch):
-    # Work gate on the balance: a solve that starts at the root its last
-    # state's cell predicts and steps to the roots of its reads' cells,
-    # and where that fails a bracket searched by Newton steps on the
-    # slopes of its reads (``newton_root``), leaves about 1.22 and 1.25
-    # families calls per solve at n = 2000 and 4000, and 1.30 on the
-    # three trees of the benchmark's ``optimize-large`` pool.  Newton
-    # steps from a secant guess left 2.06, 1.98 and 2.16; with a search
-    # of the bracket that read no slopes it was 2.55 and 2.56 at n = 2000
-    # and 4000, and about 5.5 with the bracket and that search alone.
+    # Work gate on the balance: a walk's probe reads once, at the root its
+    # last state's cell predicts, and takes its own cell's root; a solve
+    # that must balance steps to the roots of its reads' cells, and where
+    # that fails searches a bracket by Newton steps on the slopes of its
+    # reads (``newton_root``).  That leaves about 1.36 and 1.38 families
+    # calls per solve at n = 2000 and 4000, and 1.46 on the three trees of
+    # the benchmark's ``optimize-large`` pool (1.22, 1.25 and 1.30 with a
+    # solve at each of six probes a stretch, 2.06, 1.98 and 2.16 with
+    # Newton steps from a secant guess; with a search of the bracket that
+    # read no slopes it was 2.55 and 2.56 at n = 2000 and 4000, and about
+    # 5.5 with the bracket and that search alone).
     calls, solves, depth = [0], [0], [0]
     families, balance = Caterpillar.families, _Engine.balance
 
@@ -625,11 +643,11 @@ def test_balance_families_per_solve(monkeypatch):
         calls[0] += depth[0] > 0
         return families(self, alpha, beta)
 
-    def traced(self, frame, alpha, guess, pair):
+    def traced(self, frame, alpha, guess, pair, **kwargs):
         solves[0] += 1
         depth[0] += 1
         try:
-            return balance(self, frame, alpha, guess, pair)
+            return balance(self, frame, alpha, guess, pair, **kwargs)
         finally:
             depth[0] -= 1
 
@@ -650,19 +668,20 @@ def test_balance_families_per_solve(monkeypatch):
 def test_corpus_families_calls_bounded(monkeypatch):
     # Work gate on the small trees, where fixed per-run costs dominate: a
     # juncture continues from one balance solve, not from a scan of the
-    # balance for every root, a solve steps to the closed-form root of
-    # the cell it reads, and only a stretch whose lowest probe is interior
-    # is searched for its dip, phase I is one root find, a stop find reads
-    # no probe past the first where a watch holds, a failed solve searches
-    # its bracket by Newton steps, a stop's root find and a dip search
-    # take Newton steps on the watch's and the diameter's exact slopes
-    # along the motion, phase I's on the root of the read's cell, and the
-    # polish certificate reads no families of its own.  About 3,270 calls
-    # (4,587 with stop roots on the secants of their reads and a
-    # golden-section dip search, 6,244 with solves by Newton steps from a
-    # secant guess, 7,872 with the stops' search safeguarded by regula
-    # falsi on the bracket too, 11,482 with every probe read as well).
-    # Phase I reads about 280 of them (787 on secants, 1,945 before).
+    # balance for every root, a walk reads once per cell, a solve steps to
+    # the closed-form root of the cell it reads, a dip is searched only
+    # where the diameter turns in an interval, phase I is one root find, a
+    # stop find reads no point past the first where a watch holds, a
+    # failed solve searches its bracket by Newton steps, a stop's root
+    # find and a dip search take Newton steps on the watch's and the
+    # diameter's exact slopes along the motion, phase I's on the root of
+    # the read's cell, and the polish certificate reads no families of
+    # its own.  About 2,610 calls (3,270 with six probes a stretch, 4,587
+    # with stop roots on the secants of their reads and a golden-section
+    # dip search, 6,244 with solves by Newton steps from a secant guess,
+    # 7,872 with the stops' search safeguarded by regula falsi on the
+    # bracket too, 11,482 with every probe read as well).  Phase I reads
+    # about 280 of them (787 on secants, 1,945 before).
     calls, phase1_calls, inside = [0], [0], [False]
     families, phase1 = Caterpillar.families, _Engine.phase1
 
@@ -691,8 +710,10 @@ def test_corpus_reads_per_stop_root_and_dip_bounded(monkeypatch):
     # families calls inside each root find of ``_first_stop`` (not those
     # of its probes), split into walk stops and phase I's end, and inside
     # each dip search.  With the watch's exact slope along the motion a
-    # walk stop's root reads about 2.2 and phase I's about 2.1; a dip
-    # search, a root find of the diameter's slope, about 5.  On the
+    # walk stop's root reads about 2.4 and phase I's about 2.0; a dip
+    # search, a read where the tangents of its interval's ends cross and
+    # a root find of the diameter's slope, about 7.6 (5 with six probes a
+    # stretch, whose dips sat between probes two intervals wide).  On the
     # secants of their reads with a golden-section dip search it was 4.3,
     # 9.2 and 35.4.  Phase I's conditions bend with the chord, so a
     # Newton step on their exact slope lands short of the root; a step to
@@ -1254,8 +1275,9 @@ def test_d_min_events_mark_real_dips(monkeypatch):
 
     def traced_emit(self, kind, phase, frame, fv, payload=()):
         if payload == ("d-min",):
+            # The event's state is the lowest the dip search read.
             dvals = [actives[-1](state) for _, state in scanned[0]]
-            depth = min(dvals[0], dvals[-1]) - min(dvals[1:-1])
+            depth = min(dvals[0], dvals[-1]) - actives[-1](fv)
             dips.append((self.tree.n, depth / self.tree.tol))
         return emit(self, kind, phase, frame, fv, payload)
 
@@ -1443,7 +1465,8 @@ def _stop_case(points, watches):
         made.append(_Read(s))
         return made[-1]
 
-    return eng, eng._first_stop(state_at, points, watches), made
+    reads = ((s, state_at(s)) for s in points)
+    return eng, eng._first_stop(state_at, reads, watches), made
 
 
 def test_first_stop_at_the_first_point_that_holds():
@@ -1499,3 +1522,38 @@ def test_first_stop_where_nothing_holds():
     _, (s, name, fv, states), made = _stop_case([0.0, 0.5, 1.0], watches)
     assert (s, name, fv) == (None, None, None)
     assert [st for _, st in states] == made and len(made) == 3
+
+
+def test_cell_end_is_exact_on_the_walks(monkeypatch):
+    # On every walk state of corpus trees 0..69 the end of the cell that
+    # ``Caterpillar.cell_end`` reports along the walk's motion is exact:
+    # a read just inside it, at 1 - 1e-6 of the step, is in the cell of a
+    # read just past the state, and one just past it, at 1 + 1e-6, is
+    # not.  The cell is where q, pbar and qbar keep their pendants, q its
+    # edge and p its breakpoints.
+    steps, cell_end = [], Caterpillar.cell_end
+
+    def recorded(self, fv, da, db, end=math.inf):
+        s = cell_end(self, fv, da, db, end)
+        steps.append((self, fv, da, db, s))
+        return s
+
+    monkeypatch.setattr(Caterpillar, "cell_end", recorded)
+    for seed in range(70):
+        optimize(corpus_tree(seed))
+    monkeypatch.undo()
+    checked = 0
+    for frame, fv, da, db, s in steps:
+        sig = lambda x: (lambda v: (v.cell, v.q_edge, bisect_right(
+            frame.bps, v.alpha)))(frame.families(fv.alpha + da * x,
+                                                 fv.beta + db * x))
+        past = s * (1.0 + 1e-6)
+        if not (math.isfinite(s) and s * 1e-6 > 1e-9 * frame.L
+                and 0.0 <= fv.alpha + da * past <= frame.c_arc
+                and frame.c_arc <= fv.beta + db * past <= frame.L):
+            continue
+        checked += 1
+        first = sig(s * 1e-6)
+        assert sig(s * (1.0 - 1e-6)) == first, (fv.alpha, fv.beta, s)
+        assert sig(past) != first, (fv.alpha, fv.beta, s)
+    assert checked > 150, checked          # 190 states

@@ -30,7 +30,8 @@ def record(**change):
            "families": 120, "evaluate_calls": 225, "solves": 40,
            "solve_families": 100, "phase1_families": 30, "stop_roots": 10,
            "stop_families": 30, "dips": 2, "dip_families": 40,
-           "sweep_gap": 0.0, "events": "0123456789abcdef"}
+           "stretches": 5, "probe_families": 35, "sweep_gap": 0.0,
+           "events": "0123456789abcdef"}
     rec.update(change)
     return rec
 
@@ -168,6 +169,56 @@ def test_compare_prints_reads_per_stop_root_and_dip(tmp_path, capsys):
     assert "stop roots and dips: a dump without them" not in out
 
 
+def test_compare_prints_probe_reads_per_stretch(tmp_path, capsys):
+    # Two trees of 5 stretches whose stops read 35 families outside their
+    # root finds; after, the second tree's 4 stretches read 10.
+    code, out = compare(tmp_path, capsys, stretches=4, probe_families=10)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("families calls per stretch outside stop roots, "
+                     "before -> after:")
+    assert lines[at + 1].split() == ["criterion-1", "7.00", "->", "5.00"]
+    assert "probe reads: a dump without stretches" not in out
+
+
+def test_compare_skips_probe_reads_the_older_dump_lacks(tmp_path, capsys):
+    # A dump made before stretches were counted: the probe reads are left
+    # out and the verdict does not read them.
+    before = {"criterion-1/0": record()}
+    for rec in before.values():
+        del rec["stretches"], rec["probe_families"]
+    after = {"criterion-1/0": record(stretches=9)}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    assert "probe reads: a dump without stretches, not compared" in out
+    assert "per stretch" not in out
+    assert "verdict: PASS" in out
+
+
+def test_compare_names_trees_that_cross_the_sweep_gap_line(tmp_path,
+                                                           capsys):
+    # The count of trees with sweep_gap above 1e-9 * scale moves by
+    # rounding where one tree reads just below the line before and just
+    # above it after; compare names it with both values.  A tree above
+    # the line in both dumps is counted and not named.
+    before = {"criterion-1/0": record(sweep_gap=9.999998e-10),
+              "criterion-1/1": record(sweep_gap=3e-6),
+              "criterion-1/2": record(sweep_gap=2e-9)}
+    after = {"criterion-1/0": record(sweep_gap=1.0000002e-09),
+             "criterion-1/1": record(sweep_gap=5e-6),
+             "criterion-1/2": record()}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("trees with sweep_gap > 1e-09 scale, before -> after:")
+    assert lines[at + 1].split() == ["criterion-1", "2", "->", "2"]
+    assert lines[at + 2:at + 4] == [
+        "  criterion-1/0 crosses 1e-09: 9.999998e-10 -> 1.0000002e-09",
+        "  criterion-1/2 crosses 1e-09: 2e-09 -> 0"]
+    assert "criterion-1/1 crosses" not in out
+    assert "verdict: PASS" in out
+
+
 def test_compare_skips_stop_roots_and_dips_the_older_dump_lacks(tmp_path,
                                                                 capsys):
     # A dump made before stop roots and dips were counted: their block is
@@ -215,15 +266,15 @@ def test_compare_skips_rescues_the_older_dump_lacks(tmp_path, capsys):
     assert "verdict: PASS" in out
 
 
-@pytest.mark.parametrize("seed, rescued", [(0, False), (12, True)])
-def test_dump_records_the_sweep_gap(seed, rescued):
+@pytest.mark.parametrize("spec, rescued", [((0, 5, "uniform"), False),
+                                           ((1000024, 5, "uniform"), True)],
+                         ids=["0-False", "1000024-True"])
+def test_dump_records_the_sweep_gap(spec, rescued):
     # The polish can only improve on the sweep's best candidate, so the
     # gap is never negative; on corpus tree 0 it is below the rescue
-    # bound, and on corpus tree 12 the polish moves the sweep's best
-    # candidate by about 4.9e-4 * scale.
-    spec = (seed, (5, 9, 14)[seed % 3],
-            ("uniform", "caterpillar", "balanced")[seed % 3])
-    _, rec = answers.answer(("criterion-1", f"criterion-1/{seed}", spec))
+    # bound, and on hold-out tree 24 the polish moves the sweep's best
+    # candidate by about 3.7e-2 * scale.
+    _, rec = answers.answer(("hold-out", f"tree/{spec[0]}", spec))
     assert rec["sweep_gap"] >= 0.0
     assert (rec["sweep_gap"] > answers.RESCUE) == rescued
 
@@ -242,6 +293,10 @@ def test_dump_counts_solves_beside_families():
     assert rec["stop_roots"] > 0
     assert 0 < rec["stop_families"] < rec["families"]
     assert rec["dip_families"] >= rec["dips"] >= 0
+    # Its walks cross stretches, whose stops read families outside their
+    # root finds, as phase I's stop does.
+    assert rec["stretches"] > 0
+    assert 0 < rec["probe_families"] < rec["families"]
 
 
 def test_compare_skips_solves_the_older_dump_lacks(tmp_path, capsys):

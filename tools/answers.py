@@ -22,7 +22,11 @@ of ``_Engine._first_stop``, phase I's included, not those of the balance
 solves inside it) and of the ``families`` calls inside them
 (``stop_families``; the stops' probes are not counted), the number of
 dip searches (``dips``, calls of ``_Engine._dip``) and of the
-``families`` calls inside them (``dip_families``), ``sweep_gap``, the
+``families`` calls inside them (``dip_families``), the number of
+stretches the walks cross (``stretches``: the ``_Engine._first_stop``
+calls of ``_Engine._drive``) and of the ``families`` calls inside
+``_first_stop`` outside its root finds (``probe_families``: the reads
+of its points, phase I's and the wedge crossing's included), ``sweep_gap``, the
 value ``best`` hands to ``_Engine._polish`` minus the value the polish
 returns, in units of the tree's scale (0 where no shortcut helps and
 nothing is polished), and ``events``, a digest of
@@ -47,13 +51,18 @@ totals of ``families`` calls, ``evaluate`` calls and events before and
 after, each set's mean and median ``evaluate`` calls per tree, each
 set's balance solves and ``families`` calls per solve, each set's
 ``families`` calls inside phase I, each set's ``families`` calls per stop
-root and per dip search, and each set's rescues, the trees
+root and per dip search, each set's ``families`` calls per stretch
+outside the stop roots (probe reads), and each set's rescues, the trees
 whose sweep_gap exceeds 1e-6 (the polish found an answer the sweep did
-not), which are not part of the verdict.
+not), and its trees whose sweep_gap exceeds 1e-9, naming each tree that
+crosses that line with both values, none of which is part of the
+verdict: a tree that reads 9.999998e-10 in one dump and 1.0000002e-09
+in the other moves the count by rounding alone.
 A dump from before the evaluate records were added has none;
 ``compare`` then says so and checks the optimize records alone.  A dump
 from before ``evaluate_calls``, the solves, ``phase1_families``, the stop
-roots and dips or ``sweep_gap`` were recorded is treated the same way:
+roots and dips, the stretches and probe reads or ``sweep_gap`` were
+recorded is treated the same way:
 ``compare`` says so and leaves those columns out.
 
 ``motions`` runs ``optimize`` on ``random_tree(SEED, N, SHAPE)`` and on
@@ -108,9 +117,12 @@ from treecut.tree_model import (  # noqa: E402
 SHAPES, SIZES = ("uniform", "caterpillar", "balanced"), (5, 9, 14)
 WORSE = 1e-9        # the largest loss allowed, in units of the tree's scale
 RESCUE = 1e-6       # a sweep_gap above this, in units of scale, is a rescue
+GAP = 1e-9          # the sweep_gap line whose crossings ``compare`` names
 EVALUATE = "evaluate/"      # the name prefix of the evaluate records
 # The counts of stop root finds and dip searches and their families calls.
 ROOTS = ("stop_roots", "stop_families", "dips", "dip_families")
+# The walks' stretches and the families calls of their stops outside roots.
+PROBES = ("stretches", "probe_families")
 MOTIONS = 40        # the moved copies ``motions`` checks
 MOVED = 1e-9        # a moved copy's measure differs beyond this
 MISS = 1e-6         # an answer this far above the grid optimum, in scale
@@ -178,12 +190,14 @@ def trace_digest(events):
 def answer(job):
     group, name, spec = job
     calls = {"families": 0, "evaluate": 0, "balance": 0, "phase1": 0,
-             "_first_stop": 0, "_dip": 0, "newton_root": 0,
+             "_first_stop": 0, "_dip": 0, "newton_root": 0, "_drive": 0,
              "solve_families": 0, "phase1_families": 0, "stop_roots": 0,
-             "stop_families": 0, "dip_families": 0}
+             "stop_families": 0, "dip_families": 0, "stretches": 0,
+             "probe_families": 0}
     targets = {"families": Caterpillar, "evaluate": Caterpillar,
                "balance": _Engine, "phase1": _Engine, "_first_stop": _Engine,
-               "_dip": _Engine, "newton_root": sweep_engine}
+               "_dip": _Engine, "newton_root": sweep_engine,
+               "_drive": _Engine}
     depth = dict.fromkeys(targets, 0)       # open calls of each method
     originals = {method: getattr(cls, method)
                  for method, cls in targets.items()}
@@ -195,13 +209,18 @@ def answer(job):
         return out
 
     def counting(method):
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls[method] += 1
             if method == "families":
                 calls["solve_families"] += depth["balance"] > 0
                 calls["phase1_families"] += depth["phase1"] > 0
                 calls["stop_families"] += depth["stop"] > 0
                 calls["dip_families"] += depth["_dip"] > 0
+                calls["probe_families"] += (depth["_first_stop"] > 0
+                                            and depth["stop"] == 0)
+            # A stretch: a stop find of a walk itself.
+            calls["stretches"] += (method == "_first_stop"
+                                   and depth["_drive"] > 0)
             # A stop's root find: ``newton_root`` called by ``_first_stop``
             # itself, not by a balance solve inside it.
             stop = (method == "newton_root" and depth["_first_stop"] > 0
@@ -210,7 +229,7 @@ def answer(job):
             depth[method] += 1
             depth["stop"] += stop
             try:
-                return originals[method](*args)
+                return originals[method](*args, **kwargs)
             finally:
                 depth[method] -= 1
                 depth["stop"] -= stop
@@ -239,6 +258,8 @@ def answer(job):
                   "stop_families": calls["stop_families"],
                   "dips": calls["_dip"],
                   "dip_families": calls["dip_families"],
+                  "stretches": calls["stretches"],
+                  "probe_families": calls["probe_families"],
                   "sweep_gap": gap[0] / t.scale,
                   "events": trace_digest(res.events)}
 
@@ -326,8 +347,11 @@ def compare(before_path, after_path):
                  for rec in (*before.values(), *after.values()))
     roots = all(all(field in rec for field in ROOTS)
                 for rec in (*before.values(), *after.values()))
+    probes = all(all(field in rec for field in PROBES)
+                 for rec in (*before.values(), *after.values()))
     rescues = all("sweep_gap" in rec
                   for rec in (*before.values(), *after.values()))
+    crossed = []            # (name, gap before, gap after) across GAP
     for name, old in before.items():
         new = after[name]
         row = sets.setdefault(old["set"], {
@@ -335,8 +359,8 @@ def compare(before_path, after_path):
             "worse": 0.0, "better": 0.0, "families": [0, 0],
             "evaluate_calls": ([], []), "events": [0, 0],
             "solves": [0, 0], "solve_families": [0, 0],
-            "phase1_families": [0, 0], "rescues": [0, 0],
-            **{field: [0, 0] for field in ROOTS}})
+            "phase1_families": [0, 0], "rescues": [0, 0], "gaps": [0, 0],
+            **{field: [0, 0] for field in ROOTS + PROBES}})
         row["trees"] += 1
         row["families"][0] += old["families"]
         row["families"][1] += new["families"]
@@ -345,13 +369,17 @@ def compare(before_path, after_path):
                 calls.append(rec["evaluate_calls"])
         fields = (("solves", "solve_families") if solves else ()) + (
             ("phase1_families",) if phase1 else ()) + (
-            ROOTS if roots else ())
+            ROOTS if roots else ()) + (PROBES if probes else ())
         for field in fields:
             row[field][0] += old[field]
             row[field][1] += new[field]
         if rescues:
-            row["rescues"][0] += old["sweep_gap"] > RESCUE
-            row["rescues"][1] += new["sweep_gap"] > RESCUE
+            gaps = old["sweep_gap"], new["sweep_gap"]
+            for i, gap in enumerate(gaps):
+                row["rescues"][i] += gap > RESCUE
+                row["gaps"][i] += gap > GAP
+            if (gaps[0] > GAP) != (gaps[1] > GAP):
+                crossed.append((name, *gaps))
         row["events"][0] += old["event_count"]
         row["events"][1] += new["event_count"]
         if old["phase_end"] != new["phase_end"]:
@@ -419,11 +447,26 @@ def compare(before_path, after_path):
             print(f"  {group:<12}{old:>16} -> {new}")
     else:
         print("stop roots and dips: a dump without them, not compared")
+    if probes:
+        print("families calls per stretch outside stop roots, before -> "
+              "after:")
+        for group, row in sets.items():
+            old, new = (f"{f / n if n else 0.0:.2f}" for n, f in
+                        zip(*(row[field] for field in PROBES)))
+            print(f"  {group:<12}{old:>16} -> {new}")
+    else:
+        print("probe reads: a dump without stretches, not compared")
     if rescues:
         print(f"rescues (sweep_gap > {RESCUE:g} scale), before -> after:")
         for group, row in sets.items():
             old, new = row["rescues"]
             print(f"  {group:<12}{old:>16} -> {new}")
+        print(f"trees with sweep_gap > {GAP:g} scale, before -> after:")
+        for group, row in sets.items():
+            old, new = row["gaps"]
+            print(f"  {group:<12}{old:>16} -> {new}")
+        for name, old, new in crossed:
+            print(f"  {name} crosses {GAP:g}: {old:.8g} -> {new:.8g}")
     else:
         print("rescues: a dump without sweep_gap, not compared")
     changed = sum(row["traces"] for row in sets.values())
