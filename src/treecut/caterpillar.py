@@ -22,7 +22,10 @@ the cycle, and from range maxima over the wedges inside the cycle
 otherwise: for each wedge, one window of tree-route partners and one
 prefix of cycle-route partners, read for all wedges at once from the
 sparse tables as numpy gathers.  A cycle holding few wedges is scanned
-in Python instead, which is cheaper there.
+in Python instead, which is cheaper there.  A caller that compares the
+value with a floor (``evaluate``, with the families' diameter) passes
+it: the gathers run only where an O(1) bound on the pairs inside the
+cycle, twice the highest wedge there plus half the cycle, reaches it.
 
 ``safe_steps`` is the compass polish's stationarity certificate: from
 the families' terms, the delta floor and the longest wedge pair,
@@ -550,18 +553,22 @@ class Caterpillar:
 
     # -- exact evaluation -------------------------------------------------
 
-    def pairs(self, alpha, beta, cyc):
+    def pairs(self, alpha, beta, cyc, floor=NEG):
         """Longest path in T + pq between two wedges, for arcs alpha <= beta
         and the cycle length ``cyc``, ``chord(alpha, beta) + beta - alpha``.
 
         A wedge is a pendant.  Pairs on one side of the cycle are joined by
         the tree and read from the prefix tables (``_same_side_pair``); the
         others meet on the cycle (``_cross_pair``).  -inf with fewer than
-        two wedges.
+        two wedges.  A caller that only compares the value with a threshold
+        passes it as ``floor``: the pairs inside the cycle are then read
+        only where their bound reaches it (``_cross_pair``), so the value
+        is exact where it reaches the floor and below it where it does not.
         """
         i_a, i_b = self._in_cycle(alpha, beta)
-        return max(self._same_side_pair(i_a, i_b),
-                   self._cross_pair(alpha, beta, i_a, i_b, cyc)[0])
+        same = self._same_side_pair(i_a, i_b)
+        return max(same, self._cross_pair(alpha, beta, i_a, i_b, cyc,
+                                          max(same, floor))[0])
 
     def _in_cycle(self, alpha, beta):
         """Pendant bounds (i_a, i_b): left of p is [0, i_a), inside the
@@ -577,7 +584,7 @@ class Caterpillar:
             best = max(best, float(self.right_pair[i_b]))
         return best
 
-    def _cross_pair(self, alpha, beta, i_a, i_b, cyc):
+    def _cross_pair(self, alpha, beta, i_a, i_b, cyc, floor=NEG):
         """The longest pair that meets on the cycle, as (w, i, j): its
         length and its wedges i < j, where i = -1 stands for the group left
         of p and j = k for the group right of q; (-inf, -1, -1) with fewer
@@ -588,9 +595,16 @@ class Caterpillar:
         ``_KERNEL_MIN_WEDGES`` wedges inside the cycle ``_cross_pairs``
         reads them by range maxima in numpy; below that, numpy's fixed
         cost loses to ``_cross_pair_arg``'s scan of ``_cycle_points``.
+        The kernel skips the pairs of two wedges inside the cycle where
+        their O(1) bound, twice the highest such wedge plus half the
+        cycle, stays below ``floor`` by more than tol, which outweighs the
+        rounding of their sums.  Its result is then the best pair with an
+        end group, still a real path and so still a witness; where the
+        longest pair is inside the cycle, it and the result both lie below
+        the floor.
         """
         if i_b - i_a >= _KERNEL_MIN_WEDGES:
-            return self._cross_pairs(alpha, beta, i_a, i_b, cyc)
+            return self._cross_pairs(alpha, beta, i_a, i_b, cyc, floor)
         w, i, j = _cross_pair_arg(self._cycle_points(alpha, beta, i_a, i_b),
                                   cyc, cyc / 2.0)
         if i < 0:
@@ -611,32 +625,21 @@ class Caterpillar:
             pts.append((beta - alpha, self.hpt_suf[0][i_b] - beta))
         return pts
 
-    def _cross_pairs(self, alpha, beta, i_a, i_b, cyc):
+    def _cross_pairs(self, alpha, beta, i_a, i_b, cyc, floor=NEG):
         """``_cross_pair`` by range maxima.
 
-        A wedge pair i < j scores (h-t)_i + (h+t)_j by the tree when
-        t_j - t_i <= half, else (h+t)_i + (h-t)_j + cyc round the cycle.
-        For every j at once, the tree partners are a window [lo_j, j) and
-        the cycle partners the prefix [i_a, lo_j), two sparse-table
-        gathers; one query finds the best j's partner.  The end groups
-        (max h-t left of p, max h+t right of q) pair with the wedges and
-        each other by O(1) queries.
+        The wedges inside the cycle pair with each other in
+        ``_wedge_pairs``, where their bound reaches ``floor``; the end
+        groups (max h-t left of p, max h+t right of q) pair with the
+        wedges and each other by O(1) queries.
         """
         half = cyc / 2.0
         hmt, hpt, k = self.rm_hmt, self.rm_hpt, self.k
         best = [(NEG, -1, -1)]
-        if i_b - i_a >= 2:
-            t = self._t[i_a:i_b]
-            lo = np.searchsorted(t, t - half, "left") + i_a
-            tree = hmt.gather(lo, np.arange(i_a, i_b))
-            tree += hpt.flat[i_a:i_b]       # level 0: the values
-            cycle = hpt.gather(i_a, lo)
-            cycle += hmt.flat[i_a:i_b]
-            j, jc = int(tree.argmax()), int(cycle.argmax())
-            best.append((float(tree[j]), hmt.query(int(lo[j]), i_a + j)[1],
-                         i_a + j))
-            best.append((float(cycle[jc]) + cyc,
-                         hpt.query(i_a, int(lo[jc]))[1], i_a + jc))
+        # A pair inside scores h_i + h_j + min(d, cyc - d) <= 2 max h + half.
+        if i_b - i_a >= 2 and (2.0 * self.rm_h.query(i_a, i_b)[0] + half
+                               + self.tree.tol >= floor):
+            best += self._wedge_pairs(i_a, i_b, cyc)
         # The end groups, left: u = 0, H = m_l + alpha; right: u = beta -
         # alpha, H = m_r - beta; an empty group is -inf.  The wedges split
         # into tree and cycle partners at pbar for the left group, at qbar
@@ -657,12 +660,39 @@ class Caterpillar:
                      -1, k))
         return max(best, key=lambda c: c[0])
 
+    def _wedge_pairs(self, i_a, i_b, cyc):
+        """The longest pair of two wedges inside the cycle [i_a, i_b) by
+        the tree and the longest round the cycle, each as (w, i, j).
+
+        A wedge pair i < j scores (h-t)_i + (h+t)_j by the tree when
+        t_j - t_i <= half, else (h+t)_i + (h-t)_j + cyc round the cycle.
+        For every j at once, the tree partners are a window [lo_j, j) and
+        the cycle partners the prefix [i_a, lo_j), two sparse-table
+        gathers; one query finds the best j's partner.
+        """
+        hmt, hpt = self.rm_hmt, self.rm_hpt
+        t = self._t[i_a:i_b]
+        lo = np.searchsorted(t, t - cyc / 2.0, "left") + i_a
+        tree = hmt.gather(lo, np.arange(i_a, i_b))
+        tree += hpt.flat[i_a:i_b]       # level 0: the values
+        cycle = hpt.gather(i_a, lo)
+        cycle += hmt.flat[i_a:i_b]
+        j, jc = int(tree.argmax()), int(cycle.argmax())
+        return [(float(tree[j]), hmt.query(int(lo[j]), i_a + j)[1], i_a + j),
+                (float(cycle[jc]) + cyc, hpt.query(i_a, int(lo[jc]))[1],
+                 i_a + jc)]
+
     def evaluate(self, alpha, beta):
         """Exact diam(T + pq) for backbone arcs alpha and beta.
 
         The monitored families cover every path with x or y as an end,
         every antipode and the B-sub-tree floor delta; ``pairs`` covers
-        the paths between two wedges.
+        the paths between two wedges.  The families' diameter and the
+        same-side pairs are the floor of ``_cross_pair``: the pairs of two
+        wedges inside the cycle are read only where their bound reaches
+        it, and where they are skipped they cannot be the maximum.  The
+        cross pair kept in ``last_read`` is then the best one with an end
+        group.
         """
         if beta < alpha:
             alpha, beta = beta, alpha
@@ -672,9 +702,10 @@ class Caterpillar:
             return self.diam_t
         fv = self.families(alpha, beta)
         i_a, i_b = self._in_cycle(alpha, beta)
-        cross = self._cross_pair(alpha, beta, i_a, i_b, fv.cyc)
+        floor = max(fv.diameter, self._same_side_pair(i_a, i_b))
+        cross = self._cross_pair(alpha, beta, i_a, i_b, fv.cyc, floor)
         self.last_read = (alpha, beta, fv, cross)
-        return max(fv.diameter, self._same_side_pair(i_a, i_b), cross[0])
+        return max(floor, cross[0])
 
     # The compass directions (d alpha, d beta) of ``_Engine._polish``, in
     # the order in which it probes them.

@@ -1117,14 +1117,17 @@ class _Engine:
         run in ``frame``.  Wedge-wedge paths, by the tree or through the
         shortcut, are what the monitored families leave out of the exact
         diameter; ``Caterpillar.pairs`` gives the longest.  A binary
-        search finds the first point where it ties.  Between it and its
-        predecessor, ``_first_stop`` finds where "pairs minus diameter"
-        first rises to -tol with q keeping the x-y balance; where it does
-        not, no candidate is noted.
+        search finds the first point where it ties; it passes ``pairs``
+        the floor d - tol, so the pairs inside the cycle are gathered only
+        where they could tie.  Between that point and its predecessor,
+        ``_first_stop`` finds where "pairs minus diameter" first rises to
+        -tol with q keeping the x-y balance; where it does not, no
+        candidate is noted.
         """
         def margin(i):
             a, b, d = traj[i]
-            return frame.pairs(a, b, frame.chord(a, b) + (b - a)) - d
+            return frame.pairs(a, b, frame.chord(a, b) + (b - a),
+                               d - self.tol) - d
         n = len(traj) - 1             # margin(0) < -tol <= margin(n)
         if margin(n) < -self.tol or margin(0) >= -self.tol:
             return

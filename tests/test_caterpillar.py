@@ -389,9 +389,9 @@ def test_pairs_takes_the_kernel_from_the_threshold(monkeypatch):
     cross, kernel = Caterpillar._cross_pair, Caterpillar._cross_pairs
     calls = {"big": 0, "small": 0, "kernel": 0, "scan": 0}
 
-    def counted_cross(self, alpha, beta, i_a, i_b, cyc):
+    def counted_cross(self, alpha, beta, i_a, i_b, cyc, floor=NEG):
         calls["big" if i_b - i_a >= _KERNEL_MIN_WEDGES else "small"] += 1
-        return cross(self, alpha, beta, i_a, i_b, cyc)
+        return cross(self, alpha, beta, i_a, i_b, cyc, floor)
 
     def counted_kernel(self, *args):
         calls["kernel"] += 1
@@ -415,6 +415,73 @@ def test_pairs_takes_the_kernel_from_the_threshold(monkeypatch):
     assert calls["small"] > 0
     assert calls == {"big": 0, "small": calls["small"], "kernel": 0,
                      "scan": calls["small"]}
+
+
+def gate_trees():
+    """The trees the wedge-pair gate is checked on: the 210 criterion-1
+    trees, the three n = 2000 caterpillars and one of n = 4000."""
+    shapes = ("uniform", "caterpillar", "balanced")
+    for s in range(210):
+        yield random_tree(s, (5, 9, 14)[s % 3], shapes[s % 3])
+    for s in range(3):
+        yield random_tree(s, 2000, "caterpillar")
+    yield random_tree(11, 4000, "caterpillar")
+
+
+def test_evaluate_skips_only_wedge_pairs_below_its_floor(monkeypatch):
+    # Every placement ``optimize`` evaluates on the gate trees, and random
+    # ones on the large trees, against the value with the in-cycle pairs
+    # forced (``pairs`` without a floor): equal to the bit.  Where
+    # ``evaluate`` skipped the in-cycle block, those pairs are at most the
+    # bound, the bound is below the floor, and the cross pair it keeps in
+    # ``last_read`` is a real path of its length.
+    placements, blocks = [], [0]
+    evaluate, wedge_pairs = Caterpillar.evaluate, Caterpillar._wedge_pairs
+
+    def recorded(self, alpha, beta):
+        placements.append((self, alpha, beta))
+        return evaluate(self, alpha, beta)
+
+    def counted(self, *args):
+        blocks[0] += 1
+        return wedge_pairs(self, *args)
+
+    monkeypatch.setattr(Caterpillar, "evaluate", recorded)
+    rng = random.Random(7)
+    for t in gate_trees():
+        optimize(t, record_segments=False)
+        if t.n >= 2000:
+            cat = Caterpillar(t, backbone(t))
+            placements += [(cat, a, b) for a, b in
+                           kernel_placements(cat, rng, 20)]
+    monkeypatch.setattr(Caterpillar, "evaluate", evaluate)
+    monkeypatch.setattr(Caterpillar, "_wedge_pairs", counted)
+    big = skipped = 0
+    for cat, alpha, beta in placements:
+        blocks[0] = 0
+        got = cat.evaluate(alpha, beta)
+        ran, read = blocks[0], cat.last_read
+        a, b = min(alpha, beta), max(alpha, beta)
+        if b - a <= 0.0:
+            assert got == cat.diam_t
+            continue
+        fv = cat.families(a, b)
+        want = max(fv.diameter, cat.pairs(a, b, fv.cyc))
+        assert got.hex() == want.hex(), (a, b)
+        i_a, i_b = cat._in_cycle(a, b)
+        big += i_b - i_a >= _KERNEL_MIN_WEDGES
+        if i_b - i_a < _KERNEL_MIN_WEDGES or ran:
+            continue
+        skipped += 1
+        bound = 2.0 * cat.rm_h.query(i_a, i_b)[0] + fv.cyc / 2.0
+        floor = max(fv.diameter, cat._same_side_pair(i_a, i_b))
+        inside = max(w for w, _, _ in cat._wedge_pairs(i_a, i_b, fv.cyc))
+        assert inside <= bound < floor, (a, b)
+        w, i, j = read[3]
+        if w > NEG:
+            assert cross_pair_length(cat, a, b, fv.cyc, i, j) == (
+                pytest.approx(w, abs=1e-12 * cat.tree.scale)), (a, b)
+    assert big > 0 and skipped >= 0.95 * big, (big, skipped)
 
 
 def slope_rows(fv):

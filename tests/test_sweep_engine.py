@@ -1180,9 +1180,9 @@ def test_wedge_crossing_queries_bounded(monkeypatch):
     queries, per_call = [0], []
     pairs, crossing = Caterpillar.pairs, _Engine._wedge_crossing
 
-    def counted(self, alpha, beta, cyc):
+    def counted(self, alpha, beta, cyc, floor=NEG):
         queries[0] += 1
-        return pairs(self, alpha, beta, cyc)
+        return pairs(self, alpha, beta, cyc, floor)
 
     def traced(self, frame, traj):
         queries[0] = 0
@@ -1194,6 +1194,76 @@ def test_wedge_crossing_queries_bounded(monkeypatch):
     for n in (2000, 4000):
         optimize(random_tree(11, n, "caterpillar"), record_segments=False)
     assert per_call and max(per_call) <= 25, per_call
+
+
+def gate_trees():
+    """The trees the wedge-pair gate is checked on: the 210 criterion-1
+    trees, the three n = 2000 caterpillars and one of n = 4000."""
+    yield from map(corpus_tree, range(210))
+    for s in range(3):
+        yield random_tree(s, 2000, "caterpillar")
+    yield random_tree(11, 4000, "caterpillar")
+
+
+def test_wedge_crossing_margin_reads_the_same_with_its_floor(monkeypatch):
+    # The crossing's bisection reads ``pairs`` with the floor d - tol.  On
+    # every phase-III trajectory of the gate trees each point's test,
+    # pairs - d >= -tol, reads the same with the floor as without it, so
+    # the bisection finds the same index; the floor skips in-cycle blocks.
+    runs, blocks = [], [0]
+    crossing, wedge_pairs = _Engine._wedge_crossing, Caterpillar._wedge_pairs
+
+    def recorded(self, frame, traj):
+        runs.append((self.tol, frame, list(traj)))
+        return crossing(self, frame, traj)
+
+    def counted(self, *args):
+        blocks[0] += 1
+        return wedge_pairs(self, *args)
+
+    monkeypatch.setattr(_Engine, "_wedge_crossing", recorded)
+    for t in gate_trees():
+        optimize(t, record_segments=False)
+    monkeypatch.setattr(Caterpillar, "_wedge_pairs", counted)
+    saved = 0
+    for tol, frame, traj in runs:
+        reads, ran = [], []
+        for floor in (False, True):
+            blocks[0] = 0
+            reads.append([frame.pairs(a, b, frame.chord(a, b) + (b - a),
+                                      d - tol if floor else NEG) - d >= -tol
+                          for a, b, d in traj])
+            ran.append(blocks[0])
+        assert reads[0] == reads[1], traj
+        saved += ran[0] - ran[1]
+    assert len(runs) > 100 and saved > 0, (len(runs), saved)
+
+
+def test_wedge_pair_blocks_bounded(monkeypatch):
+    # Work gate on the in-cycle wedge-pair kernel: ``evaluate`` and the
+    # crossing's bisection run it only where its bound reaches their
+    # floor.  Ungated, the three large trees ran 371 blocks, 306 of them
+    # inside ``best`` and ``_polish``.
+    blocks, inside = {"all": 0, "best": 0}, [False]
+    wedge_pairs, best = Caterpillar._wedge_pairs, _Engine.best
+
+    def counted(self, *args):
+        blocks["all"] += 1
+        blocks["best"] += inside[0]
+        return wedge_pairs(self, *args)
+
+    def traced(self):
+        inside[0] = True
+        try:
+            return best(self)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Caterpillar, "_wedge_pairs", counted)
+    monkeypatch.setattr(_Engine, "best", traced)
+    for s in range(3):
+        optimize(random_tree(s, 2000, "caterpillar"), record_segments=False)
+    assert blocks["best"] <= 10 and blocks["all"] <= 60, blocks
 
 
 def item1_tree(i):

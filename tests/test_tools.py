@@ -30,7 +30,8 @@ def record(**change):
            "families": 120, "evaluate_calls": 225, "solves": 40,
            "solve_families": 100, "phase1_families": 30, "stop_roots": 10,
            "stop_families": 30, "dips": 2, "dip_families": 40,
-           "stretches": 5, "probe_families": 35, "sweep_gap": 0.0,
+           "stretches": 5, "probe_families": 35, "pair_blocks": 6,
+           "sweep_gap": 0.0,
            "events": "0123456789abcdef"}
     rec.update(change)
     return rec
@@ -193,6 +194,42 @@ def test_compare_skips_probe_reads_the_older_dump_lacks(tmp_path, capsys):
     assert "probe reads: a dump without stretches, not compared" in out
     assert "per stretch" not in out
     assert "verdict: PASS" in out
+
+
+def test_compare_prints_pair_blocks_per_set(tmp_path, capsys):
+    # Two trees that ran 6 in-cycle kernel blocks each; after, the second
+    # runs 1.
+    code, out = compare(tmp_path, capsys, pair_blocks=1)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("in-cycle wedge-pair kernel blocks, before -> after:")
+    assert lines[at + 1].split() == ["criterion-1", "12", "->", "7"]
+    assert "pair blocks: a dump without pair_blocks" not in out
+
+
+def test_compare_skips_pair_blocks_the_older_dump_lacks(tmp_path, capsys):
+    # A dump made before the kernel blocks were counted: their block is
+    # left out and the verdict does not read it.
+    before = {"criterion-1/0": record()}
+    for rec in before.values():
+        del rec["pair_blocks"]
+    after = {"criterion-1/0": record(pair_blocks=1)}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    assert "pair blocks: a dump without pair_blocks, not compared" in out
+    assert "kernel blocks" not in out
+    assert "verdict: PASS" in out
+
+
+def test_dump_counts_pair_blocks():
+    # The n = 2000 caterpillar runs the in-cycle kernel a few times, where
+    # its bound reaches the floor; corpus tree 0 never has the 32 wedges
+    # inside its cycle that the kernel needs.
+    _, rec = answers.answer(("large", "large/0", (0, 2000, "caterpillar")))
+    assert 0 < rec["pair_blocks"] <= 60
+    _, rec = answers.answer(("criterion-1", "criterion-1/0",
+                             (0, 5, "uniform")))
+    assert rec["pair_blocks"] == 0
 
 
 def test_compare_names_trees_that_cross_the_sweep_gap_line(tmp_path,

@@ -26,10 +26,12 @@ dip searches (``dips``, calls of ``_Engine._dip``) and of the
 stretches the walks cross (``stretches``: the ``_Engine._first_stop``
 calls of ``_Engine._drive``) and of the ``families`` calls inside
 ``_first_stop`` outside its root finds (``probe_families``: the reads
-of its points, phase I's and the wedge crossing's included), ``sweep_gap``, the
-value ``best`` hands to ``_Engine._polish`` minus the value the polish
-returns, in units of the tree's scale (0 where no shortcut helps and
-nothing is polished), and ``events``, a digest of
+of its points, phase I's and the wedge crossing's included), the number
+of blocks of the numpy kernel over the pairs of two wedges inside the
+cycle (``pair_blocks``: the ``Caterpillar._wedge_pairs`` calls),
+``sweep_gap``, the value ``best`` hands to ``_Engine._polish`` minus the
+value the polish returns, in units of the tree's scale (0 where no
+shortcut helps and nothing is polished), and ``events``, a digest of
 the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
 ``float.hex`` and payload; not its diameter).  ``dump`` also runs
 ``augmented_diameter`` on the 120 trees of the benchmark's
@@ -52,7 +54,8 @@ after, each set's mean and median ``evaluate`` calls per tree, each
 set's balance solves and ``families`` calls per solve, each set's
 ``families`` calls inside phase I, each set's ``families`` calls per stop
 root and per dip search, each set's ``families`` calls per stretch
-outside the stop roots (probe reads), and each set's rescues, the trees
+outside the stop roots (probe reads), each set's total of in-cycle
+kernel blocks (``pair_blocks``), and each set's rescues, the trees
 whose sweep_gap exceeds 1e-6 (the polish found an answer the sweep did
 not), and its trees whose sweep_gap exceeds 1e-9, naming each tree that
 crosses that line with both values, none of which is part of the
@@ -61,8 +64,8 @@ in the other moves the count by rounding alone.
 A dump from before the evaluate records were added has none;
 ``compare`` then says so and checks the optimize records alone.  A dump
 from before ``evaluate_calls``, the solves, ``phase1_families``, the stop
-roots and dips, the stretches and probe reads or ``sweep_gap`` were
-recorded is treated the same way:
+roots and dips, the stretches and probe reads, ``pair_blocks`` or
+``sweep_gap`` were recorded is treated the same way:
 ``compare`` says so and leaves those columns out.
 
 ``motions`` runs ``optimize`` on ``random_tree(SEED, N, SHAPE)`` and on
@@ -193,8 +196,9 @@ def answer(job):
              "_first_stop": 0, "_dip": 0, "newton_root": 0, "_drive": 0,
              "solve_families": 0, "phase1_families": 0, "stop_roots": 0,
              "stop_families": 0, "dip_families": 0, "stretches": 0,
-             "probe_families": 0}
+             "probe_families": 0, "_wedge_pairs": 0}
     targets = {"families": Caterpillar, "evaluate": Caterpillar,
+               "_wedge_pairs": Caterpillar,
                "balance": _Engine, "phase1": _Engine, "_first_stop": _Engine,
                "_dip": _Engine, "newton_root": sweep_engine,
                "_drive": _Engine}
@@ -260,6 +264,7 @@ def answer(job):
                   "dip_families": calls["dip_families"],
                   "stretches": calls["stretches"],
                   "probe_families": calls["probe_families"],
+                  "pair_blocks": calls["_wedge_pairs"],
                   "sweep_gap": gap[0] / t.scale,
                   "events": trace_digest(res.events)}
 
@@ -349,6 +354,8 @@ def compare(before_path, after_path):
                 for rec in (*before.values(), *after.values()))
     probes = all(all(field in rec for field in PROBES)
                  for rec in (*before.values(), *after.values()))
+    blocks = all("pair_blocks" in rec
+                 for rec in (*before.values(), *after.values()))
     rescues = all("sweep_gap" in rec
                   for rec in (*before.values(), *after.values()))
     crossed = []            # (name, gap before, gap after) across GAP
@@ -359,7 +366,8 @@ def compare(before_path, after_path):
             "worse": 0.0, "better": 0.0, "families": [0, 0],
             "evaluate_calls": ([], []), "events": [0, 0],
             "solves": [0, 0], "solve_families": [0, 0],
-            "phase1_families": [0, 0], "rescues": [0, 0], "gaps": [0, 0],
+            "phase1_families": [0, 0], "pair_blocks": [0, 0],
+            "rescues": [0, 0], "gaps": [0, 0],
             **{field: [0, 0] for field in ROOTS + PROBES}})
         row["trees"] += 1
         row["families"][0] += old["families"]
@@ -369,7 +377,8 @@ def compare(before_path, after_path):
                 calls.append(rec["evaluate_calls"])
         fields = (("solves", "solve_families") if solves else ()) + (
             ("phase1_families",) if phase1 else ()) + (
-            ROOTS if roots else ()) + (PROBES if probes else ())
+            ROOTS if roots else ()) + (PROBES if probes else ()) + (
+            ("pair_blocks",) if blocks else ())
         for field in fields:
             row[field][0] += old[field]
             row[field][1] += new[field]
@@ -456,6 +465,13 @@ def compare(before_path, after_path):
             print(f"  {group:<12}{old:>16} -> {new}")
     else:
         print("probe reads: a dump without stretches, not compared")
+    if blocks:
+        print("in-cycle wedge-pair kernel blocks, before -> after:")
+        for group, row in sets.items():
+            old, new = row["pair_blocks"]
+            print(f"  {group:<12}{old:>16} -> {new}")
+    else:
+        print("pair blocks: a dump without pair_blocks, not compared")
     if rescues:
         print(f"rescues (sweep_gap > {RESCUE:g} scale), before -> after:")
         for group, row in sets.items():
