@@ -8,12 +8,19 @@ antipodal of its cycle attachment point.  These candidates are exact;
 pairs inside a single B-sub-tree are kept for the value but excluded
 from the reported pair state.
 
-The formula lives in ``augmented_diameter_value``: one numpy pass over
-the leaf pairs in blocks of rows, with no array of leaves x leaves.
-Each block computes its own tree distances off the tree's stored
-preorder (``_distance_blocks``, the LCA as a range minimum: Bender and
-Farach-Colton, "The LCA problem revisited", LATIN 2000), and the
-distances from p and q are array passes over it.
+The formula lives in ``augmented_diameter_value``.  It first bounds
+every leaf's pairs in O(1) each, by its eccentricity (off the double
+sweep's poles) and by its distances to p and q against the largest on
+the other side, and keeps only the leaves whose bound reaches a value
+the diameter is known to reach (``_kept_leaves``).  Then one numpy pass
+runs over the pairs of the kept leaves in blocks of rows, with no array
+of leaves x leaves.  Each block computes its own tree distances off the
+tree's stored preorder (``_distance_blocks``, the LCA as a range
+minimum: Bender and Farach-Colton, "The LCA problem revisited", LATIN
+2000), and the distances from p and q are array passes over it.  A
+dropped pair lies more than ``tree.tol`` below the diameter, and a kept
+pair's distance is the same float as over all leaves, so the value is
+the one the pass over every pair gives, to the bit.
 ``augmented_diameter`` has the same pass collect the candidates near
 its running maximum and diagnoses the ones within ``tree.tol`` of the
 value.
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diameter_core import BackboneDecomposition, backbone
+from .diameter_core import BackboneDecomposition, _poles, backbone
 from .tree_model import (
     GeometricTree,
     Shortcut,
@@ -247,14 +254,42 @@ def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
     return _diagnosis(diameter, near.cyc, achieving)
 
 
+def _kept_leaves(tree, index, dp, dq, e, reached):
+    """The positions, among the leaves ``index``, of the leaves whose
+    pairs can come within ``tree.tol`` of the diameter, given every
+    vertex's distances ``dp``, ``dq`` from p and q, ``e = |pq|`` and a
+    value the diameter reaches, ``reached``.
+
+    The three routes of a pair holding leaf u are at most ``ecc(u)``,
+    ``dp(u) + e + max dq`` and ``dq(u) + e + max dp``, so the pair, the
+    least of them, is at most the least of these, u's bound.  ``ecc(u)``
+    is u's distance to the farther pole of the double sweep, and the
+    pair of u with that pole is one the pass reads: the floor is the
+    largest of those pairs and ``reached``.  A leaf whose bound is below
+    the floor by more than ``2 * tol`` has no pair within ``tol`` of the
+    diameter, rounding included.
+    """
+    u1, u2, d1, d2 = _poles(tree)
+    d1, d2, dpl, dql = d1[index], d2[index], dp[index], dq[index]
+    ecc = np.maximum(d1, d2)
+    pole = np.where(d1 >= d2, u1, u2)
+    reach = np.minimum(ecc, np.minimum(dpl + e + dq[pole],
+                                       dql + e + dp[pole]))
+    floor = max(reached, float(reach.max())) - 2.0 * tree.tol
+    bound = np.minimum(ecc, np.minimum(dpl + (e + dql.max()),
+                                       dql + (e + dpl.max())))
+    return np.flatnonzero(bound >= floor)
+
+
 def augmented_diameter_value(tree, shortcut, near=None):
     """Diameter of T + pq.
 
     The maximum over leaf pairs of the shortest of the three routes, and,
     when pq closes a cycle, over leaves of the distance to the antipodal
-    point of their cycle attachment.  ``near`` is the diagnosis'
-    ``_Near``, filled as the pass goes.  Each end of the shortcut is
-    checked once.
+    point of their cycle attachment.  The pair pass reads only the
+    leaves ``_kept_leaves`` keeps against the antipodal maximum; with
+    fewer than two there is none.  ``near`` is the diagnosis' ``_Near``,
+    filled as the pass goes.  Each end of the shortcut is checked once.
     """
     tree.check_shortcut(shortcut)
     p, q = shortcut.p, shortcut.q
@@ -264,7 +299,6 @@ def augmented_diameter_value(tree, shortcut, near=None):
     dtpq = _network_distance(tree, p, q, dp)
     cyc = e + dtpq
     index, depth, gaps = tree.leaf_depths
-    leaves = index.tolist()
     dpl, dql = dp[index], dq[index]
     best = 0.0
     if near is not None:
@@ -274,7 +308,15 @@ def augmented_diameter_value(tree, shortcut, near=None):
         best = float(anti.max())
         if near is not None:
             for i in np.flatnonzero(anti >= best - tree.tol):
-                near.antipodal.append((leaves[i], float(anti[i])))
+                near.antipodal.append((int(index[i]), float(anti[i])))
+    keep = _kept_leaves(tree, index, dp, dq, e, best)
+    if len(keep) < 2:
+        return best
+    # Leaves i < j meet at the least gap between them, so the gap between
+    # two kept leaves is the least of the gaps they span.
+    gaps = np.minimum.reduceat(gaps[:keep[-1]], keep[:-1])
+    index, depth, dpl, dql = index[keep], depth[keep], dpl[keep], dql[keep]
+    leaves = index.tolist()
     for r0, r1, treed in _distance_blocks(depth, gaps):
         via = np.add.outer(dpl[r0:r1] + e, dql[r0 + 1:])
         np.minimum(via, np.add.outer(dql[r0:r1] + e, dpl[r0 + 1:]), out=via)

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from treecut import (
@@ -308,4 +309,139 @@ def test_evaluate_memory_at_8000_vertices():
         tracemalloc.stop()
     assert len(t.leaves()) == 3959
     assert diag.achieving_pairs
+    assert peak < 64 * 2 ** 20
+
+
+def regular_star(spokes):
+    """A star of ``spokes`` unit spokes from vertex 0, evenly spaced."""
+    verts = {0: (0.0, 0.0)}
+    for i in range(spokes):
+        turn = 2.0 * math.pi * i / spokes
+        verts[i + 1] = (math.cos(turn), math.sin(turn))
+    return GeometricTree(verts, [(0, i + 1) for i in range(spokes)])
+
+
+def pass_leaves(monkeypatch):
+    """A list that gets the number of leaves each pair pass reads."""
+    seen, blocks = [], augmented_eval._distance_blocks
+
+    def counted(depth, gaps):
+        seen.append(len(depth))
+        return blocks(depth, gaps)
+
+    monkeypatch.setattr(augmented_eval, "_distance_blocks", counted)
+    return seen
+
+
+def test_regular_star_keeps_every_leaf(monkeypatch):
+    # Every leaf ties on eccentricity, and with a shortcut whose cycle
+    # stays short of the diameter every pair of two spokes away from it
+    # is a diameter, so no leaf is pruned; in blocks of 64 entries the
+    # pass and its near lists run over 39 blocks.
+    monkeypatch.setattr(augmented_eval, "_BLOCK", 64)
+    seen = pass_leaves(monkeypatch)
+    t = regular_star(40)
+    d = backbone(t)
+    centre = TreePoint.at_vertex(0)
+    for sc in (Shortcut(centre, centre),
+               Shortcut(TreePoint(0, 7, 0.3), TreePoint(0, 7, 0.3)),
+               Shortcut(TreePoint(0, 7, 0.2), TreePoint(0, 7, 0.6)),
+               Shortcut(TreePoint(0, 1, 0.1), TreePoint(0, 2, 0.1)),
+               Shortcut(TreePoint(0, 1, 0.9), TreePoint(0, 2, 0.9))):
+        seen.clear()
+        got, want = augmented_diameter(t, d, sc), leaf_pair_diameter(t, sc)
+        assert seen == [40], sc
+        assert abs(got.diameter - want.diameter) <= 1e-12 * t.scale
+        assert summary(got) == summary(want), sc
+        assert got.pair_state == want.pair_state
+        assert got.path_state == want.path_state
+
+
+def test_antipodal_term_leaves_no_pair_pass(monkeypatch):
+    # A bent path A-M-B with a pendant w of 10 at M, and the shortcut AB:
+    # w against its antipode, 10 + 16 / 2 = 18, beats every pair (15 at
+    # most), so every leaf's bound is below the floor and no pair pass
+    # runs.
+    seen = pass_leaves(monkeypatch)
+    t = GeometricTree({0: (0.0, 0.0), 1: (3.0, 4.0), 2: (6.0, 0.0),
+                       3: (3.0, 14.0)}, [(0, 1), (1, 2), (1, 3)])
+    sc = Shortcut(TreePoint.at_vertex(0), TreePoint.at_vertex(2))
+    got, want = augmented_diameter(t, backbone(t), sc), leaf_pair_diameter(
+        t, sc)
+    assert seen == []
+    assert got.diameter == pytest.approx(18.0)
+    assert augmented_diameter_value(t, sc) == got.diameter
+    assert abs(got.diameter - want.diameter) <= 1e-12 * t.scale
+    assert got.cycle_length == want.cycle_length
+    assert summary(got) == summary(want)
+    # M is halfway along the cycle's tree path, so w's antipode is the
+    # shortcut's midpoint.
+    assert [(ap.end1, ap.end2["kind"]) for ap in got.achieving_pairs] == [
+        (3, "interior")]
+
+
+def test_point_shortcut_without_a_cycle(monkeypatch):
+    # p == q closes no cycle, so the floor is the pairs with the poles
+    # alone; the diagnosis matches the oracle and the bound still prunes.
+    seen = pass_leaves(monkeypatch)
+    shapes = ("uniform", "caterpillar", "balanced")
+    rng = random.Random(7)
+    read = total = 0
+    for s in range(12):
+        t = random_tree(s, 30 + 5 * s, shapes[s % 3])
+        d = backbone(t)
+        (u, v) = t.edges[rng.randrange(len(t.edges))]
+        for pt in (TreePoint(u, v, rng.random()), TreePoint.at_vertex(u),
+                   d.center):
+            sc = Shortcut(pt, pt)
+            seen.clear()
+            got, want = augmented_diameter(t, d, sc), leaf_pair_diameter(
+                t, sc)
+            assert got.cycle_length == want.cycle_length == 0.0
+            assert abs(got.diameter - want.diameter) <= 1e-12 * t.scale
+            assert summary(got) == summary(want), (s, sc)
+            assert got.pair_state == want.pair_state
+            assert got.path_state == want.path_state
+            read += sum(seen)
+            total += len(t.leaves())
+    assert read < total / 2
+
+
+def test_bound_prunes_the_pair_pass(monkeypatch):
+    # random_tree(0, 4000) with a shortcut between the midpoints of the
+    # backbone edges a quarter and three quarters along: the pair pass
+    # reads under 10 % of the 2,015 leaves, and the diagnosis is the one
+    # the pass over every leaf gives.
+    seen = pass_leaves(monkeypatch)
+    t = random_tree(0, 4000, "uniform")
+    d = backbone(t)
+    ids, k = d.backbone_ids, len(d.backbone_ids)
+    sc = Shortcut(TreePoint(ids[k // 4], ids[k // 4 + 1], 0.5),
+                  TreePoint(ids[3 * k // 4], ids[3 * k // 4 + 1], 0.5))
+    got = augmented_diameter(t, d, sc)
+    assert len(t.leaves()) == 2015
+    assert 2 <= sum(seen) < 0.1 * 2015
+    seen.clear()
+    monkeypatch.setattr(augmented_eval, "_kept_leaves",
+                        lambda tree, index, *rest: np.arange(len(index)))
+    assert augmented_diameter(t, d, sc) == got
+    assert seen == [2015]
+
+
+def test_value_memory_on_a_4000_spoke_star(monkeypatch):
+    # Nothing is pruned on a regular star: the pass reads all 4,000
+    # leaves in blocks of rows, and the value stays under 64 MiB where a
+    # table of every leaf pair alone would take 122 MiB.
+    seen = pass_leaves(monkeypatch)
+    t = regular_star(4000)
+    t.leaf_depths
+    sc = Shortcut(TreePoint(0, 1, 0.5), TreePoint(0, 2001, 0.5))
+    tracemalloc.start()
+    try:
+        value = augmented_diameter_value(t, sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == [4000]
+    assert value == pytest.approx(2.0)
     assert peak < 64 * 2 ** 20

@@ -367,7 +367,8 @@ def test_compare_skips_phase1_families_the_older_dump_lacks(tmp_path,
 
 def evaluate_record(**change):
     rec = {"set": "evaluate", "diameter": (3.0).hex(), "scale": 4.0,
-           "usefulness": "useful", "pairs": "0123456789abcdef"}
+           "usefulness": "useful", "pairs": "0123456789abcdef",
+           "pair_leaves": 151}
     rec.update(change)
     return rec
 
@@ -420,6 +421,42 @@ def test_compare_skips_evaluate_records_the_older_dump_lacks(tmp_path,
     assert code == 0
     assert "evaluate records: none in the older dump, not compared" in out
     assert "verdict: PASS" in out
+
+
+def test_compare_prints_pair_leaves_per_pool(tmp_path, capsys):
+    # Two evaluate records whose pair pass read 151 leaves each; after,
+    # the mixed one reads 2.
+    code, out = compare_evaluate(tmp_path, capsys, pair_leaves=2)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("leaves read by the leaf-pair pass, before -> after:")
+    assert lines[at + 1].split() == ["shortcuts", "151", "->", "151"]
+    assert lines[at + 2].split() == ["mixed", "151", "->", "2"]
+    assert "pair leaves: a dump without pair_leaves" not in out
+
+
+def test_compare_skips_pair_leaves_the_older_dump_lacks(tmp_path, capsys):
+    # A dump made before the pass's leaves were counted: their block is
+    # left out and the verdict does not read it.
+    before = {"criterion-1/0": record(),
+              "evaluate/shortcuts/0": evaluate_record()}
+    del before["evaluate/shortcuts/0"]["pair_leaves"]
+    after = {"criterion-1/0": record(),
+             "evaluate/shortcuts/0": evaluate_record(pair_leaves=2)}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    assert "pair leaves: a dump without pair_leaves, not compared" in out
+    assert "leaf-pair pass" not in out
+    assert "verdict: PASS" in out
+
+
+def test_dump_counts_pair_leaves():
+    # Pool tree 0 of evaluate-shortcuts has 151 leaves; the bound keeps
+    # two of them for the pair pass.
+    _, rec = answers.evaluation(("evaluate", "evaluate/shortcuts/0",
+                                 (0, 300, "uniform")))
+    assert len(random_tree(0, 300, "uniform").leaves()) == 151
+    assert 2 <= rec["pair_leaves"] < 15
 
 
 def test_misses_prints_the_trees_above_the_grid_optimum(capsys):

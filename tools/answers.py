@@ -38,10 +38,12 @@ the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
 ``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
 s = 0..119, and on the mixed trees, each with one seeded random
 shortcut (``seeded_shortcut``).  Each of these gets an ``evaluate/...`` record:
-the diameter as ``float.hex``, the scale, the usefulness and a digest of
-the achieving pairs.  It runs two worker processes (one where there is
-one core).  To compare two versions of the program, run each version's
-copy of this file.
+the diameter as ``float.hex``, the scale, the usefulness, a digest of
+the achieving pairs and ``pair_leaves``, the leaves the diagnosis' pass
+over the leaf pairs read (the length of the ``depth`` handed to
+``augmented_eval._distance_blocks``; 0 where no pair pass runs).  It
+runs two worker processes (one where there is one core).  To compare
+two versions of the program, run each version's copy of this file.
 
 ``compare`` prints the ROADMAP identity verdict: ``phase_end`` identical
 on every tree, no ``diameter_after`` worse than before by more than
@@ -58,14 +60,15 @@ outside the stop roots (probe reads), each set's total of in-cycle
 kernel blocks (``pair_blocks``), and each set's rescues, the trees
 whose sweep_gap exceeds 1e-6 (the polish found an answer the sweep did
 not), and its trees whose sweep_gap exceeds 1e-9, naming each tree that
-crosses that line with both values, none of which is part of the
-verdict: a tree that reads 9.999998e-10 in one dump and 1.0000002e-09
-in the other moves the count by rounding alone.
+crosses that line with both values, and each evaluate pool's total of
+``pair_leaves``, none of which is part of the verdict: a tree that reads
+9.999998e-10 in one dump and 1.0000002e-09 in the other moves the count
+by rounding alone.
 A dump from before the evaluate records were added has none;
 ``compare`` then says so and checks the optimize records alone.  A dump
 from before ``evaluate_calls``, the solves, ``phase1_families``, the stop
-roots and dips, the stretches and probe reads, ``pair_blocks`` or
-``sweep_gap`` were recorded is treated the same way:
+roots and dips, the stretches and probe reads, ``pair_blocks``,
+``pair_leaves`` or ``sweep_gap`` were recorded is treated the same way:
 ``compare`` says so and leaves those columns out.
 
 ``motions`` runs ``optimize`` on ``random_tree(SEED, N, SHAPE)`` and on
@@ -102,6 +105,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from treecut import augmented_eval  # noqa: E402
 from treecut.augmented_eval import (  # noqa: E402
     augmented_diameter,
     classify_usefulness,
@@ -274,11 +278,22 @@ def evaluation(job):
     t = random_tree(*spec)
     sc = seeded_shortcut(t, spec[0])
     decomp = backbone(t)
-    diag = augmented_diameter(t, decomp, sc)
+    blocks, read = augmented_eval._distance_blocks, [0]
+
+    def counted(depth, gaps):
+        read[0] += len(depth)
+        return blocks(depth, gaps)
+
+    augmented_eval._distance_blocks = counted
+    try:
+        diag = augmented_diameter(t, decomp, sc)
+    finally:
+        augmented_eval._distance_blocks = blocks
     use = classify_usefulness(t, sc, decomp)
     return name, {"set": group, "diameter": diag.diameter.hex(),
                   "scale": t.scale, "usefulness": use.classification,
-                  "pairs": pairs_digest(diag.achieving_pairs)}
+                  "pairs": pairs_digest(diag.achieving_pairs),
+                  "pair_leaves": read[0]}
 
 
 def run(job):
@@ -333,6 +348,18 @@ def compare_evaluate(before, after):
           f"{counts['diameter']} diameters bitwise (largest move "
           f"{moved:.2e} scale), {counts['usefulness']} usefulness, "
           f"{counts['pairs']} achieving pairs")
+    if all("pair_leaves" in rec
+           for rec in (*before.values(), *after.values())):
+        pools = {}      # [before, after] totals by pool: shortcuts, mixed
+        for name, old in before.items():
+            total = pools.setdefault(name.split("/")[1], [0, 0])
+            total[0] += old["pair_leaves"]
+            total[1] += after[name]["pair_leaves"]
+        print("leaves read by the leaf-pair pass, before -> after:")
+        for pool, (old, new) in pools.items():
+            print(f"  {pool:<12}{old:>16} -> {new}")
+    else:
+        print("pair leaves: a dump without pair_leaves, not compared")
     return ok
 
 
