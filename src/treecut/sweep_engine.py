@@ -16,9 +16,12 @@ inside the bracketing step.  That path, by the tree or through the
 shortcut, is the one part of the exact diameter the families leave
 unmonitored; its length is one ``Caterpillar.pairs`` query.
 
-Phases II and III run from one depth-first work list (``_Engine.run``):
-no phase calls another; each returns the tasks that follow it, and a
-juncture is continued from one balance solve started at the juncture.
+Phases II and III run from one depth-first work list (``_Engine.run``)
+of walks, all run by one handler, ``_Engine.walk``, from one table,
+``_WALKS``: by pair, the walk's phase, watches, stop event and
+signatures, and the walks that follow a stop on each watch, in the frame
+or its flip, some with q from one balance solve started at the stop.
+No walk calls another; each returns the tasks that follow it.
 Every motion of phases II and III is one walk, ``_Engine._drive``: drive
 one endpoint across the backbone breakpoints, let a balance equation
 carry the other, and stop at the first event.  Every walk keeps one
@@ -91,6 +94,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -196,6 +200,66 @@ _WATCHED = {"antipodal": "fanti", "x-side": "fx", "y-side": "fy",
 # By watch name: its family's term on a families view, 0 for the floor.
 _TERM = {"delta-floor": lambda fv: (0.0, 0.0, 0.0), **{
     name: attrgetter(fam + "_term") for name, fam in _WATCHED.items()}}
+
+
+# A row of ``_WALKS``: how the walk that balances one pair runs.
+# ``watches`` are its watches in naming order, ``tied`` those whose family
+# ties where the walk starts.  A stop on a watch emits ``stop``, (kind,
+# payload prefix), with the watch's name last.  ``branch`` and ``law`` are
+# ``_Engine._drive``'s signatures.  Where ``toward_c``, p is walked toward c
+# too, after what follows the walk toward a.  ``then`` gives, by watch, the
+# walks that follow a stop on it, each as (pair, mirrored, solved): in the
+# frame's flip where mirrored, and with q from one balance solve started
+# at the stop where solved.  A parked p follows as a stop on ``park``
+# where that watch's family ties there.
+_Walk = namedtuple("_Walk", "phase watches tied stop branch law toward_c "
+                   "park then")
+
+
+def _via(law):
+    """``law`` where the x-y family runs via the shortcut, else None."""
+    return lambda fv: law(fv) if fv.xy_branch == "via" else None
+
+
+_VIA = lambda fv: (fv.fx_branch == "via", fv.xy_branch == "via")
+_PATH_STATE, _COROLLARY = ("path-state", ()), ("terminal", ("corollary-11",))
+
+# The paper's phase II and III case analysis: by ``_PAIRS`` pair, the walk
+# that keeps it in balance and the walks that follow each of its stops.
+# The x-xy walk (phase II toward x; toward y in the flip) hands off to
+# phase III where the y-side ties.  At a juncture of it, the x-y family
+# drops out and the antipodal family is kept balanced against the side
+# family that just tied (anti-y); from the anti-xy walk, alternatively,
+# the antipodal family drops out and the x-xy walk goes on with that side
+# family.  The anti-y walk ends where both side families tie, in a phase
+# III out-shift, or where the x-y family rejoins, in an x-xy walk toward
+# y.  Phase III ends its branch.
+_WALKS = {
+    "x-xy": _Walk(
+        "II-x", ("y-side", "antipodal"), ("antipodal",), _PATH_STATE, _VIA,
+        (lambda fv: (fv.fx_branch, fv.fx_pendant, fv.xy_branch),
+         _via(lambda fv: SPEED_LAWS[("t1", fv.fx_branch)])), False,
+        "y-side", {"y-side": (("x-y", False, False),),
+                   "antipodal": (("anti-y", True, False),)}),
+    "anti-xy": _Walk(
+        "II-o", ("y-side", "x-side"), (), _PATH_STATE, _VIA,
+        (lambda fv: (fv.fanti_pendant, fv.xy_branch),
+         _via(lambda fv: SPEED_LAWS[("t1", "anti-balance")])), False, None,
+        {"y-side": (("anti-y", False, False), ("x-xy", True, True)),
+         "x-side": (("anti-y", True, False), ("x-xy", False, True))}),
+    "anti-y": _Walk(
+        "II-o", ("x-side", "xy-retie"), ("x-side", "xy-retie"), _COROLLARY,
+        None, None, True, None,
+        {"x-side": (("x-y", False, True),),
+         "xy-retie": (("x-xy", True, True),)}),
+    "x-y": _Walk(
+        "III", ("antipodal",), ("antipodal",), _COROLLARY,
+        lambda fv: (fv.fx_branch == "tree", fv.fy_branch == "tree"),
+        (lambda fv: (fv.fx_branch, fv.fx_pendant, fv.fy_branch,
+                     fv.fy_pendant),
+         lambda fv: SPEED_LAWS[("t2", fv.fx_branch, fv.fy_branch)]), False,
+        None, {"antipodal": ()}),
+}
 
 
 def _rate(fv, term, less, da, db):
@@ -431,20 +495,6 @@ class _Engine:
         self.events.append(Event(kind, phase, ab, self.cat.L - bb,
                                  fv.diameter, payload))
 
-    def _novel_juncture(self, frame, a, b, tag):
-        """Whether a continuation from this tied position was not yet run.
-
-        Junctures can chain into each other; deduplicating by position
-        keeps the exploration finite.
-        """
-        ab, bb = self._to_base(frame, a, b)
-        g = 1e-7 * self.tree.scale
-        key = (tag, round(ab / g), round(bb / g))
-        if key in self._junctures:
-            return False
-        self._junctures.add(key)
-        return True
-
     def note_candidate(self, frame, a, b, tag):
         self.candidates.append((*self._to_base(frame, a, b), tag))
 
@@ -573,21 +623,6 @@ class _Engine:
             step *= 4.0
         x = newton_root(g, *sorted([near, far]), self.eps, self.accept)
         return reads[x], x
-
-    def _continuation(self, handler, frame, a, b, pair):
-        """The task that continues from the juncture (a, b) of ``frame``
-        with ``pair`` in balance, under the juncture tag ``pair``.
-
-        q is one balance solve started at the juncture's q; there is no
-        task where the solve stops at a bracket limit short of a root.
-        """
-        warm = self._warm(b)
-        beta = self.balance(frame, a, warm, pair)
-        u, v = _PAIRS[pair]
-        gap = getattr(warm.state, u) - getattr(warm.state, v)
-        if beta in (max(a, frame.c_arc), frame.L) and abs(gap) > self.accept:
-            return []
-        return [(handler, frame, a, beta, pair, {})]
 
     # -- the stop rule ----------------------------------------------------
 
@@ -787,7 +822,7 @@ class _Engine:
         read is a probe (``balance``): where the cell has changed under
         it, it is off the walk's path by d beta, and where that leaves a
         watch within 4 d beta of holding it is solved.  ``_first_stop``
-        takes the reads up to the first where the handler's watches
+        takes the reads up to the first where the walk's watches
         ``conds`` or the delta floor hold, and finds where they first
         hold, on each watch's exact slope along the walk: q moves by d
         beta / d alpha = -g_alpha / g_beta, g the difference of the pair,
@@ -973,141 +1008,73 @@ class _Engine:
             return warm.state
         return state_at, warm
 
-    # -- phase II (shift toward x; y handled by frame flip) --------------
+    # -- phases II and III: one walk per pair (toward y by frame flip) -----
 
-    def phase2x(self, frame, a0, b0, pair="x-xy"):
-        """Shift toward x balancing `pair`; returns the tasks that follow.
+    def walk(self, frame, a0, b0, pair, end=0.0):
+        """Walk p from a0 toward ``end`` keeping ``pair`` in balance, q
+        from b0; returns the tasks that follow.
 
-        The x-xy shift hands off to phase III where the y-side ties.  A
-        juncture is followed by the side shift and, from the anti-xy
-        shift, by an x-xy shift with the side family that tied.
+        ``_WALKS[pair]`` gives the walk's phase, watches, signatures and
+        what follows each stop: the stop emits its row's event, and the
+        walks of its row's entry follow from the stop's state.  A parked
+        p emits a ``parked-p`` terminal.  Phase III (x-y) notes its start
+        as a candidate.  Every solve balances the pair, also where both
+        side families are tree-routed; neither depends on q there, so the
+        balance leaves q free: the cell predicts no root
+        (``Caterpillar.balance_root``), the solve accepts its secant guess
+        from the walk's last solutions, and ``SPEED_LAWS`` fixes no dq for
+        that row.  Once p parks, phase III drives q outward to b with p
+        held, then searches its trajectory for the wedge crossing; it
+        ends the branch it runs on.
         """
+        row = _WALKS[pair]
+        phase, active = row.phase, _active(pair)
         state_at, warm = self._balanced(frame, pair, b0)
-        if pair == "x-xy":
-            phase, watch = "II-x", "antipodal"
-            sig_fn = lambda fv: (fv.fx_branch, fv.fx_pendant, fv.xy_branch)
-            law = lambda fv: SPEED_LAWS[("t1", fv.fx_branch)]
-        else:
-            phase, watch = "II-o", "x-side"
-            sig_fn = lambda fv: (fv.fanti_pendant, fv.xy_branch)
-            law = lambda fv: SPEED_LAWS[("t1", "anti-balance")]
-        conds = self._watches(frame, _active(pair), ("y-side", watch),
-                              ("antipodal",))
-        law_fn = lambda fv: law(fv) if fv.xy_branch == "via" else None
-
-        name, _, fvc = self._drive(
-            phase, frame, state_at, a0, 0.0, conds, pair, warm,
-            branch_sig=lambda fv: (fv.fx_branch == "via",
-                                   fv.xy_branch == "via"),
-            law=(sig_fn, law_fn))
-        if name is None:
-            fv = state_at(0.0)
-            self.emit("terminal", phase, frame, fv, ("parked-p",))
-            if pair == "x-xy" and "y" in self.ties(fv):
-                return [(self.phase3, frame, fv.alpha, fv.beta, None, {})]
-            return []
-        if name == "delta-floor":
-            return []
-        ac, bc = fvc.alpha, fvc.beta
-        self.emit("path-state", phase, frame, fvc, (name,))
-        if pair == "x-xy" and name == "y-side":
-            return [(self.phase3, frame, ac, bc, None, {})]
-        # What is left is a juncture: the antipodal family tied during the
-        # x-xy shift, or a side family tied during the anti-xy shift.  The
-        # x-y family drops out; keep the antipodal family balanced
-        # against the side family that just tied.
-        fr, a2, b2 = ((frame, ac, bc) if name == "y-side"
-                      else self._mirror(frame, ac, bc))
-        tasks = [(self.phase2side, fr, a2, b2, "side", {})]
-        if pair == "anti-xy":
-            # Alternatively the antipodal family drops out and the
-            # sideways shift continues with the side family that just
-            # tied kept in balance.
-            fr2, a3, b3 = ((frame, ac, bc) if name == "x-side"
-                           else self._mirror(frame, ac, bc))
-            tasks += self._continuation(self.phase2x, fr2, a3, b3, "x-xy")
-        return tasks
-
-    def phase2side(self, frame, a0, b0, toward_c=False):
-        """Shift balancing the antipodal family against the y family.
-
-        Entered when a side family ties during the antipodal-balance
-        shift: the x-y family leaves the diametral set, and the motion
-        continues along fanti = fy.  Both drive directions of p are
-        explored, toward a and then toward c, each as its own task; q
-        follows from the balance.  The x-y family is tied at the
-        juncture, so both watches take the entry margin.
-        """
-        phase, pair = "II-o", "anti-y"
-        names = ("x-side", "xy-retie")
-        conds = self._watches(frame, _active(pair), names, names)
-        end = frame.c_arc if toward_c else 0.0
-        state_at, warm = self._balanced(frame, pair, b0)
-        name, alpha, fvc = self._drive(phase, frame, state_at, a0, end,
-                                       conds, pair, warm)
-        # The drive toward c runs after this one's continuations.
-        then = [] if toward_c else [
-            (self.phase2side, frame, a0, b0, None, {"toward_c": True})]
-        if name is None:
-            self.emit("terminal", phase, frame, state_at(alpha), ("parked-p",))
-            return then
-        if name == "delta-floor":
-            return then
-        ac, bc = fvc.alpha, fvc.beta
-        self.emit("terminal", phase, frame, fvc, ("corollary-11", name))
-        if name == "x-side":
-            # Both side families tie; drop the antipodal family and
-            # balance them directly in an out-shift.
-            return self._continuation(self.phase3, frame, ac, bc, "x-y") + then
-        # xy-retie: the x-y family rejoins the y family; drop the
-        # antipodal family and shift toward y.
-        return self._continuation(self.phase2x, *self._mirror(frame, ac, bc),
-                                  "x-xy") + then
-
-    # -- phase III -------------------------------------------------------
-
-    def phase3(self, frame, a0, b0):
-        """Out-shift balancing the x-side against the y-side families.
-
-        Every solve balances the pair, also where both side families are
-        tree-routed.  Neither depends on q there, so the balance leaves q
-        free: the cell predicts no root (``Caterpillar.balance_root``), the
-        solve accepts its secant guess from the walk's last solutions, and
-        ``SPEED_LAWS`` fixes no dq for that row.  Phase III ends the branch
-        it runs on: it returns no tasks.
-        """
-        phase, pair = "III", "x-y"
-        state_at, warm = self._balanced(frame, pair, b0)
-        conds = self._watches(frame, _active(pair), ("antipodal",),
-                              ("antipodal",))
-        sig_fn = lambda fv: (fv.fx_branch, fv.fx_pendant,
-                             fv.fy_branch, fv.fy_pendant)
-        law_fn = lambda fv: SPEED_LAWS[("t2", fv.fx_branch, fv.fy_branch)]
-
-        d0 = _active(pair)(frame.families(a0, b0))
-        traj = [(a0, b0, d0)]
-        self.note_if_better(frame, a0, b0, d0, "phase3-start")
-        name, alpha, fvc = self._drive(
-            phase, frame, state_at, a0, 0.0, conds, pair, warm,
-            branch_sig=lambda fv: (fv.fx_branch == "tree",
-                                   fv.fy_branch == "tree"),
-            law=(sig_fn, law_fn), track=traj)
-        if name == "antipodal":
-            self.emit("terminal", phase, frame, fvc, ("corollary-11", name))
-        elif name is None:
-            # p parked; drive q outward to b with p held fixed.
-            alpha = max(alpha, 0.0)
-            name, _, fvc = self._drive(
-                phase, frame, lambda b, probe=False: frame.families(alpha, b),
+        conds = self._watches(frame, active, row.watches, row.tied)
+        track = None
+        if pair == "x-y":
+            d0 = active(frame.families(a0, b0))
+            track = [(a0, b0, d0)]
+            self.note_if_better(frame, a0, b0, d0, "phase3-start")
+        name, x, fv = self._drive(phase, frame, state_at, a0, end, conds,
+                                  pair, warm, branch_sig=row.branch,
+                                  law=row.law, track=track)
+        if name is None and pair == "x-y":
+            name, _, fv = self._drive(
+                phase, frame, lambda b, probe=False: frame.families(x, b),
                 warm.beta, frame.L, conds, pair, warm, drive_q=True,
-                track=traj)
+                track=track)
             if name == "antipodal":
-                self.emit("terminal", phase, frame, fvc, ("q-drive", name))
-            b_end = frame.L if fvc is None else fvc.beta
-            self.emit("terminal", phase, frame,
-                      frame.families(alpha, b_end), ("parked-ab",))
-        self._wedge_crossing(frame, traj)
-        return []
+                self.emit("terminal", phase, frame, fv, ("q-drive", name))
+            self.emit("terminal", phase, frame, frame.families(
+                x, frame.L if fv is None else fv.beta), ("parked-ab",))
+        elif name is None:
+            fv = state_at(x)
+            self.emit("terminal", phase, frame, fv, ("parked-p",))
+            if row.park and getattr(
+                    fv, _WATCHED[row.park]) >= fv.diameter - self.tol:
+                name = row.park
+        elif name != "delta-floor":
+            kind, prefix = row.stop
+            self.emit(kind, phase, frame, fv, (*prefix, name))
+        if pair == "x-y":
+            self._wedge_crossing(frame, track)
+        tasks = []
+        for nxt, mirrored, solved in row.then.get(name, ()):
+            fr, a, b = (self._mirror(frame, fv.alpha, fv.beta) if mirrored
+                        else (frame, fv.alpha, fv.beta))
+            if solved:
+                # q is one balance solve started at the stop's q; nothing
+                # follows where it stops at a limit short of a root.
+                solve, (u, v) = self._warm(b), _PAIRS[nxt]
+                b = self.balance(fr, a, solve, nxt)
+                gap = getattr(solve.state, u) - getattr(solve.state, v)
+                if b in (max(a, fr.c_arc), fr.L) and abs(gap) > self.accept:
+                    continue
+            tasks.append((fr, a, b, nxt, nxt, 0.0))
+        if row.toward_c and end == 0.0:
+            tasks.append((frame, a0, b0, pair, None, frame.c_arc))
+        return tasks
 
     def _wedge_crossing(self, frame, traj):
         """Note the first placement on phase III's trajectory where a
@@ -1156,10 +1123,12 @@ class _Engine:
     def run(self):
         """Phase I, then phases II and III as one depth-first work list.
 
-        A task is (handler, frame, p, q, juncture tag, keywords); each
-        handler returns the tasks that follow it, which are pushed in
+        A task is (frame, p, q, pair, juncture tag, drive end); each walk
+        (``walk``) returns the tasks that follow it, which are pushed in
         reverse so that the first runs next.  A task with a juncture tag
-        runs only if its position is novel under that tag.
+        runs only if its position, on a grid of ``1e-7 scale``, is novel
+        under that tag: junctures can chain into each other, and this
+        keeps the exploration finite.
 
         ``phase_end`` is "III" when phase III runs on the main chain:
         straight after phase I, or after the x-xy shift that phase I
@@ -1176,28 +1145,29 @@ class _Engine:
         ties = self.ties(fv)
         tasks = []
         if "x" in ties and "y" in ties:
-            tasks = [(self.phase3, cat, a, b, None, {})]
+            tasks = [(cat, a, b, "x-y", None, 0.0)]
         elif "anti" in ties and ties & {"x", "y"}:
             self.emit("terminal", "II", cat, fv, ("corollary-11",))
         elif "x" in ties or "y" in ties:
-            frame = cat
-            if "y" in ties:
-                frame, a, b = self._mirror(cat, a, b)
-            tasks = self.phase2x(frame, a, b, "x-xy")
+            tasks = self.walk(*(self._mirror(cat, a, b) if "y" in ties
+                                else (cat, a, b)), "x-xy")
         elif "anti" in ties:
-            tasks = [(self.phase2x, cat, a, b, None, {"pair": "anti-xy"}),
-                     (self.phase2x, *self._mirror(cat, a, b), None,
-                      {"pair": "anti-xy"})]
+            tasks = [(cat, a, b, "anti-xy", None, 0.0),
+                     (*self._mirror(cat, a, b), "anti-xy", None, 0.0)]
         else:
             self.phase_end = "I"
             return
-        self.phase_end = ("III" if tasks and tasks[0][0] == self.phase3
-                          else "II")
-        stack = tasks[::-1]
+        self.phase_end = "III" if tasks and tasks[0][3] == "x-y" else "II"
+        stack, g = tasks[::-1], 1e-7 * self.tree.scale
         while stack:
-            handler, frame, a, b, tag, kw = stack.pop()
-            if tag is None or self._novel_juncture(frame, a, b, tag):
-                stack += handler(frame, a, b, **kw)[::-1]
+            frame, a, b, pair, tag, end = stack.pop()
+            if tag is not None:
+                ab, bb = self._to_base(frame, a, b)
+                key = (tag, round(ab / g), round(bb / g))
+                if key in self._junctures:
+                    continue
+                self._junctures.add(key)
+            stack += self.walk(frame, a, b, pair, end)[::-1]
 
     # -- final selection --------------------------------------------------
 

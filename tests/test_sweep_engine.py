@@ -23,7 +23,7 @@ from treecut.oracle import (
     grid_search, polished_grid_optimum, random_tree, stress_family,
 )
 from treecut.sweep_engine import (
-    SPEED_LAWS, _Engine, _active, newton_root,
+    _WALKS, SPEED_LAWS, _Engine, _active, newton_root,
 )
 
 
@@ -1363,14 +1363,14 @@ def test_d_min_events_mark_real_dips(monkeypatch):
 
 
 @pytest.mark.parametrize("seed, frac, walks", [
-    (0, 0.5, {("III", "phase3")}),
-    (1, 0.5, {("II-x", "phase2x")}),
-    (1, 0.9, {("II-o", "phase2x")}),
+    (0, 0.5, {("III", "x-y")}),
+    (1, 0.5, {("II-x", "x-xy")}),
+    (1, 0.9, {("II-o", "anti-xy")}),
     # The anti-xy walk touches the floor between two probes, inside the
     # probe interval where the y-side family ties, so it stops on the floor
     # before the juncture (p_arc 0.1117 against 0.0919) that would lead to
-    # the phase2side and II-x walks.
-    (172, 0.01, {("II-o", "phase2x")}),
+    # the anti-y and x-xy walks.
+    (172, 0.01, {("II-o", "anti-xy")}),
 ])
 def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
     # No corpus tree ends a walk on the delta floor, so raise the floor
@@ -1387,19 +1387,17 @@ def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
     eng.cat.delta = eng.cat.flip().delta = (
         after + frac * (end_of_phase1 - after))
 
-    handler, stops, terminals, noted = [None], [], [], []
-    for name in ("phase2x", "phase2side", "phase3"):
-        def entered(self, *args, _name=name, _run=getattr(_Engine, name),
-                    **kwargs):
-            handler[0] = _name
-            return _run(self, *args, **kwargs)
-        monkeypatch.setattr(_Engine, name, entered)
-    drive, emit = _Engine._drive, _Engine.emit
+    walking, stops, terminals, noted = [None], [], [], []
+    walk, drive, emit = _Engine.walk, _Engine._drive, _Engine.emit
+
+    def entered(self, frame, a0, b0, pair, end=0.0):
+        walking[0] = pair
+        return walk(self, frame, a0, b0, pair, end)
 
     def traced_drive(self, phase, frame, *args, **kwargs):
         out = drive(self, phase, frame, *args, **kwargs)
         if out[0] == "delta-floor":
-            stops.append((phase, handler[0]))
+            stops.append((phase, walking[0]))
             fv = out[2]
             noted.append((*self._to_base(frame, fv.alpha, fv.beta),
                           "segment-end") in self.candidates)
@@ -1410,6 +1408,7 @@ def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
             terminals.append(payload)
         return emit(self, kind, phase, frame, fv, payload)
 
+    monkeypatch.setattr(_Engine, "walk", entered)
     monkeypatch.setattr(_Engine, "_drive", traced_drive)
     monkeypatch.setattr(_Engine, "emit", traced_emit)
     eng.run()
@@ -1424,8 +1423,8 @@ def test_delta_floor_stop_is_one_terminal(monkeypatch, seed, frac, walks):
             if "delta-floor" in ev.payload} == {("delta-floor",)}
 
 
-def test_phase2side_walk_stops_on_the_delta_floor(monkeypatch):
-    # No corpus tree gives a phase2side walk that stops on the floor, so
+def test_anti_y_walk_stops_on_the_delta_floor(monkeypatch):
+    # No corpus tree gives an anti-y walk that stops on the floor, so
     # start the walk toward a from tree 172's first juncture with the
     # floor raised into the range of that walk's diameter.  The diameter
     # only rises toward a, so the walk stops on the floor where it starts,
@@ -1434,15 +1433,16 @@ def test_phase2side_walk_stops_on_the_delta_floor(monkeypatch):
     # state, noted as the segment-end of the stretch it stops in.
     t = corpus_tree(172)
     junctures = []
-    side, first_stop = _Engine.phase2side, _Engine._first_stop
+    walk_, first_stop = _Engine.walk, _Engine._first_stop
 
-    def entered(self, frame, a0, b0, toward_c=False):
-        junctures.append((frame is self.cat, a0, b0))
-        return side(self, frame, a0, b0, toward_c)
+    def entered(self, frame, a0, b0, pair, end=0.0):
+        if pair == "anti-y":
+            junctures.append((frame is self.cat, a0, b0))
+        return walk_(self, frame, a0, b0, pair, end)
 
-    monkeypatch.setattr(_Engine, "phase2side", entered)
+    monkeypatch.setattr(_Engine, "walk", entered)
     optimize(t)
-    monkeypatch.setattr(_Engine, "phase2side", side)
+    monkeypatch.setattr(_Engine, "walk", walk_)
     base, a0, b0 = junctures[0]
     active = _active("anti-y")
     read, stops = [], []
@@ -1457,7 +1457,7 @@ def test_phase2side_walk_stops_on_the_delta_floor(monkeypatch):
         if delta is not None:
             eng.cat.delta = eng.cat.flip().delta = delta
         frame = eng.cat if base else eng.cat.flip()
-        return eng, frame, eng.phase2side(frame, a0, b0)
+        return eng, frame, eng.walk(frame, a0, b0, "anti-y")
 
     drive = _Engine._drive
 
@@ -1475,11 +1475,48 @@ def test_phase2side_walk_stops_on_the_delta_floor(monkeypatch):
     name, x, fv = stops.pop()
     assert (name, x) == ("delta-floor", a0)
     assert active(fv) <= delta + t.tol
-    assert [task[-1] for task in tasks] == [{"toward_c": True}]
+    assert [task[3::2] for task in tasks] == [("anti-y", frame.c_arc)]
     assert [ev.payload for ev in eng.events
             if ev.kind == "terminal"] == [("delta-floor",)]
     assert eng.candidates == [(*eng._to_base(frame, fv.alpha, fv.beta),
                                "segment-end")]
+
+
+def test_criterion_one_trees_reach_every_follow_on_of_the_walk_table(
+        monkeypatch):
+    # Every (pair, watch) entry of ``_WALKS`` that names walks to follow a
+    # stop is reached on the criterion-1 trees: some walk of that pair
+    # stops on that watch, and the tasks it returns, the walk toward c
+    # aside, are walks of that entry.
+    walk, drive = _Engine.walk, _Engine._drive
+    stopped, reached = [], set()
+
+    def traced_walk(self, frame, a0, b0, pair, end=0.0):
+        stopped.append(None)
+        try:
+            tasks = walk(self, frame, a0, b0, pair, end)
+        finally:
+            name = stopped.pop()
+        follow = _WALKS[pair].then.get(name)
+        if follow:
+            reached.add((pair, name))
+            assert {task[3] for task in tasks if task[4] is not None} <= {
+                nxt for nxt, *_ in follow}, (pair, name, tasks)
+        return tasks
+
+    def traced_drive(self, *args, **kwargs):
+        out = drive(self, *args, **kwargs)
+        stopped[-1] = out[0]
+        return out
+
+    monkeypatch.setattr(_Engine, "walk", traced_walk)
+    monkeypatch.setattr(_Engine, "_drive", traced_drive)
+    for seed in range(210):
+        optimize(corpus_tree(seed))
+    entries = {(pair, name) for pair, row in _WALKS.items()
+               for name, follow in row.then.items() if follow}
+    assert len(entries) == 6
+    assert reached == entries
 
 
 # Trees with phase-III antipodal stops where solving q again at the root,

@@ -1,6 +1,7 @@
 """The tools that judge a change: ``answers.py compare`` and
 ``code_lines.py``."""
 
+import dataclasses
 import importlib.util
 import json
 import random
@@ -459,21 +460,31 @@ def test_dump_counts_pair_leaves():
     assert 2 <= rec["pair_leaves"] < 15
 
 
-def test_misses_prints_the_trees_above_the_grid_optimum(capsys):
-    # Hold-out tree 88 ends about 5.4e-3 * scale above its polished grid
-    # optimum, in phase II; hold-out tree 0 ends at it.  The scan runs in
-    # this process here.
+def test_misses_prints_the_trees_above_the_grid_optimum(monkeypatch,
+                                                        capsys):
+    # A stubbed optimize answers hold-out tree 0 at its polished grid
+    # optimum and hold-out tree 1 5.4e-3 * scale above it, in phase II,
+    # whatever the sweep answers on them.  The scan runs in this process
+    # here, in the order of the jobs.
     jobs = [job for job in answers.trees()
-            if job[1] in ("hold-out/0", "hold-out/88")]
+            if job[1] in ("hold-out/0", "hold-out/1")]
+    gaps, sweep = iter([0.0, 5.4e-3]), answers.optimize
+
+    def above(tree):
+        return dataclasses.replace(
+            sweep(tree), phase_end="II", diameter_after=(
+                answers.polished_grid_optimum(tree) + next(gaps) * tree.scale))
+
+    monkeypatch.setattr(answers, "optimize", above)
     found = answers.misses(jobs, scan=lambda fn, jobs: dict(map(fn, jobs)))
     out = capsys.readouterr().out
-    assert list(found) == ["hold-out/88"]
-    assert found["hold-out/88"]["phase_end"] == "II"
-    assert 5e-3 < found["hold-out/88"]["gap"] < 6e-3
+    assert list(found) == ["hold-out/1"]
+    assert found["hold-out/1"]["phase_end"] == "II"
+    assert 5e-3 < found["hold-out/1"]["gap"] < 6e-3
     lines = out.splitlines()
     assert lines[0] == ("hold-out: 1 misses (above the grid optimum by more "
                         "than 1e-06 scale) of 2 trees with a useful shortcut")
-    assert lines[1].split()[:2] == ["hold-out/88", "gap"]
+    assert lines[1].split()[:2] == ["hold-out/1", "gap"]
     assert lines[1].split()[-2:] == ["phase_end", "II"]
 
 
@@ -506,6 +517,39 @@ def test_motions_counts_copies_beyond_the_bound(monkeypatch, capsys):
     assert "random_tree(0, 9, 'caterpillar')" in out
     assert "40 moved copies: 1 better, 1 worse (beyond 1e-09); " \
         "difference from -3e-09 to 2e-09" in out
+
+
+def test_motion_scan_prints_the_frame_decided_trees(monkeypatch, capsys):
+    # A stubbed measure reads 0.5 on every tree and moved copy but the
+    # third copy of hold-out tree 1, which reads 3e-9 lower: that tree
+    # alone is frame-decided.  The scan runs in this process here.
+    jobs = [job for job in answers.trees()
+            if job[1] in ("criterion-1/0", "hold-out/0", "hold-out/1")]
+    reads = iter([0.5] * 85 + [0.5 - 3e-9] + [0.5] * 37)
+    monkeypatch.setattr(answers, "measure", lambda tree: next(reads))
+    found = answers.motion_scan(jobs,
+                                scan=lambda fn, jobs: dict(map(fn, jobs)))
+    assert list(found) == ["hold-out/1"]
+    assert capsys.readouterr().out.splitlines() == [
+        "criterion-1: 0 frame-decided trees (a moved copy answers beyond "
+        "1e-09) of 1",
+        "hold-out: 1 frame-decided trees (a moved copy answers beyond "
+        "1e-09) of 2",
+        "  hold-out/1  1 better, 0 worse (beyond 1e-09); difference from "
+        "-3e-09 to 0"]
+    assert next(reads, None) is None
+
+
+def test_motions_takes_a_tree_or_the_scan(monkeypatch, capsys):
+    scanned = []
+    monkeypatch.setattr(answers, "motion_scan", lambda: scanned.append(1))
+    assert answers.main(["motions", "--scan"]) == 0
+    assert scanned == [1]
+    for argv in (["motions"], ["motions", "0", "9"],
+                 ["motions", "--scan", "0", "9", "caterpillar"]):
+        with pytest.raises(SystemExit) as exit_:
+            answers.main(argv)
+        assert exit_.value.code == 2
 
 
 def test_moved_copies_are_similarities():

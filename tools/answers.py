@@ -1,9 +1,10 @@
 """Dump the sweep's answers on the ROADMAP trees, compare two dumps,
-check one tree's answer under motions, or scan for misses.
+check answers under motions, or scan for misses.
 
     python tools/answers.py dump OUT.json
     python tools/answers.py compare BEFORE.json AFTER.json
     python tools/answers.py motions SEED N SHAPE
+    python tools/answers.py motions --scan
     python tools/answers.py misses
 
 ``dump`` runs ``optimize`` from the ``src/`` beside this file on the
@@ -79,6 +80,14 @@ diameter_before``, which a similarity keeps; the tree's scale, a
 bounding-box diagonal, changes under rotation.  It prints how many
 copies answer better and how many worse than the original by more than
 1e-9, and the least and largest difference of the measure.
+
+``motions --scan`` runs that check on every criterion-1, hold-out and
+item-1 tree (1,920 trees), in two worker processes like ``dump``, each
+tree's copies drawn from the stream its own seed seeds.  A tree is
+frame-decided where some moved copy answers better or worse than the
+original by more than 1e-9.  It prints, per set, the frame-decided
+trees, each with its counts of better and worse copies and the least
+and largest difference.  It is a report, not a gate: it exits 0.
 
 ``misses`` runs ``optimize`` on the 1,500 item-1 trees and the 210
 hold-out trees, in two worker processes like ``dump``, and for each tree
@@ -547,22 +556,61 @@ def measure(tree):
     return res.diameter_after / res.diameter_before
 
 
+def differences(seed, n, shape):
+    """(measure, diffs): the measure of ``random_tree(seed, n, shape)``
+    and how far each of its ``MOTIONS`` moved copies answers from it, the
+    copies drawn from a stream seeded by ``seed``."""
+    tree = random_tree(seed, n, shape)
+    base = measure(tree)
+    rng = random.Random(f"motions:{seed}")
+    return base, [measure(moved(tree, rng)) - base for _ in range(MOTIONS)]
+
+
+def beyond(diffs):
+    """The text of how many ``diffs`` are better and worse beyond
+    ``MOVED`` and of their range."""
+    better = sum(d < -MOVED for d in diffs)
+    worse = sum(d > MOVED for d in diffs)
+    return (f"{better} better, {worse} worse (beyond {MOVED:g}); difference "
+            f"from {min(diffs):.3g} to {max(diffs):.3g}")
+
+
 def motions(seed, n, shape):
     """Print how ``MOTIONS`` moved copies of ``random_tree(seed, n,
     shape)`` answer against the original; returns the differences of
     their measures."""
-    tree = random_tree(seed, n, shape)
-    base = measure(tree)
-    rng = random.Random(f"motions:{seed}")
-    diffs = [measure(moved(tree, rng)) - base for _ in range(MOTIONS)]
-    better = sum(d < -MOVED for d in diffs)
-    worse = sum(d > MOVED for d in diffs)
+    base, diffs = differences(seed, n, shape)
     print(f"random_tree({seed}, {n}, {shape!r}): diameter_after / "
           f"diameter_before {base!r}")
-    print(f"{MOTIONS} moved copies: {better} better, {worse} worse "
-          f"(beyond {MOVED:g}); difference from {min(diffs):.3g} to "
-          f"{max(diffs):.3g}")
+    print(f"{MOTIONS} moved copies: {beyond(diffs)}")
     return diffs
+
+
+def motion(job):
+    """(name, diffs) of one tree of the motion scan."""
+    group, name, spec = job
+    return name, differences(*spec)[1]
+
+
+def motion_scan(jobs=None, scan=run_all):
+    """Print the frame-decided trees among ``jobs``, by default the
+    criterion-1, hold-out and item-1 trees, per set; returns their
+    differences as {name: diffs}."""
+    if jobs is None:
+        jobs = [job for job in trees()
+                if job[0] in ("criterion-1", "hold-out", "item-1")]
+    records = scan(motion, jobs)
+    found = {}
+    for group in dict.fromkeys(job[0] for job in jobs):
+        names = [name for g, name, _ in jobs if g == group]
+        hits = [name for name in names
+                if max(map(abs, records[name])) > MOVED]
+        print(f"{group}: {len(hits)} frame-decided trees (a moved copy "
+              f"answers beyond {MOVED:g}) of {len(names)}")
+        for name in hits:
+            found[name] = records[name]
+            print(f"  {name}  {beyond(records[name])}")
+    return found
 
 
 def miss(job):
@@ -609,10 +657,13 @@ def main(argv=None):
     c.add_argument("before")
     c.add_argument("after")
     m = sub.add_parser("motions", help="one tree's answer under moved "
-                       "copies")
-    m.add_argument("seed", type=int)
-    m.add_argument("n", type=int)
-    m.add_argument("shape", choices=SHAPES)
+                       "copies, or with --scan every criterion-1, hold-out "
+                       "and item-1 tree's")
+    m.add_argument("seed", type=int, nargs="?")
+    m.add_argument("n", type=int, nargs="?")
+    m.add_argument("shape", choices=SHAPES, nargs="?")
+    m.add_argument("--scan", action="store_true",
+                   help="print the frame-decided trees")
     sub.add_parser("misses", help="answers above the grid optimum on the "
                    "item-1 and hold-out trees")
     args = ap.parse_args(argv)
@@ -620,7 +671,13 @@ def main(argv=None):
         dump(args.out)
         return 0
     if args.command == "motions":
-        motions(args.seed, args.n, args.shape)
+        spec = (args.seed, args.n, args.shape)
+        if spec.count(None) != 3 * args.scan:
+            m.error("give either SEED N SHAPE or --scan")
+        if args.scan:
+            motion_scan()
+        else:
+            motions(*spec)
         return 0
     if args.command == "misses":
         misses()
