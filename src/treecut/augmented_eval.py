@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diameter_core import BackboneDecomposition, _poles, backbone
+from .diameter_core import BackboneDecomposition, backbone
 from .tree_model import (
     GeometricTree,
     Shortcut,
@@ -269,7 +269,7 @@ def _kept_leaves(tree, index, dp, dq, e, reached):
     the floor by more than ``2 * tol`` has no pair within ``tol`` of the
     diameter, rounding included.
     """
-    u1, u2, d1, d2 = _poles(tree)
+    u1, u2, d1, d2 = tree.poles
     d1, d2, dpl, dql = d1[index], d2[index], dp[index], dq[index]
     ecc = np.maximum(d1, d2)
     pole = np.where(d1 >= d2, u1, u2)

@@ -27,10 +27,11 @@ value with a floor (``evaluate``, with the families' diameter) passes
 it: the gathers run only where an O(1) bound on the pairs inside the
 cycle, twice the highest wedge there plus half the cycle, reaches it.
 
-``safe_steps`` is the compass polish's stationarity certificate: from
-the families' terms, the delta floor and the longest wedge pair,
-each a shortest path whose length is convex along a compass ray, it
-reads the steps at which no probe can evaluate below a given value.
+``safe_probes`` is the compass polish's stationarity certificate: the
+families' terms, the delta floor and the longest wedge pair, each a
+shortest path whose length the cell's term gives near the center, are
+read at the polish's own probe points, and a probe where one of them
+reaches a given value cannot evaluate below it.
 
 The paper's sweep runs mirror-symmetric phases: a shift toward y is a
 shift toward x seen from b.  ``Caterpillar.flip()`` gives that view as a
@@ -712,123 +713,71 @@ class Caterpillar:
     COMPASS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
                (1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))
 
-    def safe_steps(self, alpha, beta, val, lo, hi, read=None):
-        """For each of the ``COMPASS`` directions, the steps in [lo, hi] at
-        which no compass probe from (alpha, beta) evaluates below ``val``.
+    _DA, _DB = np.array(COMPASS).T
 
-        Each entry is a list of closed intervals [l, h] within [lo, hi];
-        it is [(lo, hi)] where the probe clamps onto the center.  A probe
-        moves alpha and beta by s times the direction, clamped to the box
-        0 <= alpha <= c_arc <= beta <= L as ``_Engine._polish`` clamps
-        them: an end on the box edge it would cross stays.  ``read`` is a
-        ``last_read`` of ``evaluate``; at (alpha, beta) the witnesses take
-        its families view and cross pair instead of reading them again.
+    def safe_probes(self, alpha, beta, val, steps, read=None):
+        """Which compass probes from (alpha, beta) cannot evaluate below
+        ``val``: a boolean array over the step levels ``steps``, a column,
+        and the ``COMPASS`` directions.
+
+        A probe moves alpha and beta by its step times its direction,
+        clamped to the box 0 <= alpha <= c_arc <= beta <= L as
+        ``_Engine._polish`` clamps them.  ``read`` is a ``last_read`` of
+        ``evaluate``; at (alpha, beta) the witnesses take its families
+        view and cross pair instead of reading them again.
 
         The witnesses (``_witnesses``) are lengths of real shortest paths
-        in T + pq, so at most the diameter.  Along a ray each is
-        w + A s + k (e(s) - e), with e(s) = |D + s W| the chord, D = Q - P
-        and W = d beta u_q - d alpha u_p, u_p and u_q the directions of
-        the edges the ends move along.  That is convex in s, and at most
-        the path's length, while p and q keep those edges and no pendant
-        crosses them, and while the witness keeps its shortest route: up
-        to ``far``, the rooms (``_side``) of the ends on the sides they
-        move to, or the witness's branch margin.  A pendant at p or q
-        itself falls on one side as the end moves away; where the witness
-        has it on the other, its arc distance to the end is read with the
-        wrong sign, which only shortens the witness.  A convex function
-        that is at least ``val`` at a point s and does not fall toward
-        s = 0 (or toward ``far``) stays at least ``val`` on that side, so
-        ``_ray_pieces`` reads the safe steps from a few points: the roots
-        of the squared equation w(s) = val, the minimum of w (the kink of
-        e where p and q move along one line and the chord passes through
-        0) and ``far``.  This is Clarke's criterion along the ray: at a
-        local minimum some witness does not fall in any direction.
+        in T + pq, so at most the diameter.  Each is w + A_alpha d alpha +
+        A_beta d beta + k de at a probe, with de the chord's change as
+        each end moves along the backbone edge it moves along, while both
+        ends stay within their rooms (``_sides``), where p and q keep those
+        edges and no pendant crosses them, and while the larger end move
+        stays within the witness's margin, where it keeps its shortest
+        route.  A pendant at p or q itself falls on one side as the end
+        moves away; where the witness has it on the other, its arc
+        distance to the end is read with the wrong sign, which only
+        shortens the witness.  A probe is safe where some witness reads at
+        least ``val`` there.  The compass search reads no other points
+        (Kolda, Lewis and Torczon, "Optimization by direct search", SIAM
+        Review 2003), so the witnesses are read at the probes themselves.
         """
-        dirs = []
-        for da, db in self.COMPASS:
-            if alpha == (0.0 if da < 0 else self.c_arc):
-                da = 0.0                # the probe clamps alpha back
-            if beta == (self.c_arc if db < 0 else self.L):
-                db = 0.0
-            dirs.append((da, db))
-        everywhere = [(lo, hi)]
+        safe = np.zeros((len(steps), len(self.COMPASS)), dtype=bool)
         if beta - alpha <= 0.0:
-            return [[] if da or db else everywhere for da, db in dirs]
-        xa, ya, _ = self._locate(alpha)
+            return safe
+        # Each end's room and edge direction toward lower and higher arcs.
+        sides_a, sides_b = self._sides(alpha), self._sides(beta)
+        reach = min(max(sides_a[0][0], sides_a[1][0], sides_b[0][0],
+                        sides_b[1][0]), float(steps[-1, 0]))
+        # The witnesses that could reach val within reach: a witness moves
+        # by at most |A_alpha| + |A_beta| + 2 k a unit step.
+        wits = [(w - val, w_a, w_b, k, margin) for w, w_a, w_b, k, margin
+                in self._witnesses(alpha, beta, read)
+                if w - val + (abs(w_a) + abs(w_b) + 2.0 * k) * min(
+                    margin, reach) >= 0.0]
+        if not wits:
+            return safe
+        g, w_a, w_b, k, margin = np.array(wits).T[:, :, None, None]
+        # The end moves: the step, or the way to the box edge it clamps at.
+        # The probe's float position can differ from these by an ulp, far
+        # inside the polish's acceptance margin of 1e-15 L.
+        da = np.minimum(np.maximum(steps * self._DA, -alpha),
+                        self.c_arc - alpha)
+        db = np.minimum(np.maximum(steps * self._DB, self.c_arc - beta),
+                        self.L - beta)
+        # Per direction, each end's room and edge on the side it moves to.
+        room_a, upx, upy, room_b, uqx, uqy = np.array(
+            [(*sides_a[a > 0], *sides_b[b > 0]) for a, b in self.COMPASS]).T
+        xa, ya, _ = self._p_point(alpha)
         xb, yb, _ = self._locate(beta)
         dx, dy = xb - xa, yb - ya
-        e = math.hypot(dx, dy)
-        # Each end's room and edge direction toward lower and toward higher
-        # arcs.
-        sides_a = [self._side(alpha, d, 0.0, self.c_arc) for d in (-1, 1)]
-        sides_b = [self._side(beta, d, self.c_arc, self.L) for d in (-1, 1)]
-        reach = min(max(sides_a[0][0], sides_a[1][0], sides_b[0][0],
-                        sides_b[1][0]), hi)
-        # The witnesses at or above val, and those below it that could
-        # rise to it within reach: a witness moves by at most |A_alpha| +
-        # |A_beta| + 2 k a unit step.
-        top, low = [], []
-        for wit in self._witnesses(alpha, beta, val, read):
-            w, w_a, w_b, k, margin = wit
-            if w >= val:
-                top.append(wit)
-            elif w - val + (abs(w_a) + abs(w_b) + 2.0 * k) * min(
-                    margin, reach) >= 0.0:
-                low.append(wit)
-        out = []
-        for da, db in dirs:
-            if not (da or db):
-                out.append(everywhere)
-                continue
-            room, upx, upy = sides_a[da > 0] if da else (math.inf, 0.0, 0.0)
-            room_b, uqx, uqy = sides_b[db > 0] if db else (math.inf, 0.0, 0.0)
-            room = min(room, room_b, hi)
-            if room < lo:
-                out.append([])
-                continue
-            wx, wy = db * uqx - da * upx, db * uqy - da * upy
-            # The chord's slope as the step grows from 0; where p and q
-            # sit on one point, e(s) = s |W|.
-            slope_e = (dx * wx + dy * wy) / e if e else math.hypot(wx, wy)
-            # A witness at or above val that does not fall along the ray
-            # is safe up to its far end.
-            covered, rest = NEG, []
-            for wit in top:
-                if da * wit[1] + db * wit[2] + wit[3] * slope_e < 0.0:
-                    rest.append(wit)
-                elif wit[4] > covered:
-                    covered = wit[4] if wit[4] < room else room
-            pieces = [(lo, covered)] if covered >= lo else []
-            out.append(pieces)
-            if covered >= room:
-                continue
-            # The others, where they are at least val at lo or at far:
-            # below it at both, a convex witness is below it between.
-            ray = (dx, dy, wx, wy, e)
-            e_lo = math.hypot(dx + lo * wx, dy + lo * wy) - e
-            e_room = math.hypot(dx + room * wx, dy + room * wy) - e
-            for w, w_a, w_b, k, margin in rest + low:
-                if margin < room:
-                    if margin < lo:
-                        continue
-                    far = margin
-                    e_far = math.hypot(dx + far * wx, dy + far * wy) - e
-                else:
-                    far, e_far = room, e_room
-                g0, a = w - val, da * w_a + db * w_b
-                g_lo = g0 + a * lo + k * e_lo
-                g_far = g0 + a * far + k * e_far
-                if g_lo >= 0.0 or g_far >= 0.0:
-                    for piece in _ray_pieces(g0, a, k, ray, lo, far, g_lo,
-                                             g_far):
-                        pieces.append(piece)
-                        if piece[0] <= max(covered, lo) < piece[1]:
-                            covered = piece[1]
-                    if covered >= room:
-                        break
-        return out
+        de = np.hypot(dx + (db * uqx - da * upx),
+                      dy + (db * uqy - da * upy)) - math.hypot(dx, dy)
+        da_abs, db_abs = np.abs(da), np.abs(db)
+        holds = (g + w_a * da + w_b * db + k * de >= 0.0) & (
+            np.maximum(da_abs, db_abs) <= margin)
+        return holds.any(axis=0) & (da_abs <= room_a) & (db_abs <= room_b)
 
-    def _witnesses(self, alpha, beta, val, read=None):
+    def _witnesses(self, alpha, beta, read=None):
         """The certificate's witnesses at (alpha, beta):
         (w, A_alpha, A_beta, k, margin), a path of length w that
         moves as A_alpha alpha + A_beta beta + k e, and stays a shortest
@@ -906,23 +855,19 @@ class Caterpillar:
                             -1.0 if j == k else 1.0, 1.0, margin))
         return out
 
-    def _side(self, arc, d, lo, hi):
-        """(room, ux, uy) of a shortcut end at ``arc`` that moves toward
-        higher arcs (d = 1) or lower ones (d = -1): the distance to the
-        next breakpoint that way, where the cell or the edge under it
-        changes, or to the box edge hi or lo that way, where the probes
-        bend; and the unit direction of the backbone edge it moves along.
-        """
+    def _sides(self, arc):
+        """(room, ux, uy) of a shortcut end at ``arc`` moving toward lower
+        arcs, then toward higher ones: the distance to the next breakpoint
+        that way, where the cell or the edge under it changes, and the
+        unit direction of the backbone edge it moves along."""
         bps, arcs = self.bps, self.arcs
-        if d > 0:
-            i = bisect_right(bps, arc)
-            room = min(bps[i] if i < len(bps) else math.inf, hi) - arc
-            edge = min(bisect_right(arcs, arc) - 1, len(self._ux) - 1)
-        else:
-            i = bisect_left(bps, arc) - 1
-            room = arc - max(bps[i] if i >= 0 else NEG, lo)
-            edge = max(bisect_left(arcs, arc) - 1, 0)
-        return room, self._ux[edge], self._uy[edge]
+        i, j = bisect_left(bps, arc), bisect_right(bps, arc)
+        down = max(bisect_left(arcs, arc) - 1, 0)
+        up = min(bisect_right(arcs, arc) - 1, len(self._ux) - 1)
+        return ((arc - (bps[i - 1] if i else NEG), self._ux[down],
+                 self._uy[down]),
+                ((bps[j] if j < len(bps) else math.inf) - arc, self._ux[up],
+                 self._uy[up]))
 
     def evaluate_grid(self, alphas, betas):
         """Vectorized exact evaluation for many placements alpha <= beta.
@@ -1036,105 +981,3 @@ def _cross_pair_arg(pts, cyc, half):
                 if val > best:
                     best, at = val, (prefix_at, j)
     return best, *at
-
-
-def _ray_pieces(g0, a, k, ray, lo, far, g_lo, g_far):
-    """The pieces of [lo, far] on which g(s) = g0 + a s + k (e(s) - e) is
-    at least 0, for ``ray`` = (Dx, Dy, Wx, Wy, e) and e(s) = |D + s W|,
-    e = |D|; g is convex on [0, far], and g_lo and g_far are its values
-    at lo and far.
-
-    A point s with g(s) >= 0 where g does not rise toward 0 makes [lo, s]
-    safe, and one where g does not fall toward ``far`` makes [s, far]
-    safe; where g0 < 0, every such point rises toward far.  The points
-    read are 0, ``far``, the roots of the squared equation k e(s) = k e -
-    g0 - a s (one may be spurious, which the test of g itself discards)
-    and, where g0 >= 0, the minimum of g: its stationary point, or the
-    kink of e where D + s W passes through 0.  At least 0 there, g is at
-    least 0 everywhere.  A root that rounding puts just below 0 is moved
-    1e-9 far toward the side where g rises.
-    """
-    dx, dy, wx, wy, e = ray
-
-    def g(s):
-        return g0 + a * s + k * (math.hypot(dx + s * wx, dy + s * wy) - e)
-
-    if g0 < 0.0 and g_lo >= 0.0:
-        return [(lo, far)]
-    w2 = wx * wx + wy * wy
-    wn = math.sqrt(w2)
-    dw = dx * wx + dy * wy
-    points = []
-    if k == 0.0:
-        if a != 0.0:
-            points.append(-g0 / a)
-    else:
-        c0 = k * e - g0
-        a2 = k * k * w2 - a * a
-        a1 = 2.0 * (k * k * dw + a * c0)
-        a0 = g0 * (2.0 * k * e - g0)
-        if a2 == 0.0:
-            if a1 != 0.0:
-                points.append(-a0 / a1)
-        else:
-            disc = a1 * a1 - 4.0 * a2 * a0
-            if disc >= 0.0:
-                q = -0.5 * (a1 + math.copysign(math.sqrt(disc), a1))
-                points.append(q / a2)
-                if q != 0.0:
-                    points.append(a0 / q)
-    if g0 < 0.0:
-        # g rises through 0 once, before far: the first point in (lo, far]
-        # where g is at least 0 starts the one piece.
-        start = far if g_far >= 0.0 else math.inf
-        for s in points:
-            if lo < s < start:
-                if g(s) < 0.0:
-                    s = min(s + 1e-9 * far, far)
-                if s < start and g(s) >= 0.0:
-                    start = s
-        return [(start, far)] if start <= far else []
-    # The minimum of g, where the chord's pull k |W| outweighs the slope
-    # a (else g is monotone): off the point s = -D.W / |W|^2 where
-    # D + s W is nearest 0 by an amount that shrinks with the distance
-    # perp between them, and at that point, the chord's kink, where D and
-    # W line up.
-    lowest = []
-    if k and w2 > 0.0:
-        rho = -a / (k * wn)
-        if -1.0 < rho < 1.0:
-            perp = abs(dx * wy - dy * wx) / wn
-            low = -dw / w2 + rho * perp / math.sqrt(1.0 - rho * rho) / wn
-            if 0.0 < low < far and g(low) >= 0.0:
-                return [(lo, far)]      # g is at least 0 at its minimum
-            lowest.append(low)
-
-    def slopes(s):
-        """g's slopes at s from the left and from the right; at the kink,
-        rounding may give any slope between them, which serves as
-        either."""
-        ux, uy = dx + s * wx, dy + s * wy
-        es = math.hypot(ux, uy)
-        if es == 0.0:
-            return a - k * wn, a + k * wn
-        r = min(max((ux * wx + uy * wy) / es, -wn), wn)
-        return a + k * r, a + k * r
-
-    pieces = []
-    for s in [0.0, far] + points + lowest:
-        if not 0.0 <= s <= far:
-            continue
-        gs = g_far if s == far else g(s)
-        left, right = slopes(s)
-        if gs < 0.0:
-            if left > 0.0 or right < 0.0:
-                s = min(max(s + math.copysign(1e-9 * far, left), 0.0), far)
-                gs = g(s)
-                left, right = slopes(s)
-            if gs < 0.0:
-                continue
-        if left <= 0.0 and s >= lo:
-            pieces.append((lo, s))
-        if right >= 0.0:
-            pieces.append((max(s, lo), far))
-    return pieces

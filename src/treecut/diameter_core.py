@@ -11,7 +11,8 @@ their attachment arc, height, and diameter; this compressed caterpillar
 view is what the shortcut search operates on.
 
 Nothing here walks the adjacency: every step reads the arrays of the
-tree's preorder (``tree_model``).  The double sweep and the heights are
+tree's preorder (``tree_model``).  The double sweep
+(``GeometricTree.poles``, run once per tree) and the heights are
 distance passes, the pole path and the vertex each vertex hangs from
 come from the preorder intervals and the pole distances, and one pass up
 the preorder gives the far leaves and diameters of all B-sub-trees at
@@ -116,22 +117,6 @@ class BackboneDecomposition:
                             for s in self.secondary[::-1]))
 
 
-def _farthest(tree, dist) -> int:
-    """The index of the farthest vertex by ``dist``; ties go to the
-    smallest id."""
-    far = np.flatnonzero(dist == dist.max()).tolist()
-    return min(far, key=tree.ids.__getitem__)
-
-
-def _poles(tree: GeometricTree):
-    """Double sweep from the root: the poles u1, u2 of a diametral path
-    and the distances d1, d2 from each.  The diameter is d1[u2]."""
-    u1 = _farthest(tree, tree.depth)
-    d1 = tree.dist(u1)
-    u2 = _farthest(tree, d1)
-    return u1, u2, d1, tree.dist(u2)
-
-
 def _arcs(tree, path) -> np.ndarray:
     """Arc of each vertex of an index path, summed from its first."""
     a, b = path[:-1], path[1:]
@@ -191,7 +176,7 @@ def continuous_diameter(tree: GeometricTree) -> DiameterResult:
     For a tree this is attained at a pair of leaves; all attaining pairs
     (within tolerance) are reported.
     """
-    u1, u2, d1, d2 = _poles(tree)
+    u1, u2, d1, d2 = tree.poles
     diam = float(d1[u2])
     floor = diam - tree.tol
     # Eccentricity of any vertex is realized at one of the two sweep poles.
@@ -226,7 +211,7 @@ def _locate(tree, path, arcs, target_arc):
 
 def absolute_center(tree: GeometricTree) -> CenterResult:
     """The unique point minimizing the largest network distance."""
-    u1, u2, d1, _ = _poles(tree)
+    u1, u2, d1, _ = tree.poles
     diam = float(d1[u2])
     path = _vertex_path(tree, u1, u2)
     c = _locate(tree, path, _arcs(tree, path), diam / 2.0)
@@ -241,7 +226,7 @@ def backbone(tree: GeometricTree) -> BackboneDecomposition:
     it; a is on u1's side.  It is the center alone when a diametral leaf
     hangs at the center vertex.
     """
-    u1, u2, d1, d2 = _poles(tree)
+    u1, u2, d1, d2 = tree.poles
     diam = float(d1[u2])
     pole_path = _vertex_path(tree, u1, u2)
     pole_arcs = _arcs(tree, pole_path)

@@ -81,13 +81,13 @@ placements in one list: phase I's end, phase III's starts, the walks'
 dips and segment ends, and the wedge crossing; a stop notes none of
 its own, its state ends the stretch it stops in.  Every distinct one is
 evaluated exactly and the best is polished by a compass search on the exact
-evaluator.  A stationarity certificate (``Caterpillar.safe_steps``)
-shows at which steps a probe cannot improve; the search evaluates no
-such probe and halves past every step level where all probes are safe,
-so it ends where the full search ends.  ``OptimizeResult.events`` is
-the inspectable trace of a run.  Recording (``record_segments``, off
-by default) re-probes the walk to fill the motion segments and the
-phase-III diagnostic count; it never steers the sweep.
+evaluator.  A stationarity certificate (``Caterpillar.safe_probes``)
+shows which probes cannot improve, from lower bounds read at the probes
+themselves; the search evaluates no such probe, so it ends where the
+full search ends.  ``OptimizeResult.events`` is the inspectable trace
+of a run.  Recording (``record_segments``, off by default) re-probes
+the walk to fill the motion segments and the phase-III diagnostic
+count; it never steers the sweep.
 """
 
 from __future__ import annotations
@@ -98,6 +98,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
+
+import numpy as np
 
 from .augmented_eval import has_useful_shortcut
 from .caterpillar import Caterpillar
@@ -1190,42 +1192,41 @@ class _Engine:
         tightens the root-finding residue left by the event sweep and
         rescues the answers the sweep misses.  The step halves from
         ``L/64`` while no probe improves, down to ``tol/4``.  Wherever the
-        center changes, ``Caterpillar.safe_steps`` shows at which steps
-        each direction's probe cannot improve on ``val``.  Such a probe
-        is not evaluated, and a step level where every probe is safe is
-        halved without evaluating, down to the end of the search where
-        every level left is safe.  Nor is a point read before, the center
-        included: ``val`` only falls, so such a point cannot beat it now.
-        Only probes that could not move the search are skipped, so it
-        visits the centers, and ends with the answer, of the full compass
-        search.  The certificate takes the center's families view and cross
-        pair from the ``evaluate`` that read it, by ``best`` or as the
-        accepted probe.
+        center changes, ``Caterpillar.safe_probes`` shows which probes,
+        by step level and direction, cannot improve on ``val``.  Such a
+        probe is not evaluated, and a step level where every probe is safe
+        is halved without evaluating.  Nor is a point read before, the
+        center included: ``val`` only falls, so such a point cannot beat
+        it now.  Only probes that could not move the search are skipped,
+        so it visits the centers, and ends with the answer, of the full
+        compass search.  The certificate takes the center's families view
+        and cross pair from the ``evaluate`` that read it, by ``best`` or
+        as the accepted probe.
         """
         cat = self.cat
         read = self._best_read
         a, b = ab
         a = min(max(a, 0.0), cat.c_arc)
         b = min(max(b, cat.c_arc), cat.L)
-        # The step levels, smallest first.
+        # The step levels, smallest first, as a column.
         levels = []
         step = max(cat.L / 64.0, 4.0 * self.eps)
         while step > 0.25 * self.tol:
             levels.append(step)
             step *= 0.5
         levels.reverse()
+        steps = np.array(levels)[:, None]
         k = len(levels) - 1             # the current level
         seen = {(a, b)}                 # the points read, and the center
-        safe = None                     # per direction, its safe levels
+        safe = None                     # per level and direction, safe
         while k >= 0:
             if safe is None:
-                safe = [_level_mask(levels, pieces) for pieces in
-                        cat.safe_steps(a, b, val, levels[0], levels[k],
-                                       read)]
+                safe = cat.safe_probes(a, b, val, steps[:k + 1],
+                                       read).tolist()
             step = levels[k]
             moved = False
-            for (da, db), mask in zip(cat.COMPASS, safe):
-                if not moved and mask >> k & 1:
+            for (da, db), certified in zip(cat.COMPASS, safe[k]):
+                if not moved and certified:
                     continue            # certified from this center
                 a2 = min(max(a + step * da, 0.0), cat.c_arc)
                 b2 = min(max(b + step * db, cat.c_arc), cat.L)
@@ -1241,16 +1242,6 @@ class _Engine:
             else:
                 k -= 1
         return val, (a, b)
-
-
-def _level_mask(levels, pieces):
-    """The levels (ascending step sizes) inside any of the closed
-    intervals ``pieces``, as a bit mask over their indices."""
-    mask = 0
-    for lo, hi in pieces:
-        mask |= (1 << bisect_right(levels, hi)) - (1 << bisect_left(levels,
-                                                                    lo))
-    return mask
 
 
 def optimize(tree, record_segments=False) -> OptimizeResult:

@@ -145,7 +145,8 @@ class GeometricTree:
     root), ``parent_depth``, ``end`` (one past the last index of the
     subtree), ``is_leaf`` and ``input_pos`` (the position in ``coords``)
     are read by index.  ``edge_len[k]`` is the length of ``edges[k]``.
-    ``leaf_depths``, the leaves' arrays, is built on first use.
+    ``leaf_depths``, the leaves' arrays, and ``poles``, the double
+    sweep, are built on first use.
     """
 
     def __init__(self, vertices: Mapping[int, tuple], edges: Iterable[tuple]):
@@ -289,6 +290,21 @@ class GeometricTree:
         index = np.flatnonzero(self.is_leaf)
         gaps = np.minimum.reduceat(self.parent_depth, index[:-1] + 1)
         return index, self.depth[index], gaps
+
+    @cached_property
+    def poles(self) -> tuple:
+        """Double sweep from the root: the poles u1, u2 of a diametral path
+        and the distances d1, d2 from each, by index.  The diameter is
+        d1[u2].  A pole is the farthest vertex; ties go to the smallest
+        id.  Every reader shares the arrays and writes none."""
+        def farthest(dist):
+            far = np.flatnonzero(dist == dist.max()).tolist()
+            return min(far, key=self.ids.__getitem__)
+
+        u1 = farthest(self.depth)
+        d1 = self.dist(u1)
+        u2 = farthest(d1)
+        return u1, u2, d1, self.dist(u2)
 
     # -- helpers ---------------------------------------------------------
 

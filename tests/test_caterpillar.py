@@ -682,110 +682,82 @@ def certificate_centers(cat, rng, count):
                            rng.choice(bps_b)]))
 
 
-def safe_at(pieces, s):
-    return any(lo <= s <= hi for lo, hi in pieces)
+def polish_steps(t, cat):
+    """The polish's step ladder as ``_Engine._polish`` builds it, a
+    column, smallest first."""
+    levels, step = [], max(cat.L / 64.0, 4e-12 * t.scale)
+    while step > 0.25 * t.tol:
+        levels.append(step)
+        step *= 0.5
+    return np.array(levels[::-1])[:, None]
 
 
-def test_safe_steps_bounds_every_probe_it_certifies():
-    # At every step safe_steps calls safe for a direction, the compass
-    # probe, clamped as the polish clamps it, evaluates at least ``val``:
-    # at both ends and inside each safe interval.  ``val`` is the value at
-    # the center less a random gap, so that witnesses below it certify
-    # too.  The centers are random, on breakpoints, at (0, L) and at the
-    # optimum, where ``pairs`` often sets the value; on the L-shaped tree
-    # p and q lie on one line and some rays move them along it, and on the
-    # square tree (0, L) puts them on one point.  A firing
-    # is one safe interval; the pair witness fires where the certificate
-    # without it calls fewer steps safe.
+def test_safe_probes_bounds_every_probe_it_certifies():
+    # Over the polish's own step ladder, L/64 down to tol/4, every compass
+    # probe safe_probes certifies, clamped as the polish clamps it,
+    # evaluates at least ``val``.  ``val`` is the value at the center less
+    # a random gap, so that witnesses below it certify too.  The centers
+    # are random, on breakpoints, at (0, L), at the optimum, where
+    # ``pairs`` often sets the value, and with one end on a box edge or
+    # less than L/64 inside it, where a probe that moves that end clamps
+    # it there.  On the L-shaped tree p and q lie on one line and some
+    # probes move them along it, toward each other until the chord is 0
+    # where both clamp at c_arc; on the square tree (0, L) puts them on
+    # one point.  Of each center's certified probes, those clamped inside
+    # a step, the longest step of each direction and a few others are
+    # evaluated.  The pair witness fires where the certificate without
+    # it certifies fewer probes.
     rng = random.Random(7)
     trees = [random_tree(s, (5, 9, 14, 30)[s % 4],
                          ("uniform", "caterpillar", "balanced")[s % 3])
              for s in range(0, 120, 2)] + [l_tree(), square_tree()]
-    fired = paired = 0
+    certified = clamped = paired = 0
     for t in trees:
         d = backbone(t)
         if d.is_point or d.is_straight:
             continue
         cat = Caterpillar(t, d)
         res = optimize(t)
+        steps = polish_steps(t, cat)
         centers = list(certificate_centers(cat, rng, 16))
         if res.useful:
             centers.append((res.p_arc, cat.L - res.q_arc))
         if t.n > 100:                       # the L-shaped tree
             centers += [(rng.uniform(0.0, cat.c_arc),
                          rng.uniform(cat.c_arc, 8.0)) for _ in range(16)]
+            for _ in range(4):              # closing in until both clamp
+                gap = rng.uniform(0.0, cat.L / 128.0)
+                centers.append((cat.c_arc - gap, cat.c_arc + gap))
+        inside = rng.uniform(0.0, cat.L / 64.0)
+        centers += [(cat.c_arc, rng.uniform(cat.c_arc, cat.L)),
+                    (rng.uniform(0.0, cat.c_arc), cat.c_arc),
+                    (cat.c_arc - inside, rng.uniform(cat.c_arc, cat.L)),
+                    (rng.uniform(0.0, cat.c_arc), cat.L - inside)]
         for a, b in centers:
             val = cat.evaluate(a, b) - rng.choice([0.0, 1e-3, 0.05]) * cat.L
-            lo = rng.choice([1e-9, 1e-4]) * cat.L
-            hi = rng.choice([lo, cat.L / 64.0, cat.L / 4.0])
-            safe = cat.safe_steps(a, b, val, lo, hi)
-            for (da, db), pieces in zip(cat.COMPASS, safe):
-                for l, h in pieces:
-                    assert lo <= l <= h <= hi
-                    fired += 1
-                    for step in (l, h, (l + h) / 2.0, rng.uniform(l, h)):
-                        a2 = min(max(a + step * da, 0.0), cat.c_arc)
-                        b2 = min(max(b + step * db, cat.c_arc), cat.L)
-                        assert cat.evaluate(a2, b2) >= (
-                            val - 1e-12 * t.scale), (t.n, a, b, step, da, db)
+            safe = cat.safe_probes(a, b, val, steps)
+            assert safe.shape == (len(steps), len(cat.COMPASS))
+            probes, longest = [], {}
+            for k, i in np.argwhere(safe):
+                step, (da, db) = float(steps[k, 0]), cat.COMPASS[i]
+                a2 = min(max(a + step * da, 0.0), cat.c_arc)
+                b2 = min(max(b + step * db, cat.c_arc), cat.L)
+                # An end that moved, but less than the step: clamped
+                # inside it.
+                probes.append((a != a2 != a + step * da
+                               or b != b2 != b + step * db, a2, b2))
+                longest[i] = probes[-1]
+            certified += len(probes)
+            inner = [probe for probe in probes if probe[0]]
+            clamped += len(inner)
+            for _, a2, b2 in [*longest.values(), *inner,
+                              *rng.sample(probes, min(4, len(probes)))]:
+                assert cat.evaluate(a2, b2) >= val - 1e-12 * t.scale, (
+                    t.n, a, b, a2, b2)
             cat._pair_witnesses = lambda *args: []
-            without = cat.safe_steps(a, b, val, lo, hi)
+            without = cat.safe_probes(a, b, val, steps)
             del cat._pair_witnesses
-            steps = [lo * 2.0 ** i for i in range(64) if lo * 2.0 ** i <= hi]
-            paired += any(safe_at(p, s) and not safe_at(q, s) for s in steps
-                          for p, q in zip(safe, without))
-    assert fired >= 100, fired
+            paired += bool((safe & ~without).any())
+    assert certified >= 100000, certified
+    assert clamped >= 200, clamped
     assert paired >= 20, paired
-
-
-def ray_witness(g0, a, k, ray, s):
-    dx, dy, wx, wy, e = ray
-    return g0 + a * s + k * (math.hypot(dx + s * wx, dy + s * wy) - e)
-
-
-def test_ray_pieces_are_the_steps_where_the_witness_holds():
-    # ``_ray_pieces`` calls safe only steps where the witness is at least
-    # val (g >= 0), and every step where it is clearly above: on random
-    # rays, on rays where p and q move along one line (the chord has a
-    # kink where it passes through 0) and on rays that keep the chord.
-    rng = random.Random(25)
-    for case in range(3000):
-        dx, dy = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
-        e = math.hypot(dx, dy)
-        wx, wy = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
-        if case % 3 == 1:                   # along the chord's line
-            f = rng.uniform(-2.5, 2.5) / e
-            wx, wy = f * dx, f * dy
-        elif case % 6 == 5:                 # the chord does not change
-            wx = wy = 0.0
-        ray = (dx, dy, wx, wy, e)
-        k = rng.choice([0.0, 0.5, 1.0])
-        a = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0]) * rng.choice([1.0, 2.0])
-        g0 = rng.choice([0.0, rng.uniform(-0.5, 0.5)])
-        lo, far = rng.choice([(1e-3, 2.0), (0.0, 1.0), (0.1, 0.1)])
-        pieces = caterpillar_module._ray_pieces(
-            g0, a, k, ray, lo, far, ray_witness(g0, a, k, ray, lo),
-            ray_witness(g0, a, k, ray, far))
-        for l, h in pieces:
-            assert lo <= l <= h <= far
-            for s in (l, h, (l + h) / 2.0, rng.uniform(l, h)):
-                assert ray_witness(g0, a, k, ray, s) >= -1e-12, (case, s)
-        for i in range(101):
-            s = lo + (far - lo) * i / 100.0
-            if ray_witness(g0, a, k, ray, s) >= 1e-7:
-                assert safe_at(pieces, s), (case, s, pieces)
-
-
-def test_ray_pieces_reads_the_kink():
-    # p and q close in along one line: the chord |1 - 2s| has its kink at
-    # s = 1/2, where the witness g0 + s + (|1 - 2s| - 1) is lowest.  With
-    # g0 = 0.6 it stays above 0 and the squared equation has no root;
-    # with g0 = 0.5 it just reaches 0 there, a double root.  Only the
-    # kink shows the whole ray safe.
-    ray = (1.0, 0.0, -2.0, 0.0, 1.0)
-    for g0 in (0.6, 0.5):
-        pieces = caterpillar_module._ray_pieces(
-            g0, 1.0, 1.0, ray, 1e-3, 1.0, ray_witness(g0, 1.0, 1.0, ray, 1e-3),
-            ray_witness(g0, 1.0, 1.0, ray, 1.0))
-        assert all(safe_at(pieces, s / 1000.0) for s in range(1, 1001)), (
-            g0, pieces)

@@ -2,10 +2,12 @@ import argparse
 import json
 import math
 import time
+from functools import cached_property
 
 import pytest
 
-from treecut import InvalidEdgeReference, augmented_eval, cli, tree_from_data
+from treecut import (GeometricTree, InvalidEdgeReference, augmented_eval, cli,
+                     tree_from_data)
 from treecut.cli import _read_tree, main, render_svg
 from treecut.oracle import random_tree
 
@@ -158,6 +160,32 @@ def test_kept_parser_answers_as_a_fresh_one(tmp_path, capsys, t_l):
     assert (info.misses, info.hits) == (1, len(commands) - 1)
     assert [code for code, _, _ in kept] == [0, 0, 0, 2, 0]
     assert kept == fresh
+
+
+def test_analyze_and_evaluate_run_one_double_sweep(tmp_path, capsys,
+                                                  monkeypatch):
+    # The double sweep is the tree's cached ``poles``: ``analyze`` reads
+    # it in ``continuous_diameter`` and ``backbone``, and ``evaluate`` in
+    # ``backbone`` and the evaluator's leaf bound, one sweep each.
+    sweeps, poles = [], GeometricTree.poles.func
+
+    def counted(tree):
+        sweeps.append(tree)
+        return poles(tree)
+
+    prop = cached_property(counted)
+    prop.__set_name__(GeometricTree, "poles")
+    monkeypatch.setattr(GeometricTree, "poles", prop)
+    t = random_tree(3, 40, "uniform")
+    path = write_tree(tmp_path, t)
+    (a, b), (c, d) = t.edges[0], t.edges[-1]
+    sc = json.dumps({"p": {"edge": [a, b], "lambda": 0.5},
+                     "q": {"edge": [c, d], "lambda": 0.5}})
+    for argv in (("analyze", path), ("evaluate", path, "--shortcut", sc)):
+        sweeps.clear()
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(sweeps) == 1, argv
 
 
 def test_evaluate_hook_useless(tmp_path, capsys, t_hook):

@@ -890,7 +890,7 @@ def test_corpus_evaluate_calls_bounded(monkeypatch):
 def test_polish_evaluate_calls_bounded():
     # Work gate: on most corpus trees the sweep's best candidate is
     # already stationary, and the polish skips every step level that
-    # safe_steps shows no probe can improve on.  The full compass search
+    # safe_probes shows no probe can improve on.  The full compass search
     # makes a median of 216 evaluate calls here; a certificate that reads
     # each witness's tangent, and has no wedge-pair witness, a mean of
     # 86.6.  No point is read twice: ``val`` only falls, so a point read

@@ -32,7 +32,7 @@ def record(**change):
            "solve_families": 100, "phase1_families": 30, "stop_roots": 10,
            "stop_families": 30, "dips": 2, "dip_families": 40,
            "stretches": 5, "probe_families": 35, "pair_blocks": 6,
-           "sweep_gap": 0.0,
+           "polish_evaluates": 40, "sweep_gap": 0.0,
            "events": "0123456789abcdef"}
     rec.update(change)
     return rec
@@ -222,6 +222,33 @@ def test_compare_skips_pair_blocks_the_older_dump_lacks(tmp_path, capsys):
     assert "verdict: PASS" in out
 
 
+def test_compare_prints_polish_evaluates_per_set(tmp_path, capsys):
+    # Two trees whose polish made 40 evaluate calls each; after, the
+    # second makes 25.
+    code, out = compare(tmp_path, capsys, polish_evaluates=25)
+    assert code == 0
+    lines = out.splitlines()
+    at = lines.index("evaluate calls inside the polish, before -> after:")
+    assert lines[at + 1].split() == ["criterion-1", "80", "->", "65"]
+    assert "polish evaluates: a dump without polish_evaluates" not in out
+
+
+def test_compare_skips_polish_evaluates_the_older_dump_lacks(tmp_path,
+                                                             capsys):
+    # A dump made before the polish's evaluate calls were counted: their
+    # block is left out and the verdict does not read it.
+    before = {"criterion-1/0": record()}
+    for rec in before.values():
+        del rec["polish_evaluates"]
+    after = {"criterion-1/0": record(polish_evaluates=25)}
+    code, out = compare_dumps(tmp_path, capsys, before, after)
+    assert code == 0
+    assert ("polish evaluates: a dump without polish_evaluates, not "
+            "compared") in out
+    assert "inside the polish" not in out
+    assert "verdict: PASS" in out
+
+
 def test_dump_counts_pair_blocks():
     # The n = 2000 caterpillar runs the in-cycle kernel a few times, where
     # its bound reaches the floor; corpus tree 0 never has the 32 wedges
@@ -335,6 +362,8 @@ def test_dump_counts_solves_beside_families():
     # root finds, as phase I's stop does.
     assert rec["stretches"] > 0
     assert 0 < rec["probe_families"] < rec["families"]
+    # Its polish reads some probes; ``best`` reads the candidates.
+    assert 0 < rec["polish_evaluates"] < rec["evaluate_calls"]
 
 
 def test_compare_skips_solves_the_older_dump_lacks(tmp_path, capsys):

@@ -29,14 +29,15 @@ calls of ``_Engine._drive``) and of the ``families`` calls inside
 ``_first_stop`` outside its root finds (``probe_families``: the reads
 of its points, phase I's and the wedge crossing's included), the number
 of blocks of the numpy kernel over the pairs of two wedges inside the
-cycle (``pair_blocks``: the ``Caterpillar._wedge_pairs`` calls),
-``sweep_gap``, the value ``best`` hands to ``_Engine._polish`` minus the
-value the polish returns, in units of the tree's scale (0 where no
-shortcut helps and nothing is polished), and ``events``, a digest of
-the event trace (each event's kind, phase, ``p_arc`` and ``q_arc`` as
-``float.hex`` and payload; not its diameter).  ``dump`` also runs
-``augmented_diameter`` on the 120 trees of the benchmark's
-``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
+cycle (``pair_blocks``: the ``Caterpillar._wedge_pairs`` calls), the
+number of ``Caterpillar.evaluate`` calls made inside ``_Engine._polish``
+(``polish_evaluates``), ``sweep_gap``, the value ``best`` hands to
+``_Engine._polish`` minus the value the polish returns, in units of the
+tree's scale (0 where no shortcut helps and nothing is polished), and
+``events``, a digest of the event trace (each event's kind, phase,
+``p_arc`` and ``q_arc`` as ``float.hex`` and payload; not its
+diameter).  ``dump`` also runs ``augmented_diameter`` on the 120 trees
+of the benchmark's ``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
 s = 0..119, and on the mixed trees, each with one seeded random
 shortcut (``seeded_shortcut``).  Each of these gets an ``evaluate/...`` record:
 the diameter as ``float.hex``, the scale, the usefulness, a digest of
@@ -58,8 +59,9 @@ set's balance solves and ``families`` calls per solve, each set's
 ``families`` calls inside phase I, each set's ``families`` calls per stop
 root and per dip search, each set's ``families`` calls per stretch
 outside the stop roots (probe reads), each set's total of in-cycle
-kernel blocks (``pair_blocks``), and each set's rescues, the trees
-whose sweep_gap exceeds 1e-6 (the polish found an answer the sweep did
+kernel blocks (``pair_blocks``), each set's total of the polish's
+``evaluate`` calls (``polish_evaluates``), and each set's rescues, the
+trees whose sweep_gap exceeds 1e-6 (the polish found an answer the sweep did
 not), and its trees whose sweep_gap exceeds 1e-9, naming each tree that
 crosses that line with both values, and each evaluate pool's total of
 ``pair_leaves``, none of which is part of the verdict: a tree that reads
@@ -69,8 +71,8 @@ A dump from before the evaluate records were added has none;
 ``compare`` then says so and checks the optimize records alone.  A dump
 from before ``evaluate_calls``, the solves, ``phase1_families``, the stop
 roots and dips, the stretches and probe reads, ``pair_blocks``,
-``pair_leaves`` or ``sweep_gap`` were recorded is treated the same way:
-``compare`` says so and leaves those columns out.
+``polish_evaluates``, ``pair_leaves`` or ``sweep_gap`` were recorded is
+treated the same way: ``compare`` says so and leaves those columns out.
 
 ``motions`` runs ``optimize`` on ``random_tree(SEED, N, SHAPE)`` and on
 40 moved copies of it (``moved``): each rotated, mirrored half the time,
@@ -209,7 +211,7 @@ def answer(job):
              "_first_stop": 0, "_dip": 0, "newton_root": 0, "_drive": 0,
              "solve_families": 0, "phase1_families": 0, "stop_roots": 0,
              "stop_families": 0, "dip_families": 0, "stretches": 0,
-             "probe_families": 0, "_wedge_pairs": 0}
+             "probe_families": 0, "_wedge_pairs": 0, "polish_evaluates": 0}
     targets = {"families": Caterpillar, "evaluate": Caterpillar,
                "_wedge_pairs": Caterpillar,
                "balance": _Engine, "phase1": _Engine, "_first_stop": _Engine,
@@ -221,8 +223,10 @@ def answer(job):
     polish, gap = _Engine._polish, [0.0]
 
     def polished(self, val, ab):
+        before = calls["evaluate"]
         out = polish(self, val, ab)
         gap[0] = val - out[0]
+        calls["polish_evaluates"] += calls["evaluate"] - before
         return out
 
     def counting(method):
@@ -278,6 +282,7 @@ def answer(job):
                   "stretches": calls["stretches"],
                   "probe_families": calls["probe_families"],
                   "pair_blocks": calls["_wedge_pairs"],
+                  "polish_evaluates": calls["polish_evaluates"],
                   "sweep_gap": gap[0] / t.scale,
                   "events": trace_digest(res.events)}
 
@@ -392,6 +397,8 @@ def compare(before_path, after_path):
                  for rec in (*before.values(), *after.values()))
     blocks = all("pair_blocks" in rec
                  for rec in (*before.values(), *after.values()))
+    polished = all("polish_evaluates" in rec
+                   for rec in (*before.values(), *after.values()))
     rescues = all("sweep_gap" in rec
                   for rec in (*before.values(), *after.values()))
     crossed = []            # (name, gap before, gap after) across GAP
@@ -403,6 +410,7 @@ def compare(before_path, after_path):
             "evaluate_calls": ([], []), "events": [0, 0],
             "solves": [0, 0], "solve_families": [0, 0],
             "phase1_families": [0, 0], "pair_blocks": [0, 0],
+            "polish_evaluates": [0, 0],
             "rescues": [0, 0], "gaps": [0, 0],
             **{field: [0, 0] for field in ROOTS + PROBES}})
         row["trees"] += 1
@@ -414,7 +422,8 @@ def compare(before_path, after_path):
         fields = (("solves", "solve_families") if solves else ()) + (
             ("phase1_families",) if phase1 else ()) + (
             ROOTS if roots else ()) + (PROBES if probes else ()) + (
-            ("pair_blocks",) if blocks else ())
+            ("pair_blocks",) if blocks else ()) + (
+            ("polish_evaluates",) if polished else ())
         for field in fields:
             row[field][0] += old[field]
             row[field][1] += new[field]
@@ -508,6 +517,14 @@ def compare(before_path, after_path):
             print(f"  {group:<12}{old:>16} -> {new}")
     else:
         print("pair blocks: a dump without pair_blocks, not compared")
+    if polished:
+        print("evaluate calls inside the polish, before -> after:")
+        for group, row in sets.items():
+            old, new = row["polish_evaluates"]
+            print(f"  {group:<12}{old:>16} -> {new}")
+    else:
+        print("polish evaluates: a dump without polish_evaluates, not "
+              "compared")
     if rescues:
         print(f"rescues (sweep_gap > {RESCUE:g} scale), before -> after:")
         for group, row in sets.items():
