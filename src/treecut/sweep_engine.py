@@ -102,7 +102,9 @@ from operator import attrgetter
 import numpy as np
 
 from .augmented_eval import has_useful_shortcut
-from .caterpillar import Caterpillar
+from .caterpillar import (
+    _ANTI_IN, _TREE, _VIA, _X_ANTI, _X_IN, _Y_ANTI, _Y_IN, Caterpillar,
+)
 from .diameter_core import backbone
 from .errors import NoRootInBracket
 from .tree_model import Shortcut
@@ -127,43 +129,40 @@ class SpeedLaw:
     ddiam: object
 
 
+def _law(name, u, v, toward_b):
+    """The ``SpeedLaw`` that keeps two families of terms ``u`` and ``v``,
+    each (A_alpha, A_beta, k), in balance.  p moves toward a by d (d alpha
+    = -d) and the chord shrinks by de; q moves by dq toward b where
+    ``toward_b`` (d beta = dq), else toward c (d beta = -dq).  Equal
+    changes fix dq, and minus the change is the diameter's decrease."""
+    (ua, ub, uk), (va, vb, vk) = u, v
+    sign = 1.0 if toward_b else -1.0
+    if ub == vb:
+        # Neither family depends on q here: the balance leaves q free.
+        return SpeedLaw(name, None, lambda d, de: ua * d + uk * de)
+    dq = lambda d, de: sign * ((ua - va) * d + (uk - vk) * de) / (ub - vb)
+    return SpeedLaw(name, dq,
+                    lambda d, de: ua * d + uk * de - sign * ub * dq(d, de))
+
+
 def _laws():
-    t1 = {
-        "via": SpeedLaw("x-shortcut-wedge",
-                        lambda d, de: 0.0, lambda d, de: d + de),
+    """The balance rows: t1 keeps an x-side family level with the x-y
+    family via the shortcut (phase II), t2 the x side with the y side
+    (phase III).  A side family's via route ends at a wedge inside the
+    cycle."""
+    x = {"via": _X_IN, "anti": _X_ANTI, "tree": _TREE}
+    y = {"via": _Y_IN, "anti": _Y_ANTI, "tree": _TREE}
+    laws = {
+        ("t1", "via"): _law("x-shortcut-wedge", _X_IN, _VIA, False),
         # Never recorded: no segment of random_tree(s, 5 + s % 40, shape)
         # for s = 1000..1599 or of stress_family(1..40) follows this law.
-        "anti": SpeedLaw("x-antipodal",
-                         lambda d, de: (d + de) / 3.0,
-                         lambda d, de: 2.0 * (d + de) / 3.0),
-        "tree": SpeedLaw("x-tree-wedge",
-                         lambda d, de: d + de, lambda d, de: 0.0),
-        "anti-balance": SpeedLaw("wedge-interior",
-                                 lambda d, de: d + de / 3.0,
-                                 lambda d, de: 2.0 * de / 3.0),
+        ("t1", "anti"): _law("x-antipodal", _X_ANTI, _VIA, False),
+        ("t1", "tree"): _law("x-tree-wedge", _TREE, _VIA, False),
+        ("t1", "anti-balance"): _law("wedge-interior", _ANTI_IN, _VIA,
+                                     False),
     }
-    t2 = {
-        ("via", "via"): ("via-via", lambda d, de: d, lambda d, de: de),
-        ("via", "anti"): ("via-anti", lambda d, de: d + de / 3.0,
-                          lambda d, de: 2.0 * de / 3.0),
-        ("via", "tree"): ("via-tree", lambda d, de: d + de,
-                          lambda d, de: 0.0),
-        ("anti", "via"): ("anti-via", lambda d, de: d - de / 3.0,
-                          lambda d, de: 2.0 * de / 3.0),
-        ("anti", "anti"): ("anti-anti", lambda d, de: d,
-                           lambda d, de: de / 2.0),
-        ("anti", "tree"): ("anti-tree", lambda d, de: d + de,
-                           lambda d, de: 0.0),
-        ("tree", "via"): ("tree-via", lambda d, de: d - de,
-                          lambda d, de: 0.0),
-        ("tree", "anti"): ("tree-anti", lambda d, de: d - de,
-                           lambda d, de: 0.0),
-        # Neither family depends on q here: the balance leaves q free.
-        ("tree", "tree"): ("tree-tree", None, lambda d, de: 0.0),
-    }
-    laws = {("t1", key): law for key, law in t1.items()}
-    for key, (name, dq, dd) in t2.items():
-        laws[("t2",) + key] = SpeedLaw(name, dq, dd)
+    laws.update({("t2", u, v): _law(f"{u}-{v}", x[u], y[v], True)
+                 for u in x for v in y})
     return laws
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -97,9 +98,13 @@ def test_compare_totals_evaluate_calls_per_set(tmp_path, capsys):
     assert code == 0
     row = next(line.split() for line in out.splitlines()
                if line.startswith("criterion-1 "))
-    # families, evaluate calls and events, each before and after.
-    assert row[-6:] == ["240", "240", "450", "265", "14", "14"]
-    assert "evaluate calls: a dump without them" not in out
+    # families and events, each before and after; the evaluate calls'
+    # totals lead their row.
+    assert row[-4:] == ["240", "240", "14", "14"]
+    at = out.splitlines().index("evaluate calls, total / mean / median per "
+                                "tree, before -> after:")
+    assert out.splitlines()[at + 1].split()[1::6] == ["450", "265"]
+    assert "a dump without" not in out
 
 
 def test_compare_prints_mean_and_median_evaluate_calls_per_set(tmp_path,
@@ -108,28 +113,11 @@ def test_compare_prints_mean_and_median_evaluate_calls_per_set(tmp_path,
     code, out = compare(tmp_path, capsys, evaluate_calls=40)
     assert code == 0
     lines = out.splitlines()
-    at = lines.index("evaluate calls per tree, mean / median, before -> "
-                     "after:")
-    assert lines[at + 1].split() == ["criterion-1", "225.0", "/", "225",
-                                     "->", "132.5", "/", "132.5"]
-
-
-def test_compare_skips_evaluate_calls_the_older_dump_lacks(tmp_path,
-                                                           capsys):
-    # A dump made before evaluate calls were counted: the column is left
-    # out and the verdict does not read it.
-    before = {"criterion-1/0": record()}
-    for rec in before.values():
-        del rec["evaluate_calls"]
-    after = {"criterion-1/0": record(evaluate_calls=9)}
-    code, out = compare_dumps(tmp_path, capsys, before, after)
-    assert code == 0
-    assert "evaluate calls: a dump without them, not compared" in out
-    assert "evaluate calls per tree" not in out
-    row = next(line.split() for line in out.splitlines()
-               if line.startswith("criterion-1 "))
-    assert row[-4:] == ["120", "120", "7", "7"]
-    assert "verdict: PASS" in out
+    at = lines.index("evaluate calls, total / mean / median per tree, "
+                     "before -> after:")
+    assert lines[at + 1].split() == ["criterion-1", "450", "/", "225.0",
+                                     "/", "225", "->", "265", "/", "132.5",
+                                     "/", "132.5"]
 
 
 def test_compare_prints_solves_and_families_per_solve(tmp_path, capsys):
@@ -142,7 +130,7 @@ def test_compare_prints_solves_and_families_per_solve(tmp_path, capsys):
                      "-> after:")
     assert lines[at + 1].split() == ["criterion-1", "80", "/", "2.50", "->",
                                      "60", "/", "2.17"]
-    assert "balance solves: a dump without them" not in out
+    assert "a dump without" not in out
 
 
 def test_compare_prints_phase1_families_per_set(tmp_path, capsys):
@@ -153,7 +141,7 @@ def test_compare_prints_phase1_families_per_set(tmp_path, capsys):
     lines = out.splitlines()
     at = lines.index("families calls inside phase I, before -> after:")
     assert lines[at + 1].split() == ["criterion-1", "60", "->", "42"]
-    assert "phase I families calls: a dump without them" not in out
+    assert "a dump without" not in out
 
 
 def test_compare_prints_reads_per_stop_root_and_dip(tmp_path, capsys):
@@ -168,7 +156,7 @@ def test_compare_prints_reads_per_stop_root_and_dip(tmp_path, capsys):
                      "before -> after:")
     assert lines[at + 1].split() == ["criterion-1", "3.00", "/", "20.00",
                                      "->", "2.50", "/", "8.67"]
-    assert "stop roots and dips: a dump without them" not in out
+    assert "a dump without" not in out
 
 
 def test_compare_prints_probe_reads_per_stretch(tmp_path, capsys):
@@ -180,21 +168,7 @@ def test_compare_prints_probe_reads_per_stretch(tmp_path, capsys):
     at = lines.index("families calls per stretch outside stop roots, "
                      "before -> after:")
     assert lines[at + 1].split() == ["criterion-1", "7.00", "->", "5.00"]
-    assert "probe reads: a dump without stretches" not in out
-
-
-def test_compare_skips_probe_reads_the_older_dump_lacks(tmp_path, capsys):
-    # A dump made before stretches were counted: the probe reads are left
-    # out and the verdict does not read them.
-    before = {"criterion-1/0": record()}
-    for rec in before.values():
-        del rec["stretches"], rec["probe_families"]
-    after = {"criterion-1/0": record(stretches=9)}
-    code, out = compare_dumps(tmp_path, capsys, before, after)
-    assert code == 0
-    assert "probe reads: a dump without stretches, not compared" in out
-    assert "per stretch" not in out
-    assert "verdict: PASS" in out
+    assert "a dump without" not in out
 
 
 def test_compare_prints_pair_blocks_per_set(tmp_path, capsys):
@@ -205,21 +179,7 @@ def test_compare_prints_pair_blocks_per_set(tmp_path, capsys):
     lines = out.splitlines()
     at = lines.index("in-cycle wedge-pair kernel blocks, before -> after:")
     assert lines[at + 1].split() == ["criterion-1", "12", "->", "7"]
-    assert "pair blocks: a dump without pair_blocks" not in out
-
-
-def test_compare_skips_pair_blocks_the_older_dump_lacks(tmp_path, capsys):
-    # A dump made before the kernel blocks were counted: their block is
-    # left out and the verdict does not read it.
-    before = {"criterion-1/0": record()}
-    for rec in before.values():
-        del rec["pair_blocks"]
-    after = {"criterion-1/0": record(pair_blocks=1)}
-    code, out = compare_dumps(tmp_path, capsys, before, after)
-    assert code == 0
-    assert "pair blocks: a dump without pair_blocks, not compared" in out
-    assert "kernel blocks" not in out
-    assert "verdict: PASS" in out
+    assert "a dump without" not in out
 
 
 def test_compare_prints_polish_evaluates_per_set(tmp_path, capsys):
@@ -230,23 +190,72 @@ def test_compare_prints_polish_evaluates_per_set(tmp_path, capsys):
     lines = out.splitlines()
     at = lines.index("evaluate calls inside the polish, before -> after:")
     assert lines[at + 1].split() == ["criterion-1", "80", "->", "65"]
-    assert "polish evaluates: a dump without polish_evaluates" not in out
+    assert "a dump without" not in out
 
 
-def test_compare_skips_polish_evaluates_the_older_dump_lacks(tmp_path,
-                                                             capsys):
-    # A dump made before the polish's evaluate calls were counted: their
-    # block is left out and the verdict does not read it.
-    before = {"criterion-1/0": record()}
-    for rec in before.values():
-        del rec["polish_evaluates"]
-    after = {"criterion-1/0": record(polish_evaluates=25)}
+@pytest.mark.parametrize("row", answers.COLUMNS + answers.POOL_COLUMNS,
+                         ids=lambda row: "-".join(row[1]))
+def test_compare_skips_a_row_the_older_dump_lacks(tmp_path, capsys, row):
+    # A dump made before a row's fields were recorded: that row, and any
+    # other that reads one of its fields, says it is not compared, every
+    # other row prints, and the verdict does not read the fields.
+    title, fields, _ = row
+    before = {"criterion-1/0": record(),
+              "evaluate/shortcuts/0": evaluate_record()}
+    after = {name: dict(rec) for name, rec in before.items()}
+    for old, new in zip(before.values(), after.values()):
+        for field in fields:
+            if field in old:
+                new[field] = old.pop(field) + 1
     code, out = compare_dumps(tmp_path, capsys, before, after)
     assert code == 0
-    assert ("polish evaluates: a dump without polish_evaluates, not "
-            "compared") in out
-    assert "inside the polish" not in out
+    assert f"{title}: a dump without {', '.join(fields)}, not compared" in out
+    for other, read, _ in answers.COLUMNS + answers.POOL_COLUMNS:
+        skipped = bool(set(read) & set(fields))
+        assert (f"{other}, before -> after:" in out) != skipped, other
+        assert (f"{other}: a dump without" in out) == skipped, other
+    row = next(line.split() for line in out.splitlines()
+               if line.startswith("criterion-1 "))
+    # families and events, before and after.
+    assert row[-4:] == ["120", "120", "7", "7"]
     assert "verdict: PASS" in out
+
+
+def test_every_recorded_field_is_compared(tmp_path, capsys, monkeypatch):
+    # Each field of an optimize and of an evaluate record is read by the
+    # verdict, the main table or a row, and each row's fields are
+    # recorded: no count is dumped and never compared.  An evaluate
+    # record's set is told by its name.
+    dump = dict([answers.answer(("criterion-1", "criterion-1/0",
+                                 (0, 5, "uniform"))),
+                 answers.evaluation(("evaluate", "evaluate/shortcuts/0",
+                                     (0, 300, "uniform")))])
+    recorded = [set(rec) for rec in dump.values()]
+    read = [set(), set()]
+
+    class Reads(dict):
+        def __getitem__(self, field):
+            read[self.kind].add(field)
+            return super().__getitem__(field)
+
+        def get(self, field, default=None):
+            read[self.kind].add(field)
+            return super().get(field, default)
+
+    def loads(text):
+        out = {name: Reads(rec) for name, rec in json.loads(text).items()}
+        for name, rec in out.items():
+            rec.kind = name.startswith(answers.EVALUATE)
+        return out
+
+    monkeypatch.setattr(answers, "json", SimpleNamespace(loads=loads))
+    code, _ = compare_dumps(tmp_path, capsys, dump, dump)
+    assert code == 0
+    assert read[0] == recorded[0]
+    assert read[1] == recorded[1] - {"set"}
+    for rows, fields in ((answers.COLUMNS, recorded[0]),
+                         (answers.POOL_COLUMNS, recorded[1])):
+        assert {field for row in rows for field in row[1]} <= fields
 
 
 def test_dump_counts_pair_blocks():
@@ -284,22 +293,6 @@ def test_compare_names_trees_that_cross_the_sweep_gap_line(tmp_path,
     assert "verdict: PASS" in out
 
 
-def test_compare_skips_stop_roots_and_dips_the_older_dump_lacks(tmp_path,
-                                                                capsys):
-    # A dump made before stop roots and dips were counted: their block is
-    # left out and the verdict does not read it.
-    before = {"criterion-1/0": record()}
-    for rec in before.values():
-        for field in answers.ROOTS:
-            del rec[field]
-    after = {"criterion-1/0": record(dips=9)}
-    code, out = compare_dumps(tmp_path, capsys, before, after)
-    assert code == 0
-    assert "stop roots and dips: a dump without them, not compared" in out
-    assert "per stop root" not in out
-    assert "verdict: PASS" in out
-
-
 def test_compare_prints_rescues_per_set(tmp_path, capsys):
     # A rescue is a tree whose sweep_gap exceeds 1e-6 * scale: before, the
     # polish moved the second tree by 2e-6 * scale; after, the first by
@@ -314,21 +307,7 @@ def test_compare_prints_rescues_per_set(tmp_path, capsys):
     at = lines.index("rescues (sweep_gap > 1e-06 scale), before -> after:")
     assert [line.split() for line in lines[at + 1:at + 3]] == [
         ["criterion-1", "1", "->", "0"], ["hold-out", "0", "->", "0"]]
-    assert "rescues: a dump without sweep_gap" not in out
-
-
-def test_compare_skips_rescues_the_older_dump_lacks(tmp_path, capsys):
-    # A dump made before sweep_gap was recorded: the rescues are left out
-    # and the verdict does not read them.
-    before = {"criterion-1/0": record()}
-    for rec in before.values():
-        del rec["sweep_gap"]
-    after = {"criterion-1/0": record(sweep_gap=1.0)}
-    code, out = compare_dumps(tmp_path, capsys, before, after)
-    assert code == 0
-    assert "rescues: a dump without sweep_gap, not compared" in out
-    assert "rescues (sweep_gap" not in out
-    assert "verdict: PASS" in out
+    assert "a dump without" not in out
 
 
 @pytest.mark.parametrize("spec, rescued", [((0, 5, "uniform"), False),
@@ -364,35 +343,6 @@ def test_dump_counts_solves_beside_families():
     assert 0 < rec["probe_families"] < rec["families"]
     # Its polish reads some probes; ``best`` reads the candidates.
     assert 0 < rec["polish_evaluates"] < rec["evaluate_calls"]
-
-
-def test_compare_skips_solves_the_older_dump_lacks(tmp_path, capsys):
-    # A dump made before solves were counted: their block is left out and
-    # the verdict does not read it.
-    before = {"criterion-1/0": record()}
-    for rec in before.values():
-        del rec["solves"], rec["solve_families"]
-    after = {"criterion-1/0": record(solves=9)}
-    code, out = compare_dumps(tmp_path, capsys, before, after)
-    assert code == 0
-    assert "balance solves: a dump without them, not compared" in out
-    assert "families calls per solve" not in out
-    assert "verdict: PASS" in out
-
-
-def test_compare_skips_phase1_families_the_older_dump_lacks(tmp_path,
-                                                           capsys):
-    # A dump made before phase I's families calls were counted: their
-    # block is left out and the verdict does not read it.
-    before = {"criterion-1/0": record()}
-    for rec in before.values():
-        del rec["phase1_families"]
-    after = {"criterion-1/0": record(phase1_families=9)}
-    code, out = compare_dumps(tmp_path, capsys, before, after)
-    assert code == 0
-    assert "phase I families calls: a dump without them, not compared" in out
-    assert "families calls inside phase I" not in out
-    assert "verdict: PASS" in out
 
 
 def evaluate_record(**change):
@@ -462,22 +412,7 @@ def test_compare_prints_pair_leaves_per_pool(tmp_path, capsys):
     at = lines.index("leaves read by the leaf-pair pass, before -> after:")
     assert lines[at + 1].split() == ["shortcuts", "151", "->", "151"]
     assert lines[at + 2].split() == ["mixed", "151", "->", "2"]
-    assert "pair leaves: a dump without pair_leaves" not in out
-
-
-def test_compare_skips_pair_leaves_the_older_dump_lacks(tmp_path, capsys):
-    # A dump made before the pass's leaves were counted: their block is
-    # left out and the verdict does not read it.
-    before = {"criterion-1/0": record(),
-              "evaluate/shortcuts/0": evaluate_record()}
-    del before["evaluate/shortcuts/0"]["pair_leaves"]
-    after = {"criterion-1/0": record(),
-             "evaluate/shortcuts/0": evaluate_record(pair_leaves=2)}
-    code, out = compare_dumps(tmp_path, capsys, before, after)
-    assert code == 0
-    assert "pair leaves: a dump without pair_leaves, not compared" in out
-    assert "leaf-pair pass" not in out
-    assert "verdict: PASS" in out
+    assert "a dump without" not in out
 
 
 def test_dump_counts_pair_leaves():
@@ -582,8 +517,9 @@ def test_motions_takes_a_tree_or_the_scan(monkeypatch, capsys):
 
 
 def test_moved_copies_are_similarities():
-    # Every edge of a moved copy is scaled by one factor, and the answer's
-    # measure, which a similarity keeps, holds on this tree.
+    # Every edge of a moved copy is scaled by one factor, its vertex ids
+    # are a permutation of the tree's, and the answer's measure, which a
+    # similarity and a relabelling keep, holds on this tree.
     t = random_tree(5, 14, "balanced")
     base = answers.measure(t)
     rng = random.Random(3)
@@ -591,6 +527,14 @@ def test_moved_copies_are_similarities():
         m = answers.moved(t, rng)
         ratios = [a / b for a, b in zip(m.edge_len, t.edge_len)]
         assert max(ratios) == pytest.approx(min(ratios), rel=1e-9)
+        # Edge k of the copy joins the new ids of edge k's ends.
+        label = {}
+        for ends, new in zip(t.edges, m.edges):
+            for v, w in zip(ends, new):
+                assert label.setdefault(v, w) == w
+        assert sorted(label) == sorted(label.values()) == sorted(t.coords)
+        assert sorted(m.coords) == sorted(t.coords)
+        assert label != dict(zip(label, label))
         assert answers.measure(m) == pytest.approx(base, abs=1e-9)
 
 

@@ -7,97 +7,38 @@ check answers under motions, or scan for misses.
     python tools/answers.py motions --scan
     python tools/answers.py misses
 
-``dump`` runs ``optimize`` from the ``src/`` beside this file on the
-ROADMAP comparison set (the 210 criterion-1 trees, the 210 hold-out
-corpus trees, ``random_tree(s, 5 + s % 96, shape)`` for s = 1000..1299
-and ``random_tree(s, 2000, "caterpillar")`` for s = 0..2) and on the
-1,500 item-1 trees.  Each tree gets one record: ``phase_end``,
-``diameter_after`` as ``float.hex``, the tree's scale, ``event_count``,
-the number of ``Caterpillar.families`` calls, the number of
-``Caterpillar.evaluate`` calls (``evaluate_calls``), the number of
-balance solves (``_Engine.balance`` calls, ``solves``) and of the
-``families`` calls made inside them (``solve_families``), the number of
-``families`` calls made inside ``_Engine.phase1`` (``phase1_families``),
-the number of stop root finds (``stop_roots``: the ``newton_root`` calls
-of ``_Engine._first_stop``, phase I's included, not those of the balance
-solves inside it) and of the ``families`` calls inside them
-(``stop_families``; the stops' probes are not counted), the number of
-dip searches (``dips``, calls of ``_Engine._dip``) and of the
-``families`` calls inside them (``dip_families``), the number of
-stretches the walks cross (``stretches``: the ``_Engine._first_stop``
-calls of ``_Engine._drive``) and of the ``families`` calls inside
-``_first_stop`` outside its root finds (``probe_families``: the reads
-of its points, phase I's and the wedge crossing's included), the number
-of blocks of the numpy kernel over the pairs of two wedges inside the
-cycle (``pair_blocks``: the ``Caterpillar._wedge_pairs`` calls), the
-number of ``Caterpillar.evaluate`` calls made inside ``_Engine._polish``
-(``polish_evaluates``), ``sweep_gap``, the value ``best`` hands to
-``_Engine._polish`` minus the value the polish returns, in units of the
-tree's scale (0 where no shortcut helps and nothing is polished), and
-``events``, a digest of the event trace (each event's kind, phase,
-``p_arc`` and ``q_arc`` as ``float.hex`` and payload; not its
-diameter).  ``dump`` also runs ``augmented_diameter`` on the 120 trees
-of the benchmark's ``evaluate-shortcuts`` pool, ``random_tree(s, 300, "uniform")`` for
-s = 0..119, and on the mixed trees, each with one seeded random
-shortcut (``seeded_shortcut``).  Each of these gets an ``evaluate/...`` record:
-the diameter as ``float.hex``, the scale, the usefulness, a digest of
-the achieving pairs and ``pair_leaves``, the leaves the diagnosis' pass
-over the leaf pairs read (the length of the ``depth`` handed to
-``augmented_eval._distance_blocks``; 0 where no pair pass runs).  It
-runs two worker processes (one where there is one core).  To compare
-two versions of the program, run each version's copy of this file.
+``dump`` runs ``optimize`` from the ``src/`` beside this file on every
+tree of ``trees()`` and ``augmented_diameter`` on every tree and seeded
+shortcut of ``evaluations()``, in two worker processes (one where there
+is one core), and writes one record a tree: its answer, its scale and
+the work ``COUNTS`` counts.  To compare two versions of the program, run
+each version's copy of this file.
 
 ``compare`` prints the ROADMAP identity verdict: ``phase_end`` identical
 on every tree, no ``diameter_after`` worse than before by more than
 1e-9 * scale, and no evaluate diameter moved, either way, by more than
-1e-9 * scale.  It exits 1 when the verdict fails.  It also counts the
-trees whose event trace changed and the evaluate records whose diameter,
-usefulness or achieving pairs changed at all, and prints each set's
-totals of ``families`` calls, ``evaluate`` calls and events before and
-after, each set's mean and median ``evaluate`` calls per tree, each
-set's balance solves and ``families`` calls per solve, each set's
-``families`` calls inside phase I, each set's ``families`` calls per stop
-root and per dip search, each set's ``families`` calls per stretch
-outside the stop roots (probe reads), each set's total of in-cycle
-kernel blocks (``pair_blocks``), each set's total of the polish's
-``evaluate`` calls (``polish_evaluates``), and each set's rescues, the
-trees whose sweep_gap exceeds 1e-6 (the polish found an answer the sweep did
-not), and its trees whose sweep_gap exceeds 1e-9, naming each tree that
-crosses that line with both values, and each evaluate pool's total of
-``pair_leaves``, none of which is part of the verdict: a tree that reads
-9.999998e-10 in one dump and 1.0000002e-09 in the other moves the count
-by rounding alone.
-A dump from before the evaluate records were added has none;
-``compare`` then says so and checks the optimize records alone.  A dump
-from before ``evaluate_calls``, the solves, ``phase1_families``, the stop
-roots and dips, the stretches and probe reads, ``pair_blocks``,
-``polish_evaluates``, ``pair_leaves`` or ``sweep_gap`` were recorded is
-treated the same way: ``compare`` says so and leaves those columns out.
+1e-9 * scale.  It exits 1 when the verdict fails.  Outside the verdict
+it prints, per set, the changed answers and event traces and the rows
+of ``COLUMNS`` before and after, and per evaluate pool the rows of
+``POOL_COLUMNS``.  A row prints where every record of both dumps holds
+its fields, and otherwise says it is not compared.
 
 ``motions`` runs ``optimize`` on ``random_tree(SEED, N, SHAPE)`` and on
-40 moved copies of it (``moved``): each rotated, mirrored half the time,
-scaled by 10^u with u uniform in [-3, 3] and translated, from a stream
-seeded by SEED.  The answer's measure is ``diameter_after /
-diameter_before``, which a similarity keeps; the tree's scale, a
-bounding-box diagonal, changes under rotation.  It prints how many
-copies answer better and how many worse than the original by more than
-1e-9, and the least and largest difference of the measure.
-
-``motions --scan`` runs that check on every criterion-1, hold-out and
-item-1 tree (1,920 trees), in two worker processes like ``dump``, each
-tree's copies drawn from the stream its own seed seeds.  A tree is
-frame-decided where some moved copy answers better or worse than the
-original by more than 1e-9.  It prints, per set, the frame-decided
-trees, each with its counts of better and worse copies and the least
-and largest difference.  It is a report, not a gate: it exits 0.
+40 moved copies of it (``moved``).  The answer's measure is
+``diameter_after / diameter_before``, which a similarity keeps; the
+tree's scale, a bounding-box diagonal, changes under rotation.  It
+prints how many copies answer better and how many worse than the
+original by more than 1e-9, and the least and largest difference of the
+measure.  ``motions --scan`` runs that check on every criterion-1,
+hold-out and item-1 tree (1,920 trees), in two worker processes like
+``dump``, and prints per set the frame-decided trees, where some copy
+answers beyond 1e-9.  It is a report, not a gate: it exits 0.
 
 ``misses`` runs ``optimize`` on the 1,500 item-1 trees and the 210
-hold-out trees, in two worker processes like ``dump``, and for each tree
-with a useful shortcut computes how far the answer lies above the
+hold-out trees, in two worker processes like ``dump``, and prints per
+set the trees whose answer lies more than 1e-6 * scale above the
 polished optimum of a 161 x 161 backbone grid of the exact evaluator
-(``treecut.oracle.polished_grid_optimum``), in units of the tree's
-scale.  It prints, per set, the misses, the trees more than 1e-6 * scale
-above it, each with its gap and ``phase_end``.  It is a report, not a
+(``treecut.oracle.polished_grid_optimum``).  It is a report, not a
 gate: it exits 0.  It takes about 36 s on one core.
 """
 
@@ -112,6 +53,7 @@ import os
 import random
 import statistics
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -137,17 +79,88 @@ WORSE = 1e-9        # the largest loss allowed, in units of the tree's scale
 RESCUE = 1e-6       # a sweep_gap above this, in units of scale, is a rescue
 GAP = 1e-9          # the sweep_gap line whose crossings ``compare`` names
 EVALUATE = "evaluate/"      # the name prefix of the evaluate records
-# The counts of stop root finds and dip searches and their families calls.
-ROOTS = ("stop_roots", "stop_families", "dips", "dip_families")
-# The walks' stretches and the families calls of their stops outside roots.
-PROBES = ("stretches", "probe_families")
 MOTIONS = 40        # the moved copies ``motions`` checks
 MOVED = 1e-9        # a moved copy's measure differs beyond this
 MISS = 1e-6         # an answer this far above the grid optimum, in scale
 
+# The methods ``answer`` counts the calls of, by name.
+OWNERS = {name: owner for owner, names in (
+    (Caterpillar, "families evaluate _wedge_pairs"),
+    (_Engine, "balance phase1 _first_stop _dip _drive _polish"),
+    (sweep_engine, "newton_root")) for name in names.split()}
+
+# The work counters of an optimize record, each (method, inside, outside):
+# the calls of ``method`` made while a call named ``inside`` is open and
+# none named ``outside`` (None: any).  A call is named by its method and
+# by each counter that counts it.
+COUNTS = {
+    "families": ("families", None, None),
+    "evaluate_calls": ("evaluate", None, None),
+    "solves": ("balance", None, None),      # balance solves
+    "solve_families": ("families", "balance", None),
+    "phase1_families": ("families", "phase1", None),
+    # Stop root finds: the newton_root calls of _first_stop, phase I's
+    # included, not those of the balance solves inside it.
+    "stop_roots": ("newton_root", "_first_stop", "balance"),
+    # The families calls inside them; the stops' probes are not counted.
+    "stop_families": ("families", "stop_roots", None),
+    "dips": ("_dip", None, None),           # dip searches
+    "dip_families": ("families", "_dip", None),
+    # The stretches the walks cross: the stop finds of a walk itself.
+    "stretches": ("_first_stop", "_drive", None),
+    # Probe reads: the stops' reads of their points outside their root
+    # finds, phase I's and the wedge crossing's included.
+    "probe_families": ("families", "_first_stop", "stop_roots"),
+    # Blocks of the numpy kernel over the pairs of two wedges inside the
+    # cycle.
+    "pair_blocks": ("_wedge_pairs", None, None),
+    "polish_evaluates": ("evaluate", "_polish", None),
+}
+
+
+def per(top, bottom):
+    """The text of sum(top) / sum(bottom), 0 where sum(bottom) is."""
+    return f"{sum(top) / sum(bottom) if sum(bottom) else 0.0:.2f}"
+
+
+# The rows ``compare`` prints per set, each (title, fields, text): text
+# maps the lists of the set's values of each field to what one dump
+# reads.  None is part of the verdict.
+COLUMNS = (
+    ("evaluate calls, total / mean / median per tree", ("evaluate_calls",),
+     lambda n: f"{sum(n)} / {statistics.mean(n):.1f} / "
+               f"{statistics.median(n):g}"),
+    ("balance solves / families calls per solve",
+     ("solves", "solve_families"), lambda n, f: f"{sum(n)} / {per(f, n)}"),
+    ("families calls inside phase I", ("phase1_families",), sum),
+    ("families calls per stop root / per dip search",
+     ("stop_roots", "stop_families", "dips", "dip_families"),
+     lambda sr, sf, d, df: f"{per(sf, sr)} / {per(df, d)}"),
+    ("families calls per stretch outside stop roots",
+     ("stretches", "probe_families"), lambda n, f: per(f, n)),
+    ("in-cycle wedge-pair kernel blocks", ("pair_blocks",), sum),
+    ("evaluate calls inside the polish", ("polish_evaluates",), sum),
+    # A rescue: the polish found an answer the sweep did not.
+    (f"rescues (sweep_gap > {RESCUE:g} scale)", ("sweep_gap",),
+     lambda g: sum(x > RESCUE for x in g)),
+    # A tree that reads 9.999998e-10 in one dump and 1.0000002e-09 in the
+    # other moves this count by rounding alone; ``compare`` names it.
+    (f"trees with sweep_gap > {GAP:g} scale", ("sweep_gap",),
+     lambda g: sum(x > GAP for x in g)),
+)
+# The rows ``compare`` prints per evaluate pool.  pair_leaves: the leaves
+# the diagnosis' pass over the leaf pairs read.
+POOL_COLUMNS = (
+    ("leaves read by the leaf-pair pass", ("pair_leaves",), sum),
+)
+
 
 def trees():
-    """(set, name, (seed, n, shape)) of every tree, the large ones first."""
+    """(set, name, (seed, n, shape)) of every tree, the large ones first:
+    the ROADMAP comparison set (the 210 criterion-1 trees, the 210
+    hold-out corpus trees, ``random_tree(s, 5 + s % 96, shape)`` for s =
+    1000..1299 and ``random_tree(s, 2000, "caterpillar")`` for s =
+    0..2) and the 1,500 item-1 trees."""
     for s in range(3):
         yield "large", f"large/{s}", (s, 2000, "caterpillar")
     for s in range(210):
@@ -164,7 +177,9 @@ def trees():
 
 
 def evaluations():
-    """(set, name, (seed, n, shape)) of every evaluate record."""
+    """(set, name, (seed, n, shape)) of every evaluate record: the 120
+    trees of the benchmark's ``evaluate-shortcuts`` pool and the mixed
+    trees, each with its ``seeded_shortcut``."""
     for s in range(120):
         yield "evaluate", f"{EVALUATE}shortcuts/{s}", (s, 300, "uniform")
     for s in range(1000, 1300):
@@ -206,88 +221,64 @@ def trace_digest(events):
 
 
 def answer(job):
+    """(name, record) of ``optimize`` on one tree: ``phase_end``,
+    ``diameter_after`` as ``float.hex``, the scale, ``event_count``, the
+    ``COUNTS``, ``sweep_gap``, the value ``best`` hands to
+    ``_Engine._polish`` less the value the polish returns, in units of
+    scale (0 where nothing is polished), and ``events``, a digest of the
+    event trace."""
     group, name, spec = job
-    calls = {"families": 0, "evaluate": 0, "balance": 0, "phase1": 0,
-             "_first_stop": 0, "_dip": 0, "newton_root": 0, "_drive": 0,
-             "solve_families": 0, "phase1_families": 0, "stop_roots": 0,
-             "stop_families": 0, "dip_families": 0, "stretches": 0,
-             "probe_families": 0, "_wedge_pairs": 0, "polish_evaluates": 0}
-    targets = {"families": Caterpillar, "evaluate": Caterpillar,
-               "_wedge_pairs": Caterpillar,
-               "balance": _Engine, "phase1": _Engine, "_first_stop": _Engine,
-               "_dip": _Engine, "newton_root": sweep_engine,
-               "_drive": _Engine}
-    depth = dict.fromkeys(targets, 0)       # open calls of each method
-    originals = {method: getattr(cls, method)
-                 for method, cls in targets.items()}
-    polish, gap = _Engine._polish, [0.0]
-
-    def polished(self, val, ab):
-        before = calls["evaluate"]
-        out = polish(self, val, ab)
-        gap[0] = val - out[0]
-        calls["polish_evaluates"] += calls["evaluate"] - before
-        return out
+    counts, open_ = Counter(), Counter()    # calls made and open, by name
+    originals = {method: getattr(owner, method)
+                 for method, owner in OWNERS.items()}
 
     def counting(method):
+        rows = [(field, inside, outside)
+                for field, (of, inside, outside) in COUNTS.items()
+                if of == method]
+
         def counted(*args, **kwargs):
-            calls[method] += 1
-            if method == "families":
-                calls["solve_families"] += depth["balance"] > 0
-                calls["phase1_families"] += depth["phase1"] > 0
-                calls["stop_families"] += depth["stop"] > 0
-                calls["dip_families"] += depth["_dip"] > 0
-                calls["probe_families"] += (depth["_first_stop"] > 0
-                                            and depth["stop"] == 0)
-            # A stretch: a stop find of a walk itself.
-            calls["stretches"] += (method == "_first_stop"
-                                   and depth["_drive"] > 0)
-            # A stop's root find: ``newton_root`` called by ``_first_stop``
-            # itself, not by a balance solve inside it.
-            stop = (method == "newton_root" and depth["_first_stop"] > 0
-                    and depth["balance"] == 0)
-            calls["stop_roots"] += stop
-            depth[method] += 1
-            depth["stop"] += stop
+            fields = [field for field, inside, outside in rows
+                      if (inside is None or open_[inside])
+                      and not open_[outside]]
+            counts.update(fields)
+            open_.update([method, *fields])
             try:
                 return originals[method](*args, **kwargs)
             finally:
-                depth[method] -= 1
-                depth["stop"] -= stop
+                open_.subtract([method, *fields])
         return counted
 
-    depth["stop"] = 0
-    for method, cls in targets.items():
-        setattr(cls, method, counting(method))
+    for method, owner in OWNERS.items():
+        setattr(owner, method, counting(method))
+    polish, gap = _Engine._polish, [0.0]
+
+    def polished(self, val, ab):
+        out = polish(self, val, ab)
+        gap[0] = val - out[0]
+        return out
+
     _Engine._polish = polished
     try:
         t = random_tree(*spec)
         res = optimize(t)
     finally:
-        for method, cls in targets.items():
-            setattr(cls, method, originals[method])
-        _Engine._polish = polish
+        for method, owner in OWNERS.items():
+            setattr(owner, method, originals[method])
     return name, {"set": group, "phase_end": res.phase_end,
                   "diameter_after": res.diameter_after.hex(),
                   "scale": t.scale, "event_count": res.event_count,
-                  "families": calls["families"],
-                  "evaluate_calls": calls["evaluate"],
-                  "solves": calls["balance"],
-                  "solve_families": calls["solve_families"],
-                  "phase1_families": calls["phase1_families"],
-                  "stop_roots": calls["stop_roots"],
-                  "stop_families": calls["stop_families"],
-                  "dips": calls["_dip"],
-                  "dip_families": calls["dip_families"],
-                  "stretches": calls["stretches"],
-                  "probe_families": calls["probe_families"],
-                  "pair_blocks": calls["_wedge_pairs"],
-                  "polish_evaluates": calls["polish_evaluates"],
+                  **{field: counts[field] for field in COUNTS},
                   "sweep_gap": gap[0] / t.scale,
                   "events": trace_digest(res.events)}
 
 
 def evaluation(job):
+    """(name, record) of ``augmented_diameter`` on one tree and its
+    ``seeded_shortcut``: the diameter as ``float.hex``, the scale, the
+    usefulness, a digest of the achieving pairs and ``pair_leaves``, the
+    length of the ``depth`` handed to ``augmented_eval._distance_blocks``
+    (0 where no pair pass runs)."""
     group, name, spec = job
     t = random_tree(*spec)
     sc = seeded_shortcut(t, spec[0])
@@ -337,6 +328,38 @@ def split(records):
             evaluate)
 
 
+def groups(records, key):
+    """{group: names} of ``records``, ``key(name, record)`` naming each
+    one's group, in the order of their first records."""
+    out = {}
+    for name, rec in records.items():
+        out.setdefault(key(name, rec), []).append(name)
+    return out
+
+
+def held(fields, *dumps):
+    """Whether every record of ``dumps`` holds every one of ``fields``."""
+    return all(field in rec for dump in dumps for rec in dump.values()
+               for field in fields)
+
+
+def print_rows(rows, sets, before, after):
+    """Print each of ``rows`` per group of ``sets``, before -> after,
+    where every record of both dumps holds its fields; else one line
+    says it is not compared."""
+    for title, fields, text in rows:
+        if not held(fields, before, after):
+            print(f"{title}: a dump without {', '.join(fields)}, not "
+                  "compared")
+            continue
+        print(f"{title}, before -> after:")
+        for group, names in sets.items():
+            old, new = (text(*([dump[name][field] for name in names]
+                               for field in fields))
+                        for dump in (before, after))
+            print(f"  {group:<12}{old:>20} -> {new}")
+
+
 def compare_evaluate(before, after):
     """The evaluate part of the verdict: no diameter moved by more than
     WORSE * scale.  Counts the bitwise changes outside the verdict."""
@@ -362,18 +385,8 @@ def compare_evaluate(before, after):
           f"{counts['diameter']} diameters bitwise (largest move "
           f"{moved:.2e} scale), {counts['usefulness']} usefulness, "
           f"{counts['pairs']} achieving pairs")
-    if all("pair_leaves" in rec
-           for rec in (*before.values(), *after.values())):
-        pools = {}      # [before, after] totals by pool: shortcuts, mixed
-        for name, old in before.items():
-            total = pools.setdefault(name.split("/")[1], [0, 0])
-            total[0] += old["pair_leaves"]
-            total[1] += after[name]["pair_leaves"]
-        print("leaves read by the leaf-pair pass, before -> after:")
-        for pool, (old, new) in pools.items():
-            print(f"  {pool:<12}{old:>16} -> {new}")
-    else:
-        print("pair leaves: a dump without pair_leaves, not compared")
+    pools = groups(before, lambda name, rec: name.split("/")[1])
+    print_rows(POOL_COLUMNS, pools, before, after)
     return ok
 
 
@@ -383,164 +396,48 @@ def compare(before_path, after_path):
     if before.keys() != after.keys():
         print("the dumps hold different trees")
         return False
-    ok = True
-    sets = {}
-    evaluates = all("evaluate_calls" in rec
-                    for rec in (*before.values(), *after.values()))
-    solves = all("solves" in rec and "solve_families" in rec
-                 for rec in (*before.values(), *after.values()))
-    phase1 = all("phase1_families" in rec
-                 for rec in (*before.values(), *after.values()))
-    roots = all(all(field in rec for field in ROOTS)
-                for rec in (*before.values(), *after.values()))
-    probes = all(all(field in rec for field in PROBES)
-                 for rec in (*before.values(), *after.values()))
-    blocks = all("pair_blocks" in rec
-                 for rec in (*before.values(), *after.values()))
-    polished = all("polish_evaluates" in rec
-                   for rec in (*before.values(), *after.values()))
-    rescues = all("sweep_gap" in rec
-                  for rec in (*before.values(), *after.values()))
-    crossed = []            # (name, gap before, gap after) across GAP
+    ok, change = True, {}   # change: diameter_after's, in units of scale
     for name, old in before.items():
         new = after[name]
-        row = sets.setdefault(old["set"], {
-            "trees": 0, "phase_end": 0, "bitwise": 0, "traces": 0,
-            "worse": 0.0, "better": 0.0, "families": [0, 0],
-            "evaluate_calls": ([], []), "events": [0, 0],
-            "solves": [0, 0], "solve_families": [0, 0],
-            "phase1_families": [0, 0], "pair_blocks": [0, 0],
-            "polish_evaluates": [0, 0],
-            "rescues": [0, 0], "gaps": [0, 0],
-            **{field: [0, 0] for field in ROOTS + PROBES}})
-        row["trees"] += 1
-        row["families"][0] += old["families"]
-        row["families"][1] += new["families"]
-        if evaluates:
-            for calls, rec in zip(row["evaluate_calls"], (old, new)):
-                calls.append(rec["evaluate_calls"])
-        fields = (("solves", "solve_families") if solves else ()) + (
-            ("phase1_families",) if phase1 else ()) + (
-            ROOTS if roots else ()) + (PROBES if probes else ()) + (
-            ("pair_blocks",) if blocks else ()) + (
-            ("polish_evaluates",) if polished else ())
-        for field in fields:
-            row[field][0] += old[field]
-            row[field][1] += new[field]
-        if rescues:
-            gaps = old["sweep_gap"], new["sweep_gap"]
-            for i, gap in enumerate(gaps):
-                row["rescues"][i] += gap > RESCUE
-                row["gaps"][i] += gap > GAP
-            if (gaps[0] > GAP) != (gaps[1] > GAP):
-                crossed.append((name, *gaps))
-        row["events"][0] += old["event_count"]
-        row["events"][1] += new["event_count"]
         if old["phase_end"] != new["phase_end"]:
-            row["phase_end"] += 1
             ok = False
             print(f"{name}: phase_end {old['phase_end']} -> "
                   f"{new['phase_end']}")
-        d0 = float.fromhex(old["diameter_after"])
-        d1 = float.fromhex(new["diameter_after"])
-        if d0 != d1:
-            row["bitwise"] += 1
-        if old.get("events") != new.get("events"):
-            row["traces"] += 1
-        change = (d1 - d0) / old["scale"]
-        row["worse"] = max(row["worse"], change)
-        row["better"] = max(row["better"], -change)
-        if change > WORSE:
+        change[name] = (float.fromhex(new["diameter_after"])
+                        - float.fromhex(old["diameter_after"])) / old["scale"]
+        if change[name] > WORSE:
             ok = False
-            print(f"{name}: diameter_after worse by {change:.3g} scale")
+            print(f"{name}: diameter_after worse by {change[name]:.3g} "
+                  "scale")
+    sets, traces = groups(before, lambda name, rec: rec["set"]), 0
     print(f"{'set':<12}{'trees':>6}{'phase_end':>10}{'bitwise':>8}"
           f"{'traces':>7}{'worst':>11}{'best':>11}{'families':>20}"
-          + (f"{'evaluate':>20}" if evaluates else "") + f"{'events':>16}")
-    for group, row in sets.items():
-        calls = list(map(sum, row["evaluate_calls"]))
-        print(f"{group:<12}{row['trees']:>6}{row['phase_end']:>10}"
-              f"{row['bitwise']:>8}{row['traces']:>7}{row['worse']:>11.2e}"
-              f"{row['better']:>11.2e}"
-              f"{row['families'][0]:>10}{row['families'][1]:>10}"
-              + (f"{calls[0]:>10}{calls[1]:>10}" if evaluates else "")
-              + f"{row['events'][0]:>8}{row['events'][1]:>8}")
+          f"{'events':>16}")
+    for group, names in sets.items():
+        pairs = [(before[name], after[name]) for name in names]
+        moves = [change[name] for name in names]
+        changed = [sum(old.get(field) != new.get(field) for old, new in pairs)
+                   for field in ("phase_end", "diameter_after", "events")]
+        traces += changed[-1]
+        totals = [sum(rec[field] for rec in dump)
+                  for field in ("families", "event_count")
+                  for dump in zip(*pairs)]
+        print(f"{group:<12}{len(names):>6}"
+              + "".join(f"{n:>{w}}" for n, w in zip(changed, (10, 8, 7)))
+              + f"{max(0.0, *moves):>11.2e}{max(0.0, -min(moves)):>11.2e}"
+              + "".join(f"{n:>{w}}" for n, w in zip(totals, (10, 10, 8, 8))))
     print("worst and best: the largest loss and gain of diameter_after, "
-          "in units of scale; families, evaluate and events: the totals "
-          "before and after")
-    if evaluates:
-        print("evaluate calls per tree, mean / median, before -> after:")
-        for group, row in sets.items():
-            old, new = (f"{statistics.mean(calls):.1f} / "
-                        f"{statistics.median(calls):g}"
-                        for calls in row["evaluate_calls"])
-            print(f"  {group:<12}{old:>16} -> {new}")
-    else:
-        print("evaluate calls: a dump without them, not compared")
-    if solves:
-        print("balance solves / families calls per solve, before -> after:")
-        for group, row in sets.items():
-            old, new = (f"{n} / {f / n if n else 0.0:.2f}" for n, f in
-                        zip(row["solves"], row["solve_families"]))
-            print(f"  {group:<12}{old:>16} -> {new}")
-    else:
-        print("balance solves: a dump without them, not compared")
-    if phase1:
-        print("families calls inside phase I, before -> after:")
-        for group, row in sets.items():
-            old, new = row["phase1_families"]
-            print(f"  {group:<12}{old:>16} -> {new}")
-    else:
-        print("phase I families calls: a dump without them, not compared")
-    if roots:
-        print("families calls per stop root / per dip search, before -> "
-              "after:")
-        for group, row in sets.items():
-            old, new = (f"{sf / sr if sr else 0.0:.2f} / "
-                        f"{df / d if d else 0.0:.2f}"
-                        for sr, sf, d, df in zip(*(row[f] for f in ROOTS)))
-            print(f"  {group:<12}{old:>16} -> {new}")
-    else:
-        print("stop roots and dips: a dump without them, not compared")
-    if probes:
-        print("families calls per stretch outside stop roots, before -> "
-              "after:")
-        for group, row in sets.items():
-            old, new = (f"{f / n if n else 0.0:.2f}" for n, f in
-                        zip(*(row[field] for field in PROBES)))
-            print(f"  {group:<12}{old:>16} -> {new}")
-    else:
-        print("probe reads: a dump without stretches, not compared")
-    if blocks:
-        print("in-cycle wedge-pair kernel blocks, before -> after:")
-        for group, row in sets.items():
-            old, new = row["pair_blocks"]
-            print(f"  {group:<12}{old:>16} -> {new}")
-    else:
-        print("pair blocks: a dump without pair_blocks, not compared")
-    if polished:
-        print("evaluate calls inside the polish, before -> after:")
-        for group, row in sets.items():
-            old, new = row["polish_evaluates"]
-            print(f"  {group:<12}{old:>16} -> {new}")
-    else:
-        print("polish evaluates: a dump without polish_evaluates, not "
-              "compared")
-    if rescues:
-        print(f"rescues (sweep_gap > {RESCUE:g} scale), before -> after:")
-        for group, row in sets.items():
-            old, new = row["rescues"]
-            print(f"  {group:<12}{old:>16} -> {new}")
-        print(f"trees with sweep_gap > {GAP:g} scale, before -> after:")
-        for group, row in sets.items():
-            old, new = row["gaps"]
-            print(f"  {group:<12}{old:>16} -> {new}")
-        for name, old, new in crossed:
-            print(f"  {name} crosses {GAP:g}: {old:.8g} -> {new:.8g}")
-    else:
-        print("rescues: a dump without sweep_gap, not compared")
-    changed = sum(row["traces"] for row in sets.values())
-    if all("events" in rec for rec in (*before.values(), *after.values())):
-        print(f"event traces changed on {changed} trees (not part of the "
+          "in units of scale; families and events: the totals before and "
+          "after")
+    print_rows(COLUMNS, sets, before, after)
+    if held(("sweep_gap",), before, after):
+        for name, old in before.items():
+            gaps = old["sweep_gap"], after[name]["sweep_gap"]
+            if (gaps[0] > GAP) != (gaps[1] > GAP):
+                print(f"  {name} crosses {GAP:g}: {gaps[0]:.8g} -> "
+                      f"{gaps[1]:.8g}")
+    if held(("events",), before, after):
+        print(f"event traces changed on {traces} trees (not part of the "
               "verdict)")
     else:
         print("event traces: a dump without trace digests, not compared")
@@ -554,17 +451,21 @@ def compare(before_path, after_path):
 def moved(tree, rng):
     """A copy of ``tree`` moved by a similarity drawn from ``rng``: a
     rotation, a mirror half the time, a scaling by 10^u with u uniform in
-    [-3, 3], and a translation by up to ten times the moved scale."""
+    [-3, 3], and a translation by up to ten times the moved scale; its
+    vertex ids are relabelled by a permutation drawn from ``rng``."""
     turn = rng.uniform(0.0, 2.0 * math.pi)
     cos, sin = math.cos(turn), math.sin(turn)
     mirror = -1.0 if rng.random() < 0.5 else 1.0
     factor = 10.0 ** rng.uniform(-3.0, 3.0)
     dx, dy = (rng.uniform(-10.0, 10.0) * factor * tree.scale
               for _ in range(2))
-    coords = {v: (factor * (cos * x - sin * mirror * y) + dx,
-                  factor * (sin * x + cos * mirror * y) + dy)
+    label = dict(zip(tree.coords, rng.sample(list(tree.coords),
+                                             len(tree.coords))))
+    coords = {label[v]: (factor * (cos * x - sin * mirror * y) + dx,
+                         factor * (sin * x + cos * mirror * y) + dy)
               for v, (x, y) in tree.coords.items()}
-    return GeometricTree(coords, tree.edges)
+    return GeometricTree(coords, [(label[u], label[v])
+                                  for u, v in tree.edges])
 
 
 def measure(tree):
