@@ -13,14 +13,13 @@ every leaf's pairs in O(1) each, by its eccentricity (off the double
 sweep's poles) and by its distances to p and q against the largest on
 the other side, and keeps only the leaves whose bound reaches a value
 the diameter is known to reach (``_kept_leaves``).  Then one numpy pass
-runs over the pairs of the kept leaves in blocks of rows, with no array
-of leaves x leaves.  Each block computes its own tree distances off the
-tree's stored preorder (``_distance_blocks``, the LCA as a range
-minimum: Bender and Farach-Colton, "The LCA problem revisited", LATIN
-2000), and the distances from p and q are array passes over it.  A
-dropped pair lies more than ``tree.tol`` below the diameter, and a kept
-pair's distance is the same float as over all leaves, so the value is
-the one the pass over every pair gives, to the bit.
+runs over the pairs of the kept leaves row by row, with no array of
+leaves x leaves: ``GeometricTree.rows`` gives each row's tree distances
+off the tree's stored preorder, and the distances from p and q are
+array passes over it.  A dropped pair lies more than ``tree.tol`` below
+the diameter, and a kept pair's distance is the same float as over all
+leaves, so the value is the one the pass over every pair gives, to the
+bit.
 ``augmented_diameter`` has the same pass collect the candidates near
 its running maximum and diagnoses the ones within ``tree.tol`` of the
 value.
@@ -140,33 +139,6 @@ def _descriptor(subtype, route):
     return f"{a}-{_ROUTE_TOKEN[route]}-{b}"
 
 
-# Entries per block of rows in the pass over the leaf pairs.
-_BLOCK = 1 << 20
-
-
-def _distance_blocks(depth, gaps):
-    """Tree distances between the leaves, one block of rows at a time.
-
-    ``depth`` and ``gaps`` are the last two arrays of
-    ``GeometricTree.leaf_depths``.  Yields ``(r0, r1, dist)``:
-    ``dist[i - r0, j - r0 - 1]`` is the distance between leaves
-    r0 <= i < r1 and j > i, ``depth[i] + depth[j] - 2 * min(gaps[i:j])``
-    (the LCA as a range minimum), and -inf where j <= i.  A block reads
-    only the columns right of r0 and holds at most about ``_BLOCK``
-    entries.
-    """
-    n = len(depth)
-    rows = max(1, _BLOCK // n)
-    for r0 in range(0, n - 1, rows):
-        r1 = min(r0 + rows, n - 1)
-        # meet[i - r0, j - r0 - 1]; inf where j <= i, which leaves those
-        # entries at -inf.
-        meet = np.where(np.tri(r1 - r0, n - 1 - r0, -1, dtype=bool),
-                        np.inf, gaps[r0:])
-        np.minimum.accumulate(meet, axis=1, out=meet)
-        yield r0, r1, (depth[r0:r1, None] - meet) + (depth[r0 + 1:] - meet)
-
-
 def _pair_entry(classes, u, v, treed, via, dist, tol):
     """The leaf pair (u, v) at distance ``dist``, with the routes (tree
     ``treed``, shortcut ``via``) that reach it."""
@@ -254,27 +226,27 @@ def augmented_diameter(tree: GeometricTree, decomp: BackboneDecomposition,
     return _diagnosis(diameter, near.cyc, achieving)
 
 
-def _kept_leaves(tree, index, dp, dq, e, reached):
+def _kept_leaves(tree, index, dpl, dql, e, reached):
     """The positions, among the leaves ``index``, of the leaves whose
-    pairs can come within ``tree.tol`` of the diameter, given every
-    vertex's distances ``dp``, ``dq`` from p and q, ``e = |pq|`` and a
+    pairs can come within ``tree.tol`` of the diameter, given the
+    leaves' distances ``dpl``, ``dql`` from p and q, ``e = |pq|`` and a
     value the diameter reaches, ``reached``.
 
     The three routes of a pair holding leaf u are at most ``ecc(u)``,
     ``dp(u) + e + max dq`` and ``dq(u) + e + max dp``, so the pair, the
     least of them, is at most the least of these, u's bound.  ``ecc(u)``
-    is u's distance to the farther pole of the double sweep, and the
-    pair of u with that pole is one the pass reads: the floor is the
+    is u's distance to the farther pole of the double sweep, a leaf, and
+    the pair of u with that pole is one the pass reads: the floor is the
     largest of those pairs and ``reached``.  A leaf whose bound is below
     the floor by more than ``2 * tol`` has no pair within ``tol`` of the
     diameter, rounding included.
     """
     u1, u2, d1, d2 = tree.poles
-    d1, d2, dpl, dql = d1[index], d2[index], dp[index], dq[index]
+    d1, d2 = d1[index], d2[index]
     ecc = np.maximum(d1, d2)
-    pole = np.where(d1 >= d2, u1, u2)
-    reach = np.minimum(ecc, np.minimum(dpl + e + dq[pole],
-                                       dql + e + dp[pole]))
+    pole = np.where(d1 >= d2, *np.searchsorted(index, (u1, u2)).tolist())
+    reach = np.minimum(ecc, np.minimum(dpl + e + dql[pole],
+                                       dql + e + dpl[pole]))
     floor = max(reached, float(reach.max())) - 2.0 * tree.tol
     bound = np.minimum(ecc, np.minimum(dpl + (e + dql.max()),
                                        dql + (e + dpl.max())))
@@ -298,7 +270,7 @@ def augmented_diameter_value(tree, shortcut, near=None):
     dq = _point_distances(tree, q)
     dtpq = _network_distance(tree, p, q, dp)
     cyc = e + dtpq
-    index, depth, gaps = tree.leaf_depths
+    index = np.flatnonzero(tree.is_leaf)
     dpl, dql = dp[index], dq[index]
     best = 0.0
     if near is not None:
@@ -309,24 +281,20 @@ def augmented_diameter_value(tree, shortcut, near=None):
         if near is not None:
             for i in np.flatnonzero(anti >= best - tree.tol):
                 near.antipodal.append((int(index[i]), float(anti[i])))
-    keep = _kept_leaves(tree, index, dp, dq, e, best)
+    keep = _kept_leaves(tree, index, dpl, dql, e, best)
     if len(keep) < 2:
         return best
-    # Leaves i < j meet at the least gap between them, so the gap between
-    # two kept leaves is the least of the gaps they span.
-    gaps = np.minimum.reduceat(gaps[:keep[-1]], keep[:-1])
-    index, depth, dpl, dql = index[keep], depth[keep], dpl[keep], dql[keep]
+    index, dpl, dql = index[keep], dpl[keep], dql[keep]
     leaves = index.tolist()
-    for r0, r1, treed in _distance_blocks(depth, gaps):
-        via = np.add.outer(dpl[r0:r1] + e, dql[r0 + 1:])
-        np.minimum(via, np.add.outer(dql[r0:r1] + e, dpl[r0 + 1:]), out=via)
+    for i, treed in enumerate(tree.rows(index)):
+        via = np.minimum(dpl[i] + e + dql[i + 1:], dql[i] + e + dpl[i + 1:])
         val = np.minimum(treed, via)
         best = max(best, float(val.max()))
         if near is not None:
-            for i, j in np.argwhere(val >= best - tree.tol):
-                near.pairs.append((leaves[r0 + i], leaves[r0 + 1 + j],
-                                   float(treed[i, j]), float(via[i, j]),
-                                   float(val[i, j])))
+            for j in np.flatnonzero(val >= best - tree.tol).tolist():
+                near.pairs.append((leaves[i], leaves[i + 1 + j],
+                                   float(treed[j]), float(via[j]),
+                                   float(val[j])))
     return best
 
 

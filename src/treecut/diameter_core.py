@@ -181,12 +181,11 @@ def continuous_diameter(tree: GeometricTree) -> DiameterResult:
     floor = diam - tree.tol
     # Eccentricity of any vertex is realized at one of the two sweep poles.
     cand = np.flatnonzero(tree.is_leaf & (np.maximum(d1, d2) >= floor))
-    ids = tree.ids
-    pairs = set()
-    for u in cand.tolist():
-        for v in cand[tree.dist(u)[cand] >= floor].tolist():
-            if ids[v] > ids[u]:
-                pairs.add((ids[u], ids[v]))
+    ids, pairs = [tree.ids[u] for u in cand.tolist()], []
+    for i, row in enumerate(tree.rows(cand)):
+        u, far = ids[i], np.flatnonzero(row >= floor) + (i + 1)
+        pairs += [(u, v) if u < v else (v, u)
+                  for v in map(ids.__getitem__, far.tolist())]
     return DiameterResult(diam, tuple(sorted(pairs)))
 
 

@@ -9,9 +9,10 @@ adjacency and one preorder DFS from the first vertex, which index every
 vertex by its preorder position and give its parent, edge length, root
 depth and subtree end.  Every query reads them: distances from a point
 are array passes (``point_distances``; ``distances_from`` is its dict
-by id), and the path between two vertices is read off the preorder
-intervals.  ``coords``, ``edges``, ``adj`` and ``edge_length`` stay as
-views by id.
+by id), the distances among a set of vertices come row by row
+(``GeometricTree.rows``), and the path between two vertices is read off
+the preorder intervals.  ``coords``, ``edges``, ``adj`` and
+``edge_length`` stay as views by id.
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ class GeometricTree:
     root), ``parent_depth``, ``end`` (one past the last index of the
     subtree), ``is_leaf`` and ``input_pos`` (the position in ``coords``)
     are read by index.  ``edge_len[k]`` is the length of ``edges[k]``.
-    ``leaf_depths``, the leaves' arrays, and ``poles``, the double
-    sweep, are built on first use.
+    ``poles``, the double sweep, is built on first use.
     """
 
     def __init__(self, vertices: Mapping[int, tuple], edges: Iterable[tuple]):
@@ -248,6 +248,26 @@ class GeometricTree:
         np.minimum.accumulate(pd[s + 1:], out=meet[s + 1:])
         return (depth - meet) + (depth[s] - meet)
 
+    def rows(self, index):
+        """Tree distances among the vertex indices ``index``, increasing,
+        one row at a time: for each index but the last, the distances to
+        the later ones, the same floats as ``dist`` gives.  A row is built
+        when it is read, so memory stays linear in ``len(index)``.
+
+        Vertices i < j meet at the least parent depth over i + 1 .. j
+        (``dist``), so consecutive indices meet at their gap and index k
+        meets the later ones at the running minimum of the gaps from k
+        on.
+        """
+        if len(index) < 2:
+            return
+        depth = self.depth[index]
+        gaps = np.minimum.reduceat(self.parent_depth[:index[-1] + 1],
+                                   index[:-1] + 1)
+        for k in range(len(index) - 1):
+            meet = np.minimum.accumulate(gaps[k:])
+            yield (depth[k] - meet) + (depth[k + 1:] - meet)
+
     def child(self, u: int, v: int):
         """The index of the lower end of the edge u-v; None when u and v
         are not adjacent."""
@@ -277,19 +297,6 @@ class GeometricTree:
             adj[u].append((v, w))
             adj[v].append((u, w))
         return adj
-
-    @cached_property
-    def leaf_depths(self) -> tuple:
-        """The leaves' indices in preorder, their root depths and the gaps
-        between consecutive leaves.
-
-        Two vertices i < j of the preorder meet at the smallest parent
-        depth over i + 1 .. j.  Between consecutive leaves that is their
-        gap, so leaves i < j meet at depth ``min(gaps[i:j])``.
-        """
-        index = np.flatnonzero(self.is_leaf)
-        gaps = np.minimum.reduceat(self.parent_depth, index[:-1] + 1)
-        return index, self.depth[index], gaps
 
     @cached_property
     def poles(self) -> tuple:

@@ -16,12 +16,11 @@ from treecut import (
     augmented_diameter_value,
     backbone,
     classify_usefulness,
-    distances_from,
+    continuous_diameter,
     has_useful_shortcut,
     pair_is_useful,
 )
 from treecut import augmented_eval
-from treecut.augmented_eval import _distance_blocks
 from treecut.oracle import (
     dense_sample_diameter,
     leaf_pair_diameter,
@@ -183,54 +182,17 @@ def test_matches_leaf_pair_oracle():
             assert got.path_state == want.path_state
 
 
-@pytest.mark.parametrize("block", [None, 64], ids=["one-block", "64"])
-def test_distance_blocks_match_distances_from(monkeypatch, block):
-    # Every leaf pair i < j appears once, in the row of i, and matches
-    # distances_from; the entries with j <= i are -inf.  With 64 entries
-    # a block, the trees span many blocks.
-    if block is not None:
-        monkeypatch.setattr(augmented_eval, "_BLOCK", block)
-    for t in (random_tree(4, 30, "uniform"), random_tree(5, 25, "balanced"),
-              random_tree(6, 200, "uniform"), point_backbone_tree(1, 10),
-              stress_family(2)):
-        index, depth, gaps = t.leaf_depths
-        leaves = [t.ids[i] for i in index.tolist()]
-        assert sorted(leaves) == sorted(t.leaves())
-        n, rows_seen = len(leaves), 0
-        for r0, r1, dist in _distance_blocks(depth, gaps):
-            assert r0 == rows_seen < r1
-            rows_seen = r1
-            assert dist.shape == (r1 - r0, n - 1 - r0)
-            assert dist.size <= max(augmented_eval._BLOCK, n - 1)
-            for i in range(r0, r1):
-                du = distances_from(t, TreePoint.at_vertex(leaves[i]))
-                for j in range(r0 + 1, n):
-                    got = dist[i - r0, j - r0 - 1]
-                    if i < j:
-                        assert abs(got - du[leaves[j]]) <= 1e-12 * t.scale
-                    else:
-                        assert got == -math.inf
-        assert rows_seen == n - 1
-
-
-def test_blocks_of_64_entries_give_the_same_diagnosis(monkeypatch):
-    # Trees of 30 to 200 vertices, read in blocks of 64 entries, against
-    # the one-block pass (floats exactly) and the pair-by-pair oracle.
+def test_row_pass_matches_the_oracle_on_trees_of_30_to_200_vertices():
+    # Trees of 30 to 200 vertices, where the pass reads many rows,
+    # against the pair-by-pair oracle.
     shapes = ("uniform", "caterpillar", "balanced")
     trees = [random_tree(s, 30 + 17 * s, shapes[s % 3]) for s in range(11)]
     rng = random.Random(9)
     for t in trees:
         d = backbone(t)
-        shortcuts = shortcut_kinds(t, d, rng)
-        plain = [augmented_diameter(t, d, sc) for sc in shortcuts]
-        with monkeypatch.context() as m:
-            m.setattr(augmented_eval, "_BLOCK", 64)
-            blocks = list(_distance_blocks(*t.leaf_depths[1:]))
-            assert len(blocks) >= 3
-            patched = [augmented_diameter(t, d, sc) for sc in shortcuts]
-        for sc, got, want in zip(shortcuts, patched, plain):
-            assert got == want, (t.n, sc)
-            oracle = leaf_pair_diameter(t, sc)
+        for sc in shortcut_kinds(t, d, rng):
+            got, oracle = augmented_diameter(t, d, sc), leaf_pair_diameter(
+                t, sc)
             assert abs(got.diameter - oracle.diameter) <= 1e-12 * t.scale
             assert got.cycle_length == oracle.cycle_length
             assert summary(got) == summary(oracle), (t.n, sc)
@@ -241,9 +203,7 @@ def test_blocks_of_64_entries_give_the_same_diagnosis(monkeypatch):
 def test_single_vertex_tree():
     t = GeometricTree({0: (1.0, 2.0)}, [])
     sc = Shortcut(TreePoint.at_vertex(0), TreePoint.at_vertex(0))
-    index, depth, gaps = t.leaf_depths
-    assert index.tolist() == [0] and len(gaps) == 0
-    assert list(_distance_blocks(depth, gaps)) == []
+    assert list(t.rows(np.flatnonzero(t.is_leaf))) == []
     diag = augmented_diameter(t, backbone(t), sc)
     assert diag.diameter == 0.0 and diag.cycle_length == 0.0
     assert diag.achieving_pairs == ()
@@ -282,7 +242,7 @@ def test_no_antipodal_term_without_a_cycle(t_hook):
 
 def test_large_tree_memory():
     # 2015 leaves: the pass over the leaf pairs holds a few arrays of one
-    # block of rows each, about _BLOCK entries (8 MB) apiece.
+    # row each.
     t = random_tree(0, 4000, "uniform")
     d = backbone(t)
     tracemalloc.start()
@@ -298,7 +258,7 @@ def test_large_tree_memory():
 
 def test_evaluate_memory_at_8000_vertices():
     # 3,959 leaves.  A table of every leaf pair alone would take 120 MiB;
-    # the blocks of rows keep the whole evaluation under 64 MiB.
+    # the pass row by row keeps the whole evaluation under 64 MiB.
     t = random_tree(0, 8000, "uniform")
     d = backbone(t)
     tracemalloc.start()
@@ -321,25 +281,25 @@ def regular_star(spokes):
     return GeometricTree(verts, [(0, i + 1) for i in range(spokes)])
 
 
-def pass_leaves(monkeypatch):
-    """A list that gets the number of leaves each pair pass reads."""
-    seen, blocks = [], augmented_eval._distance_blocks
+def row_indices(monkeypatch):
+    """A list that gets the number of indices each pair pass hands to
+    ``GeometricTree.rows``: the leaves it reads."""
+    seen, rows = [], GeometricTree.rows
 
-    def counted(depth, gaps):
-        seen.append(len(depth))
-        return blocks(depth, gaps)
+    def counted(tree, index):
+        seen.append(len(index))
+        return rows(tree, index)
 
-    monkeypatch.setattr(augmented_eval, "_distance_blocks", counted)
+    monkeypatch.setattr(GeometricTree, "rows", counted)
     return seen
 
 
 def test_regular_star_keeps_every_leaf(monkeypatch):
     # Every leaf ties on eccentricity, and with a shortcut whose cycle
     # stays short of the diameter every pair of two spokes away from it
-    # is a diameter, so no leaf is pruned; in blocks of 64 entries the
-    # pass and its near lists run over 39 blocks.
-    monkeypatch.setattr(augmented_eval, "_BLOCK", 64)
-    seen = pass_leaves(monkeypatch)
+    # is a diameter, so no leaf is pruned: the pass and its near lists
+    # run over 39 rows.
+    seen = row_indices(monkeypatch)
     t = regular_star(40)
     d = backbone(t)
     centre = TreePoint.at_vertex(0)
@@ -357,12 +317,26 @@ def test_regular_star_keeps_every_leaf(monkeypatch):
         assert got.path_state == want.path_state
 
 
+@pytest.mark.parametrize("base", [0, 2 ** 63 - 20, -2 ** 70])
+def test_regular_star_diameter_pairs_every_two_leaves(base):
+    # Every two spokes of a regular star are a diameter: continuous_diameter
+    # reads the 40 leaves row by row and reports all 780 pairs, by id,
+    # ids beyond 64 bits included.
+    star = regular_star(40)
+    t = GeometricTree({base + v: xy for v, xy in star.coords.items()},
+                      [(base + u, base + v) for u, v in star.edges])
+    got = continuous_diameter(t)
+    assert got.diameter == pytest.approx(2.0)
+    assert got.diametral_leaf_pairs == tuple(
+        (base + u, base + v) for u in range(1, 41) for v in range(u + 1, 41))
+
+
 def test_antipodal_term_leaves_no_pair_pass(monkeypatch):
     # A bent path A-M-B with a pendant w of 10 at M, and the shortcut AB:
     # w against its antipode, 10 + 16 / 2 = 18, beats every pair (15 at
     # most), so every leaf's bound is below the floor and no pair pass
     # runs.
-    seen = pass_leaves(monkeypatch)
+    seen = row_indices(monkeypatch)
     t = GeometricTree({0: (0.0, 0.0), 1: (3.0, 4.0), 2: (6.0, 0.0),
                        3: (3.0, 14.0)}, [(0, 1), (1, 2), (1, 3)])
     sc = Shortcut(TreePoint.at_vertex(0), TreePoint.at_vertex(2))
@@ -383,7 +357,7 @@ def test_antipodal_term_leaves_no_pair_pass(monkeypatch):
 def test_point_shortcut_without_a_cycle(monkeypatch):
     # p == q closes no cycle, so the floor is the pairs with the poles
     # alone; the diagnosis matches the oracle and the bound still prunes.
-    seen = pass_leaves(monkeypatch)
+    seen = row_indices(monkeypatch)
     shapes = ("uniform", "caterpillar", "balanced")
     rng = random.Random(7)
     read = total = 0
@@ -412,7 +386,7 @@ def test_bound_prunes_the_pair_pass(monkeypatch):
     # backbone edges a quarter and three quarters along: the pair pass
     # reads under 10 % of the 2,015 leaves, and the diagnosis is the one
     # the pass over every leaf gives.
-    seen = pass_leaves(monkeypatch)
+    seen = row_indices(monkeypatch)
     t = random_tree(0, 4000, "uniform")
     d = backbone(t)
     ids, k = d.backbone_ids, len(d.backbone_ids)
@@ -430,11 +404,11 @@ def test_bound_prunes_the_pair_pass(monkeypatch):
 
 def test_value_memory_on_a_4000_spoke_star(monkeypatch):
     # Nothing is pruned on a regular star: the pass reads all 4,000
-    # leaves in blocks of rows, and the value stays under 64 MiB where a
+    # leaves one row at a time, and the value stays under 4 MiB where a
     # table of every leaf pair alone would take 122 MiB.
-    seen = pass_leaves(monkeypatch)
+    seen = row_indices(monkeypatch)
     t = regular_star(4000)
-    t.leaf_depths
+    t.poles
     sc = Shortcut(TreePoint(0, 1, 0.5), TreePoint(0, 2001, 0.5))
     tracemalloc.start()
     try:
@@ -444,4 +418,4 @@ def test_value_memory_on_a_4000_spoke_star(monkeypatch):
         tracemalloc.stop()
     assert seen == [4000]
     assert value == pytest.approx(2.0)
-    assert peak < 64 * 2 ** 20
+    assert peak < 4 * 2 ** 20

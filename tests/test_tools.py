@@ -427,29 +427,49 @@ def test_dump_counts_pair_leaves():
 def test_misses_prints_the_trees_above_the_grid_optimum(monkeypatch,
                                                         capsys):
     # A stubbed optimize answers hold-out tree 0 at its polished grid
-    # optimum and hold-out tree 1 5.4e-3 * scale above it, in phase II,
-    # whatever the sweep answers on them.  The scan runs in this process
-    # here, in the order of the jobs.
+    # optimum, hold-out tree 1 5.4e-3 * scale above it, in phase II, and
+    # scale-set tree (2000, 100, uniform) 2.5e-4 * scale above its loop
+    # grid's optimum, in phase III, whatever the sweep answers on them.
+    # The scan runs in this process here, in the order of the jobs.
+    scale = ("scale", "scale/2000/100/uniform", (2000, 100, "uniform"))
+    assert scale in answers.scale_set()
     jobs = [job for job in answers.trees()
-            if job[1] in ("hold-out/0", "hold-out/1")]
-    gaps, sweep = iter([0.0, 5.4e-3]), answers.optimize
+            if job[1] in ("hold-out/0", "hold-out/1")] + [scale]
+    gaps, sweep = iter([0.0, 5.4e-3, 2.5e-4]), answers.optimize
 
     def above(tree):
+        grid, phase = ((answers.loop_grid_optimum, "III") if tree.n == 100
+                       else (answers.polished_grid_optimum, "II"))
         return dataclasses.replace(
-            sweep(tree), phase_end="II", diameter_after=(
-                answers.polished_grid_optimum(tree) + next(gaps) * tree.scale))
+            sweep(tree), phase_end=phase,
+            diameter_after=grid(tree) + next(gaps) * tree.scale)
 
     monkeypatch.setattr(answers, "optimize", above)
     found = answers.misses(jobs, scan=lambda fn, jobs: dict(map(fn, jobs)))
     out = capsys.readouterr().out
-    assert list(found) == ["hold-out/1"]
+    assert list(found) == ["hold-out/1", "scale/2000/100/uniform"]
     assert found["hold-out/1"]["phase_end"] == "II"
     assert 5e-3 < found["hold-out/1"]["gap"] < 6e-3
+    assert found["scale/2000/100/uniform"]["phase_end"] == "III"
+    assert 2e-4 < found["scale/2000/100/uniform"]["gap"] < 3e-4
     lines = out.splitlines()
     assert lines[0] == ("hold-out: 1 misses (above the grid optimum by more "
                         "than 1e-06 scale) of 2 trees with a useful shortcut")
     assert lines[1].split()[:2] == ["hold-out/1", "gap"]
     assert lines[1].split()[-2:] == ["phase_end", "II"]
+    assert lines[2] == ("scale: 1 misses (above the grid optimum by more "
+                        "than 1e-06 scale) of 1 trees with a useful shortcut")
+    assert lines[3].split()[:2] == ["scale/2000/100/uniform", "gap"]
+
+
+def test_scale_set_is_the_roadmap_set():
+    # random_tree(s, n, shape) for n in (100, 500, 2000), the three
+    # shapes and s = 2000..2039: 360 trees, each once.
+    jobs = list(answers.scale_set())
+    assert len(jobs) == len({name for _, name, _ in jobs}) == 360
+    assert {spec for _, _, spec in jobs} == {
+        (s, n, shape) for s in range(2000, 2040) for n in (100, 500, 2000)
+        for shape in answers.SHAPES}
 
 
 def test_seeded_shortcut_is_the_benchmark_request():

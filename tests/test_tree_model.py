@@ -22,7 +22,7 @@ from treecut import (
     tree_from_data,
     tree_path,
 )
-from treecut.oracle import random_tree
+from treecut.oracle import point_backbone_tree, random_tree, stress_family
 from treecut.tree_model import parse_tree_point, vertex_path
 
 
@@ -216,6 +216,29 @@ def test_parse_tree_point_validates(t_l):
 
 def test_leaves(t_hook):
     assert sorted(t_hook.leaves()) == [0, 2, 3]
+
+
+def test_rows_are_the_distances_dist_gives():
+    # Row k holds the distances from the k-th index to the later ones,
+    # the same floats as dist gives: over the leaves and over every
+    # vertex, over every second leaf, which skips the gaps between, and
+    # over the first half of the leaves, which stops short of the end.
+    for t in (random_tree(4, 30, "uniform"), random_tree(5, 25, "balanced"),
+              random_tree(6, 200, "uniform"), point_backbone_tree(1, 10),
+              stress_family(2)):
+        leaves = np.flatnonzero(t.is_leaf)
+        for index in (leaves, np.arange(t.n), leaves[::2],
+                      leaves[:len(leaves) // 2 + 1]):
+            rows = list(t.rows(index))
+            assert len(rows) == len(index) - 1
+            for k, row in enumerate(rows):
+                assert (row == t.dist(index[k])[index[k + 1:]]).all()
+
+
+def test_rows_of_fewer_than_two_indices_are_none():
+    t = random_tree(4, 30, "uniform")
+    for index in ([], [0], [t.n - 1]):
+        assert list(t.rows(np.array(index, dtype=np.intp))) == []
 
 
 def _walk_forbidden(*args, **kwargs):

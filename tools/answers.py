@@ -34,12 +34,15 @@ hold-out and item-1 tree (1,920 trees), in two worker processes like
 ``dump``, and prints per set the frame-decided trees, where some copy
 answers beyond 1e-9.  It is a report, not a gate: it exits 0.
 
-``misses`` runs ``optimize`` on the 1,500 item-1 trees and the 210
-hold-out trees, in two worker processes like ``dump``, and prints per
-set the trees whose answer lies more than 1e-6 * scale above the
-polished optimum of a 161 x 161 backbone grid of the exact evaluator
-(``treecut.oracle.polished_grid_optimum``).  It is a report, not a
-gate: it exits 0.  It takes about 36 s on one core.
+``misses`` runs ``optimize`` on the 360 trees of the ROADMAP scale set
+(``scale_set()``), the 1,500 item-1 trees and the 210 hold-out trees,
+in two worker processes like ``dump``, and prints per set the trees
+whose answer lies more than 1e-6 * scale above a grid optimum of the
+exact evaluator.  The small sets are checked against the polished
+optimum of a 161 x 161 backbone grid
+(``treecut.oracle.polished_grid_optimum``), the scale set against its
+loop grid (``loop_grid_optimum``).  It is a report, not a gate: it
+exits 0.  It takes about 90 s on two cores.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from treecut import augmented_eval  # noqa: E402
 from treecut.augmented_eval import (  # noqa: E402
     augmented_diameter,
     classify_usefulness,
@@ -82,6 +86,7 @@ EVALUATE = "evaluate/"      # the name prefix of the evaluate records
 MOTIONS = 40        # the moved copies ``motions`` checks
 MOVED = 1e-9        # a moved copy's measure differs beyond this
 MISS = 1e-6         # an answer this far above the grid optimum, in scale
+LOOP = 121          # the loop grid's placements per side
 
 # The methods ``answer`` counts the calls of, by name.
 OWNERS = {name: owner for owner, names in (
@@ -187,6 +192,16 @@ def evaluations():
                                                    SHAPES[s % 3])
 
 
+def scale_set():
+    """(set, name, (seed, n, shape)) of the ROADMAP scale set, the large
+    ones first: ``random_tree(s, n, shape)`` for n = 2000, 500 and 100,
+    the three shapes and s = 2000..2039."""
+    for n in (2000, 500, 100):
+        for shape in SHAPES:
+            for s in range(2000, 2040):
+                yield "scale", f"scale/{s}/{n}/{shape}", (s, n, shape)
+
+
 def seeded_shortcut(tree, seed):
     """Interior points of two distinct random edges: the shortcut the
     benchmark's ``evaluate-shortcuts`` pool draws for the same seed."""
@@ -277,23 +292,23 @@ def evaluation(job):
     """(name, record) of ``augmented_diameter`` on one tree and its
     ``seeded_shortcut``: the diameter as ``float.hex``, the scale, the
     usefulness, a digest of the achieving pairs and ``pair_leaves``, the
-    length of the ``depth`` handed to ``augmented_eval._distance_blocks``
-    (0 where no pair pass runs)."""
+    number of indices ``augmented_diameter`` hands to
+    ``GeometricTree.rows`` (0 where no pair pass runs)."""
     group, name, spec = job
     t = random_tree(*spec)
     sc = seeded_shortcut(t, spec[0])
     decomp = backbone(t)
-    blocks, read = augmented_eval._distance_blocks, [0]
+    rows, read = GeometricTree.rows, [0]
 
-    def counted(depth, gaps):
-        read[0] += len(depth)
-        return blocks(depth, gaps)
+    def counted(tree, index):
+        read[0] += len(index)
+        return rows(tree, index)
 
-    augmented_eval._distance_blocks = counted
+    GeometricTree.rows = counted
     try:
         diag = augmented_diameter(t, decomp, sc)
     finally:
-        augmented_eval._distance_blocks = blocks
+        GeometricTree.rows = rows
     use = classify_usefulness(t, sc, decomp)
     return name, {"set": group, "diameter": diag.diameter.hex(),
                   "scale": t.scale, "usefulness": use.classification,
@@ -531,24 +546,44 @@ def motion_scan(jobs=None, scan=run_all):
     return found
 
 
+def loop_grid_optimum(tree):
+    """The least ``Caterpillar.evaluate`` over a ``LOOP`` x ``LOOP``
+    backbone grid, from that point polished by ``optimize``'s compass
+    search.
+
+    The grid is ``polished_grid_optimum``'s, read one placement at a
+    time: ``evaluate_grid`` is O(k^2) per placement, too slow at the
+    scale set's sizes."""
+    eng = _Engine(tree, backbone(tree))
+    cat, best = eng.cat, (math.inf, None)
+    for a in np.linspace(0.0, cat.c_arc, LOOP).tolist():
+        for b in np.linspace(cat.c_arc, cat.L, LOOP).tolist():
+            val = cat.evaluate(a, b)
+            if val < best[0]:
+                best, eng._best_read = (val, (a, b)), cat.last_read
+    return eng._polish(*best)[0]
+
+
 def miss(job):
     """(name, record) of one tree of ``misses``: its set, how far the
-    answer lies above the polished grid optimum in units of scale, and
-    its ``phase_end``; the record is None where no shortcut helps."""
+    answer lies above its grid optimum in units of scale, and its
+    ``phase_end``; the record is None where no shortcut helps."""
     group, name, spec = job
     t = random_tree(*spec)
     res = optimize(t)
     if res.phase_end == "degenerate":
         return name, None
-    gap = (res.diameter_after - polished_grid_optimum(t)) / t.scale
+    grid = loop_grid_optimum if group == "scale" else polished_grid_optimum
+    gap = (res.diameter_after - grid(t)) / t.scale
     return name, {"set": group, "gap": gap, "phase_end": res.phase_end}
 
 
 def misses(jobs=None, scan=run_all):
-    """Print the misses among ``jobs``, by default the item-1 and hold-out
-    trees, per set; returns them as {name: record}."""
+    """Print the misses among ``jobs``, by default the scale-set, item-1
+    and hold-out trees, per set; returns them as {name: record}."""
     if jobs is None:
-        jobs = [job for job in trees() if job[0] in ("item-1", "hold-out")]
+        jobs = list(scale_set()) + [job for job in trees()
+                                    if job[0] in ("item-1", "hold-out")]
     records = scan(miss, jobs)
     found = {}
     for group in dict.fromkeys(job[0] for job in jobs):
@@ -583,7 +618,7 @@ def main(argv=None):
     m.add_argument("--scan", action="store_true",
                    help="print the frame-decided trees")
     sub.add_parser("misses", help="answers above the grid optimum on the "
-                   "item-1 and hold-out trees")
+                   "scale-set, item-1 and hold-out trees")
     args = ap.parse_args(argv)
     if args.command == "dump":
         dump(args.out)
